@@ -1,16 +1,23 @@
 """Greedy improvement of per-task offload ratios.
 
-Every task starts at the same offload ratio.  Each round re-evaluates all
-per-task energies, picks the still-adjustable task that is currently the
-most expensive, and nudges its ratio one step toward full offload.  The
-loop keeps going while the system total strictly improves and stops the
-first time a probe fails to beat the best total seen, so the returned
-vector is always the best one evaluated.
+Every task starts at the same offload ratio.  Each round picks the
+still-adjustable task that is currently the most expensive, and nudges its
+ratio one step toward full offload.  The loop keeps going while the system
+total strictly improves and stops the first time a probe fails to beat the
+best total seen, so the returned vector is always the best one evaluated.
+
+Only one task changes per bump, so the loop keeps a max-heap of
+``(-energy, index)`` over the tasks with ratio < 1 (ties go to the lowest
+index) and updates the bumped task's ratio and energy in place.  A failed
+probe is undone in O(1) instead of copying the best vectors on every bump.
+The system total is still re-summed with ``np.add.reduce`` over all n
+energies on each bump: a running total would round differently, which
+would change the trace bytes and could flip the strict-improvement test.
 """
 
 from __future__ import annotations
 
-import csv
+import heapq
 import math
 from dataclasses import dataclass
 
@@ -45,7 +52,7 @@ class GreedyConfig:
         return math.ceil(10.0 * n_tasks / self.step)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TraceEntry:
     iteration: int
     total_energy: float
@@ -108,56 +115,72 @@ def optimize(scenario: Scenario, config: GreedyConfig,
     if n == 0:
         raise ValueError("scenario has no tasks to optimize")
     max_iters = config.resolve_max_iters(n)
-    local, offload = task_energy_endpoints(scenario, se_provider)
+    local_arr, offload_arr = task_energy_endpoints(scenario, se_provider)
+    local, offload = local_arr.tolist(), offload_arr.tolist()
+    step = config.step
 
-    ratios = np.full(n, float(config.init_ratio))
-    energies = local * (1.0 - ratios) + offload * ratios
-    trace = [TraceEntry(0, float(energies.sum()), None)]
+    init = float(config.init_ratio)
+    ratios = [init] * n
+    energies = local_arr * (1.0 - init) + offload_arr * init
+    heap = [(-e, i) for i, e in enumerate(energies.tolist())] if init < 1.0 else []
+    heapq.heapify(heap)
 
+    total = float(np.add.reduce(energies))
+    trace = [TraceEntry(0, total, None)]
     best_total = math.inf
-    best_ratios = ratios.copy()
-    best_energies = energies.copy()
-    termination = TERMINATION_SATURATED
+    undo = None  # (index, ratio, energy) before the latest bump
     bumps = 0
 
     while True:
-        total = float(energies.sum())
         if not total < best_total:
+            if undo is not None:
+                idx, ratio, energy = undo
+                ratios[idx] = ratio
+                energies[idx] = energy
             termination = TERMINATION_SATURATED
             break
         best_total = total
-        best_ratios = ratios.copy()
-        best_energies = energies.copy()
-
-        adjustable = ratios < 1.0
-        if not adjustable.any():
+        if not heap:
             termination = TERMINATION_CONVERGED
             break
         if bumps >= max_iters:
             termination = TERMINATION_ITER_CAPPED
             break
 
-        idx = int(np.argmax(np.where(adjustable, energies, -np.inf)))
-        bumped = ratios[idx] + config.step
-        ratios[idx] = 1.0 if bumped >= 1.0 - _SNAP else bumped
-        energies = local * (1.0 - ratios) + offload * ratios
+        neg_energy, idx = heap[0]
+        ratio = ratios[idx]
+        undo = (idx, ratio, -neg_energy)
+        bumped = ratio + step
+        ratio = 1.0 if bumped >= 1.0 - _SNAP else bumped
+        energy = local[idx] * (1.0 - ratio) + offload[idx] * ratio
+        ratios[idx] = ratio
+        energies[idx] = energy
+        if ratio < 1.0:
+            heapq.heapreplace(heap, (-energy, idx))
+        else:
+            heapq.heappop(heap)
         bumps += 1
-        trace.append(TraceEntry(bumps, float(energies.sum()), idx))
+        total = float(np.add.reduce(energies))
+        trace.append(TraceEntry(bumps, total, idx))
 
     return OffloadSolution(
-        offload_ratios=best_ratios,
-        per_task_energy=best_energies,
-        total_energy=float(best_energies.sum()),
+        offload_ratios=np.array(ratios),
+        per_task_energy=energies,
+        total_energy=float(np.add.reduce(energies)),
         trace=tuple(trace),
         termination=termination,
     )
 
 
 def write_trace_csv(solution: OffloadSolution, path) -> None:
-    """Dump the evaluation trace; the initial row carries task_index -1."""
+    """Dump the evaluation trace; the initial row carries task_index -1.
+
+    Rows are written one at a time in ``csv.writer``'s format (``\\r\\n``
+    line ends) with ``repr`` totals, so every total reads back exactly.
+    """
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["iteration", "total_energy_j", "task_index"])
-        for entry in solution.trace:
-            idx = -1 if entry.adjusted_task_index is None else entry.adjusted_task_index
-            writer.writerow([entry.iteration, repr(entry.total_energy), idx])
+        fh.write("iteration,total_energy_j,task_index\r\n")
+        fh.writelines(
+            f"{e.iteration},{e.total_energy!r},"
+            f"{-1 if e.adjusted_task_index is None else e.adjusted_task_index}\r\n"
+            for e in solution.trace)
