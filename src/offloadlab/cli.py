@@ -173,9 +173,7 @@ def _resolve_subset(entry, train: Dataset, bins: int) -> tuple[str, ...]:
             raise ValueError(f"dataset lacks features {missing}")
         return PRIMARY_FEATURES
     if entry.startswith("mi:"):
-        count = int(entry.split(":", 1)[1])
-        if count < 1:
-            raise ValueError("mi:N needs N >= 1")
+        count = int(entry.split(":", 1)[1])  # validated by ClusteringConfig
         universe = PRIMARY_FEATURES if all(
             n in train.feature_names for n in PRIMARY_FEATURES) else train.feature_names
         pool = Dataset(feature_names=tuple(universe),

@@ -48,10 +48,31 @@ class LinearModel:
 
 @dataclass(frozen=True, eq=False)
 class ClusteredModel:
+    """Scaling, centroids and one plane per cluster, all over feature_subset.
+
+    The parts must agree: k centroids and k planes, every width equal to the
+    subset's.  `predict_matrix` relies on this to fill every row.
+    """
+
     kmeans: KMeansModel
     per_cluster: tuple[LinearModel, ...]
     scaling: ScalingParams
     feature_subset: tuple[str, ...]
+
+    def __post_init__(self):
+        k, d = self.kmeans.k, len(self.feature_subset)
+        if self.kmeans.centroids.shape != (k, d):
+            raise ValueError(f"centroids have shape {self.kmeans.centroids.shape}, "
+                             f"expected ({k}, {d}) for k={k} and {d} features")
+        if len(self.per_cluster) != k:
+            raise ValueError(f"{len(self.per_cluster)} cluster models for {k} centroids")
+        for c, lm in enumerate(self.per_cluster):
+            if lm.coeffs.shape != (d + 1,):
+                raise ValueError(f"cluster {c} has {lm.coeffs.size} coefficients, "
+                                 f"expected {d + 1}")
+        if self.scaling.mins.shape != (d,):
+            raise ValueError(f"scaling covers {self.scaling.mins.size} features, "
+                             f"the subset has {d}")
 
 
 @dataclass(frozen=True)
@@ -352,29 +373,69 @@ def save_model(model: ClusteredModel, path) -> None:
         fh.write("\n")
 
 
-def load_model(path) -> ClusteredModel:
-    with open(path) as fh:
-        payload = json.load(fh)
-    if payload.get("format") != MODEL_FORMAT:
-        raise ValueError(f"{path}: not a {MODEL_FORMAT} file")
+def _get(section, key: str, kind, where: str):
+    """section[key], which must exist and be of the given JSON type."""
+    if not isinstance(section, dict):
+        raise ValueError(f"{where.rstrip('.') or 'the top level'} must be a JSON object")
+    if key not in section:
+        raise ValueError(f"missing key {where}{key}")
+    value = section[key]
+    # JSON true/false are Python bools, which are also ints
+    if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
+        raise ValueError(f"{where}{key} has the wrong type ({type(value).__name__})")
+    return value
+
+
+def _numbers(value, ndim: int, what: str) -> np.ndarray:
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        arr = None
+    if arr is None or arr.ndim != ndim or not np.isfinite(arr).all():
+        raise ValueError(f"{what} must be a {ndim}-D list of finite numbers")
+    return arr
+
+
+def _model_from_payload(payload) -> ClusteredModel:
+    if not isinstance(payload, dict) or payload.get("format") != MODEL_FORMAT:
+        raise ValueError(f"not a {MODEL_FORMAT} file")
     if payload.get("version") != MODEL_VERSION:
-        raise ValueError(f"{path}: unsupported model version {payload.get('version')}")
-    km = payload["kmeans"]
+        raise ValueError(f"unsupported model version {payload.get('version')}")
+    subset = _get(payload, "feature_subset", list, "")
+    if not subset or not all(isinstance(name, str) for name in subset):
+        raise ValueError("feature_subset must be a non-empty list of names")
+    km = _get(payload, "kmeans", dict, "")
     kmeans = KMeansModel(
-        k=int(km["k"]),
-        centroids=np.asarray(km["centroids"], dtype=float),
-        inertia=float(km["inertia"]),
-        seed=int(km["seed"]),
-        iterations_run=int(km["iterations_run"]),
+        k=_get(km, "k", int, "kmeans."),
+        centroids=_numbers(_get(km, "centroids", list, "kmeans."), 2, "kmeans.centroids"),
+        inertia=float(_get(km, "inertia", (int, float), "kmeans.")),
+        seed=_get(km, "seed", int, "kmeans."),
+        iterations_run=_get(km, "iterations_run", int, "kmeans."),
     )
+    scaling_entry = _get(payload, "scaling", dict, "")
     scaling = ScalingParams(
-        mins=np.asarray(payload["scaling"]["mins"], dtype=float),
-        maxs=np.asarray(payload["scaling"]["maxs"], dtype=float),
+        mins=_numbers(_get(scaling_entry, "mins", list, "scaling."), 1, "scaling.mins"),
+        maxs=_numbers(_get(scaling_entry, "maxs", list, "scaling."), 1, "scaling.maxs"),
     )
     models = tuple(
-        LinearModel(coeffs=np.asarray(entry["coeffs"], dtype=float),
-                    degenerate=bool(entry["degenerate"]))
-        for entry in payload["clusters"]
-    )
+        LinearModel(
+            coeffs=_numbers(_get(entry, "coeffs", list, f"clusters[{c}]."), 1,
+                            f"clusters[{c}].coeffs"),
+            degenerate=_get(entry, "degenerate", bool, f"clusters[{c}]."))
+        for c, entry in enumerate(_get(payload, "clusters", list, "")))
     return ClusteredModel(kmeans=kmeans, per_cluster=models, scaling=scaling,
-                          feature_subset=tuple(payload["feature_subset"]))
+                          feature_subset=tuple(subset))
+
+
+def load_model(path) -> ClusteredModel:
+    """Read a `save_model` snapshot.
+
+    A missing or mistyped key, or parts that disagree (cluster count against
+    k, a width against the feature subset), is a ValueError naming the file.
+    """
+    with open(path) as fh:
+        text = fh.read()
+    try:
+        return _model_from_payload(json.loads(text))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

@@ -42,6 +42,15 @@ class ClusteringConfig:
             raise ValueError("clustering.test_fraction must lie in (0, 1)")
         if self.restarts < 1:
             raise ValueError("clustering.restarts must be >= 1")
+        for entry in self.feature_subsets:
+            if isinstance(entry, str) and entry.startswith("mi:"):
+                try:
+                    count = int(entry[len("mi:"):])
+                except ValueError:
+                    count = 0
+                if count < 1:
+                    raise ValueError(f"clustering.feature_subsets: {entry!r} is not "
+                                     "mi:N with an integer N >= 1")
 
 
 @dataclass(frozen=True)

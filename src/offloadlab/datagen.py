@@ -3,8 +3,12 @@
 Scenarios are drawn from per-field uniform ranges with a seeded generator;
 a degenerate range (lo == hi) pins the field while keeping the draw stream
 aligned, so two specs that differ only in a pinned value produce otherwise
-identical scenarios.  Device speeds can alternatively come from recorded
-GPS trips, converted to ground speeds with a spherical-earth distance.
+identical scenarios.  All uniforms of a scenario come from one
+``rng.random`` block, mapped as ``lo + (hi - lo) * u``; that is exactly what
+one scalar ``rng.uniform`` draw per field computes, so the values match the
+field-by-field stream bit for bit.  Device speeds can alternatively come
+from recorded GPS trips, converted to ground speeds with a spherical-earth
+distance.  Datasets are assembled from whole columns per scenario.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ import numpy as np
 
 from . import greedy as greedy_mod
 from .features import CANONICAL_FEATURES, Dataset
-from .model import Channel, Device, Scenario, Task
+from .model import Channel, Device, Scenario, Task, task_columns
 from .spectral import SpectralConfig, SpectralEfficiencyCache, calc_se
 
 EARTH_RADIUS_M = 6.371e6
@@ -28,6 +32,9 @@ Range = tuple[float, float]
 def _check_range(name: str, rng: Range, lo_min: float = 0.0,
                  strict: bool = True) -> None:
     lo, hi = rng
+    # rng.uniform refuses a non-finite span; the block draw relies on this
+    if not math.isfinite(hi - lo):
+        raise ValueError(f"{name}: range ({lo}, {hi}) is not finite")
     if lo > hi:
         raise ValueError(f"{name}: range lower bound {lo} exceeds upper bound {hi}")
     if strict and lo <= lo_min:
@@ -69,9 +76,9 @@ class ScenarioSpec:
         _check_range("gain", self.gain)
 
 
-def _draw(rng: np.random.Generator, bounds: Range) -> float:
-    # always consumes one draw, even for a pinned range
-    return float(rng.uniform(bounds[0], bounds[1]))
+_DEVICE_FIELDS = ("cpu_freq_hz", "energy_coeff", "bandwidth_hz", "noise_var_w",
+                  "gain", "speed_mps", "carrier_freq_hz")
+_TASK_FIELDS = ("data_bits", "cycles_per_bit")
 
 
 def generate_scenario(spec: ScenarioSpec,
@@ -79,37 +86,34 @@ def generate_scenario(spec: ScenarioSpec,
     """Sample devices, channels, and tasks from the spec's ranges.
 
     Per device the draw order is: cpu_freq, energy_coeff, bandwidth, noise,
-    gain, speed, carrier; then data_bits and cycles_per_bit per task.  The
-    device transmit power is filled in from the channel at the mobility the
-    device was sampled with.
+    gain, speed, carrier; then data_bits and cycles_per_bit per task.  Every
+    field consumes one draw, even a pinned one.  The device transmit power
+    is filled in from the channel at the mobility the device was sampled
+    with.
     """
     cfg = spectral_config if spectral_config is not None else SpectralConfig()
-    rng = np.random.default_rng(spec.seed)
+    fields = _DEVICE_FIELDS + _TASK_FIELDS * spec.tasks_per_device
+    lo = np.array([getattr(spec, f)[0] for f in fields])
+    hi = np.array([getattr(spec, f)[1] for f in fields])
+    u = np.random.default_rng(spec.seed).random(spec.n_devices * len(fields))
+    values = lo + (hi - lo) * u.reshape(spec.n_devices, len(fields))
     devices = []
     channels = []
     tasks = []
-    for n in range(spec.n_devices):
-        cpu = _draw(rng, spec.cpu_freq_hz)
-        coeff = _draw(rng, spec.energy_coeff)
-        channel = Channel(
-            bandwidth_hz=_draw(rng, spec.bandwidth_hz),
-            noise_var_w=_draw(rng, spec.noise_var_w),
-            gain=_draw(rng, spec.gain),
-            speed_mps=_draw(rng, spec.speed_mps),
-            carrier_freq_hz=_draw(rng, spec.carrier_freq_hz),
-        )
-        se = calc_se(channel.speed_mps, channel.carrier_freq_hz, cfg)
-        power = (2.0 ** se - 1.0) * channel.noise_var_w / channel.gain
+    for n, row in enumerate(values.tolist()):
+        cpu, coeff, bandwidth, noise, gain, speed, carrier = row[:len(_DEVICE_FIELDS)]
+        channel = Channel(bandwidth_hz=bandwidth, noise_var_w=noise, gain=gain,
+                          speed_mps=speed, carrier_freq_hz=carrier)
+        se = calc_se(speed, carrier, cfg)
+        power = (2.0 ** se - 1.0) * noise / gain
         devices.append(Device(id=n, cpu_freq_hz=cpu, energy_coeff=coeff,
                               tx_power_w=power))
         channels.append(channel)
-        for k in range(1, spec.tasks_per_device + 1):
-            tasks.append(Task(
-                device_id=n,
-                task_id=k,
-                data_bits=_draw(rng, spec.data_bits),
-                cycles_per_bit=_draw(rng, spec.cycles_per_bit),
-            ))
+        task_draws = row[len(_DEVICE_FIELDS):]
+        tasks.extend(Task(device_id=n, task_id=k + 1, data_bits=bits,
+                          cycles_per_bit=cycles)
+                     for k, (bits, cycles)
+                     in enumerate(zip(task_draws[0::2], task_draws[1::2])))
     return Scenario(devices=tuple(devices), tasks=tuple(tasks),
                     channels=tuple(channels), spectral_config=cfg)
 
@@ -217,27 +221,21 @@ def build_dataset(specs, greedy_config: greedy_mod.GreedyConfig | None = None,
     (plus the spec's pinned constants) reproduces the target.
     """
     gcfg = greedy_config if greedy_config is not None else greedy_mod.GreedyConfig()
-    rows = []
+    blocks = []
     targets = []
     for spec in specs:
         scenario = generate_scenario(spec, spectral_config)
         cache = SpectralEfficiencyCache(scenario.spectral_config)
         solution = greedy_mod.optimize(scenario, gcfg, cache)
-        for i, task in enumerate(scenario.tasks):
-            device = scenario.devices[task.device_id]
-            channel = scenario.channels[task.device_id]
-            rows.append([
-                task.data_bits,
-                float(solution.offload_ratios[i]),
-                channel.speed_mps,
-                channel.carrier_freq_hz,
-                task.cycles_per_bit,
-                device.cpu_freq_hz,
-                channel.bandwidth_hz,
-            ])
-            targets.append(float(solution.per_task_energy[i]))
-    if not rows:
+        dev, bits, cycles = task_columns(scenario)
+        per_device = np.array([(c.speed_mps, c.carrier_freq_hz, d.cpu_freq_hz,
+                                c.bandwidth_hz)
+                               for d, c in zip(scenario.devices, scenario.channels)])
+        speed, carrier, cpu, bandwidth = per_device[dev].T
+        blocks.append(np.column_stack((bits, solution.offload_ratios, speed,
+                                       carrier, cycles, cpu, bandwidth)))
+        targets.append(solution.per_task_energy)
+    if not blocks:
         raise ValueError("no scenarios given")
     return Dataset(feature_names=CANONICAL_FEATURES,
-                   X=np.asarray(rows, dtype=float),
-                   y=np.asarray(targets, dtype=float))
+                   X=np.concatenate(blocks), y=np.concatenate(targets))

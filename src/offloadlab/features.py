@@ -29,6 +29,8 @@ PRIMARY_FEATURES = CANONICAL_FEATURES[:4]
 
 TARGET_COLUMN = "energy_j"
 
+CSV_CHUNK_ROWS = 1024  # rows formatted per write; bounds the text held at once
+
 
 @dataclass(frozen=True, eq=False)
 class Dataset:
@@ -70,11 +72,15 @@ class Dataset:
         return self.X[:, idx]
 
     def to_csv(self, path) -> None:
+        """Header via ``csv.writer``, then ``repr`` values with ``\\r\\n`` line
+        ends, formatted `CSV_CHUNK_ROWS` rows at a time."""
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(list(self.feature_names) + [TARGET_COLUMN])
-            for row, target in zip(self.X, self.y):
-                writer.writerow([repr(float(v)) for v in row] + [repr(float(target))])
+            csv.writer(fh).writerow(list(self.feature_names) + [TARGET_COLUMN])
+            for start in range(0, len(self.X), CSV_CHUNK_ROWS):
+                stop = start + CSV_CHUNK_ROWS
+                rows = np.column_stack((self.X[start:stop], self.y[start:stop]))
+                fh.write("".join(",".join(map(repr, row)) + "\r\n"
+                                 for row in rows.tolist()))
 
     @classmethod
     def from_csv(cls, path) -> "Dataset":

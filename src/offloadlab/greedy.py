@@ -13,17 +13,26 @@ probe is undone in O(1) instead of copying the best vectors on every bump.
 The system total is still re-summed with ``np.add.reduce`` over all n
 energies on each bump: a running total would round differently, which
 would change the trace bytes and could flip the strict-improvement test.
+
+The trace is kept compact: one list of totals and one of bumped task
+indices (-1 for the initial evaluation).  `TraceEntry` objects are only
+built when the trace is indexed or iterated.  The per-task energy
+endpoints are computed with numpy over task columns, with one spectral
+efficiency lookup per device.
 """
 
 from __future__ import annotations
 
+import csv
 import heapq
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Scenario, SEProvider, implied_tx_power
+from .features import CSV_CHUNK_ROWS
+from .model import Scenario, SEProvider, implied_tx_power, task_columns
 
 TERMINATION_CONVERGED = "converged"    # every ratio pinned at 1.0, nothing left to adjust
 TERMINATION_SATURATED = "saturated"    # a probe failed to improve the best total
@@ -59,13 +68,70 @@ class TraceEntry:
     adjusted_task_index: int | None  # None on the initial evaluation
 
 
+class Trace(Sequence):
+    """The evaluation trace as two flat lists.
+
+    ``totals[i]`` is the system total after evaluation i and ``picks[i]``
+    the task bumped just before it (-1 on the initial evaluation).  Items
+    are `TraceEntry` objects built on demand, and a trace compares equal to
+    a tuple of the same entries.
+    """
+
+    __slots__ = ("totals", "picks")
+
+    def __init__(self, totals: list[float], picks: list[int]):
+        if len(totals) != len(picks):
+            raise ValueError("trace totals and picks differ in length")
+        self.totals = totals
+        self.picks = picks
+
+    @classmethod
+    def from_entries(cls, entries) -> "Trace":
+        totals, picks = [], []
+        for i, entry in enumerate(entries):
+            if entry.iteration != i:
+                raise ValueError(f"trace entry {i} has iteration {entry.iteration}")
+            totals.append(entry.total_energy)
+            picks.append(-1 if entry.adjusted_task_index is None
+                         else entry.adjusted_task_index)
+        return cls(totals, picks)
+
+    def __len__(self) -> int:
+        return len(self.totals)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self[j] for j in range(*i.indices(len(self))))
+        i = range(len(self))[i]
+        pick = self.picks[i]
+        return TraceEntry(i, self.totals[i], None if pick < 0 else pick)
+
+    def __iter__(self):
+        for i, (total, pick) in enumerate(zip(self.totals, self.picks)):
+            yield TraceEntry(i, total, None if pick < 0 else pick)
+
+    def __eq__(self, other):
+        if isinstance(other, Trace):
+            return self.totals == other.totals and self.picks == other.picks
+        if isinstance(other, tuple):
+            return tuple(self) == other
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"Trace({len(self)} evaluations)"
+
+
 @dataclass(frozen=True)
 class OffloadSolution:
     offload_ratios: np.ndarray
     per_task_energy: np.ndarray
     total_energy: float
-    trace: tuple[TraceEntry, ...]
+    trace: Trace  # a sequence of TraceEntry is converted on construction
     termination: str
+
+    def __post_init__(self):
+        if not isinstance(self.trace, Trace):
+            object.__setattr__(self, "trace", Trace.from_entries(self.trace))
 
     @property
     def evaluations(self) -> int:
@@ -77,21 +143,26 @@ def task_energy_endpoints(scenario: Scenario, se_provider: SEProvider) -> tuple[
 
     Energy is affine in the offload ratio, so these two arrays determine
     the whole energy landscape: E_i(l) = local_i * (1 - l) + offload_i * l.
+    Tasks without data cost nothing to offload.  ``se_provider`` is asked
+    once per device that has a task with data, in order of first use.
     """
-    n = len(scenario.tasks)
-    local = np.empty(n)
-    offload = np.empty(n)
-    for i, task in enumerate(scenario.tasks):
-        device = scenario.devices[task.device_id]
-        channel = scenario.channels[task.device_id]
-        local[i] = (device.energy_coeff * task.cycles_per_bit
-                    * device.cpu_freq_hz ** 2 * task.data_bits)
-        if task.data_bits == 0.0:
-            offload[i] = 0.0
-        else:
-            se = se_provider(channel.speed_mps, channel.carrier_freq_hz)
-            power = implied_tx_power(channel, se)
-            offload[i] = power * task.data_bits / (channel.bandwidth_hz * se)
+    dev, bits, cycles = task_columns(scenario)
+    devices = scenario.devices
+    coeff = np.array([d.energy_coeff for d in devices])
+    cpu_sq = np.array([d.cpu_freq_hz ** 2 for d in devices])
+    local = coeff[dev] * cycles * cpu_sq[dev] * bits
+
+    shipped = bits != 0.0
+    power = np.zeros(len(devices))
+    rate = np.ones(len(devices))
+    for d in dict.fromkeys(dev[shipped].tolist()):
+        channel = scenario.channels[d]
+        se = se_provider(channel.speed_mps, channel.carrier_freq_hz)
+        power[d] = implied_tx_power(channel, se)
+        rate[d] = channel.bandwidth_hz * se
+    offload = np.zeros(len(bits))
+    on = dev[shipped]
+    offload[shipped] = power[on] * bits[shipped] / rate[on]
     return local, offload
 
 
@@ -126,7 +197,8 @@ def optimize(scenario: Scenario, config: GreedyConfig,
     heapq.heapify(heap)
 
     total = float(np.add.reduce(energies))
-    trace = [TraceEntry(0, total, None)]
+    totals = [total]
+    picks = [-1]
     best_total = math.inf
     undo = None  # (index, ratio, energy) before the latest bump
     bumps = 0
@@ -161,13 +233,14 @@ def optimize(scenario: Scenario, config: GreedyConfig,
             heapq.heappop(heap)
         bumps += 1
         total = float(np.add.reduce(energies))
-        trace.append(TraceEntry(bumps, total, idx))
+        totals.append(total)
+        picks.append(idx)
 
     return OffloadSolution(
         offload_ratios=np.array(ratios),
         per_task_energy=energies,
         total_energy=float(np.add.reduce(energies)),
-        trace=tuple(trace),
+        trace=Trace(totals, picks),
         termination=termination,
     )
 
@@ -175,12 +248,15 @@ def optimize(scenario: Scenario, config: GreedyConfig,
 def write_trace_csv(solution: OffloadSolution, path) -> None:
     """Dump the evaluation trace; the initial row carries task_index -1.
 
-    Rows are written one at a time in ``csv.writer``'s format (``\\r\\n``
-    line ends) with ``repr`` totals, so every total reads back exactly.
+    Rows are written in ``csv.writer``'s format (``\\r\\n`` line ends) with
+    ``repr`` totals, so every total reads back exactly.  They are formatted
+    in chunks of `CSV_CHUNK_ROWS`, never as one whole-file string.
     """
+    totals, picks = solution.trace.totals, solution.trace.picks
     with open(path, "w", newline="") as fh:
-        fh.write("iteration,total_energy_j,task_index\r\n")
-        fh.writelines(
-            f"{e.iteration},{e.total_energy!r},"
-            f"{-1 if e.adjusted_task_index is None else e.adjusted_task_index}\r\n"
-            for e in solution.trace)
+        csv.writer(fh).writerow(["iteration", "total_energy_j", "task_index"])
+        for start in range(0, len(totals), CSV_CHUNK_ROWS):
+            stop = start + CSV_CHUNK_ROWS
+            fh.write("".join(
+                f"{i},{total!r},{pick}\r\n" for i, total, pick
+                in zip(range(start, stop), totals[start:stop], picks[start:stop])))

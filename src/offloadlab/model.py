@@ -14,7 +14,10 @@ All quantities are SI: bits, Hz, seconds, joules, watts, m/s.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Callable
+
+import numpy as np
 
 from .spectral import SE_MAX, SpectralConfig
 
@@ -111,6 +114,15 @@ class Scenario:
 
     def channel_for(self, task: Task) -> Channel:
         return self.channels[task.device_id]
+
+
+def task_columns(scenario: Scenario) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Device index, data_bits and cycles_per_bit of every task, in task order."""
+    tasks = scenario.tasks
+    n = len(tasks)
+    return (np.fromiter(map(attrgetter("device_id"), tasks), np.intp, n),
+            np.fromiter(map(attrgetter("data_bits"), tasks), float, n),
+            np.fromiter(map(attrgetter("cycles_per_bit"), tasks), float, n))
 
 
 def local_time(task: Task, device: Device) -> float:

@@ -213,8 +213,44 @@ class TestTrainPredict:
         assert run("predict", "--dataset_path", str(small_dataset),
                    "--out", str(tmp_path / "o")) == 1
 
+    @pytest.mark.parametrize("damage", ["truncate_clusters", "drop_scaling",
+                                        "narrow_centroids"])
+    def test_predict_rejects_damaged_model(self, tmp_path, small_dataset, capsys,
+                                           damage):
+        out = tmp_path / "o"
+        assert run("train", "--dataset_path", str(small_dataset),
+                   "--clustering.num_clusters", "3", "--out", str(out)) == 0
+        model_path = out / "model.json"
+        payload = json.loads(model_path.read_text())
+        if damage == "truncate_clusters":
+            payload["clusters"] = payload["clusters"][:1]
+        elif damage == "drop_scaling":
+            del payload["scaling"]
+        else:
+            payload["kmeans"]["centroids"] = [c[:2] for c in payload["kmeans"]["centroids"]]
+        model_path.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert run("predict", "--model_path", str(model_path),
+                   "--dataset_path", str(small_dataset), "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(model_path) in err
+        assert "Traceback" not in err
+        assert not (out / "predictions.csv").exists()
+
 
 class TestEvaluate:
+    @pytest.mark.parametrize("entry", ["mi:x", "mi:0", "mi:", "mi:-1", "mi:1.5",
+                                       "primary;mi:x"])
+    def test_bad_mi_count_is_a_config_error(self, tmp_path, small_dataset, capsys,
+                                            entry):
+        capsys.readouterr()
+        assert run("evaluate", "--dataset_path", str(small_dataset),
+                   "--clustering.feature_subsets", entry,
+                   "--out", str(tmp_path / "o")) == 2
+        err = capsys.readouterr().err
+        assert "mi:N" in err and "invalid literal" not in err
+        assert not (tmp_path / "o").exists()
+
     def test_default_subsets(self, tmp_path, small_dataset):
         out = tmp_path / "o"
         assert run("evaluate", "--dataset_path", str(small_dataset),

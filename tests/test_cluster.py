@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -361,3 +362,88 @@ class TestModelSerialization:
         path.write_text(json.dumps(payload))
         with pytest.raises(ValueError):
             load_model(path)
+
+
+DELETE = object()
+
+
+def _damage(payload, edit):
+    """Apply one edit, given as (path of keys, new value or DELETE)."""
+    keys, value = edit
+    target = payload
+    for key in keys[:-1]:
+        target = target[key]
+    if value is DELETE:
+        del target[keys[-1]]
+    else:
+        target[keys[-1]] = value
+
+
+class TestModelFileValidation:
+    """A damaged model.json is a ValueError naming the file, never garbage."""
+
+    @pytest.fixture()
+    def saved(self, tmp_path):
+        ds = toy_dataset(seed=15)
+        path = tmp_path / "model.json"
+        save_model(train_clustered_models(ds, 3, ("TaskSize", "Speed"), seed=1), path)
+        return path, ds
+
+    @pytest.mark.parametrize("edit", [
+        (("clusters",), "TRUNCATE"),
+        (("clusters",), []),
+        (("kmeans", "k"), 4),
+        (("kmeans", "k"), "3"),
+        (("kmeans", "k"), True),
+        (("kmeans", "centroids"), [[0.5]] * 3),
+        (("kmeans", "centroids"), [[0.5, 0.5]] * 2),
+        (("kmeans", "centroids"), [[0.5, "x"]] * 3),
+        (("kmeans", "centroids"), [[0.5, None]] * 3),
+        (("scaling", "mins"), [0.0]),
+        (("scaling", "maxs"), [1.0, 1.0, 1.0]),
+        (("feature_subset",), ["TaskSize"]),
+        (("feature_subset",), "ab"),
+        (("feature_subset",), [1, 2]),
+        (("clusters", 0, "coeffs"), [0.0, 1.0]),
+        (("clusters", 0, "degenerate"), "no"),
+        (("clusters", 0), [1.0, 2.0, 3.0]),
+        (("scaling",), DELETE),
+        (("scaling", "mins"), DELETE),
+        (("kmeans",), DELETE),
+        (("kmeans", "centroids"), DELETE),
+        (("kmeans", "inertia"), "big"),
+        (("clusters",), DELETE),
+        (("clusters", 1, "coeffs"), DELETE),
+        (("feature_subset",), DELETE),
+        (("kmeans",), [1, 2, 3]),
+    ])
+    def test_rejects_damaged_file(self, saved, edit):
+        path, _ = saved
+        payload = json.loads(path.read_text())
+        if edit[1] == "TRUNCATE":
+            payload["clusters"] = payload["clusters"][:2]
+        else:
+            _damage(payload, edit)
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="model.json"):
+            load_model(path)
+
+    @pytest.mark.parametrize("text", ["", "{", "[1, 2]", "null"])
+    def test_rejects_non_model_json(self, tmp_path, text):
+        path = tmp_path / "model.json"
+        path.write_text(text)
+        with pytest.raises(ValueError, match="model.json"):
+            load_model(path)
+
+    def test_intact_file_still_loads(self, saved):
+        path, ds = saved
+        model = load_model(path)
+        assert model.kmeans.k == len(model.per_cluster) == 3
+        assert np.isfinite(predict_dataset(model, ds)).all()
+
+    def test_inconsistent_model_cannot_be_built(self, saved):
+        # predict_matrix fills one row block per plane, so a plane per
+        # centroid is what guarantees every row gets a prediction
+        model = load_model(saved[0])
+        with pytest.raises(ValueError, match="3 centroids"):
+            replace(model, per_cluster=model.per_cluster[:2])

@@ -1,0 +1,301 @@
+"""Differential checks of the array sampler, endpoints and CSV writers.
+
+`reference_datagen` holds frozen copies of the per-task code these replaced.
+Scenarios, endpoint arrays, dataset matrices and CSV files must be
+bit-identical to it, including pinned ranges and tasks without data, and
+the spectral efficiency provider must still never be asked about a device
+whose tasks carry no data.
+"""
+
+import json
+from dataclasses import replace
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import reference_datagen
+from helpers import balanced_spec
+from offloadlab import datagen, greedy
+from offloadlab.cli import main
+from offloadlab.datagen import ScenarioSpec, build_dataset, generate_scenario
+from offloadlab.features import CANONICAL_FEATURES, Dataset
+from offloadlab.greedy import task_energy_endpoints
+from offloadlab.model import Channel, Device, Scenario, Task
+from offloadlab.spectral import SpectralConfig, SpectralEfficiencyCache, calc_se
+
+SHAPES = [(1, 1), (5, 10), (50, 40)]
+# hypothesis draws the small shapes; 50 x 40 runs on the fixed specs below,
+# so a failure shrinks in seconds rather than minutes
+small_shapes = st.one_of(st.sampled_from(SHAPES[:2]),
+                         st.tuples(st.integers(1, 4), st.integers(1, 6)))
+
+
+def _range(lo_min, lo_max, allow_zero=False):
+    """A (lo, hi) pair; about half of the draws pin the field (lo == hi)."""
+    lo = st.floats(lo_min, lo_max)
+    if allow_zero:
+        lo = st.one_of(st.just(0.0), lo)
+    return lo.flatmap(lambda a: st.one_of(
+        st.just((a, a)),
+        st.floats(0.0, 3.0).map(lambda w: (a, a + w * max(a, lo_max)))))
+
+
+@st.composite
+def specs(draw, shapes=small_shapes):
+    n_devices, tasks_per_device = draw(shapes)
+    return ScenarioSpec(
+        n_devices=n_devices,
+        tasks_per_device=tasks_per_device,
+        seed=draw(st.integers(0, 2 ** 32)),
+        data_bits=draw(st.one_of(st.just((0.0, 0.0)),
+                                 _range(0.0, 8e6, allow_zero=True))),
+        cycles_per_bit=draw(_range(1.0, 2000.0)),
+        cpu_freq_hz=draw(_range(1e8, 2e9)),
+        energy_coeff=draw(_range(1e-29, 1e-27)),
+        speed_mps=draw(_range(0.0, 500.0, allow_zero=True)),
+        carrier_freq_hz=draw(_range(1e8, 3e10)),
+        bandwidth_hz=draw(_range(1e5, 1e7)),
+        noise_var_w=draw(_range(1e-14, 1e-2)),
+        gain=draw(_range(0.1, 10.0)),
+    )
+
+
+def _fixed_specs():
+    """Default, balanced, fully pinned and zero-data specs at every shape."""
+    pinned = ScenarioSpec(**{f: (v[0], v[0]) for f, v in vars(ScenarioSpec()).items()
+                             if isinstance(v, tuple)})
+    variants = {
+        "default": ScenarioSpec(seed=7),
+        "balanced": balanced_spec(7),
+        "pinned": replace(pinned, seed=7),
+        "bits-from-zero": ScenarioSpec(seed=7, data_bits=(0.0, 4e6), speed_mps=(0.0, 50.0)),
+        "no-bits": ScenarioSpec(seed=7, data_bits=(0.0, 0.0)),
+    }
+    return [pytest.param(replace(spec, n_devices=n, tasks_per_device=t),
+                         id=f"{name}-{n}x{t}")
+            for name, spec in variants.items() for n, t in SHAPES]
+
+
+FIXED_SPECS = _fixed_specs()
+
+
+def assert_same_scenario(got, want):
+    # repr is exact for floats and tells -0.0 and numpy scalars apart
+    assert repr(got) == repr(want)
+
+
+def assert_same_arrays(got, want):
+    for g, w in zip(got, want, strict=True):
+        assert g.dtype == w.dtype and g.shape == w.shape
+        assert g.tobytes() == w.tobytes()
+
+
+class TestSamplerMatchesReference:
+    @settings(max_examples=60, deadline=None)
+    @given(specs())
+    def test_random_specs(self, spec):
+        assert_same_scenario(generate_scenario(spec),
+                             reference_datagen.generate_scenario(spec))
+
+    @pytest.mark.parametrize("spec", FIXED_SPECS)
+    def test_fixed_specs(self, spec):
+        assert_same_scenario(generate_scenario(spec),
+                             reference_datagen.generate_scenario(spec))
+
+    def test_spectral_config_is_passed_through(self):
+        cfg = SpectralConfig(snr_linear=30.0, subcarrier_spacing_hz=15e3)
+        spec = ScenarioSpec(seed=3)
+        assert_same_scenario(generate_scenario(spec, cfg),
+                             reference_datagen.generate_scenario(spec, cfg))
+
+    @pytest.mark.parametrize("bounds", [(0.0, float("inf")), (1.0, float("nan"))])
+    def test_non_finite_range_is_rejected(self, bounds):
+        with pytest.raises(ValueError, match="not finite"):
+            ScenarioSpec(speed_mps=bounds)
+
+
+class CountingProvider:
+    """calc_se that records its calls and refuses devices without data."""
+
+    def __init__(self, scenario):
+        self.calls = []
+        self.forbidden = {(c.speed_mps, c.carrier_freq_hz)
+                          for d, c in enumerate(scenario.channels)
+                          if not any(t.data_bits != 0.0 for t in scenario.tasks
+                                     if t.device_id == d)}
+
+    def __call__(self, speed, carrier):
+        if (speed, carrier) in self.forbidden:
+            raise AssertionError("provider asked about a device without data")
+        self.calls.append((speed, carrier))
+        return calc_se(speed, carrier)
+
+
+@st.composite
+def hand_built(draw):
+    """Interleaved device ids, tied and zero-bit tasks, some idle devices."""
+    n_devices = draw(st.integers(1, 4))
+    devices = tuple(Device(id=d, cpu_freq_hz=draw(st.floats(1e8, 2e9)),
+                           energy_coeff=draw(st.floats(1e-29, 1e-27)))
+                    for d in range(n_devices))
+    channels = tuple(Channel(bandwidth_hz=draw(st.floats(1e5, 1e7)),
+                             noise_var_w=draw(st.floats(1e-14, 1e-2)),
+                             gain=draw(st.floats(0.1, 10.0)),
+                             speed_mps=float(100 * d),
+                             carrier_freq_hz=draw(st.floats(1e8, 3e10)))
+                     for d in range(n_devices))
+    bits = st.one_of(st.sampled_from([0.0, 0.0, 1e6]), st.floats(0.0, 8e6))
+    tasks = tuple(Task(device_id=draw(st.integers(0, n_devices - 1)), task_id=k + 1,
+                       data_bits=draw(bits), cycles_per_bit=draw(st.floats(1.0, 2000.0)))
+                  for k in range(draw(st.integers(0, 8))))
+    return Scenario(devices=devices, tasks=tasks, channels=channels,
+                    spectral_config=SpectralConfig())
+
+
+class TestEndpointsMatchReference:
+    @settings(max_examples=60, deadline=None)
+    @given(specs())
+    def test_sampled_scenarios(self, spec):
+        self.check_sampled(spec)
+
+    @pytest.mark.parametrize("spec", FIXED_SPECS)
+    def test_fixed_specs(self, spec):
+        self.check_sampled(spec)
+
+    @staticmethod
+    def check_sampled(spec):
+        sc = generate_scenario(spec)
+        got = task_energy_endpoints(sc, SpectralEfficiencyCache(sc.spectral_config))
+        want = reference_datagen.task_energy_endpoints(
+            sc, SpectralEfficiencyCache(sc.spectral_config))
+        assert_same_arrays(got, want)
+
+    @settings(max_examples=200, deadline=None)
+    @given(hand_built())
+    def test_one_lookup_per_device_with_data(self, sc):
+        provider = CountingProvider(sc)
+        got = task_energy_endpoints(sc, provider)
+        assert_same_arrays(got, reference_datagen.task_energy_endpoints(sc, calc_se))
+        first_use = []
+        for task in sc.tasks:
+            if task.data_bits != 0.0 and task.device_id not in first_use:
+                first_use.append(task.device_id)
+        channels = [sc.channels[d] for d in first_use]
+        assert provider.calls == [(c.speed_mps, c.carrier_freq_hz) for c in channels]
+        assert np.all(got[1][[t.data_bits == 0.0 for t in sc.tasks]] == 0.0)
+
+    def test_all_zero_bit_scenario_never_asks_the_provider(self):
+        sc = generate_scenario(ScenarioSpec(seed=2, data_bits=(0.0, 0.0)))
+
+        def refuse(speed, carrier):
+            raise AssertionError("provider called")
+
+        local, offload = task_energy_endpoints(sc, refuse)
+        assert local.tobytes() == np.zeros(len(sc.tasks)).tobytes()
+        assert offload.tobytes() == np.zeros(len(sc.tasks)).tobytes()
+
+    def test_colliding_cache_keys_resolve_in_first_use_order(self):
+        # the two speeds share a cache slot, and device 1's task comes first
+        devices = (Device(id=0, cpu_freq_hz=1e9, energy_coeff=1e-28),
+                   Device(id=1, cpu_freq_hz=1e9, energy_coeff=1e-28))
+        channels = tuple(Channel(bandwidth_hz=1e6, noise_var_w=1e-3, gain=1.0,
+                                 speed_mps=speed, carrier_freq_hz=28e9)
+                         for speed in (300.0, 300.0000001))
+        tasks = (Task(device_id=1, task_id=1, data_bits=1e6, cycles_per_bit=900.0),
+                 Task(device_id=0, task_id=1, data_bits=2e6, cycles_per_bit=800.0))
+        sc = Scenario(devices=devices, tasks=tasks, channels=channels,
+                      spectral_config=SpectralConfig())
+        assert_same_arrays(task_energy_endpoints(sc, SpectralEfficiencyCache()),
+                           reference_datagen.task_energy_endpoints(
+                               sc, SpectralEfficiencyCache()))
+
+
+class TestDatasetMatchesReference:
+    @settings(max_examples=25, deadline=None)
+    @given(st.lists(specs(), min_size=1, max_size=4))
+    def test_random_specs(self, spec_list):
+        got = build_dataset(spec_list)
+        want = reference_datagen.build_dataset(spec_list)
+        assert got.feature_names == want.feature_names
+        assert_same_arrays((got.X, got.y), (want.X, want.y))
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_balanced_specs(self, shape):
+        spec_list = [replace(balanced_spec(s), n_devices=shape[0],
+                             tasks_per_device=shape[1]) for s in range(3)]
+        got = build_dataset(spec_list)
+        want = reference_datagen.build_dataset(spec_list)
+        assert_same_arrays((got.X, got.y), (want.X, want.y))
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+class TestCsvBytesMatchReference:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 4).flatmap(
+        lambda d: st.lists(st.lists(finite, min_size=d + 1, max_size=d + 1),
+                           min_size=1, max_size=30)))
+    def test_random_values(self, tmp_path_factory, rows):
+        data = np.array(rows)
+        names = tuple(f"f{i}" for i in range(data.shape[1] - 1))
+        self._compare(Dataset(names, data[:, :-1], data[:, -1]),
+                      tmp_path_factory.mktemp("csv"))
+
+    @pytest.mark.parametrize("n_rows", [1023, 1024, 1025, 2049])
+    def test_chunk_boundaries(self, tmp_path, n_rows):
+        rng = np.random.default_rng(n_rows)
+        X = rng.standard_normal((n_rows, len(CANONICAL_FEATURES))) * 10.0 ** rng.integers(
+            -300, 300, size=(n_rows, len(CANONICAL_FEATURES)))
+        X[0, 0], X[1, 1], X[2, 2] = -0.0, 5e-324, 1.7976931348623157e308
+        self._compare(Dataset(CANONICAL_FEATURES, X, rng.random(n_rows)), tmp_path)
+
+    @staticmethod
+    def _compare(dataset, tmp_path):
+        dataset.to_csv(tmp_path / "got.csv")
+        reference_datagen.dataset_to_csv(dataset, tmp_path / "want.csv")
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+def _run_cli(monkeypatch, reference: bool, args, out):
+    if reference:
+        monkeypatch.setattr(datagen, "generate_scenario", reference_datagen.generate_scenario)
+        monkeypatch.setattr(datagen, "build_dataset", reference_datagen.build_dataset)
+        monkeypatch.setattr(greedy, "task_energy_endpoints",
+                            reference_datagen.task_energy_endpoints)
+        monkeypatch.setattr(Dataset, "to_csv", reference_datagen.dataset_to_csv)
+    assert main([*args, "--out", str(out)]) == 0
+    monkeypatch.undo()
+    return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+
+class TestCliBytesMatchReference:
+    @pytest.mark.parametrize("args", [
+        ["gen-data", "--datagen.n_scenarios", "30", "--seed", "4"],
+        ["gen-data", "--datagen.n_scenarios", "3", "--seed", "9", "--greedy.step", "0.1",
+         "--scenario.n_devices", "50", "--scenario.tasks_per_device", "40"],
+        ["gen-data", "--datagen.n_scenarios", "5", "--seed", "2",
+         "--scenario.data_bits", "0,4e6"],
+        ["optimize", "--seed", "1", "--scenario.n_devices", "50",
+         "--scenario.tasks_per_device", "40"],
+    ])
+    def test_default_ranges(self, tmp_path, monkeypatch, args):
+        want = _run_cli(monkeypatch, True, args, tmp_path / "ref")
+        got = _run_cli(monkeypatch, False, args, tmp_path / "new")
+        assert got == want
+
+    def test_balanced_gen_data(self, tmp_path, monkeypatch):
+        spec = balanced_spec(0)
+        ranges = {name: list(getattr(spec, name))
+                  for name in ("cycles_per_bit", "cpu_freq_hz", "carrier_freq_hz",
+                               "noise_var_w")}
+        cfg = tmp_path / "balanced.yaml"
+        cfg.write_text(json.dumps({"scenario": ranges}) + "\n")
+        args = ["gen-data", "--config", str(cfg), "--datagen.n_scenarios", "40",
+                "--seed", "11"]
+        want = _run_cli(monkeypatch, True, args, tmp_path / "ref")
+        got = _run_cli(monkeypatch, False, args, tmp_path / "new")
+        assert sorted(got) == ["dataset.csv"]
+        assert got == want
