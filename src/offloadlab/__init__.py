@@ -7,9 +7,8 @@ ingestion), and a clustered linear predictor of task energy.
 """
 
 from .cluster import (ClusteredModel, EvalReport, KMeansModel, LinearModel,
-                      assign_cluster, clustering_predict, evaluate_models,
-                      fit_linear_model, kmeans_fit, load_model, predict_dataset,
-                      save_model, train_clustered_models)
+                      evaluate_models, fit_linear_model, kmeans_fit, load_model,
+                      predict_dataset, save_model, train_clustered_models)
 from .features import (CANONICAL_FEATURES, PRIMARY_FEATURES, Dataset,
                        ScalingParams, apply_min_max, fit_min_max,
                        mutual_information, rank_features, split_dataset)

@@ -25,7 +25,7 @@ import numpy as np
 from . import cluster, datagen, greedy
 from .config import SCHEMA, ConfigError, ExperimentConfig, load_config
 from .features import (PRIMARY_FEATURES, TARGET_COLUMN, Dataset, rank_features,
-                       split_dataset)
+                       read_csv_matrix, split_dataset)
 from .spectral import SpectralEfficiencyCache
 
 log = logging.getLogger("offloadlab")
@@ -206,21 +206,6 @@ def cmd_train(cfg: ExperimentConfig) -> list[Path]:
     return [path]
 
 
-def _read_feature_csv(path):
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if not header:
-            raise ValueError(f"{path}: empty file")
-        rows = [[float(v) for v in line] for line in reader if line]
-    if not rows:
-        raise ValueError(f"{path}: no data rows")
-    data = np.asarray(rows, dtype=float)
-    if header[-1] == TARGET_COLUMN:
-        return tuple(header[:-1]), data[:, :-1], data[:, -1]
-    return tuple(header), data, None
-
-
 def cmd_predict(cfg: ExperimentConfig) -> list[Path]:
     if cfg.model_path is None:
         raise ValueError("predict needs model_path (or --model_path)")
@@ -228,7 +213,10 @@ def cmd_predict(cfg: ExperimentConfig) -> list[Path]:
         raise ValueError("predict needs dataset_path (or --dataset_path)")
     out = _out_dir(cfg)
     model = cluster.load_model(cfg.model_path)
-    names, X, truth = _read_feature_csv(cfg.dataset_path)
+    names, X = read_csv_matrix(cfg.dataset_path)
+    truth = None
+    if names[-1] == TARGET_COLUMN:
+        names, X, truth = names[:-1], X[:, :-1], X[:, -1]
     missing = [n for n in model.feature_subset if n not in names]
     if missing:
         raise ValueError(f"input lacks features the model needs: {missing}")
@@ -276,18 +264,23 @@ def cmd_ingest(cfg: ExperimentConfig) -> list[Path]:
     out = _out_dir(cfg)
     result = datagen.ingest_trajectory_csv(cfg.ingest.path, cfg.ingest.column_map)
     rows = []
-    short_trips = 0
+    short_trips = unordered_trips = 0
     for trip, points in result.trips.items():
         if len(points) < 2:
             short_trips += 1
             continue
-        speeds = datagen.trajectory_speeds(points, cfg.ingest.earth_radius_m)
+        try:
+            speeds = datagen.trajectory_speeds(points, cfg.ingest.earth_radius_m)
+        except ValueError:  # timestamps out of order
+            unordered_trips += 1
+            continue
         rows.extend((trip, i, float(s)) for i, s in enumerate(speeds))
     path = out / SPEEDS_FILE
     _write_csv(path, ["trip_id", "segment", "speed_mps"], rows)
     print(f"rows read: {result.rows_read}")
     print(f"rows skipped: {result.rows_skipped}")
     print(f"trips: {len(result.trips)} ({short_trips} too short for speeds)")
+    print(f"trips with out-of-order timestamps: {unordered_trips}")
     print(f"speed samples: {len(rows)}")
     return [path]
 

@@ -196,16 +196,6 @@ def kmeans_fit(points: np.ndarray, k: int, seed: int = 0, tol: float = 1e-6,
                        inertia_history=tuple(history))
 
 
-def assign_cluster(model: KMeansModel, point: np.ndarray) -> int:
-    """Index of the nearest centroid; ties go to the lowest index."""
-    p = np.asarray(point, dtype=float)
-    if p.shape != (model.centroids.shape[1],):
-        raise ValueError(
-            f"point has shape {p.shape}, centroids expect ({model.centroids.shape[1]},)")
-    d2 = ((model.centroids - p) ** 2).sum(axis=1)
-    return int(d2.argmin())
-
-
 def fit_linear_model(X: np.ndarray, y: np.ndarray) -> LinearModel:
     """Least squares plane through (X, y) via the normal equations.
 
@@ -284,30 +274,12 @@ def train_clustered_models(training_data: Dataset, num_clusters: int,
                           scaling=scaling, feature_subset=subset)
 
 
-def _scale_point(model: ClusteredModel, point) -> np.ndarray:
-    d = len(model.feature_subset)
-    if isinstance(point, dict):
-        missing = [n for n in model.feature_subset if n not in point]
-        if missing:
-            raise ValueError(f"point is missing features: {missing}")
-        vec = np.array([float(point[n]) for n in model.feature_subset])
-    else:
-        vec = np.asarray(point, dtype=float)
-        if vec.shape != (d,):
-            raise ValueError(f"expected {d} feature values, got shape {vec.shape}")
-    return apply_min_max(vec.reshape(1, -1), model.scaling)[0]
-
-
-def clustering_predict(model: ClusteredModel, point) -> float:
-    """Predicted energy (J) for one point, given as a dict or an ordered vector."""
-    scaled = _scale_point(model, point)
-    cluster = assign_cluster(model.kmeans, scaled)
-    lm = model.per_cluster[cluster]
-    return float(lm.coeffs[0] + scaled @ lm.coeffs[1:])
-
-
 def predict_matrix(model: ClusteredModel, raw: np.ndarray) -> np.ndarray:
-    """Vectorised clustering_predict; rows ordered like the feature subset."""
+    """Predicted energy (J) per row of raw features ordered like the subset.
+
+    Each row is scaled with the training parameters, routed to the nearest
+    centroid (ties to the lowest index) and evaluated with that plane.
+    """
     raw = np.atleast_2d(np.asarray(raw, dtype=float))
     if raw.shape[1] != len(model.feature_subset):
         raise ValueError(

@@ -8,7 +8,7 @@ dotted name.  Unknown keys are rejected rather than ignored.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 
 import yaml
 
@@ -99,6 +99,11 @@ class ExperimentConfig:
     sweeps: SweepConfig = SweepConfig()
     datagen: DatagenConfig = DatagenConfig()
     ingest: IngestConfig = IngestConfig()
+
+
+# a field whose default is a dataclass is a section; the rest are top-level
+_SECTIONS = {f.name: type(f.default) for f in fields(ExperimentConfig)
+             if is_dataclass(f.default)}
 
 
 def _int(v) -> int:
@@ -223,9 +228,6 @@ SCHEMA = {
     "scenario.bandwidth_hz": _range,
     "scenario.noise_var_w": _range,
     "scenario.gain": _range,
-    "spectral.bandwidth_hz": _float,
-    "spectral.num_users": _int,
-    "spectral.frame_time_s": _float,
     "spectral.subcarrier_spacing_hz": _float,
     "spectral.light_speed_mps": _float,
     "spectral.snr_linear": _float,
@@ -248,15 +250,8 @@ SCHEMA = {
     "ingest.earth_radius_m": _float,
 }
 
-_DEFAULT_FLAT = {
-    "seed": 0,
-    "out_dir": "out",
-    "jobs": 1,
-    "dataset_path": None,
-    "model_path": None,
-    "scenario.seed": None,
-    "clustering.seed": None,
-}
+# unset section seeds fall back to the global one
+_SECTION_SEEDS = ("scenario.seed", "clustering.seed")
 
 
 def _flatten(tree: dict, prefix: str = "") -> dict:
@@ -271,19 +266,11 @@ def _flatten(tree: dict, prefix: str = "") -> dict:
 
 
 def _default_flat() -> dict:
-    flat = dict(_DEFAULT_FLAT)
-    for section, proto in (
-        ("scenario", ScenarioSpec()),
-        ("spectral", SpectralConfig()),
-        ("greedy", GreedyConfig()),
-        ("clustering", ClusteringConfig()),
-        ("sweeps", SweepConfig()),
-        ("datagen", DatagenConfig()),
-        ("ingest", IngestConfig()),
-    ):
-        for name in type(proto).__dataclass_fields__:
-            dotted = f"{section}.{name}"
-            flat.setdefault(dotted, getattr(proto, name))
+    """Every config leaf by dotted name, with its default."""
+    flat = {f.name: f.default for f in fields(ExperimentConfig) if f.name not in _SECTIONS}
+    for name, section in _SECTIONS.items():
+        flat.update((f"{name}.{leaf.name}", leaf.default) for leaf in fields(section))
+    flat.update(dict.fromkeys(_SECTION_SEEDS))
     return flat
 
 
@@ -296,7 +283,7 @@ def load_config(path=None, overrides=None, seed=None,
     flags and win over everything else when given.
     """
     flat = _default_flat()
-
+    data = {}
     if path is not None:
         try:
             with open(path) as fh:
@@ -309,48 +296,24 @@ def load_config(path=None, overrides=None, seed=None,
             data = {}
         if not isinstance(data, dict):
             raise ConfigError("config file must hold a mapping at the top level")
-        for dotted, value in _flatten(data).items():
-            if dotted not in SCHEMA:
-                raise ConfigError(f"unknown config field {dotted!r}")
-            flat[dotted] = SCHEMA[dotted](value)
 
-    for dotted, value in (overrides or {}).items():
+    flags = {"seed": seed, "out_dir": out_dir, "jobs": jobs}
+    # lowest precedence first: the file, dotted overrides, the global flags
+    for dotted, value in [*_flatten(data).items(), *(overrides or {}).items(),
+                          *((k, v) for k, v in flags.items() if v is not None)]:
         if dotted not in SCHEMA:
             raise ConfigError(f"unknown config field {dotted!r}")
         flat[dotted] = SCHEMA[dotted](value)
-
-    if seed is not None:
-        flat["seed"] = _int(seed)
-    if out_dir is not None:
-        flat["out_dir"] = str(out_dir)
-    if jobs is not None:
-        flat["jobs"] = _int(jobs)
-
-    # section seeds default to the global one
-    if flat["scenario.seed"] is None:
-        flat["scenario.seed"] = flat["seed"]
-    if flat["clustering.seed"] is None:
-        flat["clustering.seed"] = flat["seed"]
-
-    def section(prefix: str, cls):
-        kwargs = {name: flat[f"{prefix}.{name}"] for name in cls.__dataclass_fields__}
-        return cls(**kwargs)
+    for dotted in _SECTION_SEEDS:
+        if flat[dotted] is None:
+            flat[dotted] = flat["seed"]
 
     try:
         cfg = ExperimentConfig(
-            seed=flat["seed"],
-            out_dir=flat["out_dir"],
-            jobs=flat["jobs"],
-            dataset_path=flat["dataset_path"],
-            model_path=flat["model_path"],
-            scenario=section("scenario", ScenarioSpec),
-            spectral=section("spectral", SpectralConfig),
-            greedy=section("greedy", GreedyConfig),
-            clustering=section("clustering", ClusteringConfig),
-            sweeps=section("sweeps", SweepConfig),
-            datagen=section("datagen", DatagenConfig),
-            ingest=section("ingest", IngestConfig),
-        )
+            **{name: flat[name] for name in flat if "." not in name},
+            **{name: section(**{leaf.name: flat[f"{name}.{leaf.name}"]
+                                for leaf in fields(section)})
+               for name, section in _SECTIONS.items()})
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     if cfg.jobs < 1:

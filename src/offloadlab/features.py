@@ -84,23 +84,43 @@ class Dataset:
 
     @classmethod
     def from_csv(cls, path) -> "Dataset":
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if not header:
-                raise ValueError(f"{path}: empty file")
-            if header[-1] != TARGET_COLUMN:
-                raise ValueError(f"{path}: last column must be {TARGET_COLUMN}")
-            names = tuple(header[:-1])
-            rows = []
-            for line in reader:
-                if not line:
-                    continue
+        names, data = read_csv_matrix(path)
+        if names[-1] != TARGET_COLUMN:
+            raise ValueError(f"{path}: last column must be {TARGET_COLUMN}")
+        return cls(feature_names=names[:-1], X=data[:, :-1], y=data[:, -1])
+
+
+def read_csv_matrix(path) -> tuple[tuple[str, ...], np.ndarray]:
+    """Header names and a finite float matrix from a numeric CSV file.
+
+    Blank lines are skipped.  An empty file, a header without data rows,
+    duplicate column names, a row of the wrong width, a cell that is not a
+    number and a NaN or infinite value are each a ValueError naming the file.
+    """
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if not header:
+            raise ValueError(f"{path}: empty file")
+        if len(set(header)) != len(header):
+            raise ValueError(f"{path}: duplicate column names in the header")
+        rows = []
+        for line in reader:
+            if not line:
+                continue
+            if len(line) != len(header):
+                raise ValueError(f"{path}: line {reader.line_num}: {len(line)} cells, "
+                                 f"the header has {len(header)}")
+            try:
                 rows.append([float(v) for v in line])
-        if not rows:
-            raise ValueError(f"{path}: no data rows")
-        data = np.asarray(rows, dtype=float)
-        return cls(feature_names=names, X=data[:, :-1], y=data[:, -1])
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
+    if not rows:
+        raise ValueError(f"{path}: no data rows")
+    data = np.asarray(rows, dtype=float)
+    if not np.isfinite(data).all():
+        raise ValueError(f"{path}: NaN or infinite values")
+    return tuple(header), data
 
 
 def split_dataset(dataset: Dataset, test_fraction: float, seed: int) -> tuple[Dataset, Dataset]:

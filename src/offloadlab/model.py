@@ -160,10 +160,7 @@ def offload_time(task: Task, channel: Channel, se: float) -> float:
 
 def implied_tx_power(channel: Channel, se: float) -> float:
     """Transmit power (W) the device needs to sustain se on this channel."""
-    if se > SE_MAX:
-        raise ValueError(f"spectral efficiency {se} exceeds {SE_MAX}; channel state is malformed")
-    if se <= 0:
-        raise ValueError("spectral efficiency must be > 0")
+    _check_se(se)
     return (2.0 ** se - 1.0) * channel.noise_var_w / channel.gain
 
 
@@ -176,10 +173,7 @@ def offload_energy(task: Task, channel: Channel, se: float) -> float:
     shipped = task.offload_ratio * task.data_bits
     if shipped == 0.0:
         return 0.0
-    if se > SE_MAX:
-        raise ValueError(f"spectral efficiency {se} exceeds {SE_MAX}; channel state is malformed")
-    if se <= 0:
-        raise ValueError("spectral efficiency must be > 0 when data is offloaded")
+    _check_se(se)
     power = (2.0 ** se - 1.0) * (channel.noise_var_w / channel.gain)
     return power * shipped / (channel.bandwidth_hz * se)
 

@@ -20,20 +20,11 @@ SE_MAX = 64.0  # spectral efficiencies beyond this are treated as malformed
 class SpectralConfig:
     """Waveform-level constants shared by every uplink in a scenario."""
 
-    bandwidth_hz: float = 1e6
-    num_users: int = 5
-    frame_time_s: float = 10e-3
     subcarrier_spacing_hz: float = 100e3
     light_speed_mps: float = 3e8
     snr_linear: float = 100.0
 
     def __post_init__(self):
-        if self.bandwidth_hz <= 0:
-            raise ValueError("bandwidth_hz must be > 0")
-        if self.num_users < 1:
-            raise ValueError("num_users must be >= 1")
-        if self.frame_time_s <= 0:
-            raise ValueError("frame_time_s must be > 0")
         if self.subcarrier_spacing_hz <= 0:
             raise ValueError("subcarrier_spacing_hz must be > 0")
         if self.light_speed_mps <= 0:

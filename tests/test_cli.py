@@ -39,6 +39,19 @@ class TestConfigHandling:
         with pytest.raises(SystemExit):
             run("optimize", "--scenario.bogus", "1", "--out", str(tmp_path / "o"))
 
+    @pytest.mark.parametrize("leaf", ["bandwidth_hz", "num_users", "frame_time_s"])
+    def test_removed_spectral_keys_exit_2(self, tmp_path, capsys, leaf):
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as exc:
+            run("optimize", f"--spectral.{leaf}", "3", "--out", str(out))
+        assert exc.value.code == 2
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(f"spectral:\n  {leaf}: 3\n")
+        capsys.readouterr()
+        assert run("optimize", "--config", str(cfg), "--out", str(out)) == 2
+        assert f"unknown config field 'spectral.{leaf}'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_section_seed_beats_global_flag(self, tmp_path):
         cfg = tmp_path / "cfg.yaml"
         cfg.write_text("scenario:\n  seed: 3\n")
@@ -238,6 +251,82 @@ class TestTrainPredict:
         assert not (out / "predictions.csv").exists()
 
 
+def write_rows(path, rows):
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+
+
+@pytest.fixture()
+def trained_model(tmp_path, small_dataset):
+    out = tmp_path / "model"
+    assert run("train", "--dataset_path", str(small_dataset), "--out", str(out)) == 0
+    return out / "model.json"
+
+
+class TestCsvInput:
+    """Damaged dataset or feature CSVs fail with exit 1 and name the file."""
+
+    def fails(self, command, path, out, model, capsys) -> str:
+        args = [command, "--dataset_path", str(path), "--out", str(out)]
+        if command == "predict":
+            args += ["--model_path", str(model)]
+        capsys.readouterr()
+        assert run(*args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(path) in err
+        assert "Traceback" not in err
+        assert not (out / "predictions.csv").exists()
+        assert not (out / "model.json").exists()
+        return err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("column", [0, -1], ids=["feature", "last"])
+    @pytest.mark.parametrize("keep_target", [True, False],
+                             ids=["with_target", "features_only"])
+    def test_predict_rejects_non_finite(self, tmp_path, small_dataset,
+                                        trained_model, capsys, value, column,
+                                        keep_target):
+        rows = read_rows(small_dataset)
+        if not keep_target:
+            rows = [row[:-1] for row in rows]
+        rows[5][column] = value
+        bad = tmp_path / "bad.csv"
+        write_rows(bad, rows)
+        self.fails("predict", bad, tmp_path / "o", trained_model, capsys)
+
+    @pytest.mark.parametrize("command", ["train", "predict"])
+    def test_duplicate_column_name(self, tmp_path, small_dataset, trained_model,
+                                   capsys, command):
+        rows = read_rows(small_dataset)
+        rows[0][1] = rows[0][0]
+        bad = tmp_path / "bad.csv"
+        write_rows(bad, rows)
+        err = self.fails(command, bad, tmp_path / "o", trained_model, capsys)
+        assert "duplicate" in err
+
+    @pytest.mark.parametrize("command", ["train", "predict"])
+    @pytest.mark.parametrize("damage", ["ragged", "non_numeric"])
+    def test_bad_row_names_the_line(self, tmp_path, small_dataset, trained_model,
+                                    capsys, command, damage):
+        rows = read_rows(small_dataset)
+        if damage == "ragged":
+            rows[3] = rows[3][:-1]
+        else:
+            rows[3][2] = "fast"
+        bad = tmp_path / "bad.csv"
+        write_rows(bad, rows)
+        err = self.fails(command, bad, tmp_path / "o", trained_model, capsys)
+        assert f"{bad}: line 4: " in err
+
+    @pytest.mark.parametrize("command", ["train", "predict"])
+    @pytest.mark.parametrize("text", ["", "TaskSize,energy_j\r\n"],
+                             ids=["empty", "header_only"])
+    def test_no_data(self, tmp_path, trained_model, capsys, command, text):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(text)
+        self.fails(command, bad, tmp_path / "o", trained_model, capsys)
+
+
 class TestEvaluate:
     @pytest.mark.parametrize("entry", ["mi:x", "mi:0", "mi:", "mi:-1", "mi:1.5",
                                        "primary;mi:x"])
@@ -299,6 +388,25 @@ class TestIngest:
         assert rows[0] == ["trip_id", "segment", "speed_mps"]
         assert len(rows) == 2
         assert float(rows[1][2]) == pytest.approx(30.887479623485454, rel=1e-9)
+
+    def test_out_of_order_trip_is_skipped_and_counted(self, tmp_path, capsys):
+        trace = tmp_path / "trace.csv"
+        trace.write_text("\n".join([
+            "Timestamp(ms),Latitude[deg],Longitude[deg],Trip",
+            "0,0.0,0.0,7",
+            "3600000,0.0,1.0,7",
+            "3600000,0.0,0.0,8",
+            "0,0.0,1.0,8",
+            "",
+        ]))
+        out = tmp_path / "o"
+        assert run("ingest", "--ingest.path", str(trace), "--out", str(out)) == 0
+        captured = capsys.readouterr().out
+        assert "trips: 2 (0 too short for speeds)" in captured
+        assert "trips with out-of-order timestamps: 1" in captured
+        assert "speed samples: 1" in captured
+        rows = read_rows(out / "speeds.csv")
+        assert [row[:2] for row in rows] == [["trip_id", "segment"], ["7", "0"]]
 
     def test_custom_column_map(self, tmp_path):
         trace = tmp_path / "t.csv"

@@ -8,11 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from offloadlab.cluster import (EvalReport, assign_cluster, clustering_predict,
-                                evaluate_models, fit_linear_model, kmeans_fit,
-                                load_model, predict_dataset, predict_matrix,
-                                save_model, train_clustered_models)
-from offloadlab.features import Dataset, apply_min_max, fit_min_max
+from offloadlab.cluster import (ClusteredModel, EvalReport, KMeansModel,
+                                LinearModel, evaluate_models, fit_linear_model,
+                                kmeans_fit, load_model, predict_dataset,
+                                predict_matrix, save_model, train_clustered_models)
+from offloadlab.features import Dataset, ScalingParams, apply_min_max, fit_min_max
 
 
 def best_partition_inertia(points: np.ndarray, k: int) -> float:
@@ -125,29 +125,59 @@ class TestKMeans:
             kmeans_fit(np.zeros((4, 1)), 2, restarts=0)
 
 
+def nearest_by_loop(centroids: np.ndarray, point: np.ndarray) -> int:
+    """Index of the nearest centroid by squared distance; ties to the lowest."""
+    best, best_d2 = 0, math.inf
+    for c, centroid in enumerate(centroids):
+        d2 = sum((float(p) - float(q)) ** 2 for p, q in zip(point, centroid))
+        if d2 < best_d2:
+            best, best_d2 = c, d2
+    return best
+
+
+def routing_model(centroids) -> ClusteredModel:
+    """Identity scaling and one constant plane per centroid: the prediction
+    is the index of the cluster a row is routed to."""
+    centroids = np.asarray(centroids, dtype=float)
+    k, d = centroids.shape
+    planes = tuple(LinearModel(coeffs=np.r_[float(c), np.zeros(d)]) for c in range(k))
+    return ClusteredModel(
+        kmeans=KMeansModel(k=k, centroids=centroids, inertia=0.0, seed=0,
+                           iterations_run=0),
+        per_cluster=planes,
+        scaling=ScalingParams(mins=np.zeros(d), maxs=np.ones(d)),
+        feature_subset=tuple(f"f{i}" for i in range(d)))
+
+
 class TestAssignCluster:
+    """Routing inside predict_matrix: nearest centroid, ties to the lowest."""
+
     def make(self):
         rng = np.random.default_rng(8)
         pts = np.vstack([rng.normal(0, 0.1, (10, 2)), rng.normal(5, 0.1, (10, 2))])
-        return kmeans_fit(pts, 2, seed=0, restarts=3)
+        return routing_model(kmeans_fit(pts, 2, seed=0, restarts=3).centroids)
 
     def test_routes_to_nearest(self):
         model = self.make()
-        near_zero = assign_cluster(model, np.array([0.1, -0.1]))
-        near_five = assign_cluster(model, np.array([5.2, 4.9]))
+        points = np.array([[0.1, -0.1], [5.2, 4.9]])
+        near_zero, near_five = predict_matrix(model, points).astype(int)
         assert near_zero != near_five
-        assert np.linalg.norm(model.centroids[near_zero]) < 1.0
+        assert np.linalg.norm(model.kmeans.centroids[near_zero]) < 1.0
+        rng = np.random.default_rng(12)
+        cloud = rng.uniform(-2, 7, size=(200, 2))
+        expected = [nearest_by_loop(model.kmeans.centroids, p) for p in cloud]
+        assert predict_matrix(model, cloud).tolist() == expected
 
     def test_tie_takes_lowest_index(self):
-        from offloadlab.cluster import KMeansModel
-        model = KMeansModel(k=2, centroids=np.array([[0.0], [2.0]]),
-                            inertia=0.0, seed=0, iterations_run=0)
-        assert assign_cluster(model, np.array([1.0])) == 0
+        model = routing_model([[2.0], [0.0], [2.0]])
+        # 1.0 is equidistant from all three; 2.0 sits on clusters 0 and 2
+        assert predict_matrix(model, np.array([[1.0], [2.0]])).tolist() == [0.0, 0.0]
+        assert nearest_by_loop(model.kmeans.centroids, [1.0]) == 0
 
     def test_dimension_mismatch(self):
         model = self.make()
         with pytest.raises(ValueError):
-            assign_cluster(model, np.array([1.0, 2.0, 3.0]))
+            predict_matrix(model, np.array([[1.0, 2.0, 3.0]]))
 
 
 class TestLinearModel:
@@ -232,8 +262,8 @@ class TestTrainClusteredModels:
         y = np.concatenate([np.linspace(5, 6, 10), [42.0, 44.0]])
         ds = Dataset(feature_names=("TaskSize",), X=X, y=y)
         model = train_clustered_models(ds, num_clusters=2, seed=0)
-        far = assign_cluster(model.kmeans,
-                             apply_min_max(np.array([[100.5]]), model.scaling)[0])
+        far = nearest_by_loop(model.kmeans.centroids,
+                              apply_min_max(np.array([[100.5]]), model.scaling)[0])
         lm = model.per_cluster[far]
         assert lm.degenerate
         assert lm.coeffs[0] == pytest.approx(43.0)
@@ -257,26 +287,15 @@ class TestTrainClusteredModels:
 
 
 class TestPredict:
-    def test_dict_and_vector_agree(self):
-        ds = toy_dataset()
-        model = train_clustered_models(ds, 3, seed=1)
-        vec = ds.X[7]
-        as_dict = {name: vec[i] for i, name in enumerate(ds.feature_names)}
-        assert clustering_predict(model, vec) == clustering_predict(model, as_dict)
-
-    def test_missing_key_and_wrong_length(self):
-        ds = toy_dataset()
-        model = train_clustered_models(ds, 2, seed=1)
-        with pytest.raises(ValueError):
-            clustering_predict(model, {"TaskSize": 1.0})
-        with pytest.raises(ValueError):
-            clustering_predict(model, np.array([1.0, 2.0]))
-
     def test_matrix_matches_scalar_loop(self):
         ds = toy_dataset(seed=3)
         model = train_clustered_models(ds, 3, seed=2)
         batch = predict_dataset(model, ds)
-        singles = np.array([clustering_predict(model, row) for row in ds.X])
+        scaled = apply_min_max(ds.X, model.scaling)
+        singles = []
+        for row in scaled:
+            lm = model.per_cluster[nearest_by_loop(model.kmeans.centroids, row)]
+            singles.append(lm.coeffs[0] + sum(c * x for c, x in zip(lm.coeffs[1:], row)))
         assert np.allclose(batch, singles, rtol=1e-12, atol=0)
 
     def test_matrix_column_mismatch(self):

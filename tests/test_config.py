@@ -1,6 +1,8 @@
+from dataclasses import fields, is_dataclass
+
 import pytest
 
-from offloadlab.config import ConfigError, load_config
+from offloadlab.config import SCHEMA, ConfigError, ExperimentConfig, load_config
 from offloadlab.datagen import VED_COLUMNS
 
 
@@ -135,3 +137,39 @@ class TestCoercion:
             load_config(overrides={"scenario.n_devices": "0"})
         with pytest.raises(ConfigError):
             load_config(overrides={"greedy.step": "0"})
+
+
+REMOVED_SPECTRAL_KEYS = ("spectral.bandwidth_hz", "spectral.num_users",
+                         "spectral.frame_time_s")
+
+
+class TestSchema:
+    def test_every_key_is_a_config_field(self):
+        top = ExperimentConfig()
+        for dotted in SCHEMA:
+            section, _, leaf = dotted.rpartition(".")
+            owner = getattr(top, section) if section else top
+            assert not section or is_dataclass(owner), dotted
+            assert leaf in {f.name for f in fields(owner)}, dotted
+
+    def test_every_config_field_has_a_key(self):
+        for f in fields(ExperimentConfig):
+            if is_dataclass(f.default):
+                for leaf in fields(f.default):
+                    assert f"{f.name}.{leaf.name}" in SCHEMA
+            else:
+                assert f.name in SCHEMA
+        assert len(SCHEMA) == 37
+
+    def test_defaults_are_the_dataclass_defaults(self):
+        assert load_config() == ExperimentConfig()
+
+    @pytest.mark.parametrize("dotted", REMOVED_SPECTRAL_KEYS)
+    def test_removed_spectral_keys_are_unknown(self, tmp_path, dotted):
+        with pytest.raises(ConfigError, match="unknown config field"):
+            load_config(overrides={dotted: "3"})
+        section, leaf = dotted.split(".")
+        path = tmp_path / "cfg.yaml"
+        path.write_text(f"{section}:\n  {leaf}: 3\n")
+        with pytest.raises(ConfigError, match="unknown config field"):
+            load_config(path)

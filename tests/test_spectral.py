@@ -68,17 +68,11 @@ class TestCalcSe:
 class TestSpectralConfig:
     def test_defaults(self):
         cfg = SpectralConfig()
-        assert cfg.bandwidth_hz == 1e6
-        assert cfg.num_users == 5
-        assert cfg.frame_time_s == 10e-3
         assert cfg.subcarrier_spacing_hz == 100e3
         assert cfg.light_speed_mps == 3e8
         assert cfg.snr_linear == 100.0
 
     @pytest.mark.parametrize("field,value", [
-        ("bandwidth_hz", 0.0),
-        ("num_users", 0),
-        ("frame_time_s", -1.0),
         ("subcarrier_spacing_hz", 0.0),
         ("light_speed_mps", 0.0),
         ("snr_linear", 0.0),
