@@ -24,8 +24,8 @@ import numpy as np
 
 from . import cluster, datagen, greedy
 from .config import SCHEMA, ConfigError, ExperimentConfig, load_config
-from .features import (PRIMARY_FEATURES, TARGET_COLUMN, Dataset, rank_features,
-                       read_csv_matrix, split_dataset)
+from .features import (CSV_CHUNK_ROWS, PRIMARY_FEATURES, TARGET_COLUMN, Dataset,
+                       rank_features, read_csv_matrix, split_dataset)
 from .spectral import SpectralEfficiencyCache
 
 log = logging.getLogger("offloadlab")
@@ -66,6 +66,23 @@ def _write_csv(path: Path, header, rows) -> None:
         writer.writerow(header)
         for row in rows:
             writer.writerow([_cell(v) for v in row])
+
+
+def _write_predictions(path: Path, preds: np.ndarray, truth: np.ndarray | None) -> None:
+    """The `_write_csv` bytes for (row, prediction[, truth]) rows, formatted
+    `CSV_CHUNK_ROWS` rows at a time."""
+    header = ["row", "energy_pred_j"] + ([] if truth is None else ["energy_true_j"])
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerow(header)
+        for start in range(0, len(preds), CSV_CHUNK_ROWS):
+            stop = start + CSV_CHUNK_ROWS
+            rows = enumerate(preds[start:stop].tolist(), start)
+            if truth is None:
+                lines = (f"{i},{p!r}\r\n" for i, p in rows)
+            else:
+                lines = (f"{i},{p!r},{t!r}\r\n"
+                         for (i, p), t in zip(rows, truth[start:stop].tolist()))
+            fh.write("".join(lines))
 
 
 def _run_grid(worker, items, jobs: int):
@@ -192,7 +209,6 @@ def _subset_label(entry) -> str:
 def cmd_train(cfg: ExperimentConfig) -> list[Path]:
     if cfg.dataset_path is None:
         raise ValueError("train needs dataset_path (or --dataset_path)")
-    out = _out_dir(cfg)
     dataset = Dataset.from_csv(cfg.dataset_path)
     subset = _resolve_subset(cfg.clustering.feature_subsets[0], dataset,
                              cfg.clustering.bins)
@@ -201,7 +217,7 @@ def cmd_train(cfg: ExperimentConfig) -> list[Path]:
         seed=cfg.clustering.seed, restarts=cfg.clustering.restarts)
     log.info("train: %d rows, k=%d, features=%s",
              len(dataset), cfg.clustering.num_clusters, ",".join(subset))
-    path = out / MODEL_FILE
+    path = _out_dir(cfg) / MODEL_FILE
     cluster.save_model(model, path)
     return [path]
 
@@ -211,7 +227,6 @@ def cmd_predict(cfg: ExperimentConfig) -> list[Path]:
         raise ValueError("predict needs model_path (or --model_path)")
     if cfg.dataset_path is None:
         raise ValueError("predict needs dataset_path (or --dataset_path)")
-    out = _out_dir(cfg)
     model = cluster.load_model(cfg.model_path)
     names, X = read_csv_matrix(cfg.dataset_path)
     truth = None
@@ -222,38 +237,34 @@ def cmd_predict(cfg: ExperimentConfig) -> list[Path]:
         raise ValueError(f"input lacks features the model needs: {missing}")
     columns = [names.index(n) for n in model.feature_subset]
     preds = cluster.predict_matrix(model, X[:, columns])
-    path = out / PREDICTIONS_FILE
-    if truth is None:
-        _write_csv(path, ["row", "energy_pred_j"],
-                   [(i, float(p)) for i, p in enumerate(preds)])
-    else:
-        _write_csv(path, ["row", "energy_pred_j", "energy_true_j"],
-                   [(i, float(p), float(t))
-                    for i, (p, t) in enumerate(zip(preds, truth))])
+    path = _out_dir(cfg) / PREDICTIONS_FILE
+    _write_predictions(path, preds, truth)
     return [path]
 
 
 def cmd_evaluate(cfg: ExperimentConfig) -> list[Path]:
     if cfg.dataset_path is None:
         raise ValueError("evaluate needs dataset_path (or --dataset_path)")
-    out = _out_dir(cfg)
     dataset = Dataset.from_csv(cfg.dataset_path)
     train, test = split_dataset(dataset, cfg.clustering.test_fraction,
                                 cfg.clustering.seed)
-    written = []
-    ranking_path = out / MI_RANKING_FILE
-    _write_csv(ranking_path, ["feature", "mi_bits"],
-               rank_features(train, bins=cfg.clustering.bins))
-    written.append(ranking_path)
+    ranking = rank_features(train, bins=cfg.clustering.bins)
+    reports = []
     for entry in cfg.clustering.feature_subsets:
         subset = _resolve_subset(entry, train, cfg.clustering.bins)
         report = cluster.evaluate_models(
             train, test, cfg.clustering.k_max, subset,
             seed=cfg.clustering.seed, restarts=cfg.clustering.restarts)
-        path = out / f"eval_{_subset_label(entry)}.csv"
-        report.to_csv(path)
         log.info("evaluate: subset=%s best k=%d", _subset_label(entry),
                  report.best_k()[0])
+        reports.append((entry, report))
+    out = _out_dir(cfg)
+    ranking_path = out / MI_RANKING_FILE
+    _write_csv(ranking_path, ["feature", "mi_bits"], ranking)
+    written = [ranking_path]
+    for entry, report in reports:
+        path = out / f"eval_{_subset_label(entry)}.csv"
+        report.to_csv(path)
         written.append(path)
     return written
 
@@ -261,7 +272,6 @@ def cmd_evaluate(cfg: ExperimentConfig) -> list[Path]:
 def cmd_ingest(cfg: ExperimentConfig) -> list[Path]:
     if cfg.ingest.path is None:
         raise ValueError("ingest needs ingest.path (or --ingest.path)")
-    out = _out_dir(cfg)
     result = datagen.ingest_trajectory_csv(cfg.ingest.path, cfg.ingest.column_map)
     rows = []
     short_trips = unordered_trips = 0
@@ -275,7 +285,7 @@ def cmd_ingest(cfg: ExperimentConfig) -> list[Path]:
             unordered_trips += 1
             continue
         rows.extend((trip, i, float(s)) for i, s in enumerate(speeds))
-    path = out / SPEEDS_FILE
+    path = _out_dir(cfg) / SPEEDS_FILE
     _write_csv(path, ["trip_id", "segment", "speed_mps"], rows)
     print(f"rows read: {result.rows_read}")
     print(f"rows skipped: {result.rows_skipped}")

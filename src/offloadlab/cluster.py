@@ -115,17 +115,15 @@ def _nearest(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
 
 
 def _repair_empty(points: np.ndarray, centroids: np.ndarray,
-                  labels: np.ndarray) -> bool:
+                  labels: np.ndarray, counts: np.ndarray) -> bool:
     """Reseed empty clusters at the point farthest from its own centroid.
 
-    Mutates centroids and labels in place.  Skips the move when every point
-    already sits on its centroid: there is nothing to gain and the donated
-    point would just oscillate.
+    Mutates centroids, labels and the per-cluster counts in place.  Skips
+    the move when every point already sits on its centroid: there is
+    nothing to gain and the donated point would just oscillate.
     """
-    k = len(centroids)
     repaired = False
-    for _ in range(2 * k):
-        counts = np.bincount(labels, minlength=k)
+    for _ in range(2 * len(centroids)):
         empty = np.flatnonzero(counts == 0)
         if empty.size == 0:
             break
@@ -134,6 +132,8 @@ def _repair_empty(points: np.ndarray, centroids: np.ndarray,
         if dist2[donor] <= 0.0:
             break
         centroids[empty[0]] = points[donor]
+        counts[labels[donor]] -= 1
+        counts[empty[0]] += 1
         labels[donor] = empty[0]
         repaired = True
     return repaired
@@ -142,28 +142,31 @@ def _repair_empty(points: np.ndarray, centroids: np.ndarray,
 def _lloyd(points: np.ndarray, k: int, rng: np.random.Generator,
            tol: float, max_iter: int):
     centroids = _seed_centroids(points, k, rng)
+    d = points.shape[1]
+    # one bincount bin per (cluster, column); each bin adds its column in
+    # row order, as a mean over the members' C-ordered gather would
+    flat = points.ravel()
+    columns = np.arange(d)
     prev_labels = None
-    labels = np.zeros(len(points), dtype=int)
     history: list[float] = []
-    iterations = 0
-    for iteration in range(1, max_iter + 1):
-        iterations = iteration
+    for iterations in range(1, max_iter + 1):
         labels = _nearest(points, centroids)
-        repaired = _repair_empty(points, centroids, labels)
+        counts = np.bincount(labels, minlength=k)
+        repaired = _repair_empty(points, centroids, labels, counts)
         if not repaired and prev_labels is not None and np.array_equal(labels, prev_labels):
             break
         previous = centroids.copy()
-        for c in range(k):
-            members = labels == c
-            if members.any():
-                centroids[c] = points[members].mean(axis=0)
+        sums = np.bincount((labels[:, None] * d + columns).ravel(), weights=flat,
+                           minlength=k * d).reshape(k, d)
+        filled = counts > 0
+        centroids[filled] = sums[filled] / counts[filled, None]
         history.append(float(((points - centroids[labels]) ** 2).sum()))
         prev_labels = labels
         shift = float(np.sqrt(((centroids - previous) ** 2).sum(axis=1)).max())
         if not repaired and shift < tol:
             break
-    inertia = float(((points - centroids[labels]) ** 2).sum())
-    return centroids, labels, inertia, iterations, history
+    # the last update's inertia: a break before an update keeps its labels
+    return centroids, labels, history[-1], iterations, history
 
 
 def kmeans_fit(points: np.ndarray, k: int, seed: int = 0, tol: float = 1e-6,
@@ -184,6 +187,8 @@ def kmeans_fit(points: np.ndarray, k: int, seed: int = 0, tol: float = 1e-6,
         raise ValueError(f"k={k} exceeds the {len(pts)} available points")
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
+    if max_iter < 1:
+        raise ValueError("max_iter must be >= 1")
     rng = np.random.default_rng(seed)
     best = None
     for _ in range(restarts):

@@ -95,26 +95,33 @@ def read_csv_matrix(path) -> tuple[tuple[str, ...], np.ndarray]:
 
     Blank lines are skipped.  An empty file, a header without data rows,
     duplicate column names, a row of the wrong width, a cell that is not a
-    number and a NaN or infinite value are each a ValueError naming the file.
+    number, a NaN or infinite value, text that does not decode and a line
+    the csv module rejects (a field over its size limit) are each a
+    ValueError naming the file.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if not header:
-            raise ValueError(f"{path}: empty file")
-        if len(set(header)) != len(header):
-            raise ValueError(f"{path}: duplicate column names in the header")
-        rows = []
-        for line in reader:
-            if not line:
-                continue
-            if len(line) != len(header):
-                raise ValueError(f"{path}: line {reader.line_num}: {len(line)} cells, "
-                                 f"the header has {len(header)}")
-            try:
-                rows.append([float(v) for v in line])
-            except ValueError as exc:
-                raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
+        try:
+            header = next((line for line in reader if line), None)
+            if header is None:
+                raise ValueError(f"{path}: empty file")
+            if len(set(header)) != len(header):
+                raise ValueError(f"{path}: duplicate column names in the header")
+            rows = []
+            for line in reader:
+                if not line:
+                    continue
+                if len(line) != len(header):
+                    raise ValueError(f"{path}: line {reader.line_num}: {len(line)} cells, "
+                                     f"the header has {len(header)}")
+                try:
+                    rows.append([float(v) for v in line])
+                except ValueError as exc:
+                    raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
+        except csv.Error as exc:
+            raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: {exc}") from None
     if not rows:
         raise ValueError(f"{path}: no data rows")
     data = np.asarray(rows, dtype=float)

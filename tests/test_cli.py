@@ -327,6 +327,53 @@ class TestCsvInput:
         self.fails(command, bad, tmp_path / "o", trained_model, capsys)
 
 
+class TestRejectedInputLeavesNoOutDir:
+    """Inputs are read and checked before the output directory is made."""
+
+    def nan_csv(self, tmp_path, small_dataset):
+        rows = read_rows(small_dataset)
+        rows[5][0] = "nan"
+        bad = tmp_path / "bad.csv"
+        write_rows(bad, rows)
+        return bad
+
+    @pytest.mark.parametrize("command", ["train", "evaluate"])
+    def test_nan_dataset(self, tmp_path, small_dataset, capsys, command):
+        bad = self.nan_csv(tmp_path, small_dataset)
+        out = tmp_path / "o"
+        assert run(command, "--dataset_path", str(bad), "--out", str(out)) == 1
+        assert str(bad) in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_nan_predict_input(self, tmp_path, small_dataset, trained_model):
+        bad = self.nan_csv(tmp_path, small_dataset)
+        out = tmp_path / "o"
+        assert run("predict", "--dataset_path", str(bad), "--model_path",
+                   str(trained_model), "--out", str(out)) == 1
+        assert not out.exists()
+
+    def test_missing_model(self, tmp_path, small_dataset):
+        out = tmp_path / "o"
+        assert run("predict", "--dataset_path", str(small_dataset), "--model_path",
+                   str(tmp_path / "nope.json"), "--out", str(out)) == 1
+        assert not out.exists()
+
+    def test_unknown_later_subset(self, tmp_path, small_dataset, capsys):
+        # the first subset evaluates fine; nothing is written before the second fails
+        out = tmp_path / "o"
+        assert run("evaluate", "--dataset_path", str(small_dataset),
+                   "--clustering.k_max", "2", "--clustering.feature_subsets",
+                   "primary;Nope", "--out", str(out)) == 1
+        assert "Nope" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_ingest_missing_file(self, tmp_path):
+        out = tmp_path / "o"
+        assert run("ingest", "--ingest.path", str(tmp_path / "nope.csv"),
+                   "--out", str(out)) == 1
+        assert not out.exists()
+
+
 class TestEvaluate:
     @pytest.mark.parametrize("entry", ["mi:x", "mi:0", "mi:", "mi:-1", "mi:1.5",
                                        "primary;mi:x"])
