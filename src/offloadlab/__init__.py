@@ -19,7 +19,7 @@ from .greedy import (GreedyConfig, OffloadSolution, TraceEntry, get_total_energy
                      optimize, write_trace_csv)
 from .model import (Channel, Device, Scenario, Task, implied_tx_power,
                     local_energy, local_time, offload_energy, offload_time,
-                    system_total_energy, total_energy, total_time, uplink_rate)
+                    total_energy, total_time, uplink_rate)
 from .spectral import (SpectralConfig, SpectralEfficiencyCache, calc_se,
                        doppler_shift)
 

@@ -139,8 +139,7 @@ def cmd_sweep_modulation(cfg: ExperimentConfig) -> list[Path]:
 def _datasize_point(args):
     spec, spectral_cfg, greedy_cfg, size = args
     scenario = datagen.generate_scenario(spec, spectral_cfg)
-    scenario = replace(scenario, tasks=tuple(
-        replace(task, data_bits=float(size)) for task in scenario.tasks))
+    scenario.tasks.data_bits = size  # SweepConfig checked it is finite and >= 0
     cache = SpectralEfficiencyCache(spectral_cfg)
     solution = greedy.optimize(scenario, greedy_cfg, cache)
     baseline = float(greedy.get_total_energy(

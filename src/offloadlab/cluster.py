@@ -407,12 +407,12 @@ def _model_from_payload(payload) -> ClusteredModel:
 def load_model(path) -> ClusteredModel:
     """Read a `save_model` snapshot.
 
-    A missing or mistyped key, or parts that disagree (cluster count against
-    k, a width against the feature subset), is a ValueError naming the file.
+    Text that does not decode, a missing or mistyped key, or parts that
+    disagree (cluster count against k, a width against the feature subset)
+    is a ValueError naming the file.
     """
     with open(path) as fh:
-        text = fh.read()
-    try:
-        return _model_from_payload(json.loads(text))
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+        try:
+            return _model_from_payload(json.loads(fh.read()))
+        except ValueError as exc:  # UnicodeDecodeError included
+            raise ValueError(f"{path}: {exc}") from None

@@ -8,6 +8,7 @@ dotted name.  Unknown keys are rejected rather than ignored.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, is_dataclass
 
 import yaml
@@ -63,6 +64,8 @@ class SweepConfig:
         for name in ("speed_grid", "carrier_freq_grid", "data_size_grid"):
             if not getattr(self, name):
                 raise ValueError(f"sweeps.{name} must not be empty")
+        if not all(0.0 <= size < math.inf for size in self.data_size_grid):
+            raise ValueError("sweeps.data_size_grid must hold finite sizes >= 0")
 
 
 @dataclass(frozen=True)
@@ -158,7 +161,8 @@ def _subsets(v) -> tuple:
     """Feature subset list: keywords or explicit name lists.
 
     From the command line: semicolon-separated groups, comma-separated
-    names inside a group, e.g. ``primary;mi:2;TaskSize,Speed``.
+    names inside a group, e.g. ``primary;mi:2;TaskSize,Speed``.  A one-name
+    group other than ``all``, ``primary`` and ``mi:N`` is a one-feature subset.
     """
     if isinstance(v, str):
         entries = [e for e in v.split(";") if e.strip()]
@@ -170,7 +174,8 @@ def _subsets(v) -> tuple:
     for entry in entries:
         if isinstance(entry, str):
             names = [n.strip() for n in entry.split(",") if n.strip()]
-            if len(names) == 1:
+            if len(names) == 1 and (names[0] in ("all", "primary")
+                                    or names[0].startswith("mi:")):
                 out.append(names[0])
             elif names:
                 out.append(tuple(names))

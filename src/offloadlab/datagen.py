@@ -21,8 +21,9 @@ import numpy as np
 
 from . import greedy as greedy_mod
 from .features import CANONICAL_FEATURES, Dataset
-from .model import Channel, Device, Scenario, Task, task_columns
-from .spectral import SpectralConfig, SpectralEfficiencyCache, calc_se
+from .model import CHANNEL_DTYPE, DEVICE_DTYPE, TASK_DTYPE, Scenario
+# calc_se stays importable here: perfbench/selftest.py checks this import site
+from .spectral import SpectralConfig, SpectralEfficiencyCache, calc_se  # noqa: F401
 
 EARTH_RADIUS_M = 6.371e6
 
@@ -76,9 +77,12 @@ class ScenarioSpec:
         _check_range("gain", self.gain)
 
 
-_DEVICE_FIELDS = ("cpu_freq_hz", "energy_coeff", "bandwidth_hz", "noise_var_w",
-                  "gain", "speed_mps", "carrier_freq_hz")
-_TASK_FIELDS = ("data_bits", "cycles_per_bit")
+def _records(dtype: np.dtype, columns) -> np.ndarray:
+    """A structured array of `dtype` holding `columns` in field order."""
+    out = np.empty(len(columns[0]), dtype)
+    for name, column in zip(dtype.names, columns):
+        out[name] = column
+    return out
 
 
 def generate_scenario(spec: ScenarioSpec,
@@ -87,35 +91,25 @@ def generate_scenario(spec: ScenarioSpec,
 
     Per device the draw order is: cpu_freq, energy_coeff, bandwidth, noise,
     gain, speed, carrier; then data_bits and cycles_per_bit per task.  Every
-    field consumes one draw, even a pinned one.  The device transmit power
-    is filled in from the channel at the mobility the device was sampled
-    with.
+    field consumes one draw, even a pinned one.  The columns of the
+    scenario's record arrays are sliced straight out of the draw block.
     """
     cfg = spectral_config if spectral_config is not None else SpectralConfig()
-    fields = _DEVICE_FIELDS + _TASK_FIELDS * spec.tasks_per_device
+    # a device's row: its device and channel fields in record order, then
+    # data_bits and cycles_per_bit for each of its tasks
+    fields = (DEVICE_DTYPE.names + CHANNEL_DTYPE.names
+              + TASK_DTYPE.names[1:] * spec.tasks_per_device)
     lo = np.array([getattr(spec, f)[0] for f in fields])
     hi = np.array([getattr(spec, f)[1] for f in fields])
     u = np.random.default_rng(spec.seed).random(spec.n_devices * len(fields))
     values = lo + (hi - lo) * u.reshape(spec.n_devices, len(fields))
-    devices = []
-    channels = []
-    tasks = []
-    for n, row in enumerate(values.tolist()):
-        cpu, coeff, bandwidth, noise, gain, speed, carrier = row[:len(_DEVICE_FIELDS)]
-        channel = Channel(bandwidth_hz=bandwidth, noise_var_w=noise, gain=gain,
-                          speed_mps=speed, carrier_freq_hz=carrier)
-        se = calc_se(speed, carrier, cfg)
-        power = (2.0 ** se - 1.0) * noise / gain
-        devices.append(Device(id=n, cpu_freq_hz=cpu, energy_coeff=coeff,
-                              tx_power_w=power))
-        channels.append(channel)
-        task_draws = row[len(_DEVICE_FIELDS):]
-        tasks.extend(Task(device_id=n, task_id=k + 1, data_bits=bits,
-                          cycles_per_bit=cycles)
-                     for k, (bits, cycles)
-                     in enumerate(zip(task_draws[0::2], task_draws[1::2])))
-    return Scenario(devices=tuple(devices), tasks=tuple(tasks),
-                    channels=tuple(channels), spectral_config=cfg)
+    d, c = len(DEVICE_DTYPE), len(DEVICE_DTYPE) + len(CHANNEL_DTYPE)
+    device_ids = np.repeat(np.arange(spec.n_devices), spec.tasks_per_device)
+    return Scenario(
+        devices=_records(DEVICE_DTYPE, values[:, :d].T),
+        channels=_records(CHANNEL_DTYPE, values[:, d:c].T),
+        tasks=_records(TASK_DTYPE, (device_ids, *values[:, c:].reshape(-1, 2).T)),
+        spectral_config=cfg)
 
 
 @dataclass(frozen=True)
@@ -179,36 +173,43 @@ def ingest_trajectory_csv(path, column_map: ColumnMap) -> IngestResult:
     """Parse a trajectory CSV into per-trip point lists.
 
     Rows that fail to parse or carry out-of-range coordinates are counted
-    and skipped rather than aborting the whole file; a missing column in
-    the header is a hard error.
+    and skipped rather than aborting the whole file.  A missing column in
+    the header, text that does not decode and a line the csv module
+    rejects (a field over its size limit) are each a ValueError naming
+    the file.
     """
     trips: dict = {}
     rows_read = 0
     rows_skipped = 0
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            return IngestResult(trips={}, rows_read=0, rows_skipped=0)
-        needed = (column_map.timestamp, column_map.lat,
-                  column_map.lon, column_map.trip_id)
-        missing = [c for c in needed if c not in reader.fieldnames]
-        if missing:
-            raise ValueError(f"{path}: missing columns {missing}")
-        for row in reader:
-            rows_read += 1
-            try:
-                ts = float(row[column_map.timestamp]) * column_map.timestamp_scale
-                lat = float(row[column_map.lat])
-                lon = float(row[column_map.lon])
-            except (TypeError, ValueError):
-                rows_skipped += 1
-                continue
-            if not (math.isfinite(ts) and abs(lat) <= 90.0 and abs(lon) <= 180.0):
-                rows_skipped += 1
-                continue
-            trip = row[column_map.trip_id]
-            trips.setdefault(trip, []).append(
-                TrajectoryPoint(timestamp_s=ts, lat_deg=lat, lon_deg=lon))
+        try:
+            if reader.fieldnames is None:
+                return IngestResult(trips={}, rows_read=0, rows_skipped=0)
+            needed = (column_map.timestamp, column_map.lat,
+                      column_map.lon, column_map.trip_id)
+            missing = [c for c in needed if c not in reader.fieldnames]
+            if missing:
+                raise ValueError(f"{path}: missing columns {missing}")
+            for row in reader:
+                rows_read += 1
+                try:
+                    ts = float(row[column_map.timestamp]) * column_map.timestamp_scale
+                    lat = float(row[column_map.lat])
+                    lon = float(row[column_map.lon])
+                except (TypeError, ValueError):
+                    rows_skipped += 1
+                    continue
+                if not (math.isfinite(ts) and abs(lat) <= 90.0 and abs(lon) <= 180.0):
+                    rows_skipped += 1
+                    continue
+                trip = row[column_map.trip_id]
+                trips.setdefault(trip, []).append(
+                    TrajectoryPoint(timestamp_s=ts, lat_deg=lat, lon_deg=lon))
+        except csv.Error as exc:
+            raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: {exc}") from None
     return IngestResult(trips=trips, rows_read=rows_read, rows_skipped=rows_skipped)
 
 
@@ -227,13 +228,12 @@ def build_dataset(specs, greedy_config: greedy_mod.GreedyConfig | None = None,
         scenario = generate_scenario(spec, spectral_config)
         cache = SpectralEfficiencyCache(scenario.spectral_config)
         solution = greedy_mod.optimize(scenario, gcfg, cache)
-        dev, bits, cycles = task_columns(scenario)
-        per_device = np.array([(c.speed_mps, c.carrier_freq_hz, d.cpu_freq_hz,
-                                c.bandwidth_hz)
-                               for d, c in zip(scenario.devices, scenario.channels)])
-        speed, carrier, cpu, bandwidth = per_device[dev].T
-        blocks.append(np.column_stack((bits, solution.offload_ratios, speed,
-                                       carrier, cycles, cpu, bandwidth)))
+        tasks, devices, channels = scenario.tasks, scenario.devices, scenario.channels
+        dev = tasks.device_id
+        blocks.append(np.column_stack((
+            tasks.data_bits, solution.offload_ratios, channels.speed_mps[dev],
+            channels.carrier_freq_hz[dev], tasks.cycles_per_bit,
+            devices.cpu_freq_hz[dev], channels.bandwidth_hz[dev])))
         targets.append(solution.per_task_energy)
     if not blocks:
         raise ValueError("no scenarios given")

@@ -17,8 +17,8 @@ would change the trace bytes and could flip the strict-improvement test.
 The trace is kept compact: one list of totals and one of bumped task
 indices (-1 for the initial evaluation).  `TraceEntry` objects are only
 built when the trace is indexed or iterated.  The per-task energy
-endpoints are computed with numpy over task columns, with one spectral
-efficiency lookup per device.
+endpoints are computed with numpy over the scenario's columns, with one
+spectral efficiency lookup per device.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .features import CSV_CHUNK_ROWS
-from .model import Scenario, SEProvider, implied_tx_power, task_columns
+from .model import Scenario, SEProvider, tx_power
 
 TERMINATION_CONVERGED = "converged"    # every ratio pinned at 1.0, nothing left to adjust
 TERMINATION_SATURATED = "saturated"    # a probe failed to improve the best total
@@ -146,20 +146,21 @@ def task_energy_endpoints(scenario: Scenario, se_provider: SEProvider) -> tuple[
     Tasks without data cost nothing to offload.  ``se_provider`` is asked
     once per device that has a task with data, in order of first use.
     """
-    dev, bits, cycles = task_columns(scenario)
-    devices = scenario.devices
-    coeff = np.array([d.energy_coeff for d in devices])
-    cpu_sq = np.array([d.cpu_freq_hz ** 2 for d in devices])
-    local = coeff[dev] * cycles * cpu_sq[dev] * bits
+    tasks, devices = scenario.tasks, scenario.devices
+    dev, bits = tasks.device_id, tasks.data_bits
+    # squared as Python floats: numpy's array x**2 can round differently
+    cpu_sq = np.array([f ** 2 for f in devices.cpu_freq_hz.tolist()])
+    local = devices.energy_coeff[dev] * tasks.cycles_per_bit * cpu_sq[dev] * bits
 
     shipped = bits != 0.0
     power = np.zeros(len(devices))
     rate = np.ones(len(devices))
+    channels = scenario.channels.tolist()  # plain tuples; a record row is slow
     for d in dict.fromkeys(dev[shipped].tolist()):
-        channel = scenario.channels[d]
-        se = se_provider(channel.speed_mps, channel.carrier_freq_hz)
-        power[d] = implied_tx_power(channel, se)
-        rate[d] = channel.bandwidth_hz * se
+        bandwidth, noise, gain, speed, carrier = channels[d]
+        se = se_provider(speed, carrier)
+        power[d] = tx_power(se, noise, gain)
+        rate[d] = bandwidth * se
     offload = np.zeros(len(bits))
     on = dev[shipped]
     offload[shipped] = power[on] * bits[shipped] / rate[on]

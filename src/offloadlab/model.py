@@ -8,13 +8,17 @@ uplink cost follows from the spectral efficiency of the channel, and the
 edge server itself contributes nothing to the device's bill, so total cost
 is uplink plus local compute.
 
+A `Scenario` holds three numpy record arrays, `devices`, index-aligned
+`channels` and `tasks`: `scenario.tasks.data_bits` is a column, `tasks[i]`
+one task.  `Device`, `Channel` and `Task` are the scalar formulas' argument
+types; a scenario built from sequences of them converts them to columns once.
+
 All quantities are SI: bits, Hz, seconds, joules, watts, m/s.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import attrgetter
 from typing import Callable
 
 import numpy as np
@@ -24,6 +28,29 @@ from .spectral import SE_MAX, SpectralConfig
 # Supplies spectral efficiency for (speed_mps, carrier_freq_hz).
 SEProvider = Callable[[float, float], float]
 
+DEVICE_DTYPE = np.dtype([("cpu_freq_hz", float), ("energy_coeff", float)])
+CHANNEL_DTYPE = np.dtype([(name, float) for name in (
+    "bandwidth_hz", "noise_var_w", "gain", "speed_mps", "carrier_freq_hz")])
+TASK_DTYPE = np.dtype([("device_id", np.intp), ("data_bits", float),
+                       ("cycles_per_bit", float)])
+
+# fields that may be zero; every other field must be > 0
+_MAY_BE_ZERO = frozenset(("id", "device_id", "data_bits", "speed_mps"))
+
+
+def _check(owner, names) -> None:
+    """Range-check the named fields of a record, or of every row of a
+    structured array.
+
+    A record gives each field as a scalar, an array as a column; both go
+    through the same test, written as ``value > 0`` so that NaN fails it.
+    """
+    for name in names:
+        value = owner[name] if isinstance(owner, np.ndarray) else getattr(owner, name)
+        strict = name not in _MAY_BE_ZERO
+        if not np.all(value > 0 if strict else value >= 0):
+            raise ValueError(f"{name} must be {'>' if strict else '>='} 0")
+
 
 @dataclass(frozen=True)
 class Device:
@@ -32,17 +59,9 @@ class Device:
     id: int
     cpu_freq_hz: float
     energy_coeff: float
-    tx_power_w: float | None = None  # implied by the channel, see implied_tx_power
 
     def __post_init__(self):
-        if self.id < 0:
-            raise ValueError("device id must be >= 0")
-        if self.cpu_freq_hz <= 0:
-            raise ValueError("cpu_freq_hz must be > 0")
-        if self.energy_coeff <= 0:
-            raise ValueError("energy_coeff must be > 0")
-        if self.tx_power_w is not None and self.tx_power_w <= 0:
-            raise ValueError("tx_power_w must be > 0 when set")
+        _check(self, ("id", *DEVICE_DTYPE.names))
 
 
 @dataclass(frozen=True)
@@ -56,12 +75,7 @@ class Task:
     offload_ratio: float = 0.5
 
     def __post_init__(self):
-        if self.device_id < 0:
-            raise ValueError("device_id must be >= 0")
-        if self.data_bits < 0:
-            raise ValueError("data_bits must be >= 0")
-        if self.cycles_per_bit <= 0:
-            raise ValueError("cycles_per_bit must be > 0")
+        _check(self, TASK_DTYPE.names)
         if not 0.0 <= self.offload_ratio <= 1.0:
             raise ValueError("offload_ratio must lie in [0, 1]")
 
@@ -77,52 +91,43 @@ class Channel:
     carrier_freq_hz: float
 
     def __post_init__(self):
-        if self.bandwidth_hz <= 0:
-            raise ValueError("bandwidth_hz must be > 0")
-        if self.noise_var_w <= 0:
-            raise ValueError("noise_var_w must be > 0")
-        if self.gain <= 0:
-            raise ValueError("gain must be > 0")
-        if self.speed_mps < 0:
-            raise ValueError("speed_mps must be >= 0")
-        if self.carrier_freq_hz <= 0:
-            raise ValueError("carrier_freq_hz must be > 0")
+        _check(self, CHANNEL_DTYPE.names)
 
 
-@dataclass(frozen=True)
+def _as_records(value, dtype: np.dtype) -> np.ndarray:
+    """`value` as a structured array of `dtype`: it may be such an array, or
+    a sequence of objects with those attributes."""
+    if not isinstance(value, np.ndarray):
+        return np.array([tuple(getattr(v, name) for name in dtype.names) for v in value],
+                        dtype)
+    if value.dtype != dtype:
+        raise ValueError(f"expected records of dtype {dtype}, got {value.dtype}")
+    return value.view(np.ndarray)
+
+
+@dataclass(frozen=True, eq=False)
 class Scenario:
-    """Devices, their channels (index-aligned), and the task list."""
+    """Device, channel (index-aligned with the devices) and task records."""
 
-    devices: tuple[Device, ...]
-    tasks: tuple[Task, ...]
-    channels: tuple[Channel, ...]
+    devices: np.recarray
+    tasks: np.recarray
+    channels: np.recarray
     spectral_config: SpectralConfig
 
     def __post_init__(self):
+        if not isinstance(self.devices, np.ndarray):
+            for i, dev in enumerate(self.devices):
+                if dev.id != i:
+                    raise ValueError(f"device at position {i} has id {dev.id}")
+        for name, dtype in (("devices", DEVICE_DTYPE), ("channels", CHANNEL_DTYPE),
+                            ("tasks", TASK_DTYPE)):
+            array = _as_records(getattr(self, name), dtype)
+            _check(array, dtype.names)
+            object.__setattr__(self, name, array.view(np.recarray))
         if len(self.channels) != len(self.devices):
             raise ValueError("need exactly one channel per device")
-        for i, dev in enumerate(self.devices):
-            if dev.id != i:
-                raise ValueError(f"device at position {i} has id {dev.id}")
-        for task in self.tasks:
-            if not 0 <= task.device_id < len(self.devices):
-                raise ValueError(
-                    f"task ({task.device_id}, {task.task_id}) references an unknown device")
-
-    def device_for(self, task: Task) -> Device:
-        return self.devices[task.device_id]
-
-    def channel_for(self, task: Task) -> Channel:
-        return self.channels[task.device_id]
-
-
-def task_columns(scenario: Scenario) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Device index, data_bits and cycles_per_bit of every task, in task order."""
-    tasks = scenario.tasks
-    n = len(tasks)
-    return (np.fromiter(map(attrgetter("device_id"), tasks), np.intp, n),
-            np.fromiter(map(attrgetter("data_bits"), tasks), float, n),
-            np.fromiter(map(attrgetter("cycles_per_bit"), tasks), float, n))
+        if len(self.tasks) and self.tasks.device_id.max() >= len(self.devices):
+            raise ValueError("a task references an unknown device")
 
 
 def local_time(task: Task, device: Device) -> float:
@@ -158,24 +163,24 @@ def offload_time(task: Task, channel: Channel, se: float) -> float:
     return shipped / (channel.bandwidth_hz * se)
 
 
+def tx_power(se: float, noise_var_w: float, gain: float) -> float:
+    """Transmit power (W) that sustains se: p = (2^se - 1) * noise / gain."""
+    _check_se(se)
+    return (2.0 ** se - 1.0) * noise_var_w / gain
+
+
 def implied_tx_power(channel: Channel, se: float) -> float:
     """Transmit power (W) the device needs to sustain se on this channel."""
-    _check_se(se)
-    return (2.0 ** se - 1.0) * channel.noise_var_w / channel.gain
+    return tx_power(se, channel.noise_var_w, channel.gain)
 
 
 def offload_energy(task: Task, channel: Channel, se: float) -> float:
-    """Joules spent transmitting the offloaded share.
-
-    Equals transmit power times transmit time, with the power pinned at the
-    level that makes se achievable: p = (2^se - 1) * noise / gain.
-    """
+    """Joules spent transmitting the offloaded share: transmit power, pinned
+    at the level that makes se achievable, times transmit time."""
     shipped = task.offload_ratio * task.data_bits
     if shipped == 0.0:
         return 0.0
-    _check_se(se)
-    power = (2.0 ** se - 1.0) * (channel.noise_var_w / channel.gain)
-    return power * shipped / (channel.bandwidth_hz * se)
+    return implied_tx_power(channel, se) * shipped / (channel.bandwidth_hz * se)
 
 
 def total_time(task: Task, device: Device, channel: Channel, se: float) -> float:
@@ -186,14 +191,3 @@ def total_time(task: Task, device: Device, channel: Channel, se: float) -> float
 def total_energy(task: Task, device: Device, channel: Channel, se: float) -> float:
     """Device-side energy for one task; the edge server's share costs nothing."""
     return offload_energy(task, channel, se) + local_energy(task, device)
-
-
-def system_total_energy(scenario: Scenario, se_provider: SEProvider) -> float:
-    """Sum of per-task device energies over the whole scenario."""
-    acc = 0.0
-    for task in scenario.tasks:
-        device = scenario.device_for(task)
-        channel = scenario.channel_for(task)
-        se = se_provider(channel.speed_mps, channel.carrier_freq_hz)
-        acc += total_energy(task, device, channel, se)
-    return acc

@@ -150,6 +150,16 @@ class TestSweeps:
         first = list(map(float, rows[1]))
         assert first == [0.0, 0.0, 0.0, 0.0]
 
+    @pytest.mark.parametrize("size", ["nan", "inf", "-1", "1e6,nan"])
+    def test_datasize_non_finite_or_negative_is_a_config_error(self, tmp_path, capsys,
+                                                               size):
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert run("sweep-datasize", "--sweeps.data_size_grid", size,
+                   "--out", str(out)) == 2
+        assert "sweeps.data_size_grid" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_parallel_matches_serial(self, tmp_path):
         serial, parallel = tmp_path / "s", tmp_path / "p"
         assert run("sweep-modulation", "--jobs", "1", "--out", str(serial)) == 0
@@ -221,6 +231,17 @@ class TestTrainPredict:
                    "--dataset_path", str(bare), "--out", str(out)) == 0
         out_rows = read_rows(out / "predictions.csv")
         assert out_rows[0] == ["row", "energy_pred_j"]
+
+    def test_predict_rejects_model_that_does_not_decode(self, tmp_path, small_dataset,
+                                                        capsys):
+        model_path = tmp_path / "model.json"
+        model_path.write_bytes(b'{"format": "\xff"}\n')
+        out = tmp_path / "o"
+        capsys.readouterr()
+        assert run("predict", "--model_path", str(model_path),
+                   "--dataset_path", str(small_dataset), "--out", str(out)) == 1
+        assert capsys.readouterr().err.startswith(f"error: {model_path}: ")
+        assert not out.exists()
 
     def test_predict_missing_model_fails(self, tmp_path, small_dataset):
         assert run("predict", "--dataset_path", str(small_dataset),
@@ -409,6 +430,15 @@ class TestEvaluate:
                    "--out", str(out)) == 0
         assert (out / "eval_TaskSize-Speed.csv").exists()
 
+    def test_single_feature_subset(self, tmp_path, small_dataset):
+        out = tmp_path / "o"
+        assert run("evaluate", "--dataset_path", str(small_dataset),
+                   "--clustering.k_max", "2",
+                   "--clustering.feature_subsets", "TaskSize",
+                   "--out", str(out)) == 0
+        report = read_rows(out / "eval_TaskSize.csv")
+        assert [r[0] for r in report[1:]] == ["1", "2"]
+
     def test_missing_dataset_fails(self, tmp_path):
         assert run("evaluate", "--out", str(tmp_path / "o")) == 1
 
@@ -467,6 +497,22 @@ class TestIngest:
 
     def test_missing_path_fails(self, tmp_path):
         assert run("ingest", "--out", str(tmp_path / "o")) == 1
+
+    @pytest.mark.parametrize("data", [
+        b"t,lat,lon,id\n0,0,0," + b"x" * 200_000 + b"\n",   # over the csv field limit
+        b"t,lat,lon,id\n0,0,0,\xff\n",                      # not UTF-8
+    ], ids=["field_limit", "bad_utf8"])
+    def test_unreadable_file_names_the_file(self, tmp_path, capsys, data):
+        trace = tmp_path / "t.csv"
+        trace.write_bytes(data)
+        out = tmp_path / "o"
+        cmap = '{timestamp: t, lat: lat, lon: lon, trip_id: id}'
+        capsys.readouterr()
+        assert run("ingest", "--ingest.path", str(trace),
+                   "--ingest.column_map", cmap, "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {trace}: ") and "Traceback" not in err
+        assert not out.exists()
 
 
 class TestLogging:

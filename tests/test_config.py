@@ -104,6 +104,8 @@ class TestCoercion:
     def test_subsets_parse(self):
         cfg = load_config(overrides={"clustering.feature_subsets": "mi:3"})
         assert cfg.clustering.feature_subsets == ("mi:3",)
+        cfg = load_config(overrides={"clustering.feature_subsets": "all;TaskSize; Speed ,"})
+        assert cfg.clustering.feature_subsets == ("all", ("TaskSize",), ("Speed",))
         with pytest.raises(ConfigError):
             load_config(overrides={"clustering.feature_subsets": " ; "})
 

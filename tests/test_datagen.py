@@ -8,6 +8,7 @@ from offloadlab.datagen import (EARTH_RADIUS_M, VED_COLUMNS, ColumnMap,
                                 generate_scenario, ingest_trajectory_csv,
                                 trajectory_speeds)
 from offloadlab.features import CANONICAL_FEATURES
+from offloadlab.model import implied_tx_power
 from offloadlab.spectral import calc_se
 
 from helpers import (BALANCED_ENERGY_COEFF, BALANCED_GAIN, BALANCED_NOISE_VAR,
@@ -44,18 +45,16 @@ class TestGenerateScenario:
         assert len(sc.devices) == 3
         assert len(sc.channels) == 3
         assert len(sc.tasks) == 12
-        assert [d.id for d in sc.devices] == [0, 1, 2]
-        for n in range(3):
-            mine = [t for t in sc.tasks if t.device_id == n]
-            assert [t.task_id for t in mine] == [1, 2, 3, 4]
+        assert sc.tasks.device_id.tolist() == [0] * 4 + [1] * 4 + [2] * 4
 
     def test_deterministic_per_seed(self):
+        def columns(sc):
+            return [getattr(sc, name).tobytes() for name in ("devices", "channels", "tasks")]
+
         spec = ScenarioSpec(seed=7)
         a = generate_scenario(spec)
-        b = generate_scenario(spec)
-        assert a == b
-        c = generate_scenario(ScenarioSpec(seed=8))
-        assert a != c
+        assert columns(a) == columns(generate_scenario(spec))
+        assert columns(a) != columns(generate_scenario(ScenarioSpec(seed=8)))
 
     def test_values_respect_ranges(self):
         spec = ScenarioSpec(n_devices=10, tasks_per_device=5, seed=3,
@@ -63,15 +62,12 @@ class TestGenerateScenario:
                             cpu_freq_hz=(1e9, 2e9), speed_mps=(50.0, 60.0),
                             carrier_freq_hz=(2e9, 4e9))
         sc = generate_scenario(spec)
-        for d in sc.devices:
-            assert 1e9 <= d.cpu_freq_hz <= 2e9
-        for ch in sc.channels:
-            assert 50.0 <= ch.speed_mps <= 60.0
-            assert 2e9 <= ch.carrier_freq_hz <= 4e9
-        for t in sc.tasks:
-            assert 2e6 <= t.data_bits <= 3e6
-            assert 800.0 <= t.cycles_per_bit <= 900.0
-            assert t.offload_ratio == 0.5
+        assert np.all((1e9 <= sc.devices.cpu_freq_hz) & (sc.devices.cpu_freq_hz <= 2e9))
+        assert np.all((50.0 <= sc.channels.speed_mps) & (sc.channels.speed_mps <= 60.0))
+        assert np.all((2e9 <= sc.channels.carrier_freq_hz)
+                      & (sc.channels.carrier_freq_hz <= 4e9))
+        assert np.all((2e6 <= sc.tasks.data_bits) & (sc.tasks.data_bits <= 3e6))
+        assert np.all((800.0 <= sc.tasks.cycles_per_bit) & (sc.tasks.cycles_per_bit <= 900.0))
 
     def test_pinned_ranges_are_exact(self):
         spec = ScenarioSpec(seed=4, cpu_freq_hz=(1e9, 1e9), gain=(0.25, 0.25),
@@ -82,11 +78,12 @@ class TestGenerateScenario:
         assert all(ch.noise_var_w == 2e-13 for ch in sc.channels)
 
     def test_tx_power_matches_channel(self):
+        # the power is no longer stored; each channel row implies it
         sc = generate_scenario(ScenarioSpec(seed=5))
-        for d, ch in zip(sc.devices, sc.channels):
+        for ch in sc.channels:
             se = calc_se(ch.speed_mps, ch.carrier_freq_hz, sc.spectral_config)
             expected = (2.0 ** se - 1.0) * ch.noise_var_w / ch.gain
-            assert d.tx_power_w == pytest.approx(expected, rel=1e-12)
+            assert implied_tx_power(ch, se) == expected
 
     def test_pinning_one_range_leaves_other_draws_alone(self):
         # a pinned range must consume its draw so the rest of the stream

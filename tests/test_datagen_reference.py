@@ -1,7 +1,8 @@
 """Differential checks of the array sampler, endpoints and CSV writers.
 
 `reference_datagen` holds frozen copies of the per-task code these replaced.
-Scenarios, endpoint arrays, dataset matrices and CSV files must be
+It builds `Device`/`Channel`/`Task` objects, which `Scenario` converts to
+columns.  Scenarios, endpoint arrays, dataset matrices and CSV files must be
 bit-identical to it, including pinned ranges and tasks without data, and
 the spectral efficiency provider must still never be asked about a device
 whose tasks carry no data.
@@ -24,6 +25,15 @@ from offloadlab.features import CANONICAL_FEATURES, Dataset
 from offloadlab.greedy import task_energy_endpoints
 from offloadlab.model import Channel, Device, Scenario, Task
 from offloadlab.spectral import SpectralConfig, SpectralEfficiencyCache, calc_se
+
+
+def _device_without_tx_power(tx_power_w, **fields):
+    """The frozen sampler still computes a transmit power per device; the
+    live `Device` no longer has that field."""
+    return Device(**fields)
+
+
+reference_datagen.Device = _device_without_tx_power
 
 SHAPES = [(1, 1), (5, 10), (50, 40)]
 # hypothesis draws the small shapes; 50 x 40 runs on the fixed specs below,
@@ -82,8 +92,11 @@ FIXED_SPECS = _fixed_specs()
 
 
 def assert_same_scenario(got, want):
-    # repr is exact for floats and tells -0.0 and numpy scalars apart
-    assert repr(got) == repr(want)
+    # bytes are exact for floats and tell -0.0 apart; numpy's repr rounds
+    assert got.spectral_config == want.spectral_config
+    for name in ("devices", "channels", "tasks"):
+        g, w = getattr(got, name), getattr(want, name)
+        assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), name
 
 
 def assert_same_arrays(got, want):
@@ -195,6 +208,22 @@ class TestEndpointsMatchReference:
         local, offload = task_energy_endpoints(sc, refuse)
         assert local.tobytes() == np.zeros(len(sc.tasks)).tobytes()
         assert offload.tobytes() == np.zeros(len(sc.tasks)).tobytes()
+
+    def test_clocks_are_squared_like_the_scalar_formula(self):
+        # clocks where libm's pow(f, 2) and numpy's array f**2 (f*f) round
+        # apart in the last bit on x86-64 glibc
+        clocks = (1278007393.6150818, 1137125273.373377, 1013315580.9087968,
+                  513366164.98699516)
+        devices = tuple(Device(id=d, cpu_freq_hz=f, energy_coeff=1e-28)
+                        for d, f in enumerate(clocks))
+        channels = tuple(Channel(bandwidth_hz=1e6, noise_var_w=1e-3, gain=1.0,
+                                 speed_mps=0.0, carrier_freq_hz=1e9) for _ in clocks)
+        tasks = tuple(Task(device_id=d, task_id=1, data_bits=1e6, cycles_per_bit=1.0)
+                      for d in range(len(clocks)))
+        sc = Scenario(devices=devices, tasks=tasks, channels=channels,
+                      spectral_config=SpectralConfig())
+        assert_same_arrays(task_energy_endpoints(sc, calc_se),
+                           reference_datagen.task_energy_endpoints(sc, calc_se))
 
     def test_colliding_cache_keys_resolve_in_first_use_order(self):
         # the two speeds share a cache slot, and device 1's task comes first

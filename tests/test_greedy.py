@@ -1,6 +1,5 @@
 import csv
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -43,10 +42,11 @@ class TestGetTotalEnergy:
         sc = small_scenario()
         ratios = np.full(3, 0.5)
         got = get_total_energy(ratios, sc, STATIC_SE)
-        for i, task in enumerate(sc.tasks):
-            expected = total_energy(replace(task, offload_ratio=0.5),
-                                    sc.devices[task.device_id],
-                                    sc.channels[task.device_id], EX_SE)
+        for i, t in enumerate(sc.tasks):
+            task = Task(device_id=t.device_id, task_id=i + 1, data_bits=t.data_bits,
+                        cycles_per_bit=t.cycles_per_bit, offload_ratio=0.5)
+            expected = total_energy(task, sc.devices[t.device_id],
+                                    sc.channels[t.device_id], EX_SE)
             assert got[i] == pytest.approx(expected, rel=1e-12)
 
     def test_all_local(self):

@@ -1,13 +1,16 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from offloadlab.model import (Channel, Device, Scenario, Task, implied_tx_power,
+from offloadlab.greedy import get_total_energy
+from offloadlab.model import (CHANNEL_DTYPE, DEVICE_DTYPE, TASK_DTYPE, Channel,
+                              Device, Scenario, Task, implied_tx_power,
                               local_energy, local_time, offload_energy,
-                              offload_time, system_total_energy, total_energy,
-                              total_time, uplink_rate)
+                              offload_time, total_energy, total_time,
+                              uplink_rate)
 from offloadlab.spectral import SpectralConfig
 
 from helpers import (EX_SE, example_channel, example_device, example_task,
@@ -140,10 +143,6 @@ class TestValidation:
             with pytest.raises(ValueError):
                 example_channel(**kw)
 
-    def test_nonpositive_tx_power_rejected(self):
-        with pytest.raises(ValueError):
-            Device(id=0, cpu_freq_hz=1e9, energy_coeff=1e-28, tx_power_w=0.0)
-
     def test_scenario_channel_count(self):
         with pytest.raises(ValueError):
             Scenario(devices=(example_device(),), tasks=(),
@@ -227,11 +226,13 @@ class TestProperties:
 
 
 class TestSystemTotal:
+    """The scenario total is the sum of `get_total_energy`'s per-task energies."""
+
     def test_empty_scenario(self):
         sc = Scenario(devices=(example_device(),), tasks=(),
                       channels=(example_channel(),),
                       spectral_config=SpectralConfig())
-        assert system_total_energy(sc, lambda v, fc: EX_SE) == 0.0
+        assert get_total_energy(np.zeros(0), sc, lambda v, fc: EX_SE).sum() == 0.0
 
     def test_matches_hand_sum(self):
         sc = small_scenario()
@@ -241,20 +242,101 @@ class TestSystemTotal:
             dev = sc.devices[task.device_id]
             ch = sc.channels[task.device_id]
             p = (2.0 ** EX_SE - 1.0) * ch.noise_var_w / ch.gain
-            expected += p * task.offload_ratio * task.data_bits / (ch.bandwidth_hz * EX_SE)
+            expected += p * 0.5 * task.data_bits / (ch.bandwidth_hz * EX_SE)
             expected += (dev.energy_coeff * task.cycles_per_bit * dev.cpu_freq_hz ** 2
-                         * (1.0 - task.offload_ratio) * task.data_bits)
-        assert system_total_energy(sc, provider) == pytest.approx(expected, rel=1e-12)
+                         * 0.5 * task.data_bits)
+        got = get_total_energy(np.full(3, 0.5), sc, provider).sum()
+        assert got == pytest.approx(expected, rel=1e-12)
 
     def test_edge_server_share_costs_nothing(self):
         # doubling only the offloaded share's compute difficulty changes nothing:
         # the edge server's cycles are not billed
         sc = small_scenario()
         provider = lambda v, fc: EX_SE
-        base = system_total_energy(sc, provider)
+        base = get_total_energy(np.full(3, 0.5), sc, provider).sum()
         parts = 0.0
-        for task in sc.tasks:
-            dev = sc.devices[task.device_id]
-            ch = sc.channels[task.device_id]
+        for t in sc.tasks:
+            task = Task(device_id=t.device_id, task_id=1, data_bits=t.data_bits,
+                        cycles_per_bit=t.cycles_per_bit)
+            dev = sc.devices[t.device_id]
+            ch = sc.channels[t.device_id]
             parts += offload_energy(task, ch, EX_SE) + local_energy(task, dev)
         assert base == pytest.approx(parts, rel=1e-15)
+
+
+def _columns(sc):
+    return {name: getattr(sc, name).copy() for name in ("devices", "tasks", "channels")}
+
+
+def _same_columns(got, want):
+    for name in ("devices", "channels", "tasks"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert isinstance(a, np.recarray)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+# (array, field, strict): one row per range check on a scenario column
+FIELDS = [("devices", name, True) for name in DEVICE_DTYPE.names] + [
+    ("channels", name, name != "speed_mps") for name in CHANNEL_DTYPE.names] + [
+    ("tasks", name, name == "cycles_per_bit") for name in TASK_DTYPE.names]
+RECORD_TYPES = {"devices": Device, "channels": Channel, "tasks": Task}
+RECORD_BASE = {
+    "devices": dict(id=0, cpu_freq_hz=1e9, energy_coeff=1e-28),
+    "channels": dict(bandwidth_hz=1e6, noise_var_w=1e-13, gain=1.0, speed_mps=0.0,
+                     carrier_freq_hz=1e9),
+    "tasks": dict(device_id=0, task_id=1, data_bits=1e6, cycles_per_bit=1000.0),
+}
+
+
+def _bad_values(strict):
+    return [math.nan, -1.0] + ([0.0] if strict else [])
+
+
+class TestColumns:
+    def test_records_and_columns_give_identical_columns(self):
+        from_records = small_scenario()
+        from_columns = Scenario(
+            devices=np.rec.fromarrays([[1e9, 5e8], [1e-28, 2e-28]], dtype=DEVICE_DTYPE),
+            tasks=np.rec.fromarrays([[0, 0, 1], [4e6, 2e6, 6e6], [1000.0, 1000.0, 700.0]],
+                                    dtype=TASK_DTYPE),
+            channels=np.rec.fromarrays([[1e6, 2e6], [1e-13, 1e-13], [1.0, 1.0],
+                                        [0.0, 0.0], [1e9, 2e9]], dtype=CHANNEL_DTYPE),
+            spectral_config=SpectralConfig())
+        _same_columns(from_columns, from_records)
+
+    def test_columns_of_another_dtype_rejected(self):
+        sc = small_scenario()
+        tasks = np.rec.fromarrays([sc.tasks.device_id.astype(np.int32), sc.tasks.data_bits,
+                                   sc.tasks.cycles_per_bit], names=TASK_DTYPE.names)
+        with pytest.raises(ValueError, match="dtype"):
+            Scenario(devices=sc.devices, tasks=tasks, channels=sc.channels,
+                     spectral_config=SpectralConfig())
+
+    def test_rows_read_like_records(self):
+        sc = small_scenario()
+        assert len(sc.tasks) == 3
+        assert sc.tasks[2].device_id == 1 and sc.tasks[2].cycles_per_bit == 700.0
+        assert sc.channels[1].bandwidth_hz == 2e6
+        assert sc.tasks.data_bits.tolist() == [4e6, 2e6, 6e6]
+
+    @pytest.mark.parametrize("kind,field,strict", FIELDS)
+    def test_record_field_rejects_bad_values(self, kind, field, strict):
+        for bad in _bad_values(strict):
+            with pytest.raises(ValueError, match=field):
+                RECORD_TYPES[kind](**{**RECORD_BASE[kind], field: bad})
+
+    @pytest.mark.parametrize("kind,field,strict", FIELDS)
+    def test_column_rejects_bad_values(self, kind, field, strict):
+        for bad in _bad_values(strict):
+            if field == "device_id" and math.isnan(bad):
+                continue  # an integer column cannot hold NaN
+            columns = _columns(small_scenario())
+            columns[kind][field][-1] = bad
+            with pytest.raises(ValueError, match=field):
+                Scenario(**columns, spectral_config=SpectralConfig())
+
+    def test_column_task_with_unknown_device_rejected(self):
+        columns = _columns(small_scenario())
+        columns["tasks"].device_id[0] = 2
+        with pytest.raises(ValueError, match="unknown device"):
+            Scenario(**columns, spectral_config=SpectralConfig())
