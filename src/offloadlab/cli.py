@@ -11,7 +11,6 @@ to turn on diagnostics on stderr.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import logging
 import os
@@ -24,8 +23,8 @@ import numpy as np
 
 from . import cluster, datagen, greedy
 from .config import SCHEMA, ConfigError, ExperimentConfig, load_config
-from .features import (CSV_CHUNK_ROWS, PRIMARY_FEATURES, TARGET_COLUMN, Dataset,
-                       rank_features, read_csv_matrix, split_dataset)
+from .features import (PRIMARY_FEATURES, TARGET_COLUMN, Dataset, rank_features,
+                       read_csv_matrix, split_dataset, write_rows)
 from .spectral import SpectralEfficiencyCache
 
 log = logging.getLogger("offloadlab")
@@ -56,35 +55,6 @@ def _out_dir(cfg: ExperimentConfig) -> Path:
     return out
 
 
-def _cell(value) -> str:
-    return repr(float(value)) if isinstance(value, float) else str(value)
-
-
-def _write_csv(path: Path, header, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_cell(v) for v in row])
-
-
-def _write_predictions(path: Path, preds: np.ndarray, truth: np.ndarray | None) -> None:
-    """The `_write_csv` bytes for (row, prediction[, truth]) rows, formatted
-    `CSV_CHUNK_ROWS` rows at a time."""
-    header = ["row", "energy_pred_j"] + ([] if truth is None else ["energy_true_j"])
-    with open(path, "w", newline="") as fh:
-        csv.writer(fh).writerow(header)
-        for start in range(0, len(preds), CSV_CHUNK_ROWS):
-            stop = start + CSV_CHUNK_ROWS
-            rows = enumerate(preds[start:stop].tolist(), start)
-            if truth is None:
-                lines = (f"{i},{p!r}\r\n" for i, p in rows)
-            else:
-                lines = (f"{i},{p!r},{t!r}\r\n"
-                         for (i, p), t in zip(rows, truth[start:stop].tolist()))
-            fh.write("".join(lines))
-
-
 def _run_grid(worker, items, jobs: int):
     if jobs <= 1 or len(items) <= 1:
         return [worker(item) for item in items]
@@ -93,7 +63,6 @@ def _run_grid(worker, items, jobs: int):
 
 
 def cmd_optimize(cfg: ExperimentConfig) -> list[Path]:
-    out = _out_dir(cfg)
     scenario = datagen.generate_scenario(cfg.scenario, cfg.spectral)
     cache = SpectralEfficiencyCache(cfg.spectral)
     solution = greedy.optimize(scenario, cfg.greedy, cache)
@@ -106,6 +75,7 @@ def cmd_optimize(cfg: ExperimentConfig) -> list[Path]:
         "offload_ratios": [float(r) for r in solution.offload_ratios],
         "per_task_energy_j": [float(e) for e in solution.per_task_energy],
     }
+    out = _out_dir(cfg)
     solution_path = out / SOLUTION_FILE
     with open(solution_path, "w") as fh:
         json.dump(payload, fh, indent=2)
@@ -126,13 +96,13 @@ def _modulation_point(args):
 
 
 def cmd_sweep_modulation(cfg: ExperimentConfig) -> list[Path]:
-    out = _out_dir(cfg)
     items = [(cfg.scenario, cfg.spectral, cfg.greedy, speed, carrier)
              for speed in cfg.sweeps.speed_grid
              for carrier in cfg.sweeps.carrier_freq_grid]
     rows = _run_grid(_modulation_point, items, cfg.jobs)
-    path = out / SWEEP_MODULATION_FILE
-    _write_csv(path, ["speed_mps", "carrier_freq_hz", "total_energy_j"], rows)
+    path = _out_dir(cfg) / SWEEP_MODULATION_FILE
+    write_rows(path, ["speed_mps", "carrier_freq_hz", "total_energy_j"],
+               list(zip(*rows)))
     return [path]
 
 
@@ -148,23 +118,21 @@ def _datasize_point(args):
 
 
 def cmd_sweep_datasize(cfg: ExperimentConfig) -> list[Path]:
-    out = _out_dir(cfg)
     items = [(cfg.scenario, cfg.spectral, cfg.greedy, size)
              for size in cfg.sweeps.data_size_grid]
     rows = _run_grid(_datasize_point, items, cfg.jobs)
-    path = out / SWEEP_DATASIZE_FILE
-    _write_csv(path, ["data_size_bits", "greedy_energy_j",
-                      "all_local_energy_j", "gap_j"], rows)
+    path = _out_dir(cfg) / SWEEP_DATASIZE_FILE
+    write_rows(path, ["data_size_bits", "greedy_energy_j", "all_local_energy_j",
+                      "gap_j"], list(zip(*rows)))
     return [path]
 
 
 def cmd_gen_data(cfg: ExperimentConfig) -> list[Path]:
-    out = _out_dir(cfg)
     specs = [replace(cfg.scenario, seed=cfg.scenario.seed + i)
              for i in range(cfg.datagen.n_scenarios)]
     dataset = datagen.build_dataset(specs, cfg.greedy, cfg.spectral)
     log.info("gen-data: %d rows from %d scenarios", len(dataset), len(specs))
-    path = out / DATASET_FILE
+    path = _out_dir(cfg) / DATASET_FILE
     dataset.to_csv(path)
     return [path]
 
@@ -234,10 +202,13 @@ def cmd_predict(cfg: ExperimentConfig) -> list[Path]:
     missing = [n for n in model.feature_subset if n not in names]
     if missing:
         raise ValueError(f"input lacks features the model needs: {missing}")
-    columns = [names.index(n) for n in model.feature_subset]
-    preds = cluster.predict_matrix(model, X[:, columns])
+    idx = [names.index(n) for n in model.feature_subset]
+    preds = cluster.predict_matrix(model, X[:, idx])
+    header, columns = ["row", "energy_pred_j"], [range(len(preds)), preds]
+    if truth is not None:
+        header, columns = header + ["energy_true_j"], columns + [truth]
     path = _out_dir(cfg) / PREDICTIONS_FILE
-    _write_predictions(path, preds, truth)
+    write_rows(path, header, columns)
     return [path]
 
 
@@ -259,7 +230,7 @@ def cmd_evaluate(cfg: ExperimentConfig) -> list[Path]:
         reports.append((entry, report))
     out = _out_dir(cfg)
     ranking_path = out / MI_RANKING_FILE
-    _write_csv(ranking_path, ["feature", "mi_bits"], ranking)
+    write_rows(ranking_path, ["feature", "mi_bits"], list(zip(*ranking)))
     written = [ranking_path]
     for entry, report in reports:
         path = out / f"eval_{_subset_label(entry)}.csv"
@@ -272,25 +243,27 @@ def cmd_ingest(cfg: ExperimentConfig) -> list[Path]:
     if cfg.ingest.path is None:
         raise ValueError("ingest needs ingest.path (or --ingest.path)")
     result = datagen.ingest_trajectory_csv(cfg.ingest.path, cfg.ingest.column_map)
-    rows = []
+    trip_ids, segments, speeds = [], [], []
     short_trips = unordered_trips = 0
     for trip, points in result.trips.items():
         if len(points) < 2:
             short_trips += 1
             continue
         try:
-            speeds = datagen.trajectory_speeds(points, cfg.ingest.earth_radius_m)
+            trip_speeds = datagen.trajectory_speeds(points, cfg.ingest.earth_radius_m)
         except ValueError:  # timestamps out of order
             unordered_trips += 1
             continue
-        rows.extend((trip, i, float(s)) for i, s in enumerate(speeds))
+        trip_ids += [trip] * len(trip_speeds)
+        segments += range(len(trip_speeds))
+        speeds += trip_speeds.tolist()
     path = _out_dir(cfg) / SPEEDS_FILE
-    _write_csv(path, ["trip_id", "segment", "speed_mps"], rows)
+    write_rows(path, ["trip_id", "segment", "speed_mps"], [trip_ids, segments, speeds])
     print(f"rows read: {result.rows_read}")
     print(f"rows skipped: {result.rows_skipped}")
     print(f"trips: {len(result.trips)} ({short_trips} too short for speeds)")
     print(f"trips with out-of-order timestamps: {unordered_trips}")
-    print(f"speed samples: {len(rows)}")
+    print(f"speed samples: {len(speeds)}")
     return [path]
 
 

@@ -9,13 +9,13 @@ is seeded and single-threaded, so identical inputs give identical models.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .features import Dataset, ScalingParams, apply_min_max, fit_min_max
+from .features import (Dataset, ScalingParams, apply_min_max, fit_min_max,
+                       write_rows)
 
 MODEL_FORMAT = "offloadlab-clustered-model"
 MODEL_VERSION = 1
@@ -86,11 +86,7 @@ class EvalReport:
         return min(self.rows, key=lambda r: (r[1], r[0]))
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["k", "mae_j", "mse_j2"])
-            for k, mae, mse in self.rows:
-                writer.writerow([k, repr(mae), repr(mse)])
+        write_rows(path, ["k", "mae_j", "mse_j2"], list(zip(*self.rows)))
 
 
 def _seed_centroids(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:

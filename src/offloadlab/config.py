@@ -64,6 +64,10 @@ class SweepConfig:
         for name in ("speed_grid", "carrier_freq_grid", "data_size_grid"):
             if not getattr(self, name):
                 raise ValueError(f"sweeps.{name} must not be empty")
+        if not all(0.0 <= speed < math.inf for speed in self.speed_grid):
+            raise ValueError("sweeps.speed_grid must hold finite speeds >= 0")
+        if not all(0.0 < freq < math.inf for freq in self.carrier_freq_grid):
+            raise ValueError("sweeps.carrier_freq_grid must hold finite frequencies > 0")
         if not all(0.0 <= size < math.inf for size in self.data_size_grid):
             raise ValueError("sweeps.data_size_grid must hold finite sizes >= 0")
 

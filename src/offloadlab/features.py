@@ -1,4 +1,5 @@
-"""Feature handling for the energy predictor: scaling, ranking, dataset IO.
+"""Feature handling for the energy predictor: scaling, ranking, the numeric
+CSV reader (`read_csv_matrix`) and the package's one CSV writer (`write_rows`).
 
 A Dataset is a named feature matrix plus a per-row energy target in joules.
 Features are min-max scaled into [0, 1] with parameters learned on training
@@ -72,15 +73,7 @@ class Dataset:
         return self.X[:, idx]
 
     def to_csv(self, path) -> None:
-        """Header via ``csv.writer``, then ``repr`` values with ``\\r\\n`` line
-        ends, formatted `CSV_CHUNK_ROWS` rows at a time."""
-        with open(path, "w", newline="") as fh:
-            csv.writer(fh).writerow(list(self.feature_names) + [TARGET_COLUMN])
-            for start in range(0, len(self.X), CSV_CHUNK_ROWS):
-                stop = start + CSV_CHUNK_ROWS
-                rows = np.column_stack((self.X[start:stop], self.y[start:stop]))
-                fh.write("".join(",".join(map(repr, row)) + "\r\n"
-                                 for row in rows.tolist()))
+        write_rows(path, [*self.feature_names, TARGET_COLUMN], [*self.X.T, self.y])
 
     @classmethod
     def from_csv(cls, path) -> "Dataset":
@@ -88,6 +81,48 @@ class Dataset:
         if names[-1] != TARGET_COLUMN:
             raise ValueError(f"{path}: last column must be {TARGET_COLUMN}")
         return cls(feature_names=names[:-1], X=data[:, :-1], y=data[:, -1])
+
+
+_QUOTED = frozenset(',"\r\n')  # csv.writer quotes a text cell holding one of these
+
+
+def _text_cell(value) -> str:
+    """A cell that is not a plain int or float, as ``csv.writer`` writes it."""
+    text = repr(float(value)) if isinstance(value, float) else str(value)
+    return text if _QUOTED.isdisjoint(text) else '"' + text.replace('"', '""') + '"'
+
+
+def _cell_format(column):
+    """``repr`` for a column of plain ints and floats, `_text_cell` for any other."""
+    if isinstance(column, np.ndarray):  # tolist gives Python numbers
+        return repr if column.dtype.kind in "biuf" else _text_cell
+    numeric = isinstance(column, range) or {int, float}.issuperset(map(type, column))
+    return repr if numeric else _text_cell
+
+
+def write_rows(path, header, columns) -> None:
+    """Write `header`, then row i holding cell i of each equal-length column.
+
+    This is the package's one CSV row format, ``csv.writer``'s default
+    dialect with ``\\r\\n`` line ends: ints and floats as ``repr``, so they
+    read back exactly, and other cells as ``str``, quoted when they hold
+    ``,``, ``"``, ``\\r`` or ``\\n``.  numpy columns are ``tolist``-ed and rows
+    are formatted `CSV_CHUNK_ROWS` at a time, never as one whole-file string.
+    """
+    n = len(columns[0]) if columns else 0
+    if any(len(column) != n for column in columns):
+        raise ValueError("CSV columns differ in length")
+    formats = [_cell_format(column) for column in columns]
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerow(header)
+        for start in range(0, n, CSV_CHUNK_ROWS):
+            chunks = (column[start:start + CSV_CHUNK_ROWS] for column in columns)
+            cells = [map(fmt, c.tolist() if isinstance(c, np.ndarray) else c)
+                     for fmt, c in zip(formats, chunks)]
+            lines = map(",".join, zip(*cells))
+            if len(columns) == 1:  # csv.writer quotes a row that is one empty cell
+                lines = (line or '""' for line in lines)
+            fh.write("\r\n".join(lines) + "\r\n")
 
 
 def read_csv_matrix(path) -> tuple[tuple[str, ...], np.ndarray]:

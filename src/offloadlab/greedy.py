@@ -23,7 +23,6 @@ spectral efficiency lookup per device.
 
 from __future__ import annotations
 
-import csv
 import heapq
 import math
 from collections.abc import Sequence
@@ -31,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .features import CSV_CHUNK_ROWS
+from .features import write_rows
 from .model import Scenario, SEProvider, tx_power
 
 TERMINATION_CONVERGED = "converged"    # every ratio pinned at 1.0, nothing left to adjust
@@ -247,17 +246,7 @@ def optimize(scenario: Scenario, config: GreedyConfig,
 
 
 def write_trace_csv(solution: OffloadSolution, path) -> None:
-    """Dump the evaluation trace; the initial row carries task_index -1.
-
-    Rows are written in ``csv.writer``'s format (``\\r\\n`` line ends) with
-    ``repr`` totals, so every total reads back exactly.  They are formatted
-    in chunks of `CSV_CHUNK_ROWS`, never as one whole-file string.
-    """
+    """Dump the evaluation trace; the initial row carries task_index -1."""
     totals, picks = solution.trace.totals, solution.trace.picks
-    with open(path, "w", newline="") as fh:
-        csv.writer(fh).writerow(["iteration", "total_energy_j", "task_index"])
-        for start in range(0, len(totals), CSV_CHUNK_ROWS):
-            stop = start + CSV_CHUNK_ROWS
-            fh.write("".join(
-                f"{i},{total!r},{pick}\r\n" for i, total, pick
-                in zip(range(start, stop), totals[start:stop], picks[start:stop])))
+    write_rows(path, ["iteration", "total_energy_j", "task_index"],
+               [range(len(totals)), totals, picks])

@@ -144,7 +144,7 @@ def local_energy(task: Task, device: Device) -> float:
 def _check_se(se: float) -> None:
     if se > SE_MAX:
         raise ValueError(f"spectral efficiency {se} exceeds {SE_MAX}; channel state is malformed")
-    if se <= 0:
+    if not se > 0:  # NaN fails this too
         raise ValueError("spectral efficiency must be > 0")
 
 

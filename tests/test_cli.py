@@ -160,6 +160,20 @@ class TestSweeps:
         assert "sweeps.data_size_grid" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("grid, values", [
+        ("speed_grid", "nan"), ("speed_grid", "inf"), ("speed_grid", "-5"),
+        ("speed_grid", "100,nan"), ("carrier_freq_grid", "nan"),
+        ("carrier_freq_grid", "inf"), ("carrier_freq_grid", "-5"),
+        ("carrier_freq_grid", "0"), ("carrier_freq_grid", "1e9,inf")])
+    def test_modulation_grid_out_of_range_is_a_config_error(self, tmp_path, capsys,
+                                                            grid, values):
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert run("sweep-modulation", f"--sweeps.{grid}", values,
+                   "--out", str(out)) == 2
+        assert f"sweeps.{grid}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_parallel_matches_serial(self, tmp_path):
         serial, parallel = tmp_path / "s", tmp_path / "p"
         assert run("sweep-modulation", "--jobs", "1", "--out", str(serial)) == 0
@@ -392,6 +406,16 @@ class TestRejectedInputLeavesNoOutDir:
         out = tmp_path / "o"
         assert run("ingest", "--ingest.path", str(tmp_path / "nope.csv"),
                    "--out", str(out)) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["optimize", "gen-data", "sweep-modulation",
+                                         "sweep-datasize"])
+    def test_failed_computation(self, tmp_path, capsys, command):
+        # an SNR this high implies a spectral efficiency above the model's cap
+        out = tmp_path / "o"
+        capsys.readouterr()
+        assert run(command, "--spectral.snr_linear", "1e300", "--out", str(out)) == 1
+        assert "exceeds" in capsys.readouterr().err
         assert not out.exists()
 
 

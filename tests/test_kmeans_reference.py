@@ -6,7 +6,8 @@ the bincount update adds every column in the same row order, so the library
 must agree with it bit for bit.  With one feature the old mean was numpy's
 pairwise sum over a contiguous block, so there the centroids, inertia and
 history may move in the last places while the labels and iteration counts
-stay the same.  The CLI must write the same bytes with either k-means.
+stay the same.  The CLI must write the same bytes with either k-means,
+and with the frozen CSV writers of `reference_writers` patched back in.
 """
 
 import filecmp
@@ -20,8 +21,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_kmeans
+import reference_writers
 from offloadlab import cli, cluster
 from offloadlab.cli import main
+from offloadlab.features import write_rows
 
 _POOL = [-1.5, -0.0, 0.0, 0.25, 1.0, 3.0, 7.5]
 
@@ -133,12 +136,12 @@ class TestMatchesReference:
 def write_predictions_with_csv_writer(path, preds, truth):
     """The predictions writer as it was: one `_write_csv` row per prediction."""
     if truth is None:
-        cli._write_csv(path, ["row", "energy_pred_j"],
-                       [(i, float(p)) for i, p in enumerate(preds)])
+        reference_writers._write_csv(path, ["row", "energy_pred_j"],
+                                     [(i, float(p)) for i, p in enumerate(preds)])
     else:
-        cli._write_csv(path, ["row", "energy_pred_j", "energy_true_j"],
-                       [(i, float(p), float(t))
-                        for i, (p, t) in enumerate(zip(preds, truth))])
+        reference_writers._write_csv(path, ["row", "energy_pred_j", "energy_true_j"],
+                                     [(i, float(p), float(t))
+                                      for i, (p, t) in enumerate(zip(preds, truth))])
 
 
 _AWKWARD = [0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308,
@@ -152,9 +155,15 @@ class TestPredictionsWriter:
         values = np.concatenate([_AWKWARD, np.random.default_rng(rows).normal(size=rows)])
         preds = values[:rows]
         truth = values[::-1][:rows] if with_truth else None
-        cli._write_predictions(tmp_path / "new.csv", preds, truth)
+        # the columns `cmd_predict` hands to `write_rows`
+        header = ["row", "energy_pred_j"] + ([] if truth is None else ["energy_true_j"])
+        columns = [range(rows), preds] + ([] if truth is None else [truth])
+        write_rows(tmp_path / "new.csv", header, columns)
+        reference_writers._write_predictions(tmp_path / "chunked.csv", preds, truth)
         write_predictions_with_csv_writer(tmp_path / "old.csv", preds, truth)
-        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+        new = (tmp_path / "new.csv").read_bytes()
+        assert new == (tmp_path / "chunked.csv").read_bytes()
+        assert new == (tmp_path / "old.csv").read_bytes()
 
 
 _BALANCED = {"scenario": {"n_devices": 5, "tasks_per_device": 10,
@@ -191,7 +200,8 @@ class TestCliMatchesReference:
         assert names == ["eval_all.csv", "eval_mi2.csv", "eval_primary.csv",
                          "mi_ranking.csv", "model.json", "predictions.csv"]
         monkeypatch.setattr(cluster, "kmeans_fit", reference_kmeans.kmeans_fit)
-        monkeypatch.setattr(cli, "_write_predictions", write_predictions_with_csv_writer)
+        monkeypatch.setattr(cli, "write_rows", reference_writers.write_rows_with_csv_writer)
+        monkeypatch.setattr(cluster.EvalReport, "to_csv", reference_writers.eval_report_to_csv)
         assert learn_files(tmp_path, seed, tmp_path / "old") == names
         match, mismatch, errors = filecmp.cmpfiles(tmp_path / "new", tmp_path / "old",
                                                    names, shallow=False)

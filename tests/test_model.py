@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from offloadlab.greedy import get_total_energy
+from offloadlab.greedy import get_total_energy, task_energy_endpoints
 from offloadlab.model import (CHANNEL_DTYPE, DEVICE_DTYPE, TASK_DTYPE, Channel,
                               Device, Scenario, Task, implied_tx_power,
                               local_energy, local_time, offload_energy,
                               offload_time, total_energy, total_time,
-                              uplink_rate)
+                              tx_power, uplink_rate)
 from offloadlab.spectral import SpectralConfig
 
 from helpers import (EX_SE, example_channel, example_device, example_task,
@@ -116,6 +116,22 @@ class TestSeDomain:
     def test_uplink_rate_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             uplink_rate(example_channel(), 0.0)
+
+    @pytest.mark.parametrize("formula", [
+        lambda se: tx_power(se, 1e-13, 1.0),
+        lambda se: implied_tx_power(example_channel(), se),
+        lambda se: uplink_rate(example_channel(), se),
+        lambda se: offload_time(example_task(ratio=0.5), example_channel(), se),
+        lambda se: offload_energy(example_task(ratio=0.5), example_channel(), se),
+    ], ids=["tx_power", "implied_tx_power", "uplink_rate", "offload_time",
+            "offload_energy"])
+    def test_nan_se_rejected(self, formula):
+        with pytest.raises(ValueError, match="must be > 0"):
+            formula(float("nan"))
+
+    def test_endpoints_reject_a_provider_returning_nan(self):
+        with pytest.raises(ValueError, match="must be > 0"):
+            task_energy_endpoints(small_scenario(), lambda v, fc: float("nan"))
 
 
 class TestValidation:

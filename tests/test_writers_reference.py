@@ -1,0 +1,174 @@
+"""Differential checks of `features.write_rows` against the frozen writers.
+
+`reference_writers._write_csv` wrote one ``csv.writer`` row per tuple;
+`write_rows` must write the same bytes for the same cells given as
+columns, whatever the cell types, the text and the row count.  The CLI
+files it now writes must match the ones the frozen writers write when they
+are patched back in.  The trace and dataset files are checked against
+`reference_greedy` and `reference_datagen` in their own tests.
+"""
+
+import filecmp
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import reference_writers
+from offloadlab import cli, cluster
+from offloadlab.cli import main
+from offloadlab.features import CSV_CHUNK_ROWS, write_rows
+
+_AWKWARD_TEXT = [",", '"', "\r", "\n", "", " lead", "trail ", "é", 'a,b "c"',
+                 "x\r\ny", '""', "None"]
+# NUL is left out: Python 3.10's csv.writer refuses it without an escapechar
+_TEXT = st.one_of(st.sampled_from(_AWKWARD_TEXT), st.text(
+    st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00"),
+    max_size=6))
+_AWKWARD_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                   1.7976931348623157e308, -1.7976931348623157e308, 0.1, 1.0 / 3.0,
+                   1e16, 1e-5, math.inf, -math.inf, math.nan]
+_FLOATS = st.one_of(st.sampled_from(_AWKWARD_FLOATS), st.floats())
+_INT64 = st.integers(-2 ** 63, 2 ** 63 - 1)
+_MIXED = st.one_of(_TEXT, _FLOATS, st.integers(), st.none(), st.booleans(),
+                   _FLOATS.map(np.float64), _INT64.map(np.int64))
+
+_POOLS = {
+    "text": _TEXT,
+    "int": st.one_of(st.integers(), st.sampled_from([0, -1, 2 ** 70])),
+    "float": _FLOATS,
+    "np_int": _INT64,
+    "np_float": _FLOATS,
+    "mixed": _MIXED,
+}
+_ROW_COUNTS = [0, 1, 2, 3, CSV_CHUNK_ROWS - 1, CSV_CHUNK_ROWS, CSV_CHUNK_ROWS + 1,
+               2 * CSV_CHUNK_ROWS + 1]
+
+
+@st.composite
+def tables(draw):
+    """(header, columns): each column cycles a small drawn pool of cells."""
+    rows = draw(st.sampled_from(_ROW_COUNTS))
+    width = draw(st.integers(1, 4))
+    header = draw(st.lists(_TEXT, min_size=width, max_size=width))
+    columns = []
+    for _ in range(width):
+        kind = draw(st.sampled_from(sorted(_POOLS) + ["range"]))
+        if kind == "range":
+            start = draw(st.integers(-5, 5))
+            columns.append(range(start, start + rows))
+            continue
+        pool = draw(st.lists(_POOLS[kind], min_size=1, max_size=5))
+        cells = (pool * rows)[:rows]
+        if kind == "np_int":
+            cells = np.array(cells, dtype=np.int64)
+        elif kind == "np_float":
+            cells = np.array(cells, dtype=float)
+        columns.append(cells)
+    return header, columns
+
+
+@pytest.fixture(scope="module")
+def scratch(tmp_path_factory):
+    return tmp_path_factory.mktemp("writers")
+
+
+class TestWriteRows:
+    @settings(max_examples=200, deadline=None)
+    @given(table=tables())
+    def test_same_bytes_as_frozen_row_writer(self, scratch, table):
+        header, columns = table
+        write_rows(scratch / "new.csv", header, columns)
+        reference_writers._write_csv(scratch / "old.csv", header, zip(*columns))
+        assert (scratch / "new.csv").read_bytes() == (scratch / "old.csv").read_bytes()
+
+    def test_one_empty_text_cell_is_quoted_like_csv_writer(self, tmp_path):
+        write_rows(tmp_path / "t.csv", ["id"], [["", "a", ""]])
+        assert (tmp_path / "t.csv").read_bytes() == b'id\r\n""\r\na\r\n""\r\n'
+
+    def test_strided_numpy_columns(self, tmp_path):
+        X = np.arange(12.0).reshape(4, 3)
+        write_rows(tmp_path / "t.csv", ["a", "b", "c"], list(X.T))
+        assert (tmp_path / "t.csv").read_bytes() == (
+            b"a,b,c\r\n0.0,1.0,2.0\r\n3.0,4.0,5.0\r\n6.0,7.0,8.0\r\n9.0,10.0,11.0\r\n")
+
+    def test_no_columns_writes_the_header(self, tmp_path):
+        write_rows(tmp_path / "t.csv", ["a"], [])
+        assert (tmp_path / "t.csv").read_bytes() == b"a\r\n"
+
+    def test_columns_of_unequal_length_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="differ in length"):
+            write_rows(tmp_path / "t.csv", ["a", "b"], [[1, 2], [1.0]])
+        assert not (tmp_path / "t.csv").exists()
+
+
+def _frozen_writers(monkeypatch):
+    monkeypatch.setattr(cli, "write_rows", reference_writers.write_rows_with_csv_writer)
+    monkeypatch.setattr(cluster.EvalReport, "to_csv", reference_writers.eval_report_to_csv)
+
+
+def _assert_same_files(new, old):
+    names = sorted(p.name for p in new.iterdir())
+    assert names == sorted(p.name for p in old.iterdir()) and names
+    match, mismatch, errors = filecmp.cmpfiles(new, old, names, shallow=False)
+    assert mismatch == [] and errors == []
+
+
+_TRIPS = ('Timestamp(ms),Latitude[deg],Longitude[deg],Trip\r\n'
+          '0,42.0,-83.0,"a,b ""c"""\r\n'
+          '1000,42.0001,-83.0,"a,b ""c"""\r\n'
+          '2000,42.0003,-83.0001,"a,b ""c"""\r\n'
+          '0,42.1,-83.1, lead\r\n'
+          '5000,42.1,-83.101, lead\r\n'
+          '0,1,1,"two\nlines"\r\n'
+          '1000,1,1.001,"two\nlines"\r\n'
+          '0,1,1,\r\n'
+          '1000,1,1.01,\r\n'
+          '0,1,1,é\r\n'
+          '1000,1,1.01,é\r\n'
+          '0,1,1\r\n'          # no trip cell: the trip id is None
+          '1000,1,1.01\r\n')
+
+
+class TestCliMatchesFrozenWriters:
+    @pytest.mark.parametrize("args", [
+        ["sweep-modulation", "--seed", "2", "--sweeps.speed_grid", "0,150",
+         "--sweeps.carrier_freq_grid", "1e9,28e9"],
+        ["sweep-datasize", "--seed", "3", "--sweeps.data_size_grid", "0,1e6,4e6",
+         "--jobs", "2"],
+    ], ids=["sweep-modulation", "sweep-datasize"])
+    def test_sweeps(self, tmp_path, monkeypatch, args):
+        small = ["--scenario.n_devices", "2", "--scenario.tasks_per_device", "3"]
+        assert main(args + small + ["--out", str(tmp_path / "new")]) == 0
+        _frozen_writers(monkeypatch)
+        assert main(args + small + ["--out", str(tmp_path / "old")]) == 0
+        _assert_same_files(tmp_path / "new", tmp_path / "old")
+
+    def test_evaluate(self, tmp_path, monkeypatch):
+        assert main(["gen-data", "--datagen.n_scenarios", "3", "--scenario.n_devices", "2",
+                     "--scenario.tasks_per_device", "8", "--seed", "1",
+                     "--out", str(tmp_path / "data")]) == 0
+        # a feature name from the input header that needs quoting in mi_ranking.csv
+        dataset = tmp_path / "data" / "dataset.csv"
+        dataset.write_bytes(dataset.read_bytes().replace(b"Bandwidth", b'"Band,""width"""', 1))
+        args = ["evaluate", "--dataset_path", str(dataset),
+                "--clustering.k_max", "3",
+                "--clustering.feature_subsets", "primary;mi:2;all;TaskSize"]
+        assert main(args + ["--out", str(tmp_path / "new")]) == 0
+        _frozen_writers(monkeypatch)
+        assert main(args + ["--out", str(tmp_path / "old")]) == 0
+        _assert_same_files(tmp_path / "new", tmp_path / "old")
+        assert b'\r\n"Band,""width""",' in (tmp_path / "new" / "mi_ranking.csv").read_bytes()
+
+    def test_ingest_with_trip_ids_that_need_quoting(self, tmp_path, monkeypatch):
+        trips = tmp_path / "trips.csv"
+        trips.write_bytes(_TRIPS.encode())
+        args = ["ingest", "--ingest.path", str(trips)]
+        assert main(args + ["--out", str(tmp_path / "new")]) == 0
+        _frozen_writers(monkeypatch)
+        assert main(args + ["--out", str(tmp_path / "old")]) == 0
+        _assert_same_files(tmp_path / "new", tmp_path / "old")
+        assert (tmp_path / "new" / "speeds.csv").read_bytes().startswith(
+            b'trip_id,segment,speed_mps\r\n"a,b ""c""",0,')
