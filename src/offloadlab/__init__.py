@@ -15,8 +15,8 @@ from .features import (CANONICAL_FEATURES, PRIMARY_FEATURES, Dataset,
 from .datagen import (ColumnMap, IngestResult, ScenarioSpec, TrajectoryPoint,
                       VED_COLUMNS, build_dataset, generate_scenario,
                       ingest_trajectory_csv, trajectory_speeds)
-from .greedy import (GreedyConfig, OffloadSolution, TraceEntry, get_total_energy,
-                     optimize, write_trace_csv)
+from .greedy import (GreedyConfig, OffloadSolution, get_total_energy, optimize,
+                     write_trace_csv)
 from .model import (Channel, Device, Scenario, Task, implied_tx_power,
                     local_energy, local_time, offload_energy, offload_time,
                     total_energy, total_time, uplink_rate)

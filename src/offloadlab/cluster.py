@@ -291,7 +291,7 @@ def predict_matrix(model: ClusteredModel, raw: np.ndarray) -> np.ndarray:
     for c, lm in enumerate(model.per_cluster):
         members = labels == c
         if members.any():
-            out[members] = lm.coeffs[0] + scaled[members] @ lm.coeffs[1:]
+            out[members] = lm.predict(scaled[members])
     return out
 
 

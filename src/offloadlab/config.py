@@ -215,6 +215,8 @@ def _column_map(v):
             )
         except KeyError as exc:
             raise ConfigError(f"column_map is missing {exc.args[0]!r}") from None
+        except ValueError as exc:  # ColumnMap's own checks
+            raise ConfigError(str(exc)) from None
     raise ConfigError(f"bad column_map {v!r}")
 
 

@@ -155,6 +155,11 @@ class ColumnMap:
     trip_id: str
     timestamp_scale: float = 1.0  # multiply raw timestamps to get seconds
 
+    def __post_init__(self):
+        if not 0.0 < self.timestamp_scale < math.inf:
+            raise ValueError(
+                f"timestamp_scale must be finite and > 0, got {self.timestamp_scale}")
+
 
 # Layout used by the VED driving-trace release (millisecond timestamps).
 VED_COLUMNS = ColumnMap(timestamp="Timestamp(ms)", lat="Latitude[deg]",
@@ -172,11 +177,11 @@ class IngestResult:
 def ingest_trajectory_csv(path, column_map: ColumnMap) -> IngestResult:
     """Parse a trajectory CSV into per-trip point lists.
 
-    Rows that fail to parse or carry out-of-range coordinates are counted
-    and skipped rather than aborting the whole file.  A missing column in
-    the header, text that does not decode and a line the csv module
-    rejects (a field over its size limit) are each a ValueError naming
-    the file.
+    Rows that fail to parse, carry out-of-range coordinates or are too
+    short to hold a trip id are counted and skipped rather than aborting
+    the whole file.  A missing column in the header, text that does not
+    decode and a line the csv module rejects (a field over its size
+    limit) are each a ValueError naming the file.
     """
     trips: dict = {}
     rows_read = 0
@@ -200,10 +205,11 @@ def ingest_trajectory_csv(path, column_map: ColumnMap) -> IngestResult:
                 except (TypeError, ValueError):
                     rows_skipped += 1
                     continue
-                if not (math.isfinite(ts) and abs(lat) <= 90.0 and abs(lon) <= 180.0):
+                trip = row[column_map.trip_id]  # None on a short row
+                if not (trip is not None and math.isfinite(ts)
+                        and abs(lat) <= 90.0 and abs(lon) <= 180.0):
                     rows_skipped += 1
                     continue
-                trip = row[column_map.trip_id]
                 trips.setdefault(trip, []).append(
                     TrajectoryPoint(timestamp_s=ts, lat_deg=lat, lon_deg=lon))
         except csv.Error as exc:

@@ -14,18 +14,14 @@ The system total is still re-summed with ``np.add.reduce`` over all n
 energies on each bump: a running total would round differently, which
 would change the trace bytes and could flip the strict-improvement test.
 
-The trace is kept compact: one list of totals and one of bumped task
-indices (-1 for the initial evaluation).  `TraceEntry` objects are only
-built when the trace is indexed or iterated.  The per-task energy
-endpoints are computed with numpy over the scenario's columns, with one
-spectral efficiency lookup per device.
+The per-task energy endpoints are computed with numpy over the scenario's
+columns, with one spectral efficiency lookup per device.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,81 +56,18 @@ class GreedyConfig:
         return math.ceil(10.0 * n_tasks / self.step)
 
 
-@dataclass(frozen=True, slots=True)
-class TraceEntry:
-    iteration: int
-    total_energy: float
-    adjusted_task_index: int | None  # None on the initial evaluation
-
-
-class Trace(Sequence):
-    """The evaluation trace as two flat lists.
-
-    ``totals[i]`` is the system total after evaluation i and ``picks[i]``
-    the task bumped just before it (-1 on the initial evaluation).  Items
-    are `TraceEntry` objects built on demand, and a trace compares equal to
-    a tuple of the same entries.
-    """
-
-    __slots__ = ("totals", "picks")
-
-    def __init__(self, totals: list[float], picks: list[int]):
-        if len(totals) != len(picks):
-            raise ValueError("trace totals and picks differ in length")
-        self.totals = totals
-        self.picks = picks
-
-    @classmethod
-    def from_entries(cls, entries) -> "Trace":
-        totals, picks = [], []
-        for i, entry in enumerate(entries):
-            if entry.iteration != i:
-                raise ValueError(f"trace entry {i} has iteration {entry.iteration}")
-            totals.append(entry.total_energy)
-            picks.append(-1 if entry.adjusted_task_index is None
-                         else entry.adjusted_task_index)
-        return cls(totals, picks)
-
-    def __len__(self) -> int:
-        return len(self.totals)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return tuple(self[j] for j in range(*i.indices(len(self))))
-        i = range(len(self))[i]
-        pick = self.picks[i]
-        return TraceEntry(i, self.totals[i], None if pick < 0 else pick)
-
-    def __iter__(self):
-        for i, (total, pick) in enumerate(zip(self.totals, self.picks)):
-            yield TraceEntry(i, total, None if pick < 0 else pick)
-
-    def __eq__(self, other):
-        if isinstance(other, Trace):
-            return self.totals == other.totals and self.picks == other.picks
-        if isinstance(other, tuple):
-            return tuple(self) == other
-        return NotImplemented
-
-    def __repr__(self) -> str:
-        return f"Trace({len(self)} evaluations)"
-
-
 @dataclass(frozen=True)
 class OffloadSolution:
     offload_ratios: np.ndarray
     per_task_energy: np.ndarray
     total_energy: float
-    trace: Trace  # a sequence of TraceEntry is converted on construction
+    trace_totals: list[float]  # system total after each evaluation
+    trace_picks: list[int]  # task bumped just before it, -1 for the first
     termination: str
-
-    def __post_init__(self):
-        if not isinstance(self.trace, Trace):
-            object.__setattr__(self, "trace", Trace.from_entries(self.trace))
 
     @property
     def evaluations(self) -> int:
-        return len(self.trace)
+        return len(self.trace_totals)
 
 
 def task_energy_endpoints(scenario: Scenario, se_provider: SEProvider) -> tuple[np.ndarray, np.ndarray]:
@@ -240,13 +173,14 @@ def optimize(scenario: Scenario, config: GreedyConfig,
         offload_ratios=np.array(ratios),
         per_task_energy=energies,
         total_energy=float(np.add.reduce(energies)),
-        trace=Trace(totals, picks),
+        trace_totals=totals,
+        trace_picks=picks,
         termination=termination,
     )
 
 
 def write_trace_csv(solution: OffloadSolution, path) -> None:
     """Dump the evaluation trace; the initial row carries task_index -1."""
-    totals, picks = solution.trace.totals, solution.trace.picks
     write_rows(path, ["iteration", "total_energy_j", "task_index"],
-               [range(len(totals)), totals, picks])
+               [range(solution.evaluations), solution.trace_totals,
+                solution.trace_picks])

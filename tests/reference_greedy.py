@@ -12,14 +12,35 @@ from __future__ import annotations
 
 import csv
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from offloadlab.greedy import (TERMINATION_CONVERGED, TERMINATION_ITER_CAPPED,
                                TERMINATION_SATURATED, GreedyConfig,
-                               OffloadSolution, TraceEntry,
                                task_energy_endpoints)
 from offloadlab.model import Scenario, SEProvider
+
+
+@dataclass(frozen=True, slots=True)
+class TraceEntry:
+    iteration: int
+    total_energy: float
+    adjusted_task_index: int | None  # None on the initial evaluation
+
+
+@dataclass(frozen=True)
+class OffloadSolution:
+    offload_ratios: np.ndarray
+    per_task_energy: np.ndarray
+    total_energy: float
+    trace: tuple
+    termination: str
+
+    @property
+    def evaluations(self) -> int:
+        return len(self.trace)
+
 
 _SNAP = 1e-12  # ratios this close to 1.0 are pinned exactly
 

@@ -80,7 +80,7 @@ def _build_c2():
             "seed": seed,
             "evaluations": solution.evaluations,
             "termination": solution.termination,
-            "energies": tuple(entry.total_energy for entry in solution.trace),
+            "energies": tuple(solution.trace_totals),
             "total": solution.total_energy,
         })
     files["summary.csv"] = _csv_bytes(

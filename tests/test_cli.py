@@ -509,6 +509,30 @@ class TestIngest:
         rows = read_rows(out / "speeds.csv")
         assert [row[:2] for row in rows] == [["trip_id", "segment"], ["7", "0"]]
 
+    def test_row_without_trip_cell_is_skipped_and_counted(self, tmp_path, capsys):
+        trace = tmp_path / "trace.csv"
+        trace.write_text("Timestamp(ms),Latitude[deg],Longitude[deg],Trip\n"
+                         "0,1,1\n1000,1,1.01\n")
+        out = tmp_path / "o"
+        assert run("ingest", "--ingest.path", str(trace), "--out", str(out)) == 0
+        captured = capsys.readouterr().out
+        assert "rows read: 2" in captured
+        assert "rows skipped: 2" in captured
+        assert read_rows(out / "speeds.csv") == [["trip_id", "segment", "speed_mps"]]
+
+    @pytest.mark.parametrize("scale", ["0", "-1", "nan", "inf"])
+    def test_bad_timestamp_scale_is_a_config_error(self, tmp_path, capsys, scale):
+        trace = tmp_path / "t.csv"
+        trace.write_text("t,lat,lon,id\n0,0,0,x\n10,0,0.001,x\n")
+        out = tmp_path / "o"
+        cmap = f"{{timestamp: t, lat: lat, lon: lon, trip_id: id, timestamp_scale: {scale}}}"
+        capsys.readouterr()
+        assert run("ingest", "--ingest.path", str(trace),
+                   "--ingest.column_map", cmap, "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert "timestamp_scale" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_custom_column_map(self, tmp_path):
         trace = tmp_path / "t.csv"
         trace.write_text("t,lat,lon,id\n0,0,0,x\n10,0,0.001,x\n")

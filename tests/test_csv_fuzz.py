@@ -188,6 +188,7 @@ class TestTrajectoryLoader:
         if result is not None:
             points = sum(len(p) for p in result.trips.values())
             assert points == result.rows_read - result.rows_skipped
+            assert all(isinstance(trip, str) for trip in result.trips)
 
     @pytest.mark.parametrize("data", [
         b"t,lat,lon,trip\n0,0,0," + b"1" * 200_000 + b"\n",

@@ -82,9 +82,9 @@ class TestOptimize:
         sol = optimize(sc, GreedyConfig(), STATIC_SE)
         assert sol.termination == TERMINATION_SATURATED
         assert np.all(sol.offload_ratios == 0.5)
-        assert len(sol.trace) == 2
-        assert sol.trace[1].total_energy >= sol.trace[0].total_energy
-        assert sol.total_energy == sol.trace[0].total_energy
+        assert len(sol.trace_totals) == 2
+        assert sol.trace_totals[1] >= sol.trace_totals[0]
+        assert sol.total_energy == sol.trace_totals[0]
 
     def test_cheap_offload_converges_to_full(self):
         sc = default_scenario(seed=1)
@@ -92,10 +92,10 @@ class TestOptimize:
         sol = optimize(sc, GreedyConfig(), cache)
         assert sol.termination == TERMINATION_CONVERGED
         assert np.all(sol.offload_ratios == 1.0)
-        assert sol.total_energy < sol.trace[0].total_energy
+        assert sol.total_energy < sol.trace_totals[0]
         # 50 bumps per task, plus the initial evaluation
         assert sol.evaluations == 50 * len(sc.tasks) + 1
-        totals = [e.total_energy for e in sol.trace]
+        totals = sol.trace_totals
         assert all(b < a for a, b in zip(totals, totals[1:]))
 
     def test_iteration_cap_is_reported(self):
@@ -104,14 +104,14 @@ class TestOptimize:
         sol = optimize(sc, GreedyConfig(max_iters=3), cache)
         assert sol.termination == TERMINATION_ITER_CAPPED
         assert sol.evaluations == 4
-        assert sol.total_energy == sol.trace[-1].total_energy
+        assert sol.total_energy == sol.trace_totals[-1]
 
     def test_never_worse_than_start(self):
         for seed in range(5):
             sc = default_scenario(seed=seed)
             cache = SpectralEfficiencyCache(sc.spectral_config)
             sol = optimize(sc, GreedyConfig(), cache)
-            assert sol.total_energy <= sol.trace[0].total_energy
+            assert sol.total_energy <= sol.trace_totals[0]
 
     def test_evaluation_bound(self):
         cfg = GreedyConfig()
@@ -126,9 +126,10 @@ class TestOptimize:
         sc = default_scenario(seed=2)
         cache = SpectralEfficiencyCache(sc.spectral_config)
         sol = optimize(sc, GreedyConfig(), cache)
-        assert [e.iteration for e in sol.trace] == list(range(len(sol.trace)))
-        assert sol.trace[0].adjusted_task_index is None
-        assert all(e.adjusted_task_index is not None for e in sol.trace[1:])
+        # evaluation i is row i of both lists; only the first has no pick
+        assert len(sol.trace_picks) == len(sol.trace_totals)
+        assert sol.trace_picks[0] == -1
+        assert all(p >= 0 for p in sol.trace_picks[1:])
 
     def test_solution_totals_are_consistent(self):
         sc = default_scenario(seed=3)
@@ -145,8 +146,8 @@ class TestOptimize:
         b = optimize(sc, GreedyConfig(), SpectralEfficiencyCache(sc.spectral_config))
         assert np.array_equal(a.offload_ratios, b.offload_ratios)
         assert a.total_energy == b.total_energy
-        assert [(e.iteration, e.total_energy, e.adjusted_task_index) for e in a.trace] == \
-               [(e.iteration, e.total_energy, e.adjusted_task_index) for e in b.trace]
+        assert a.trace_totals == b.trace_totals
+        assert a.trace_picks == b.trace_picks
 
     def test_tie_goes_to_lowest_task_index(self):
         dev = example_device()
@@ -156,7 +157,7 @@ class TestOptimize:
                       tasks=(Task(task_id=1, **twin), Task(task_id=2, **twin)),
                       channels=(ch,), spectral_config=SpectralConfig())
         sol = optimize(sc, GreedyConfig(), STATIC_SE)
-        assert sol.trace[1].adjusted_task_index == 0
+        assert sol.trace_picks[1] == 0
 
     def test_ratios_snap_to_exactly_one(self):
         sc = default_scenario(seed=5)
@@ -175,8 +176,47 @@ class TestOptimize:
         sc = small_scenario()
         sol = optimize(sc, GreedyConfig(init_ratio=1.0), STATIC_SE)
         assert sol.termination == TERMINATION_CONVERGED
-        assert len(sol.trace) == 1
+        assert len(sol.trace_totals) == 1
         assert np.all(sol.offload_ratios == 1.0)
+
+
+def _saturated():
+    return small_scenario(noise_var_w=1.0), GreedyConfig(), STATIC_SE
+
+
+def _converged():
+    sc = default_scenario(seed=1)
+    return sc, GreedyConfig(), SpectralEfficiencyCache(sc.spectral_config)
+
+
+def _iter_capped():
+    sc = default_scenario(seed=1)
+    return sc, GreedyConfig(max_iters=3), SpectralEfficiencyCache(sc.spectral_config)
+
+
+class TestTraceLists:
+    @pytest.mark.parametrize("make, termination", [
+        (_saturated, TERMINATION_SATURATED),
+        (_converged, TERMINATION_CONVERGED),
+        (_iter_capped, TERMINATION_ITER_CAPPED),
+    ])
+    def test_lists_describe_the_run(self, make, termination):
+        sc, cfg, se = make()
+        sol = optimize(sc, cfg, se)
+        assert sol.termination == termination
+        assert sol.evaluations == len(sol.trace_totals) == len(sol.trace_picks)
+        assert sol.trace_picks[0] == -1
+        assert all(p in range(len(sc.tasks)) for p in sol.trace_picks[1:])
+        assert sol.total_energy == min(sol.trace_totals)
+
+    def test_init_at_one_writes_one_row(self, tmp_path):
+        sol = optimize(small_scenario(), GreedyConfig(init_ratio=1.0), STATIC_SE)
+        path = tmp_path / "trace.csv"
+        write_trace_csv(sol, path)
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows == [["iteration", "total_energy_j", "task_index"],
+                        ["0", repr(sol.total_energy), "-1"]]
 
 
 class TestBruteForce:
@@ -215,6 +255,6 @@ class TestTraceCsv:
             rows = list(csv.reader(fh))
         assert rows[0] == ["iteration", "total_energy_j", "task_index"]
         assert rows[1][0] == "0" and rows[1][2] == "-1"
-        assert len(rows) == len(sol.trace) + 1
-        for row, entry in zip(rows[1:], sol.trace):
-            assert float(row[1]) == entry.total_energy
+        assert len(rows) == sol.evaluations + 1
+        for row, total in zip(rows[1:], sol.trace_totals):
+            assert float(row[1]) == total

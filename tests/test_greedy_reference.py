@@ -67,7 +67,10 @@ def assert_same_solution(got, want):
     assert got.per_task_energy.dtype == want.per_task_energy.dtype
     assert got.per_task_energy.tobytes() == want.per_task_energy.tobytes()
     assert got.total_energy == want.total_energy
-    assert got.trace == want.trace
+    assert [e.iteration for e in want.trace] == list(range(len(want.trace)))
+    assert got.trace_totals == [e.total_energy for e in want.trace]
+    assert got.trace_picks == [-1 if e.adjusted_task_index is None
+                               else e.adjusted_task_index for e in want.trace]
     assert got.termination == want.termination
 
 
