@@ -1,7 +1,7 @@
 """Command line front end.
 
 Every subcommand reads one effective configuration (defaults, optional
-YAML file, dotted overrides, global flags) and writes CSV or JSON files
+YAML file, then flags) and writes CSV or JSON files
 into the output directory.  Nothing here depends on wall-clock time or
 unseeded randomness, so a repeated invocation with the same inputs
 reproduces its outputs byte for byte.  Set OFFLOADLAB_LOG=DEBUG|INFO|...
@@ -250,7 +250,7 @@ def cmd_ingest(cfg: ExperimentConfig) -> list[Path]:
             short_trips += 1
             continue
         try:
-            trip_speeds = datagen.trajectory_speeds(points, cfg.ingest.earth_radius_m)
+            trip_speeds = datagen.trajectory_speeds(points)
         except ValueError:  # timestamps out of order
             unordered_trips += 1
             continue
@@ -279,21 +279,22 @@ _COMMANDS = {
 }
 
 
-def _dest(dotted: str) -> str:
-    return "opt_" + dotted.replace(".", "__")
+# config keys with a listed option: (option strings, metavar, help); every
+# other key is a hidden --<key> option
+_LISTED = {
+    "seed": (("--seed",), "N", "global seed"),
+    "jobs": (("--jobs",), "N", "worker processes for sweeps"),
+    "out_dir": (("--out", "--out_dir"), "DIR", "output directory"),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", metavar="PATH", help="YAML config file")
-    common.add_argument("--seed", type=int, help="global seed (overrides the config)")
-    common.add_argument("--jobs", type=int, help="worker processes for sweeps")
-    common.add_argument("--out", metavar="DIR", help="output directory")
     for dotted in SCHEMA:
-        if dotted in ("seed", "jobs"):
-            continue
-        common.add_argument(f"--{dotted}", dest=_dest(dotted),
-                            metavar="VALUE", help=argparse.SUPPRESS)
+        names, metavar, help_text = _LISTED.get(
+            dotted, ((f"--{dotted}",), "VALUE", argparse.SUPPRESS))
+        common.add_argument(*names, dest=dotted, metavar=metavar, help=help_text)
     parser = argparse.ArgumentParser(
         prog="offloadlab",
         description="Energy-optimal computation offloading experiments.",
@@ -308,16 +309,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     _setup_logging()
     args = _build_parser().parse_args(argv)
-    overrides = {}
-    for dotted in SCHEMA:
-        if dotted in ("seed", "jobs"):
-            continue
-        value = getattr(args, _dest(dotted), None)
-        if value is not None:
-            overrides[dotted] = value
+    overrides = {k: v for k, v in vars(args).items() if k in SCHEMA and v is not None}
     try:
-        cfg = load_config(args.config, overrides, seed=args.seed,
-                          out_dir=args.out, jobs=args.jobs)
+        cfg = load_config(args.config, overrides)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

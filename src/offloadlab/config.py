@@ -1,9 +1,9 @@
 """Experiment configuration: defaults, YAML files, dotted CLI overrides.
 
-Precedence, lowest to highest: built-in defaults, the config file, dotted
-``--section.field value`` overrides, then the dedicated global flags.  Every
-leaf in the schema table below is addressable from the command line by its
-dotted name.  Unknown keys are rejected rather than ignored.
+Precedence, lowest to highest: built-in defaults, the config file, then
+overrides by dotted name (the command line's flags).  Every leaf in the
+schema table below is one config key with one command-line option.
+Unknown keys are rejected rather than ignored.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass, fields, is_dataclass
 
 import yaml
 
-from .datagen import VED_COLUMNS, ColumnMap, ScenarioSpec
+from .datagen import SAMPLED_FIELDS, VED_COLUMNS, ColumnMap, ScenarioSpec
 from .greedy import GreedyConfig
 from .spectral import SpectralConfig
 
@@ -85,11 +85,6 @@ class DatagenConfig:
 class IngestConfig:
     path: str | None = None
     column_map: ColumnMap = VED_COLUMNS
-    earth_radius_m: float = 6.371e6
-
-    def __post_init__(self):
-        if self.earth_radius_m <= 0:
-            raise ValueError("ingest.earth_radius_m must be > 0")
 
 
 @dataclass(frozen=True)
@@ -106,6 +101,12 @@ class ExperimentConfig:
     sweeps: SweepConfig = SweepConfig()
     datagen: DatagenConfig = DatagenConfig()
     ingest: IngestConfig = IngestConfig()
+
+    def __post_init__(self):
+        if self.jobs < 1:
+            raise ValueError("jobs must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 # a field whose default is a dataclass is a section; the rest are top-level
@@ -126,10 +127,12 @@ def _int(v) -> int:
 
 
 def _float(v) -> float:
-    try:
-        return float(v)
-    except (TypeError, ValueError):
-        raise ConfigError(f"expected a number, got {v!r}") from None
+    if not isinstance(v, bool):  # YAML reads yes/no/on/off as booleans
+        try:
+            return float(v)
+        except (TypeError, ValueError):
+            pass
+    raise ConfigError(f"expected a number, got {v!r}")
 
 
 def _str(v) -> str:
@@ -230,17 +233,8 @@ SCHEMA = {
     "scenario.n_devices": _int,
     "scenario.tasks_per_device": _int,
     "scenario.seed": _opt(_int),
-    "scenario.data_bits": _range,
-    "scenario.cycles_per_bit": _range,
-    "scenario.cpu_freq_hz": _range,
-    "scenario.energy_coeff": _range,
-    "scenario.speed_mps": _range,
-    "scenario.carrier_freq_hz": _range,
-    "scenario.bandwidth_hz": _range,
-    "scenario.noise_var_w": _range,
-    "scenario.gain": _range,
+    **{f"scenario.{name}": _range for name in SAMPLED_FIELDS},
     "spectral.subcarrier_spacing_hz": _float,
-    "spectral.light_speed_mps": _float,
     "spectral.snr_linear": _float,
     "greedy.init_ratio": _float,
     "greedy.step": _float,
@@ -258,10 +252,9 @@ SCHEMA = {
     "datagen.n_scenarios": _int,
     "ingest.path": _opt(_str),
     "ingest.column_map": _column_map,
-    "ingest.earth_radius_m": _float,
 }
 
-# unset section seeds fall back to the global one
+# unset section seeds fall back to the top-level one
 _SECTION_SEEDS = ("scenario.seed", "clustering.seed")
 
 
@@ -285,13 +278,11 @@ def _default_flat() -> dict:
     return flat
 
 
-def load_config(path=None, overrides=None, seed=None,
-                out_dir=None, jobs=None) -> ExperimentConfig:
+def load_config(path=None, overrides=None) -> ExperimentConfig:
     """Assemble the effective configuration.
 
     `overrides` maps dotted field names to raw values (typically strings
-    from the command line).  `seed`, `out_dir`, and `jobs` are the global
-    flags and win over everything else when given.
+    from the command line) and wins over the file at `path`.
     """
     flat = _default_flat()
     data = {}
@@ -308,10 +299,8 @@ def load_config(path=None, overrides=None, seed=None,
         if not isinstance(data, dict):
             raise ConfigError("config file must hold a mapping at the top level")
 
-    flags = {"seed": seed, "out_dir": out_dir, "jobs": jobs}
-    # lowest precedence first: the file, dotted overrides, the global flags
-    for dotted, value in [*_flatten(data).items(), *(overrides or {}).items(),
-                          *((k, v) for k, v in flags.items() if v is not None)]:
+    # lowest precedence first: the file, then the overrides
+    for dotted, value in [*_flatten(data).items(), *(overrides or {}).items()]:
         if dotted not in SCHEMA:
             raise ConfigError(f"unknown config field {dotted!r}")
         flat[dotted] = SCHEMA[dotted](value)
@@ -327,8 +316,4 @@ def load_config(path=None, overrides=None, seed=None,
                for name, section in _SECTIONS.items()})
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    if cfg.jobs < 1:
-        raise ConfigError("jobs must be >= 1")
-    if cfg.seed < 0:
-        raise ConfigError("seed must be >= 0")
     return cfg

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import greedy as greedy_mod
 from .features import CANONICAL_FEATURES, Dataset
-from .model import CHANNEL_DTYPE, DEVICE_DTYPE, TASK_DTYPE, Scenario
+from .model import _MAY_BE_ZERO, CHANNEL_DTYPE, DEVICE_DTYPE, TASK_DTYPE, Scenario
 # calc_se stays importable here: perfbench/selftest.py checks this import site
 from .spectral import SpectralConfig, SpectralEfficiencyCache, calc_se  # noqa: F401
 
@@ -29,19 +29,9 @@ EARTH_RADIUS_M = 6.371e6
 
 Range = tuple[float, float]
 
-
-def _check_range(name: str, rng: Range, lo_min: float = 0.0,
-                 strict: bool = True) -> None:
-    lo, hi = rng
-    # rng.uniform refuses a non-finite span; the block draw relies on this
-    if not math.isfinite(hi - lo):
-        raise ValueError(f"{name}: range ({lo}, {hi}) is not finite")
-    if lo > hi:
-        raise ValueError(f"{name}: range lower bound {lo} exceeds upper bound {hi}")
-    if strict and lo <= lo_min:
-        raise ValueError(f"{name}: lower bound must be > {lo_min}")
-    if not strict and lo < lo_min:
-        raise ValueError(f"{name}: lower bound must be >= {lo_min}")
+# every sampled field in draw order: a device's device and channel fields in
+# record order, then a task's data_bits and cycles_per_bit
+SAMPLED_FIELDS = DEVICE_DTYPE.names + CHANNEL_DTYPE.names + TASK_DTYPE.names[1:]
 
 
 @dataclass(frozen=True)
@@ -66,15 +56,16 @@ class ScenarioSpec:
             raise ValueError("n_devices must be >= 1")
         if self.tasks_per_device < 1:
             raise ValueError("tasks_per_device must be >= 1")
-        _check_range("data_bits", self.data_bits, strict=False)
-        _check_range("cycles_per_bit", self.cycles_per_bit)
-        _check_range("cpu_freq_hz", self.cpu_freq_hz)
-        _check_range("energy_coeff", self.energy_coeff)
-        _check_range("speed_mps", self.speed_mps, strict=False)
-        _check_range("carrier_freq_hz", self.carrier_freq_hz)
-        _check_range("bandwidth_hz", self.bandwidth_hz)
-        _check_range("noise_var_w", self.noise_var_w)
-        _check_range("gain", self.gain)
+        for name in SAMPLED_FIELDS:
+            lo, hi = getattr(self, name)
+            # rng.uniform refuses a non-finite span; the block draw relies on this
+            if not math.isfinite(hi - lo):
+                raise ValueError(f"{name}: range ({lo}, {hi}) is not finite")
+            if lo > hi:
+                raise ValueError(f"{name}: range lower bound {lo} exceeds upper bound {hi}")
+            strict = name not in _MAY_BE_ZERO
+            if not (lo > 0 if strict else lo >= 0):
+                raise ValueError(f"{name}: lower bound must be {'>' if strict else '>='} 0")
 
 
 def _records(dtype: np.dtype, columns) -> np.ndarray:
@@ -95,10 +86,9 @@ def generate_scenario(spec: ScenarioSpec,
     scenario's record arrays are sliced straight out of the draw block.
     """
     cfg = spectral_config if spectral_config is not None else SpectralConfig()
-    # a device's row: its device and channel fields in record order, then
-    # data_bits and cycles_per_bit for each of its tasks
-    fields = (DEVICE_DTYPE.names + CHANNEL_DTYPE.names
-              + TASK_DTYPE.names[1:] * spec.tasks_per_device)
+    # a device's row: its device and channel fields, then the task fields
+    # once per task
+    fields = SAMPLED_FIELDS + TASK_DTYPE.names[1:] * (spec.tasks_per_device - 1)
     lo = np.array([getattr(spec, f)[0] for f in fields])
     hi = np.array([getattr(spec, f)[1] for f in fields])
     u = np.random.default_rng(spec.seed).random(spec.n_devices * len(fields))

@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 
 SE_MAX = 64.0  # spectral efficiencies beyond this are treated as malformed
+LIGHT_SPEED_MPS = 3e8
 
 
 @dataclass(frozen=True)
@@ -21,28 +22,22 @@ class SpectralConfig:
     """Waveform-level constants shared by every uplink in a scenario."""
 
     subcarrier_spacing_hz: float = 100e3
-    light_speed_mps: float = 3e8
     snr_linear: float = 100.0
 
     def __post_init__(self):
         if self.subcarrier_spacing_hz <= 0:
             raise ValueError("subcarrier_spacing_hz must be > 0")
-        if self.light_speed_mps <= 0:
-            raise ValueError("light_speed_mps must be > 0")
         if self.snr_linear <= 0:
             raise ValueError("snr_linear must be > 0")
 
 
-def doppler_shift(speed_mps: float, carrier_freq_hz: float,
-                  light_speed_mps: float = 3e8) -> float:
+def doppler_shift(speed_mps: float, carrier_freq_hz: float) -> float:
     """Doppler shift in Hz for a device moving at speed_mps."""
     if speed_mps < 0:
         raise ValueError("speed_mps must be >= 0")
     if carrier_freq_hz <= 0:
         raise ValueError("carrier_freq_hz must be > 0")
-    if light_speed_mps <= 0:
-        raise ValueError("light_speed_mps must be > 0")
-    return speed_mps * carrier_freq_hz / light_speed_mps
+    return speed_mps * carrier_freq_hz / LIGHT_SPEED_MPS
 
 
 def calc_se(speed_mps: float, carrier_freq_hz: float,
@@ -54,24 +49,18 @@ def calc_se(speed_mps: float, carrier_freq_hz: float,
     decreases monotonically with speed and stays strictly positive.
     """
     cfg = config if config is not None else SpectralConfig()
-    shift = doppler_shift(speed_mps, carrier_freq_hz, cfg.light_speed_mps)
-    nu = shift / cfg.subcarrier_spacing_hz
+    nu = doppler_shift(speed_mps, carrier_freq_hz) / cfg.subcarrier_spacing_hz
     damping = 1.0 / (1.0 + nu * nu)
     return math.log2(1.0 + cfg.snr_linear * damping)
-
-
-def _quantize(value: float) -> str:
-    # 1e-6 relative precision: inputs closer than that share a cache slot
-    return "%.6e" % value
 
 
 class SpectralEfficiencyCache:
     """Memoised calc_se keyed on (speed, carrier frequency).
 
-    Both coordinates take part in the key; two devices at the same speed but
-    on different carriers never share an entry.  Keys are quantised to 1e-6
-    relative precision so that noise below physical relevance does not grow
-    the table.  A cache hit returns the stored float unchanged, bit for bit.
+    The key is the exact float pair: two devices share an entry only when
+    both their speed and their carrier are equal, so every lookup returns
+    calc_se of its own arguments.  A hit returns the stored float unchanged,
+    bit for bit.
 
     Instances are callable with (speed_mps, carrier_freq_hz) and can be
     handed anywhere an se provider is expected.  Writes are not locked; keep
@@ -80,10 +69,10 @@ class SpectralEfficiencyCache:
 
     def __init__(self, config: SpectralConfig | None = None):
         self.config = config if config is not None else SpectralConfig()
-        self._table: dict[tuple[str, str], float] = {}
+        self._table: dict[tuple[float, float], float] = {}
 
     def __call__(self, speed_mps: float, carrier_freq_hz: float) -> float:
-        key = (_quantize(speed_mps), _quantize(carrier_freq_hz))
+        key = (speed_mps, carrier_freq_hz)
         hit = self._table.get(key)
         if hit is not None:
             return hit

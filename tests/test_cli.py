@@ -18,6 +18,12 @@ def run(*args) -> int:
     return main(list(args))
 
 
+def assert_same_tree(a, b):
+    assert sorted(p.name for p in a.iterdir()) == sorted(p.name for p in b.iterdir())
+    for path in a.iterdir():
+        assert path.read_bytes() == (b / path.name).read_bytes()
+
+
 class TestConfigHandling:
     def test_missing_config_file(self, tmp_path):
         out = tmp_path / "out"
@@ -39,7 +45,8 @@ class TestConfigHandling:
         with pytest.raises(SystemExit):
             run("optimize", "--scenario.bogus", "1", "--out", str(tmp_path / "o"))
 
-    @pytest.mark.parametrize("leaf", ["bandwidth_hz", "num_users", "frame_time_s"])
+    @pytest.mark.parametrize("leaf", ["bandwidth_hz", "num_users", "frame_time_s",
+                                      "light_speed_mps"])
     def test_removed_spectral_keys_exit_2(self, tmp_path, capsys, leaf):
         out = tmp_path / "o"
         with pytest.raises(SystemExit) as exc:
@@ -62,6 +69,42 @@ class TestConfigHandling:
         a_bytes = (a / "solution.json").read_bytes()
         assert a_bytes == (b / "solution.json").read_bytes()
         assert a_bytes != (c / "solution.json").read_bytes()
+
+    def test_out_dir_is_an_alias_of_out(self, tmp_path):
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert run("optimize", "--out", str(a)) == 0
+        assert run("optimize", "--out_dir", str(b)) == 0
+        assert_same_tree(a, b)
+        # one option under two names: the last one given wins
+        c, d = tmp_path / "c", tmp_path / "d"
+        assert run("optimize", "--out", str(c), "--out_dir", str(d)) == 0
+        assert d.exists() and not c.exists()
+
+    def test_seed_flag_equals_seed_key_in_file(self, tmp_path):
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text("seed: 7\n")
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert run("optimize", "--seed", "7", "--out", str(a)) == 0
+        assert run("optimize", "--config", str(cfg), "--out", str(b)) == 0
+        assert_same_tree(a, b)
+
+    def test_fractional_seed_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert run("optimize", "--seed", "2.5", "--out", str(out)) == 2
+        assert "expected an integer" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text", ["greedy:\n  step: yes\n",
+                                      "sweeps:\n  speed_grid: [true, 2]\n",
+                                      "scenario:\n  gain: [on, 1]\n"],
+                             ids=["step_yes", "grid_true", "range_on"])
+    def test_yaml_boolean_number_exits_2(self, tmp_path, capsys, text):
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(text)
+        out = tmp_path / "o"
+        assert run("sweep-modulation", "--config", str(cfg), "--out", str(out)) == 2
+        assert "expected a number" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_dotted_flag_beats_config_file(self, tmp_path):
         cfg = tmp_path / "cfg.yaml"

@@ -19,12 +19,12 @@ class TestDefaults:
         assert cfg.ingest.column_map == VED_COLUMNS
 
     def test_global_seed_flows_into_sections(self):
-        cfg = load_config(seed=42)
+        cfg = load_config(overrides={"seed": "42"})
         assert cfg.scenario.seed == 42
         assert cfg.clustering.seed == 42
 
     def test_explicit_section_seed_stays(self):
-        cfg = load_config(overrides={"scenario.seed": "7"}, seed=42)
+        cfg = load_config(overrides={"scenario.seed": "7", "seed": "42"})
         assert cfg.scenario.seed == 7
         assert cfg.clustering.seed == 42
 
@@ -61,7 +61,8 @@ class TestFileAndOverrides:
     def test_global_flags_beat_everything(self, tmp_path):
         path = tmp_path / "cfg.yaml"
         path.write_text("seed: 3\njobs: 2\nout_dir: somewhere\n")
-        cfg = load_config(path, seed=9, jobs=4, out_dir="elsewhere")
+        cfg = load_config(path, overrides={"seed": "9", "jobs": "4",
+                                           "out_dir": "elsewhere"})
         assert (cfg.seed, cfg.jobs, cfg.out_dir) == (9, 4, "elsewhere")
 
     def test_unknown_key_rejected(self, tmp_path):
@@ -129,10 +130,16 @@ class TestCoercion:
         assert cfg.model_path == "m.json"
 
     def test_jobs_and_seed_floors(self):
-        with pytest.raises(ConfigError):
-            load_config(jobs=0)
-        with pytest.raises(ConfigError):
-            load_config(seed=-1)
+        with pytest.raises(ConfigError, match="jobs must be >= 1"):
+            load_config(overrides={"jobs": "0"})
+        with pytest.raises(ConfigError, match="seed must be >= 0"):
+            load_config(overrides={"seed": "-1"})
+
+    def test_experiment_config_checks_its_own_fields(self):
+        with pytest.raises(ValueError, match="jobs must be >= 1"):
+            ExperimentConfig(jobs=0)
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            ExperimentConfig(seed=-1)
 
     def test_section_validation_becomes_config_error(self):
         with pytest.raises(ConfigError):
@@ -141,8 +148,9 @@ class TestCoercion:
             load_config(overrides={"greedy.step": "0"})
 
 
-REMOVED_SPECTRAL_KEYS = ("spectral.bandwidth_hz", "spectral.num_users",
-                         "spectral.frame_time_s")
+# keys a model never read, and physical constants that are no longer settable
+REMOVED_KEYS = ("spectral.bandwidth_hz", "spectral.num_users", "spectral.frame_time_s",
+                "spectral.light_speed_mps", "ingest.earth_radius_m")
 
 
 class TestSchema:
@@ -161,13 +169,13 @@ class TestSchema:
                     assert f"{f.name}.{leaf.name}" in SCHEMA
             else:
                 assert f.name in SCHEMA
-        assert len(SCHEMA) == 37
+        assert len(SCHEMA) == 35
 
     def test_defaults_are_the_dataclass_defaults(self):
         assert load_config() == ExperimentConfig()
 
-    @pytest.mark.parametrize("dotted", REMOVED_SPECTRAL_KEYS)
-    def test_removed_spectral_keys_are_unknown(self, tmp_path, dotted):
+    @pytest.mark.parametrize("dotted", REMOVED_KEYS)
+    def test_removed_keys_are_unknown(self, tmp_path, dotted):
         with pytest.raises(ConfigError, match="unknown config field"):
             load_config(overrides={dotted: "3"})
         section, leaf = dotted.split(".")

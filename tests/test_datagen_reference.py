@@ -226,7 +226,8 @@ class TestEndpointsMatchReference:
                            reference_datagen.task_energy_endpoints(sc, calc_se))
 
     def test_colliding_cache_keys_resolve_in_first_use_order(self):
-        # the two speeds share a cache slot, and device 1's task comes first
+        # two speeds 1e-7 m/s apart, and device 1's task comes first; the cache
+        # keys on exact floats, so each speed gets its own slot
         devices = (Device(id=0, cpu_freq_hz=1e9, energy_coeff=1e-28),
                    Device(id=1, cpu_freq_hz=1e9, energy_coeff=1e-28))
         channels = tuple(Channel(bandwidth_hz=1e6, noise_var_w=1e-3, gain=1.0,

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from offloadlab.spectral import (SpectralConfig, SpectralEfficiencyCache,
-                                 calc_se, doppler_shift)
+from offloadlab.spectral import (LIGHT_SPEED_MPS, SpectralConfig,
+                                 SpectralEfficiencyCache, calc_se, doppler_shift)
 
 
 def bits(x: float) -> bytes:
@@ -42,7 +42,7 @@ class TestCalcSe:
     def test_unit_normalized_doppler_halves_snr(self):
         cfg = SpectralConfig()
         # speed chosen so doppler equals the subcarrier spacing exactly
-        speed = cfg.subcarrier_spacing_hz * cfg.light_speed_mps / 28e9
+        speed = cfg.subcarrier_spacing_hz * LIGHT_SPEED_MPS / 28e9
         got = calc_se(speed, 28e9, cfg)
         assert got == pytest.approx(math.log2(1.0 + 100.0 / 2.0), rel=1e-12)
 
@@ -69,12 +69,11 @@ class TestSpectralConfig:
     def test_defaults(self):
         cfg = SpectralConfig()
         assert cfg.subcarrier_spacing_hz == 100e3
-        assert cfg.light_speed_mps == 3e8
+        assert LIGHT_SPEED_MPS == 3e8
         assert cfg.snr_linear == 100.0
 
     @pytest.mark.parametrize("field,value", [
         ("subcarrier_spacing_hz", 0.0),
-        ("light_speed_mps", 0.0),
         ("snr_linear", 0.0),
     ])
     def test_rejects_nonpositive(self, field, value):
@@ -117,9 +116,10 @@ class TestCache:
         cache.clear()
         assert len(cache) == 0
 
-    def test_quantization_merges_negligible_differences(self):
+    def test_nearby_keys_stay_distinct(self):
         cache = SpectralEfficiencyCache()
-        first = cache(100.0, 28e9)
-        # 1e-9 relative nudge lands in the same slot
-        assert cache(100.0 * (1 + 1e-9), 28e9) == first
-        assert len(cache) == 1
+        cache(100.0, 28e9)
+        # a 1e-9 relative nudge is a key of its own, with its own value
+        nudged = 100.0 * (1 + 1e-9)
+        assert bits(cache(nudged, 28e9)) == bits(calc_se(nudged, 28e9))
+        assert len(cache) == 2
