@@ -23,8 +23,9 @@ import numpy as np
 
 from . import cluster, datagen, greedy
 from .config import SCHEMA, ConfigError, ExperimentConfig, load_config
-from .features import (PRIMARY_FEATURES, TARGET_COLUMN, Dataset, rank_features,
-                       read_csv_matrix, split_dataset, write_rows)
+from .features import (TARGET_COLUMN, Dataset, feature_index, rank_features,
+                       read_csv_matrix, resolve_subset, split_dataset, subset_label,
+                       write_rows)
 from .spectral import SpectralEfficiencyCache
 
 log = logging.getLogger("offloadlab")
@@ -85,45 +86,37 @@ def cmd_optimize(cfg: ExperimentConfig) -> list[Path]:
     return [solution_path, trace_path]
 
 
-def _modulation_point(args):
-    spec, spectral_cfg, greedy_cfg, speed, carrier = args
-    pinned = replace(spec, speed_mps=(speed, speed),
-                     carrier_freq_hz=(carrier, carrier))
-    scenario = datagen.generate_scenario(pinned, spectral_cfg)
-    cache = SpectralEfficiencyCache(spectral_cfg)
-    solution = greedy.optimize(scenario, greedy_cfg, cache)
-    return speed, carrier, solution.total_energy
+def _sweep_point(args):
+    """Greedy and all-local total energy of the config's scenario with `pins` set."""
+    cfg, pins = args
+    scenario = datagen.generate_scenario(replace(cfg.scenario, **pins), cfg.spectral)
+    cache = SpectralEfficiencyCache(cfg.spectral)
+    solution = greedy.optimize(scenario, cfg.greedy, cache)
+    baseline = float(greedy.get_total_energy(
+        np.zeros(len(scenario.tasks)), scenario, cache).sum())
+    return solution.total_energy, baseline
 
 
 def cmd_sweep_modulation(cfg: ExperimentConfig) -> list[Path]:
-    items = [(cfg.scenario, cfg.spectral, cfg.greedy, speed, carrier)
-             for speed in cfg.sweeps.speed_grid
-             for carrier in cfg.sweeps.carrier_freq_grid]
-    rows = _run_grid(_modulation_point, items, cfg.jobs)
+    grid = [(speed, carrier) for speed in cfg.sweeps.speed_grid
+            for carrier in cfg.sweeps.carrier_freq_grid]
+    items = [(cfg, {"speed_mps": (speed, speed), "carrier_freq_hz": (carrier, carrier)})
+             for speed, carrier in grid]
+    energies = _run_grid(_sweep_point, items, cfg.jobs)
     path = _out_dir(cfg) / SWEEP_MODULATION_FILE
     write_rows(path, ["speed_mps", "carrier_freq_hz", "total_energy_j"],
-               list(zip(*rows)))
+               [*zip(*grid), [energy for energy, _ in energies]])
     return [path]
 
 
-def _datasize_point(args):
-    spec, spectral_cfg, greedy_cfg, size = args
-    scenario = datagen.generate_scenario(spec, spectral_cfg)
-    scenario.tasks.data_bits = size  # SweepConfig checked it is finite and >= 0
-    cache = SpectralEfficiencyCache(spectral_cfg)
-    solution = greedy.optimize(scenario, greedy_cfg, cache)
-    baseline = float(greedy.get_total_energy(
-        np.zeros(len(scenario.tasks)), scenario, cache).sum())
-    return size, solution.total_energy, baseline, baseline - solution.total_energy
-
-
 def cmd_sweep_datasize(cfg: ExperimentConfig) -> list[Path]:
-    items = [(cfg.scenario, cfg.spectral, cfg.greedy, size)
-             for size in cfg.sweeps.data_size_grid]
-    rows = _run_grid(_datasize_point, items, cfg.jobs)
+    sizes = cfg.sweeps.data_size_grid
+    items = [(cfg, {"data_bits": (size, size)}) for size in sizes]
+    energies = _run_grid(_sweep_point, items, cfg.jobs)
+    gaps = [baseline - energy for energy, baseline in energies]
     path = _out_dir(cfg) / SWEEP_DATASIZE_FILE
-    write_rows(path, ["data_size_bits", "greedy_energy_j", "all_local_energy_j",
-                      "gap_j"], list(zip(*rows)))
+    write_rows(path, ["data_size_bits", "greedy_energy_j", "all_local_energy_j", "gap_j"],
+               [sizes, *zip(*energies), gaps])
     return [path]
 
 
@@ -137,48 +130,12 @@ def cmd_gen_data(cfg: ExperimentConfig) -> list[Path]:
     return [path]
 
 
-def _resolve_subset(entry, train: Dataset, bins: int) -> tuple[str, ...]:
-    """Turn a subset keyword into concrete feature names.
-
-    'all' is every dataset feature, 'primary' the four deployment features,
-    'mi:N' the N strongest of those four by mutual information with the
-    target (over all features if the four are not all present).
-    """
-    if isinstance(entry, tuple):
-        missing = [n for n in entry if n not in train.feature_names]
-        if missing:
-            raise ValueError(f"dataset lacks features {missing}")
-        return entry
-    if entry == "all":
-        return train.feature_names
-    if entry == "primary":
-        missing = [n for n in PRIMARY_FEATURES if n not in train.feature_names]
-        if missing:
-            raise ValueError(f"dataset lacks features {missing}")
-        return PRIMARY_FEATURES
-    if entry.startswith("mi:"):
-        count = int(entry.split(":", 1)[1])  # validated by ClusteringConfig
-        universe = PRIMARY_FEATURES if all(
-            n in train.feature_names for n in PRIMARY_FEATURES) else train.feature_names
-        pool = Dataset(feature_names=tuple(universe),
-                       X=train.select(universe), y=train.y)
-        ranking = rank_features(pool, bins=bins)
-        return tuple(name for name, _ in ranking[:count])
-    raise ValueError(f"unknown feature subset {entry!r}")
-
-
-def _subset_label(entry) -> str:
-    if isinstance(entry, tuple):
-        return "-".join(entry)
-    return entry.replace(":", "")
-
-
 def cmd_train(cfg: ExperimentConfig) -> list[Path]:
     if cfg.dataset_path is None:
         raise ValueError("train needs dataset_path (or --dataset_path)")
     dataset = Dataset.from_csv(cfg.dataset_path)
-    subset = _resolve_subset(cfg.clustering.feature_subsets[0], dataset,
-                             cfg.clustering.bins)
+    subset = resolve_subset(cfg.clustering.feature_subsets[0], dataset,
+                            cfg.clustering.bins)
     model = cluster.train_clustered_models(
         dataset, cfg.clustering.num_clusters, subset,
         seed=cfg.clustering.seed, restarts=cfg.clustering.restarts)
@@ -199,11 +156,7 @@ def cmd_predict(cfg: ExperimentConfig) -> list[Path]:
     truth = None
     if names[-1] == TARGET_COLUMN:
         names, X, truth = names[:-1], X[:, :-1], X[:, -1]
-    missing = [n for n in model.feature_subset if n not in names]
-    if missing:
-        raise ValueError(f"input lacks features the model needs: {missing}")
-    idx = [names.index(n) for n in model.feature_subset]
-    preds = cluster.predict_matrix(model, X[:, idx])
+    preds = cluster.predict_matrix(model, X[:, feature_index(names, model.feature_subset)])
     header, columns = ["row", "energy_pred_j"], [range(len(preds)), preds]
     if truth is not None:
         header, columns = header + ["energy_true_j"], columns + [truth]
@@ -221,11 +174,11 @@ def cmd_evaluate(cfg: ExperimentConfig) -> list[Path]:
     ranking = rank_features(train, bins=cfg.clustering.bins)
     reports = []
     for entry in cfg.clustering.feature_subsets:
-        subset = _resolve_subset(entry, train, cfg.clustering.bins)
+        subset = resolve_subset(entry, train, ranking=ranking)
         report = cluster.evaluate_models(
             train, test, cfg.clustering.k_max, subset,
             seed=cfg.clustering.seed, restarts=cfg.clustering.restarts)
-        log.info("evaluate: subset=%s best k=%d", _subset_label(entry),
+        log.info("evaluate: subset=%s best k=%d", subset_label(entry),
                  report.best_k()[0])
         reports.append((entry, report))
     out = _out_dir(cfg)
@@ -233,7 +186,7 @@ def cmd_evaluate(cfg: ExperimentConfig) -> list[Path]:
     write_rows(ranking_path, ["feature", "mi_bits"], list(zip(*ranking)))
     written = [ranking_path]
     for entry, report in reports:
-        path = out / f"eval_{_subset_label(entry)}.csv"
+        path = out / f"eval_{subset_label(entry)}.csv"
         report.to_csv(path)
         written.append(path)
     return written

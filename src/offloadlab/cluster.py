@@ -61,6 +61,8 @@ class ClusteredModel:
 
     def __post_init__(self):
         k, d = self.kmeans.k, len(self.feature_subset)
+        if len(set(self.feature_subset)) != d:
+            raise ValueError(f"feature_subset repeats a name: {list(self.feature_subset)}")
         if self.kmeans.centroids.shape != (k, d):
             raise ValueError(f"centroids have shape {self.kmeans.centroids.shape}, "
                              f"expected ({k}, {d}) for k={k} and {d} features")
@@ -78,9 +80,6 @@ class ClusteredModel:
 @dataclass(frozen=True)
 class EvalReport:
     rows: tuple[tuple[int, float, float], ...]  # (k, mae, mse)
-    feature_subset: tuple[str, ...]
-    train_size: int
-    test_size: int
 
     def best_k(self) -> tuple[int, float, float]:
         return min(self.rows, key=lambda r: (r[1], r[0]))
@@ -314,9 +313,7 @@ def evaluate_models(training_data: Dataset, test_data: Dataset, k_max: int,
         pred = predict_dataset(model, test_data)
         err = pred - test_data.y
         rows.append((k, float(np.abs(err).mean()), float((err ** 2).mean())))
-    subset = tuple(feature_subset) if feature_subset is not None else training_data.feature_names
-    return EvalReport(rows=tuple(rows), feature_subset=subset,
-                      train_size=len(training_data), test_size=len(test_data))
+    return EvalReport(rows=tuple(rows))
 
 
 def save_model(model: ClusteredModel, path) -> None:

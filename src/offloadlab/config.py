@@ -14,6 +14,7 @@ from dataclasses import dataclass, fields, is_dataclass
 import yaml
 
 from .datagen import SAMPLED_FIELDS, VED_COLUMNS, ColumnMap, ScenarioSpec
+from .features import check_subsets, subset_entry
 from .greedy import GreedyConfig
 from .spectral import SpectralConfig
 
@@ -43,15 +44,12 @@ class ClusteringConfig:
             raise ValueError("clustering.test_fraction must lie in (0, 1)")
         if self.restarts < 1:
             raise ValueError("clustering.restarts must be >= 1")
-        for entry in self.feature_subsets:
-            if isinstance(entry, str) and entry.startswith("mi:"):
-                try:
-                    count = int(entry[len("mi:"):])
-                except ValueError:
-                    count = 0
-                if count < 1:
-                    raise ValueError(f"clustering.feature_subsets: {entry!r} is not "
-                                     "mi:N with an integer N >= 1")
+        if self.seed < 0:
+            raise ValueError("clustering.seed must be >= 0")
+        try:
+            check_subsets(self.feature_subsets)
+        except ValueError as exc:
+            raise ValueError(f"clustering.feature_subsets: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -168,8 +166,8 @@ def _subsets(v) -> tuple:
     """Feature subset list: keywords or explicit name lists.
 
     From the command line: semicolon-separated groups, comma-separated
-    names inside a group, e.g. ``primary;mi:2;TaskSize,Speed``.  A one-name
-    group other than ``all``, ``primary`` and ``mi:N`` is a one-feature subset.
+    names inside a group, e.g. ``primary;mi:2;TaskSize,Speed``; each group
+    is read by `features.subset_entry`.
     """
     if isinstance(v, str):
         entries = [e for e in v.split(";") if e.strip()]
@@ -181,11 +179,8 @@ def _subsets(v) -> tuple:
     for entry in entries:
         if isinstance(entry, str):
             names = [n.strip() for n in entry.split(",") if n.strip()]
-            if len(names) == 1 and (names[0] in ("all", "primary")
-                                    or names[0].startswith("mi:")):
-                out.append(names[0])
-            elif names:
-                out.append(tuple(names))
+            if names:
+                out.append(subset_entry(names))
         elif isinstance(entry, (list, tuple)):
             out.append(tuple(str(n) for n in entry))
         else:

@@ -1,5 +1,6 @@
-"""Feature handling for the energy predictor: scaling, ranking, the numeric
-CSV reader (`read_csv_matrix`) and the package's one CSV writer (`write_rows`).
+"""Feature handling for the energy predictor: scaling, ranking, feature
+subsets, the numeric CSV reader (`read_csv_matrix`) and the package's one CSV
+writer (`write_rows`).
 
 A Dataset is a named feature matrix plus a per-row energy target in joules.
 Features are min-max scaled into [0, 1] with parameters learned on training
@@ -59,18 +60,11 @@ class Dataset:
         return len(self.X)
 
     def column(self, name: str) -> np.ndarray:
-        return self.X[:, self._index(name)]
-
-    def _index(self, name: str) -> int:
-        try:
-            return self.feature_names.index(name)
-        except ValueError:
-            raise ValueError(f"unknown feature {name!r}") from None
+        return self.X[:, feature_index(self.feature_names, (name,))[0]]
 
     def select(self, names) -> np.ndarray:
         """Column block in the order given."""
-        idx = [self._index(n) for n in names]
-        return self.X[:, idx]
+        return self.X[:, feature_index(self.feature_names, names)]
 
     def to_csv(self, path) -> None:
         write_rows(path, [*self.feature_names, TARGET_COLUMN], [*self.X.T, self.y])
@@ -81,6 +75,14 @@ class Dataset:
         if names[-1] != TARGET_COLUMN:
             raise ValueError(f"{path}: last column must be {TARGET_COLUMN}")
         return cls(feature_names=names[:-1], X=data[:, :-1], y=data[:, -1])
+
+
+def feature_index(names, wanted) -> list[int]:
+    """Positions of `wanted` among `names`; a ValueError lists every missing name."""
+    missing = [name for name in wanted if name not in names]
+    if missing:
+        raise ValueError(f"dataset lacks features {missing}")
+    return [names.index(name) for name in wanted]
 
 
 _QUOTED = frozenset(',"\r\n')  # csv.writer quotes a text cell holding one of these
@@ -264,3 +266,69 @@ def rank_features(dataset: Dataset, bins: int = 16) -> list[tuple[str, float]]:
     scored = [(name, mutual_information(dataset.column(name), dataset.y, bins))
               for name in dataset.feature_names]
     return sorted(scored, key=lambda item: (-item[1], tie_key(item[0])))
+
+
+def subset_entry(names):
+    """A group of names as an entry: a lone all, primary or mi:... stays a
+    string, any other group is a tuple of feature names."""
+    if len(names) == 1 and (names[0] in ("all", "primary") or names[0].startswith("mi:")):
+        return names[0]
+    return tuple(names)
+
+
+def subset_label(entry) -> str:
+    """The entry's label in file names: ``mi2`` for ``mi:2``, names joined by ``-``."""
+    return "-".join(entry) if isinstance(entry, tuple) else entry.replace(":", "")
+
+
+def _mi_count(entry: str) -> int:
+    """N of an ``mi:N`` entry; any other text is a ValueError."""
+    head, _, tail = entry.partition(":")
+    try:
+        count = int(tail) if head == "mi" else 0
+    except ValueError:
+        count = 0
+    if count < 1:
+        raise ValueError(f"{entry!r} is not all, primary or mi:N with an integer N >= 1")
+    return count
+
+
+def check_subsets(entries) -> None:
+    """ValueError for a keyword that is not all, primary or mi:N with N >= 1,
+    a name repeated within an entry, or two entries with the same label."""
+    labels = set()
+    for entry in entries:
+        label = subset_label(entry)
+        if isinstance(entry, tuple):
+            if len(set(entry)) != len(entry):
+                raise ValueError(f"{','.join(entry)!r} names a feature twice")
+        elif entry not in ("all", "primary"):
+            _mi_count(entry)
+        if label in labels:
+            raise ValueError(f"two subsets share the label {label!r}")
+        labels.add(label)
+
+
+def resolve_subset(entry, dataset: Dataset, bins: int = 16,
+                   ranking=None) -> tuple[str, ...]:
+    """The feature names an entry stands for; `Dataset.select` looks them up.
+
+    ``mi:N`` is the first N names of its pool, PRIMARY_FEATURES or every
+    feature if one of those is missing, in the order of `ranking`, which is
+    ``rank_features(dataset, bins)`` and computed here if not given.
+    """
+    if isinstance(entry, tuple):
+        return entry
+    if entry == "all":
+        return dataset.feature_names
+    if entry == "primary":
+        return PRIMARY_FEATURES
+    count = _mi_count(entry)
+    pool = (PRIMARY_FEATURES if set(PRIMARY_FEATURES) <= set(dataset.feature_names)
+            else dataset.feature_names)
+    if count > len(pool):
+        raise ValueError(f"feature subset {entry} asks for {count} features, "
+                         f"its pool has {len(pool)}")
+    if ranking is None:
+        ranking = rank_features(dataset, bins)
+    return tuple(name for name, _ in ranking if name in pool)[:count]

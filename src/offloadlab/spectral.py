@@ -25,10 +25,9 @@ class SpectralConfig:
     snr_linear: float = 100.0
 
     def __post_init__(self):
-        if self.subcarrier_spacing_hz <= 0:
-            raise ValueError("subcarrier_spacing_hz must be > 0")
-        if self.snr_linear <= 0:
-            raise ValueError("snr_linear must be > 0")
+        for name in ("subcarrier_spacing_hz", "snr_linear"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"spectral.{name} must be finite and > 0")
 
 
 def doppler_shift(speed_mps: float, carrier_freq_hz: float) -> float:

@@ -224,6 +224,16 @@ class TestSweeps:
         assert ((serial / "sweep_modulation.csv").read_bytes()
                 == (parallel / "sweep_modulation.csv").read_bytes())
 
+    def test_parallel_datasize_matches_serial(self, tmp_path):
+        grid = "--sweeps.data_size_grid=-0,0,2e6"
+        serial, parallel = tmp_path / "s", tmp_path / "p"
+        assert run("sweep-datasize", grid, "--jobs", "1", "--out", str(serial)) == 0
+        assert run("sweep-datasize", grid, "--jobs", "2", "--out", str(parallel)) == 0
+        data = (serial / "sweep_datasize.csv").read_bytes()
+        assert data == (parallel / "sweep_datasize.csv").read_bytes()
+        assert [row[0] for row in read_rows(serial / "sweep_datasize.csv")[1:]] == [
+            "-0.0", "0.0", "2000000.0"]
+
 
 @pytest.fixture()
 def small_dataset(tmp_path):
@@ -451,6 +461,39 @@ class TestRejectedInputLeavesNoOutDir:
                    "--out", str(out)) == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("key", ["spectral.snr_linear",
+                                     "spectral.subcarrier_spacing_hz"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_spectral_value(self, tmp_path, capsys, key, value):
+        out = tmp_path / "o"
+        capsys.readouterr()
+        assert run("optimize", f"--{key}={value}", "--out", str(out)) == 2
+        assert f"{key} must be finite and > 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command,key", [("optimize", "scenario.seed"),
+                                             ("gen-data", "scenario.seed"),
+                                             ("evaluate", "clustering.seed")])
+    def test_negative_section_seed(self, tmp_path, capsys, command, key):
+        out = tmp_path / "o"
+        capsys.readouterr()
+        assert run(command, f"--{key}", "-1", "--out", str(out)) == 2
+        assert f"{key} must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_predict_names_every_missing_feature(self, tmp_path, small_dataset,
+                                                 trained_model, capsys):
+        rows = read_rows(small_dataset)
+        keep = [i for i, name in enumerate(rows[0]) if name not in ("Speed", "TaskSize")]
+        bad = tmp_path / "bad.csv"
+        write_rows(bad, [[row[i] for i in keep] for row in rows])
+        out = tmp_path / "o"
+        capsys.readouterr()
+        assert run("predict", "--dataset_path", str(bad), "--model_path",
+                   str(trained_model), "--out", str(out)) == 1
+        assert "lacks features ['TaskSize', 'Speed']" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["optimize", "gen-data", "sweep-modulation",
                                          "sweep-datasize"])
     def test_failed_computation(self, tmp_path, capsys, command):
@@ -508,6 +551,31 @@ class TestEvaluate:
 
     def test_missing_dataset_fails(self, tmp_path):
         assert run("evaluate", "--out", str(tmp_path / "o")) == 1
+
+    @pytest.mark.parametrize("command,entries,message", [
+        ("train", "TaskSize,TaskSize", "names a feature twice"),
+        ("evaluate", "primary;TaskSize,Speed,TaskSize", "names a feature twice"),
+        ("evaluate", "primary;primary", "share the label 'primary'"),
+        ("evaluate", "mi:2;mi2", "share the label 'mi2'"),
+    ])
+    def test_repeats_are_config_errors(self, tmp_path, small_dataset, capsys,
+                                       command, entries, message):
+        capsys.readouterr()
+        assert run(command, "--dataset_path", str(small_dataset),
+                   "--clustering.feature_subsets", entries,
+                   "--out", str(tmp_path / "o")) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["train", "evaluate"])
+    def test_mi_count_above_its_pool_fails(self, tmp_path, small_dataset, capsys,
+                                           command):
+        capsys.readouterr()
+        assert run(command, "--dataset_path", str(small_dataset),
+                   "--clustering.feature_subsets", "mi:9",
+                   "--out", str(tmp_path / "o")) == 1
+        assert "mi:9 asks for 9 features, its pool has 4" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
 
 class TestIngest:

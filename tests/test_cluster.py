@@ -331,8 +331,7 @@ class TestEvaluateModels:
         assert a.rows == b.rows
 
     def test_report_csv(self, tmp_path):
-        report = EvalReport(rows=((1, 0.5, 0.25), (2, 0.25, 0.125)),
-                            feature_subset=("TaskSize",), train_size=10, test_size=5)
+        report = EvalReport(rows=((1, 0.5, 0.25), (2, 0.25, 0.125)))
         path = tmp_path / "eval.csv"
         report.to_csv(path)
         lines = path.read_text().splitlines()
@@ -435,6 +434,7 @@ class TestModelFileValidation:
         (("clusters", 1, "coeffs"), DELETE),
         (("feature_subset",), DELETE),
         (("kmeans",), [1, 2, 3]),
+        (("feature_subset",), ["TaskSize", "TaskSize"]),
     ])
     def test_rejects_damaged_file(self, saved, edit):
         path, _ = saved

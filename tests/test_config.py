@@ -135,6 +135,11 @@ class TestCoercion:
         with pytest.raises(ConfigError, match="seed must be >= 0"):
             load_config(overrides={"seed": "-1"})
 
+    @pytest.mark.parametrize("key", ["scenario.seed", "clustering.seed"])
+    def test_section_seed_floor(self, key):
+        with pytest.raises(ConfigError, match=f"{key} must be >= 0"):
+            load_config(overrides={key: "-1"})
+
     def test_experiment_config_checks_its_own_fields(self):
         with pytest.raises(ValueError, match="jobs must be >= 1"):
             ExperimentConfig(jobs=0)

@@ -7,9 +7,10 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from offloadlab.datagen import build_dataset
-from offloadlab.features import (CANONICAL_FEATURES, Dataset, apply_min_max,
-                                 fit_min_max, mutual_information, rank_features,
-                                 split_dataset)
+from offloadlab.features import (CANONICAL_FEATURES, PRIMARY_FEATURES, Dataset,
+                                 apply_min_max, check_subsets, fit_min_max,
+                                 mutual_information, rank_features, resolve_subset,
+                                 split_dataset, subset_entry, subset_label)
 
 from helpers import balanced_spec
 
@@ -154,6 +155,10 @@ class TestDataset:
         with pytest.raises(ValueError):
             ds.column("Nope")
 
+    def test_select_names_every_missing_feature(self):
+        with pytest.raises(ValueError, match=r"lacks features \['Nope', 'Gone'\]"):
+            self.make().select(["Speed", "Nope", "TaskSize", "Gone"])
+
     def test_validation(self):
         with pytest.raises(ValueError):
             Dataset(feature_names=("a",), X=np.ones((2, 2)), y=np.ones(2))
@@ -188,6 +193,62 @@ class TestDataset:
         path.write_text("")
         with pytest.raises(ValueError):
             Dataset.from_csv(path)
+
+
+def _drop(dataset: Dataset, name: str) -> Dataset:
+    keep = tuple(n for n in dataset.feature_names if n != name)
+    return Dataset(keep, dataset.select(keep), dataset.y)
+
+
+class TestSubsets:
+    @pytest.fixture(scope="class")
+    def dataset(self):
+        # CyclesPerBit outranks two of the primary four here, so mi:N must
+        # skip names outside its pool rather than take the top N overall
+        return build_dataset([balanced_spec(40 + i) for i in range(4)])
+
+    @pytest.mark.parametrize("missing", [None, "Speed"], ids=["primary_pool", "all_pool"])
+    def test_mi_matches_a_ranking_of_the_pool_alone(self, dataset, missing):
+        # the pool's own Dataset and ranking, as mi:N was resolved before
+        ds = dataset if missing is None else _drop(dataset, missing)
+        pool = PRIMARY_FEATURES if missing is None else ds.feature_names
+        pool_ranking = rank_features(Dataset(pool, ds.select(pool), ds.y))
+        ranking = rank_features(ds)
+        if missing is None:  # a name outside the pool ranks among the pool's
+            assert [n for n, _ in ranking[:4]] != [n for n, _ in pool_ranking]
+        for count in range(1, 5):
+            expected = tuple(name for name, _ in pool_ranking[:count])
+            assert resolve_subset(f"mi:{count}", ds, ranking=ranking) == expected
+            assert resolve_subset(f"mi:{count}", ds) == expected
+
+    def test_mi_count_above_the_pool_is_an_error(self, dataset):
+        with pytest.raises(ValueError, match="mi:5 asks for 5 features, its pool has 4"):
+            resolve_subset("mi:5", dataset)
+        ds = _drop(dataset, "Speed")
+        assert len(resolve_subset("mi:6", ds)) == 6
+        with pytest.raises(ValueError, match="its pool has 6"):
+            resolve_subset("mi:7", ds)
+
+    def test_keywords(self, dataset):
+        assert resolve_subset("all", dataset) == dataset.feature_names
+        assert resolve_subset("primary", dataset) == PRIMARY_FEATURES
+        assert resolve_subset(("Speed", "TaskSize"), dataset) == ("Speed", "TaskSize")
+        assert subset_entry(["mi:3"]) == "mi:3"
+        assert subset_entry(["TaskSize"]) == ("TaskSize",)
+        assert [subset_label(e) for e in ("mi:3", "all", ("TaskSize", "Speed"))] == [
+            "mi3", "all", "TaskSize-Speed"]
+
+    @pytest.mark.parametrize("entries,message", [
+        (("primary", "mi:0"), "mi:N"),
+        (("nope",), "mi:N"),
+        ((("TaskSize", "Speed", "TaskSize"),), "names a feature twice"),
+        (("primary", "primary"), "share the label 'primary'"),
+        (("mi:2", ("mi2",)), "share the label 'mi2'"),
+        ((("a", "b"), ("a-b",)), "share the label 'a-b'"),
+    ])
+    def test_check_rejects(self, entries, message):
+        with pytest.raises(ValueError, match=message):
+            check_subsets(entries)
 
 
 class TestSplit:

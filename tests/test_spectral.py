@@ -75,6 +75,9 @@ class TestSpectralConfig:
     @pytest.mark.parametrize("field,value", [
         ("subcarrier_spacing_hz", 0.0),
         ("snr_linear", 0.0),
+        ("subcarrier_spacing_hz", math.nan),
+        ("snr_linear", math.nan),
+        ("snr_linear", math.inf),
     ])
     def test_rejects_nonpositive(self, field, value):
         with pytest.raises(ValueError):
