@@ -19,13 +19,12 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
 from . import cluster, datagen, greedy
 from .config import SCHEMA, ConfigError, ExperimentConfig, load_config
 from .features import (TARGET_COLUMN, Dataset, feature_index, rank_features,
                        read_csv_matrix, resolve_subset, split_dataset, subset_label,
-                       write_rows)
+                       subset_pool, write_rows)
+from .model import task_energy_endpoints
 from .spectral import SpectralEfficiencyCache
 
 log = logging.getLogger("offloadlab")
@@ -92,9 +91,8 @@ def _sweep_point(args):
     scenario = datagen.generate_scenario(replace(cfg.scenario, **pins), cfg.spectral)
     cache = SpectralEfficiencyCache(cfg.spectral)
     solution = greedy.optimize(scenario, cfg.greedy, cache)
-    baseline = float(greedy.get_total_energy(
-        np.zeros(len(scenario.tasks)), scenario, cache).sum())
-    return solution.total_energy, baseline
+    local, _ = task_energy_endpoints(scenario, cache)
+    return solution.total_energy, float(local.sum())
 
 
 def cmd_sweep_modulation(cfg: ExperimentConfig) -> list[Path]:
@@ -134,6 +132,8 @@ def cmd_train(cfg: ExperimentConfig) -> list[Path]:
     if cfg.dataset_path is None:
         raise ValueError("train needs dataset_path (or --dataset_path)")
     dataset = Dataset.from_csv(cfg.dataset_path)
+    for entry in cfg.clustering.feature_subsets[1:]:  # trains on the first, checks all
+        subset_pool(entry, dataset)
     subset = resolve_subset(cfg.clustering.feature_subsets[0], dataset,
                             cfg.clustering.bins)
     model = cluster.train_clustered_models(

@@ -277,8 +277,11 @@ def subset_entry(names):
 
 
 def subset_label(entry) -> str:
-    """The entry's label in file names: ``mi2`` for ``mi:2``, names joined by ``-``."""
-    return "-".join(entry) if isinstance(entry, tuple) else entry.replace(":", "")
+    """The entry's label in file names: ``mi2`` for ``mi:2`` (and for ``mi:02``),
+    names joined by ``-``."""
+    if isinstance(entry, tuple):
+        return "-".join(entry)
+    return entry if entry in ("all", "primary") else f"mi{_mi_count(entry)}"
 
 
 def _mi_count(entry: str) -> int:
@@ -295,40 +298,51 @@ def _mi_count(entry: str) -> int:
 
 def check_subsets(entries) -> None:
     """ValueError for a keyword that is not all, primary or mi:N with N >= 1,
-    a name repeated within an entry, or two entries with the same label."""
+    an empty name list, a name repeated within an entry, or two entries with
+    the same label."""
     labels = set()
     for entry in entries:
+        if isinstance(entry, tuple) and not entry:
+            raise ValueError("a feature subset must name at least one feature")
+        if isinstance(entry, tuple) and len(set(entry)) != len(entry):
+            raise ValueError(f"{','.join(entry)!r} names a feature twice")
         label = subset_label(entry)
-        if isinstance(entry, tuple):
-            if len(set(entry)) != len(entry):
-                raise ValueError(f"{','.join(entry)!r} names a feature twice")
-        elif entry not in ("all", "primary"):
-            _mi_count(entry)
         if label in labels:
             raise ValueError(f"two subsets share the label {label!r}")
         labels.add(label)
 
 
-def resolve_subset(entry, dataset: Dataset, bins: int = 16,
-                   ranking=None) -> tuple[str, ...]:
-    """The feature names an entry stands for; `Dataset.select` looks them up.
-
-    ``mi:N`` is the first N names of its pool, PRIMARY_FEATURES or every
-    feature if one of those is missing, in the order of `ranking`, which is
-    ``rank_features(dataset, bins)`` and computed here if not given.
-    """
-    if isinstance(entry, tuple):
-        return entry
+def subset_pool(entry, dataset: Dataset) -> tuple[str, ...]:
+    """The names an entry picks from, checked against the dataset without
+    ranking anything: its own names, which must all be columns, or for
+    ``mi:N`` PRIMARY_FEATURES, or every feature if one of those is missing,
+    which must hold at least N names."""
     if entry == "all":
         return dataset.feature_names
-    if entry == "primary":
-        return PRIMARY_FEATURES
+    if isinstance(entry, tuple) or entry == "primary":
+        names = PRIMARY_FEATURES if entry == "primary" else entry
+        feature_index(dataset.feature_names, names)
+        return names
     count = _mi_count(entry)
     pool = (PRIMARY_FEATURES if set(PRIMARY_FEATURES) <= set(dataset.feature_names)
             else dataset.feature_names)
     if count > len(pool):
         raise ValueError(f"feature subset {entry} asks for {count} features, "
                          f"its pool has {len(pool)}")
+    return pool
+
+
+def resolve_subset(entry, dataset: Dataset, bins: int = 16,
+                   ranking=None) -> tuple[str, ...]:
+    """The feature names an entry stands for; `Dataset.select` looks them up.
+
+    ``mi:N`` is the first N names of its `subset_pool` in the order of
+    `ranking`, which is ``rank_features(dataset, bins)`` and computed here
+    if not given.
+    """
+    pool = subset_pool(entry, dataset)
+    if isinstance(entry, tuple) or entry in ("all", "primary"):
+        return pool
     if ranking is None:
         ranking = rank_features(dataset, bins)
-    return tuple(name for name, _ in ranking if name in pool)[:count]
+    return tuple(name for name, _ in ranking if name in pool)[:_mi_count(entry)]

@@ -13,9 +13,6 @@ probe is undone in O(1) instead of copying the best vectors on every bump.
 The system total is still re-summed with ``np.add.reduce`` over all n
 energies on each bump: a running total would round differently, which
 would change the trace bytes and could flip the strict-improvement test.
-
-The per-task energy endpoints are computed with numpy over the scenario's
-columns, with one spectral efficiency lookup per device.
 """
 
 from __future__ import annotations
@@ -27,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .features import write_rows
-from .model import Scenario, SEProvider, tx_power
+from .model import Scenario, SEProvider, energy_at, task_energy_endpoints
 
 TERMINATION_CONVERGED = "converged"    # every ratio pinned at 1.0, nothing left to adjust
 TERMINATION_SATURATED = "saturated"    # a probe failed to improve the best total
@@ -70,35 +67,6 @@ class OffloadSolution:
         return len(self.trace_totals)
 
 
-def task_energy_endpoints(scenario: Scenario, se_provider: SEProvider) -> tuple[np.ndarray, np.ndarray]:
-    """Per-task energy at l=0 (all local) and l=1 (all offloaded).
-
-    Energy is affine in the offload ratio, so these two arrays determine
-    the whole energy landscape: E_i(l) = local_i * (1 - l) + offload_i * l.
-    Tasks without data cost nothing to offload.  ``se_provider`` is asked
-    once per device that has a task with data, in order of first use.
-    """
-    tasks, devices = scenario.tasks, scenario.devices
-    dev, bits = tasks.device_id, tasks.data_bits
-    # squared as Python floats: numpy's array x**2 can round differently
-    cpu_sq = np.array([f ** 2 for f in devices.cpu_freq_hz.tolist()])
-    local = devices.energy_coeff[dev] * tasks.cycles_per_bit * cpu_sq[dev] * bits
-
-    shipped = bits != 0.0
-    power = np.zeros(len(devices))
-    rate = np.ones(len(devices))
-    channels = scenario.channels.tolist()  # plain tuples; a record row is slow
-    for d in dict.fromkeys(dev[shipped].tolist()):
-        bandwidth, noise, gain, speed, carrier = channels[d]
-        se = se_provider(speed, carrier)
-        power[d] = tx_power(se, noise, gain)
-        rate[d] = bandwidth * se
-    offload = np.zeros(len(bits))
-    on = dev[shipped]
-    offload[shipped] = power[on] * bits[shipped] / rate[on]
-    return local, offload
-
-
 def get_total_energy(offload_ratios: np.ndarray, scenario: Scenario,
                      se_provider: SEProvider) -> np.ndarray:
     """Per-task energies for an explicit ratio vector (one entry per task)."""
@@ -106,10 +74,9 @@ def get_total_energy(offload_ratios: np.ndarray, scenario: Scenario,
     if ratios.shape != (len(scenario.tasks),):
         raise ValueError(
             f"expected {len(scenario.tasks)} ratios, got shape {ratios.shape}")
-    if ratios.size and (ratios.min() < 0.0 or ratios.max() > 1.0):
+    if ratios.size and not (ratios.min() >= 0.0 and ratios.max() <= 1.0):  # NaN fails
         raise ValueError("offload ratios must lie in [0, 1]")
-    local, offload = task_energy_endpoints(scenario, se_provider)
-    return local * (1.0 - ratios) + offload * ratios
+    return energy_at(*task_energy_endpoints(scenario, se_provider), ratios)
 
 
 def optimize(scenario: Scenario, config: GreedyConfig,
@@ -125,11 +92,13 @@ def optimize(scenario: Scenario, config: GreedyConfig,
 
     init = float(config.init_ratio)
     ratios = [init] * n
-    energies = local_arr * (1.0 - init) + offload_arr * init
+    energies = energy_at(local_arr, offload_arr, init)
     heap = [(-e, i) for i, e in enumerate(energies.tolist())] if init < 1.0 else []
     heapq.heapify(heap)
 
     total = float(np.add.reduce(energies))
+    if not math.isfinite(total):
+        raise ValueError(f"the starting total energy is {total}")
     totals = [total]
     picks = [-1]
     best_total = math.inf
@@ -157,7 +126,7 @@ def optimize(scenario: Scenario, config: GreedyConfig,
         undo = (idx, ratio, -neg_energy)
         bumped = ratio + step
         ratio = 1.0 if bumped >= 1.0 - _SNAP else bumped
-        energy = local[idx] * (1.0 - ratio) + offload[idx] * ratio
+        energy = energy_at(local[idx], offload[idx], ratio)
         ratios[idx] = ratio
         energies[idx] = energy
         if ratio < 1.0:

@@ -130,6 +130,12 @@ class Scenario:
             raise ValueError("a task references an unknown device")
 
 
+def energy_at(local, offload, ratio):
+    """Energy at offload ratio `ratio` from its values at l=0 (all local) and
+    l=1 (all offloaded); energy is affine in the ratio.  Floats or arrays."""
+    return local * (1.0 - ratio) + offload * ratio
+
+
 def local_time(task: Task, device: Device) -> float:
     """Seconds to process the on-device share of the task's data."""
     return task.cycles_per_bit * (1.0 - task.offload_ratio) * task.data_bits / device.cpu_freq_hz
@@ -137,8 +143,9 @@ def local_time(task: Task, device: Device) -> float:
 
 def local_energy(task: Task, device: Device) -> float:
     """Joules burned by the device CPU on the on-device share."""
-    return (device.energy_coeff * task.cycles_per_bit * device.cpu_freq_hz ** 2
-            * (1.0 - task.offload_ratio) * task.data_bits)
+    everything = (device.energy_coeff * task.cycles_per_bit * device.cpu_freq_hz ** 2
+                  * task.data_bits)
+    return energy_at(everything, 0.0, task.offload_ratio)
 
 
 def _check_se(se: float) -> None:
@@ -159,8 +166,7 @@ def offload_time(task: Task, channel: Channel, se: float) -> float:
     shipped = task.offload_ratio * task.data_bits
     if shipped == 0.0:
         return 0.0
-    _check_se(se)
-    return shipped / (channel.bandwidth_hz * se)
+    return shipped / uplink_rate(channel, se)
 
 
 def tx_power(se: float, noise_var_w: float, gain: float) -> float:
@@ -177,10 +183,45 @@ def implied_tx_power(channel: Channel, se: float) -> float:
 def offload_energy(task: Task, channel: Channel, se: float) -> float:
     """Joules spent transmitting the offloaded share: transmit power, pinned
     at the level that makes se achievable, times transmit time."""
-    shipped = task.offload_ratio * task.data_bits
-    if shipped == 0.0:
+    if task.offload_ratio == 0.0 or task.data_bits == 0.0:
         return 0.0
-    return implied_tx_power(channel, se) * shipped / (channel.bandwidth_hz * se)
+    everything = implied_tx_power(channel, se) * task.data_bits / uplink_rate(channel, se)
+    return energy_at(0.0, everything, task.offload_ratio)
+
+
+def task_energy_endpoints(scenario: Scenario, se_provider: SEProvider) -> tuple[np.ndarray, np.ndarray]:
+    """Per-task energy at l=0 and l=1 over the scenario's columns, in the
+    operation order of `local_energy` and `offload_energy`.
+
+    Tasks without data cost nothing to offload.  ``se_provider`` is asked
+    once per device that has a task with data, in order of first use.  An
+    endpoint that overflows or is not finite is a ValueError.
+    """
+    tasks, devices = scenario.tasks, scenario.devices
+    dev, bits = tasks.device_id, tasks.data_bits
+    # squared as Python floats: numpy's array x**2 can round differently
+    try:
+        cpu_sq = np.array([f ** 2 for f in devices.cpu_freq_hz.tolist()])
+    except OverflowError:
+        raise ValueError("cpu_freq_hz squared overflows a float") from None
+
+    shipped = bits != 0.0
+    power = np.zeros(len(devices))
+    rate = np.ones(len(devices))
+    channels = scenario.channels.tolist()  # plain tuples; a record row is slow
+    for d in dict.fromkeys(dev[shipped].tolist()):
+        bandwidth, noise, gain, speed, carrier = channels[d]
+        se = se_provider(speed, carrier)
+        power[d] = tx_power(se, noise, gain)
+        rate[d] = bandwidth * se
+    offload = np.zeros(len(bits))
+    on = dev[shipped]
+    with np.errstate(over="ignore"):  # an overflow is the ValueError below
+        local = devices.energy_coeff[dev] * tasks.cycles_per_bit * cpu_sq[dev] * bits
+        offload[shipped] = power[on] * bits[shipped] / rate[on]
+    if not (np.isfinite(local).all() and np.isfinite(offload).all()):
+        raise ValueError("a task's energy overflows or is not finite")
+    return local, offload
 
 
 def total_time(task: Task, device: Device, channel: Channel, se: float) -> float:

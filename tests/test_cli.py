@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from offloadlab import features
 from offloadlab.cli import main
 from offloadlab.cluster import load_model
 from offloadlab.features import PRIMARY_FEATURES
@@ -685,3 +686,69 @@ class TestLogging:
         monkeypatch.delenv("OFFLOADLAB_LOG", raising=False)
         assert run("optimize", "--out", str(tmp_path / "o")) == 0
         assert "INFO offloadlab" not in capsys.readouterr().err
+
+
+class TestNonFiniteEnergy:
+    @pytest.mark.parametrize("command,key,value,message", [
+        ("optimize", "scenario.gain", "1e-320,1e-320", "not finite"),
+        ("optimize", "scenario.cpu_freq_hz", "1e200,1e200", "squared overflows"),
+        ("gen-data", "scenario.cpu_freq_hz", "1e200,1e200", "squared overflows"),
+        ("sweep-datasize", "scenario.gain", "1e-320,1e-320", "not finite"),
+    ])
+    def test_is_an_error(self, tmp_path, capsys, command, key, value, message):
+        out = tmp_path / "o"
+        capsys.readouterr()
+        assert run(command, f"--{key}", value, "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+
+class TestSubsetEdgeCases:
+    @pytest.mark.parametrize("command", ["train", "evaluate"])
+    def test_empty_yaml_subset_is_a_config_error(self, tmp_path, small_dataset, capsys,
+                                                 command):
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text("clustering: {feature_subsets: [[]]}\n")
+        capsys.readouterr()
+        assert run(command, "--config", str(cfg), "--dataset_path", str(small_dataset),
+                   "--out", str(tmp_path / "o")) == 2
+        assert "must name at least one feature" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("entries,message", [
+        ("primary;Nope", "lacks features ['Nope']"),
+        ("all;Speed,Nope", "lacks features ['Nope']"),
+        ("primary;mi:9", "mi:9 asks for 9 features, its pool has 4"),
+    ])
+    def test_train_checks_every_entry(self, tmp_path, small_dataset, capsys, entries,
+                                      message):
+        capsys.readouterr()
+        assert run("train", "--dataset_path", str(small_dataset),
+                   "--clustering.feature_subsets", entries,
+                   "--out", str(tmp_path / "o")) == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_train_check_ranks_nothing(self, tmp_path, small_dataset, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("train ranked features to check an entry")
+
+        monkeypatch.setattr(features, "rank_features", refuse)
+        assert run("train", "--dataset_path", str(small_dataset),
+                   "--clustering.feature_subsets", "primary;mi:2;all",
+                   "--out", str(tmp_path / "o")) == 0
+        assert load_model(tmp_path / "o" / "model.json").feature_subset == PRIMARY_FEATURES
+
+    def test_labels_use_the_parsed_count(self, tmp_path, small_dataset, capsys):
+        capsys.readouterr()
+        assert run("evaluate", "--dataset_path", str(small_dataset),
+                   "--clustering.feature_subsets", "mi:02;mi:2",
+                   "--out", str(tmp_path / "o")) == 2
+        assert "share the label 'mi2'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+        out = tmp_path / "p"
+        assert run("evaluate", "--dataset_path", str(small_dataset), "--clustering.k_max",
+                   "2", "--clustering.feature_subsets", "mi:+2", "--out", str(out)) == 0
+        assert sorted(p.name for p in out.iterdir()) == ["eval_mi2.csv", "mi_ranking.csv"]

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from offloadlab import greedy
 from offloadlab.greedy import (GreedyConfig, TERMINATION_CONVERGED,
                                TERMINATION_ITER_CAPPED, TERMINATION_SATURATED,
                                get_total_energy, optimize, write_trace_csv)
@@ -258,3 +259,17 @@ class TestTraceCsv:
         assert len(rows) == sol.evaluations + 1
         for row, total in zip(rows[1:], sol.trace_totals):
             assert float(row[1]) == total
+
+
+class TestNonFiniteTotals:
+    def test_nan_ratio_rejected(self):
+        with pytest.raises(ValueError, match=r"lie in \[0, 1\]"):
+            get_total_energy(np.array([0.5, math.nan, 0.5]), small_scenario(), STATIC_SE)
+
+    def test_overflowing_starting_total_rejected(self, monkeypatch):
+        # each endpoint is finite, their sum is not
+        huge = np.full(3, 1e308)
+        monkeypatch.setattr(greedy, "task_energy_endpoints", lambda sc, se: (huge, huge))
+        with np.errstate(over="ignore"), \
+                pytest.raises(ValueError, match="starting total energy is inf"):
+            optimize(small_scenario(), GreedyConfig(), STATIC_SE)

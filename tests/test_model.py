@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from offloadlab import greedy, model
 from offloadlab.greedy import get_total_energy, task_energy_endpoints
 from offloadlab.model import (CHANNEL_DTYPE, DEVICE_DTYPE, TASK_DTYPE, Channel,
                               Device, Scenario, Task, implied_tx_power,
@@ -356,3 +357,72 @@ class TestColumns:
         columns["tasks"].device_id[0] = 2
         with pytest.raises(ValueError, match="unknown device"):
             Scenario(**columns, spectral_config=SpectralConfig())
+
+
+# acceptance criterion 1's ranges, plus the boundary ratios and an empty task
+SINGLE_TASK = dict(
+    ratio=st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 1.0])),
+    bits=st.one_of(st.just(0.0), st.floats(0.0, 1e8)),
+    cycles=st.floats(1.0, 1e4), cpu=st.floats(1e6, 1e10), coeff=st.floats(1e-30, 1e-26),
+    bandwidth=st.floats(1e4, 1e8), noise=st.floats(1e-15, 1e-9), gain=st.floats(0.5, 1.5),
+    se=st.floats(0.1, 20.0))
+
+
+def _one_task(ratio, bits, cycles, cpu, coeff, bandwidth, noise, gain):
+    device = Device(id=0, cpu_freq_hz=cpu, energy_coeff=coeff)
+    task = Task(device_id=0, task_id=1, data_bits=bits, cycles_per_bit=cycles,
+                offload_ratio=ratio)
+    channel = Channel(bandwidth_hz=bandwidth, noise_var_w=noise, gain=gain,
+                      speed_mps=0.0, carrier_freq_hz=1e9)
+    scenario = Scenario(devices=(device,), tasks=(task,), channels=(channel,),
+                        spectral_config=SpectralConfig())
+    return task, device, channel, scenario
+
+
+class TestScalarMatchesColumn:
+    """The scalar formulas and the column path are one formula: equal with ==."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(**SINGLE_TASK)
+    def test_total_energy_equals_the_column_entry(self, ratio, bits, cycles, cpu, coeff,
+                                                  bandwidth, noise, gain, se):
+        task, device, channel, sc = _one_task(ratio, bits, cycles, cpu, coeff,
+                                              bandwidth, noise, gain)
+        column = get_total_energy(np.array([ratio]), sc, lambda v, fc: se)
+        assert total_energy(task, device, channel, se) == column[0]
+
+    @settings(max_examples=100, deadline=None)
+    @given(**SINGLE_TASK)
+    def test_each_share_is_energy_at_of_its_endpoint(self, ratio, bits, cycles, cpu, coeff,
+                                                     bandwidth, noise, gain, se):
+        task, device, channel, sc = _one_task(ratio, bits, cycles, cpu, coeff,
+                                              bandwidth, noise, gain)
+        local, offload = model.task_energy_endpoints(sc, lambda v, fc: se)
+        assert local_energy(task, device) == model.energy_at(local[0], 0.0, ratio)
+        assert offload_energy(task, channel, se) == model.energy_at(0.0, offload[0], ratio)
+
+    def test_energy_at_takes_floats_and_arrays(self):
+        ratios = np.array([0.0, 0.25, 1.0])
+        got = model.energy_at(np.full(3, 2.0), np.full(3, 6.0), ratios)
+        assert got.tolist() == [model.energy_at(2.0, 6.0, r) for r in ratios.tolist()]
+        assert got.tolist() == [2.0, 3.0, 6.0]
+
+    def test_greedy_binds_the_model_function(self):
+        assert greedy.task_energy_endpoints is model.task_energy_endpoints
+
+
+class TestNonFiniteEndpoints:
+    def test_transmit_power_overflow(self):
+        sc = _one_task(0.5, 1e6, 100.0, 1e9, 1e-28, 1e6, 1e-13, 1e-320)[3]
+        with pytest.raises(ValueError, match="not finite"):
+            model.task_energy_endpoints(sc, lambda v, fc: 6.0)
+
+    def test_cpu_frequency_squared_overflow(self):
+        sc = _one_task(0.5, 1e6, 100.0, 1e200, 1e-28, 1e6, 1e-13, 1.0)[3]
+        with pytest.raises(ValueError, match="cpu_freq_hz squared overflows"):
+            model.task_energy_endpoints(sc, lambda v, fc: EX_SE)
+
+    def test_local_energy_overflow(self):
+        sc = _one_task(0.5, 1e8, 1e4, 1e150, 1.0, 1e6, 1e-13, 1.0)[3]
+        with pytest.raises(ValueError, match="not finite"):
+            model.task_energy_endpoints(sc, lambda v, fc: EX_SE)
