@@ -25,7 +25,6 @@ from .features import (TARGET_COLUMN, Dataset, feature_index, rank_features,
                        read_csv_matrix, resolve_subset, split_dataset, subset_label,
                        subset_pool, write_rows)
 from .model import task_energy_endpoints
-from .spectral import SpectralEfficiencyCache
 
 log = logging.getLogger("offloadlab")
 
@@ -64,8 +63,7 @@ def _run_grid(worker, items, jobs: int):
 
 def cmd_optimize(cfg: ExperimentConfig) -> list[Path]:
     scenario = datagen.generate_scenario(cfg.scenario, cfg.spectral)
-    cache = SpectralEfficiencyCache(cfg.spectral)
-    solution = greedy.optimize(scenario, cfg.greedy, cache)
+    solution = greedy.optimize(scenario, cfg.greedy)
     log.info("optimize: %d tasks, %d evaluations, termination=%s",
              len(scenario.tasks), solution.evaluations, solution.termination)
     payload = {
@@ -89,9 +87,8 @@ def _sweep_point(args):
     """Greedy and all-local total energy of the config's scenario with `pins` set."""
     cfg, pins = args
     scenario = datagen.generate_scenario(replace(cfg.scenario, **pins), cfg.spectral)
-    cache = SpectralEfficiencyCache(cfg.spectral)
-    solution = greedy.optimize(scenario, cfg.greedy, cache)
-    local, _ = task_energy_endpoints(scenario, cache)
+    solution = greedy.optimize(scenario, cfg.greedy)
+    local, _ = task_energy_endpoints(scenario)
     return solution.total_energy, float(local.sum())
 
 

@@ -117,7 +117,7 @@ def _int(v) -> int:
         raise ConfigError(f"expected an integer, got {v!r}")
     try:
         out = int(str(v), 0) if isinstance(v, str) else int(v)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):  # int(inf) overflows
         raise ConfigError(f"expected an integer, got {v!r}") from None
     if isinstance(v, float) and v != out:
         raise ConfigError(f"expected an integer, got {v!r}")
@@ -128,7 +128,7 @@ def _float(v) -> float:
     if not isinstance(v, bool):  # YAML reads yes/no/on/off as booleans
         try:
             return float(v)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):  # float(10 ** 400) overflows
             pass
     raise ConfigError(f"expected a number, got {v!r}")
 
@@ -287,6 +287,8 @@ def load_config(path=None, overrides=None) -> ExperimentConfig:
                 data = yaml.safe_load(fh)
         except OSError as exc:
             raise ConfigError(f"cannot read config file: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"config file {path} is not UTF-8 text: {exc}") from None
         except yaml.YAMLError as exc:
             raise ConfigError(f"config file is not valid YAML: {exc}") from None
         if data is None:
@@ -298,7 +300,10 @@ def load_config(path=None, overrides=None) -> ExperimentConfig:
     for dotted, value in [*_flatten(data).items(), *(overrides or {}).items()]:
         if dotted not in SCHEMA:
             raise ConfigError(f"unknown config field {dotted!r}")
-        flat[dotted] = SCHEMA[dotted](value)
+        try:
+            flat[dotted] = SCHEMA[dotted](value)
+        except ConfigError as exc:
+            raise ConfigError(f"{dotted}: {exc}") from None
     for dotted in _SECTION_SEEDS:
         if flat[dotted] is None:
             flat[dotted] = flat["seed"]

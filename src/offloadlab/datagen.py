@@ -23,7 +23,7 @@ from . import greedy as greedy_mod
 from .features import CANONICAL_FEATURES, Dataset
 from .model import _MAY_BE_ZERO, CHANNEL_DTYPE, DEVICE_DTYPE, TASK_DTYPE, Scenario
 # calc_se stays importable here: perfbench/selftest.py checks this import site
-from .spectral import SpectralConfig, SpectralEfficiencyCache, calc_se  # noqa: F401
+from .spectral import SpectralConfig, calc_se  # noqa: F401
 
 EARTH_RADIUS_M = 6.371e6
 
@@ -224,8 +224,7 @@ def build_dataset(specs, greedy_config: greedy_mod.GreedyConfig | None = None,
     targets = []
     for spec in specs:
         scenario = generate_scenario(spec, spectral_config)
-        cache = SpectralEfficiencyCache(scenario.spectral_config)
-        solution = greedy_mod.optimize(scenario, gcfg, cache)
+        solution = greedy_mod.optimize(scenario, gcfg)
         tasks, devices, channels = scenario.tasks, scenario.devices, scenario.channels
         dev = tasks.device_id
         blocks.append(np.column_stack((

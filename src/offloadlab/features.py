@@ -298,8 +298,8 @@ def _mi_count(entry: str) -> int:
 
 def check_subsets(entries) -> None:
     """ValueError for a keyword that is not all, primary or mi:N with N >= 1,
-    an empty name list, a name repeated within an entry, or two entries with
-    the same label."""
+    an empty name list, a name repeated within an entry, a label that is not
+    a plain file name, or two entries with the same label."""
     labels = set()
     for entry in entries:
         if isinstance(entry, tuple) and not entry:
@@ -307,6 +307,8 @@ def check_subsets(entries) -> None:
         if isinstance(entry, tuple) and len(set(entry)) != len(entry):
             raise ValueError(f"{','.join(entry)!r} names a feature twice")
         label = subset_label(entry)
+        if "/" in label or "\0" in label:  # it names the file eval_<label>.csv
+            raise ValueError(f"the label {label!r} is not a plain file name")
         if label in labels:
             raise ValueError(f"two subsets share the label {label!r}")
         labels.add(label)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .features import write_rows
-from .model import Scenario, SEProvider, energy_at, task_energy_endpoints
+from .model import Scenario, energy_at, task_energy_endpoints
 
 TERMINATION_CONVERGED = "converged"    # every ratio pinned at 1.0, nothing left to adjust
 TERMINATION_SATURATED = "saturated"    # a probe failed to improve the best total
@@ -67,8 +67,7 @@ class OffloadSolution:
         return len(self.trace_totals)
 
 
-def get_total_energy(offload_ratios: np.ndarray, scenario: Scenario,
-                     se_provider: SEProvider) -> np.ndarray:
+def get_total_energy(offload_ratios: np.ndarray, scenario: Scenario) -> np.ndarray:
     """Per-task energies for an explicit ratio vector (one entry per task)."""
     ratios = np.asarray(offload_ratios, dtype=float)
     if ratios.shape != (len(scenario.tasks),):
@@ -76,17 +75,16 @@ def get_total_energy(offload_ratios: np.ndarray, scenario: Scenario,
             f"expected {len(scenario.tasks)} ratios, got shape {ratios.shape}")
     if ratios.size and not (ratios.min() >= 0.0 and ratios.max() <= 1.0):  # NaN fails
         raise ValueError("offload ratios must lie in [0, 1]")
-    return energy_at(*task_energy_endpoints(scenario, se_provider), ratios)
+    return energy_at(*task_energy_endpoints(scenario), ratios)
 
 
-def optimize(scenario: Scenario, config: GreedyConfig,
-             se_provider: SEProvider) -> OffloadSolution:
+def optimize(scenario: Scenario, config: GreedyConfig) -> OffloadSolution:
     """Run the greedy descent and return the best ratio vector seen."""
     n = len(scenario.tasks)
     if n == 0:
         raise ValueError("scenario has no tasks to optimize")
     max_iters = config.resolve_max_iters(n)
-    local_arr, offload_arr = task_energy_endpoints(scenario, se_provider)
+    local_arr, offload_arr = task_energy_endpoints(scenario)
     local, offload = local_arr.tolist(), offload_arr.tolist()
     step = config.step
 

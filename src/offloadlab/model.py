@@ -19,14 +19,10 @@ All quantities are SI: bits, Hz, seconds, joules, watts, m/s.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-from .spectral import SE_MAX, SpectralConfig
-
-# Supplies spectral efficiency for (speed_mps, carrier_freq_hz).
-SEProvider = Callable[[float, float], float]
+from .spectral import SE_MAX, SpectralConfig, calc_se
 
 DEVICE_DTYPE = np.dtype([("cpu_freq_hz", float), ("energy_coeff", float)])
 CHANNEL_DTYPE = np.dtype([(name, float) for name in (
@@ -141,10 +137,19 @@ def local_time(task: Task, device: Device) -> float:
     return task.cycles_per_bit * (1.0 - task.offload_ratio) * task.data_bits / device.cpu_freq_hz
 
 
+def _clock_squared(cpu_freq_hz: float) -> float:
+    """A clock squared as a Python float (numpy's array x**2 can round
+    differently); a square that overflows is a ValueError."""
+    try:
+        return float(cpu_freq_hz) ** 2
+    except OverflowError:
+        raise ValueError("cpu_freq_hz squared overflows a float") from None
+
+
 def local_energy(task: Task, device: Device) -> float:
     """Joules burned by the device CPU on the on-device share."""
-    everything = (device.energy_coeff * task.cycles_per_bit * device.cpu_freq_hz ** 2
-                  * task.data_bits)
+    everything = (device.energy_coeff * task.cycles_per_bit
+                  * _clock_squared(device.cpu_freq_hz) * task.data_bits)
     return energy_at(everything, 0.0, task.offload_ratio)
 
 
@@ -189,29 +194,25 @@ def offload_energy(task: Task, channel: Channel, se: float) -> float:
     return energy_at(0.0, everything, task.offload_ratio)
 
 
-def task_energy_endpoints(scenario: Scenario, se_provider: SEProvider) -> tuple[np.ndarray, np.ndarray]:
+def task_energy_endpoints(scenario: Scenario) -> tuple[np.ndarray, np.ndarray]:
     """Per-task energy at l=0 and l=1 over the scenario's columns, in the
     operation order of `local_energy` and `offload_energy`.
 
-    Tasks without data cost nothing to offload.  ``se_provider`` is asked
-    once per device that has a task with data, in order of first use.  An
-    endpoint that overflows or is not finite is a ValueError.
+    Tasks without data cost nothing to offload.  Each device with data gets
+    one `calc_se` under the scenario's spectral config.  An endpoint that
+    overflows or is not finite is a ValueError.
     """
     tasks, devices = scenario.tasks, scenario.devices
     dev, bits = tasks.device_id, tasks.data_bits
-    # squared as Python floats: numpy's array x**2 can round differently
-    try:
-        cpu_sq = np.array([f ** 2 for f in devices.cpu_freq_hz.tolist()])
-    except OverflowError:
-        raise ValueError("cpu_freq_hz squared overflows a float") from None
+    cpu_sq = np.array([_clock_squared(f) for f in devices.cpu_freq_hz.tolist()])
 
     shipped = bits != 0.0
     power = np.zeros(len(devices))
     rate = np.ones(len(devices))
     channels = scenario.channels.tolist()  # plain tuples; a record row is slow
-    for d in dict.fromkeys(dev[shipped].tolist()):
+    for d in set(dev[shipped].tolist()):
         bandwidth, noise, gain, speed, carrier = channels[d]
-        se = se_provider(speed, carrier)
+        se = calc_se(speed, carrier, scenario.spectral_config)
         power[d] = tx_power(se, noise, gain)
         rate[d] = bandwidth * se
     offload = np.zeros(len(bits))

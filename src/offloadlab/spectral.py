@@ -61,9 +61,9 @@ class SpectralEfficiencyCache:
     calc_se of its own arguments.  A hit returns the stored float unchanged,
     bit for bit.
 
-    Instances are callable with (speed_mps, carrier_freq_hz) and can be
-    handed anywhere an se provider is expected.  Writes are not locked; keep
-    a cache confined to one worker when running scenarios in parallel.
+    Callable with (speed_mps, carrier_freq_hz).  The pipeline no longer uses
+    it, as a scenario prices itself with `calc_se`; perfbench/tracing.py and
+    the frozen test oracles still do.  Writes are not locked.
     """
 
     def __init__(self, config: SpectralConfig | None = None):

@@ -1,9 +1,13 @@
 """Shared fixture builders for the test suite."""
 
+from collections.abc import Callable
+from contextlib import contextmanager
+
 import numpy as np
+import pytest
 
 from offloadlab import (Channel, Device, Scenario, ScenarioSpec, SpectralConfig,
-                        Task)
+                        Task, model)
 
 # Constants of the worked single-task example used across model tests.
 EX_DATA_BITS = 8e6
@@ -13,7 +17,19 @@ EX_ENERGY_COEFF = 1e-28
 EX_BANDWIDTH = 1e6
 EX_NOISE = 1e-13
 EX_GAIN = 1.0
-EX_SE = np.log2(101.0)  # static channel at snr 100
+EX_SE = np.log2(101.0)  # static channel at snr 100: calc_se(0.0, f) at the default config
+
+# the frozen oracles' spectral-efficiency source: (speed_mps, carrier_freq_hz) -> bit/s/Hz
+SEProvider = Callable[[float, float], float]
+
+
+@contextmanager
+def priced_at(se: float):
+    """Price every device at spectral efficiency `se`: while inside, the
+    model's `calc_se` returns it for any speed, carrier and config."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(model, "calc_se", lambda speed, carrier, config: se)
+        yield
 
 
 def example_device(dev_id: int = 0) -> Device:

@@ -15,10 +15,10 @@ import csv
 
 import numpy as np
 
+from helpers import SEProvider
 from offloadlab import greedy as greedy_mod
 from offloadlab.features import CANONICAL_FEATURES, TARGET_COLUMN, Dataset
-from offloadlab.model import (Channel, Device, Scenario, SEProvider, Task,
-                              implied_tx_power)
+from offloadlab.model import Channel, Device, Scenario, Task, implied_tx_power
 from offloadlab.spectral import SpectralConfig, SpectralEfficiencyCache, calc_se
 
 

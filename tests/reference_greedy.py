@@ -16,10 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from helpers import SEProvider
 from offloadlab.greedy import (TERMINATION_CONVERGED, TERMINATION_ITER_CAPPED,
-                               TERMINATION_SATURATED, GreedyConfig,
-                               task_energy_endpoints)
-from offloadlab.model import Scenario, SEProvider
+                               TERMINATION_SATURATED, GreedyConfig)
+from offloadlab.model import Scenario
+from reference_datagen import task_energy_endpoints
 
 
 @dataclass(frozen=True, slots=True)

@@ -33,7 +33,7 @@ from offloadlab.greedy import GreedyConfig, optimize, task_energy_endpoints
 from offloadlab.model import (Channel, Device, Scenario, Task, local_energy,
                               local_time, offload_energy, offload_time,
                               total_energy, total_time)
-from offloadlab.spectral import SpectralConfig, SpectralEfficiencyCache
+from offloadlab.spectral import SpectralConfig
 
 from helpers import balanced_spec
 
@@ -74,8 +74,7 @@ def _build_c2():
     stats = []
     for seed in range(100):
         scenario = generate_scenario(ScenarioSpec(seed=seed))
-        cache = SpectralEfficiencyCache(scenario.spectral_config)
-        solution = optimize(scenario, GreedyConfig(), cache)
+        solution = optimize(scenario, GreedyConfig())
         stats.append({
             "seed": seed,
             "evaluations": solution.evaluations,
@@ -245,14 +244,13 @@ def test_criterion_03_greedy_vs_grid_optimum():
                               speed_mps=speed, carrier_freq_hz=carrier),),
             spectral_config=SpectralConfig(),
         )
-        cache = SpectralEfficiencyCache(scenario.spectral_config)
-        at_zero, at_one = task_energy_endpoints(scenario, cache)
+        at_zero, at_one = task_energy_endpoints(scenario)
         surface = (at_zero[0] * (1.0 - grid) + at_one[0] * grid)[:, None] \
             + (at_zero[1] * (1.0 - grid) + at_one[1] * grid)[None, :]
         optimum = float(surface.min())
         opt_i, opt_j = np.unravel_index(int(surface.argmin()), surface.shape)
 
-        solution = optimize(scenario, GreedyConfig(), cache)
+        solution = optimize(scenario, GreedyConfig())
         scale = max(abs(optimum), 1e-300)
         assert solution.total_energy >= optimum - 1e-9 * scale
 

@@ -462,6 +462,21 @@ class TestRejectedInputLeavesNoOutDir:
                    "--out", str(out)) == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("data,message", [
+        (b"seed: 3\n\xff\xfe\n", "cfg.yaml is not UTF-8 text"),
+        (b"scenario: {n_devices: .inf}\n", "scenario.n_devices: expected an integer"),
+        (b"jobs: -.inf\n", "jobs: expected an integer"),
+    ], ids=["undecodable", "inf-n_devices", "inf-jobs"])
+    def test_bad_config_file(self, tmp_path, capsys, data, message):
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_bytes(data)
+        out = tmp_path / "o"
+        capsys.readouterr()
+        assert run("optimize", "--config", str(cfg), "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err and "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("key", ["spectral.snr_linear",
                                      "spectral.subcarrier_spacing_hz"])
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
@@ -740,6 +755,18 @@ class TestSubsetEdgeCases:
                    "--clustering.feature_subsets", "primary;mi:2;all",
                    "--out", str(tmp_path / "o")) == 0
         assert load_model(tmp_path / "o" / "model.json").feature_subset == PRIMARY_FEATURES
+
+    def test_label_holding_a_slash_is_a_config_error(self, tmp_path, small_dataset,
+                                                    capsys):
+        rows = read_rows(small_dataset)
+        rows[0][0] = "a/b"
+        data = tmp_path / "slash.csv"
+        write_rows(data, rows)
+        capsys.readouterr()
+        assert run("evaluate", "--dataset_path", str(data), "--clustering.feature_subsets",
+                   "all;a/b", "--out", str(tmp_path / "o")) == 2
+        assert "the label 'a/b' is not a plain file name" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_labels_use_the_parsed_count(self, tmp_path, small_dataset, capsys):
         capsys.readouterr()

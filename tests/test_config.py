@@ -77,6 +77,12 @@ class TestFileAndOverrides:
         with pytest.raises(ConfigError):
             load_config(tmp_path / "absent.yaml")
 
+    def test_undecodable_file_names_the_file(self, tmp_path):
+        path = tmp_path / "cfg.yaml"
+        path.write_bytes(b"seed: 3\n\xff\xfe\n")
+        with pytest.raises(ConfigError, match=f"{path} is not UTF-8 text"):
+            load_config(path)
+
     def test_non_mapping_file(self, tmp_path):
         path = tmp_path / "cfg.yaml"
         path.write_text("- 1\n- 2\n")
@@ -91,6 +97,16 @@ class TestCoercion:
         with pytest.raises(ConfigError):
             load_config(overrides={"clustering.k_max": True})
         assert load_config(overrides={"clustering.k_max": "8"}).clustering.k_max == 8
+
+    @pytest.mark.parametrize("key", ["scenario.n_devices", "greedy.max_iters"])
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+    def test_int_rejects_non_finite_floats_naming_the_key(self, key, value):
+        with pytest.raises(ConfigError, match=f"{key}: expected an integer"):
+            load_config(overrides={key: value})
+
+    def test_float_rejects_an_integer_too_large_for_a_float(self):
+        with pytest.raises(ConfigError, match="greedy.step: expected a number"):
+            load_config(overrides={"greedy.step": 10 ** 400})
 
     def test_range_needs_two_values(self):
         with pytest.raises(ConfigError):

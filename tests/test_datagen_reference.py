@@ -4,12 +4,13 @@
 It builds `Device`/`Channel`/`Task` objects, which `Scenario` converts to
 columns.  Scenarios, endpoint arrays, dataset matrices and CSV files must be
 bit-identical to it, including pinned ranges and tasks without data, and
-the spectral efficiency provider must still never be asked about a device
+`calc_se` must be called once per device with data and never for a device
 whose tasks carry no data.
 """
 
 import json
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 
 import reference_datagen
 from helpers import balanced_spec
-from offloadlab import datagen, greedy
+from offloadlab import datagen, greedy, model
 from offloadlab.cli import main
 from offloadlab.datagen import ScenarioSpec, build_dataset, generate_scenario
 from offloadlab.features import CANONICAL_FEATURES, Dataset
@@ -33,7 +34,16 @@ def _device_without_tx_power(tx_power_w, **fields):
     return Device(**fields)
 
 
+def _live_optimize(scenario, config, cache):
+    """The frozen `build_dataset` hands `optimize` a cache of the scenario's
+    own spectral config; the live `optimize` prices with that config itself."""
+    assert cache.config == scenario.spectral_config
+    return greedy.optimize(scenario, config)
+
+
 reference_datagen.Device = _device_without_tx_power
+reference_datagen.greedy_mod = SimpleNamespace(GreedyConfig=greedy.GreedyConfig,
+                                               optimize=_live_optimize)
 
 SHAPES = [(1, 1), (5, 10), (50, 40)]
 # hypothesis draws the small shapes; 50 x 40 runs on the fixed specs below,
@@ -129,21 +139,15 @@ class TestSamplerMatchesReference:
             ScenarioSpec(speed_mps=bounds)
 
 
-class CountingProvider:
-    """calc_se that records its calls and refuses devices without data."""
+class CountingCalcSe:
+    """`calc_se` that records the (speed, carrier) of each call."""
 
-    def __init__(self, scenario):
+    def __init__(self):
         self.calls = []
-        self.forbidden = {(c.speed_mps, c.carrier_freq_hz)
-                          for d, c in enumerate(scenario.channels)
-                          if not any(t.data_bits != 0.0 for t in scenario.tasks
-                                     if t.device_id == d)}
 
-    def __call__(self, speed, carrier):
-        if (speed, carrier) in self.forbidden:
-            raise AssertionError("provider asked about a device without data")
+    def __call__(self, speed, carrier, config):
         self.calls.append((speed, carrier))
-        return calc_se(speed, carrier)
+        return calc_se(speed, carrier, config)
 
 
 @st.composite
@@ -180,7 +184,7 @@ class TestEndpointsMatchReference:
     @staticmethod
     def check_sampled(spec):
         sc = generate_scenario(spec)
-        got = task_energy_endpoints(sc, SpectralEfficiencyCache(sc.spectral_config))
+        got = task_energy_endpoints(sc)
         want = reference_datagen.task_energy_endpoints(
             sc, SpectralEfficiencyCache(sc.spectral_config))
         assert_same_arrays(got, want)
@@ -188,24 +192,23 @@ class TestEndpointsMatchReference:
     @settings(max_examples=200, deadline=None)
     @given(hand_built())
     def test_one_lookup_per_device_with_data(self, sc):
-        provider = CountingProvider(sc)
-        got = task_energy_endpoints(sc, provider)
+        counter = CountingCalcSe()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(model, "calc_se", counter)
+            got = task_energy_endpoints(sc)
         assert_same_arrays(got, reference_datagen.task_energy_endpoints(sc, calc_se))
-        first_use = []
-        for task in sc.tasks:
-            if task.data_bits != 0.0 and task.device_id not in first_use:
-                first_use.append(task.device_id)
-        channels = [sc.channels[d] for d in first_use]
-        assert provider.calls == [(c.speed_mps, c.carrier_freq_hz) for c in channels]
+        with_data = {t.device_id for t in sc.tasks if t.data_bits != 0.0}
+        channels = [sc.channels[d] for d in with_data]  # speeds tell devices apart
+        assert sorted(counter.calls) == sorted((c.speed_mps, c.carrier_freq_hz)
+                                               for c in channels)
         assert np.all(got[1][[t.data_bits == 0.0 for t in sc.tasks]] == 0.0)
 
-    def test_all_zero_bit_scenario_never_asks_the_provider(self):
+    def test_all_zero_bit_scenario_never_asks_the_spectral_efficiency(self, monkeypatch):
         sc = generate_scenario(ScenarioSpec(seed=2, data_bits=(0.0, 0.0)))
-
-        def refuse(speed, carrier):
-            raise AssertionError("provider called")
-
-        local, offload = task_energy_endpoints(sc, refuse)
+        counter = CountingCalcSe()
+        monkeypatch.setattr(model, "calc_se", counter)
+        local, offload = task_energy_endpoints(sc)
+        assert counter.calls == []
         assert local.tobytes() == np.zeros(len(sc.tasks)).tobytes()
         assert offload.tobytes() == np.zeros(len(sc.tasks)).tobytes()
 
@@ -222,12 +225,13 @@ class TestEndpointsMatchReference:
                       for d in range(len(clocks)))
         sc = Scenario(devices=devices, tasks=tasks, channels=channels,
                       spectral_config=SpectralConfig())
-        assert_same_arrays(task_energy_endpoints(sc, calc_se),
+        assert_same_arrays(task_energy_endpoints(sc),
                            reference_datagen.task_energy_endpoints(sc, calc_se))
 
     def test_colliding_cache_keys_resolve_in_first_use_order(self):
-        # two speeds 1e-7 m/s apart, and device 1's task comes first; the cache
-        # keys on exact floats, so each speed gets its own slot
+        # two speeds 1e-7 m/s apart, and device 1's task comes first; each
+        # device gets its own efficiency, as in the frozen loop, whose cache
+        # keys on exact floats
         devices = (Device(id=0, cpu_freq_hz=1e9, energy_coeff=1e-28),
                    Device(id=1, cpu_freq_hz=1e9, energy_coeff=1e-28))
         channels = tuple(Channel(bandwidth_hz=1e6, noise_var_w=1e-3, gain=1.0,
@@ -237,7 +241,7 @@ class TestEndpointsMatchReference:
                  Task(device_id=0, task_id=1, data_bits=2e6, cycles_per_bit=800.0))
         sc = Scenario(devices=devices, tasks=tasks, channels=channels,
                       spectral_config=SpectralConfig())
-        assert_same_arrays(task_energy_endpoints(sc, SpectralEfficiencyCache()),
+        assert_same_arrays(task_energy_endpoints(sc),
                            reference_datagen.task_energy_endpoints(
                                sc, SpectralEfficiencyCache()))
 
@@ -293,8 +297,9 @@ def _run_cli(monkeypatch, reference: bool, args, out):
     if reference:
         monkeypatch.setattr(datagen, "generate_scenario", reference_datagen.generate_scenario)
         monkeypatch.setattr(datagen, "build_dataset", reference_datagen.build_dataset)
-        monkeypatch.setattr(greedy, "task_energy_endpoints",
-                            reference_datagen.task_energy_endpoints)
+        monkeypatch.setattr(greedy, "task_energy_endpoints", lambda sc: (
+            reference_datagen.task_energy_endpoints(
+                sc, SpectralEfficiencyCache(sc.spectral_config))))
         monkeypatch.setattr(Dataset, "to_csv", reference_datagen.dataset_to_csv)
     assert main([*args, "--out", str(out)]) == 0
     monkeypatch.undo()

@@ -245,6 +245,9 @@ class TestSubsets:
         (("primary", "primary"), "share the label 'primary'"),
         (("mi:2", ("mi2",)), "share the label 'mi2'"),
         ((("a", "b"), ("a-b",)), "share the label 'a-b'"),
+        ((("a/b",),), "not a plain file name"),
+        (("all", ("TaskSize", "x/y")), "'TaskSize-x/y' is not a plain file name"),
+        ((("a\0b",),), "not a plain file name"),
     ])
     def test_check_rejects(self, entries, message):
         with pytest.raises(ValueError, match=message):

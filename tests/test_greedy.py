@@ -10,11 +10,9 @@ from offloadlab.greedy import (GreedyConfig, TERMINATION_CONVERGED,
                                get_total_energy, optimize, write_trace_csv)
 from offloadlab.datagen import ScenarioSpec, generate_scenario
 from offloadlab.model import Channel, Device, Scenario, Task, total_energy
-from offloadlab.spectral import SpectralConfig, SpectralEfficiencyCache
+from offloadlab.spectral import SpectralConfig
 
 from helpers import EX_SE, example_channel, example_device, small_scenario
-
-STATIC_SE = lambda v, fc: EX_SE
 
 
 def default_scenario(seed: int) -> Scenario:
@@ -42,7 +40,7 @@ class TestGetTotalEnergy:
     def test_matches_per_task_model(self):
         sc = small_scenario()
         ratios = np.full(3, 0.5)
-        got = get_total_energy(ratios, sc, STATIC_SE)
+        got = get_total_energy(ratios, sc)
         for i, t in enumerate(sc.tasks):
             task = Task(device_id=t.device_id, task_id=i + 1, data_bits=t.data_bits,
                         cycles_per_bit=t.cycles_per_bit, offload_ratio=0.5)
@@ -52,7 +50,7 @@ class TestGetTotalEnergy:
 
     def test_all_local(self):
         sc = small_scenario()
-        got = get_total_energy(np.zeros(3), sc, STATIC_SE)
+        got = get_total_energy(np.zeros(3), sc)
         for i, task in enumerate(sc.tasks):
             dev = sc.devices[task.device_id]
             expected = dev.energy_coeff * task.cycles_per_bit * dev.cpu_freq_hz ** 2 * task.data_bits
@@ -60,7 +58,7 @@ class TestGetTotalEnergy:
 
     def test_all_offload(self):
         sc = small_scenario()
-        got = get_total_energy(np.ones(3), sc, STATIC_SE)
+        got = get_total_energy(np.ones(3), sc)
         for i, task in enumerate(sc.tasks):
             ch = sc.channels[task.device_id]
             p = (2.0 ** EX_SE - 1.0) * ch.noise_var_w / ch.gain
@@ -69,18 +67,18 @@ class TestGetTotalEnergy:
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            get_total_energy(np.zeros(2), small_scenario(), STATIC_SE)
+            get_total_energy(np.zeros(2), small_scenario())
 
     def test_range_check(self):
         with pytest.raises(ValueError):
-            get_total_energy(np.array([0.5, 0.5, 1.5]), small_scenario(), STATIC_SE)
+            get_total_energy(np.array([0.5, 0.5, 1.5]), small_scenario())
 
 
 class TestOptimize:
     def test_expensive_offload_saturates_immediately(self):
         # transmit power dwarfs the CPU: the very first probe fails
         sc = small_scenario(noise_var_w=1.0)
-        sol = optimize(sc, GreedyConfig(), STATIC_SE)
+        sol = optimize(sc, GreedyConfig())
         assert sol.termination == TERMINATION_SATURATED
         assert np.all(sol.offload_ratios == 0.5)
         assert len(sol.trace_totals) == 2
@@ -89,8 +87,7 @@ class TestOptimize:
 
     def test_cheap_offload_converges_to_full(self):
         sc = default_scenario(seed=1)
-        cache = SpectralEfficiencyCache(sc.spectral_config)
-        sol = optimize(sc, GreedyConfig(), cache)
+        sol = optimize(sc, GreedyConfig())
         assert sol.termination == TERMINATION_CONVERGED
         assert np.all(sol.offload_ratios == 1.0)
         assert sol.total_energy < sol.trace_totals[0]
@@ -101,8 +98,7 @@ class TestOptimize:
 
     def test_iteration_cap_is_reported(self):
         sc = default_scenario(seed=1)
-        cache = SpectralEfficiencyCache(sc.spectral_config)
-        sol = optimize(sc, GreedyConfig(max_iters=3), cache)
+        sol = optimize(sc, GreedyConfig(max_iters=3))
         assert sol.termination == TERMINATION_ITER_CAPPED
         assert sol.evaluations == 4
         assert sol.total_energy == sol.trace_totals[-1]
@@ -110,23 +106,20 @@ class TestOptimize:
     def test_never_worse_than_start(self):
         for seed in range(5):
             sc = default_scenario(seed=seed)
-            cache = SpectralEfficiencyCache(sc.spectral_config)
-            sol = optimize(sc, GreedyConfig(), cache)
+            sol = optimize(sc, GreedyConfig())
             assert sol.total_energy <= sol.trace_totals[0]
 
     def test_evaluation_bound(self):
         cfg = GreedyConfig()
         for seed in range(5):
             sc = default_scenario(seed=seed)
-            cache = SpectralEfficiencyCache(sc.spectral_config)
-            sol = optimize(sc, cfg, cache)
+            sol = optimize(sc, cfg)
             bound = math.ceil((1.0 - cfg.init_ratio) / cfg.step) * len(sc.tasks) + 1
             assert sol.evaluations <= bound
 
     def test_trace_iterations_count_up(self):
         sc = default_scenario(seed=2)
-        cache = SpectralEfficiencyCache(sc.spectral_config)
-        sol = optimize(sc, GreedyConfig(), cache)
+        sol = optimize(sc, GreedyConfig())
         # evaluation i is row i of both lists; only the first has no pick
         assert len(sol.trace_picks) == len(sol.trace_totals)
         assert sol.trace_picks[0] == -1
@@ -134,17 +127,15 @@ class TestOptimize:
 
     def test_solution_totals_are_consistent(self):
         sc = default_scenario(seed=3)
-        cache = SpectralEfficiencyCache(sc.spectral_config)
-        sol = optimize(sc, GreedyConfig(), cache)
+        sol = optimize(sc, GreedyConfig())
         assert sol.total_energy == pytest.approx(float(sol.per_task_energy.sum()), rel=1e-12)
-        recomputed = get_total_energy(sol.offload_ratios, sc, cache)
+        recomputed = get_total_energy(sol.offload_ratios, sc)
         assert np.allclose(recomputed, sol.per_task_energy, rtol=1e-12, atol=0.0)
 
     def test_deterministic(self):
         sc = default_scenario(seed=4)
-        cache = SpectralEfficiencyCache(sc.spectral_config)
-        a = optimize(sc, GreedyConfig(), cache)
-        b = optimize(sc, GreedyConfig(), SpectralEfficiencyCache(sc.spectral_config))
+        a = optimize(sc, GreedyConfig())
+        b = optimize(sc, GreedyConfig())
         assert np.array_equal(a.offload_ratios, b.offload_ratios)
         assert a.total_energy == b.total_energy
         assert a.trace_totals == b.trace_totals
@@ -157,13 +148,12 @@ class TestOptimize:
         sc = Scenario(devices=(dev,),
                       tasks=(Task(task_id=1, **twin), Task(task_id=2, **twin)),
                       channels=(ch,), spectral_config=SpectralConfig())
-        sol = optimize(sc, GreedyConfig(), STATIC_SE)
+        sol = optimize(sc, GreedyConfig())
         assert sol.trace_picks[1] == 0
 
     def test_ratios_snap_to_exactly_one(self):
         sc = default_scenario(seed=5)
-        cache = SpectralEfficiencyCache(sc.spectral_config)
-        sol = optimize(sc, GreedyConfig(), cache)
+        sol = optimize(sc, GreedyConfig())
         assert sol.offload_ratios.max() == 1.0
 
     def test_empty_scenario_rejected(self):
@@ -171,28 +161,26 @@ class TestOptimize:
                       channels=(example_channel(),),
                       spectral_config=SpectralConfig())
         with pytest.raises(ValueError):
-            optimize(sc, GreedyConfig(), STATIC_SE)
+            optimize(sc, GreedyConfig())
 
     def test_init_at_one_converges_at_once(self):
         sc = small_scenario()
-        sol = optimize(sc, GreedyConfig(init_ratio=1.0), STATIC_SE)
+        sol = optimize(sc, GreedyConfig(init_ratio=1.0))
         assert sol.termination == TERMINATION_CONVERGED
         assert len(sol.trace_totals) == 1
         assert np.all(sol.offload_ratios == 1.0)
 
 
 def _saturated():
-    return small_scenario(noise_var_w=1.0), GreedyConfig(), STATIC_SE
+    return small_scenario(noise_var_w=1.0), GreedyConfig()
 
 
 def _converged():
-    sc = default_scenario(seed=1)
-    return sc, GreedyConfig(), SpectralEfficiencyCache(sc.spectral_config)
+    return default_scenario(seed=1), GreedyConfig()
 
 
 def _iter_capped():
-    sc = default_scenario(seed=1)
-    return sc, GreedyConfig(max_iters=3), SpectralEfficiencyCache(sc.spectral_config)
+    return default_scenario(seed=1), GreedyConfig(max_iters=3)
 
 
 class TestTraceLists:
@@ -202,8 +190,8 @@ class TestTraceLists:
         (_iter_capped, TERMINATION_ITER_CAPPED),
     ])
     def test_lists_describe_the_run(self, make, termination):
-        sc, cfg, se = make()
-        sol = optimize(sc, cfg, se)
+        sc, cfg = make()
+        sol = optimize(sc, cfg)
         assert sol.termination == termination
         assert sol.evaluations == len(sol.trace_totals) == len(sol.trace_picks)
         assert sol.trace_picks[0] == -1
@@ -211,7 +199,7 @@ class TestTraceLists:
         assert sol.total_energy == min(sol.trace_totals)
 
     def test_init_at_one_writes_one_row(self, tmp_path):
-        sol = optimize(small_scenario(), GreedyConfig(init_ratio=1.0), STATIC_SE)
+        sol = optimize(small_scenario(), GreedyConfig(init_ratio=1.0))
         path = tmp_path / "trace.csv"
         write_trace_csv(sol, path)
         with open(path, newline="") as fh:
@@ -236,20 +224,19 @@ class TestBruteForce:
                           for k in range(2))
             sc = Scenario(devices=(dev,), tasks=tasks, channels=(ch,),
                           spectral_config=SpectralConfig())
-            cache = SpectralEfficiencyCache(sc.spectral_config)
-            per0 = get_total_energy(np.zeros(2), sc, cache)
-            per1 = get_total_energy(np.ones(2), sc, cache)
+            per0 = get_total_energy(np.zeros(2), sc)
+            per1 = get_total_energy(np.ones(2), sc)
             surface = ((per0[0] * (1 - grid) + per1[0] * grid)[:, None]
                        + (per0[1] * (1 - grid) + per1[1] * grid)[None, :])
             optimum = float(surface.min())
-            sol = optimize(sc, GreedyConfig(), cache)
+            sol = optimize(sc, GreedyConfig())
             assert sol.total_energy >= optimum - 1e-9 * abs(optimum)
 
 
 class TestTraceCsv:
     def test_round_trip(self, tmp_path):
         sc = small_scenario()
-        sol = optimize(sc, GreedyConfig(), STATIC_SE)
+        sol = optimize(sc, GreedyConfig())
         path = tmp_path / "trace.csv"
         write_trace_csv(sol, path)
         with open(path, newline="") as fh:
@@ -264,12 +251,12 @@ class TestTraceCsv:
 class TestNonFiniteTotals:
     def test_nan_ratio_rejected(self):
         with pytest.raises(ValueError, match=r"lie in \[0, 1\]"):
-            get_total_energy(np.array([0.5, math.nan, 0.5]), small_scenario(), STATIC_SE)
+            get_total_energy(np.array([0.5, math.nan, 0.5]), small_scenario())
 
     def test_overflowing_starting_total_rejected(self, monkeypatch):
         # each endpoint is finite, their sum is not
         huge = np.full(3, 1e308)
-        monkeypatch.setattr(greedy, "task_energy_endpoints", lambda sc, se: (huge, huge))
+        monkeypatch.setattr(greedy, "task_energy_endpoints", lambda sc: (huge, huge))
         with np.errstate(over="ignore"), \
                 pytest.raises(ValueError, match="starting total energy is inf"):
-            optimize(small_scenario(), GreedyConfig(), STATIC_SE)
+            optimize(small_scenario(), GreedyConfig())

@@ -3,9 +3,12 @@
 `reference_greedy` is a frozen copy of the original vectorised loop and CSV
 writer.  The library's `optimize` must agree with it exactly (same picks,
 bit-identical totals, same termination) and the CLI must write the same
-bytes with either.  The closed-form oracle is the per-task threshold
-optimum: energy is affine in each ratio and the tasks are independent, so
-the best reachable total is sum_i min(local_i, offload_i).
+bytes with either.  The oracle prices tasks with `reference_datagen`'s frozen
+per-task endpoint loop, which asks a spectral-efficiency source; it gets a
+cache of the scenario's own config, which is what the library prices with.
+The closed-form oracle is the per-task threshold optimum: energy is affine
+in each ratio and the tasks are independent, so the best reachable total is
+sum_i min(local_i, offload_i).
 """
 
 import json
@@ -17,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_greedy
-from helpers import EX_SE, balanced_spec
+from helpers import balanced_spec
 from offloadlab import greedy
 from offloadlab.cli import main
 from offloadlab.datagen import ScenarioSpec, generate_scenario
@@ -25,8 +28,6 @@ from offloadlab.greedy import (GreedyConfig, TERMINATION_CONVERGED, optimize,
                                task_energy_endpoints)
 from offloadlab.model import Channel, Device, Scenario, Task
 from offloadlab.spectral import SpectralConfig, SpectralEfficiencyCache
-
-STATIC_SE = lambda v, fc: EX_SE
 
 # Small value pools make exact ties between task energies likely.
 _BITS = st.one_of(st.sampled_from([0.0, 1e6, 2e6, 4e6]), st.floats(0.0, 8e6))
@@ -61,6 +62,11 @@ greedy_configs = st.builds(
 )
 
 
+def frozen_optimize(sc, cfg):
+    """The frozen loop on the scenario as it prices itself."""
+    return reference_greedy.optimize(sc, cfg, SpectralEfficiencyCache(sc.spectral_config))
+
+
 def assert_same_solution(got, want):
     assert got.offload_ratios.dtype == want.offload_ratios.dtype
     assert got.offload_ratios.tobytes() == want.offload_ratios.tobytes()
@@ -78,17 +84,25 @@ class TestMatchesReference:
     @settings(max_examples=300, deadline=None)
     @given(scenarios(), greedy_configs)
     def test_random_scenarios(self, sc, cfg):
-        assert_same_solution(optimize(sc, cfg, STATIC_SE),
-                             reference_greedy.optimize(sc, cfg, STATIC_SE))
+        assert_same_solution(optimize(sc, cfg), frozen_optimize(sc, cfg))
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 10_000), st.booleans(), greedy_configs)
     def test_sampled_scenarios(self, seed, balanced, cfg):
         spec = balanced_spec(seed) if balanced else ScenarioSpec(seed=seed)
         sc = generate_scenario(replace(spec, n_devices=2, tasks_per_device=4))
-        cache = SpectralEfficiencyCache(sc.spectral_config)
-        assert_same_solution(optimize(sc, cfg, cache),
-                             reference_greedy.optimize(sc, cfg, cache))
+        assert_same_solution(optimize(sc, cfg), frozen_optimize(sc, cfg))
+
+    def test_scenario_carries_its_spectral_config(self):
+        spectral = SpectralConfig(snr_linear=30.0, subcarrier_spacing_hz=15e3)
+        spec = ScenarioSpec(seed=4)
+        sc = generate_scenario(spec, spectral)
+        got = optimize(sc, GreedyConfig())
+        assert_same_solution(got, reference_greedy.optimize(
+            sc, GreedyConfig(), SpectralEfficiencyCache(spectral)))
+        default = optimize(generate_scenario(spec), GreedyConfig())
+        assert got.per_task_energy.tolist() != default.per_task_energy.tolist()
+        assert got.trace_totals != default.trace_totals
 
     def test_all_tasks_tied(self):
         dev = Device(id=0, cpu_freq_hz=1e9, energy_coeff=1e-28)
@@ -99,13 +113,12 @@ class TestMatchesReference:
         sc = Scenario(devices=(dev,), tasks=tasks, channels=(ch,),
                       spectral_config=SpectralConfig())
         for cfg in (GreedyConfig(), GreedyConfig(step=1.0), GreedyConfig(init_ratio=0.0)):
-            assert_same_solution(optimize(sc, cfg, STATIC_SE),
-                                 reference_greedy.optimize(sc, cfg, STATIC_SE))
+            assert_same_solution(optimize(sc, cfg), frozen_optimize(sc, cfg))
 
 
 def _run_cli(monkeypatch, reference: bool, args, out):
     if reference:
-        monkeypatch.setattr(greedy, "optimize", reference_greedy.optimize)
+        monkeypatch.setattr(greedy, "optimize", frozen_optimize)
         monkeypatch.setattr(greedy, "write_trace_csv", reference_greedy.write_trace_csv)
     assert main([*args, "--out", str(out)]) == 0
     monkeypatch.undo()
@@ -142,8 +155,8 @@ class TestCliBytesMatchReference:
         assert got == want
 
 
-def _threshold_optimum(sc, se_provider) -> float:
-    local, offload = task_energy_endpoints(sc, se_provider)
+def _threshold_optimum(sc) -> float:
+    local, offload = task_energy_endpoints(sc)
     return float(np.minimum(local, offload).sum())
 
 
@@ -151,8 +164,8 @@ class TestClosedFormOptimum:
     @settings(max_examples=200, deadline=None)
     @given(scenarios(), greedy_configs)
     def test_never_below_threshold_optimum(self, sc, cfg):
-        optimum = _threshold_optimum(sc, STATIC_SE)
-        sol = optimize(sc, cfg, STATIC_SE)
+        optimum = _threshold_optimum(sc)
+        sol = optimize(sc, cfg)
         assert sol.total_energy >= optimum - 1e-12 * abs(optimum)
 
     @settings(max_examples=25, deadline=None)
@@ -160,9 +173,8 @@ class TestClosedFormOptimum:
     def test_default_ranges_reach_the_optimum(self, seed, n_devices, tasks_per_device):
         sc = generate_scenario(ScenarioSpec(seed=seed, n_devices=n_devices,
                                             tasks_per_device=tasks_per_device))
-        cache = SpectralEfficiencyCache(sc.spectral_config)
-        local, offload = task_energy_endpoints(sc, cache)
+        local, offload = task_energy_endpoints(sc)
         assert np.all(offload < local)  # offloading everything is optimal
-        sol = optimize(sc, GreedyConfig(), cache)
+        sol = optimize(sc, GreedyConfig())
         assert sol.termination == TERMINATION_CONVERGED
-        assert sol.total_energy == _threshold_optimum(sc, cache)
+        assert sol.total_energy == _threshold_optimum(sc)

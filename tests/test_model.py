@@ -15,7 +15,7 @@ from offloadlab.model import (CHANNEL_DTYPE, DEVICE_DTYPE, TASK_DTYPE, Channel,
 from offloadlab.spectral import SpectralConfig
 
 from helpers import (EX_SE, example_channel, example_device, example_task,
-                     small_scenario)
+                     priced_at, small_scenario)
 
 ratios = st.floats(0.0, 1.0)
 data_sizes = st.floats(0.0, 1e9)
@@ -130,9 +130,9 @@ class TestSeDomain:
         with pytest.raises(ValueError, match="must be > 0"):
             formula(float("nan"))
 
-    def test_endpoints_reject_a_provider_returning_nan(self):
-        with pytest.raises(ValueError, match="must be > 0"):
-            task_energy_endpoints(small_scenario(), lambda v, fc: float("nan"))
+    def test_endpoints_reject_a_calc_se_returning_nan(self):
+        with priced_at(float("nan")), pytest.raises(ValueError, match="must be > 0"):
+            task_energy_endpoints(small_scenario())
 
 
 class TestValidation:
@@ -249,11 +249,10 @@ class TestSystemTotal:
         sc = Scenario(devices=(example_device(),), tasks=(),
                       channels=(example_channel(),),
                       spectral_config=SpectralConfig())
-        assert get_total_energy(np.zeros(0), sc, lambda v, fc: EX_SE).sum() == 0.0
+        assert get_total_energy(np.zeros(0), sc).sum() == 0.0
 
     def test_matches_hand_sum(self):
-        sc = small_scenario()
-        provider = lambda v, fc: EX_SE
+        sc = small_scenario()  # static channels: the scenario prices itself at EX_SE
         expected = 0.0
         for task in sc.tasks:
             dev = sc.devices[task.device_id]
@@ -262,15 +261,14 @@ class TestSystemTotal:
             expected += p * 0.5 * task.data_bits / (ch.bandwidth_hz * EX_SE)
             expected += (dev.energy_coeff * task.cycles_per_bit * dev.cpu_freq_hz ** 2
                          * 0.5 * task.data_bits)
-        got = get_total_energy(np.full(3, 0.5), sc, provider).sum()
+        got = get_total_energy(np.full(3, 0.5), sc).sum()
         assert got == pytest.approx(expected, rel=1e-12)
 
     def test_edge_server_share_costs_nothing(self):
         # doubling only the offloaded share's compute difficulty changes nothing:
         # the edge server's cycles are not billed
         sc = small_scenario()
-        provider = lambda v, fc: EX_SE
-        base = get_total_energy(np.full(3, 0.5), sc, provider).sum()
+        base = get_total_energy(np.full(3, 0.5), sc).sum()
         parts = 0.0
         for t in sc.tasks:
             task = Task(device_id=t.device_id, task_id=1, data_bits=t.data_bits,
@@ -388,7 +386,8 @@ class TestScalarMatchesColumn:
                                                   bandwidth, noise, gain, se):
         task, device, channel, sc = _one_task(ratio, bits, cycles, cpu, coeff,
                                               bandwidth, noise, gain)
-        column = get_total_energy(np.array([ratio]), sc, lambda v, fc: se)
+        with priced_at(se):
+            column = get_total_energy(np.array([ratio]), sc)
         assert total_energy(task, device, channel, se) == column[0]
 
     @settings(max_examples=100, deadline=None)
@@ -397,7 +396,8 @@ class TestScalarMatchesColumn:
                                                      bandwidth, noise, gain, se):
         task, device, channel, sc = _one_task(ratio, bits, cycles, cpu, coeff,
                                               bandwidth, noise, gain)
-        local, offload = model.task_energy_endpoints(sc, lambda v, fc: se)
+        with priced_at(se):
+            local, offload = model.task_energy_endpoints(sc)
         assert local_energy(task, device) == model.energy_at(local[0], 0.0, ratio)
         assert offload_energy(task, channel, se) == model.energy_at(0.0, offload[0], ratio)
 
@@ -414,15 +414,19 @@ class TestScalarMatchesColumn:
 class TestNonFiniteEndpoints:
     def test_transmit_power_overflow(self):
         sc = _one_task(0.5, 1e6, 100.0, 1e9, 1e-28, 1e6, 1e-13, 1e-320)[3]
-        with pytest.raises(ValueError, match="not finite"):
-            model.task_energy_endpoints(sc, lambda v, fc: 6.0)
+        with priced_at(6.0), pytest.raises(ValueError, match="not finite"):
+            model.task_energy_endpoints(sc)
 
     def test_cpu_frequency_squared_overflow(self):
-        sc = _one_task(0.5, 1e6, 100.0, 1e200, 1e-28, 1e6, 1e-13, 1.0)[3]
-        with pytest.raises(ValueError, match="cpu_freq_hz squared overflows"):
-            model.task_energy_endpoints(sc, lambda v, fc: EX_SE)
+        # the column path and the scalar formulas raise the same error
+        task, device, channel, sc = _one_task(0.5, 1e6, 100.0, 1e200, 1e-28, 1e6, 1e-13, 1.0)
+        for energy in (lambda: model.task_energy_endpoints(sc),
+                       lambda: local_energy(task, device),
+                       lambda: total_energy(task, device, channel, EX_SE)):
+            with pytest.raises(ValueError, match="cpu_freq_hz squared overflows"):
+                energy()
 
     def test_local_energy_overflow(self):
         sc = _one_task(0.5, 1e8, 1e4, 1e150, 1.0, 1e6, 1e-13, 1.0)[3]
         with pytest.raises(ValueError, match="not finite"):
-            model.task_energy_endpoints(sc, lambda v, fc: EX_SE)
+            model.task_energy_endpoints(sc)
