@@ -105,6 +105,7 @@ class ExperimentConfig:
             raise ValueError("jobs must be >= 1")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
+        self.greedy.check_size(self.scenario.n_devices * self.scenario.tasks_per_device)
 
 
 # a field whose default is a dataclass is a section; the rest are top-level

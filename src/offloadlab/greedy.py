@@ -1,25 +1,35 @@
 """Greedy improvement of per-task offload ratios.
 
 Every task starts at the same offload ratio.  Each round picks the
-still-adjustable task that is currently the most expensive, and nudges its
-ratio one step toward full offload.  The loop keeps going while the system
-total strictly improves and stops the first time a probe fails to beat the
-best total seen, so the returned vector is always the best one evaluated.
+still-adjustable task that is currently the most expensive (ties go to the
+lowest index) and nudges its ratio one step toward full offload.  The run
+stops at the first bump that fails to lower the bumped task's energy and
+undoes it, so the returned vector is always the best one evaluated.
 
-Only one task changes per bump, so the loop keeps a max-heap of
-``(-energy, index)`` over the tasks with ratio < 1 (ties go to the lowest
-index) and updates the bumped task's ratio and energy in place.  A failed
-probe is undone in O(1) instead of copying the best vectors on every bump.
-The system total is still re-summed with ``np.add.reduce`` over all n
-energies on each bump: a running total would round differently, which
-would change the trace bytes and could flip the strict-improvement test.
+Every task walks the same ladder of ratios: `init_ratio`, then repeated
+``+ step`` until a ratio within `_SNAP` of 1.0 is pinned at exactly 1.0.
+Energy is affine in each ratio, so one tasks x levels matrix holds every
+energy the run can visit.  A bump changes one energy, so it lowers the
+exact system total iff the task's next energy is below its current one:
+termination is a per-task float compare and needs no sum.  Up to and
+including its first non-improving bump, a task's energies strictly fall,
+so the greedy's picks are a merge of the per-task ladders in
+``(-energy, index)`` order.  One stable argsort of the kept picks, laid out
+task-major, gives that order; the run is cut at the first non-improving
+pick (saturated), at `max_iters` (iter_capped), or where the picks run out
+(converged).
+
+Every total, `total_energy` and the trace's alike, is the correctly rounded
+exact sum of that state's per-task energies: what `math.fsum` returns, or
+inf where that sum passes the float range.  The trace totals are worked out
+when first read, so runs that only want the ratios never pay for them.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -27,10 +37,13 @@ from .features import write_rows
 from .model import Scenario, energy_at, task_energy_endpoints
 
 TERMINATION_CONVERGED = "converged"    # every ratio pinned at 1.0, nothing left to adjust
-TERMINATION_SATURATED = "saturated"    # a probe failed to improve the best total
+TERMINATION_SATURATED = "saturated"    # a bump failed to lower its task's energy
 TERMINATION_ITER_CAPPED = "iter_capped"  # safety bound on adjustments was hit
 
 _SNAP = 1e-12  # ratios this close to 1.0 are pinned exactly
+# tasks x ratio levels one run may hold; a run at the cap peaks near 0.25 GB
+MAX_LADDER_CELLS = 5_000_000
+_CHUNK = 4096  # bumps whose exact totals are held as Python ints at once
 
 
 @dataclass(frozen=True)
@@ -52,19 +65,112 @@ class GreedyConfig:
             return self.max_iters
         return math.ceil(10.0 * n_tasks / self.step)
 
+    def check_size(self, n_tasks: int, levels: int | None = None) -> None:
+        """ValueError when `n_tasks` ladders of `levels` ratios pass
+        `MAX_LADDER_CELLS`; `levels` defaults to the nominal count, which
+        rounding can make short of the built ladder's."""
+        if levels is None:
+            levels = math.ceil((1.0 - self.init_ratio) / self.step) + 1
+        if n_tasks * levels > MAX_LADDER_CELLS:
+            raise ValueError(
+                f"greedy: {n_tasks} tasks x {levels} ratio levels is over the cap "
+                f"of {MAX_LADDER_CELLS} cells; raise greedy.step or init_ratio")
+
 
 @dataclass(frozen=True)
 class OffloadSolution:
     offload_ratios: np.ndarray
     per_task_energy: np.ndarray
     total_energy: float
-    trace_totals: list[float]  # system total after each evaluation
-    trace_picks: list[int]  # task bumped just before it, -1 for the first
     termination: str
+    ladder_energy: np.ndarray = field(repr=False)  # (tasks, levels): every energy in reach
+    bumps: np.ndarray = field(repr=False)  # flat index into ladder_energy before each bump
 
     @property
     def evaluations(self) -> int:
-        return len(self.trace_totals)
+        return len(self.bumps) + 1
+
+    @cached_property
+    def trace_picks(self) -> np.ndarray:
+        """Task bumped just before each evaluation, -1 for the first."""
+        return np.r_[-1, self.bumps // self.ladder_energy.shape[1]]
+
+    @cached_property
+    def trace_totals(self) -> np.ndarray:
+        """System total after each evaluation, computed on first read."""
+        return _exact_totals(self.ladder_energy, self.bumps)
+
+
+def _to_units(values: np.ndarray, emin: int) -> np.ndarray:
+    """Finite `values` as exact Python ints in units of 2**emin."""
+    mant, exp = np.frexp(values)
+    shift = np.maximum(exp - (53 + emin), 0)  # frexp(0) is (0, 0): clamp its shift
+    return np.ldexp(mant, 53).astype(np.int64).astype(object) << shift.astype(object)
+
+
+def _over(units: int, scale: int) -> float:
+    """``units / scale`` correctly rounded, or a signed inf past the float range."""
+    try:
+        return units / scale
+    except OverflowError:
+        return math.inf if units > 0 else -math.inf
+
+
+def _exact_totals(energy: np.ndarray, bumps=np.empty(0, dtype=int)) -> np.ndarray:
+    """Correctly rounded sums of ``energy[:, 0]``, then of each state after
+    a bump, where bump j moves one task from flat cell ``bumps[j]`` of the
+    finite `energy` to the next cell.
+
+    Every float is an integer multiple of 2**emin, the least unit in
+    `energy` (at most 1), so each state's exact sum is a running sum of
+    Python ints, held `_CHUNK` bumps at a time; int / int division rounds
+    it correctly.
+    """
+    cells = energy.ravel()
+    tiny = np.min(np.abs(cells), where=cells != 0.0, initial=np.inf)
+    emin = min(int(np.frexp(tiny)[1]) - 53, 0) if tiny < np.inf else 0
+    scale = 1 << -emin
+    totals = np.empty(len(bumps) + 1)
+    carry = sum(_to_units(energy[:, 0], emin).tolist())
+    totals[0] = _over(carry, scale)
+    for lo in range(0, len(bumps), _CHUNK):
+        cell = bumps[lo:lo + _CHUNK]
+        sums = np.cumsum(_to_units(cells[cell + 1], emin) - _to_units(cells[cell], emin))
+        sums += carry
+        carry = sums[-1]
+        try:
+            totals[lo + 1:lo + 1 + len(cell)] = sums / scale
+        except OverflowError:  # a total past the float range
+            totals[lo + 1:lo + 1 + len(cell)] = [_over(s, scale) for s in sums.tolist()]
+    return totals
+
+
+def _fsum(values: np.ndarray) -> float:
+    """`math.fsum` of `values`, with the IEEE result where fsum raises."""
+    try:
+        return math.fsum(values.tolist())
+    except OverflowError:  # finite values whose sum passes the float range
+        return float(_exact_totals(values[:, None])[0])
+    except ValueError:  # infinities of both signs
+        return math.nan
+
+
+def _ladder(init: float, step: float) -> np.ndarray:
+    """Ratios a task passes through: `init`, then ``r + step`` until pinned at 1.0."""
+    if init >= 1.0:
+        return np.array([1.0])
+    n = math.ceil((1.0 - init) / step) + 1
+    while True:  # add.accumulate adds in order, as ``r += step`` does
+        rs = np.full(n + 1, step)
+        rs[0] = init
+        np.add.accumulate(rs, out=rs)
+        top = np.flatnonzero((rs[1:] >= 1.0 - _SNAP) | (rs[1:] == rs[:-1]))
+        if top.size:  # pinned, or stuck where ``+ step`` no longer moves the ratio
+            rs = rs[:top[0] + 2]
+            if rs[-1] >= 1.0 - _SNAP:
+                rs[-1] = 1.0
+            return rs
+        n *= 2  # rounding made the steps shorter than `step`
 
 
 def get_total_energy(offload_ratios: np.ndarray, scenario: Scenario) -> np.ndarray:
@@ -83,66 +189,45 @@ def optimize(scenario: Scenario, config: GreedyConfig) -> OffloadSolution:
     n = len(scenario.tasks)
     if n == 0:
         raise ValueError("scenario has no tasks to optimize")
+    config.check_size(n)
     max_iters = config.resolve_max_iters(n)
-    local_arr, offload_arr = task_energy_endpoints(scenario)
-    local, offload = local_arr.tolist(), offload_arr.tolist()
-    step = config.step
-
-    init = float(config.init_ratio)
-    ratios = [init] * n
-    energies = energy_at(local_arr, offload_arr, init)
-    heap = [(-e, i) for i, e in enumerate(energies.tolist())] if init < 1.0 else []
-    heapq.heapify(heap)
-
-    total = float(np.add.reduce(energies))
+    rs = _ladder(float(config.init_ratio), config.step)
+    config.check_size(n, len(rs))
+    local, offload = task_energy_endpoints(scenario)
+    energy = energy_at(local[:, None], offload[:, None], rs)  # (tasks, levels)
+    total = _fsum(energy[:, 0])
     if not math.isfinite(total):
         raise ValueError(f"the starting total energy is {total}")
-    totals = [total]
-    picks = [-1]
-    best_total = math.inf
-    undo = None  # (index, ratio, energy) before the latest bump
-    bumps = 0
 
-    while True:
-        if not total < best_total:
-            if undo is not None:
-                idx, ratio, energy = undo
-                ratios[idx] = ratio
-                energies[idx] = energy
-            termination = TERMINATION_SATURATED
-            break
-        best_total = total
-        if not heap:
-            termination = TERMINATION_CONVERGED
-            break
-        if bumps >= max_iters:
-            termination = TERMINATION_ITER_CAPPED
-            break
+    # a bump moves a task from its cell to the next one; keep each task's
+    # bumps up to and including its first non-improving one
+    improving = np.zeros_like(energy, dtype=bool)
+    np.less(energy[:, 1:], energy[:, :-1], out=improving[:, :-1])
+    kept = np.zeros_like(improving)
+    kept[:, 0] = len(rs) > 1
+    np.logical_and.accumulate(improving[:, :-2], axis=1, out=kept[:, 1:-1])
+    # flat cells are task-major, so the stable sort breaks ties by task index
+    bumps = np.flatnonzero(kept)[np.argsort(-energy[kept], kind="stable")]
 
-        neg_energy, idx = heap[0]
-        ratio = ratios[idx]
-        undo = (idx, ratio, -neg_energy)
-        bumped = ratio + step
-        ratio = 1.0 if bumped >= 1.0 - _SNAP else bumped
-        energy = energy_at(local[idx], offload[idx], ratio)
-        ratios[idx] = ratio
-        energies[idx] = energy
-        if ratio < 1.0:
-            heapq.heapreplace(heap, (-energy, idx))
-        else:
-            heapq.heappop(heap)
-        bumps += 1
-        total = float(np.add.reduce(energies))
-        totals.append(total)
-        picks.append(idx)
+    failed = np.flatnonzero(~improving.ravel()[bumps])
+    if failed.size and failed[0] < max_iters:
+        n_bumps, n_best, termination = failed[0] + 1, failed[0], TERMINATION_SATURATED
+    elif not failed.size and len(bumps) <= max_iters:
+        n_bumps = n_best = len(bumps)
+        termination = TERMINATION_CONVERGED
+    else:
+        n_bumps = n_best = max_iters
+        termination = TERMINATION_ITER_CAPPED
 
+    reached = np.bincount(bumps[:n_best] // len(rs), minlength=n)
+    per_task = energy[np.arange(n), reached]
     return OffloadSolution(
-        offload_ratios=np.array(ratios),
-        per_task_energy=energies,
-        total_energy=float(np.add.reduce(energies)),
-        trace_totals=totals,
-        trace_picks=picks,
+        offload_ratios=rs[reached],
+        per_task_energy=per_task,
+        total_energy=_fsum(per_task),
         termination=termination,
+        ladder_energy=energy,
+        bumps=bumps[:n_bumps].copy(),
     )
 
 

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from offloadlab import greedy
+from offloadlab.cli import main
+from offloadlab.config import ConfigError, ExperimentConfig, load_config
 from offloadlab.greedy import (GreedyConfig, TERMINATION_CONVERGED,
                                TERMINATION_ITER_CAPPED, TERMINATION_SATURATED,
                                get_total_energy, optimize, write_trace_csv)
@@ -128,7 +130,7 @@ class TestOptimize:
     def test_solution_totals_are_consistent(self):
         sc = default_scenario(seed=3)
         sol = optimize(sc, GreedyConfig())
-        assert sol.total_energy == pytest.approx(float(sol.per_task_energy.sum()), rel=1e-12)
+        assert sol.total_energy == math.fsum(sol.per_task_energy)
         recomputed = get_total_energy(sol.offload_ratios, sc)
         assert np.allclose(recomputed, sol.per_task_energy, rtol=1e-12, atol=0.0)
 
@@ -138,8 +140,8 @@ class TestOptimize:
         b = optimize(sc, GreedyConfig())
         assert np.array_equal(a.offload_ratios, b.offload_ratios)
         assert a.total_energy == b.total_energy
-        assert a.trace_totals == b.trace_totals
-        assert a.trace_picks == b.trace_picks
+        assert np.array_equal(a.trace_totals, b.trace_totals)
+        assert np.array_equal(a.trace_picks, b.trace_picks)
 
     def test_tie_goes_to_lowest_task_index(self):
         dev = example_device()
@@ -197,6 +199,8 @@ class TestTraceLists:
         assert sol.trace_picks[0] == -1
         assert all(p in range(len(sc.tasks)) for p in sol.trace_picks[1:])
         assert sol.total_energy == min(sol.trace_totals)
+        assert sol.trace_totals.dtype == np.float64
+        assert sol.trace_picks.dtype.kind == "i"
 
     def test_init_at_one_writes_one_row(self, tmp_path):
         sol = optimize(small_scenario(), GreedyConfig(init_ratio=1.0))
@@ -260,3 +264,90 @@ class TestNonFiniteTotals:
         with np.errstate(over="ignore"), \
                 pytest.raises(ValueError, match="starting total energy is inf"):
             optimize(small_scenario(), GreedyConfig())
+
+
+class TestExactTotals:
+    def test_opposite_infinite_start_rejected(self, monkeypatch):
+        cols = np.array([math.inf, -math.inf, 1.0])
+        monkeypatch.setattr(greedy, "task_energy_endpoints", lambda sc: (cols, cols))
+        with np.errstate(invalid="ignore"), \
+                pytest.raises(ValueError, match="starting total energy is nan"):
+            optimize(small_scenario(), GreedyConfig())
+
+    def test_chunks_carry_the_running_sum(self, monkeypatch):
+        # more bumps than one chunk holds
+        monkeypatch.setattr(greedy, "_CHUNK", 7)
+        sc = default_scenario(seed=3)
+        sol = optimize(sc, GreedyConfig(step=0.1))
+        assert sol.evaluations > 7 * 4
+        local, offload = greedy.task_energy_endpoints(sc)
+        levels = np.zeros(len(local), dtype=int)
+        for j, pick in enumerate(sol.trace_picks.tolist()):
+            if pick >= 0:
+                levels[pick] += 1
+            state = sol.ladder_energy[np.arange(len(local)), levels]
+            assert sol.trace_totals[j] == math.fsum(state.tolist())
+
+
+class TestLadder:
+    @pytest.mark.parametrize("init_ratio, step", [
+        (0.5, 0.01), (0.0, 0.1), (0.0, 0.3), (0.37, 0.07), (0.0, 1.0), (0.5, 1.0),
+        (0.999, 0.5), (1.0 - 1e-13, 0.01), (0.1, 1e-4),
+        # each + step rounds down to one ulp: 81,066 levels, not 64,352
+        (1.0 - 1e-11, 1.554e-16)])
+    def test_repeated_addition_then_the_pin(self, init_ratio, step):
+        want = [init_ratio]
+        while want[-1] < 1.0:
+            bumped = want[-1] + step
+            want.append(1.0 if bumped >= 1.0 - 1e-12 else bumped)
+        assert greedy._ladder(init_ratio, step).tolist() == want
+
+    def test_init_at_one_is_one_level(self):
+        assert greedy._ladder(1.0, 0.01).tolist() == [1.0]
+
+    def test_a_step_below_the_rounding_ends_the_ladder(self):
+        init = 1.0 - 1e-11
+        assert greedy._ladder(init, 1e-17).tolist() == [init, init]
+
+
+class TestBoundedRun:
+    def test_cap_is_tasks_times_levels(self):
+        cfg = GreedyConfig()
+        levels = math.ceil(0.5 / 0.01) + 1
+        n = greedy.MAX_LADDER_CELLS // levels
+        cfg.check_size(n)
+        with pytest.raises(ValueError, match=rf"{n + 1} tasks x {levels} ratio levels"):
+            cfg.check_size(n + 1)
+
+    def test_tiny_step_refused_before_any_work(self, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("the run started")
+        monkeypatch.setattr(greedy, "task_energy_endpoints", unreachable)
+        monkeypatch.setattr(greedy, "_ladder", unreachable)
+        with pytest.raises(ValueError, match=r"3 tasks x 500000001 ratio levels is over "
+                                             rf"the cap of {greedy.MAX_LADDER_CELLS} cells"):
+            optimize(small_scenario(), GreedyConfig(step=1e-9))
+
+    def test_a_ladder_that_rounding_lengthens_is_counted_as_built(self, monkeypatch):
+        # 70 x 64,352 nominal levels fit the cap; the 81,066 built ones do not
+        def unreachable(*args):
+            raise AssertionError("the run started")
+        monkeypatch.setattr(greedy, "task_energy_endpoints", unreachable)
+        cfg = GreedyConfig(init_ratio=1.0 - 1e-11, step=1.554e-16)
+        cfg.check_size(70)
+        sc = generate_scenario(ScenarioSpec(seed=0, n_devices=7, tasks_per_device=10))
+        with pytest.raises(ValueError, match="70 tasks x 81066 ratio levels"):
+            optimize(sc, cfg)
+
+    def test_config_error(self):
+        with pytest.raises(ValueError, match="50 tasks x 500000001 ratio levels"):
+            ExperimentConfig(greedy=GreedyConfig(step=1e-9))
+        with pytest.raises(ConfigError, match="ratio levels"):
+            load_config(overrides={"scenario.tasks_per_device": "100000"})
+        load_config(overrides={"scenario.tasks_per_device": "10000"})
+
+    def test_cli_exits_2_without_making_out(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["optimize", "--greedy.step", "1e-9", "--out", str(out)]) == 2
+        assert not out.exists()
+        assert "over the cap" in capsys.readouterr().err

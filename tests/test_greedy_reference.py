@@ -1,17 +1,23 @@
-"""Differential and closed-form checks of the heap-driven greedy.
+"""Differential and closed-form checks of the merge-driven greedy.
 
 `reference_greedy` is a frozen copy of the original vectorised loop and CSV
-writer.  The library's `optimize` must agree with it exactly (same picks,
-bit-identical totals, same termination) and the CLI must write the same
-bytes with either.  The oracle prices tasks with `reference_datagen`'s frozen
-per-task endpoint loop, which asks a spectral-efficiency source; it gets a
-cache of the scenario's own config, which is what the library prices with.
-The closed-form oracle is the per-task threshold optimum: energy is affine
-in each ratio and the tasks are independent, so the best reachable total is
-sum_i min(local_i, offload_i).
+writer.  The library's `optimize` must make the same picks, stop for the
+same reason and return the same ratio and energy bytes.  Its totals are the
+correctly rounded sums of each state (`math.fsum` of the state replayed
+from the picks), so they may differ from the frozen loop's pairwise totals
+in the last digits, by at most 1e-12 relative.  One case may differ in
+picks and termination: the frozen loop stops when a bump lowers one energy
+by less than its pairwise total's rounding, while the merge sees the energy
+fall and goes on (`TestNamedDifference`).  The oracle prices tasks with
+`reference_datagen`'s frozen per-task endpoint loop, which asks a
+spectral-efficiency source; it gets a cache of the scenario's own config,
+which is what the library prices with.  The closed-form oracle is the
+per-task threshold optimum: energy is affine in each ratio and the tasks
+are independent, so the best reachable total is sum_i min(local_i, offload_i).
 """
 
 import json
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -24,9 +30,10 @@ from helpers import balanced_spec
 from offloadlab import greedy
 from offloadlab.cli import main
 from offloadlab.datagen import ScenarioSpec, generate_scenario
-from offloadlab.greedy import (GreedyConfig, TERMINATION_CONVERGED, optimize,
-                               task_energy_endpoints)
-from offloadlab.model import Channel, Device, Scenario, Task
+from offloadlab.greedy import (GreedyConfig, TERMINATION_CONVERGED,
+                               TERMINATION_ITER_CAPPED, TERMINATION_SATURATED,
+                               optimize, task_energy_endpoints)
+from offloadlab.model import Channel, Device, Scenario, Task, energy_at
 from offloadlab.spectral import SpectralConfig, SpectralEfficiencyCache
 
 # Small value pools make exact ties between task energies likely.
@@ -67,31 +74,89 @@ def frozen_optimize(sc, cfg):
     return reference_greedy.optimize(sc, cfg, SpectralEfficiencyCache(sc.spectral_config))
 
 
-def assert_same_solution(got, want):
+def replayed_totals(sol, sc, cfg, every=1):
+    """`math.fsum` of the traced states, rebuilt from the picks with ratios
+    bumped one ``+ step`` at a time: {evaluation: total} for every
+    `every`-th evaluation and the last."""
+    local, offload = greedy.task_energy_endpoints(sc)
+    ratios = np.full(len(local), float(cfg.init_ratio))
+    last = sol.evaluations - 1
+    out = {}
+    for j, pick in enumerate(sol.trace_picks.tolist()):
+        if pick >= 0:
+            bumped = ratios[pick] + cfg.step
+            ratios[pick] = 1.0 if bumped >= 1.0 - 1e-12 else bumped
+        if j % every == 0 or j == last:
+            out[j] = math.fsum(energy_at(local, offload, ratios).tolist())
+    return out
+
+
+def assert_exact_totals(sol, sc, cfg, every=1):
+    replayed = replayed_totals(sol, sc, cfg, every)
+    assert {j: sol.trace_totals[j] for j in replayed} == replayed
+    assert sol.trace_totals.dtype == np.float64
+    assert sol.total_energy == math.fsum(sol.per_task_energy) == sol.trace_totals.min()
+
+
+def frozen_picks(want):
+    return np.array([-1 if e.adjusted_task_index is None else e.adjusted_task_index
+                     for e in want.trace])
+
+
+def frozen_totals(want):
+    return np.array([e.total_energy for e in want.trace])
+
+
+def hidden_improvement(want, sc, cfg) -> bool:
+    """The frozen loop stopped on a bump that lowered its task's energy, by
+    less than the rounding of its pairwise total."""
+    if want.termination != TERMINATION_SATURATED or len(want.trace) < 2:
+        return False
+    idx = want.trace[-1].adjusted_task_index
+    local, offload = greedy.task_energy_endpoints(sc)
+    ratio = float(want.offload_ratios[idx])
+    bumped = ratio + cfg.step
+    bumped = 1.0 if bumped >= 1.0 - 1e-12 else bumped
+    return energy_at(local[idx], offload[idx], bumped) < energy_at(local[idx], offload[idx], ratio)
+
+
+def assert_same_solution(got, want, sc, cfg):
+    """Picks, termination, ratio and energy bytes as the frozen loop's;
+    totals exact and within 1e-12 relative of the frozen pairwise ones."""
+    assert [e.iteration for e in want.trace] == list(range(len(want.trace)))
+    assert_exact_totals(got, sc, cfg)
+    if hidden_improvement(want, sc, cfg):  # the one allowed difference: the merge goes on
+        assert got.evaluations >= len(want.trace)
+        assert np.array_equal(got.trace_picks[:len(want.trace)], frozen_picks(want))
+        np.testing.assert_allclose(got.trace_totals[:len(want.trace)], frozen_totals(want),
+                                   rtol=1e-12, atol=0.0)
+        return
     assert got.offload_ratios.dtype == want.offload_ratios.dtype
     assert got.offload_ratios.tobytes() == want.offload_ratios.tobytes()
     assert got.per_task_energy.dtype == want.per_task_energy.dtype
     assert got.per_task_energy.tobytes() == want.per_task_energy.tobytes()
-    assert got.total_energy == want.total_energy
-    assert [e.iteration for e in want.trace] == list(range(len(want.trace)))
-    assert got.trace_totals == [e.total_energy for e in want.trace]
-    assert got.trace_picks == [-1 if e.adjusted_task_index is None
-                               else e.adjusted_task_index for e in want.trace]
+    assert np.array_equal(got.trace_picks, frozen_picks(want))
     assert got.termination == want.termination
+    np.testing.assert_allclose(got.trace_totals, frozen_totals(want), rtol=1e-12, atol=0.0)
+    assert got.total_energy == pytest.approx(want.total_energy, rel=1e-12, abs=0.0)
+
+
+def assert_matches_frozen(sc, cfg):
+    assert_same_solution(optimize(sc, cfg), frozen_optimize(sc, cfg), sc, cfg)
 
 
 class TestMatchesReference:
     @settings(max_examples=300, deadline=None)
     @given(scenarios(), greedy_configs)
     def test_random_scenarios(self, sc, cfg):
-        assert_same_solution(optimize(sc, cfg), frozen_optimize(sc, cfg))
+        assert_matches_frozen(sc, cfg)
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 10_000), st.booleans(), greedy_configs)
     def test_sampled_scenarios(self, seed, balanced, cfg):
         spec = balanced_spec(seed) if balanced else ScenarioSpec(seed=seed)
         sc = generate_scenario(replace(spec, n_devices=2, tasks_per_device=4))
-        assert_same_solution(optimize(sc, cfg), frozen_optimize(sc, cfg))
+        assert_matches_frozen(sc, cfg)
 
     def test_scenario_carries_its_spectral_config(self):
         spectral = SpectralConfig(snr_linear=30.0, subcarrier_spacing_hz=15e3)
@@ -99,10 +164,10 @@ class TestMatchesReference:
         sc = generate_scenario(spec, spectral)
         got = optimize(sc, GreedyConfig())
         assert_same_solution(got, reference_greedy.optimize(
-            sc, GreedyConfig(), SpectralEfficiencyCache(spectral)))
+            sc, GreedyConfig(), SpectralEfficiencyCache(spectral)), sc, GreedyConfig())
         default = optimize(generate_scenario(spec), GreedyConfig())
         assert got.per_task_energy.tolist() != default.per_task_energy.tolist()
-        assert got.trace_totals != default.trace_totals
+        assert not np.array_equal(got.trace_totals, default.trace_totals)
 
     def test_all_tasks_tied(self):
         dev = Device(id=0, cpu_freq_hz=1e9, energy_coeff=1e-28)
@@ -113,7 +178,7 @@ class TestMatchesReference:
         sc = Scenario(devices=(dev,), tasks=tasks, channels=(ch,),
                       spectral_config=SpectralConfig())
         for cfg in (GreedyConfig(), GreedyConfig(step=1.0), GreedyConfig(init_ratio=0.0)):
-            assert_same_solution(optimize(sc, cfg), frozen_optimize(sc, cfg))
+            assert_matches_frozen(sc, cfg)
 
 
 def _run_cli(monkeypatch, reference: bool, args, out):
@@ -123,6 +188,14 @@ def _run_cli(monkeypatch, reference: bool, args, out):
     assert main([*args, "--out", str(out)]) == 0
     monkeypatch.undo()
     return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+
+def _split_trace(data: bytes):
+    """trace.csv as its (iteration, task_index) cells and its totals."""
+    rows = [line.split(b",") for line in data.split(b"\r\n")]
+    assert rows[0] == [b"iteration", b"total_energy_j", b"task_index"]
+    assert rows[-1] == [b""]
+    return [(r[0], r[2]) for r in rows[1:-1]], np.array([float(r[1]) for r in rows[1:-1]])
 
 
 class TestCliBytesMatchReference:
@@ -137,8 +210,20 @@ class TestCliBytesMatchReference:
     def test_optimize(self, tmp_path, monkeypatch, args):
         want = _run_cli(monkeypatch, True, args, tmp_path / "ref")
         got = _run_cli(monkeypatch, False, args, tmp_path / "new")
-        assert sorted(got) == ["solution.json", "trace.csv"]
-        assert got == want
+        assert sorted(got) == sorted(want) == ["solution.json", "trace.csv"]
+        # the iteration and task_index columns are byte-equal; the totals
+        # are correctly rounded and may move in the last digits
+        got_cells, got_totals = _split_trace(got["trace.csv"])
+        want_cells, want_totals = _split_trace(want["trace.csv"])
+        assert got_cells == want_cells
+        np.testing.assert_allclose(got_totals, want_totals, rtol=1e-12, atol=0.0)
+        got_solution, want_solution = (json.loads(files["solution.json"])
+                                       for files in (got, want))
+        got_total = got_solution.pop("total_energy_j")
+        want_total = want_solution.pop("total_energy_j")
+        assert got_solution == want_solution
+        assert got_total == pytest.approx(want_total, rel=1e-12, abs=0.0)
+        assert got_total == math.fsum(got_solution["per_task_energy_j"]) == got_totals.min()
 
     def test_balanced_gen_data(self, tmp_path, monkeypatch):
         spec = balanced_spec(0)
@@ -157,7 +242,7 @@ class TestCliBytesMatchReference:
 
 def _threshold_optimum(sc) -> float:
     local, offload = task_energy_endpoints(sc)
-    return float(np.minimum(local, offload).sum())
+    return math.fsum(np.minimum(local, offload).tolist())
 
 
 class TestClosedFormOptimum:
@@ -178,3 +263,135 @@ class TestClosedFormOptimum:
         sol = optimize(sc, GreedyConfig())
         assert sol.termination == TERMINATION_CONVERGED
         assert sol.total_energy == _threshold_optimum(sc)
+
+
+def _columns(monkeypatch, local, offload) -> Scenario:
+    """A scenario of len(local) tasks that both greedies price at these
+    energies at l=0 and l=1."""
+    local, offload = np.array(local, dtype=float), np.array(offload, dtype=float)
+    monkeypatch.setattr(greedy, "task_energy_endpoints",
+                        lambda sc: (local.copy(), offload.copy()))
+    monkeypatch.setattr(reference_greedy, "task_energy_endpoints",
+                        lambda sc, se_provider: (local.copy(), offload.copy()))
+    dev = Device(id=0, cpu_freq_hz=1e9, energy_coeff=1e-28)
+    ch = Channel(bandwidth_hz=1e6, noise_var_w=1e-3, gain=1.0, speed_mps=0.0,
+                 carrier_freq_hz=1e9)
+    tasks = tuple(Task(device_id=0, task_id=k + 1, data_bits=1e6, cycles_per_bit=1000.0)
+                  for k in range(len(local)))
+    return Scenario(devices=(dev,), tasks=tasks, channels=(ch,),
+                    spectral_config=SpectralConfig())
+
+
+class TestNamedDifference:
+    def test_a_fall_below_the_total_rounding_stops_only_the_frozen_loop(self, monkeypatch):
+        # task 0 falls by 2**-51 from 4.0, but the pairwise total 5 - 2**-51
+        # rounds half to even back to 5.0, so the frozen loop sees no gain
+        sc = _columns(monkeypatch, [4.0, 1.0], [4.0 - 2.0 ** -51, 0.5])
+        cfg = GreedyConfig(init_ratio=0.0, step=1.0)
+        want = frozen_optimize(sc, cfg)
+        assert want.termination == TERMINATION_SATURATED
+        assert frozen_totals(want).tolist() == [5.0, 5.0]
+        assert hidden_improvement(want, sc, cfg)
+        got = optimize(sc, cfg)
+        assert got.termination == TERMINATION_CONVERGED
+        assert got.trace_picks.tolist() == [-1, 0, 1]
+        assert got.offload_ratios.tolist() == [1.0, 1.0]
+        assert got.trace_totals.tolist() == [5.0, 5.0, 4.5]
+        assert_same_solution(got, want, sc, cfg)
+
+
+class TestEdgeCases:
+    def test_max_iters_at_the_converging_bump_count(self):
+        # the frozen loop checks for an empty heap before the cap
+        sc = generate_scenario(ScenarioSpec(seed=2, n_devices=2, tasks_per_device=3))
+        free = optimize(sc, GreedyConfig())
+        assert free.termination == TERMINATION_CONVERGED
+        bumps = free.evaluations - 1
+        for cap, termination in ((bumps, TERMINATION_CONVERGED),
+                                 (bumps - 1, TERMINATION_ITER_CAPPED),
+                                 (bumps + 1, TERMINATION_CONVERGED)):
+            cfg = GreedyConfig(max_iters=cap)
+            assert optimize(sc, cfg).termination == termination
+            assert_matches_frozen(sc, cfg)
+
+    def test_max_iters_at_the_saturating_bump(self):
+        sc = generate_scenario(balanced_spec(1))
+        free = optimize(sc, GreedyConfig())
+        assert free.termination == TERMINATION_SATURATED and free.evaluations > 3
+        bumps = free.evaluations - 1
+        for cap, termination in ((bumps, TERMINATION_SATURATED),
+                                 (bumps - 1, TERMINATION_ITER_CAPPED)):
+            cfg = GreedyConfig(max_iters=cap)
+            assert optimize(sc, cfg).termination == termination
+            assert_matches_frozen(sc, cfg)
+
+    @pytest.mark.parametrize("init_ratio, levels", [(1.0, 1), (1.0 - 1e-13, 2)])
+    def test_init_ratio_at_or_next_to_one(self, init_ratio, levels):
+        sc = generate_scenario(ScenarioSpec(seed=4, n_devices=2, tasks_per_device=3))
+        cfg = GreedyConfig(init_ratio=init_ratio)
+        sol = optimize(sc, cfg)
+        assert sol.ladder_energy.shape == (6, levels)
+        assert sol.evaluations == 1 + 6 * (levels - 1)
+        assert sol.termination == TERMINATION_CONVERGED
+        assert sol.offload_ratios.tolist() == [1.0] * 6
+        assert_matches_frozen(sc, cfg)
+
+    @pytest.mark.parametrize("init_ratio", [0.0, 0.5, 0.99])
+    def test_step_one(self, init_ratio):
+        for spec in (ScenarioSpec(seed=5), balanced_spec(5)):
+            assert_matches_frozen(generate_scenario(spec), GreedyConfig(init_ratio, 1.0))
+
+    def test_a_step_that_no_longer_moves_the_ratio(self):
+        # 4 tasks x 1,000,002 nominal levels, within the cap; the ladder stops at two
+        sc = generate_scenario(ScenarioSpec(seed=7, n_devices=2, tasks_per_device=2))
+        cfg = GreedyConfig(init_ratio=1.0 - 1e-11, step=1e-17)
+        sol = optimize(sc, cfg)
+        assert sol.termination == TERMINATION_SATURATED
+        assert sol.evaluations == 2
+        assert_matches_frozen(sc, cfg)
+
+    def test_zero_energy_tasks(self):
+        spec = ScenarioSpec(seed=6, n_devices=2, tasks_per_device=3)
+        sc = generate_scenario(replace(spec, data_bits=(0.0, 0.0)))
+        sol = optimize(sc, GreedyConfig())
+        assert sol.termination == TERMINATION_SATURATED
+        assert sol.trace_totals.tolist() == [0.0, 0.0]
+        assert_matches_frozen(sc, GreedyConfig())
+
+    def test_zero_energies_beside_large_ones(self, monkeypatch):
+        # every nonzero energy is >= 1, so the unit 2**emin is 2**-52 and a
+        # zero (frexp exponent 0) would shift by -1 without the clamp
+        sc = _columns(monkeypatch, [0.0, 3.0, 0.0, 1.5], [0.0, 1.0, 0.0, 1.0])
+        for cfg in (GreedyConfig(), GreedyConfig(init_ratio=0.0, step=0.25)):
+            assert_matches_frozen(sc, cfg)
+
+    def test_energies_of_2_53_and_above(self, monkeypatch):
+        sc = _columns(monkeypatch, [2.0 ** 53, 3 * 2.0 ** 60, 2.0 ** 53 + 2, 2.0 ** 70],
+                      [2.0 ** 52, 2.0 ** 61, 2.0 ** 53, 2.0 ** 69 + 2.0 ** 17])
+        for cfg in (GreedyConfig(), GreedyConfig(init_ratio=0.0, step=0.1),
+                    GreedyConfig(init_ratio=0.0, step=1.0)):
+            assert_matches_frozen(sc, cfg)
+
+    def test_subnormal_energies(self, monkeypatch):
+        tiny = 5e-324
+        sc = _columns(monkeypatch, [7 * tiny, 2.0 ** -1030, 3e-320, 2.0 ** -1022],
+                      [tiny, 2.0 ** -1040, 0.0, 2.0 ** -1023])
+        for cfg in (GreedyConfig(), GreedyConfig(init_ratio=0.0, step=0.125)):
+            sol = optimize(sc, cfg)
+            assert sol.trace_totals.min() < 2.0 ** -1022  # subnormal totals
+            assert_matches_frozen(sc, cfg)
+
+    def test_a_total_past_the_float_range_is_inf(self, monkeypatch):
+        # the second bump raises task 1 and the exact total passes the range
+        sc = _columns(monkeypatch, [1e308, 7e307], [9e307, 9e307])
+        cfg = GreedyConfig(init_ratio=0.0, step=1.0)
+        with np.errstate(over="ignore"):
+            want = frozen_optimize(sc, cfg)
+        got = optimize(sc, cfg)
+        assert got.termination == want.termination == TERMINATION_SATURATED
+        assert np.array_equal(got.trace_picks, frozen_picks(want))
+        best = math.fsum([9e307, 7e307])
+        assert got.trace_totals.tolist() == [math.fsum([1e308, 7e307]), best, math.inf]
+        assert got.total_energy == best
+        with pytest.raises(OverflowError):  # which is why fsum is not the rule here
+            math.fsum([9e307, 9e307])
