@@ -10,6 +10,7 @@ is seeded and single-threaded, so identical inputs give identical models.
 from __future__ import annotations
 
 import json
+import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +22,8 @@ MODEL_FORMAT = "offloadlab-clustered-model"
 MODEL_VERSION = 1
 
 RIDGE_JITTER = 1e-10  # added to the slope diagonal of the normal equations
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,11 +91,42 @@ class EvalReport:
         write_rows(path, ["k", "mae_j", "mse_j2"], list(zip(*self.rows)))
 
 
+def _sq_dists(cols: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """(k, m) squared distances from each centroid to each column of cols (d, m).
+
+    Features are added left to right whatever the memory layout of the
+    points: numpy reduces the leading axis of a C-ordered block one whole
+    slice at a time, in order (`test_kmeans_pruning` pins this to a loop).
+    """
+    d, m = cols.shape
+    diff = np.empty((d, len(centroids), m))
+    np.subtract(centroids.T[:, :, None], cols[:, None, :], out=diff)
+    diff *= diff
+    return diff.sum(axis=0)
+
+
+# A squared distance computed as inf is exactly at least DBL_MAX / (1 + (d +
+# 1) eps), so sqrt(_FAR_D2) = 1e154 is a valid lower bound on its distance.
+_FAR_D2 = 1e308
+
+
+def _assign(cols: np.ndarray, centroids: np.ndarray):
+    """Nearest centroid of each column of cols (d, m), ties to the lowest
+    index; the distance to it; and a lower bound on the distance to every
+    other centroid: the runner-up's distance, capped at 1e154."""
+    d2 = _sq_dists(cols, centroids)
+    labels = d2.argmin(axis=0)
+    at = np.arange(d2.shape[1])
+    nearest = np.sqrt(d2[labels, at])
+    d2[labels, at] = np.inf
+    return labels, nearest, np.sqrt(np.minimum(d2.min(axis=0), _FAR_D2))
+
+
 def _seed_centroids(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     # k-means++ D^2 sampling; falls back to uniform picks once all mass is 0
     n = len(points)
     chosen = [int(rng.integers(n))]
-    d2 = ((points - points[chosen[0]]) ** 2).sum(axis=1)
+    d2 = _sq_dists(points.T, points[chosen])[0]
     for _ in range(1, k):
         total = d2.sum()
         if total > 0.0:
@@ -100,13 +134,8 @@ def _seed_centroids(points: np.ndarray, k: int, rng: np.random.Generator) -> np.
         else:
             idx = int(rng.integers(n))
         chosen.append(idx)
-        d2 = np.minimum(d2, ((points - points[idx]) ** 2).sum(axis=1))
+        d2 = np.minimum(d2, _sq_dists(points.T, points[[idx]])[0])
     return points[chosen].copy()
-
-
-def _nearest(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    d2 = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
-    return d2.argmin(axis=1)
 
 
 def _repair_empty(points: np.ndarray, centroids: np.ndarray,
@@ -134,20 +163,74 @@ def _repair_empty(points: np.ndarray, centroids: np.ndarray,
     return repaired
 
 
-def _lloyd(points: np.ndarray, k: int, rng: np.random.Generator,
-           tol: float, max_iter: int):
+def _prune_slack(points: np.ndarray, max_iter: int) -> float:
+    """How far a row's bounds must clear each other for its label to be kept.
+
+    Every centroid is a point or a computed mean of points.  A sequential
+    sum of m values rounds by at most gamma_m = m eps / (1 - m eps) of their
+    magnitudes (eps = 2**-53), so a mean strays past its members' range by
+    at most (n + 1) eps max|x| per feature, and no point-centroid distance
+    or centroid move exceeds S = sqrt(d) (max span + (n + 1) 2**-52 max|x|).
+    The factor 2 below covers the rounding of S itself.
+
+    A computed distance (the square root of a left-to-right sum of d
+    rounded squares of rounded differences), like a computed centroid move,
+    is within gamma_(d+2) S <= (d + 3.4) eps S of the exact one; subnormal
+    underflow adds at most sqrt(d) 2**-537 < 1e-150.  A row last assigned
+    exactly t updates ago carries: those errors in its two distances (2
+    terms) and in the t moves added to each bound (2t terms); the rounding
+    of the t additions to the upper bound (<= 2 eps S each: a kept row has
+    upper < lower <= S before the update, for k >= 2; with k = 1 no label
+    can change) and of the t subtractions from
+    the lower (<= eps S each); that of the comparison (<= 2 eps S); and one
+    gamma_(d+2) S more, so that the computed squared distances, not only
+    the exact ones, put the own centroid strictly first.  The total is
+    below (2t + 3) ((d + 5) eps S + 1e-150), and t < max_iter.
+    """
+    n, d = points.shape
+    lo, hi = points.min(axis=0), points.max(axis=0)
+    reach = ((hi - lo).max(initial=0.0)
+             + (n + 1) * 2.0**-52 * np.maximum(-lo, hi).max(initial=0.0))
+    scale = 2.0 * np.sqrt(d) * reach
+    return (2 * max_iter + 3) * ((d + 5) * 2.0**-53 * scale + 1e-150)
+
+
+def _lloyd(points: np.ndarray, cols: np.ndarray, k: int, rng: np.random.Generator,
+           tol: float, max_iter: int, slack: float):
+    """Lloyd iterations from a k-means++ seeding.
+
+    `points` is C-ordered (n, d) and `cols` the same values as (d, n).  Each
+    point keeps an upper bound on the distance to its own centroid and a
+    lower bound on the distance to every other one (Hamerly, SDM 2010).
+    After an update the upper bound grows by its centroid's move and the
+    lower shrinks by the largest move.  A row is assigned again, exactly,
+    unless upper + slack < lower, which proves its label cannot change; a
+    NaN or inf bound never passes.  So the labels are bit for bit those of
+    a full assignment.
+    """
     centroids = _seed_centroids(points, k, rng)
-    d = points.shape[1]
+    n, d = points.shape
     # one bincount bin per (cluster, column); each bin adds its column in
     # row order, as a mean over the members' C-ordered gather would
     flat = points.ravel()
     columns = np.arange(d)
     prev_labels = None
+    bounded = False  # bounds hold: not on the first step, nor after a repair
     history: list[float] = []
+    repairs = recomputed = 0
     for iterations in range(1, max_iter + 1):
-        labels = _nearest(points, centroids)
+        if not bounded:
+            labels, upper, lower = _assign(cols, centroids)
+            recomputed += n
+        else:
+            stale = np.flatnonzero(~(upper + slack < lower))
+            if stale.size:
+                labels = labels.copy()
+                labels[stale], upper[stale], lower[stale] = _assign(cols[:, stale], centroids)
+                recomputed += stale.size
         counts = np.bincount(labels, minlength=k)
         repaired = _repair_empty(points, centroids, labels, counts)
+        repairs += repaired
         if not repaired and prev_labels is not None and np.array_equal(labels, prev_labels):
             break
         previous = centroids.copy()
@@ -157,11 +240,16 @@ def _lloyd(points: np.ndarray, k: int, rng: np.random.Generator,
         centroids[filled] = sums[filled] / counts[filled, None]
         history.append(float(((points - centroids[labels]) ** 2).sum()))
         prev_labels = labels
-        shift = float(np.sqrt(((centroids - previous) ** 2).sum(axis=1)).max())
+        moves = np.sqrt(((centroids - previous) ** 2).sum(axis=1))
+        shift = float(moves.max())
         if not repaired and shift < tol:
             break
+        # a repair jumps a centroid past these moves
+        bounded = not repaired
+        upper += moves[labels]
+        lower -= shift
     # the last update's inertia: a break before an update keeps its labels
-    return centroids, labels, history[-1], iterations, history
+    return centroids, labels, history[-1], iterations, history, repairs, recomputed
 
 
 def kmeans_fit(points: np.ndarray, k: int, seed: int = 0, tol: float = 1e-6,
@@ -169,7 +257,8 @@ def kmeans_fit(points: np.ndarray, k: int, seed: int = 0, tol: float = 1e-6,
     """Seeded k-means++ plus Lloyd iterations; the best of `restarts` runs.
 
     Restarts draw from one generator stream, so the result is a pure
-    function of (points, k, seed, tol, max_iter, restarts).
+    function of (points, k, seed, tol, max_iter, restarts), whatever the
+    memory layout of `points`.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or len(pts) == 0:
@@ -184,13 +273,17 @@ def kmeans_fit(points: np.ndarray, k: int, seed: int = 0, tol: float = 1e-6,
         raise ValueError("restarts must be >= 1")
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
+    rows, cols = np.ascontiguousarray(pts), np.ascontiguousarray(pts.T)
+    slack = _prune_slack(rows, max_iter)
     rng = np.random.default_rng(seed)
-    best = None
-    for _ in range(restarts):
-        candidate = _lloyd(pts, k, rng, tol, max_iter)
-        if best is None or candidate[2] < best[2]:
-            best = candidate
-    centroids, labels, inertia, iterations, history = best
+    runs = [_lloyd(rows, cols, k, rng, tol, max_iter, slack) for _ in range(restarts)]
+    # the first of the least inertias
+    best = min(range(restarts), key=lambda r: runs[r][2])
+    centroids, labels, inertia, iterations, history = runs[best][:5]
+    log.debug("kmeans_fit n=%d k=%d: iterations per restart %s, restart %d kept, "
+              "%d repairs, %d of %d rows recomputed", len(rows), k,
+              [run[3] for run in runs], best, sum(run[5] for run in runs),
+              sum(run[6] for run in runs), len(rows) * sum(run[3] for run in runs))
     return KMeansModel(k=k, centroids=centroids, inertia=inertia, seed=seed,
                        iterations_run=iterations, labels=labels,
                        inertia_history=tuple(history))
@@ -285,7 +378,7 @@ def predict_matrix(model: ClusteredModel, raw: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"expected {len(model.feature_subset)} feature columns, got {raw.shape[1]}")
     scaled = apply_min_max(raw, model.scaling)
-    labels = _nearest(scaled, model.kmeans.centroids)
+    labels = _assign(scaled.T, model.kmeans.centroids)[0]
     out = np.empty(len(scaled))
     for c, lm in enumerate(model.per_cluster):
         members = labels == c

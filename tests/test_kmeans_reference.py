@@ -6,7 +6,9 @@ the bincount update adds every column in the same row order, so the library
 must agree with it bit for bit.  With one feature the old mean was numpy's
 pairwise sum over a contiguous block, so there the centroids, inertia and
 history may move in the last places while the labels and iteration counts
-stay the same.  The CLI must write the same bytes with either k-means,
+stay the same.  The frozen code is run on a Fortran-ordered copy, the
+layout in which it sums features left to right as the library always
+does.  The CLI must write the same bytes with either k-means,
 and with the frozen CSV writers of `reference_writers` patched back in.
 """
 
@@ -71,7 +73,11 @@ def both(points, k, seed, restarts, forced=False):
                 stack.enter_context(mock.patch.object(module, "_seed_centroids",
                                                       colliding_seeds))
         got = cluster.kmeans_fit(points, k, seed=seed, restarts=restarts)
-        want = reference_kmeans.kmeans_fit(points, k, seed=seed, restarts=restarts)
+        # the library adds features left to right in every layout; the frozen
+        # code does so for Fortran-ordered points, and pairwise for C-ordered
+        # ones with eight or more features
+        want = reference_kmeans.kmeans_fit(np.asfortranarray(points), k, seed=seed,
+                                           restarts=restarts)
     return got, want
 
 
