@@ -17,9 +17,8 @@ from .datagen import (ColumnMap, IngestResult, ScenarioSpec, TrajectoryPoint,
                       ingest_trajectory_csv, trajectory_speeds)
 from .greedy import (GreedyConfig, OffloadSolution, get_total_energy, optimize,
                      write_trace_csv)
-from .model import (Channel, Device, Scenario, Task, implied_tx_power,
-                    local_energy, local_time, offload_energy, offload_time,
-                    total_energy, total_time, uplink_rate)
+from .model import (Channel, Device, Scenario, Task, implied_tx_power, local_time,
+                    offload_time, total_time, uplink_rate)
 from .spectral import (SpectralConfig, SpectralEfficiencyCache, calc_se,
                        doppler_shift)
 

@@ -24,7 +24,6 @@ from .config import SCHEMA, ConfigError, ExperimentConfig, load_config
 from .features import (TARGET_COLUMN, Dataset, feature_index, rank_features,
                        read_csv_matrix, resolve_subset, split_dataset, subset_label,
                        subset_pool, write_rows)
-from .model import task_energy_endpoints
 
 log = logging.getLogger("offloadlab")
 
@@ -88,8 +87,7 @@ def _sweep_point(args):
     cfg, pins = args
     scenario = datagen.generate_scenario(replace(cfg.scenario, **pins), cfg.spectral)
     solution = greedy.optimize(scenario, cfg.greedy)
-    local, _ = task_energy_endpoints(scenario)
-    return solution.total_energy, float(local.sum())
+    return solution.total_energy, float(solution.endpoints[0].sum())
 
 
 def cmd_sweep_modulation(cfg: ExperimentConfig) -> list[Path]:

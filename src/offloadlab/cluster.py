@@ -123,10 +123,15 @@ def _assign(cols: np.ndarray, centroids: np.ndarray):
 
 
 def _seed_centroids(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    # k-means++ D^2 sampling; falls back to uniform picks once all mass is 0
+    # k-means++ D^2 sampling; falls back to uniform picks once all mass is 0.
+    # A mass that overflows is drawn over points * 2**-e (exact), e the exponent of max|x|
     n = len(points)
     chosen = [int(rng.integers(n))]
+    scaled = points
     d2 = _sq_dists(points.T, points[chosen])[0]
+    if not np.isfinite(d2.sum()):
+        scaled = np.ldexp(points, -np.frexp(np.abs(points).max())[1])
+        d2 = _sq_dists(scaled.T, scaled[chosen])[0]
     for _ in range(1, k):
         total = d2.sum()
         if total > 0.0:
@@ -134,7 +139,7 @@ def _seed_centroids(points: np.ndarray, k: int, rng: np.random.Generator) -> np.
         else:
             idx = int(rng.integers(n))
         chosen.append(idx)
-        d2 = np.minimum(d2, _sq_dists(points.T, points[[idx]])[0])
+        d2 = np.minimum(d2, _sq_dists(scaled.T, scaled[[idx]])[0])
     return points[chosen].copy()
 
 

@@ -85,6 +85,7 @@ class OffloadSolution:
     termination: str
     ladder_energy: np.ndarray = field(repr=False)  # (tasks, levels): every energy in reach
     bumps: np.ndarray = field(repr=False)  # flat index into ladder_energy before each bump
+    endpoints: tuple[np.ndarray, np.ndarray] = field(repr=False)  # per-task energy at l=0, l=1
 
     @property
     def evaluations(self) -> int:
@@ -228,6 +229,7 @@ def optimize(scenario: Scenario, config: GreedyConfig) -> OffloadSolution:
         termination=termination,
         ladder_energy=energy,
         bumps=bumps[:n_bumps].copy(),
+        endpoints=(local, offload),
     )
 
 

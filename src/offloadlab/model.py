@@ -10,8 +10,10 @@ is uplink plus local compute.
 
 A `Scenario` holds three numpy record arrays, `devices`, index-aligned
 `channels` and `tasks`: `scenario.tasks.data_bits` is a column, `tasks[i]`
-one task.  `Device`, `Channel` and `Task` are the scalar formulas' argument
-types; a scenario built from sequences of them converts them to columns once.
+one task.  `task_energy_endpoints` prices every task over these columns, in
+the operation order of the frozen per-task loop in tests/reference_datagen.py.
+`Device`, `Channel` and `Task` are the time formulas' argument types; a
+scenario built from sequences of them converts them to columns once.
 
 All quantities are SI: bits, Hz, seconds, joules, watts, m/s.
 """
@@ -137,22 +139,6 @@ def local_time(task: Task, device: Device) -> float:
     return task.cycles_per_bit * (1.0 - task.offload_ratio) * task.data_bits / device.cpu_freq_hz
 
 
-def _clock_squared(cpu_freq_hz: float) -> float:
-    """A clock squared as a Python float (numpy's array x**2 can round
-    differently); a square that overflows is a ValueError."""
-    try:
-        return float(cpu_freq_hz) ** 2
-    except OverflowError:
-        raise ValueError("cpu_freq_hz squared overflows a float") from None
-
-
-def local_energy(task: Task, device: Device) -> float:
-    """Joules burned by the device CPU on the on-device share."""
-    everything = (device.energy_coeff * task.cycles_per_bit
-                  * _clock_squared(device.cpu_freq_hz) * task.data_bits)
-    return energy_at(everything, 0.0, task.offload_ratio)
-
-
 def _check_se(se: float) -> None:
     if se > SE_MAX:
         raise ValueError(f"spectral efficiency {se} exceeds {SE_MAX}; channel state is malformed")
@@ -185,26 +171,21 @@ def implied_tx_power(channel: Channel, se: float) -> float:
     return tx_power(se, channel.noise_var_w, channel.gain)
 
 
-def offload_energy(task: Task, channel: Channel, se: float) -> float:
-    """Joules spent transmitting the offloaded share: transmit power, pinned
-    at the level that makes se achievable, times transmit time."""
-    if task.offload_ratio == 0.0 or task.data_bits == 0.0:
-        return 0.0
-    everything = implied_tx_power(channel, se) * task.data_bits / uplink_rate(channel, se)
-    return energy_at(0.0, everything, task.offload_ratio)
-
-
 def task_energy_endpoints(scenario: Scenario) -> tuple[np.ndarray, np.ndarray]:
     """Per-task energy at l=0 and l=1 over the scenario's columns, in the
-    operation order of `local_energy` and `offload_energy`.
+    operation order of the frozen per-task loop (tests/reference_datagen.py).
 
     Tasks without data cost nothing to offload.  Each device with data gets
-    one `calc_se` under the scenario's spectral config.  An endpoint that
-    overflows or is not finite is a ValueError.
+    one `calc_se` under the scenario's spectral config.  A clock whose
+    square overflows, or an endpoint that overflows or is not finite, is a
+    ValueError.
     """
     tasks, devices = scenario.tasks, scenario.devices
     dev, bits = tasks.device_id, tasks.data_bits
-    cpu_sq = np.array([_clock_squared(f) for f in devices.cpu_freq_hz.tolist()])
+    try:  # a float's ** 2, as in the frozen loop; numpy's array x**2 can round differently
+        cpu_sq = np.array([f ** 2 for f in devices.cpu_freq_hz.tolist()])
+    except OverflowError:
+        raise ValueError("cpu_freq_hz squared overflows a float") from None
 
     shipped = bits != 0.0
     power = np.zeros(len(devices))
@@ -228,8 +209,3 @@ def task_energy_endpoints(scenario: Scenario) -> tuple[np.ndarray, np.ndarray]:
 def total_time(task: Task, device: Device, channel: Channel, se: float) -> float:
     """Uplink time plus local compute time for one task."""
     return offload_time(task, channel, se) + local_time(task, device)
-
-
-def total_energy(task: Task, device: Device, channel: Channel, se: float) -> float:
-    """Device-side energy for one task; the edge server's share costs nothing."""
-    return offload_energy(task, channel, se) + local_energy(task, device)

@@ -32,9 +32,9 @@ class SpectralConfig:
 
 def doppler_shift(speed_mps: float, carrier_freq_hz: float) -> float:
     """Doppler shift in Hz for a device moving at speed_mps."""
-    if speed_mps < 0:
+    if not speed_mps >= 0:  # NaN fails these tests too
         raise ValueError("speed_mps must be >= 0")
-    if carrier_freq_hz <= 0:
+    if not carrier_freq_hz > 0:
         raise ValueError("carrier_freq_hz must be > 0")
     return speed_mps * carrier_freq_hz / LIGHT_SPEED_MPS
 

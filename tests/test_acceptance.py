@@ -29,10 +29,11 @@ from offloadlab.datagen import ScenarioSpec, build_dataset, generate_scenario
 from offloadlab.features import (PRIMARY_FEATURES, Dataset,
                                  mutual_information, rank_features,
                                  split_dataset)
-from offloadlab.greedy import GreedyConfig, optimize, task_energy_endpoints
-from offloadlab.model import (Channel, Device, Scenario, Task, local_energy,
-                              local_time, offload_energy, offload_time,
-                              total_energy, total_time)
+from offloadlab import model
+from offloadlab.greedy import (GreedyConfig, get_total_energy, optimize,
+                               task_energy_endpoints)
+from offloadlab.model import (Channel, Device, Scenario, Task, energy_at,
+                              local_time, offload_time, total_time)
 from offloadlab.spectral import SpectralConfig
 
 from helpers import balanced_spec
@@ -168,8 +169,9 @@ def _partition_optimum(points: np.ndarray, k: int) -> float:
 def test_criterion_01_energy_and_time_formulas():
     t0 = time.perf_counter()
     rng = np.random.default_rng(11)
-    worst = 0.0
-    for _ in range(1000):
+    # every draw is one task on its own device, whose carrier keys its se
+    devices, tasks, channels, ses, pairs, want_energy = [], [], [], {}, [], []
+    for i in range(1000):
         ratio = float(rng.uniform(0.0, 1.0))
         bits = float(rng.uniform(0.0, 1e8))
         cycles = float(rng.uniform(1.0, 1e4))
@@ -180,11 +182,12 @@ def test_criterion_01_energy_and_time_formulas():
         gain = float(rng.uniform(0.5, 1.5))
         se = float(rng.uniform(0.1, 20.0))
 
-        device = Device(id=0, cpu_freq_hz=cpu, energy_coeff=coeff)
-        task = Task(device_id=0, task_id=1, data_bits=bits,
-                    cycles_per_bit=cycles, offload_ratio=ratio)
-        channel = Channel(bandwidth_hz=bandwidth, noise_var_w=noise,
-                          gain=gain, speed_mps=0.0, carrier_freq_hz=1e9)
+        devices.append(Device(id=i, cpu_freq_hz=cpu, energy_coeff=coeff))
+        tasks.append(Task(device_id=i, task_id=1, data_bits=bits,
+                          cycles_per_bit=cycles, offload_ratio=ratio))
+        channels.append(Channel(bandwidth_hz=bandwidth, noise_var_w=noise,
+                                gain=gain, speed_mps=0.0, carrier_freq_hz=1e9 + i))
+        ses[1e9 + i] = se
 
         shipped = ratio * bits
         kept = (1.0 - ratio) * bits
@@ -193,18 +196,29 @@ def test_criterion_01_energy_and_time_formulas():
         want_local_t = cycles * kept / cpu
         want_off_t = shipped / (bandwidth * se)
 
-        pairs = (
-            (local_energy(task, device), want_local_e),
-            (offload_energy(task, channel, se), want_off_e),
-            (total_energy(task, device, channel, se), want_local_e + want_off_e),
-            (local_time(task, device), want_local_t),
-            (offload_time(task, channel, se), want_off_t),
-            (total_time(task, device, channel, se), want_local_t + want_off_t),
-        )
-        for got, want in pairs:
-            assert got == pytest.approx(want, rel=1e-12, abs=1e-300)
-            if want != 0.0:
-                worst = max(worst, abs(got - want) / abs(want))
+        want_energy += [want_local_e, want_off_e, want_local_e + want_off_e]
+        pairs += [
+            (local_time(tasks[i], devices[i]), want_local_t),
+            (offload_time(tasks[i], channels[i], se), want_off_t),
+            (total_time(tasks[i], devices[i], channels[i], se), want_local_t + want_off_t),
+        ]
+
+    scenario = Scenario(devices=devices, tasks=tasks, channels=channels,
+                        spectral_config=SpectralConfig())
+    ratios = np.array([task.offload_ratio for task in tasks])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(model, "calc_se", lambda speed, carrier, config: ses[carrier])
+        local, offload = task_energy_endpoints(scenario)
+        total = get_total_energy(ratios, scenario)
+    got_energy = np.column_stack([energy_at(local, 0.0, ratios),
+                                  energy_at(0.0, offload, ratios), total])
+    pairs += zip(got_energy.ravel().tolist(), want_energy)
+
+    worst = 0.0
+    for got, want in pairs:
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-300)
+        if want != 0.0:
+            worst = max(worst, abs(got - want) / abs(want))
     _finish(1, t0, 1.0, f"(1000 draws, max rel err {worst:.2e})")
 
 

@@ -1,13 +1,17 @@
 import csv
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from offloadlab import features
+import reference_datagen
+from offloadlab import datagen, features, model
 from offloadlab.cli import main
 from offloadlab.cluster import load_model
+from offloadlab.config import load_config
 from offloadlab.features import PRIMARY_FEATURES
+from offloadlab.spectral import SpectralEfficiencyCache
 
 
 def read_rows(path):
@@ -224,6 +228,27 @@ class TestSweeps:
         assert run("sweep-modulation", "--jobs", "2", "--out", str(parallel)) == 0
         assert ((serial / "sweep_modulation.csv").read_bytes()
                 == (parallel / "sweep_modulation.csv").read_bytes())
+
+    # default grids on the default 5 devices: 5 sizes and 4 speeds x 1 carrier
+    @pytest.mark.parametrize("command, calls", [("sweep-datasize", 25),
+                                                ("sweep-modulation", 20)])
+    def test_each_point_is_priced_once(self, tmp_path, monkeypatch, command, calls):
+        seen = []
+        calc_se = model.calc_se
+        monkeypatch.setattr(model, "calc_se", lambda *args: seen.append(args) or calc_se(*args))
+        assert run(command, "--seed", "3", "--jobs", "1", "--out", str(tmp_path)) == 0
+        assert len(seen) == calls
+
+    def test_all_local_column_is_the_frozen_loops_sum(self, tmp_path):
+        assert run("sweep-datasize", "--seed", "3", "--out", str(tmp_path)) == 0
+        rows = read_rows(tmp_path / "sweep_datasize.csv")[1:]
+        cfg = load_config(None, {"seed": "3"})
+        for size, row in zip(cfg.sweeps.data_size_grid, rows):
+            sc = datagen.generate_scenario(replace(cfg.scenario, data_bits=(size, size)),
+                                           cfg.spectral)
+            local, _ = reference_datagen.task_energy_endpoints(
+                sc, SpectralEfficiencyCache(cfg.spectral))
+            assert row[2] == repr(float(local.sum()))
 
     def test_parallel_datasize_matches_serial(self, tmp_path):
         grid = "--sweeps.data_size_grid=-0,0,2e6"

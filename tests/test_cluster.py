@@ -9,9 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from offloadlab.cluster import (ClusteredModel, EvalReport, KMeansModel,
-                                LinearModel, evaluate_models, fit_linear_model,
-                                kmeans_fit, load_model, predict_dataset,
-                                predict_matrix, save_model, train_clustered_models)
+                                LinearModel, _seed_centroids, evaluate_models,
+                                fit_linear_model, kmeans_fit, load_model,
+                                predict_dataset, predict_matrix, save_model,
+                                train_clustered_models)
 from offloadlab.features import Dataset, ScalingParams, apply_min_max, fit_min_max
 
 
@@ -123,6 +124,24 @@ class TestKMeans:
             kmeans_fit(np.arange(4.0), 1)
         with pytest.raises(ValueError):
             kmeans_fit(np.zeros((4, 1)), 2, restarts=0)
+
+    def test_fits_points_whose_squared_spread_overflows(self):
+        # squared distances of 1e400 make the k-means++ D^2 mass inf
+        pts = np.array([[0.0, 0.0], [1e200, 0.0], [0.0, 1e200], [1e200, 1e200]])
+        with np.errstate(over="ignore"):
+            model = kmeans_fit(pts, 2)
+        assert np.isfinite(model.centroids).all()
+        assert model.labels.shape == (4,)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_seeding_an_overflowing_mass_picks_the_unscaled_rows(self, seed):
+        pts = np.random.default_rng(seed).normal(size=(40, 3))
+        big = pts * 2.0**600
+        with np.errstate(over="ignore"):
+            assert not np.isfinite(((big - big[0]) ** 2).sum())
+            got = _seed_centroids(big, 5, np.random.default_rng(seed))
+        want = _seed_centroids(pts, 5, np.random.default_rng(seed))
+        assert np.array_equal(got, want * 2.0**600)
 
 
 def nearest_by_loop(centroids: np.ndarray, point: np.ndarray) -> int:

@@ -11,10 +11,11 @@ from offloadlab.greedy import (GreedyConfig, TERMINATION_CONVERGED,
                                TERMINATION_ITER_CAPPED, TERMINATION_SATURATED,
                                get_total_energy, optimize, write_trace_csv)
 from offloadlab.datagen import ScenarioSpec, generate_scenario
-from offloadlab.model import Channel, Device, Scenario, Task, total_energy
+from offloadlab.model import Channel, Device, Scenario, Task
 from offloadlab.spectral import SpectralConfig
 
-from helpers import EX_SE, example_channel, example_device, small_scenario
+import reference_datagen
+from helpers import EX_SE, example_channel, example_device, priced_at, small_scenario
 
 
 def default_scenario(seed: int) -> Scenario:
@@ -40,15 +41,13 @@ class TestConfig:
 
 class TestGetTotalEnergy:
     def test_matches_per_task_model(self):
+        # the frozen per-task loop, both priced at EX_SE
         sc = small_scenario()
-        ratios = np.full(3, 0.5)
-        got = get_total_energy(ratios, sc)
-        for i, t in enumerate(sc.tasks):
-            task = Task(device_id=t.device_id, task_id=i + 1, data_bits=t.data_bits,
-                        cycles_per_bit=t.cycles_per_bit, offload_ratio=0.5)
-            expected = total_energy(task, sc.devices[t.device_id],
-                                    sc.channels[t.device_id], EX_SE)
-            assert got[i] == pytest.approx(expected, rel=1e-12)
+        with priced_at(EX_SE):
+            got = get_total_energy(np.full(3, 0.5), sc)
+        local, offload = reference_datagen.task_energy_endpoints(
+            sc, lambda speed, carrier: EX_SE)
+        np.testing.assert_allclose(got, 0.5 * local + 0.5 * offload, rtol=1e-12)
 
     def test_all_local(self):
         sc = small_scenario()
@@ -65,7 +64,7 @@ class TestGetTotalEnergy:
             ch = sc.channels[task.device_id]
             p = (2.0 ** EX_SE - 1.0) * ch.noise_var_w / ch.gain
             expected = p * task.data_bits / (ch.bandwidth_hz * EX_SE)
-            assert got[i] == pytest.approx(expected, rel=1e-12)
+            assert got[i] == pytest.approx(expected, rel=1e-12, abs=0.0)
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):

@@ -5,13 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_datagen
 from offloadlab import greedy, model
 from offloadlab.greedy import get_total_energy, task_energy_endpoints
 from offloadlab.model import (CHANNEL_DTYPE, DEVICE_DTYPE, TASK_DTYPE, Channel,
-                              Device, Scenario, Task, implied_tx_power,
-                              local_energy, local_time, offload_energy,
-                              offload_time, total_energy, total_time,
-                              tx_power, uplink_rate)
+                              Device, Scenario, Task, energy_at, implied_tx_power,
+                              local_time, offload_time, total_time, tx_power,
+                              uplink_rate)
 from offloadlab.spectral import SpectralConfig
 
 from helpers import (EX_SE, example_channel, example_device, example_task,
@@ -23,6 +23,28 @@ cycle_counts = st.floats(1.0, 1e5)
 cpu_freqs = st.floats(1e6, 1e10)
 coeffs = st.floats(1e-30, 1e-26)
 ses = st.floats(1e-3, 60.0)
+
+# the worked example's energy at l=1: all 8e6 bits at 1e-11 W over 1e6 * EX_SE bit/s
+EX_OFFLOAD_J = 1e-11 * 8e6 / (1e6 * EX_SE)
+
+
+def _scenario(*tasks, device=None, channel=None):
+    """The worked example's device and channel (or the given ones) with `tasks`."""
+    return Scenario(devices=(device or example_device(),), tasks=tasks,
+                    channels=(channel or example_channel(),),
+                    spectral_config=SpectralConfig())
+
+
+def _endpoints(*tasks, se=EX_SE, **kw):
+    """`task_energy_endpoints` of `_scenario(*tasks, **kw)` priced at `se`."""
+    with priced_at(se):
+        return task_energy_endpoints(_scenario(*tasks, **kw))
+
+
+def _energies(ratios, *tasks, se=EX_SE, **kw):
+    """`get_total_energy` of `_scenario(*tasks, **kw)` at `ratios`, priced at `se`."""
+    with priced_at(se):
+        return get_total_energy(np.asarray(ratios, dtype=float), _scenario(*tasks, **kw))
 
 
 class TestWorkedExample:
@@ -38,8 +60,10 @@ class TestWorkedExample:
         assert local_time(self.task, self.device) == pytest.approx(4.0, rel=1e-12)
 
     def test_local_energy(self):
-        # 1e-28 * 1000 * (1e9)^2 * 4e6
-        assert local_energy(self.task, self.device) == pytest.approx(0.4, rel=1e-12)
+        # 1e-28 * 1000 * (1e9)^2 * 8e6 at l=0, half of it at l=0.5
+        local, _ = _endpoints(self.task)
+        assert local[0] == pytest.approx(0.8, rel=1e-12)
+        assert energy_at(local[0], 0.0, 0.5) == pytest.approx(0.4, rel=1e-12)
 
     def test_uplink_rate(self):
         assert uplink_rate(self.channel, EX_SE) == pytest.approx(1e6 * EX_SE, rel=1e-12)
@@ -50,43 +74,40 @@ class TestWorkedExample:
 
     def test_implied_tx_power(self):
         # 2^log2(101) - 1 = 100, times noise 1e-13
-        assert implied_tx_power(self.channel, EX_SE) == pytest.approx(1e-11, rel=1e-12)
+        assert implied_tx_power(self.channel, EX_SE) == pytest.approx(1e-11, rel=1e-12, abs=0.0)
 
     def test_offload_energy(self):
         expected = 1e-11 * 0.5 * 8e6 / (1e6 * EX_SE)
-        assert offload_energy(self.task, self.channel, EX_SE) == pytest.approx(expected, rel=1e-12)
+        _, offload = _endpoints(self.task)
+        assert energy_at(0.0, offload[0], 0.5) == pytest.approx(expected, rel=1e-12, abs=0.0)
 
     def test_totals_compose(self):
         t = total_time(self.task, self.device, self.channel, EX_SE)
-        e = total_energy(self.task, self.device, self.channel, EX_SE)
         assert t == pytest.approx(
             offload_time(self.task, self.channel, EX_SE) + local_time(self.task, self.device),
             rel=1e-15)
-        assert e == pytest.approx(
-            offload_energy(self.task, self.channel, EX_SE) + local_energy(self.task, self.device),
-            rel=1e-15)
+        assert _energies([0.5], self.task)[0] == pytest.approx(0.4 + EX_OFFLOAD_J / 2,
+                                                               rel=1e-12, abs=0.0)
 
 
 class TestBoundaryRatios:
     def test_full_local(self):
         task = example_task(ratio=0.0)
         assert offload_time(task, example_channel(), EX_SE) == 0.0
-        assert offload_energy(task, example_channel(), EX_SE) == 0.0
-        assert local_energy(task, example_device()) == pytest.approx(0.8, rel=1e-12)
+        assert _energies([0.0], task)[0] == pytest.approx(0.8, rel=1e-12)
 
     def test_full_offload(self):
         task = example_task(ratio=1.0)
         assert local_time(task, example_device()) == 0.0
-        assert local_energy(task, example_device()) == 0.0
-        assert offload_energy(task, example_channel(), EX_SE) > 0.0
+        assert _energies([1.0], task)[0] == pytest.approx(EX_OFFLOAD_J, rel=1e-12, abs=0.0)
 
     def test_zero_data_is_free(self):
         task = example_task(ratio=0.7, data_bits=0.0)
         assert local_time(task, example_device()) == 0.0
-        assert local_energy(task, example_device()) == 0.0
         assert offload_time(task, example_channel(), EX_SE) == 0.0
-        assert offload_energy(task, example_channel(), EX_SE) == 0.0
-        assert total_energy(task, example_device(), example_channel(), EX_SE) == 0.0
+        local, offload = _endpoints(task)
+        assert local.tolist() == offload.tolist() == [0.0]
+        assert _energies([0.7], task).tolist() == [0.0]
 
 
 class TestSeDomain:
@@ -95,17 +116,17 @@ class TestSeDomain:
         with pytest.raises(ValueError):
             offload_time(task, example_channel(), 0.0)
         with pytest.raises(ValueError):
-            offload_energy(task, example_channel(), -1.0)
+            _endpoints(task, se=-1.0)
 
     def test_nonpositive_se_tolerated_when_idle(self):
-        task = example_task(ratio=0.0)
-        assert offload_time(task, example_channel(), -1.0) == 0.0
-        assert offload_energy(task, example_channel(), 0.0) == 0.0
+        # nothing shipped: no formula asks for the spectral efficiency
+        assert offload_time(example_task(ratio=0.0), example_channel(), -1.0) == 0.0
+        _, offload = _endpoints(example_task(data_bits=0.0), se=0.0)
+        assert offload.tolist() == [0.0]
 
     def test_overflow_guard(self):
-        task = example_task(ratio=0.5)
         with pytest.raises(ValueError):
-            offload_energy(task, example_channel(), 64.5)
+            _endpoints(example_task(ratio=0.5), se=64.5)
         with pytest.raises(ValueError):
             implied_tx_power(example_channel(), 65.0)
         with pytest.raises(ValueError):
@@ -123,9 +144,7 @@ class TestSeDomain:
         lambda se: implied_tx_power(example_channel(), se),
         lambda se: uplink_rate(example_channel(), se),
         lambda se: offload_time(example_task(ratio=0.5), example_channel(), se),
-        lambda se: offload_energy(example_task(ratio=0.5), example_channel(), se),
-    ], ids=["tx_power", "implied_tx_power", "uplink_rate", "offload_time",
-            "offload_energy"])
+    ], ids=["tx_power", "implied_tx_power", "uplink_rate", "offload_time"])
     def test_nan_se_rejected(self, formula):
         with pytest.raises(ValueError, match="must be > 0"):
             formula(float("nan"))
@@ -183,22 +202,21 @@ class TestProperties:
     @settings(max_examples=100, deadline=None)
     @given(l=ratios, d=data_sizes, c=cycle_counts, f=cpu_freqs, eps=coeffs)
     def test_shares_partition_the_data(self, l, d, c, f, eps):
+        # the device's energy on the kept (1 - l) d bits plus that on the
+        # other l d bits is its energy on all d bits
         dev = Device(id=0, cpu_freq_hz=f, energy_coeff=eps)
-        here = Task(device_id=0, task_id=1, data_bits=d, cycles_per_bit=c, offload_ratio=l)
-        flipped = Task(device_id=0, task_id=1, data_bits=d, cycles_per_bit=c, offload_ratio=1.0 - l)
-        everything = Task(device_id=0, task_id=1, data_bits=d, cycles_per_bit=c, offload_ratio=0.0)
-        total = local_energy(here, dev) + local_energy(flipped, dev)
-        assert total == pytest.approx(local_energy(everything, dev), rel=1e-9, abs=1e-30)
+        tasks = [Task(device_id=0, task_id=k, data_bits=bits, cycles_per_bit=c)
+                 for k, bits in enumerate(((1.0 - l) * d, l * d, d))]
+        local, _ = _endpoints(*tasks, device=dev)
+        assert local[0] + local[1] == pytest.approx(local[2], rel=1e-9, abs=1e-30)
 
     @settings(max_examples=100, deadline=None)
     @given(l=ratios, d=st.floats(1.0, 1e9), se=ses)
     def test_energy_linear_in_data_size(self, l, d, se):
-        dev = example_device()
-        ch = example_channel()
-        small = Task(device_id=0, task_id=1, data_bits=d, cycles_per_bit=500.0, offload_ratio=l)
-        big = Task(device_id=0, task_id=1, data_bits=2.0 * d, cycles_per_bit=500.0, offload_ratio=l)
-        assert total_energy(big, dev, ch, se) == pytest.approx(
-            2.0 * total_energy(small, dev, ch, se), rel=1e-12)
+        small = Task(device_id=0, task_id=1, data_bits=d, cycles_per_bit=500.0)
+        big = Task(device_id=0, task_id=2, data_bits=2.0 * d, cycles_per_bit=500.0)
+        energy = _energies([l, l], small, big, se=se)
+        assert energy[1] == pytest.approx(2.0 * energy[0], rel=1e-12, abs=0.0)
 
     @settings(max_examples=100, deadline=None)
     @given(l=ratios, se=ses)
@@ -207,39 +225,36 @@ class TestProperties:
         ch = example_channel()
         task = example_task(ratio=l)
         assert local_time(task, dev) >= 0.0
-        assert local_energy(task, dev) >= 0.0
         assert offload_time(task, ch, se) >= 0.0
-        assert offload_energy(task, ch, se) >= 0.0
         assert total_time(task, dev, ch, se) >= 0.0
-        assert total_energy(task, dev, ch, se) >= 0.0
+        local, offload = _endpoints(task, se=se)
+        assert local[0] >= 0.0 and offload[0] >= 0.0
+        assert _energies([l], task, se=se)[0] >= 0.0
 
     @settings(max_examples=100, deadline=None)
     @given(l1=ratios, l2=ratios)
     def test_monotone_tradeoff_in_ratio(self, l1, l2):
         if l1 > l2:
             l1, l2 = l2, l1
-        dev = example_device()
-        ch = example_channel()
-        lo, hi = example_task(ratio=l1), example_task(ratio=l2)
-        assert local_energy(hi, dev) <= local_energy(lo, dev)
-        assert offload_energy(hi, ch, EX_SE) >= offload_energy(lo, ch, EX_SE)
+        local, offload = (e[0] for e in _endpoints(example_task()))
+        lo_local, hi_local = energy_at(local, 0.0, l1), energy_at(local, 0.0, l2)
+        lo_offload, hi_offload = energy_at(0.0, offload, l1), energy_at(0.0, offload, l2)
+        assert hi_local <= lo_local
+        assert hi_offload >= lo_offload
         # strictness needs a gap float arithmetic can actually see: a ratio
         # bump of 1e-300 leaves (1 - l) bitwise unchanged
         if l2 - l1 > 1e-9:
-            assert local_energy(hi, dev) < local_energy(lo, dev)
-            assert offload_energy(hi, ch, EX_SE) > offload_energy(lo, ch, EX_SE)
+            assert hi_local < lo_local
+            assert hi_offload > lo_offload
 
     def test_energy_affine_in_ratio(self):
-        dev = example_device()
-        ch = example_channel()
-        e0 = total_energy(example_task(ratio=0.0), dev, ch, EX_SE)
-        e1 = total_energy(example_task(ratio=1.0), dev, ch, EX_SE)
-        for step in range(11):
-            l = step / 10.0
-            expected = (1.0 - l) * e0 + l * e1
-            got = total_energy(example_task(ratio=l), dev, ch, EX_SE)
-            assert got == pytest.approx(expected, rel=1e-12)
-            assert got >= min(e0, e1) - 1e-12 * abs(min(e0, e1))
+        # eleven copies of the worked example's task at l = 0, 0.1, ..., 1
+        e0, e1 = 0.8, EX_OFFLOAD_J
+        ls = np.arange(11) / 10.0
+        got = _energies(ls, *(example_task(task_id=k + 1) for k in range(11)))
+        for l, e in zip(ls.tolist(), got.tolist()):
+            assert e == pytest.approx((1.0 - l) * e0 + l * e1, rel=1e-12, abs=0.0)
+            assert e >= min(e0, e1) - 1e-12 * abs(min(e0, e1))
 
 
 class TestSystemTotal:
@@ -265,18 +280,21 @@ class TestSystemTotal:
         assert got == pytest.approx(expected, rel=1e-12)
 
     def test_edge_server_share_costs_nothing(self):
-        # doubling only the offloaded share's compute difficulty changes nothing:
-        # the edge server's cycles are not billed
+        # doubling every task's compute difficulty bills only the device's
+        # share: the edge server's cycles are not billed
         sc = small_scenario()
-        base = get_total_energy(np.full(3, 0.5), sc).sum()
-        parts = 0.0
-        for t in sc.tasks:
-            task = Task(device_id=t.device_id, task_id=1, data_bits=t.data_bits,
-                        cycles_per_bit=t.cycles_per_bit)
-            dev = sc.devices[t.device_id]
-            ch = sc.channels[t.device_id]
-            parts += offload_energy(task, ch, EX_SE) + local_energy(task, dev)
-        assert base == pytest.approx(parts, rel=1e-15)
+        tasks = sc.tasks.copy()
+        tasks.cycles_per_bit *= 2.0
+        harder = Scenario(devices=sc.devices, tasks=tasks, channels=sc.channels,
+                          spectral_config=SpectralConfig())
+        ones = np.ones(3)
+        assert get_total_energy(ones, harder).tolist() == get_total_energy(ones, sc).tolist()
+        half = np.full(3, 0.5)
+        extra = get_total_energy(half, harder) - get_total_energy(half, sc)
+        dev = sc.devices[sc.tasks.device_id]
+        want = (dev.energy_coeff * sc.tasks.cycles_per_bit * dev.cpu_freq_hz ** 2
+                * 0.5 * sc.tasks.data_bits)
+        np.testing.assert_allclose(extra, want, rtol=1e-9)
 
 
 def _columns(sc):
@@ -366,40 +384,25 @@ SINGLE_TASK = dict(
     se=st.floats(0.1, 20.0))
 
 
-def _one_task(ratio, bits, cycles, cpu, coeff, bandwidth, noise, gain):
-    device = Device(id=0, cpu_freq_hz=cpu, energy_coeff=coeff)
-    task = Task(device_id=0, task_id=1, data_bits=bits, cycles_per_bit=cycles,
-                offload_ratio=ratio)
-    channel = Channel(bandwidth_hz=bandwidth, noise_var_w=noise, gain=gain,
-                      speed_mps=0.0, carrier_freq_hz=1e9)
-    scenario = Scenario(devices=(device,), tasks=(task,), channels=(channel,),
-                        spectral_config=SpectralConfig())
-    return task, device, channel, scenario
+def _one_task(bits, cycles, cpu, coeff, bandwidth, noise, gain):
+    return _scenario(Task(device_id=0, task_id=1, data_bits=bits, cycles_per_bit=cycles),
+                     device=Device(id=0, cpu_freq_hz=cpu, energy_coeff=coeff),
+                     channel=Channel(bandwidth_hz=bandwidth, noise_var_w=noise, gain=gain,
+                                     speed_mps=0.0, carrier_freq_hz=1e9))
 
 
 class TestScalarMatchesColumn:
-    """The scalar formulas and the column path are one formula: equal with ==."""
+    """The frozen per-task loop and the column path price a task alike: equal with ==."""
 
     @settings(max_examples=300, deadline=None)
     @given(**SINGLE_TASK)
     def test_total_energy_equals_the_column_entry(self, ratio, bits, cycles, cpu, coeff,
                                                   bandwidth, noise, gain, se):
-        task, device, channel, sc = _one_task(ratio, bits, cycles, cpu, coeff,
-                                              bandwidth, noise, gain)
+        sc = _one_task(bits, cycles, cpu, coeff, bandwidth, noise, gain)
         with priced_at(se):
             column = get_total_energy(np.array([ratio]), sc)
-        assert total_energy(task, device, channel, se) == column[0]
-
-    @settings(max_examples=100, deadline=None)
-    @given(**SINGLE_TASK)
-    def test_each_share_is_energy_at_of_its_endpoint(self, ratio, bits, cycles, cpu, coeff,
-                                                     bandwidth, noise, gain, se):
-        task, device, channel, sc = _one_task(ratio, bits, cycles, cpu, coeff,
-                                              bandwidth, noise, gain)
-        with priced_at(se):
-            local, offload = model.task_energy_endpoints(sc)
-        assert local_energy(task, device) == model.energy_at(local[0], 0.0, ratio)
-        assert offload_energy(task, channel, se) == model.energy_at(0.0, offload[0], ratio)
+        local, offload = reference_datagen.task_energy_endpoints(sc, lambda speed, carrier: se)
+        assert column[0] == local[0] * (1.0 - ratio) + offload[0] * ratio
 
     def test_energy_at_takes_floats_and_arrays(self):
         ratios = np.array([0.0, 0.25, 1.0])
@@ -413,20 +416,20 @@ class TestScalarMatchesColumn:
 
 class TestNonFiniteEndpoints:
     def test_transmit_power_overflow(self):
-        sc = _one_task(0.5, 1e6, 100.0, 1e9, 1e-28, 1e6, 1e-13, 1e-320)[3]
+        sc = _one_task(1e6, 100.0, 1e9, 1e-28, 1e6, 1e-13, 1e-320)
         with priced_at(6.0), pytest.raises(ValueError, match="not finite"):
             model.task_energy_endpoints(sc)
 
     def test_cpu_frequency_squared_overflow(self):
-        # the column path and the scalar formulas raise the same error
-        task, device, channel, sc = _one_task(0.5, 1e6, 100.0, 1e200, 1e-28, 1e6, 1e-13, 1.0)
+        # every way to price the task raises the same error
+        sc = _one_task(1e6, 100.0, 1e200, 1e-28, 1e6, 1e-13, 1.0)
         for energy in (lambda: model.task_energy_endpoints(sc),
-                       lambda: local_energy(task, device),
-                       lambda: total_energy(task, device, channel, EX_SE)):
+                       lambda: get_total_energy(np.array([0.5]), sc),
+                       lambda: greedy.optimize(sc, greedy.GreedyConfig())):
             with pytest.raises(ValueError, match="cpu_freq_hz squared overflows"):
                 energy()
 
     def test_local_energy_overflow(self):
-        sc = _one_task(0.5, 1e8, 1e4, 1e150, 1.0, 1e6, 1e-13, 1.0)[3]
+        sc = _one_task(1e8, 1e4, 1e150, 1.0, 1e6, 1e-13, 1.0)
         with pytest.raises(ValueError, match="not finite"):
             model.task_energy_endpoints(sc)

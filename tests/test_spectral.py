@@ -32,6 +32,12 @@ class TestDopplerShift:
         with pytest.raises(ValueError):
             doppler_shift(10.0, 0.0)
 
+    @pytest.mark.parametrize("speed,carrier,field", [
+        (math.nan, 1e9, "speed_mps"), (10.0, math.nan, "carrier_freq_hz")])
+    def test_rejects_nan(self, speed, carrier, field):
+        with pytest.raises(ValueError, match=field):
+            doppler_shift(speed, carrier)
+
 
 class TestCalcSe:
     def test_static_channel_hits_full_snr(self):
@@ -63,6 +69,12 @@ class TestCalcSe:
     def test_rejects_negative_speed(self):
         with pytest.raises(ValueError):
             calc_se(-0.1, 1e9)
+
+    @pytest.mark.parametrize("speed,carrier,field", [
+        (math.nan, 1e9, "speed_mps"), (10.0, math.nan, "carrier_freq_hz")])
+    def test_rejects_nan(self, speed, carrier, field):
+        with pytest.raises(ValueError, match=field):
+            calc_se(speed, carrier)
 
 
 class TestSpectralConfig:
