@@ -1,9 +1,9 @@
 """Energy-optimal computation offloading for edge-served mobile devices.
 
-The package covers the full loop: a per-task time/energy model with partial
+The package covers the full loop: a per-task energy model with partial
 offloading, a mobility-aware spectral efficiency surrogate, a greedy
-offload-ratio optimizer, scenario/dataset generation (including GPS trace
-ingestion), and a clustered linear predictor of task energy.
+offload-ratio optimizer, scenario/dataset generation, and a clustered
+linear predictor of task energy.
 """
 
 from .cluster import (ClusteredModel, EvalReport, KMeansModel, LinearModel,
@@ -12,13 +12,10 @@ from .cluster import (ClusteredModel, EvalReport, KMeansModel, LinearModel,
 from .features import (CANONICAL_FEATURES, PRIMARY_FEATURES, Dataset,
                        ScalingParams, apply_min_max, fit_min_max,
                        mutual_information, rank_features, split_dataset)
-from .datagen import (ColumnMap, IngestResult, ScenarioSpec, TrajectoryPoint,
-                      VED_COLUMNS, build_dataset, generate_scenario,
-                      ingest_trajectory_csv, trajectory_speeds)
+from .datagen import ScenarioSpec, build_dataset, generate_scenario
 from .greedy import (GreedyConfig, OffloadSolution, get_total_energy, optimize,
                      write_trace_csv)
-from .model import (Channel, Device, Scenario, Task, implied_tx_power, local_time,
-                    offload_time, total_time, uplink_rate)
+from .model import Channel, Device, Scenario, Task, implied_tx_power
 from .spectral import (SpectralConfig, SpectralEfficiencyCache, calc_se,
                        doppler_shift)
 

@@ -35,7 +35,6 @@ DATASET_FILE = "dataset.csv"
 MODEL_FILE = "model.json"
 PREDICTIONS_FILE = "predictions.csv"
 MI_RANKING_FILE = "mi_ranking.csv"
-SPEEDS_FILE = "speeds.csv"
 
 
 def _setup_logging() -> None:
@@ -187,34 +186,6 @@ def cmd_evaluate(cfg: ExperimentConfig) -> list[Path]:
     return written
 
 
-def cmd_ingest(cfg: ExperimentConfig) -> list[Path]:
-    if cfg.ingest.path is None:
-        raise ValueError("ingest needs ingest.path (or --ingest.path)")
-    result = datagen.ingest_trajectory_csv(cfg.ingest.path, cfg.ingest.column_map)
-    trip_ids, segments, speeds = [], [], []
-    short_trips = unordered_trips = 0
-    for trip, points in result.trips.items():
-        if len(points) < 2:
-            short_trips += 1
-            continue
-        try:
-            trip_speeds = datagen.trajectory_speeds(points)
-        except ValueError:  # timestamps out of order
-            unordered_trips += 1
-            continue
-        trip_ids += [trip] * len(trip_speeds)
-        segments += range(len(trip_speeds))
-        speeds += trip_speeds.tolist()
-    path = _out_dir(cfg) / SPEEDS_FILE
-    write_rows(path, ["trip_id", "segment", "speed_mps"], [trip_ids, segments, speeds])
-    print(f"rows read: {result.rows_read}")
-    print(f"rows skipped: {result.rows_skipped}")
-    print(f"trips: {len(result.trips)} ({short_trips} too short for speeds)")
-    print(f"trips with out-of-order timestamps: {unordered_trips}")
-    print(f"speed samples: {len(speeds)}")
-    return [path]
-
-
 _COMMANDS = {
     "optimize": (cmd_optimize, "greedy offload-ratio optimization of one scenario"),
     "sweep-modulation": (cmd_sweep_modulation, "total energy across a speed/carrier grid"),
@@ -223,7 +194,6 @@ _COMMANDS = {
     "train": (cmd_train, "fit the clustered energy predictor on a dataset CSV"),
     "predict": (cmd_predict, "apply a trained model to a feature CSV"),
     "evaluate": (cmd_evaluate, "k-sweep error report per feature subset"),
-    "ingest": (cmd_ingest, "convert GPS trajectories to per-trip speeds"),
 }
 
 

@@ -123,15 +123,10 @@ def _assign(cols: np.ndarray, centroids: np.ndarray):
 
 
 def _seed_centroids(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    # k-means++ D^2 sampling; falls back to uniform picks once all mass is 0.
-    # A mass that overflows is drawn over points * 2**-e (exact), e the exponent of max|x|
+    # k-means++ D^2 sampling; falls back to uniform picks once all mass is 0
     n = len(points)
     chosen = [int(rng.integers(n))]
-    scaled = points
     d2 = _sq_dists(points.T, points[chosen])[0]
-    if not np.isfinite(d2.sum()):
-        scaled = np.ldexp(points, -np.frexp(np.abs(points).max())[1])
-        d2 = _sq_dists(scaled.T, scaled[chosen])[0]
     for _ in range(1, k):
         total = d2.sum()
         if total > 0.0:
@@ -139,8 +134,20 @@ def _seed_centroids(points: np.ndarray, k: int, rng: np.random.Generator) -> np.
         else:
             idx = int(rng.integers(n))
         chosen.append(idx)
-        d2 = np.minimum(d2, _sq_dists(scaled.T, scaled[[idx]])[0])
+        d2 = np.minimum(d2, _sq_dists(points.T, points[[idx]])[0])
     return points[chosen].copy()
+
+
+def _scale_exponent(points: np.ndarray) -> int:
+    """0, or the exponent e of max|x| when the squared spread overflows.
+
+    Twice n times the squared diagonal of the bounding box bounds every
+    squared distance, the D^2 mass and the inertia.  Where it overflows,
+    k-means runs on points * 2**-e, which is exact and puts max|x| below 1.
+    """
+    with np.errstate(over="ignore"):
+        spread2 = 2.0 * len(points) * np.square(points.max(axis=0) - points.min(axis=0)).sum()
+    return int(np.frexp(np.abs(points).max())[1]) if spread2 == np.inf else 0
 
 
 def _repair_empty(points: np.ndarray, centroids: np.ndarray,
@@ -263,7 +270,9 @@ def kmeans_fit(points: np.ndarray, k: int, seed: int = 0, tol: float = 1e-6,
 
     Restarts draw from one generator stream, so the result is a pure
     function of (points, k, seed, tol, max_iter, restarts), whatever the
-    memory layout of `points`.
+    memory layout of `points`.  Points whose squared spread overflows are
+    fitted at the exact scale 2**-e of `_scale_exponent`, and the results
+    scaled back.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or len(pts) == 0:
@@ -278,13 +287,21 @@ def kmeans_fit(points: np.ndarray, k: int, seed: int = 0, tol: float = 1e-6,
         raise ValueError("restarts must be >= 1")
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
-    rows, cols = np.ascontiguousarray(pts), np.ascontiguousarray(pts.T)
+    rows = np.ascontiguousarray(pts)
+    e = _scale_exponent(rows)
+    if e:
+        rows, tol = np.ldexp(rows, -e), tol * 2.0**-e
+    cols = np.ascontiguousarray(rows.T)
     slack = _prune_slack(rows, max_iter)
     rng = np.random.default_rng(seed)
     runs = [_lloyd(rows, cols, k, rng, tol, max_iter, slack) for _ in range(restarts)]
-    # the first of the least inertias
+    # the first of the least (scaled) inertias
     best = min(range(restarts), key=lambda r: runs[r][2])
     centroids, labels, inertia, iterations, history = runs[best][:5]
+    if e:
+        with np.errstate(over="ignore"):  # an inertia past the float range is inf
+            centroids = np.ldexp(centroids, e)
+            inertia, *history = np.ldexp([inertia, *history], 2 * e).tolist()
     log.debug("kmeans_fit n=%d k=%d: iterations per restart %s, restart %d kept, "
               "%d repairs, %d of %d rows recomputed", len(rows), k,
               [run[3] for run in runs], best, sum(run[5] for run in runs),

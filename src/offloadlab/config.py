@@ -13,7 +13,7 @@ from dataclasses import dataclass, fields, is_dataclass
 
 import yaml
 
-from .datagen import SAMPLED_FIELDS, VED_COLUMNS, ColumnMap, ScenarioSpec
+from .datagen import SAMPLED_FIELDS, ScenarioSpec
 from .features import check_subsets, subset_entry
 from .greedy import GreedyConfig
 from .spectral import SpectralConfig
@@ -80,12 +80,6 @@ class DatagenConfig:
 
 
 @dataclass(frozen=True)
-class IngestConfig:
-    path: str | None = None
-    column_map: ColumnMap = VED_COLUMNS
-
-
-@dataclass(frozen=True)
 class ExperimentConfig:
     seed: int = 0
     out_dir: str = "out"
@@ -98,7 +92,6 @@ class ExperimentConfig:
     clustering: ClusteringConfig = ClusteringConfig()
     sweeps: SweepConfig = SweepConfig()
     datagen: DatagenConfig = DatagenConfig()
-    ingest: IngestConfig = IngestConfig()
 
     def __post_init__(self):
         if self.jobs < 1:
@@ -191,34 +184,6 @@ def _subsets(v) -> tuple:
     return tuple(out)
 
 
-def _column_map(v):
-    if isinstance(v, ColumnMap):
-        return v
-    if isinstance(v, str):
-        if v.lower() == "ved":
-            return VED_COLUMNS
-        if v.lstrip().startswith("{"):
-            try:
-                return _column_map(yaml.safe_load(v))
-            except yaml.YAMLError:
-                raise ConfigError(f"bad inline column_map {v!r}") from None
-        raise ConfigError(f"unknown column map preset {v!r}")
-    if isinstance(v, dict):
-        try:
-            return ColumnMap(
-                timestamp=str(v["timestamp"]),
-                lat=str(v["lat"]),
-                lon=str(v["lon"]),
-                trip_id=str(v["trip_id"]),
-                timestamp_scale=_float(v.get("timestamp_scale", 1.0)),
-            )
-        except KeyError as exc:
-            raise ConfigError(f"column_map is missing {exc.args[0]!r}") from None
-        except ValueError as exc:  # ColumnMap's own checks
-            raise ConfigError(str(exc)) from None
-    raise ConfigError(f"bad column_map {v!r}")
-
-
 # dotted field name -> coercion function; this is the whole config surface
 SCHEMA = {
     "seed": _int,
@@ -246,8 +211,6 @@ SCHEMA = {
     "sweeps.carrier_freq_grid": _floats,
     "sweeps.data_size_grid": _floats,
     "datagen.n_scenarios": _int,
-    "ingest.path": _opt(_str),
-    "ingest.column_map": _column_map,
 }
 
 # unset section seeds fall back to the top-level one

@@ -1,4 +1,4 @@
-"""Scenario sampling, GPS trajectory ingestion, and dataset assembly.
+"""Scenario sampling and dataset assembly.
 
 Scenarios are drawn from per-field uniform ranges with a seeded generator;
 a degenerate range (lo == hi) pins the field while keeping the draw stream
@@ -6,14 +6,12 @@ aligned, so two specs that differ only in a pinned value produce otherwise
 identical scenarios.  All uniforms of a scenario come from one
 ``rng.random`` block, mapped as ``lo + (hi - lo) * u``; that is exactly what
 one scalar ``rng.uniform`` draw per field computes, so the values match the
-field-by-field stream bit for bit.  Device speeds can alternatively come
-from recorded GPS trips, converted to ground speeds with a spherical-earth
-distance.  Datasets are assembled from whole columns per scenario.
+field-by-field stream bit for bit.  Datasets are assembled from whole
+columns per scenario.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -24,8 +22,6 @@ from .features import CANONICAL_FEATURES, Dataset
 from .model import _MAY_BE_ZERO, CHANNEL_DTYPE, DEVICE_DTYPE, TASK_DTYPE, Scenario
 # calc_se stays importable here: perfbench/selftest.py checks this import site
 from .spectral import SpectralConfig, calc_se  # noqa: F401
-
-EARTH_RADIUS_M = 6.371e6
 
 Range = tuple[float, float]
 
@@ -102,113 +98,6 @@ def generate_scenario(spec: ScenarioSpec,
         channels=_records(CHANNEL_DTYPE, values[:, d:c].T),
         tasks=_records(TASK_DTYPE, (device_ids, *values[:, c:].reshape(-1, 2).T)),
         spectral_config=cfg)
-
-
-@dataclass(frozen=True)
-class TrajectoryPoint:
-    timestamp_s: float
-    lat_deg: float
-    lon_deg: float
-
-
-def trajectory_speeds(points, earth_radius_m: float = EARTH_RADIUS_M) -> np.ndarray:
-    """Ground speeds (m/s) between consecutive GPS fixes.
-
-    Great-circle distance via the spherical law of cosines.  Pairs with a
-    zero time gap are skipped; a negative gap means the trace is out of
-    order and raises.
-    """
-    pts = list(points)
-    if len(pts) < 2:
-        raise ValueError("need at least two trajectory points")
-    speeds = []
-    for a, b in zip(pts, pts[1:]):
-        dt = b.timestamp_s - a.timestamp_s
-        if dt < 0:
-            raise ValueError("trajectory timestamps must be non-decreasing")
-        if dt == 0:
-            continue
-        la1, lo1 = math.radians(a.lat_deg), math.radians(a.lon_deg)
-        la2, lo2 = math.radians(b.lat_deg), math.radians(b.lon_deg)
-        cos_angle = (math.sin(la1) * math.sin(la2)
-                     + math.cos(la1) * math.cos(la2) * math.cos(lo2 - lo1))
-        angle = math.acos(min(1.0, max(-1.0, cos_angle)))
-        speeds.append(earth_radius_m * angle / dt)
-    return np.asarray(speeds, dtype=float)
-
-
-@dataclass(frozen=True)
-class ColumnMap:
-    """Names of the columns holding each trajectory field in a source CSV."""
-
-    timestamp: str
-    lat: str
-    lon: str
-    trip_id: str
-    timestamp_scale: float = 1.0  # multiply raw timestamps to get seconds
-
-    def __post_init__(self):
-        if not 0.0 < self.timestamp_scale < math.inf:
-            raise ValueError(
-                f"timestamp_scale must be finite and > 0, got {self.timestamp_scale}")
-
-
-# Layout used by the VED driving-trace release (millisecond timestamps).
-VED_COLUMNS = ColumnMap(timestamp="Timestamp(ms)", lat="Latitude[deg]",
-                        lon="Longitude[deg]", trip_id="Trip",
-                        timestamp_scale=1e-3)
-
-
-@dataclass(frozen=True)
-class IngestResult:
-    trips: dict
-    rows_read: int
-    rows_skipped: int
-
-
-def ingest_trajectory_csv(path, column_map: ColumnMap) -> IngestResult:
-    """Parse a trajectory CSV into per-trip point lists.
-
-    Rows that fail to parse, carry out-of-range coordinates or are too
-    short to hold a trip id are counted and skipped rather than aborting
-    the whole file.  A missing column in the header, text that does not
-    decode and a line the csv module rejects (a field over its size
-    limit) are each a ValueError naming the file.
-    """
-    trips: dict = {}
-    rows_read = 0
-    rows_skipped = 0
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        try:
-            if reader.fieldnames is None:
-                return IngestResult(trips={}, rows_read=0, rows_skipped=0)
-            needed = (column_map.timestamp, column_map.lat,
-                      column_map.lon, column_map.trip_id)
-            missing = [c for c in needed if c not in reader.fieldnames]
-            if missing:
-                raise ValueError(f"{path}: missing columns {missing}")
-            for row in reader:
-                rows_read += 1
-                try:
-                    ts = float(row[column_map.timestamp]) * column_map.timestamp_scale
-                    lat = float(row[column_map.lat])
-                    lon = float(row[column_map.lon])
-                except (TypeError, ValueError):
-                    rows_skipped += 1
-                    continue
-                trip = row[column_map.trip_id]  # None on a short row
-                if not (trip is not None and math.isfinite(ts)
-                        and abs(lat) <= 90.0 and abs(lon) <= 180.0):
-                    rows_skipped += 1
-                    continue
-                trips.setdefault(trip, []).append(
-                    TrajectoryPoint(timestamp_s=ts, lat_deg=lat, lon_deg=lon))
-        except csv.Error as exc:
-            raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
-        except UnicodeDecodeError as exc:
-            raise ValueError(f"{path}: {exc}") from None
-    return IngestResult(trips=trips, rows_read=rows_read, rows_skipped=rows_skipped)
 
 
 def build_dataset(specs, greedy_config: greedy_mod.GreedyConfig | None = None,

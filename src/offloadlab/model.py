@@ -1,4 +1,4 @@
-"""Per-task time and energy model for partial offloading.
+"""Per-task energy model for partial offloading.
 
 Each task splits its input data at an offload ratio l in [0, 1]: the
 fraction l is shipped to the edge server over the uplink, the remaining
@@ -12,10 +12,10 @@ A `Scenario` holds three numpy record arrays, `devices`, index-aligned
 `channels` and `tasks`: `scenario.tasks.data_bits` is a column, `tasks[i]`
 one task.  `task_energy_endpoints` prices every task over these columns, in
 the operation order of the frozen per-task loop in tests/reference_datagen.py.
-`Device`, `Channel` and `Task` are the time formulas' argument types; a
-scenario built from sequences of them converts them to columns once.
+`Device`, `Channel` and `Task` are single records; a scenario built from
+sequences of them converts them to columns once.
 
-All quantities are SI: bits, Hz, seconds, joules, watts, m/s.
+All quantities are SI: bits, Hz, joules, watts, m/s.
 """
 
 from __future__ import annotations
@@ -70,12 +70,9 @@ class Task:
     task_id: int
     data_bits: float
     cycles_per_bit: float
-    offload_ratio: float = 0.5
 
     def __post_init__(self):
         _check(self, TASK_DTYPE.names)
-        if not 0.0 <= self.offload_ratio <= 1.0:
-            raise ValueError("offload_ratio must lie in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -134,35 +131,12 @@ def energy_at(local, offload, ratio):
     return local * (1.0 - ratio) + offload * ratio
 
 
-def local_time(task: Task, device: Device) -> float:
-    """Seconds to process the on-device share of the task's data."""
-    return task.cycles_per_bit * (1.0 - task.offload_ratio) * task.data_bits / device.cpu_freq_hz
-
-
-def _check_se(se: float) -> None:
+def tx_power(se: float, noise_var_w: float, gain: float) -> float:
+    """Transmit power (W) that sustains se: p = (2^se - 1) * noise / gain."""
     if se > SE_MAX:
         raise ValueError(f"spectral efficiency {se} exceeds {SE_MAX}; channel state is malformed")
     if not se > 0:  # NaN fails this too
         raise ValueError("spectral efficiency must be > 0")
-
-
-def uplink_rate(channel: Channel, se: float) -> float:
-    """Achievable uplink rate in bit/s at the given spectral efficiency."""
-    _check_se(se)
-    return channel.bandwidth_hz * se
-
-
-def offload_time(task: Task, channel: Channel, se: float) -> float:
-    """Seconds to push the offloaded share through the uplink."""
-    shipped = task.offload_ratio * task.data_bits
-    if shipped == 0.0:
-        return 0.0
-    return shipped / uplink_rate(channel, se)
-
-
-def tx_power(se: float, noise_var_w: float, gain: float) -> float:
-    """Transmit power (W) that sustains se: p = (2^se - 1) * noise / gain."""
-    _check_se(se)
     return (2.0 ** se - 1.0) * noise_var_w / gain
 
 
@@ -205,7 +179,3 @@ def task_energy_endpoints(scenario: Scenario) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("a task's energy overflows or is not finite")
     return local, offload
 
-
-def total_time(task: Task, device: Device, channel: Channel, se: float) -> float:
-    """Uplink time plus local compute time for one task."""
-    return offload_time(task, channel, se) + local_time(task, device)

@@ -43,10 +43,10 @@ def example_channel(**kw) -> Channel:
     return Channel(**base)
 
 
-def example_task(ratio: float = 0.5, data_bits: float = EX_DATA_BITS,
-                 dev_id: int = 0, task_id: int = 1) -> Task:
+def example_task(data_bits: float = EX_DATA_BITS, dev_id: int = 0,
+                 task_id: int = 1) -> Task:
     return Task(device_id=dev_id, task_id=task_id, data_bits=data_bits,
-                cycles_per_bit=EX_CYCLES_PER_BIT, offload_ratio=ratio)
+                cycles_per_bit=EX_CYCLES_PER_BIT)
 
 
 def small_scenario(noise_var_w: float = EX_NOISE) -> Scenario:

@@ -32,8 +32,7 @@ from offloadlab.features import (PRIMARY_FEATURES, Dataset,
 from offloadlab import model
 from offloadlab.greedy import (GreedyConfig, get_total_energy, optimize,
                                task_energy_endpoints)
-from offloadlab.model import (Channel, Device, Scenario, Task, energy_at,
-                              local_time, offload_time, total_time)
+from offloadlab.model import Channel, Device, Scenario, Task, energy_at
 from offloadlab.spectral import SpectralConfig
 
 from helpers import balanced_spec
@@ -166,11 +165,11 @@ def _partition_optimum(points: np.ndarray, k: int) -> float:
 
 # ---------------------------------------------------------------- criteria
 
-def test_criterion_01_energy_and_time_formulas():
+def test_criterion_01_energy_formulas():
     t0 = time.perf_counter()
     rng = np.random.default_rng(11)
     # every draw is one task on its own device, whose carrier keys its se
-    devices, tasks, channels, ses, pairs, want_energy = [], [], [], {}, [], []
+    devices, tasks, channels, ses, ratios, want_energy = [], [], [], {}, [], []
     for i in range(1000):
         ratio = float(rng.uniform(0.0, 1.0))
         bits = float(rng.uniform(0.0, 1e8))
@@ -184,38 +183,29 @@ def test_criterion_01_energy_and_time_formulas():
 
         devices.append(Device(id=i, cpu_freq_hz=cpu, energy_coeff=coeff))
         tasks.append(Task(device_id=i, task_id=1, data_bits=bits,
-                          cycles_per_bit=cycles, offload_ratio=ratio))
+                          cycles_per_bit=cycles))
         channels.append(Channel(bandwidth_hz=bandwidth, noise_var_w=noise,
                                 gain=gain, speed_mps=0.0, carrier_freq_hz=1e9 + i))
         ses[1e9 + i] = se
+        ratios.append(ratio)
 
         shipped = ratio * bits
         kept = (1.0 - ratio) * bits
         want_local_e = coeff * (cpu ** 2) * cycles * kept
         want_off_e = ((2.0 ** se - 1.0) * noise / gain) * shipped / (bandwidth * se)
-        want_local_t = cycles * kept / cpu
-        want_off_t = shipped / (bandwidth * se)
-
         want_energy += [want_local_e, want_off_e, want_local_e + want_off_e]
-        pairs += [
-            (local_time(tasks[i], devices[i]), want_local_t),
-            (offload_time(tasks[i], channels[i], se), want_off_t),
-            (total_time(tasks[i], devices[i], channels[i], se), want_local_t + want_off_t),
-        ]
 
     scenario = Scenario(devices=devices, tasks=tasks, channels=channels,
                         spectral_config=SpectralConfig())
-    ratios = np.array([task.offload_ratio for task in tasks])
+    ratios = np.array(ratios)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(model, "calc_se", lambda speed, carrier, config: ses[carrier])
         local, offload = task_energy_endpoints(scenario)
         total = get_total_energy(ratios, scenario)
     got_energy = np.column_stack([energy_at(local, 0.0, ratios),
                                   energy_at(0.0, offload, ratios), total])
-    pairs += zip(got_energy.ravel().tolist(), want_energy)
-
     worst = 0.0
-    for got, want in pairs:
+    for got, want in zip(got_energy.ravel().tolist(), want_energy):
         assert got == pytest.approx(want, rel=1e-12, abs=1e-300)
         if want != 0.0:
             worst = max(worst, abs(got - want) / abs(want))

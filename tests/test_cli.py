@@ -481,10 +481,19 @@ class TestRejectedInputLeavesNoOutDir:
         assert "Nope" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_ingest_missing_file(self, tmp_path):
+    @pytest.mark.parametrize("command,leaf", [
+        ("ingest", "path"), ("optimize", "path"), ("optimize", "column_map")])
+    def test_removed_ingest_exits_2(self, tmp_path, capsys, command, leaf):
+        # the trajectory ingest is gone: its command and keys are unknown
         out = tmp_path / "o"
-        assert run("ingest", "--ingest.path", str(tmp_path / "nope.csv"),
-                   "--out", str(out)) == 1
+        with pytest.raises(SystemExit) as exc:
+            run(command, f"--ingest.{leaf}", "x.csv", "--out", str(out))
+        assert exc.value.code == 2
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(f"ingest:\n  {leaf}: x.csv\n")
+        capsys.readouterr()
+        assert run("optimize", "--config", str(cfg), "--out", str(out)) == 2
+        assert f"unknown config field 'ingest.{leaf}'" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("data,message", [
@@ -617,102 +626,6 @@ class TestEvaluate:
                    "--out", str(tmp_path / "o")) == 1
         assert "mi:9 asks for 9 features, its pool has 4" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
-
-
-class TestIngest:
-    def test_speeds_and_report(self, tmp_path, capsys):
-        trace = tmp_path / "trace.csv"
-        trace.write_text("\n".join([
-            "Timestamp(ms),Latitude[deg],Longitude[deg],Trip",
-            "0,0.0,0.0,7",
-            "3600000,0.0,1.0,7",
-            "0,0.0,0.0,8",
-            "oops,0.0,1.0,8",
-            "",
-        ]))
-        out = tmp_path / "o"
-        assert run("ingest", "--ingest.path", str(trace), "--out", str(out)) == 0
-        captured = capsys.readouterr().out
-        assert "rows read: 4" in captured
-        assert "rows skipped: 1" in captured
-        assert "trips: 2 (1 too short for speeds)" in captured
-        assert "speed samples: 1" in captured
-        rows = read_rows(out / "speeds.csv")
-        assert rows[0] == ["trip_id", "segment", "speed_mps"]
-        assert len(rows) == 2
-        assert float(rows[1][2]) == pytest.approx(30.887479623485454, rel=1e-9)
-
-    def test_out_of_order_trip_is_skipped_and_counted(self, tmp_path, capsys):
-        trace = tmp_path / "trace.csv"
-        trace.write_text("\n".join([
-            "Timestamp(ms),Latitude[deg],Longitude[deg],Trip",
-            "0,0.0,0.0,7",
-            "3600000,0.0,1.0,7",
-            "3600000,0.0,0.0,8",
-            "0,0.0,1.0,8",
-            "",
-        ]))
-        out = tmp_path / "o"
-        assert run("ingest", "--ingest.path", str(trace), "--out", str(out)) == 0
-        captured = capsys.readouterr().out
-        assert "trips: 2 (0 too short for speeds)" in captured
-        assert "trips with out-of-order timestamps: 1" in captured
-        assert "speed samples: 1" in captured
-        rows = read_rows(out / "speeds.csv")
-        assert [row[:2] for row in rows] == [["trip_id", "segment"], ["7", "0"]]
-
-    def test_row_without_trip_cell_is_skipped_and_counted(self, tmp_path, capsys):
-        trace = tmp_path / "trace.csv"
-        trace.write_text("Timestamp(ms),Latitude[deg],Longitude[deg],Trip\n"
-                         "0,1,1\n1000,1,1.01\n")
-        out = tmp_path / "o"
-        assert run("ingest", "--ingest.path", str(trace), "--out", str(out)) == 0
-        captured = capsys.readouterr().out
-        assert "rows read: 2" in captured
-        assert "rows skipped: 2" in captured
-        assert read_rows(out / "speeds.csv") == [["trip_id", "segment", "speed_mps"]]
-
-    @pytest.mark.parametrize("scale", ["0", "-1", "nan", "inf"])
-    def test_bad_timestamp_scale_is_a_config_error(self, tmp_path, capsys, scale):
-        trace = tmp_path / "t.csv"
-        trace.write_text("t,lat,lon,id\n0,0,0,x\n10,0,0.001,x\n")
-        out = tmp_path / "o"
-        cmap = f"{{timestamp: t, lat: lat, lon: lon, trip_id: id, timestamp_scale: {scale}}}"
-        capsys.readouterr()
-        assert run("ingest", "--ingest.path", str(trace),
-                   "--ingest.column_map", cmap, "--out", str(out)) == 2
-        err = capsys.readouterr().err
-        assert "timestamp_scale" in err and "Traceback" not in err
-        assert not out.exists()
-
-    def test_custom_column_map(self, tmp_path):
-        trace = tmp_path / "t.csv"
-        trace.write_text("t,lat,lon,id\n0,0,0,x\n10,0,0.001,x\n")
-        out = tmp_path / "o"
-        cmap = '{timestamp: t, lat: lat, lon: lon, trip_id: id}'
-        assert run("ingest", "--ingest.path", str(trace),
-                   "--ingest.column_map", cmap, "--out", str(out)) == 0
-        rows = read_rows(out / "speeds.csv")
-        assert len(rows) == 2
-
-    def test_missing_path_fails(self, tmp_path):
-        assert run("ingest", "--out", str(tmp_path / "o")) == 1
-
-    @pytest.mark.parametrize("data", [
-        b"t,lat,lon,id\n0,0,0," + b"x" * 200_000 + b"\n",   # over the csv field limit
-        b"t,lat,lon,id\n0,0,0,\xff\n",                      # not UTF-8
-    ], ids=["field_limit", "bad_utf8"])
-    def test_unreadable_file_names_the_file(self, tmp_path, capsys, data):
-        trace = tmp_path / "t.csv"
-        trace.write_bytes(data)
-        out = tmp_path / "o"
-        cmap = '{timestamp: t, lat: lat, lon: lon, trip_id: id}'
-        capsys.readouterr()
-        assert run("ingest", "--ingest.path", str(trace),
-                   "--ingest.column_map", cmap, "--out", str(out)) == 1
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: {trace}: ") and "Traceback" not in err
-        assert not out.exists()
 
 
 class TestLogging:

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from offloadlab.cluster import (ClusteredModel, EvalReport, KMeansModel,
-                                LinearModel, _seed_centroids, evaluate_models,
+                                LinearModel, evaluate_models,
                                 fit_linear_model, kmeans_fit, load_model,
                                 predict_dataset, predict_matrix, save_model,
                                 train_clustered_models)
@@ -125,13 +125,17 @@ class TestKMeans:
         with pytest.raises(ValueError):
             kmeans_fit(np.zeros((4, 1)), 2, restarts=0)
 
-    def test_fits_points_whose_squared_spread_overflows(self):
-        # squared distances of 1e400 make the k-means++ D^2 mass inf
-        pts = np.array([[0.0, 0.0], [1e200, 0.0], [0.0, 1e200], [1e200, 1e200]])
-        with np.errstate(over="ignore"):
-            model = kmeans_fit(pts, 2)
-        assert np.isfinite(model.centroids).all()
-        assert model.labels.shape == (4,)
+    def test_fits_points_whose_squared_spread_overflows(self, recwarn):
+        # squared distances of 1e400 overflow; k-means runs on the points
+        # times 2**-e and scales its results back
+        for size in (1e153, 1e200):
+            pts = np.array([[0.0, 0.0], [size, 0.0], [0.0, size], [size, size]])
+            model = kmeans_fit(pts, 2, restarts=3)
+            assert model.labels.tolist() == [1, 1, 0, 0]
+            assert model.centroids.tolist() == [[size / 2, size], [size / 2, 0.0]]
+        # the inertia 1e400 is past the float range
+        assert model.inertia == math.inf and model.inertia_history == (math.inf,)
+        assert not recwarn.list
 
     @pytest.mark.parametrize("seed", range(5))
     def test_seeding_an_overflowing_mass_picks_the_unscaled_rows(self, seed):
@@ -139,9 +143,11 @@ class TestKMeans:
         big = pts * 2.0**600
         with np.errstate(over="ignore"):
             assert not np.isfinite(((big - big[0]) ** 2).sum())
-            got = _seed_centroids(big, 5, np.random.default_rng(seed))
-        want = _seed_centroids(pts, 5, np.random.default_rng(seed))
-        assert np.array_equal(got, want * 2.0**600)
+        got = kmeans_fit(big, 5, seed=seed, restarts=2)
+        want = kmeans_fit(pts, 5, seed=seed, restarts=2)
+        assert np.array_equal(got.centroids, want.centroids * 2.0**600)
+        assert np.array_equal(got.labels, want.labels)
+        assert got.iterations_run == want.iterations_run
 
 
 def nearest_by_loop(centroids: np.ndarray, point: np.ndarray) -> int:

@@ -3,7 +3,6 @@ from dataclasses import fields, is_dataclass
 import pytest
 
 from offloadlab.config import SCHEMA, ConfigError, ExperimentConfig, load_config
-from offloadlab.datagen import VED_COLUMNS
 
 
 class TestDefaults:
@@ -16,7 +15,6 @@ class TestDefaults:
         assert cfg.clustering.seed == 0
         assert cfg.clustering.feature_subsets == ("primary", "mi:2", "all")
         assert cfg.sweeps.speed_grid == (100.0, 200.0, 300.0, 400.0)
-        assert cfg.ingest.column_map == VED_COLUMNS
 
     def test_global_seed_flows_into_sections(self):
         cfg = load_config(overrides={"seed": "42"})
@@ -126,18 +124,6 @@ class TestCoercion:
         with pytest.raises(ConfigError):
             load_config(overrides={"clustering.feature_subsets": " ; "})
 
-    def test_column_map_presets_and_inline(self):
-        cfg = load_config(overrides={"ingest.column_map": "ved"})
-        assert cfg.ingest.column_map == VED_COLUMNS
-        inline = "{timestamp: t, lat: a, lon: o, trip_id: id, timestamp_scale: 0.001}"
-        cfg = load_config(overrides={"ingest.column_map": inline})
-        assert cfg.ingest.column_map.timestamp == "t"
-        assert cfg.ingest.column_map.timestamp_scale == 0.001
-        with pytest.raises(ConfigError):
-            load_config(overrides={"ingest.column_map": "mystery"})
-        with pytest.raises(ConfigError):
-            load_config(overrides={"ingest.column_map": "{timestamp: t}"})
-
     def test_optional_paths(self):
         assert load_config().dataset_path is None
         cfg = load_config(overrides={"dataset_path": "x.csv",
@@ -169,9 +155,11 @@ class TestCoercion:
             load_config(overrides={"greedy.step": "0"})
 
 
-# keys a model never read, and physical constants that are no longer settable
+# keys a model never read, physical constants that are no longer settable,
+# and the keys of the removed trajectory ingest
 REMOVED_KEYS = ("spectral.bandwidth_hz", "spectral.num_users", "spectral.frame_time_s",
-                "spectral.light_speed_mps", "ingest.earth_radius_m")
+                "spectral.light_speed_mps", "ingest.earth_radius_m", "ingest.path",
+                "ingest.column_map")
 
 
 class TestSchema:
@@ -190,7 +178,7 @@ class TestSchema:
                     assert f"{f.name}.{leaf.name}" in SCHEMA
             else:
                 assert f.name in SCHEMA
-        assert len(SCHEMA) == 35
+        assert len(SCHEMA) == 33
 
     def test_defaults_are_the_dataclass_defaults(self):
         assert load_config() == ExperimentConfig()

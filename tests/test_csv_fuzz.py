@@ -3,8 +3,8 @@
 Whatever bytes a dataset or feature file holds, `read_csv_matrix` and
 `Dataset.from_csv` either return finite data or raise one ValueError whose
 message starts with the file's path; `train` and `predict` then exit 0 or 1
-and never print a traceback.  `ingest_trajectory_csv` and `load_model`
-keep the same promise for trajectory CSVs and `model.json` files.
+and never print a traceback.  `load_model` keeps the same promise for
+`model.json` files.
 """
 
 import csv
@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 
 from offloadlab.cli import main
 from offloadlab.cluster import load_model
-from offloadlab.datagen import ColumnMap, ingest_trajectory_csv
 from offloadlab.features import TARGET_COLUMN, Dataset, read_csv_matrix
 
 _CELLS = st.one_of(
@@ -160,46 +159,6 @@ class TestCommands:
             assert main(["predict", "--dataset_path", str(path), "--model_path",
                          str(model_path), "--out", str(Path(tmp) / "o")]) == 0
             assert (Path(tmp) / "o" / "predictions.csv").exists()
-
-
-_TRIP_COLUMNS = ColumnMap(timestamp="t", lat="lat", lon="lon", trip_id="trip")
-
-
-def ingest(path):
-    return ingest_trajectory_csv(path, _TRIP_COLUMNS)
-
-
-@st.composite
-def trajectory_bytes(draw):
-    """`csv_bytes`, usually behind a header that names the trip columns."""
-    body = draw(csv_bytes())
-    if draw(st.integers(0, 3)) == 0:
-        return body
-    return b"t,lat,lon,trip" + draw(_ENDS).encode() + body
-
-
-class TestTrajectoryLoader:
-    @_FUZZ
-    @given(trajectory_bytes())
-    def test_trips_or_one_error_naming_the_file(self, tmp_path, data):
-        path = tmp_path / "trips.csv"
-        path.write_bytes(data)
-        result = check_loader(path, ingest)
-        if result is not None:
-            points = sum(len(p) for p in result.trips.values())
-            assert points == result.rows_read - result.rows_skipped
-            assert all(isinstance(trip, str) for trip in result.trips)
-
-    @pytest.mark.parametrize("data", [
-        b"t,lat,lon,trip\n0,0,0," + b"1" * 200_000 + b"\n",
-        b"t,lat,lon,trip\n0,0,0,\xff\n",
-    ], ids=["field_limit", "bad_utf8"])
-    def test_hostile_bytes(self, tmp_path, data):
-        path = tmp_path / "bad.csv"
-        path.write_bytes(data)
-        with pytest.raises(ValueError) as info:
-            ingest(path)
-        assert str(info.value).startswith(f"{path}: ")
 
 
 def damaged_models(valid: bytes):

@@ -1,12 +1,7 @@
-import math
-
 import numpy as np
 import pytest
 
-from offloadlab.datagen import (EARTH_RADIUS_M, VED_COLUMNS, ColumnMap,
-                                ScenarioSpec, TrajectoryPoint, build_dataset,
-                                generate_scenario, ingest_trajectory_csv,
-                                trajectory_speeds)
+from offloadlab.datagen import ScenarioSpec, build_dataset, generate_scenario
 from offloadlab.features import CANONICAL_FEATURES
 from offloadlab.model import implied_tx_power
 from offloadlab.spectral import calc_se
@@ -99,117 +94,6 @@ class TestGenerateScenario:
         for a, b in zip(free.tasks, pinned.tasks):
             assert a.data_bits == b.data_bits
             assert a.cycles_per_bit == b.cycles_per_bit
-
-
-class TestTrajectorySpeeds:
-    def test_equator_degree_oracle(self):
-        pts = [TrajectoryPoint(0.0, 0.0, 0.0), TrajectoryPoint(3600.0, 0.0, 1.0)]
-        speed = trajectory_speeds(pts)
-        expected = EARTH_RADIUS_M * math.pi / 180.0 / 3600.0
-        assert speed.shape == (1,)
-        assert speed[0] == pytest.approx(expected, rel=1e-9)
-
-    def test_stationary_point(self):
-        pts = [TrajectoryPoint(0.0, 0.0, 9.0), TrajectoryPoint(10.0, 0.0, 9.0)]
-        assert trajectory_speeds(pts)[0] == 0.0
-        # away from the equator the cosine argument can round just below 1,
-        # leaving sub-cm/s numeric dust rather than an exact zero
-        pts = [TrajectoryPoint(0.0, 45.0, 9.0), TrajectoryPoint(10.0, 45.0, 9.0)]
-        assert trajectory_speeds(pts)[0] < 0.01
-
-    def test_duplicate_timestamps_skipped(self):
-        pts = [TrajectoryPoint(0.0, 0.0, 0.0),
-               TrajectoryPoint(0.0, 0.0, 0.5),
-               TrajectoryPoint(3600.0, 0.0, 1.0)]
-        speeds = trajectory_speeds(pts)
-        assert speeds.shape == (1,)
-
-    def test_out_of_order_rejected(self):
-        pts = [TrajectoryPoint(10.0, 0.0, 0.0), TrajectoryPoint(0.0, 0.0, 1.0)]
-        with pytest.raises(ValueError):
-            trajectory_speeds(pts)
-
-    def test_needs_two_points(self):
-        with pytest.raises(ValueError):
-            trajectory_speeds([TrajectoryPoint(0.0, 0.0, 0.0)])
-
-    def test_antipodal_points_stay_in_domain(self):
-        # cos of the central angle lands at exactly -1; the clamp keeps
-        # acos defined and the distance is half the circumference
-        pts = [TrajectoryPoint(0.0, 0.0, 0.0), TrajectoryPoint(1.0, 0.0, 180.0)]
-        speed = trajectory_speeds(pts)[0]
-        assert speed == pytest.approx(EARTH_RADIUS_M * math.pi, rel=1e-9)
-
-    def test_custom_radius(self):
-        pts = [TrajectoryPoint(0.0, 0.0, 0.0), TrajectoryPoint(1.0, 0.0, 90.0)]
-        speed = trajectory_speeds(pts, earth_radius_m=2.0)
-        assert speed[0] == pytest.approx(2.0 * math.pi / 2.0, rel=1e-9)
-
-
-class TestIngest:
-    def write(self, tmp_path, text, name="trace.csv"):
-        path = tmp_path / name
-        path.write_text(text)
-        return path
-
-    def test_two_trips_with_bad_rows(self, tmp_path):
-        cmap = ColumnMap(timestamp="t", lat="lat", lon="lon", trip_id="trip")
-        path = self.write(tmp_path, "\n".join([
-            "t,lat,lon,trip",
-            "0,0.0,0.0,A",
-            "60,0.0,0.01,A",
-            "not-a-number,0.0,0.02,A",
-            "0,10.0,10.0,B",
-            "30,95.0,10.0,B",       # latitude out of range
-            "30,10.0,10.01,B",
-            "",
-        ]))
-        result = ingest_trajectory_csv(path, cmap)
-        assert result.rows_read == 6
-        assert result.rows_skipped == 2
-        assert sorted(result.trips) == ["A", "B"]
-        assert len(result.trips["A"]) == 2
-        assert len(result.trips["B"]) == 2
-        assert result.trips["A"][1].timestamp_s == 60.0
-
-    def test_timestamp_scale(self, tmp_path):
-        cmap = ColumnMap(timestamp="ms", lat="lat", lon="lon", trip_id="id",
-                         timestamp_scale=1e-3)
-        path = self.write(tmp_path, "ms,lat,lon,id\n2500,1.0,2.0,x\n")
-        result = ingest_trajectory_csv(path, cmap)
-        assert result.trips["x"][0].timestamp_s == 2.5
-
-    def test_ved_preset_columns(self, tmp_path):
-        path = self.write(tmp_path, "\n".join([
-            "Timestamp(ms),Latitude[deg],Longitude[deg],Trip",
-            "0,42.28,-83.74,1001",
-            "1000,42.281,-83.74,1001",
-            "",
-        ]))
-        result = ingest_trajectory_csv(path, VED_COLUMNS)
-        assert result.rows_read == 2
-        pts = result.trips["1001"]
-        assert pts[1].timestamp_s == 1.0
-        speeds = trajectory_speeds(pts)
-        assert 100.0 < speeds[0] < 120.0  # ~111 m per millidegree of latitude
-
-    def test_missing_column_is_hard_error(self, tmp_path):
-        cmap = ColumnMap(timestamp="t", lat="lat", lon="lon", trip_id="trip")
-        path = self.write(tmp_path, "t,lat,trip\n0,0,A\n")
-        with pytest.raises(ValueError):
-            ingest_trajectory_csv(path, cmap)
-
-    def test_header_only_file(self, tmp_path):
-        cmap = ColumnMap(timestamp="t", lat="lat", lon="lon", trip_id="trip")
-        path = self.write(tmp_path, "t,lat,lon,trip\n")
-        result = ingest_trajectory_csv(path, cmap)
-        assert result.rows_read == 0 and result.rows_skipped == 0
-        assert result.trips == {}
-
-    def test_empty_file(self, tmp_path):
-        cmap = ColumnMap(timestamp="t", lat="lat", lon="lon", trip_id="trip")
-        result = ingest_trajectory_csv(self.write(tmp_path, ""), cmap)
-        assert result.trips == {} and result.rows_read == 0
 
 
 class TestBuildDataset:

@@ -11,6 +11,7 @@ whatever the memory layout of the points.
 
 import filecmp
 import logging
+import math
 from contextlib import ExitStack
 from unittest import mock
 
@@ -24,16 +25,23 @@ from offloadlab.features import ScalingParams
 from test_kmeans_reference import assert_identical, colliding_seeds
 
 
-def fit_both(points, k, seed=0, restarts=1, max_iter=300, seeding=None):
+def fit_both(points, k, seed=0, restarts=1, max_iter=300, seeding=None, tol=1e-6):
     """The library's fit and the frozen one's on a Fortran-ordered copy."""
     with ExitStack() as stack:
         if seeding is not None:
             for module in (cluster, reference_kmeans):
                 stack.enter_context(mock.patch.object(module, "_seed_centroids", seeding))
-        got = cluster.kmeans_fit(points, k, seed=seed, restarts=restarts, max_iter=max_iter)
-        want = reference_kmeans.kmeans_fit(np.asfortranarray(points), k, seed=seed,
+        got = cluster.kmeans_fit(points, k, seed=seed, tol=tol, restarts=restarts,
+                                 max_iter=max_iter)
+        want = reference_kmeans.kmeans_fit(np.asfortranarray(points), k, seed=seed, tol=tol,
                                            restarts=restarts, max_iter=max_iter)
     return got, want
+
+
+def unscaled(monkeypatch):
+    """Turn off kmeans_fit's power-of-two scaling of points whose squared
+    spread overflows, so that the pruned Lloyd meets inf distances."""
+    monkeypatch.setattr(cluster, "_scale_exponent", lambda points: 0)
 
 
 def permuted_pair(d, seed):
@@ -111,7 +119,7 @@ class TestPruningIsSound:
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @pytest.mark.parametrize("layout", ["spread", "two_far_groups"])
-    def test_squared_distances_overflow(self, layout):
+    def test_squared_distances_overflow(self, layout, monkeypatch):
         rng = np.random.default_rng(7)
         if layout == "spread":
             points = rng.random((40, 3)) * 1e200
@@ -120,14 +128,27 @@ class TestPruningIsSound:
             points = np.vstack([rng.integers(0, 3, size=(20, 2)) * 1.0,
                                 1e200 + rng.integers(0, 3, size=(20, 2)) * 1e185])
         assert not np.isfinite(cluster._sq_dists(points.T, points[:1])).all()
-        # k-means++ cannot draw from infinite masses, so the seeds are picked
+        e = cluster._scale_exponent(points)
+        for k in (1, 2, 3, 5):
+            # kmeans_fit is the frozen fit of points * 2**-e, scaled back
+            got, _ = fit_both(points, k, seed=k, restarts=2, seeding=colliding_seeds)
+            _, want = fit_both(np.ldexp(points, -e), k, seed=k, restarts=2,
+                               seeding=colliding_seeds, tol=math.ldexp(1e-6, -e))
+            assert got.labels.tobytes() == want.labels.tobytes()
+            assert got.centroids.tobytes() == np.ldexp(want.centroids, e).tobytes()
+            assert got.inertia_history == tuple(
+                np.ldexp(want.inertia_history, 2 * e).tolist())
+        # unscaled, the pruned Lloyd meets inf distances and still matches the
+        # frozen one; k-means++ cannot draw from infinite masses, so the seeds are picked
+        unscaled(monkeypatch)
         for k in (1, 2, 3, 5):
             assert_identical(*fit_both(points, k, seed=k, restarts=2, seeding=colliding_seeds))
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-    def test_overflowed_runner_up_closes_in(self):
+    def test_overflowed_runner_up_closes_in(self, monkeypatch):
         # the origin's runner-up starts 1.4e154 away, where the squared
         # distance overflows, then moves 9.1e153 to pass its own centroid
+        unscaled(monkeypatch)
         e = 1e153
         points = np.array([[-5 * e, 0.0]] * 100 + [[0.0, 0.0], [14 * e, 0.0]]
                           + [[4.6 * e, 0.0]] * 30)

@@ -116,22 +116,6 @@ def _assert_same_files(new, old):
     assert mismatch == [] and errors == []
 
 
-_TRIPS = ('Timestamp(ms),Latitude[deg],Longitude[deg],Trip\r\n'
-          '0,42.0,-83.0,"a,b ""c"""\r\n'
-          '1000,42.0001,-83.0,"a,b ""c"""\r\n'
-          '2000,42.0003,-83.0001,"a,b ""c"""\r\n'
-          '0,42.1,-83.1, lead\r\n'
-          '5000,42.1,-83.101, lead\r\n'
-          '0,1,1,"two\nlines"\r\n'
-          '1000,1,1.001,"two\nlines"\r\n'
-          '0,1,1,\r\n'
-          '1000,1,1.01,\r\n'
-          '0,1,1,é\r\n'
-          '1000,1,1.01,é\r\n'
-          '0,1,1\r\n'          # no trip cell: the trip id is None
-          '1000,1,1.01\r\n')
-
-
 class TestCliMatchesFrozenWriters:
     @pytest.mark.parametrize("args", [
         ["sweep-modulation", "--seed", "2", "--sweeps.speed_grid", "0,150",
@@ -161,14 +145,3 @@ class TestCliMatchesFrozenWriters:
         assert main(args + ["--out", str(tmp_path / "old")]) == 0
         _assert_same_files(tmp_path / "new", tmp_path / "old")
         assert b'\r\n"Band,""width""",' in (tmp_path / "new" / "mi_ranking.csv").read_bytes()
-
-    def test_ingest_with_trip_ids_that_need_quoting(self, tmp_path, monkeypatch):
-        trips = tmp_path / "trips.csv"
-        trips.write_bytes(_TRIPS.encode())
-        args = ["ingest", "--ingest.path", str(trips)]
-        assert main(args + ["--out", str(tmp_path / "new")]) == 0
-        _frozen_writers(monkeypatch)
-        assert main(args + ["--out", str(tmp_path / "old")]) == 0
-        _assert_same_files(tmp_path / "new", tmp_path / "old")
-        assert (tmp_path / "new" / "speeds.csv").read_bytes().startswith(
-            b'trip_id,segment,speed_mps\r\n"a,b ""c""",0,')
