@@ -6,13 +6,21 @@ aligned, so two specs that differ only in a pinned value produce otherwise
 identical scenarios.  All uniforms of a scenario come from one
 ``rng.random`` block, mapped as ``lo + (hi - lo) * u``; that is exactly what
 one scalar ``rng.uniform`` draw per field computes, so the values match the
-field-by-field stream bit for bit.  Datasets are assembled from whole
-columns per scenario.
+field-by-field stream bit for bit.
+
+`build_dataset` works on batches of scenarios.  A batch of specs is sampled
+as one `Scenario` holding each spec's devices in turn, priced by one
+`task_energy_endpoints` call and solved by one `greedy.optimize_packed`
+call, whose threshold needs no per-scenario sort.  Its columns go straight
+into the dataset matrix.  A batch holds at most `BATCH_CELLS` ladder cells
+(tasks x ratio levels), which bounds its memory; a larger scenario is a
+batch of its own.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +32,12 @@ from .model import _MAY_BE_ZERO, CHANNEL_DTYPE, DEVICE_DTYPE, TASK_DTYPE, Scenar
 from .spectral import SpectralConfig, calc_se  # noqa: F401
 
 Range = tuple[float, float]
+
+# ladder cells (tasks x ratio levels) solved at once, about 25 balanced
+# scenarios.  On 2 cores, 400 balanced scenarios took 225 ms one at a time
+# and 48 ms in batches of this size, no less in larger ones; one batch of
+# all 400 raised gen-data's peak RSS from 41 to 57 MB.
+BATCH_CELLS = 1 << 16
 
 # every sampled field in draw order: a device's device and channel fields in
 # record order, then a task's data_bits and cycles_per_bit
@@ -65,6 +79,10 @@ class ScenarioSpec:
             if not (lo > 0 if strict else lo >= 0):
                 raise ValueError(f"{name}: lower bound must be {'>' if strict else '>='} 0")
 
+    @property
+    def n_tasks(self) -> int:
+        return self.n_devices * self.tasks_per_device
+
 
 def _records(dtype: np.dtype, columns) -> np.ndarray:
     """A structured array of `dtype` holding `columns` in field order."""
@@ -74,7 +92,7 @@ def _records(dtype: np.dtype, columns) -> np.ndarray:
     return out
 
 
-def generate_scenario(spec: ScenarioSpec,
+def generate_scenario(spec: ScenarioSpec | Sequence[ScenarioSpec],
                       spectral_config: SpectralConfig | None = None) -> Scenario:
     """Sample devices, channels, and tasks from the spec's ranges.
 
@@ -82,22 +100,77 @@ def generate_scenario(spec: ScenarioSpec,
     gain, speed, carrier; then data_bits and cycles_per_bit per task.  Every
     field consumes one draw, even a pinned one.  The columns of the
     scenario's record arrays are sliced straight out of the draw block.
+    Given a sequence of specs, each draws its own block, and the one
+    scenario returned holds their devices in order, with each task's
+    device id offset to match.
     """
     cfg = spectral_config if spectral_config is not None else SpectralConfig()
+    specs = [spec] if isinstance(spec, ScenarioSpec) else spec
+    d, c = len(DEVICE_DTYPE), len(DEVICE_DTYPE) + len(CHANNEL_DTYPE)
     # a device's row: its device and channel fields, then the task fields
     # once per task
-    fields = SAMPLED_FIELDS + TASK_DTYPE.names[1:] * (spec.tasks_per_device - 1)
-    lo = np.array([getattr(spec, f)[0] for f in fields])
-    hi = np.array([getattr(spec, f)[1] for f in fields])
-    u = np.random.default_rng(spec.seed).random(spec.n_devices * len(fields))
-    values = lo + (hi - lo) * u.reshape(spec.n_devices, len(fields))
-    d, c = len(DEVICE_DTYPE), len(DEVICE_DTYPE) + len(CHANNEL_DTYPE)
-    device_ids = np.repeat(np.arange(spec.n_devices), spec.tasks_per_device)
+    blocks = [np.random.default_rng(s.seed).random(
+        s.n_devices * (c + 2 * s.tasks_per_device)).reshape(s.n_devices, -1) for s in specs]
+    bounds = np.array([[getattr(s, f) for f in SAMPLED_FIELDS] for s in specs])
+    devices = [s.n_devices for s in specs]
+    tasks = [s.n_tasks for s in specs]
+    lo, hi = bounds[:, :c, 0].repeat(devices, 0), bounds[:, :c, 1].repeat(devices, 0)
+    per_device = lo + (hi - lo) * np.concatenate([u[:, :c] for u in blocks])
+    lo, hi = bounds[:, c:, 0].repeat(tasks, 0), bounds[:, c:, 1].repeat(tasks, 0)
+    per_task = lo + (hi - lo) * np.concatenate([u[:, c:].reshape(-1, 2) for u in blocks])
+    device_ids = np.repeat(np.arange(len(per_device)),
+                           np.repeat([s.tasks_per_device for s in specs], devices))
     return Scenario(
-        devices=_records(DEVICE_DTYPE, values[:, :d].T),
-        channels=_records(CHANNEL_DTYPE, values[:, d:c].T),
-        tasks=_records(TASK_DTYPE, (device_ids, *values[:, c:].reshape(-1, 2).T)),
+        devices=_records(DEVICE_DTYPE, per_device[:, :d].T),
+        channels=_records(CHANNEL_DTYPE, per_device[:, d:].T),
+        tasks=_records(TASK_DTYPE, (device_ids, *per_task.T)),
         spectral_config=cfg)
+
+
+def _batches(specs, levels: int):
+    """`specs` in order, cut into runs of at most `BATCH_CELLS` ladder cells
+    of `levels` ratios per task; a larger spec is a run of its own."""
+    batch, cells = [], 0
+    for spec in specs:
+        if batch and cells + spec.n_tasks * levels > BATCH_CELLS:
+            yield batch
+            batch, cells = [], 0
+        batch.append(spec)
+        cells += spec.n_tasks * levels
+    if batch:
+        yield batch
+
+
+def _label(specs, X, y, gcfg, spectral_config) -> None:
+    """Fill the rows `X`, `y` of `specs`' tasks, sampled, priced and solved
+    as one batch.  A failing batch is redone one scenario at a time, so the
+    first scenario that fails on its own raises, as in a per-scenario run."""
+    try:
+        scenario = generate_scenario(specs, spectral_config)
+        ratios, energy = greedy_mod.optimize_packed(
+            scenario, [spec.n_tasks for spec in specs], gcfg)
+    except ValueError:
+        if len(specs) == 1:
+            raise
+        _fill([[spec] for spec in specs], X, y, gcfg, spectral_config)
+        return
+    tasks, devices, channels = scenario.tasks, scenario.devices, scenario.channels
+    dev = tasks.device_id
+    for j, column in enumerate((
+            tasks.data_bits, ratios, channels.speed_mps[dev],
+            channels.carrier_freq_hz[dev], tasks.cycles_per_bit,
+            devices.cpu_freq_hz[dev], channels.bandwidth_hz[dev])):
+        X[:, j] = column
+    y[:] = energy
+
+
+def _fill(batches, X, y, gcfg, spectral_config) -> None:
+    """Fill the rows `X`, `y` with those of each batch of specs in turn."""
+    lo = 0
+    for batch in batches:
+        hi = lo + sum(spec.n_tasks for spec in batch)
+        _label(batch, X[lo:hi], y[lo:hi], gcfg, spectral_config)
+        lo = hi
 
 
 def build_dataset(specs, greedy_config: greedy_mod.GreedyConfig | None = None,
@@ -106,22 +179,14 @@ def build_dataset(specs, greedy_config: greedy_mod.GreedyConfig | None = None,
 
     The target column is the task's energy at the greedy solution, so every
     row is self-consistent: recomputing the energy from the row's features
-    (plus the spec's pinned constants) reproduces the target.
+    (plus the spec's pinned constants) reproduces the target.  Scenarios are
+    solved in batches of at most `BATCH_CELLS` ladder cells.
     """
     gcfg = greedy_config if greedy_config is not None else greedy_mod.GreedyConfig()
-    blocks = []
-    targets = []
-    for spec in specs:
-        scenario = generate_scenario(spec, spectral_config)
-        solution = greedy_mod.optimize(scenario, gcfg)
-        tasks, devices, channels = scenario.tasks, scenario.devices, scenario.channels
-        dev = tasks.device_id
-        blocks.append(np.column_stack((
-            tasks.data_bits, solution.offload_ratios, channels.speed_mps[dev],
-            channels.carrier_freq_hz[dev], tasks.cycles_per_bit,
-            devices.cpu_freq_hz[dev], channels.bandwidth_hz[dev])))
-        targets.append(solution.per_task_energy)
-    if not blocks:
+    specs = list(specs)
+    if not specs:
         raise ValueError("no scenarios given")
-    return Dataset(feature_names=CANONICAL_FEATURES,
-                   X=np.concatenate(blocks), y=np.concatenate(targets))
+    rows = sum(spec.n_tasks for spec in specs)
+    X, y = np.empty((rows, len(CANONICAL_FEATURES))), np.empty(rows)
+    _fill(_batches(specs, gcfg.nominal_levels), X, y, gcfg, spectral_config)
+    return Dataset(feature_names=CANONICAL_FEATURES, X=X, y=y)

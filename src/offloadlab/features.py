@@ -102,26 +102,49 @@ def _cell_format(column):
     return repr if numeric else _text_cell
 
 
+def _column_cells(column):
+    """``cells(lo, hi)``: the texts of rows lo to hi of `column`.
+
+    A numeric numpy column with at most half its cells distinct formats each
+    distinct value once.  Values are told apart by their bit pattern, so
+    that -0.0 and 0.0 stay apart, and a chunk's cells are looked up in the
+    sorted distinct values, so no whole-column index is held.
+    """
+    if isinstance(column, np.ndarray) and column.dtype.kind in "biuf" and column.itemsize <= 8:
+        keys = column.view(f"i{column.itemsize}") if column.dtype.kind == "f" else column
+        ordered = np.sort(keys)  # np.unique's hash path is many times slower
+        first = np.ones(len(keys), dtype=bool)
+        np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+        if 2 * np.count_nonzero(first) <= len(keys):
+            distinct = ordered[first]
+            texts = np.array([repr(v) for v in distinct.view(column.dtype).tolist()],
+                             dtype=object)
+            return lambda lo, hi: texts[np.searchsorted(distinct, keys[lo:hi])].tolist()
+    fmt = _cell_format(column)
+    if isinstance(column, np.ndarray):
+        return lambda lo, hi: map(fmt, column[lo:hi].tolist())
+    return lambda lo, hi: map(fmt, column[lo:hi])
+
+
 def write_rows(path, header, columns) -> None:
     """Write `header`, then row i holding cell i of each equal-length column.
 
     This is the package's one CSV row format, ``csv.writer``'s default
     dialect with ``\\r\\n`` line ends: ints and floats as ``repr``, so they
     read back exactly, and other cells as ``str``, quoted when they hold
-    ``,``, ``"``, ``\\r`` or ``\\n``.  numpy columns are ``tolist``-ed and rows
-    are formatted `CSV_CHUNK_ROWS` at a time, never as one whole-file string.
+    ``,``, ``"``, ``\\r`` or ``\\n``.  Rows are formatted `CSV_CHUNK_ROWS` at a
+    time, never as one whole-file string; a numpy column with few distinct
+    values formats each of them once (`_column_cells`).
     """
     n = len(columns[0]) if columns else 0
     if any(len(column) != n for column in columns):
         raise ValueError("CSV columns differ in length")
-    formats = [_cell_format(column) for column in columns]
+    cells = [_column_cells(column) for column in columns]
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerow(header)
         for start in range(0, n, CSV_CHUNK_ROWS):
-            chunks = (column[start:start + CSV_CHUNK_ROWS] for column in columns)
-            cells = [map(fmt, c.tolist() if isinstance(c, np.ndarray) else c)
-                     for fmt, c in zip(formats, chunks)]
-            lines = map(",".join, zip(*cells))
+            stop = start + CSV_CHUNK_ROWS
+            lines = map(",".join, zip(*(chunk(start, stop) for chunk in cells)))
             if len(columns) == 1:  # csv.writer quotes a row that is one empty cell
                 lines = (line or '""' for line in lines)
             fh.write("\r\n".join(lines) + "\r\n")

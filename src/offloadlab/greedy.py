@@ -14,10 +14,18 @@ exact system total iff the task's next energy is below its current one:
 termination is a per-task float compare and needs no sum.  Up to and
 including its first non-improving bump, a task's energies strictly fall,
 so the greedy's picks are a merge of the per-task ladders in
-``(-energy, index)`` order.  One stable argsort of the kept picks, laid out
-task-major, gives that order; the run is cut at the first non-improving
-pick (saturated), at `max_iters` (iter_capped), or where the picks run out
-(converged).
+``(-energy, flat index)`` order, and the run is cut at the first
+non-improving pick F (saturated), at `max_iters` (iter_capped), or where
+the picks run out (converged).
+
+Where the run ends is found by a threshold, not a sort.  A task has at most
+one failing cell, so F is the failing cell of highest energy e_F, the
+lowest task on a tie; a task's final level is the count of its improving
+cells above e_F, or equal to e_F in a lower task.  Only a run whose count
+reaches `max_iters` sorts its picks (one stable argsort) to cut them there.
+`optimize_packed` runs the kernel on many scenarios at once, each group of
+consecutive tasks on its own, and `optimize` is a batch of one.  The pick
+order itself, `OffloadSolution.bumps`, is sorted out when first read.
 
 Every total, `total_energy` and the trace's alike, is the correctly rounded
 exact sum of that state's per-task energies: what `math.fsum` returns, or
@@ -39,6 +47,7 @@ from .model import Scenario, energy_at, task_energy_endpoints
 TERMINATION_CONVERGED = "converged"    # every ratio pinned at 1.0, nothing left to adjust
 TERMINATION_SATURATED = "saturated"    # a bump failed to lower its task's energy
 TERMINATION_ITER_CAPPED = "iter_capped"  # safety bound on adjustments was hit
+_ENDS = (TERMINATION_CONVERGED, TERMINATION_SATURATED, TERMINATION_ITER_CAPPED)
 
 _SNAP = 1e-12  # ratios this close to 1.0 are pinned exactly
 # tasks x ratio levels one run may hold; a run at the cap peaks near 0.25 GB
@@ -65,12 +74,16 @@ class GreedyConfig:
             return self.max_iters
         return math.ceil(10.0 * n_tasks / self.step)
 
+    @property
+    def nominal_levels(self) -> int:
+        """Ratios on the ladder; rounding can make the built one longer."""
+        return math.ceil((1.0 - self.init_ratio) / self.step) + 1
+
     def check_size(self, n_tasks: int, levels: int | None = None) -> None:
         """ValueError when `n_tasks` ladders of `levels` ratios pass
-        `MAX_LADDER_CELLS`; `levels` defaults to the nominal count, which
-        rounding can make short of the built ladder's."""
+        `MAX_LADDER_CELLS`; `levels` defaults to `nominal_levels`."""
         if levels is None:
-            levels = math.ceil((1.0 - self.init_ratio) / self.step) + 1
+            levels = self.nominal_levels
         if n_tasks * levels > MAX_LADDER_CELLS:
             raise ValueError(
                 f"greedy: {n_tasks} tasks x {levels} ratio levels is over the cap "
@@ -83,13 +96,14 @@ class OffloadSolution:
     per_task_energy: np.ndarray
     total_energy: float
     termination: str
+    evaluations: int  # states the run visited: the start, then one per bump
     ladder_energy: np.ndarray = field(repr=False)  # (tasks, levels): every energy in reach
-    bumps: np.ndarray = field(repr=False)  # flat index into ladder_energy before each bump
     endpoints: tuple[np.ndarray, np.ndarray] = field(repr=False)  # per-task energy at l=0, l=1
 
-    @property
-    def evaluations(self) -> int:
-        return len(self.bumps) + 1
+    @cached_property
+    def bumps(self) -> np.ndarray:
+        """Flat index into ladder_energy before each bump, sorted on first read."""
+        return _picks(self.ladder_energy)[:self.evaluations - 1]
 
     @cached_property
     def trace_picks(self) -> np.ndarray:
@@ -185,51 +199,93 @@ def get_total_energy(offload_ratios: np.ndarray, scenario: Scenario) -> np.ndarr
     return energy_at(*task_energy_endpoints(scenario), ratios)
 
 
+def _stalls(energy: np.ndarray) -> np.ndarray:
+    """Each task's first level whose bump does not lower its energy, or the
+    top level, which has no bump."""
+    improving = np.zeros(energy.shape, dtype=bool)
+    np.less(energy[:, 1:], energy[:, :-1], out=improving[:, :-1])
+    return improving.argmin(axis=1)
+
+
+def _picks(energy: np.ndarray) -> np.ndarray:
+    """Flat cells of one run's `energy` in pick order: each task's cells up
+    to and including its first non-improving bump, by falling energy; flat
+    cells are task-major, so the stable sort breaks ties by task index."""
+    top = energy.shape[1] - 1
+    kept = np.arange(top + 1) < np.minimum(_stalls(energy) + 1, top)[:, None]
+    return np.flatnonzero(kept)[np.argsort(-energy[kept], kind="stable")]
+
+
+def _descend(scenario: Scenario, sizes, config: GreedyConfig):
+    """The greedy run of each group of `sizes` (each >= 1) consecutive tasks
+    of `scenario`, every group on its own.
+
+    Returns each task's final ratio and energy, the (tasks, levels)
+    energies, and each group's evaluation count and index into `_ENDS`.
+    """
+    config.check_size(max(sizes))
+    rs = _ladder(float(config.init_ratio), config.step)
+    config.check_size(max(sizes), len(rs))
+    local, offload = task_energy_endpoints(scenario)
+    energy = energy_at(local[:, None], offload[:, None], rs)  # (tasks, levels)
+    starts = np.cumsum(sizes) - sizes
+    for lo, n in zip(starts.tolist(), sizes):
+        total = _fsum(energy[lo:lo + n, 0])
+        if not math.isfinite(total):
+            raise ValueError(f"the starting total energy is {total}")
+
+    # F, a group's stop: its failing cell of highest energy, the lowest task
+    # on a tie; a group without one has e_F = -inf
+    top = len(rs) - 1
+    stall = _stalls(energy)
+    tasks = np.arange(len(energy))
+    e_fail = np.where(stall < top, energy[tasks, stall], -np.inf)
+    e_stop = np.maximum.reduceat(e_fail, starts)
+    group = np.repeat(np.arange(len(sizes)), sizes)
+    t_stop = np.minimum.reduceat(np.where(e_fail == e_stop[group], tasks, len(tasks)),
+                                 starts)[group]
+    # a task's improving cells come before F in pick order while their energy
+    # is above e_F, or equal to it in a task below F's
+    cells, e_task = energy[:, :-1], e_stop[group, None]
+    ahead = np.where((tasks < t_stop)[:, None], cells >= e_task, cells > e_task)
+    ahead &= np.arange(top) < stall[:, None]
+    level = ahead.sum(axis=1)
+
+    bumps = np.add.reduceat(level, starts)
+    # a cap past every kept cell acts as no cap
+    cap = np.array([min(config.resolve_max_iters(n), n * len(rs)) for n in sizes])
+    failing = e_stop > -np.inf
+    capped = np.where(failing, bumps >= cap, bumps > cap)
+    saturated = failing & ~capped
+    for g in np.flatnonzero(capped).tolist():  # the first max_iters picks
+        lo, n = starts[g], sizes[g]
+        picks = _picks(energy[lo:lo + n])[:cap[g]]
+        level[lo:lo + n] = np.bincount(picks // len(rs), minlength=n)
+    evaluations = np.where(capped, cap, bumps + saturated) + 1
+    return (rs[level], energy[tasks, level], energy, evaluations,
+            np.where(capped, 2, saturated), (local, offload))
+
+
+def optimize_packed(scenario: Scenario, sizes, config: GreedyConfig):
+    """Ratios and per-task energies that `optimize` gives each group of
+    `sizes` consecutive tasks of `scenario`, run as a scenario of its own."""
+    return _descend(scenario, sizes, config)[:2]
+
+
 def optimize(scenario: Scenario, config: GreedyConfig) -> OffloadSolution:
     """Run the greedy descent and return the best ratio vector seen."""
     n = len(scenario.tasks)
     if n == 0:
         raise ValueError("scenario has no tasks to optimize")
-    config.check_size(n)
-    max_iters = config.resolve_max_iters(n)
-    rs = _ladder(float(config.init_ratio), config.step)
-    config.check_size(n, len(rs))
-    local, offload = task_energy_endpoints(scenario)
-    energy = energy_at(local[:, None], offload[:, None], rs)  # (tasks, levels)
-    total = _fsum(energy[:, 0])
-    if not math.isfinite(total):
-        raise ValueError(f"the starting total energy is {total}")
-
-    # a bump moves a task from its cell to the next one; keep each task's
-    # bumps up to and including its first non-improving one
-    improving = np.zeros_like(energy, dtype=bool)
-    np.less(energy[:, 1:], energy[:, :-1], out=improving[:, :-1])
-    kept = np.zeros_like(improving)
-    kept[:, 0] = len(rs) > 1
-    np.logical_and.accumulate(improving[:, :-2], axis=1, out=kept[:, 1:-1])
-    # flat cells are task-major, so the stable sort breaks ties by task index
-    bumps = np.flatnonzero(kept)[np.argsort(-energy[kept], kind="stable")]
-
-    failed = np.flatnonzero(~improving.ravel()[bumps])
-    if failed.size and failed[0] < max_iters:
-        n_bumps, n_best, termination = failed[0] + 1, failed[0], TERMINATION_SATURATED
-    elif not failed.size and len(bumps) <= max_iters:
-        n_bumps = n_best = len(bumps)
-        termination = TERMINATION_CONVERGED
-    else:
-        n_bumps = n_best = max_iters
-        termination = TERMINATION_ITER_CAPPED
-
-    reached = np.bincount(bumps[:n_best] // len(rs), minlength=n)
-    per_task = energy[np.arange(n), reached]
+    ratios, per_task, energy, evaluations, end, endpoints = _descend(scenario, [n], config)
     return OffloadSolution(
-        offload_ratios=rs[reached],
+        offload_ratios=ratios,
         per_task_energy=per_task,
         total_energy=_fsum(per_task),
-        termination=termination,
+        termination=_ENDS[end[0]],
+        evaluations=int(evaluations[0]),
         ladder_energy=energy,
-        bumps=bumps[:n_bumps].copy(),
-        endpoints=(local, offload),
+        endpoints=endpoints,
     )
 
 

@@ -5,7 +5,9 @@ It builds `Device`/`Channel`/`Task` objects, which `Scenario` converts to
 columns.  Scenarios, endpoint arrays, dataset matrices and CSV files must be
 bit-identical to it, including pinned ranges and tasks without data, and
 `calc_se` must be called once per device with data and never for a device
-whose tasks carry no data.
+whose tasks carry no data.  `build_dataset` solves its scenarios in
+batches: its rows must be the per-scenario loop's whatever the batch cut,
+and a failing batch must exit with the error of its first failing scenario.
 """
 
 import json
@@ -332,5 +334,170 @@ class TestCliBytesMatchReference:
                 "--seed", "11"]
         want = _run_cli(monkeypatch, True, args, tmp_path / "ref")
         got = _run_cli(monkeypatch, False, args, tmp_path / "new")
+        assert sorted(got) == ["dataset.csv"]
+        assert got == want
+
+
+# init_ratio 1.0 is a one-level ladder and step 1.0 a two-level one; a
+# max_iters of a few bumps caps some scenarios of a batch and not others
+batch_configs = st.builds(
+    greedy.GreedyConfig,
+    init_ratio=st.sampled_from([0.0, 0.5, 0.9, 1.0]),
+    step=st.sampled_from([1.0, 0.5, 0.3, 0.1]),
+    max_iters=st.one_of(st.none(), st.integers(1, 12)))
+
+
+def assert_same_dataset(spec_list, gcfg=None):
+    got = build_dataset(spec_list, gcfg)
+    want = reference_datagen.build_dataset(spec_list, gcfg)
+    assert got.feature_names == want.feature_names
+    assert_same_arrays((got.X, got.y), (want.X, want.y))
+
+
+def batch_sizes(spec_list, gcfg):
+    return [len(batch) for batch in datagen._batches(spec_list, gcfg.nominal_levels)]
+
+
+def terminations(spec_list, gcfg):
+    return [greedy.optimize(generate_scenario(spec), gcfg).termination for spec in spec_list]
+
+
+PINNED = ScenarioSpec(**{f: (v[0], v[0]) for f, v in vars(ScenarioSpec()).items()
+                         if isinstance(v, tuple)})
+
+
+class TestBatchesMatchReference:
+    """`build_dataset` solves its specs in batches; rows must be the frozen
+    per-scenario loop's, whatever the batch cut."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(specs(), min_size=1, max_size=7), batch_configs, st.integers(1, 400))
+    def test_random_specs_configs_and_cuts(self, spec_list, gcfg, cells):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(datagen, "BATCH_CELLS", cells)
+            assert_same_dataset(spec_list, gcfg)
+
+    def test_a_cap_that_stops_some_scenarios_of_a_batch(self):
+        spec_list = [replace(balanced_spec(3), n_devices=1, tasks_per_device=2),
+                     ScenarioSpec(seed=4, n_devices=1, tasks_per_device=2),
+                     ScenarioSpec(seed=5, n_devices=2, tasks_per_device=3),
+                     replace(balanced_spec(5), n_devices=1, tasks_per_device=3),
+                     ScenarioSpec(seed=7, n_devices=1, tasks_per_device=1)]
+        gcfg = greedy.GreedyConfig(max_iters=120)
+        assert batch_sizes(spec_list, gcfg) == [5]
+        ends = terminations(spec_list, gcfg)
+        assert ends.count("iter_capped") == 1 and len(set(ends)) == 3, ends
+        assert_same_dataset(spec_list, gcfg)
+
+    @pytest.mark.parametrize("gcfg", [greedy.GreedyConfig(),
+                                      greedy.GreedyConfig(init_ratio=1.0),
+                                      greedy.GreedyConfig(step=1.0),
+                                      greedy.GreedyConfig(init_ratio=0.0, max_iters=3)],
+                             ids=["default", "init-1", "step-1", "capped"])
+    def test_mixed_shapes_tied_energies_and_tasks_without_data(self, monkeypatch, gcfg):
+        # every task of a pinned spec has the same energies; a spec without
+        # data has only zero energies, which no bump lowers
+        spec_list = [replace(PINNED, seed=1, n_devices=3, tasks_per_device=4),
+                     ScenarioSpec(seed=2, n_devices=1, tasks_per_device=1),
+                     ScenarioSpec(seed=3, data_bits=(0.0, 0.0), n_devices=2),
+                     replace(balanced_spec(4), n_devices=4, tasks_per_device=7),
+                     ScenarioSpec(seed=5, data_bits=(0.0, 4e6), n_devices=2,
+                                  tasks_per_device=3),
+                     replace(PINNED, seed=6, n_devices=1, tasks_per_device=9)]
+        monkeypatch.setattr(datagen, "BATCH_CELLS", 3000)
+        assert len(batch_sizes(spec_list, gcfg)) < len(spec_list)
+        assert_same_dataset(spec_list, gcfg)
+
+    def test_more_specs_than_a_batch_holds(self):
+        spec_list = [balanced_spec(20 + i) for i in range(60)]
+        assert batch_sizes(spec_list, greedy.GreedyConfig()) == [25, 25, 10]
+        assert_same_dataset(spec_list)
+
+    def test_a_scenario_past_the_batch_bound_is_a_batch_of_its_own(self):
+        big = ScenarioSpec(seed=8, n_devices=50, tasks_per_device=40)
+        spec_list = [balanced_spec(1), big, balanced_spec(2)]
+        gcfg = greedy.GreedyConfig()
+        assert 2000 * gcfg.nominal_levels > datagen.BATCH_CELLS
+        assert batch_sizes(spec_list, gcfg) == [1, 1, 1]
+        assert_same_dataset(spec_list, gcfg)
+
+    def test_a_batch_is_sampled_as_one_scenario(self, monkeypatch):
+        spec_list = [balanced_spec(i) for i in range(30)]
+        sampled = []
+
+        def spy(spec, spectral_config=None):
+            scenario = generate_scenario(spec, spectral_config)
+            sampled.append(len(scenario.tasks))
+            return scenario
+        monkeypatch.setattr(datagen, "generate_scenario", spy)
+        build_dataset(spec_list)
+        assert sampled == [25 * 50, 5 * 50]
+
+
+def _error_run(monkeypatch, capsys, reference: bool, args, out):
+    if reference:
+        monkeypatch.setattr(datagen, "build_dataset", reference_datagen.build_dataset)
+    capsys.readouterr()
+    code = main([*args, "--out", str(out)])
+    monkeypatch.undo()
+    return code, capsys.readouterr().err
+
+
+# one device, four tasks: a task of more than about 7.5e6 bits has an
+# endpoint past the float range; three or four large ones overflow only the
+# starting total
+_OVERFLOWING = ["gen-data", "--scenario.n_devices", "1", "--scenario.tasks_per_device", "4",
+                "--scenario.cpu_freq_hz", "1e9,1e9", "--scenario.cycles_per_bit", "1e3,1e3",
+                "--scenario.energy_coeff", "2.4e280,2.4e280", "--datagen.n_scenarios", "6"]
+
+
+def _failure(spec):
+    """Which error the scenario of `spec` raises on its own: '.', 'total' or 'endpoint'."""
+    try:
+        greedy.optimize(generate_scenario(spec), greedy.GreedyConfig())
+    except ValueError as exc:
+        return "total" if "starting total" in str(exc) else "endpoint"
+    return "."
+
+
+class TestBatchErrorsMatchReference:
+    @pytest.mark.parametrize("seed, first, message", [
+        (2, "total", "error: the starting total energy is inf\n"),
+        (70, "endpoint", "error: a task's energy overflows or is not finite\n"),
+    ])
+    def test_the_first_failing_scenario_names_the_error(self, tmp_path, monkeypatch, capsys,
+                                                        seed, first, message):
+        spec = replace(ScenarioSpec(n_devices=1, tasks_per_device=4), cpu_freq_hz=(1e9, 1e9),
+                       cycles_per_bit=(1e3, 1e3), energy_coeff=(2.4e280, 2.4e280))
+        with np.errstate(over="ignore"):
+            kinds = [_failure(replace(spec, seed=seed + i)) for i in range(6)]
+        # scenario k of the one batch fails first, and a later one fails
+        # the other way
+        k = next(i for i, kind in enumerate(kinds) if kind != ".")
+        assert k >= 1 and kinds[k] == first and len(set(kinds[k:]) - {"."}) == 2, kinds
+        args = [*_OVERFLOWING, "--seed", str(seed)]
+        want = _error_run(monkeypatch, capsys, True, args, tmp_path / "ref")
+        got = _error_run(monkeypatch, capsys, False, args, tmp_path / "new")
+        assert got == want == (1, message)
+        assert not (tmp_path / "ref").exists() and not (tmp_path / "new").exists()
+
+
+class TestCliSpansBatches:
+    def test_gen_data_of_three_batches(self, tmp_path, monkeypatch):
+        spec = balanced_spec(0)
+        ranges = {name: list(getattr(spec, name))
+                  for name in ("cycles_per_bit", "cpu_freq_hz", "carrier_freq_hz",
+                               "noise_var_w")}
+        cfg = tmp_path / "balanced.yaml"
+        cfg.write_text(json.dumps({"scenario": ranges}) + "\n")
+        args = ["gen-data", "--config", str(cfg), "--datagen.n_scenarios", "70",
+                "--seed", "13"]
+        want = _run_cli(monkeypatch, True, args, tmp_path / "ref")
+        calls = []
+        monkeypatch.setattr(datagen, "generate_scenario",
+                            lambda specs, config: calls.append(len(specs))
+                            or generate_scenario(specs, config))
+        got = _run_cli(monkeypatch, False, args, tmp_path / "new")
+        assert calls == [25, 25, 20]
         assert sorted(got) == ["dataset.csv"]
         assert got == want

@@ -19,15 +19,17 @@ are independent, so the best reachable total is sum_i min(local_i, offload_i).
 import json
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_datagen
 import reference_greedy
 from helpers import balanced_spec
-from offloadlab import greedy
+from offloadlab import datagen, greedy
 from offloadlab.cli import main
 from offloadlab.datagen import ScenarioSpec, generate_scenario
 from offloadlab.greedy import (GreedyConfig, TERMINATION_CONVERGED,
@@ -181,10 +183,42 @@ class TestMatchesReference:
             assert_matches_frozen(sc, cfg)
 
 
+class TestLazyPickOrder:
+    """`evaluations` and `termination` come from the threshold; the pick
+    order is sorted only when `bumps` is first read."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(scenarios(), greedy_configs)
+    def test_counts_before_and_after_the_sort(self, sc, cfg):
+        got, want = optimize(sc, cfg), frozen_optimize(sc, cfg)
+        counted = got.evaluations, got.termination
+        if not hidden_improvement(want, sc, cfg):
+            assert counted == (len(want.trace), want.termination)
+        assert "bumps" not in vars(got)
+        assert len(got.bumps) == got.evaluations - 1
+        assert (got.evaluations, got.termination) == counted
+        picks = frozen_picks(want)
+        assert np.array_equal(got.trace_picks[:len(picks)], picks)
+        if not hidden_improvement(want, sc, cfg):
+            assert len(got.trace_picks) == len(picks)
+
+
+def _frozen_build_dataset(specs, gcfg, spectral_config):
+    """The frozen per-scenario dataset loop, labelled by the frozen greedy;
+    the live `Device` has no transmit power."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(reference_datagen, "Device", lambda tx_power_w, **fields: Device(**fields))
+        mp.setattr(reference_datagen, "greedy_mod", SimpleNamespace(
+            GreedyConfig=GreedyConfig,
+            optimize=lambda scenario, config, cache: frozen_optimize(scenario, config)))
+        return reference_datagen.build_dataset(specs, gcfg, spectral_config)
+
+
 def _run_cli(monkeypatch, reference: bool, args, out):
     if reference:
         monkeypatch.setattr(greedy, "optimize", frozen_optimize)
         monkeypatch.setattr(greedy, "write_trace_csv", reference_greedy.write_trace_csv)
+        monkeypatch.setattr(datagen, "build_dataset", _frozen_build_dataset)
     assert main([*args, "--out", str(out)]) == 0
     monkeypatch.undo()
     return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
@@ -380,6 +414,35 @@ class TestEdgeCases:
             sol = optimize(sc, cfg)
             assert sol.trace_totals.min() < 2.0 ** -1022  # subnormal totals
             assert_matches_frozen(sc, cfg)
+
+    # step 1 from 0: each task has one bump, from its local to its offload energy
+    @pytest.mark.parametrize("local, offload, ratios", [
+        # task 0's improving cell ties the stop, task 1's failing one, and
+        # comes first in pick order
+        ([2.0, 2.0], [1.0, 3.0], [1.0, 0.0]),
+        # the same tie, tasks swapped: the stop comes first
+        ([2.0, 2.0], [3.0, 1.0], [0.0, 0.0]),
+        # the stop is task 2's failing cell, not task 0's lower one, so task
+        # 1's cell at the stop's energy comes before it
+        ([1.0, 3.0, 3.0], [2.0, 0.5, 4.0], [0.0, 1.0, 0.0]),
+    ])
+    def test_an_improving_cell_that_ties_the_stop(self, monkeypatch, local, offload, ratios):
+        sc = _columns(monkeypatch, local, offload)
+        cfg = GreedyConfig(init_ratio=0.0, step=1.0)
+        assert optimize(sc, cfg).offload_ratios.tolist() == ratios
+        assert_matches_frozen(sc, cfg)
+
+    @pytest.mark.parametrize("max_iters", [None, 1, 2])
+    def test_packed_groups_are_solved_alone(self, monkeypatch, max_iters):
+        groups = [([2.0, 2.0], [1.0, 3.0]), ([2.0, 2.0], [3.0, 1.0]),
+                  ([1.0, 3.0, 3.0], [2.0, 0.5, 4.0]), ([5.0] * 3, [1.0] * 3), ([1.0], [1.0])]
+        cfg = GreedyConfig(init_ratio=0.0, step=1.0, max_iters=max_iters)
+        sc = _columns(monkeypatch, [e for local, _ in groups for e in local],
+                      [e for _, offload in groups for e in offload])
+        ratios, energy = greedy.optimize_packed(sc, [len(local) for local, _ in groups], cfg)
+        alone = [optimize(_columns(monkeypatch, *group), cfg) for group in groups]
+        assert ratios.tolist() == [r for sol in alone for r in sol.offload_ratios.tolist()]
+        assert energy.tolist() == [e for sol in alone for e in sol.per_task_energy.tolist()]
 
     def test_a_total_past_the_float_range_is_inf(self, monkeypatch):
         # the second bump raises task 1 and the exact total passes the range

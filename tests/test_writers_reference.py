@@ -5,7 +5,10 @@
 columns, whatever the cell types, the text and the row count.  The CLI
 files it now writes must match the ones the frozen writers write when they
 are patched back in.  The trace and dataset files are checked against
-`reference_greedy` and `reference_datagen` in their own tests.
+`reference_greedy` and `reference_datagen` in their own tests; here the
+trace is also checked against the frozen row writer.  Numpy columns whose
+values repeat, which `write_rows` formats once per distinct value, are
+drawn from small pools of easily confused values.
 """
 
 import filecmp
@@ -17,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_writers
-from offloadlab import cli, cluster
+from offloadlab import cli, cluster, greedy
 from offloadlab.cli import main
 from offloadlab.features import CSV_CHUNK_ROWS, write_rows
 
@@ -75,7 +78,67 @@ def scratch(tmp_path_factory):
     return tmp_path_factory.mktemp("writers")
 
 
+# values whose texts are easy to mix up: signed zeros, the smallest
+# subnormal, the float extremes, and numpy ints at their bounds
+_SHARED_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308,
+                  -1.7976931348623157e308, math.inf, -math.inf, math.nan, 0.1, 1.0 / 3.0]
+_SHARED_INTS = {np.int64: [0, -1, 7, 2 ** 63 - 1, -2 ** 63], np.int32: [0, -5, 2 ** 31 - 1],
+                np.uint64: [0, 3, 2 ** 64 - 1], np.bool_: [True, False]}
+_SHARED_ROWS = [1, 2, 3, CSV_CHUNK_ROWS - 1, CSV_CHUNK_ROWS, CSV_CHUNK_ROWS + 1,
+                2 * CSV_CHUNK_ROWS + 1]
+
+
+@st.composite
+def pooled_tables(draw):
+    """Numeric numpy columns, each drawn from a small pool of values, so
+    that most of a column's cells repeat one another."""
+    rows = draw(st.sampled_from(_SHARED_ROWS))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32)))
+    columns = []
+    for _ in range(draw(st.integers(1, 3))):
+        dtype = draw(st.sampled_from([np.float64, *_SHARED_INTS]))
+        values = _SHARED_FLOATS if dtype is np.float64 else _SHARED_INTS[dtype]
+        pool = np.array(draw(st.lists(st.sampled_from(values), min_size=1, max_size=6)),
+                        dtype=dtype)
+        columns.append(pool[rng.integers(0, len(pool), size=rows)])
+    return columns
+
+
+def _column_with_distinct(rows: int, distinct: int) -> np.ndarray:
+    """`rows` floats holding `distinct` values, -0.0 and 0.0 among them."""
+    values = np.arange(distinct, dtype=float) * 0.1
+    values[0], values[-1] = -0.0, 0.0
+    return np.resize(values, rows)
+
+
 class TestWriteRows:
+    @settings(max_examples=150, deadline=None)
+    @given(columns=pooled_tables())
+    def test_repeated_numpy_values_as_the_frozen_row_writer(self, scratch, columns):
+        header = [f"c{i}" for i in range(len(columns))]
+        write_rows(scratch / "new.csv", header, columns)
+        reference_writers._write_csv(scratch / "old.csv", header, zip(*columns))
+        assert (scratch / "new.csv").read_bytes() == (scratch / "old.csv").read_bytes()
+
+    @pytest.mark.parametrize("rows", [1023, 1024, 1025, 2049])
+    @pytest.mark.parametrize("extra, shared", [(0, True), (1, False)],
+                             ids=["half-distinct", "one-more"])
+    def test_distinct_counts_at_the_switch(self, tmp_path, monkeypatch, rows, extra, shared):
+        # a column at most half of whose cells are distinct formats each
+        # value once and looks the chunks up; one more distinct value
+        # formats every cell
+        column = _column_with_distinct(rows, rows // 2 + extra)
+        lookups = []
+        searchsorted = np.searchsorted
+        monkeypatch.setattr(np, "searchsorted",
+                            lambda *args: lookups.append(1) or searchsorted(*args))
+        write_rows(tmp_path / "new.csv", ["x", "i"], [column, np.arange(rows)])
+        monkeypatch.undo()
+        assert bool(lookups) == shared
+        reference_writers._write_csv(tmp_path / "old.csv", ["x", "i"],
+                                     zip(column, np.arange(rows)))
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
     @settings(max_examples=200, deadline=None)
     @given(table=tables())
     def test_same_bytes_as_frozen_row_writer(self, scratch, table):
@@ -128,6 +191,19 @@ class TestCliMatchesFrozenWriters:
         assert main(args + small + ["--out", str(tmp_path / "new")]) == 0
         _frozen_writers(monkeypatch)
         assert main(args + small + ["--out", str(tmp_path / "old")]) == 0
+        _assert_same_files(tmp_path / "new", tmp_path / "old")
+
+    @pytest.mark.parametrize("args", [
+        ["--seed", "3"],
+        ["--seed", "5", "--greedy.init_ratio", "0.0", "--greedy.step", "0.3"],
+        ["--seed", "7", "--greedy.max_iters", "17"],
+        ["--seed", "1", "--scenario.noise_var_w", "6.6e-3,6.6e-3"],
+        ["--seed", "1", "--scenario.n_devices", "50", "--scenario.tasks_per_device", "40"],
+    ])
+    def test_optimize_trace(self, tmp_path, monkeypatch, args):
+        assert main(["optimize", *args, "--out", str(tmp_path / "new")]) == 0
+        monkeypatch.setattr(greedy, "write_rows", reference_writers.write_rows_with_csv_writer)
+        assert main(["optimize", *args, "--out", str(tmp_path / "old")]) == 0
         _assert_same_files(tmp_path / "new", tmp_path / "old")
 
     def test_evaluate(self, tmp_path, monkeypatch):
