@@ -107,6 +107,9 @@ def _sq_dists(cols: np.ndarray, centroids: np.ndarray) -> np.ndarray:
 
 # A squared distance computed as inf is exactly at least DBL_MAX / (1 + (d +
 # 1) eps), so sqrt(_FAR_D2) = 1e154 is a valid lower bound on its distance.
+# kmeans_fit scales every input whose squared distances could overflow, so
+# there an overflowed distance meets the cap only in a test that turns that
+# scaling off; the inf runner-up of k = 1 is capped as well.
 _FAR_D2 = 1e308
 
 
@@ -116,9 +119,9 @@ def _assign(cols: np.ndarray, centroids: np.ndarray):
     other centroid: the runner-up's distance, capped at 1e154."""
     d2 = _sq_dists(cols, centroids)
     labels = d2.argmin(axis=0)
-    at = np.arange(d2.shape[1])
-    nearest = np.sqrt(d2[labels, at])
-    d2[labels, at] = np.inf
+    own = labels * d2.shape[1] + np.arange(d2.shape[1])  # flat (label, column)
+    nearest = np.sqrt(d2.take(own))
+    d2.ravel()[own] = np.inf
     return labels, nearest, np.sqrt(np.minimum(d2.min(axis=0), _FAR_D2))
 
 
@@ -126,7 +129,7 @@ def _seed_centroids(points: np.ndarray, k: int, rng: np.random.Generator) -> np.
     # k-means++ D^2 sampling; falls back to uniform picks once all mass is 0
     n = len(points)
     chosen = [int(rng.integers(n))]
-    d2 = _sq_dists(points.T, points[chosen])[0]
+    d2 = _sq_dists(points.T, points.take(chosen, axis=0))[0]
     for _ in range(1, k):
         total = d2.sum()
         if total > 0.0:
@@ -134,8 +137,8 @@ def _seed_centroids(points: np.ndarray, k: int, rng: np.random.Generator) -> np.
         else:
             idx = int(rng.integers(n))
         chosen.append(idx)
-        d2 = np.minimum(d2, _sq_dists(points.T, points[[idx]])[0])
-    return points[chosen].copy()
+        d2 = np.minimum(d2, _sq_dists(points.T, points[idx:idx + 1])[0])
+    return points.take(chosen, axis=0)
 
 
 def _scale_exponent(points: np.ndarray) -> int:
@@ -163,7 +166,7 @@ def _repair_empty(points: np.ndarray, centroids: np.ndarray,
         empty = np.flatnonzero(counts == 0)
         if empty.size == 0:
             break
-        dist2 = ((points - centroids[labels]) ** 2).sum(axis=1)
+        dist2 = ((points - centroids.take(labels, axis=0)) ** 2).sum(axis=1)
         donor = int(dist2.argmax())
         if dist2[donor] <= 0.0:
             break
@@ -218,47 +221,56 @@ def _lloyd(points: np.ndarray, cols: np.ndarray, k: int, rng: np.random.Generato
     lower shrinks by the largest move.  A row is assigned again, exactly,
     unless upper + slack < lower, which proves its label cannot change; a
     NaN or inf bound never passes.  So the labels are bit for bit those of
-    a full assignment.
+    a full assignment.  Rows are gathered with `take`: at a few thousand
+    rows numpy's advanced indexing costs more than the arithmetic.
     """
     centroids = _seed_centroids(points, k, rng)
     n, d = points.shape
-    # one bincount bin per (cluster, column); each bin adds its column in
-    # row order, as a mean over the members' C-ordered gather would
-    flat = points.ravel()
-    columns = np.arange(d)
-    prev_labels = None
+    sums = np.empty((d, k))
     bounded = False  # bounds hold: not on the first step, nor after a repair
     history: list[float] = []
     repairs = recomputed = 0
     for iterations in range(1, max_iter + 1):
         if not bounded:
-            labels, upper, lower = _assign(cols, centroids)
+            fresh, upper, lower = _assign(cols, centroids)
+            changed = iterations == 1 or not np.array_equal(fresh, labels)
+            labels = fresh
             recomputed += n
         else:
+            # a kept row's label cannot have changed, so only stale rows can
             stale = np.flatnonzero(~(upper + slack < lower))
+            changed = False
             if stale.size:
-                labels = labels.copy()
-                labels[stale], upper[stale], lower[stale] = _assign(cols[:, stale], centroids)
+                fresh, upper[stale], lower[stale] = _assign(cols.take(stale, axis=1),
+                                                            centroids)
+                changed = not np.array_equal(fresh, labels.take(stale))
+                if changed:
+                    labels[stale] = fresh
                 recomputed += stale.size
         counts = np.bincount(labels, minlength=k)
         repaired = _repair_empty(points, centroids, labels, counts)
         repairs += repaired
-        if not repaired and prev_labels is not None and np.array_equal(labels, prev_labels):
+        if not repaired and not changed:
             break
         previous = centroids.copy()
-        sums = np.bincount((labels[:, None] * d + columns).ravel(), weights=flat,
-                           minlength=k * d).reshape(k, d)
-        filled = counts > 0
-        centroids[filled] = sums[filled] / counts[filled, None]
-        history.append(float(((points - centroids[labels]) ** 2).sum()))
-        prev_labels = labels
+        # one bincount per feature over its row of cols: each bin adds its
+        # members in row order, as a mean over their C-ordered gather would
+        for j in range(d):
+            sums[j] = np.bincount(labels, weights=cols[j], minlength=k)
+        np.divide(sums.T, counts[:, None], out=centroids, where=counts[:, None] > 0)
+        # squares in a C-ordered (n, d) block, the layout whose pairwise
+        # .sum() the frozen inertias pin
+        sq = centroids.take(labels, axis=0)
+        np.subtract(points, sq, out=sq)
+        sq *= sq
+        history.append(float(sq.sum()))
         moves = np.sqrt(((centroids - previous) ** 2).sum(axis=1))
         shift = float(moves.max())
         if not repaired and shift < tol:
             break
         # a repair jumps a centroid past these moves
         bounded = not repaired
-        upper += moves[labels]
+        upper += moves.take(labels)
         lower -= shift
     # the last update's inertia: a break before an update keeps its labels
     return centroids, labels, history[-1], iterations, history, repairs, recomputed
@@ -375,16 +387,16 @@ def train_clustered_models(training_data: Dataset, num_clusters: int,
     km = kmeans_fit(scaled, num_clusters, seed=seed, restarts=restarts)
     models = []
     for c in range(num_clusters):
-        members = km.labels == c
-        count = int(members.sum())
-        if count == 0:
+        members = np.flatnonzero(km.labels == c)
+        if members.size == 0:
             models.append(LinearModel(coeffs=np.zeros(len(subset) + 1), degenerate=True))
-        elif count < len(subset) + 2:
+        elif members.size < len(subset) + 2:
             coeffs = np.zeros(len(subset) + 1)
-            coeffs[0] = float(training_data.y[members].mean())
+            coeffs[0] = float(training_data.y.take(members).mean())
             models.append(LinearModel(coeffs=coeffs, degenerate=True))
         else:
-            models.append(fit_linear_model(scaled[members], training_data.y[members]))
+            models.append(fit_linear_model(scaled.take(members, axis=0),
+                                           training_data.y.take(members)))
     return ClusteredModel(kmeans=km, per_cluster=tuple(models),
                           scaling=scaling, feature_subset=subset)
 
@@ -400,12 +412,13 @@ def predict_matrix(model: ClusteredModel, raw: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"expected {len(model.feature_subset)} feature columns, got {raw.shape[1]}")
     scaled = apply_min_max(raw, model.scaling)
-    labels = _assign(scaled.T, model.kmeans.centroids)[0]
+    # `_assign`'s labels, without its nearest and runner-up distances
+    labels = _sq_dists(scaled.T, model.kmeans.centroids).argmin(axis=0)
     out = np.empty(len(scaled))
     for c, lm in enumerate(model.per_cluster):
-        members = labels == c
-        if members.any():
-            out[members] = lm.predict(scaled[members])
+        members = np.flatnonzero(labels == c)
+        if members.size:
+            out[members] = lm.predict(scaled.take(members, axis=0))
     return out
 
 

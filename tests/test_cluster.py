@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from offloadlab.cluster import (ClusteredModel, EvalReport, KMeansModel,
-                                LinearModel, evaluate_models,
+                                LinearModel, _assign, _sq_dists, evaluate_models,
                                 fit_linear_model, kmeans_fit, load_model,
                                 predict_dataset, predict_matrix, save_model,
                                 train_clustered_models)
@@ -198,6 +198,20 @@ class TestAssignCluster:
         # 1.0 is equidistant from all three; 2.0 sits on clusters 0 and 2
         assert predict_matrix(model, np.array([[1.0], [2.0]])).tolist() == [0.0, 0.0]
         assert nearest_by_loop(model.kmeans.centroids, [1.0]) == 0
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_routes_as_assign_labels(self):
+        centroids = np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0], [2.0, 2.0], [1e200, 0.0]])
+        # lattice rows tie exactly between two or four centroids; the far rows'
+        # squared distances overflow to inf, to some centroids or to all
+        lattice = [(x, y) for x in range(-1, 4) for y in range(-1, 4)]
+        far = [(1e200, 0.0), (1e200, 1e200), (-1e200, 0.0), (1e300, -1e300)]
+        rows = np.array(lattice + far)
+        d2 = _sq_dists(rows.T, centroids)
+        assert ((d2 == d2.min(axis=0)).sum(axis=0) > 1).any()
+        assert np.isinf(d2).all(axis=0).any()
+        routed = predict_matrix(routing_model(centroids), rows)
+        assert routed.tolist() == _assign(rows.T, centroids)[0].tolist()
 
     def test_dimension_mismatch(self):
         model = self.make()

@@ -1,4 +1,4 @@
-"""Differential checks of the one-bincount Lloyd update.
+"""Differential checks of the bincount Lloyd update.
 
 `reference_kmeans` is a frozen copy of the k-means that updated each
 centroid with its own boolean gather and `.mean`.  For two or more features
@@ -13,6 +13,7 @@ and with the frozen CSV writers of `reference_writers` patched back in.
 """
 
 import filecmp
+import functools
 import json
 from contextlib import ExitStack
 from unittest import mock
@@ -24,9 +25,12 @@ from hypothesis import strategies as st
 
 import reference_kmeans
 import reference_writers
+from helpers import balanced_spec
 from offloadlab import cli, cluster
 from offloadlab.cli import main
-from offloadlab.features import write_rows
+from offloadlab.datagen import build_dataset
+from offloadlab.features import (CANONICAL_FEATURES, apply_min_max, fit_min_max,
+                                 write_rows)
 
 _POOL = [-1.5, -0.0, 0.0, 0.25, 1.0, 3.0, 7.5]
 
@@ -81,6 +85,18 @@ def both(points, k, seed, restarts, forced=False):
     return got, want
 
 
+@functools.cache
+def balanced_dataset():
+    return build_dataset([balanced_spec(700 + i) for i in range(30)])
+
+
+def balanced_rows(d: int) -> np.ndarray:
+    """1,500 balanced gen-data rows: their first d features, min-max scaled
+    and Fortran-ordered, as the CLI hands a subset to k-means."""
+    X = balanced_dataset().select(CANONICAL_FEATURES[:d])
+    return apply_min_max(X, fit_min_max(X))
+
+
 def assert_identical(got, want):
     assert got.labels.tobytes() == want.labels.tobytes()
     assert got.centroids.dtype == want.centroids.dtype
@@ -133,6 +149,16 @@ class TestMatchesReference:
 
     def test_all_points_equal(self):
         assert_identical(*both(np.full((9, 3), 0.1), 4, 0, 3))
+
+    # the hypothesis draws stop at 60 rows; at bench scale the stale blocks
+    # of the pruned assignment run to hundreds of rows
+    @pytest.mark.parametrize("k", [2, 6, 10])
+    @pytest.mark.parametrize("d", [2, 4, 7])
+    def test_exact_on_bench_scale_data(self, d, k):
+        points = balanced_rows(d)
+        assert points.shape == (1500, d)
+        assert points.flags.f_contiguous and not points.flags.c_contiguous
+        assert_identical(*both(points, k, seed=k, restarts=10))
 
     def test_max_iter_must_be_positive(self):
         with pytest.raises(ValueError, match="max_iter"):
