@@ -15,7 +15,6 @@ import json
 import logging
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -52,13 +51,6 @@ def _out_dir(cfg: ExperimentConfig) -> Path:
     return out
 
 
-def _run_grid(worker, items, jobs: int):
-    if jobs <= 1 or len(items) <= 1:
-        return [worker(item) for item in items]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(worker, items))
-
-
 def cmd_optimize(cfg: ExperimentConfig) -> list[Path]:
     scenario = datagen.generate_scenario(cfg.scenario, cfg.spectral)
     solution = greedy.optimize(scenario, cfg.greedy)
@@ -81,9 +73,8 @@ def cmd_optimize(cfg: ExperimentConfig) -> list[Path]:
     return [solution_path, trace_path]
 
 
-def _sweep_point(args):
+def _sweep_point(cfg: ExperimentConfig, pins: dict) -> tuple[float, float]:
     """Greedy and all-local total energy of the config's scenario with `pins` set."""
-    cfg, pins = args
     scenario = datagen.generate_scenario(replace(cfg.scenario, **pins), cfg.spectral)
     solution = greedy.optimize(scenario, cfg.greedy)
     return solution.total_energy, float(solution.endpoints[0].sum())
@@ -92,9 +83,9 @@ def _sweep_point(args):
 def cmd_sweep_modulation(cfg: ExperimentConfig) -> list[Path]:
     grid = [(speed, carrier) for speed in cfg.sweeps.speed_grid
             for carrier in cfg.sweeps.carrier_freq_grid]
-    items = [(cfg, {"speed_mps": (speed, speed), "carrier_freq_hz": (carrier, carrier)})
-             for speed, carrier in grid]
-    energies = _run_grid(_sweep_point, items, cfg.jobs)
+    energies = [_sweep_point(cfg, {"speed_mps": (speed, speed),
+                                   "carrier_freq_hz": (carrier, carrier)})
+                for speed, carrier in grid]
     path = _out_dir(cfg) / SWEEP_MODULATION_FILE
     write_rows(path, ["speed_mps", "carrier_freq_hz", "total_energy_j"],
                [*zip(*grid), [energy for energy, _ in energies]])
@@ -103,8 +94,7 @@ def cmd_sweep_modulation(cfg: ExperimentConfig) -> list[Path]:
 
 def cmd_sweep_datasize(cfg: ExperimentConfig) -> list[Path]:
     sizes = cfg.sweeps.data_size_grid
-    items = [(cfg, {"data_bits": (size, size)}) for size in sizes]
-    energies = _run_grid(_sweep_point, items, cfg.jobs)
+    energies = [_sweep_point(cfg, {"data_bits": (size, size)}) for size in sizes]
     gaps = [baseline - energy for energy, baseline in energies]
     path = _out_dir(cfg) / SWEEP_DATASIZE_FILE
     write_rows(path, ["data_size_bits", "greedy_energy_j", "all_local_energy_j", "gap_j"],
@@ -201,7 +191,6 @@ _COMMANDS = {
 # other key is a hidden --<key> option
 _LISTED = {
     "seed": (("--seed",), "N", "global seed"),
-    "jobs": (("--jobs",), "N", "worker processes for sweeps"),
     "out_dir": (("--out", "--out_dir"), "DIR", "output directory"),
 }
 

@@ -133,7 +133,10 @@ def _seed_centroids(points: np.ndarray, k: int, rng: np.random.Generator) -> np.
     for _ in range(1, k):
         total = d2.sum()
         if total > 0.0:
-            idx = int(rng.choice(n, p=d2 / total))
+            # Generator.choice(n, p=d2 / total)'s own draw, without its checks on p
+            cdf = np.cumsum(d2 / total)
+            cdf /= cdf[-1]
+            idx = int(cdf.searchsorted(rng.random(), side="right"))
         else:
             idx = int(rng.integers(n))
         chosen.append(idx)

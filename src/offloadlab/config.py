@@ -11,8 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields, is_dataclass
 
-import yaml
-
 from .datagen import SAMPLED_FIELDS, ScenarioSpec
 from .features import check_subsets, subset_entry
 from .greedy import GreedyConfig
@@ -83,7 +81,6 @@ class DatagenConfig:
 class ExperimentConfig:
     seed: int = 0
     out_dir: str = "out"
-    jobs: int = 1
     dataset_path: str | None = None
     model_path: str | None = None
     scenario: ScenarioSpec = ScenarioSpec()
@@ -94,8 +91,6 @@ class ExperimentConfig:
     datagen: DatagenConfig = DatagenConfig()
 
     def __post_init__(self):
-        if self.jobs < 1:
-            raise ValueError("jobs must be >= 1")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
         self.greedy.check_size(self.scenario.n_devices * self.scenario.tasks_per_device)
@@ -188,7 +183,6 @@ def _subsets(v) -> tuple:
 SCHEMA = {
     "seed": _int,
     "out_dir": _str,
-    "jobs": _int,
     "dataset_path": _opt(_str),
     "model_path": _opt(_str),
     "scenario.n_devices": _int,
@@ -246,6 +240,8 @@ def load_config(path=None, overrides=None) -> ExperimentConfig:
     flat = _default_flat()
     data = {}
     if path is not None:
+        import yaml  # only a config file needs it: keeps it off every command's start-up
+
         try:
             with open(path) as fh:
                 data = yaml.safe_load(fh)

@@ -12,6 +12,7 @@ binned plug-in mutual information estimate against the target.
 from __future__ import annotations
 
 import csv
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -167,7 +168,7 @@ def read_csv_matrix(path) -> tuple[tuple[str, ...], np.ndarray]:
                 raise ValueError(f"{path}: empty file")
             if len(set(header)) != len(header):
                 raise ValueError(f"{path}: duplicate column names in the header")
-            rows = []
+            values = array("d")  # row after row: 8 bytes a cell, no float per cell
             for line in reader:
                 if not line:
                     continue
@@ -175,16 +176,16 @@ def read_csv_matrix(path) -> tuple[tuple[str, ...], np.ndarray]:
                     raise ValueError(f"{path}: line {reader.line_num}: {len(line)} cells, "
                                      f"the header has {len(header)}")
                 try:
-                    rows.append([float(v) for v in line])
+                    values.extend(map(float, line))
                 except ValueError as exc:
                     raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
         except csv.Error as exc:
             raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
         except UnicodeDecodeError as exc:
             raise ValueError(f"{path}: {exc}") from None
-    if not rows:
+    if not values:
         raise ValueError(f"{path}: no data rows")
-    data = np.asarray(rows, dtype=float)
+    data = np.frombuffer(values).reshape(-1, len(header))
     if not np.isfinite(data).all():
         raise ValueError(f"{path}: NaN or infinite values")
     return tuple(header), data

@@ -1,10 +1,15 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import offloadlab
 import reference_datagen
 from offloadlab import datagen, features, model
 from offloadlab.cli import main
@@ -27,6 +32,31 @@ def assert_same_tree(a, b):
     assert sorted(p.name for p in a.iterdir()) == sorted(p.name for p in b.iterdir())
     for path in a.iterdir():
         assert path.read_bytes() == (b / path.name).read_bytes()
+
+
+COLD_START = """\
+import sys
+import offloadlab.cli
+from offloadlab.config import load_config
+print([name for name in ("yaml", "concurrent.futures", "multiprocessing")
+       if name in sys.modules])
+print(repr(load_config(sys.argv[1])))
+print("yaml" in sys.modules)
+"""
+
+
+class TestColdStart:
+    def test_yaml_and_the_process_pool_are_imported_only_when_used(self, tmp_path):
+        # every command imports the cli; only --config needs PyYAML
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text("seed: 3\nclustering: {k_max: 4}\nsweeps: {speed_grid: [0, 150]}\n")
+        src = str(Path(offloadlab.__file__).parents[1])
+        env = dict(os.environ,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", COLD_START, str(cfg)], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["[]", repr(load_config(cfg)), "True"]
 
 
 class TestConfigHandling:
@@ -222,12 +252,12 @@ class TestSweeps:
         assert f"sweeps.{grid}" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_parallel_matches_serial(self, tmp_path):
-        serial, parallel = tmp_path / "s", tmp_path / "p"
-        assert run("sweep-modulation", "--jobs", "1", "--out", str(serial)) == 0
-        assert run("sweep-modulation", "--jobs", "2", "--out", str(parallel)) == 0
-        assert ((serial / "sweep_modulation.csv").read_bytes()
-                == (parallel / "sweep_modulation.csv").read_bytes())
+    def test_serial_reruns_match(self, tmp_path):
+        first, second = tmp_path / "a", tmp_path / "b"
+        assert run("sweep-modulation", "--out", str(first)) == 0
+        assert run("sweep-modulation", "--out", str(second)) == 0
+        assert ((first / "sweep_modulation.csv").read_bytes()
+                == (second / "sweep_modulation.csv").read_bytes())
 
     # default grids on the default 5 devices: 5 sizes and 4 speeds x 1 carrier
     @pytest.mark.parametrize("command, calls", [("sweep-datasize", 25),
@@ -236,7 +266,7 @@ class TestSweeps:
         seen = []
         calc_se = model.calc_se
         monkeypatch.setattr(model, "calc_se", lambda *args: seen.append(args) or calc_se(*args))
-        assert run(command, "--seed", "3", "--jobs", "1", "--out", str(tmp_path)) == 0
+        assert run(command, "--seed", "3", "--out", str(tmp_path)) == 0
         assert len(seen) == calls
 
     def test_all_local_column_is_the_frozen_loops_sum(self, tmp_path):
@@ -250,15 +280,29 @@ class TestSweeps:
                 sc, SpectralEfficiencyCache(cfg.spectral))
             assert row[2] == repr(float(local.sum()))
 
-    def test_parallel_datasize_matches_serial(self, tmp_path):
+    def test_serial_datasize_reruns_match_in_grid_order(self, tmp_path):
         grid = "--sweeps.data_size_grid=-0,0,2e6"
-        serial, parallel = tmp_path / "s", tmp_path / "p"
-        assert run("sweep-datasize", grid, "--jobs", "1", "--out", str(serial)) == 0
-        assert run("sweep-datasize", grid, "--jobs", "2", "--out", str(parallel)) == 0
-        data = (serial / "sweep_datasize.csv").read_bytes()
-        assert data == (parallel / "sweep_datasize.csv").read_bytes()
-        assert [row[0] for row in read_rows(serial / "sweep_datasize.csv")[1:]] == [
+        first, second = tmp_path / "a", tmp_path / "b"
+        assert run("sweep-datasize", grid, "--out", str(first)) == 0
+        assert run("sweep-datasize", grid, "--out", str(second)) == 0
+        data = (first / "sweep_datasize.csv").read_bytes()
+        assert data == (second / "sweep_datasize.csv").read_bytes()
+        assert [row[0] for row in read_rows(first / "sweep_datasize.csv")[1:]] == [
             "-0.0", "0.0", "2000000.0"]
+
+    @pytest.mark.parametrize("command", ["sweep-modulation", "sweep-datasize"])
+    def test_removed_jobs_exits_2(self, tmp_path, capsys, command):
+        # the sweeps' process pool is gone: --jobs and the jobs key are unknown
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as exc:
+            run(command, "--jobs", "2", "--out", str(out))
+        assert exc.value.code == 2
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text("jobs: 2\n")
+        capsys.readouterr()
+        assert run(command, "--config", str(cfg), "--out", str(out)) == 2
+        assert "unknown config field 'jobs'" in capsys.readouterr().err
+        assert not out.exists()
 
 
 @pytest.fixture()
@@ -499,8 +543,8 @@ class TestRejectedInputLeavesNoOutDir:
     @pytest.mark.parametrize("data,message", [
         (b"seed: 3\n\xff\xfe\n", "cfg.yaml is not UTF-8 text"),
         (b"scenario: {n_devices: .inf}\n", "scenario.n_devices: expected an integer"),
-        (b"jobs: -.inf\n", "jobs: expected an integer"),
-    ], ids=["undecodable", "inf-n_devices", "inf-jobs"])
+        (b"clustering: {k_max: -.inf}\n", "clustering.k_max: expected an integer"),
+    ], ids=["undecodable", "inf-n_devices", "inf-k_max"])
     def test_bad_config_file(self, tmp_path, capsys, data, message):
         cfg = tmp_path / "cfg.yaml"
         cfg.write_bytes(data)

@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from offloadlab.cluster import (ClusteredModel, EvalReport, KMeansModel,
-                                LinearModel, _assign, _sq_dists, evaluate_models,
+                                LinearModel, _assign, _seed_centroids, _sq_dists,
+                                evaluate_models,
                                 fit_linear_model, kmeans_fit, load_model,
                                 predict_dataset, predict_matrix, save_model,
                                 train_clustered_models)
@@ -148,6 +149,35 @@ class TestKMeans:
         assert np.array_equal(got.centroids, want.centroids * 2.0**600)
         assert np.array_equal(got.labels, want.labels)
         assert got.iterations_run == want.iterations_run
+
+
+def choice_seeds(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    """k-means++ seeding that draws each D^2 pick with `Generator.choice`."""
+    n = len(points)
+    chosen = [int(rng.integers(n))]
+    d2 = _sq_dists(points.T, points.take(chosen, axis=0))[0]
+    for _ in range(1, k):
+        total = d2.sum()
+        idx = int(rng.choice(n, p=d2 / total)) if total > 0.0 else int(rng.integers(n))
+        chosen.append(idx)
+        d2 = np.minimum(d2, _sq_dists(points.T, points[idx:idx + 1])[0])
+    return points.take(chosen, axis=0)
+
+
+class TestSeeding:
+    def test_draws_as_generator_choice(self):
+        for case in range(300):
+            rng = np.random.default_rng(case)
+            n, d, k = (int(rng.integers(lo, hi)) for lo, hi in ((1, 3000), (1, 5), (1, 12)))
+            # rows repeated from a few distinct ones: D^2 masses with many zeros
+            distinct = rng.random((int(rng.integers(1, n + 1)), d))
+            points = distinct.take(rng.integers(0, len(distinct), size=n), axis=0)
+            got_rng = np.random.default_rng(10_000 + case)
+            want_rng = np.random.default_rng(10_000 + case)
+            got = _seed_centroids(points, k, got_rng)
+            assert got.tobytes() == choice_seeds(points, k, want_rng).tobytes(), case
+            # both consumed the same draws
+            assert got_rng.random() == want_rng.random(), case
 
 
 def nearest_by_loop(centroids: np.ndarray, point: np.ndarray) -> int:

@@ -1,3 +1,4 @@
+import json
 from dataclasses import fields, is_dataclass
 
 import pytest
@@ -9,7 +10,6 @@ class TestDefaults:
     def test_no_inputs(self):
         cfg = load_config()
         assert cfg.seed == 0
-        assert cfg.jobs == 1
         assert cfg.out_dir == "out"
         assert cfg.scenario.seed == 0
         assert cfg.clustering.seed == 0
@@ -58,10 +58,9 @@ class TestFileAndOverrides:
 
     def test_global_flags_beat_everything(self, tmp_path):
         path = tmp_path / "cfg.yaml"
-        path.write_text("seed: 3\njobs: 2\nout_dir: somewhere\n")
-        cfg = load_config(path, overrides={"seed": "9", "jobs": "4",
-                                           "out_dir": "elsewhere"})
-        assert (cfg.seed, cfg.jobs, cfg.out_dir) == (9, 4, "elsewhere")
+        path.write_text("seed: 3\nout_dir: somewhere\n")
+        cfg = load_config(path, overrides={"seed": "9", "out_dir": "elsewhere"})
+        assert (cfg.seed, cfg.out_dir) == (9, "elsewhere")
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "cfg.yaml"
@@ -131,9 +130,7 @@ class TestCoercion:
         assert cfg.dataset_path == "x.csv"
         assert cfg.model_path == "m.json"
 
-    def test_jobs_and_seed_floors(self):
-        with pytest.raises(ConfigError, match="jobs must be >= 1"):
-            load_config(overrides={"jobs": "0"})
+    def test_seed_floor(self):
         with pytest.raises(ConfigError, match="seed must be >= 0"):
             load_config(overrides={"seed": "-1"})
 
@@ -143,8 +140,6 @@ class TestCoercion:
             load_config(overrides={key: "-1"})
 
     def test_experiment_config_checks_its_own_fields(self):
-        with pytest.raises(ValueError, match="jobs must be >= 1"):
-            ExperimentConfig(jobs=0)
         with pytest.raises(ValueError, match="seed must be >= 0"):
             ExperimentConfig(seed=-1)
 
@@ -156,10 +151,10 @@ class TestCoercion:
 
 
 # keys a model never read, physical constants that are no longer settable,
-# and the keys of the removed trajectory ingest
+# the keys of the removed trajectory ingest and the removed sweep pool's size
 REMOVED_KEYS = ("spectral.bandwidth_hz", "spectral.num_users", "spectral.frame_time_s",
                 "spectral.light_speed_mps", "ingest.earth_radius_m", "ingest.path",
-                "ingest.column_map")
+                "ingest.column_map", "jobs")
 
 
 class TestSchema:
@@ -178,7 +173,7 @@ class TestSchema:
                     assert f"{f.name}.{leaf.name}" in SCHEMA
             else:
                 assert f.name in SCHEMA
-        assert len(SCHEMA) == 33
+        assert len(SCHEMA) == 32
 
     def test_defaults_are_the_dataclass_defaults(self):
         assert load_config() == ExperimentConfig()
@@ -187,8 +182,10 @@ class TestSchema:
     def test_removed_keys_are_unknown(self, tmp_path, dotted):
         with pytest.raises(ConfigError, match="unknown config field"):
             load_config(overrides={dotted: "3"})
-        section, leaf = dotted.split(".")
+        tree = 3
+        for name in reversed(dotted.split(".")):
+            tree = {name: tree}
         path = tmp_path / "cfg.yaml"
-        path.write_text(f"{section}:\n  {leaf}: 3\n")
+        path.write_text(json.dumps(tree) + "\n")  # JSON is YAML
         with pytest.raises(ConfigError, match="unknown config field"):
             load_config(path)

@@ -1,3 +1,4 @@
+import csv
 import math
 
 import numpy as np
@@ -9,8 +10,9 @@ from hypothesis.extra.numpy import arrays
 from offloadlab.datagen import build_dataset
 from offloadlab.features import (CANONICAL_FEATURES, PRIMARY_FEATURES, Dataset,
                                  apply_min_max, check_subsets, fit_min_max,
-                                 mutual_information, rank_features, resolve_subset,
-                                 split_dataset, subset_entry, subset_label)
+                                 mutual_information, rank_features, read_csv_matrix,
+                                 resolve_subset, split_dataset, subset_entry,
+                                 subset_label)
 
 from helpers import balanced_spec
 
@@ -193,6 +195,43 @@ class TestDataset:
         path.write_text("")
         with pytest.raises(ValueError):
             Dataset.from_csv(path)
+
+
+def read_rows_matrix(path):
+    """The list-of-rows reading of a well-formed numeric CSV file: the
+    header and one list of floats per non-blank line, stacked by numpy."""
+    with open(path, newline="") as fh:
+        lines = [line for line in csv.reader(fh) if line]
+    return tuple(lines[0]), np.asarray([[float(v) for v in line] for line in lines[1:]],
+                                       dtype=float)
+
+
+def assert_same_matrix(got, want):
+    (names, data), (want_names, want_data) = got, want
+    assert names == want_names
+    assert data.dtype == want_data.dtype and data.shape == want_data.shape
+    assert data.tobytes() == want_data.tobytes()
+    assert data.flags.c_contiguous and data.flags.writeable
+
+
+class TestReadCsvMatrix:
+    def test_gen_data_file_reads_as_rows(self, tmp_path):
+        path = tmp_path / "dataset.csv"
+        build_dataset([balanced_spec(60 + i) for i in range(3)]).to_csv(path)
+        got = read_csv_matrix(path)
+        assert got[1].shape == (150, len(CANONICAL_FEATURES) + 1)
+        assert_same_matrix(got, read_rows_matrix(path))
+
+    @pytest.mark.parametrize("text", [
+        "\n\na,b\n\n1,2\n",
+        "a,b\n1,2\n\n\n-0.0,4e-320\n\n",
+        "a\r\n\r\n5\r\n6\r\n",
+        "a,b,c\n\n1,2,3\n",
+    ], ids=["before_header", "between_rows", "one_column_crlf", "after_header"])
+    def test_blank_lines_read_as_rows(self, tmp_path, text):
+        path = tmp_path / "blank.csv"
+        path.write_text(text, newline="")
+        assert_same_matrix(read_csv_matrix(path), read_rows_matrix(path))
 
 
 def _drop(dataset: Dataset, name: str) -> Dataset:

@@ -183,8 +183,7 @@ class TestCliMatchesFrozenWriters:
     @pytest.mark.parametrize("args", [
         ["sweep-modulation", "--seed", "2", "--sweeps.speed_grid", "0,150",
          "--sweeps.carrier_freq_grid", "1e9,28e9"],
-        ["sweep-datasize", "--seed", "3", "--sweeps.data_size_grid", "0,1e6,4e6",
-         "--jobs", "2"],
+        ["sweep-datasize", "--seed", "3", "--sweeps.data_size_grid", "0,1e6,4e6"],
     ], ids=["sweep-modulation", "sweep-datasize"])
     def test_sweeps(self, tmp_path, monkeypatch, args):
         small = ["--scenario.n_devices", "2", "--scenario.tasks_per_device", "3"]
