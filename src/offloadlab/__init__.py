@@ -15,7 +15,7 @@ from .features import (CANONICAL_FEATURES, PRIMARY_FEATURES, Dataset,
 from .datagen import ScenarioSpec, build_dataset, generate_scenario
 from .greedy import (GreedyConfig, OffloadSolution, get_total_energy, optimize,
                      write_trace_csv)
-from .model import Channel, Device, Scenario, Task, implied_tx_power
+from .model import Scenario
 from .spectral import (SpectralConfig, SpectralEfficiencyCache, calc_se,
                        doppler_shift)
 

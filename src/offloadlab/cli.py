@@ -18,6 +18,8 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+
 from . import cluster, datagen, greedy
 from .config import SCHEMA, ConfigError, ExperimentConfig, load_config
 from .features import (TARGET_COLUMN, Dataset, feature_index, rank_features,
@@ -77,7 +79,11 @@ def _sweep_point(cfg: ExperimentConfig, pins: dict) -> tuple[float, float]:
     """Greedy and all-local total energy of the config's scenario with `pins` set."""
     scenario = datagen.generate_scenario(replace(cfg.scenario, **pins), cfg.spectral)
     solution = greedy.optimize(scenario, cfg.greedy)
-    return solution.total_energy, float(solution.endpoints[0].sum())
+    with np.errstate(over="ignore"):  # an overflow is the ValueError below
+        all_local = float(solution.endpoints[0].sum())
+    if not np.isfinite(all_local):
+        raise ValueError(f"the all-local total energy is {all_local}")
+    return solution.total_energy, all_local
 
 
 def cmd_sweep_modulation(cfg: ExperimentConfig) -> list[Path]:

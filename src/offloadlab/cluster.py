@@ -408,20 +408,25 @@ def predict_matrix(model: ClusteredModel, raw: np.ndarray) -> np.ndarray:
     """Predicted energy (J) per row of raw features ordered like the subset.
 
     Each row is scaled with the training parameters, routed to the nearest
-    centroid (ties to the lowest index) and evaluated with that plane.
+    centroid (ties to the lowest index) and evaluated with that plane.  A
+    prediction that overflows or is not finite is a ValueError naming its row.
     """
     raw = np.atleast_2d(np.asarray(raw, dtype=float))
     if raw.shape[1] != len(model.feature_subset):
         raise ValueError(
             f"expected {len(model.feature_subset)} feature columns, got {raw.shape[1]}")
-    scaled = apply_min_max(raw, model.scaling)
-    # `_assign`'s labels, without its nearest and runner-up distances
-    labels = _sq_dists(scaled.T, model.kmeans.centroids).argmin(axis=0)
-    out = np.empty(len(scaled))
-    for c, lm in enumerate(model.per_cluster):
-        members = np.flatnonzero(labels == c)
-        if members.size:
-            out[members] = lm.predict(scaled.take(members, axis=0))
+    out = np.empty(len(raw))
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite row is the error below
+        scaled = apply_min_max(raw, model.scaling)
+        # `_assign`'s labels, without its nearest and runner-up distances
+        labels = _sq_dists(scaled.T, model.kmeans.centroids).argmin(axis=0)
+        for c, lm in enumerate(model.per_cluster):
+            members = np.flatnonzero(labels == c)
+            if members.size:
+                out[members] = lm.predict(scaled.take(members, axis=0))
+    bad = np.flatnonzero(~np.isfinite(out))
+    if bad.size:
+        raise ValueError(f"the prediction for row {bad[0]} is {out[bad[0]]}")
     return out
 
 

@@ -84,14 +84,6 @@ class ScenarioSpec:
         return self.n_devices * self.tasks_per_device
 
 
-def _records(dtype: np.dtype, columns) -> np.ndarray:
-    """A structured array of `dtype` holding `columns` in field order."""
-    out = np.empty(len(columns[0]), dtype)
-    for name, column in zip(dtype.names, columns):
-        out[name] = column
-    return out
-
-
 def generate_scenario(spec: ScenarioSpec | Sequence[ScenarioSpec],
                       spectral_config: SpectralConfig | None = None) -> Scenario:
     """Sample devices, channels, and tasks from the spec's ranges.
@@ -121,9 +113,9 @@ def generate_scenario(spec: ScenarioSpec | Sequence[ScenarioSpec],
     device_ids = np.repeat(np.arange(len(per_device)),
                            np.repeat([s.tasks_per_device for s in specs], devices))
     return Scenario(
-        devices=_records(DEVICE_DTYPE, per_device[:, :d].T),
-        channels=_records(CHANNEL_DTYPE, per_device[:, d:].T),
-        tasks=_records(TASK_DTYPE, (device_ids, *per_task.T)),
+        devices=np.rec.fromarrays(per_device[:, :d].T, dtype=DEVICE_DTYPE),
+        channels=np.rec.fromarrays(per_device[:, d:].T, dtype=CHANNEL_DTYPE),
+        tasks=np.rec.fromarrays((device_ids, *per_task.T), dtype=TASK_DTYPE),
         spectral_config=cfg)
 
 

@@ -12,8 +12,8 @@ A `Scenario` holds three numpy record arrays, `devices`, index-aligned
 `channels` and `tasks`: `scenario.tasks.data_bits` is a column, `tasks[i]`
 one task.  `task_energy_endpoints` prices every task over these columns, in
 the operation order of the frozen per-task loop in tests/reference_datagen.py.
-`Device`, `Channel` and `Task` are single records; a scenario built from
-sequences of them converts them to columns once.
+A scenario is built from record arrays of exactly `DEVICE_DTYPE`,
+`CHANNEL_DTYPE` and `TASK_DTYPE`; anything else is a ValueError.
 
 All quantities are SI: bits, Hz, joules, watts, m/s.
 """
@@ -33,71 +33,22 @@ TASK_DTYPE = np.dtype([("device_id", np.intp), ("data_bits", float),
                        ("cycles_per_bit", float)])
 
 # fields that may be zero; every other field must be > 0
-_MAY_BE_ZERO = frozenset(("id", "device_id", "data_bits", "speed_mps"))
+_MAY_BE_ZERO = frozenset(("device_id", "data_bits", "speed_mps"))
 
 
-def _check(owner, names) -> None:
-    """Range-check the named fields of a record, or of every row of a
-    structured array.
-
-    A record gives each field as a scalar, an array as a column; both go
-    through the same test, written as ``value > 0`` so that NaN fails it.
-    """
-    for name in names:
-        value = owner[name] if isinstance(owner, np.ndarray) else getattr(owner, name)
-        strict = name not in _MAY_BE_ZERO
-        if not np.all(value > 0 if strict else value >= 0):
-            raise ValueError(f"{name} must be {'>' if strict else '>='} 0")
-
-
-@dataclass(frozen=True)
-class Device:
-    """A mobile device with a fixed CPU clock and chip energy coefficient."""
-
-    id: int
-    cpu_freq_hz: float
-    energy_coeff: float
-
-    def __post_init__(self):
-        _check(self, ("id", *DEVICE_DTYPE.names))
-
-
-@dataclass(frozen=True)
-class Task:
-    """One unit of work: data_bits of input, cycles_per_bit to process it."""
-
-    device_id: int
-    task_id: int
-    data_bits: float
-    cycles_per_bit: float
-
-    def __post_init__(self):
-        _check(self, TASK_DTYPE.names)
-
-
-@dataclass(frozen=True)
-class Channel:
-    """Uplink state between one device and the edge server."""
-
-    bandwidth_hz: float
-    noise_var_w: float
-    gain: float
-    speed_mps: float
-    carrier_freq_hz: float
-
-    def __post_init__(self):
-        _check(self, CHANNEL_DTYPE.names)
-
-
-def _as_records(value, dtype: np.dtype) -> np.ndarray:
-    """`value` as a structured array of `dtype`: it may be such an array, or
-    a sequence of objects with those attributes."""
-    if not isinstance(value, np.ndarray):
-        return np.array([tuple(getattr(v, name) for name in dtype.names) for v in value],
-                        dtype)
-    if value.dtype != dtype:
-        raise ValueError(f"expected records of dtype {dtype}, got {value.dtype}")
-    return value.view(np.ndarray)
+def _check(name: str, array, dtype: np.dtype) -> np.recarray:
+    """`array` as a record view, if it is a 1-D array of exactly `dtype`
+    whose every field is in range (written as ``value > 0``, which NaN fails)."""
+    if not (isinstance(array, np.ndarray) and array.dtype == dtype and array.ndim == 1):
+        got = (f"{array.ndim}-D {array.dtype}" if isinstance(array, np.ndarray)
+               else type(array).__name__)
+        raise ValueError(f"{name} must be a 1-D record array of dtype {dtype}, got {got}")
+    columns = array.view(np.ndarray)  # a recarray's field lookup is slower
+    for field in dtype.names:
+        strict = field not in _MAY_BE_ZERO
+        if not np.all(columns[field] > 0 if strict else columns[field] >= 0):
+            raise ValueError(f"{field} must be {'>' if strict else '>='} 0")
+    return array.view(np.recarray)
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,15 +61,9 @@ class Scenario:
     spectral_config: SpectralConfig
 
     def __post_init__(self):
-        if not isinstance(self.devices, np.ndarray):
-            for i, dev in enumerate(self.devices):
-                if dev.id != i:
-                    raise ValueError(f"device at position {i} has id {dev.id}")
         for name, dtype in (("devices", DEVICE_DTYPE), ("channels", CHANNEL_DTYPE),
                             ("tasks", TASK_DTYPE)):
-            array = _as_records(getattr(self, name), dtype)
-            _check(array, dtype.names)
-            object.__setattr__(self, name, array.view(np.recarray))
+            object.__setattr__(self, name, _check(name, getattr(self, name), dtype))
         if len(self.channels) != len(self.devices):
             raise ValueError("need exactly one channel per device")
         if len(self.tasks) and self.tasks.device_id.max() >= len(self.devices):
@@ -138,11 +83,6 @@ def tx_power(se: float, noise_var_w: float, gain: float) -> float:
     if not se > 0:  # NaN fails this too
         raise ValueError("spectral efficiency must be > 0")
     return (2.0 ** se - 1.0) * noise_var_w / gain
-
-
-def implied_tx_power(channel: Channel, se: float) -> float:
-    """Transmit power (W) the device needs to sustain se on this channel."""
-    return tx_power(se, channel.noise_var_w, channel.gain)
 
 
 def task_energy_endpoints(scenario: Scenario) -> tuple[np.ndarray, np.ndarray]:

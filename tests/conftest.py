@@ -1,0 +1,44 @@
+"""Loads the frozen oracles against the live model.
+
+`reference_datagen` imports `Device`, `Channel`, `Task` and
+`implied_tx_power` from `offloadlab.model`, which builds scenarios from
+record arrays only and has none of them.  The oracle is imported with
+stand-ins set on the model and removed again: plain records without
+validation, and the transmit power of a channel row.  Its `Scenario` is
+then a builder that turns the sequences of records it samples into the
+model's record arrays, field by field in dtype order.
+"""
+
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+
+from offloadlab import model
+
+STAND_INS = {
+    "Device": SimpleNamespace,
+    "Channel": SimpleNamespace,
+    "Task": SimpleNamespace,
+    "implied_tx_power": lambda channel, se: model.tx_power(se, channel.noise_var_w,
+                                                           channel.gain),
+}
+
+
+def scenario_of_records(devices, tasks, channels, spectral_config):
+    """`model.Scenario` of sequences of records with the dtypes' field names."""
+    def array(records, dtype):
+        return np.array([tuple(getattr(r, name) for name in dtype.names) for r in records],
+                        dtype)
+    return model.Scenario(devices=array(devices, model.DEVICE_DTYPE),
+                          tasks=array(tasks, model.TASK_DTYPE),
+                          channels=array(channels, model.CHANNEL_DTYPE),
+                          spectral_config=spectral_config)
+
+
+with pytest.MonkeyPatch.context() as mp:
+    for name, stand_in in STAND_INS.items():
+        mp.setattr(model, name, stand_in, raising=False)
+    import reference_datagen
+
+reference_datagen.Scenario = scenario_of_records

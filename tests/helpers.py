@@ -6,8 +6,8 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from offloadlab import (Channel, Device, Scenario, ScenarioSpec, SpectralConfig,
-                        Task, model)
+from offloadlab import Scenario, ScenarioSpec, SpectralConfig, model
+from offloadlab.model import CHANNEL_DTYPE, DEVICE_DTYPE, TASK_DTYPE
 
 # Constants of the worked single-task example used across model tests.
 EX_DATA_BITS = 8e6
@@ -32,35 +32,41 @@ def priced_at(se: float):
         yield
 
 
-def example_device(dev_id: int = 0) -> Device:
-    return Device(id=dev_id, cpu_freq_hz=EX_CPU_HZ, energy_coeff=EX_ENERGY_COEFF)
+def scenario(devices, tasks, channels) -> Scenario:
+    """A scenario of rows written as tuples in dtype field order: a device is
+    (cpu_freq_hz, energy_coeff), a task (device_id, data_bits,
+    cycles_per_bit) and a channel (bandwidth_hz, noise_var_w, gain,
+    speed_mps, carrier_freq_hz)."""
+    return Scenario(devices=np.array(list(devices), dtype=DEVICE_DTYPE),
+                    tasks=np.array(list(tasks), dtype=TASK_DTYPE),
+                    channels=np.array(list(channels), dtype=CHANNEL_DTYPE),
+                    spectral_config=SpectralConfig())
 
 
-def example_channel(**kw) -> Channel:
+def example_device() -> tuple:
+    return (EX_CPU_HZ, EX_ENERGY_COEFF)
+
+
+def example_channel(**kw) -> tuple:
     base = dict(bandwidth_hz=EX_BANDWIDTH, noise_var_w=EX_NOISE, gain=EX_GAIN,
                 speed_mps=0.0, carrier_freq_hz=1e9)
     base.update(kw)
-    return Channel(**base)
+    return tuple(base[name] for name in CHANNEL_DTYPE.names)
 
 
-def example_task(data_bits: float = EX_DATA_BITS, dev_id: int = 0,
-                 task_id: int = 1) -> Task:
-    return Task(device_id=dev_id, task_id=task_id, data_bits=data_bits,
-                cycles_per_bit=EX_CYCLES_PER_BIT)
+def example_task(data_bits: float = EX_DATA_BITS, dev_id: int = 0) -> tuple:
+    return (dev_id, data_bits, EX_CYCLES_PER_BIT)
 
 
 def small_scenario(noise_var_w: float = EX_NOISE) -> Scenario:
     """Two devices, three tasks, static channels."""
-    devices = (example_device(0),
-               Device(id=1, cpu_freq_hz=5e8, energy_coeff=2e-28))
-    channels = (example_channel(noise_var_w=noise_var_w),
-                example_channel(noise_var_w=noise_var_w, bandwidth_hz=2e6,
-                                carrier_freq_hz=2e9))
-    tasks = (example_task(dev_id=0, task_id=1, data_bits=4e6),
-             example_task(dev_id=0, task_id=2, data_bits=2e6),
-             Task(device_id=1, task_id=1, data_bits=6e6, cycles_per_bit=700.0))
-    return Scenario(devices=devices, tasks=tasks, channels=channels,
-                    spectral_config=SpectralConfig())
+    return scenario(
+        devices=[example_device(), (5e8, 2e-28)],
+        tasks=[example_task(dev_id=0, data_bits=4e6), example_task(dev_id=0, data_bits=2e6),
+               (1, 6e6, 700.0)],
+        channels=[example_channel(noise_var_w=noise_var_w),
+                  example_channel(noise_var_w=noise_var_w, bandwidth_hz=2e6,
+                                  carrier_freq_hz=2e9)])
 
 
 def balanced_spec(seed: int) -> ScenarioSpec:

@@ -32,7 +32,7 @@ from offloadlab.features import (PRIMARY_FEATURES, Dataset,
 from offloadlab import model
 from offloadlab.greedy import (GreedyConfig, get_total_energy, optimize,
                                task_energy_endpoints)
-from offloadlab.model import Channel, Device, Scenario, Task, energy_at
+from offloadlab.model import CHANNEL_DTYPE, DEVICE_DTYPE, TASK_DTYPE, Scenario, energy_at
 from offloadlab.spectral import SpectralConfig
 
 from helpers import balanced_spec
@@ -181,11 +181,9 @@ def test_criterion_01_energy_formulas():
         gain = float(rng.uniform(0.5, 1.5))
         se = float(rng.uniform(0.1, 20.0))
 
-        devices.append(Device(id=i, cpu_freq_hz=cpu, energy_coeff=coeff))
-        tasks.append(Task(device_id=i, task_id=1, data_bits=bits,
-                          cycles_per_bit=cycles))
-        channels.append(Channel(bandwidth_hz=bandwidth, noise_var_w=noise,
-                                gain=gain, speed_mps=0.0, carrier_freq_hz=1e9 + i))
+        devices.append((cpu, coeff))
+        tasks.append((i, bits, cycles))
+        channels.append((bandwidth, noise, gain, 0.0, 1e9 + i))
         ses[1e9 + i] = se
         ratios.append(ratio)
 
@@ -195,7 +193,9 @@ def test_criterion_01_energy_formulas():
         want_off_e = ((2.0 ** se - 1.0) * noise / gain) * shipped / (bandwidth * se)
         want_energy += [want_local_e, want_off_e, want_local_e + want_off_e]
 
-    scenario = Scenario(devices=devices, tasks=tasks, channels=channels,
+    scenario = Scenario(devices=np.array(devices, dtype=DEVICE_DTYPE),
+                        tasks=np.array(tasks, dtype=TASK_DTYPE),
+                        channels=np.array(channels, dtype=CHANNEL_DTYPE),
                         spectral_config=SpectralConfig())
     ratios = np.array(ratios)
     with pytest.MonkeyPatch.context() as mp:
@@ -241,11 +241,9 @@ def test_criterion_03_greedy_vs_grid_optimum():
         bits = [float(rng.uniform(1e6, 8e6)) for _ in range(2)]
         cycles = [float(rng.uniform(500.0, 1500.0)) for _ in range(2)]
         scenario = Scenario(
-            devices=(Device(id=0, cpu_freq_hz=cpu, energy_coeff=1e-28),),
-            tasks=tuple(Task(device_id=0, task_id=i + 1, data_bits=bits[i],
-                             cycles_per_bit=cycles[i]) for i in range(2)),
-            channels=(Channel(bandwidth_hz=1e6, noise_var_w=noise, gain=1.0,
-                              speed_mps=speed, carrier_freq_hz=carrier),),
+            devices=np.array([(cpu, 1e-28)], dtype=DEVICE_DTYPE),
+            tasks=np.array([(0, bits[i], cycles[i]) for i in range(2)], dtype=TASK_DTYPE),
+            channels=np.array([(1e6, noise, 1.0, speed, carrier)], dtype=CHANNEL_DTYPE),
             spectral_config=SpectralConfig(),
         )
         at_zero, at_one = task_energy_endpoints(scenario)

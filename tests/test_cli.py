@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -28,6 +29,15 @@ def run(*args) -> int:
     return main(list(args))
 
 
+def run_process(*args) -> subprocess.CompletedProcess:
+    """`python <args>` in a fresh interpreter that imports this offloadlab."""
+    src = str(Path(offloadlab.__file__).parents[1])
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          timeout=120)
+
+
 def assert_same_tree(a, b):
     assert sorted(p.name for p in a.iterdir()) == sorted(p.name for p in b.iterdir())
     for path in a.iterdir():
@@ -50,11 +60,7 @@ class TestColdStart:
         # every command imports the cli; only --config needs PyYAML
         cfg = tmp_path / "cfg.yaml"
         cfg.write_text("seed: 3\nclustering: {k_max: 4}\nsweeps: {speed_grid: [0, 150]}\n")
-        src = str(Path(offloadlab.__file__).parents[1])
-        env = dict(os.environ,
-                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run([sys.executable, "-c", COLD_START, str(cfg)], env=env,
-                              capture_output=True, text=True, timeout=120)
+        proc = run_process("-c", COLD_START, str(cfg))
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines() == ["[]", repr(load_config(cfg)), "True"]
 
@@ -597,6 +603,50 @@ class TestRejectedInputLeavesNoOutDir:
         assert run(command, "--spectral.snr_linear", "1e300", "--out", str(out)) == 1
         assert "exceeds" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestOverflowExits1:
+    """A computation that overflows the float range exits 1 with one error
+    line on stderr, no numpy warning and no --out directory."""
+
+    @staticmethod
+    def assert_fails(out, message, *args):
+        proc = run_process("-m", "offloadlab", *args, "--out", str(out))
+        assert proc.returncode == 1
+        assert re.fullmatch(f"error: {message}\n", proc.stderr), proc.stderr
+        assert not out.exists()
+
+    def test_predict_of_a_ratio_past_the_training_span(self, tmp_path):
+        # balanced ranges spread the ratios over less than 1, so 1e308
+        # scales past the float range
+        cfg = tmp_path / "balanced.yaml"
+        cfg.write_text(json.dumps({"scenario": {
+            "cycles_per_bit": [600, 1400], "cpu_freq_hz": [1e9, 1e9],
+            "carrier_freq_hz": [1e9, 3e9], "noise_var_w": [6.6e-3, 6.6e-3]}}) + "\n")
+        assert run("gen-data", "--config", str(cfg), "--datagen.n_scenarios", "4",
+                   "--seed", "5", "--out", str(tmp_path / "data")) == 0
+        dataset = tmp_path / "data" / "dataset.csv"
+        assert run("train", "--dataset_path", str(dataset),
+                   "--out", str(tmp_path / "model")) == 0
+        header, row = read_rows(dataset)[:2]
+        ratios = {float(r[1]) for r in read_rows(dataset)[1:]}
+        assert 0.0 < max(ratios) - min(ratios) < 1.0
+        row[header.index("OffloadingRatio")] = "1e308"
+        write_rows(tmp_path / "one.csv", [header, row])
+        self.assert_fails(tmp_path / "o", "the prediction for row 0 is -?inf", "predict",
+                          "--dataset_path", str(tmp_path / "one.csv"),
+                          "--model_path", str(tmp_path / "model" / "model.json"))
+
+    def test_sweep_datasize_whose_all_local_total_overflows(self, tmp_path):
+        # each task's energy is finite, and so is the greedy's starting
+        # total; the all-local sum of two tasks is not
+        self.assert_fails(tmp_path / "o", "the all-local total energy is inf",
+                          "sweep-datasize", "--scenario.n_devices", "1",
+                          "--scenario.tasks_per_device", "2",
+                          "--scenario.energy_coeff", "1e276,1e276",
+                          "--scenario.cycles_per_bit", "1e4,1e4",
+                          "--scenario.cpu_freq_hz", "1e10,1e10",
+                          "--sweeps.data_size_grid", "1e8")
 
 
 class TestEvaluate:

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -372,6 +373,23 @@ class TestPredict:
         model = train_clustered_models(ds, 2, seed=0)
         with pytest.raises(ValueError):
             predict_matrix(model, np.ones((4, 2)))
+
+    @pytest.mark.parametrize("slope, value", [(1.0, "inf"), (0.0, "nan")])
+    def test_a_prediction_that_is_not_finite_names_its_row(self, slope, value):
+        # a feature span of 0.5 scales 1e308 past the float range; a zero
+        # slope times that inf is NaN
+        model = ClusteredModel(
+            kmeans=KMeansModel(k=1, centroids=np.zeros((1, 2)), inertia=0.0, seed=0,
+                               iterations_run=0),
+            per_cluster=(LinearModel(coeffs=np.array([1.0, slope, 2.0])),),
+            scaling=ScalingParams(mins=np.zeros(2), maxs=np.full(2, 0.5)),
+            feature_subset=("f0", "f1"))
+        rows = np.array([[0.1, 0.2], [1e308, 0.0], [-1e308, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"prediction for row 1 is {value}"):
+                predict_matrix(model, rows)
+            assert predict_matrix(model, rows[:1]).tolist() == [1.0 + slope * 0.2 + 2.0 * 0.4]
 
 
 class TestEvaluateModels:

@@ -3,7 +3,7 @@ import pytest
 
 from offloadlab.datagen import ScenarioSpec, build_dataset, generate_scenario
 from offloadlab.features import CANONICAL_FEATURES
-from offloadlab.model import implied_tx_power
+from offloadlab.model import tx_power
 from offloadlab.spectral import calc_se
 
 from helpers import (BALANCED_ENERGY_COEFF, BALANCED_GAIN, BALANCED_NOISE_VAR,
@@ -78,7 +78,7 @@ class TestGenerateScenario:
         for ch in sc.channels:
             se = calc_se(ch.speed_mps, ch.carrier_freq_hz, sc.spectral_config)
             expected = (2.0 ** se - 1.0) * ch.noise_var_w / ch.gain
-            assert implied_tx_power(ch, se) == expected
+            assert tx_power(se, ch.noise_var_w, ch.gain) == expected
 
     def test_pinning_one_range_leaves_other_draws_alone(self):
         # a pinned range must consume its draw so the rest of the stream

@@ -1,8 +1,8 @@
 """Differential checks of the array sampler, endpoints and CSV writers.
 
 `reference_datagen` holds frozen copies of the per-task code these replaced.
-It builds `Device`/`Channel`/`Task` objects, which `Scenario` converts to
-columns.  Scenarios, endpoint arrays, dataset matrices and CSV files must be
+It samples sequences of per-device and per-task records, which conftest.py
+turns into the model's record arrays field by field.  Scenarios, endpoint arrays, dataset matrices and CSV files must be
 bit-identical to it, including pinned ranges and tasks without data, and
 `calc_se` must be called once per device with data and never for a device
 whose tasks carry no data.  `build_dataset` solves its scenarios in
@@ -20,20 +20,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_datagen
-from helpers import balanced_spec
+from helpers import balanced_spec, scenario
 from offloadlab import datagen, greedy, model
 from offloadlab.cli import main
 from offloadlab.datagen import ScenarioSpec, build_dataset, generate_scenario
 from offloadlab.features import CANONICAL_FEATURES, Dataset
 from offloadlab.greedy import task_energy_endpoints
-from offloadlab.model import Channel, Device, Scenario, Task
 from offloadlab.spectral import SpectralConfig, SpectralEfficiencyCache, calc_se
-
-
-def _device_without_tx_power(tx_power_w, **fields):
-    """The frozen sampler still computes a transmit power per device; the
-    live `Device` no longer has that field."""
-    return Device(**fields)
 
 
 def _live_optimize(scenario, config, cache):
@@ -43,7 +36,6 @@ def _live_optimize(scenario, config, cache):
     return greedy.optimize(scenario, config)
 
 
-reference_datagen.Device = _device_without_tx_power
 reference_datagen.greedy_mod = SimpleNamespace(GreedyConfig=greedy.GreedyConfig,
                                                optimize=_live_optimize)
 
@@ -141,6 +133,15 @@ class TestSamplerMatchesReference:
             ScenarioSpec(speed_mps=bounds)
 
 
+class TestOracleImport:
+    def test_the_model_keeps_no_stand_in(self):
+        # conftest.py sets them on the model only while the oracle imports
+        import offloadlab
+        for name in ("Device", "Channel", "Task", "implied_tx_power"):
+            assert not hasattr(model, name) and not hasattr(offloadlab, name), name
+        assert reference_datagen.Device is SimpleNamespace
+
+
 class CountingCalcSe:
     """`calc_se` that records the (speed, carrier) of each call."""
 
@@ -156,21 +157,16 @@ class CountingCalcSe:
 def hand_built(draw):
     """Interleaved device ids, tied and zero-bit tasks, some idle devices."""
     n_devices = draw(st.integers(1, 4))
-    devices = tuple(Device(id=d, cpu_freq_hz=draw(st.floats(1e8, 2e9)),
-                           energy_coeff=draw(st.floats(1e-29, 1e-27)))
-                    for d in range(n_devices))
-    channels = tuple(Channel(bandwidth_hz=draw(st.floats(1e5, 1e7)),
-                             noise_var_w=draw(st.floats(1e-14, 1e-2)),
-                             gain=draw(st.floats(0.1, 10.0)),
-                             speed_mps=float(100 * d),
-                             carrier_freq_hz=draw(st.floats(1e8, 3e10)))
-                     for d in range(n_devices))
+    devices = [(draw(st.floats(1e8, 2e9)), draw(st.floats(1e-29, 1e-27)))
+               for _ in range(n_devices)]
+    # speeds 100 m/s apart tell the devices' calc_se calls apart
+    channels = [(draw(st.floats(1e5, 1e7)), draw(st.floats(1e-14, 1e-2)),
+                 draw(st.floats(0.1, 10.0)), float(100 * d), draw(st.floats(1e8, 3e10)))
+                for d in range(n_devices)]
     bits = st.one_of(st.sampled_from([0.0, 0.0, 1e6]), st.floats(0.0, 8e6))
-    tasks = tuple(Task(device_id=draw(st.integers(0, n_devices - 1)), task_id=k + 1,
-                       data_bits=draw(bits), cycles_per_bit=draw(st.floats(1.0, 2000.0)))
-                  for k in range(draw(st.integers(0, 8))))
-    return Scenario(devices=devices, tasks=tasks, channels=channels,
-                    spectral_config=SpectralConfig())
+    tasks = [(draw(st.integers(0, n_devices - 1)), draw(bits), draw(st.floats(1.0, 2000.0)))
+             for _ in range(draw(st.integers(0, 8)))]
+    return scenario(devices, tasks, channels)
 
 
 class TestEndpointsMatchReference:
@@ -219,14 +215,9 @@ class TestEndpointsMatchReference:
         # apart in the last bit on x86-64 glibc
         clocks = (1278007393.6150818, 1137125273.373377, 1013315580.9087968,
                   513366164.98699516)
-        devices = tuple(Device(id=d, cpu_freq_hz=f, energy_coeff=1e-28)
-                        for d, f in enumerate(clocks))
-        channels = tuple(Channel(bandwidth_hz=1e6, noise_var_w=1e-3, gain=1.0,
-                                 speed_mps=0.0, carrier_freq_hz=1e9) for _ in clocks)
-        tasks = tuple(Task(device_id=d, task_id=1, data_bits=1e6, cycles_per_bit=1.0)
-                      for d in range(len(clocks)))
-        sc = Scenario(devices=devices, tasks=tasks, channels=channels,
-                      spectral_config=SpectralConfig())
+        sc = scenario([(f, 1e-28) for f in clocks],
+                      [(d, 1e6, 1.0) for d in range(len(clocks))],
+                      [(1e6, 1e-3, 1.0, 0.0, 1e9)] * len(clocks))
         assert_same_arrays(task_energy_endpoints(sc),
                            reference_datagen.task_energy_endpoints(sc, calc_se))
 
@@ -234,15 +225,8 @@ class TestEndpointsMatchReference:
         # two speeds 1e-7 m/s apart, and device 1's task comes first; each
         # device gets its own efficiency, as in the frozen loop, whose cache
         # keys on exact floats
-        devices = (Device(id=0, cpu_freq_hz=1e9, energy_coeff=1e-28),
-                   Device(id=1, cpu_freq_hz=1e9, energy_coeff=1e-28))
-        channels = tuple(Channel(bandwidth_hz=1e6, noise_var_w=1e-3, gain=1.0,
-                                 speed_mps=speed, carrier_freq_hz=28e9)
-                         for speed in (300.0, 300.0000001))
-        tasks = (Task(device_id=1, task_id=1, data_bits=1e6, cycles_per_bit=900.0),
-                 Task(device_id=0, task_id=1, data_bits=2e6, cycles_per_bit=800.0))
-        sc = Scenario(devices=devices, tasks=tasks, channels=channels,
-                      spectral_config=SpectralConfig())
+        sc = scenario([(1e9, 1e-28)] * 2, [(1, 1e6, 900.0), (0, 2e6, 800.0)],
+                      [(1e6, 1e-3, 1.0, speed, 28e9) for speed in (300.0, 300.0000001)])
         assert_same_arrays(task_energy_endpoints(sc),
                            reference_datagen.task_energy_endpoints(
                                sc, SpectralEfficiencyCache()))

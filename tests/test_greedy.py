@@ -11,11 +11,11 @@ from offloadlab.greedy import (GreedyConfig, TERMINATION_CONVERGED,
                                TERMINATION_ITER_CAPPED, TERMINATION_SATURATED,
                                get_total_energy, optimize, write_trace_csv)
 from offloadlab.datagen import ScenarioSpec, generate_scenario
-from offloadlab.model import Channel, Device, Scenario, Task
-from offloadlab.spectral import SpectralConfig
+from offloadlab.model import Scenario
 
 import reference_datagen
-from helpers import EX_SE, example_channel, example_device, priced_at, small_scenario
+from helpers import (EX_SE, example_channel, example_device, priced_at, scenario,
+                     small_scenario)
 
 
 def default_scenario(seed: int) -> Scenario:
@@ -143,12 +143,8 @@ class TestOptimize:
         assert np.array_equal(a.trace_picks, b.trace_picks)
 
     def test_tie_goes_to_lowest_task_index(self):
-        dev = example_device()
-        ch = example_channel()
-        twin = dict(device_id=0, data_bits=4e6, cycles_per_bit=1000.0)
-        sc = Scenario(devices=(dev,),
-                      tasks=(Task(task_id=1, **twin), Task(task_id=2, **twin)),
-                      channels=(ch,), spectral_config=SpectralConfig())
+        twin = (0, 4e6, 1000.0)
+        sc = scenario([example_device()], [twin, twin], [example_channel()])
         sol = optimize(sc, GreedyConfig())
         assert sol.trace_picks[1] == 0
 
@@ -158,9 +154,7 @@ class TestOptimize:
         assert sol.offload_ratios.max() == 1.0
 
     def test_empty_scenario_rejected(self):
-        sc = Scenario(devices=(example_device(),), tasks=(),
-                      channels=(example_channel(),),
-                      spectral_config=SpectralConfig())
+        sc = scenario([example_device()], [], [example_channel()])
         with pytest.raises(ValueError):
             optimize(sc, GreedyConfig())
 
@@ -217,16 +211,12 @@ class TestBruteForce:
         rng = np.random.default_rng(7)
         grid = np.linspace(0.0, 1.0, 101)
         for _ in range(5):
-            dev = Device(id=0, cpu_freq_hz=rng.uniform(5e8, 1.5e9), energy_coeff=1e-28)
-            ch = Channel(bandwidth_hz=1e6, noise_var_w=10 ** rng.uniform(-10, 0),
-                         gain=1.0, speed_mps=rng.uniform(0, 400),
-                         carrier_freq_hz=rng.uniform(1e9, 3e10))
-            tasks = tuple(Task(device_id=0, task_id=k + 1,
-                               data_bits=rng.uniform(1e6, 8e6),
-                               cycles_per_bit=rng.uniform(500, 1500))
-                          for k in range(2))
-            sc = Scenario(devices=(dev,), tasks=tasks, channels=(ch,),
-                          spectral_config=SpectralConfig())
+            dev = (rng.uniform(5e8, 1.5e9), 1e-28)
+            # (bandwidth_hz, noise_var_w, gain, speed_mps, carrier_freq_hz)
+            ch = (1e6, 10 ** rng.uniform(-10, 0), 1.0, rng.uniform(0, 400),
+                  rng.uniform(1e9, 3e10))
+            tasks = [(0, rng.uniform(1e6, 8e6), rng.uniform(500, 1500)) for _ in range(2)]
+            sc = scenario([dev], tasks, [ch])
             per0 = get_total_energy(np.zeros(2), sc)
             per1 = get_total_energy(np.ones(2), sc)
             surface = ((per0[0] * (1 - grid) + per1[0] * grid)[:, None]

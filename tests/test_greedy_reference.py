@@ -28,14 +28,14 @@ from hypothesis import strategies as st
 
 import reference_datagen
 import reference_greedy
-from helpers import balanced_spec
+from helpers import balanced_spec, scenario
 from offloadlab import datagen, greedy
 from offloadlab.cli import main
 from offloadlab.datagen import ScenarioSpec, generate_scenario
 from offloadlab.greedy import (GreedyConfig, TERMINATION_CONVERGED,
                                TERMINATION_ITER_CAPPED, TERMINATION_SATURATED,
                                optimize, task_energy_endpoints)
-from offloadlab.model import Channel, Device, Scenario, Task, energy_at
+from offloadlab.model import Scenario, energy_at
 from offloadlab.spectral import SpectralConfig, SpectralEfficiencyCache
 
 # Small value pools make exact ties between task energies likely.
@@ -51,16 +51,11 @@ _NOISE = st.one_of(st.sampled_from([1e-3, 1e-2]),
 @st.composite
 def scenarios(draw):
     n_devices = draw(st.integers(1, 3))
-    devices = tuple(Device(id=d, cpu_freq_hz=draw(_CPU), energy_coeff=1e-28)
-                    for d in range(n_devices))
-    channels = tuple(Channel(bandwidth_hz=1e6, noise_var_w=draw(_NOISE), gain=1.0,
-                             speed_mps=0.0, carrier_freq_hz=1e9)
-                     for _ in range(n_devices))
-    tasks = tuple(Task(device_id=draw(st.integers(0, n_devices - 1)), task_id=k + 1,
-                       data_bits=draw(_BITS), cycles_per_bit=draw(_CYCLES))
-                  for k in range(draw(st.integers(1, 6))))
-    return Scenario(devices=devices, tasks=tasks, channels=channels,
-                    spectral_config=SpectralConfig())
+    devices = [(draw(_CPU), 1e-28) for _ in range(n_devices)]
+    channels = [(1e6, draw(_NOISE), 1.0, 0.0, 1e9) for _ in range(n_devices)]
+    tasks = [(draw(st.integers(0, n_devices - 1)), draw(_BITS), draw(_CYCLES))
+             for _ in range(draw(st.integers(1, 6)))]
+    return scenario(devices, tasks, channels)
 
 
 greedy_configs = st.builds(
@@ -172,13 +167,8 @@ class TestMatchesReference:
         assert not np.array_equal(got.trace_totals, default.trace_totals)
 
     def test_all_tasks_tied(self):
-        dev = Device(id=0, cpu_freq_hz=1e9, energy_coeff=1e-28)
-        ch = Channel(bandwidth_hz=1e6, noise_var_w=1e-3, gain=1.0,
-                     speed_mps=0.0, carrier_freq_hz=1e9)
-        tasks = tuple(Task(device_id=0, task_id=k + 1, data_bits=2e6,
-                           cycles_per_bit=1000.0) for k in range(5))
-        sc = Scenario(devices=(dev,), tasks=tasks, channels=(ch,),
-                      spectral_config=SpectralConfig())
+        sc = scenario([(1e9, 1e-28)], [(0, 2e6, 1000.0)] * 5,
+                      [(1e6, 1e-3, 1.0, 0.0, 1e9)])
         for cfg in (GreedyConfig(), GreedyConfig(step=1.0), GreedyConfig(init_ratio=0.0)):
             assert_matches_frozen(sc, cfg)
 
@@ -204,10 +194,8 @@ class TestLazyPickOrder:
 
 
 def _frozen_build_dataset(specs, gcfg, spectral_config):
-    """The frozen per-scenario dataset loop, labelled by the frozen greedy;
-    the live `Device` has no transmit power."""
+    """The frozen per-scenario dataset loop, labelled by the frozen greedy."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(reference_datagen, "Device", lambda tx_power_w, **fields: Device(**fields))
         mp.setattr(reference_datagen, "greedy_mod", SimpleNamespace(
             GreedyConfig=GreedyConfig,
             optimize=lambda scenario, config, cache: frozen_optimize(scenario, config)))
@@ -307,13 +295,8 @@ def _columns(monkeypatch, local, offload) -> Scenario:
                         lambda sc: (local.copy(), offload.copy()))
     monkeypatch.setattr(reference_greedy, "task_energy_endpoints",
                         lambda sc, se_provider: (local.copy(), offload.copy()))
-    dev = Device(id=0, cpu_freq_hz=1e9, energy_coeff=1e-28)
-    ch = Channel(bandwidth_hz=1e6, noise_var_w=1e-3, gain=1.0, speed_mps=0.0,
-                 carrier_freq_hz=1e9)
-    tasks = tuple(Task(device_id=0, task_id=k + 1, data_bits=1e6, cycles_per_bit=1000.0)
-                  for k in range(len(local)))
-    return Scenario(devices=(dev,), tasks=tasks, channels=(ch,),
-                    spectral_config=SpectralConfig())
+    return scenario([(1e9, 1e-28)], [(0, 1e6, 1000.0)] * len(local),
+                    [(1e6, 1e-3, 1.0, 0.0, 1e9)])
 
 
 class TestNamedDifference:

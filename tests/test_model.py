@@ -1,4 +1,6 @@
 import math
+import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,13 +10,12 @@ from hypothesis import strategies as st
 import reference_datagen
 from offloadlab import greedy, model
 from offloadlab.greedy import get_total_energy, task_energy_endpoints
-from offloadlab.model import (CHANNEL_DTYPE, DEVICE_DTYPE, TASK_DTYPE, Channel,
-                              Device, Scenario, Task, energy_at, implied_tx_power,
-                              tx_power)
+from offloadlab.model import (CHANNEL_DTYPE, DEVICE_DTYPE, TASK_DTYPE, Scenario,
+                              energy_at, tx_power)
 from offloadlab.spectral import SpectralConfig
 
-from helpers import (EX_SE, example_channel, example_device, example_task,
-                     priced_at, small_scenario)
+from helpers import (EX_GAIN, EX_NOISE, EX_SE, example_channel, example_device,
+                     example_task, priced_at, scenario, small_scenario)
 
 ratios = st.floats(0.0, 1.0)
 data_sizes = st.floats(0.0, 1e9)
@@ -29,9 +30,7 @@ EX_OFFLOAD_J = 1e-11 * 8e6 / (1e6 * EX_SE)
 
 def _scenario(*tasks, device=None, channel=None):
     """The worked example's device and channel (or the given ones) with `tasks`."""
-    return Scenario(devices=(device or example_device(),), tasks=tasks,
-                    channels=(channel or example_channel(),),
-                    spectral_config=SpectralConfig())
+    return scenario([device or example_device()], tasks, [channel or example_channel()])
 
 
 def _endpoints(*tasks, se=EX_SE, **kw):
@@ -50,7 +49,6 @@ class TestWorkedExample:
     """Half of an 8 Mbit task offloaded over a static 1 MHz channel."""
 
     def setup_method(self):
-        self.channel = example_channel()
         self.task = example_task()
 
     def test_local_energy(self):
@@ -59,9 +57,9 @@ class TestWorkedExample:
         assert local[0] == pytest.approx(0.8, rel=1e-12)
         assert energy_at(local[0], 0.0, 0.5) == pytest.approx(0.4, rel=1e-12)
 
-    def test_implied_tx_power(self):
+    def test_tx_power(self):
         # 2^log2(101) - 1 = 100, times noise 1e-13
-        assert implied_tx_power(self.channel, EX_SE) == pytest.approx(1e-11, rel=1e-12, abs=0.0)
+        assert tx_power(EX_SE, EX_NOISE, EX_GAIN) == pytest.approx(1e-11, rel=1e-12, abs=0.0)
 
     def test_offload_energy(self):
         expected = 1e-11 * 0.5 * 8e6 / (1e6 * EX_SE)
@@ -103,17 +101,15 @@ class TestSeDomain:
         with pytest.raises(ValueError):
             _endpoints(example_task(), se=64.5)
         with pytest.raises(ValueError):
-            implied_tx_power(example_channel(), 65.0)
+            tx_power(65.0, EX_NOISE, EX_GAIN)
         with pytest.raises(ValueError, match="exceeds"):
             tx_power(1000.0, 1e-13, 1.0)
 
     def test_se_at_cap_is_fine(self):
-        assert implied_tx_power(example_channel(), 64.0) > 0.0
+        assert tx_power(64.0, EX_NOISE, EX_GAIN) > 0.0
 
-    @pytest.mark.parametrize("formula", [
-        lambda se: tx_power(se, 1e-13, 1.0),
-        lambda se: implied_tx_power(example_channel(), se),
-    ], ids=["tx_power", "implied_tx_power"])
+    @pytest.mark.parametrize("formula", [lambda se: tx_power(se, 1e-13, 1.0)],
+                             ids=["tx_power"])
     def test_nan_se_rejected(self, formula):
         with pytest.raises(ValueError, match="must be > 0"):
             formula(float("nan"))
@@ -125,40 +121,30 @@ class TestSeDomain:
 
 class TestValidation:
     def test_zero_cycles_rejected(self):
-        with pytest.raises(ValueError):
-            Task(device_id=0, task_id=1, data_bits=1e6, cycles_per_bit=0.0)
+        with pytest.raises(ValueError, match="cycles_per_bit"):
+            _scenario((0, 1e6, 0.0))
 
     def test_negative_data_rejected(self):
-        with pytest.raises(ValueError):
-            Task(device_id=0, task_id=1, data_bits=-1.0, cycles_per_bit=100.0)
+        with pytest.raises(ValueError, match="data_bits"):
+            _scenario((0, -1.0, 100.0))
 
     def test_zero_cpu_rejected(self):
-        with pytest.raises(ValueError):
-            Device(id=0, cpu_freq_hz=0.0, energy_coeff=1e-28)
+        with pytest.raises(ValueError, match="cpu_freq_hz"):
+            _scenario(device=(0.0, 1e-28))
 
     def test_bad_channel_rejected(self):
         for kw in (dict(bandwidth_hz=0.0), dict(noise_var_w=0.0),
                    dict(gain=0.0), dict(speed_mps=-5.0), dict(carrier_freq_hz=0.0)):
-            with pytest.raises(ValueError):
-                example_channel(**kw)
+            with pytest.raises(ValueError, match=next(iter(kw))):
+                _scenario(channel=example_channel(**kw))
 
     def test_scenario_channel_count(self):
-        with pytest.raises(ValueError):
-            Scenario(devices=(example_device(),), tasks=(),
-                     channels=(), spectral_config=SpectralConfig())
+        with pytest.raises(ValueError, match="one channel per device"):
+            scenario([example_device()], [], [])
 
     def test_scenario_unknown_device(self):
-        with pytest.raises(ValueError):
-            Scenario(devices=(example_device(),),
-                     tasks=(example_task(dev_id=3),),
-                     channels=(example_channel(),),
-                     spectral_config=SpectralConfig())
-
-    def test_scenario_device_ids_must_be_positional(self):
-        with pytest.raises(ValueError):
-            Scenario(devices=(example_device(1),), tasks=(),
-                     channels=(example_channel(),),
-                     spectral_config=SpectralConfig())
+        with pytest.raises(ValueError, match="unknown device"):
+            _scenario(example_task(dev_id=3))
 
 
 class TestProperties:
@@ -167,18 +153,14 @@ class TestProperties:
     def test_shares_partition_the_data(self, l, d, c, f, eps):
         # the device's energy on the kept (1 - l) d bits plus that on the
         # other l d bits is its energy on all d bits
-        dev = Device(id=0, cpu_freq_hz=f, energy_coeff=eps)
-        tasks = [Task(device_id=0, task_id=k, data_bits=bits, cycles_per_bit=c)
-                 for k, bits in enumerate(((1.0 - l) * d, l * d, d))]
-        local, _ = _endpoints(*tasks, device=dev)
+        tasks = [(0, bits, c) for bits in ((1.0 - l) * d, l * d, d)]
+        local, _ = _endpoints(*tasks, device=(f, eps))
         assert local[0] + local[1] == pytest.approx(local[2], rel=1e-9, abs=1e-30)
 
     @settings(max_examples=100, deadline=None)
     @given(l=ratios, d=st.floats(1.0, 1e9), se=ses)
     def test_energy_linear_in_data_size(self, l, d, se):
-        small = Task(device_id=0, task_id=1, data_bits=d, cycles_per_bit=500.0)
-        big = Task(device_id=0, task_id=2, data_bits=2.0 * d, cycles_per_bit=500.0)
-        energy = _energies([l, l], small, big, se=se)
+        energy = _energies([l, l], (0, d, 500.0), (0, 2.0 * d, 500.0), se=se)
         assert energy[1] == pytest.approx(2.0 * energy[0], rel=1e-12, abs=0.0)
 
     @settings(max_examples=100, deadline=None)
@@ -209,7 +191,7 @@ class TestProperties:
         # eleven copies of the worked example's task at l = 0, 0.1, ..., 1
         e0, e1 = 0.8, EX_OFFLOAD_J
         ls = np.arange(11) / 10.0
-        got = _energies(ls, *(example_task(task_id=k + 1) for k in range(11)))
+        got = _energies(ls, *[example_task()] * 11)
         for l, e in zip(ls.tolist(), got.tolist()):
             assert e == pytest.approx((1.0 - l) * e0 + l * e1, rel=1e-12, abs=0.0)
             assert e >= min(e0, e1) - 1e-12 * abs(min(e0, e1))
@@ -219,9 +201,7 @@ class TestSystemTotal:
     """The scenario total is the sum of `get_total_energy`'s per-task energies."""
 
     def test_empty_scenario(self):
-        sc = Scenario(devices=(example_device(),), tasks=(),
-                      channels=(example_channel(),),
-                      spectral_config=SpectralConfig())
+        sc = _scenario()
         assert get_total_energy(np.zeros(0), sc).sum() == 0.0
 
     def test_matches_hand_sum(self):
@@ -259,24 +239,23 @@ def _columns(sc):
     return {name: getattr(sc, name).copy() for name in ("devices", "tasks", "channels")}
 
 
-def _same_columns(got, want):
-    for name in ("devices", "channels", "tasks"):
-        a, b = getattr(got, name), getattr(want, name)
-        assert isinstance(a, np.recarray)
-        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
-
-
 # (array, field, strict): one row per range check on a scenario column
 FIELDS = [("devices", name, True) for name in DEVICE_DTYPE.names] + [
     ("channels", name, name != "speed_mps") for name in CHANNEL_DTYPE.names] + [
     ("tasks", name, name == "cycles_per_bit") for name in TASK_DTYPE.names]
-RECORD_TYPES = {"devices": Device, "channels": Channel, "tasks": Task}
+DTYPES = {"devices": DEVICE_DTYPE, "channels": CHANNEL_DTYPE, "tasks": TASK_DTYPE}
 RECORD_BASE = {
-    "devices": dict(id=0, cpu_freq_hz=1e9, energy_coeff=1e-28),
+    "devices": dict(cpu_freq_hz=1e9, energy_coeff=1e-28),
     "channels": dict(bandwidth_hz=1e6, noise_var_w=1e-13, gain=1.0, speed_mps=0.0,
                      carrier_freq_hz=1e9),
-    "tasks": dict(device_id=0, task_id=1, data_bits=1e6, cycles_per_bit=1000.0),
+    "tasks": dict(device_id=0, data_bits=1e6, cycles_per_bit=1000.0),
 }
+
+
+def _one_record(kind, **fields):
+    """A one-row record array of `kind` from RECORD_BASE with `fields` set."""
+    row = {**RECORD_BASE[kind], **fields}
+    return np.array([tuple(row[name] for name in DTYPES[kind].names)], dtype=DTYPES[kind])
 
 
 def _bad_values(strict):
@@ -284,23 +263,24 @@ def _bad_values(strict):
 
 
 class TestColumns:
-    def test_records_and_columns_give_identical_columns(self):
-        from_records = small_scenario()
-        from_columns = Scenario(
-            devices=np.rec.fromarrays([[1e9, 5e8], [1e-28, 2e-28]], dtype=DEVICE_DTYPE),
-            tasks=np.rec.fromarrays([[0, 0, 1], [4e6, 2e6, 6e6], [1000.0, 1000.0, 700.0]],
-                                    dtype=TASK_DTYPE),
-            channels=np.rec.fromarrays([[1e6, 2e6], [1e-13, 1e-13], [1.0, 1.0],
-                                        [0.0, 0.0], [1e9, 2e9]], dtype=CHANNEL_DTYPE),
-            spectral_config=SpectralConfig())
-        _same_columns(from_columns, from_records)
-
     def test_columns_of_another_dtype_rejected(self):
         sc = small_scenario()
         tasks = np.rec.fromarrays([sc.tasks.device_id.astype(np.int32), sc.tasks.data_bits,
                                    sc.tasks.cycles_per_bit], names=TASK_DTYPE.names)
         with pytest.raises(ValueError, match="dtype"):
             Scenario(devices=sc.devices, tasks=tasks, channels=sc.channels,
+                     spectral_config=SpectralConfig())
+
+    @pytest.mark.parametrize("devices", [
+        [(1e9, 1e-28)],
+        (SimpleNamespace(cpu_freq_hz=1e9, energy_coeff=1e-28),),
+        np.array([[1e9, 1e-28]]),
+    ], ids=["list-of-tuples", "tuple-of-records", "2d-float-array"])
+    def test_only_record_arrays_of_the_dtype_are_taken(self, devices):
+        sc = small_scenario()
+        with pytest.raises(ValueError, match=f"devices must be a 1-D record array of "
+                                             f"dtype {re.escape(str(DEVICE_DTYPE))}"):
+            Scenario(devices=devices, tasks=sc.tasks[:1], channels=sc.channels[:1],
                      spectral_config=SpectralConfig())
 
     def test_rows_read_like_records(self):
@@ -312,9 +292,14 @@ class TestColumns:
 
     @pytest.mark.parametrize("kind,field,strict", FIELDS)
     def test_record_field_rejects_bad_values(self, kind, field, strict):
+        # a scenario of one device, one channel and one task
         for bad in _bad_values(strict):
+            if field == "device_id" and math.isnan(bad):
+                continue  # an integer column cannot hold NaN
+            records = {name: _one_record(name) for name in DTYPES}
+            records[kind] = _one_record(kind, **{field: bad})
             with pytest.raises(ValueError, match=field):
-                RECORD_TYPES[kind](**{**RECORD_BASE[kind], field: bad})
+                Scenario(**records, spectral_config=SpectralConfig())
 
     @pytest.mark.parametrize("kind,field,strict", FIELDS)
     def test_column_rejects_bad_values(self, kind, field, strict):
@@ -343,10 +328,8 @@ SINGLE_TASK = dict(
 
 
 def _one_task(bits, cycles, cpu, coeff, bandwidth, noise, gain):
-    return _scenario(Task(device_id=0, task_id=1, data_bits=bits, cycles_per_bit=cycles),
-                     device=Device(id=0, cpu_freq_hz=cpu, energy_coeff=coeff),
-                     channel=Channel(bandwidth_hz=bandwidth, noise_var_w=noise, gain=gain,
-                                     speed_mps=0.0, carrier_freq_hz=1e9))
+    return _scenario((0, bits, cycles), device=(cpu, coeff),
+                     channel=(bandwidth, noise, gain, 0.0, 1e9))
 
 
 class TestScalarMatchesColumn:
