@@ -31,6 +31,11 @@ Every total, `total_energy` and the trace's alike, is the correctly rounded
 exact sum of that state's per-task energies: what `math.fsum` returns, or
 inf where that sum passes the float range.  The trace totals are worked out
 when first read, so runs that only want the ratios never pay for them.
+They are exact float64 digit sums, rounded once: every energy is split at
+fixed bit boundaries into integer-valued float64 digits (Rump, Ogita &
+Oishi, SIAM J. Sci. Comput. 2008), small enough that a `cumsum` of each
+digit over the bumps is exact, and each state's digits are rounded as
+`math.fsum` rounds its partials (Shewchuk, DCG 1997).
 """
 
 from __future__ import annotations
@@ -52,7 +57,7 @@ _ENDS = (TERMINATION_CONVERGED, TERMINATION_SATURATED, TERMINATION_ITER_CAPPED)
 _SNAP = 1e-12  # ratios this close to 1.0 are pinned exactly
 # tasks x ratio levels one run may hold; a run at the cap peaks near 0.25 GB
 MAX_LADDER_CELLS = 5_000_000
-_CHUNK = 4096  # bumps whose exact totals are held as Python ints at once
+_CHUNK = 4096  # bumps whose digit sums are held at once, fewer past 4 digits
 
 
 @dataclass(frozen=True)
@@ -116,19 +121,80 @@ class OffloadSolution:
         return _exact_totals(self.ladder_energy, self.bumps)
 
 
-def _to_units(values: np.ndarray, emin: int) -> np.ndarray:
-    """Finite `values` as exact Python ints in units of 2**emin."""
-    mant, exp = np.frexp(values)
-    shift = np.maximum(exp - (53 + emin), 0)  # frexp(0) is (0, 0): clamp its shift
-    return np.ldexp(mant, 53).astype(np.int64).astype(object) << shift.astype(object)
+def _grains(cells: np.ndarray, terms: int) -> list[int]:
+    """Grains of the digits that split every finite cell exactly, top digit
+    first, so that sums of `terms` digits stay exact.
+
+    Every |cell| is below 2**top and a multiple of 2**lsb, the last bit of
+    the least nonzero one.  Digit j counts units of
+    ``max(top - (j + 1) * W, lsb)`` and is below 2**W in magnitude, with
+    ``W = 52 - ceil(log2(terms + 1))``, so every sum of `terms` digits is
+    an integer below 2**52: exact in float64.
+    """
+    mag = np.abs(cells)
+    tiny = np.min(mag, where=mag != 0.0, initial=np.inf)
+    if tiny == np.inf:  # all zeros
+        return [0]
+    top = int(np.frexp(mag.max())[1])
+    lsb = max(int(np.frexp(tiny)[1]) - 53, -1074)
+    width = 52 - terms.bit_length()
+    return [max(top - width * j, lsb) for j in range(1, 1 - (lsb - top) // width)]
 
 
-def _over(units: int, scale: int) -> float:
-    """``units / scale`` correctly rounded, or a signed inf past the float range."""
-    try:
-        return units / scale
-    except OverflowError:
-        return math.inf if units > 0 else -math.inf
+def _split(values: np.ndarray, grains: list[int]) -> np.ndarray:
+    """(digits, values) integer-valued floats: row j counts the units of
+    2**grains[j] in each value; truncation leaves an exact remainder."""
+    digits = np.empty((len(grains), len(values)))
+    rest = values
+    for digit, grain in zip(digits, grains):
+        np.trunc(np.ldexp(rest, -grain), out=digit)
+        rest = rest - np.ldexp(digit, grain)
+    return digits
+
+
+def _carry(sums: np.ndarray, grains: list[int]) -> None:
+    """Move each digit's whole units of the grain above up, from the last
+    digit, so that every digit but the first is nonnegative and below one
+    unit of the digit above it."""
+    for j in range(len(grains) - 1, 0, -1):
+        unit = 2.0 ** (grains[j - 1] - grains[j])
+        up = np.floor(sums[j] / unit)
+        sums[j] -= up * unit
+        sums[j - 1] += up
+
+
+def _round(sums: np.ndarray, grains: list[int]) -> np.ndarray:
+    """``sum_j sums[j] * 2**grains[j]`` of each column of the integer-valued
+    `sums`, correctly rounded, or a signed inf past the float range.
+
+    After the carries of |total| every digit below the first is
+    nonnegative, and the digits scaled back do not overlap, so `math.fsum`'s
+    last step rounds them: add them from the top until one rounds, then
+    round a tie up when a nonzero digit is left below.  A scaled digit or
+    sum past the float range is inf, and so is the total, since the digits
+    below only add to it.
+    """
+    sums = sums.copy()
+    _carry(sums, grains)
+    negative = sums[0] < 0
+    if negative.any():
+        np.negative(sums, out=sums, where=negative)
+        _carry(sums, grains)
+    with np.errstate(over="ignore", invalid="ignore"):
+        hi = sums[0] * 2.0 ** grains[0]
+        lo = np.zeros_like(hi)  # hi + lo: the digits added so far, exactly
+        below = np.zeros(hi.shape, dtype=bool)  # a nonzero digit under the one that rounded
+        for digit, grain in zip(sums[1:], grains[1:]):
+            exact = lo == 0.0
+            below |= ~exact & (digit != 0.0)
+            part = np.where(exact, digit * 2.0 ** grain, 0.0)
+            total = hi + part
+            lo += part - (total - hi)
+            hi = total
+        doubled = 2.0 * lo  # hi + lo half-way between hi and hi + doubled
+        up = hi + doubled
+        hi = np.where(below & (lo > 0.0) & (up - hi == doubled), up, hi)
+    return np.where(negative, -hi, hi)
 
 
 def _exact_totals(energy: np.ndarray, bumps=np.empty(0, dtype=int)) -> np.ndarray:
@@ -136,27 +202,28 @@ def _exact_totals(energy: np.ndarray, bumps=np.empty(0, dtype=int)) -> np.ndarra
     a bump, where bump j moves one task from flat cell ``bumps[j]`` of the
     finite `energy` to the next cell.
 
-    Every float is an integer multiple of 2**emin, the least unit in
-    `energy` (at most 1), so each state's exact sum is a running sum of
-    Python ints, held `_CHUNK` bumps at a time; int / int division rounds
-    it correctly.
+    Each cell is split into integer-valued float64 digits (`_grains`), so
+    a state's exact sum is one running sum per digit: the start column's,
+    then a cumsum of each bump's new minus old digits, every partial sum
+    exact.  `_round` rounds each state's digit sums once.  Bumps are taken
+    `_CHUNK` at a time, fewer when the ladder needs more than 4 digits.
     """
     cells = energy.ravel()
-    tiny = np.min(np.abs(cells), where=cells != 0.0, initial=np.inf)
-    emin = min(int(np.frexp(tiny)[1]) - 53, 0) if tiny < np.inf else 0
-    scale = 1 << -emin
+    n = len(energy)
+    grains = _grains(cells, n + 2 * len(bumps))
+    rows = max(1, _CHUNK * 4 // max(len(grains), 4))
+    running = np.zeros((len(grains), 1))
+    for lo in range(0, n, rows):
+        running += _split(energy[lo:lo + rows, 0], grains).sum(axis=1, keepdims=True)
     totals = np.empty(len(bumps) + 1)
-    carry = sum(_to_units(energy[:, 0], emin).tolist())
-    totals[0] = _over(carry, scale)
-    for lo in range(0, len(bumps), _CHUNK):
-        cell = bumps[lo:lo + _CHUNK]
-        sums = np.cumsum(_to_units(cells[cell + 1], emin) - _to_units(cells[cell], emin))
-        sums += carry
-        carry = sums[-1]
-        try:
-            totals[lo + 1:lo + 1 + len(cell)] = sums / scale
-        except OverflowError:  # a total past the float range
-            totals[lo + 1:lo + 1 + len(cell)] = [_over(s, scale) for s in sums.tolist()]
+    totals[:1] = _round(running, grains)
+    for lo in range(0, len(bumps), rows):
+        cell = bumps[lo:lo + rows]
+        digits = _split(cells[np.concatenate((cell + 1, cell))], grains)
+        sums = np.cumsum(digits[:, :len(cell)] - digits[:, len(cell):], axis=1)
+        sums += running
+        running = sums[:, -1:]
+        totals[lo + 1:lo + 1 + len(cell)] = _round(sums, grains)
     return totals
 
 

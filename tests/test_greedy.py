@@ -277,6 +277,29 @@ class TestExactTotals:
             state = sol.ladder_energy[np.arange(len(local)), levels]
             assert sol.trace_totals[j] == math.fsum(state.tolist())
 
+    @pytest.mark.parametrize("tiny, want", [(5e-324, 2.0 ** 53 + 2), (-5e-324, 2.0 ** 53)])
+    def test_the_lowest_digit_breaks_a_half_way_tie(self, tiny, want):
+        # 2**53 + 1 lies half-way between 2**53 and 2**53 + 2 and rounds to
+        # even; the subnormal, 1127 bits lower in the last of many digits,
+        # decides which way it goes
+        column = np.array([[2.0 ** 53], [1.0], [tiny]])
+        assert len(greedy._grains(column.ravel(), 3)) > 4
+        assert greedy._exact_totals(column[:2]).tolist() == [2.0 ** 53]
+        assert greedy._exact_totals(column).tolist() == [want]
+        assert math.fsum(column.ravel().tolist()) == want
+
+    def test_fsum_overflow_still_gives_the_exact_total(self):
+        for values, want in [([1e308, 1e308], math.inf), ([-1e308, -1e308], -math.inf),
+                             ([1e308, 1e308, -1e308], 1e308)]:
+            with pytest.raises(OverflowError):
+                math.fsum(values)
+            assert greedy._fsum(np.array(values)) == want
+
+    def test_an_all_zero_ladder_sums_to_positive_zero(self):
+        energy = np.array([[0.0, -0.0, 0.0], [-0.0, -0.0, 0.0]])
+        totals = greedy._exact_totals(energy, np.array([0, 3, 1, 4]))
+        assert totals.view(np.int64).tolist() == [0] * 5  # +0.0 bits, no -0.0
+
 
 class TestLadder:
     @pytest.mark.parametrize("init_ratio, step", [

@@ -1,0 +1,79 @@
+"""Differential checks of the float64 digit-sum trace totals against the
+frozen Python-int ones.
+
+`reference_totals._exact_totals` sums each state's energies as exact
+Python ints and divides once.  `greedy._exact_totals` must return the same
+bits (compared as int64, so a signed inf or zero counts too) for every
+finite ladder: exponents across the whole float range, subnormals, cells
+near DBL_MAX whose totals pass the float range, signed cells, eighths that
+make exact ties, and zeros; with a few bumps and with bumps either side of
+a chunk.  At bench scale the CLI must write the same bytes with the frozen
+totals patched in.
+"""
+
+import filecmp
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import reference_totals
+from offloadlab import greedy
+from offloadlab.cli import main
+
+_DBL_MAX = np.finfo(float).max
+_SUBNORMAL = 5e-324
+
+_WIDE = st.builds(np.ldexp, st.floats(0.5, 1.0, exclude_max=True),
+                  st.integers(-1073, 1024)).map(float)
+_KINDS = {
+    "wide": _WIDE,
+    "subnormal": st.integers(0, 2 ** 52 - 1).map(lambda k: k * _SUBNORMAL),
+    "near_max": st.floats(0.5, 1.0).map(lambda f: f * _DBL_MAX),
+    "big_and_subnormal": st.one_of(st.floats(1e299, 1e301),
+                                   st.integers(1, 2 ** 20).map(lambda k: k * _SUBNORMAL)),
+    "signed": st.one_of(_WIDE, _WIDE.map(lambda x: -x), st.sampled_from([0.0, -0.0])),
+    # eighths next to 2**50 leave sums of 54 or more bits that end half-way
+    "eighths": st.one_of(st.integers(-64, 64).map(lambda k: k / 8),
+                         st.sampled_from([2.0 ** 50, -2.0 ** 50, 2.0 ** 51, 3 * 2.0 ** 49])),
+    "zeros": st.sampled_from([0.0, -0.0]),
+}
+_BUMPS = [0, 1, 2, 3, greedy._CHUNK - 1, greedy._CHUNK, greedy._CHUNK + 1]
+
+
+@st.composite
+def ladders(draw):
+    """(energy, bumps): a small ladder of one kind of cells, and bumps that
+    each move a task from a drawn cell to the next one."""
+    cells = _KINDS[draw(st.sampled_from(sorted(_KINDS)))]
+    n, levels = draw(st.integers(1, 6)), draw(st.integers(2, 5))
+    energy = np.array(draw(st.lists(cells, min_size=n * levels, max_size=n * levels)),
+                      dtype=float).reshape(n, levels)
+    count = draw(st.sampled_from(_BUMPS))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    bumps = rng.integers(0, n, count) * levels + rng.integers(0, levels - 1, count)
+    return energy, bumps
+
+
+@settings(max_examples=300, deadline=None)
+@given(ladders())
+def test_digit_sums_equal_the_frozen_int_sums(ladder):
+    energy, bumps = ladder
+    got = greedy._exact_totals(energy, bumps)
+    want = reference_totals._exact_totals(energy, bumps)
+    assert got.dtype == want.dtype == np.float64
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_cli_bytes_match_the_frozen_totals(seed, tmp_path, monkeypatch):
+    # 100,000 bumps over a 2,000 x 51 ladder: every total is a `trace.csv` row
+    argv = ["optimize", "--scenario.n_devices", "50", "--scenario.tasks_per_device", "40",
+            "--seed", str(seed), "--out"]
+    assert main(argv + [str(tmp_path / "digits")]) == 0
+    monkeypatch.setattr(greedy, "_exact_totals", reference_totals._exact_totals)
+    assert main(argv + [str(tmp_path / "ints")]) == 0
+    for name in ("trace.csv", "solution.json"):
+        assert filecmp.cmp(tmp_path / "digits" / name, tmp_path / "ints" / name,
+                           shallow=False), name
