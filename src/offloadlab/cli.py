@@ -122,13 +122,16 @@ def cmd_train(cfg: ExperimentConfig) -> list[Path]:
     if cfg.dataset_path is None:
         raise ValueError("train needs dataset_path (or --dataset_path)")
     dataset = Dataset.from_csv(cfg.dataset_path)
-    for entry in cfg.clustering.feature_subsets[1:]:  # trains on the first, checks all
-        subset_pool(entry, dataset)
-    subset = resolve_subset(cfg.clustering.feature_subsets[0], dataset,
-                            cfg.clustering.bins)
-    model = cluster.train_clustered_models(
-        dataset, cfg.clustering.num_clusters, subset,
-        seed=cfg.clustering.seed, restarts=cfg.clustering.restarts)
+    try:  # errors from here on are about the dataset's values
+        for entry in cfg.clustering.feature_subsets[1:]:  # trains on the first, checks all
+            subset_pool(entry, dataset)
+        subset = resolve_subset(cfg.clustering.feature_subsets[0], dataset,
+                                cfg.clustering.bins)
+        model = cluster.train_clustered_models(
+            dataset, cfg.clustering.num_clusters, subset,
+            seed=cfg.clustering.seed, restarts=cfg.clustering.restarts)
+    except ValueError as exc:
+        raise ValueError(f"{cfg.dataset_path}: {exc}") from None
     log.info("train: %d rows, k=%d, features=%s",
              len(dataset), cfg.clustering.num_clusters, ",".join(subset))
     path = _out_dir(cfg) / MODEL_FILE
@@ -159,18 +162,21 @@ def cmd_evaluate(cfg: ExperimentConfig) -> list[Path]:
     if cfg.dataset_path is None:
         raise ValueError("evaluate needs dataset_path (or --dataset_path)")
     dataset = Dataset.from_csv(cfg.dataset_path)
-    train, test = split_dataset(dataset, cfg.clustering.test_fraction,
-                                cfg.clustering.seed)
-    ranking = rank_features(train, bins=cfg.clustering.bins)
     reports = []
-    for entry in cfg.clustering.feature_subsets:
-        subset = resolve_subset(entry, train, ranking=ranking)
-        report = cluster.evaluate_models(
-            train, test, cfg.clustering.k_max, subset,
-            seed=cfg.clustering.seed, restarts=cfg.clustering.restarts)
-        log.info("evaluate: subset=%s best k=%d", subset_label(entry),
-                 report.best_k()[0])
-        reports.append((entry, report))
+    try:  # errors from here on are about the dataset's values
+        train, test = split_dataset(dataset, cfg.clustering.test_fraction,
+                                    cfg.clustering.seed)
+        ranking = rank_features(train, bins=cfg.clustering.bins)
+        for entry in cfg.clustering.feature_subsets:
+            subset = resolve_subset(entry, train, ranking=ranking)
+            report = cluster.evaluate_models(
+                train, test, cfg.clustering.k_max, subset,
+                seed=cfg.clustering.seed, restarts=cfg.clustering.restarts)
+            log.info("evaluate: subset=%s best k=%d", subset_label(entry),
+                     report.best_k()[0])
+            reports.append((entry, report))
+    except ValueError as exc:
+        raise ValueError(f"{cfg.dataset_path}: {exc}") from None
     out = _out_dir(cfg)
     ranking_path = out / MI_RANKING_FILE
     write_rows(ranking_path, ["feature", "mi_bits"], list(zip(*ranking)))

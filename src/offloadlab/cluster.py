@@ -105,24 +105,16 @@ def _sq_dists(cols: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     return diff.sum(axis=0)
 
 
-# A squared distance computed as inf is exactly at least DBL_MAX / (1 + (d +
-# 1) eps), so sqrt(_FAR_D2) = 1e154 is a valid lower bound on its distance.
-# kmeans_fit scales every input whose squared distances could overflow, so
-# there an overflowed distance meets the cap only in a test that turns that
-# scaling off; the inf runner-up of k = 1 is capped as well.
-_FAR_D2 = 1e308
-
-
 def _assign(cols: np.ndarray, centroids: np.ndarray):
     """Nearest centroid of each column of cols (d, m), ties to the lowest
-    index; the distance to it; and a lower bound on the distance to every
-    other centroid: the runner-up's distance, capped at 1e154."""
+    index; the distance to it; and the runner-up's distance, a lower bound
+    on the distance to every other centroid (inf when k = 1)."""
     d2 = _sq_dists(cols, centroids)
     labels = d2.argmin(axis=0)
     own = labels * d2.shape[1] + np.arange(d2.shape[1])  # flat (label, column)
     nearest = np.sqrt(d2.take(own))
     d2.ravel()[own] = np.inf
-    return labels, nearest, np.sqrt(np.minimum(d2.min(axis=0), _FAR_D2))
+    return labels, nearest, np.sqrt(d2.min(axis=0))
 
 
 def _seed_centroids(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -144,16 +136,23 @@ def _seed_centroids(points: np.ndarray, k: int, rng: np.random.Generator) -> np.
     return points.take(chosen, axis=0)
 
 
-def _scale_exponent(points: np.ndarray) -> int:
-    """0, or the exponent e of max|x| when the squared spread overflows.
+def _reach(points: np.ndarray) -> float:
+    """2 sqrt(d) (max span + (n + 1) 2**-52 max|x|): twice the bound S of
+    `_prune_slack` on every point-centroid distance and centroid move."""
+    lo, hi = points.min(axis=0), points.max(axis=0)
+    with np.errstate(over="ignore"):  # inf past the float range
+        return 2.0 * np.sqrt(points.shape[1]) * (
+            (hi - lo).max(initial=0.0)
+            + (len(points) + 1) * 2.0**-52 * np.maximum(-lo, hi).max(initial=0.0))
 
-    Twice n times the squared diagonal of the bounding box bounds every
-    squared distance, the D^2 mass and the inertia.  Where it overflows,
-    k-means runs on points * 2**-e, which is exact and puts max|x| below 1.
-    """
+
+def _scale_exponent(points: np.ndarray) -> int:
+    """0, or the exponent e of max|x| when n `_reach`**2, which bounds every
+    squared distance, the D^2 mass and the inertia, overflows; k-means then
+    runs on points * 2**-e, which is exact and puts max|x| below 1."""
     with np.errstate(over="ignore"):
-        spread2 = 2.0 * len(points) * np.square(points.max(axis=0) - points.min(axis=0)).sum()
-    return int(np.frexp(np.abs(points).max())[1]) if spread2 == np.inf else 0
+        mass = len(points) * _reach(points) ** 2
+    return int(np.frexp(np.abs(points).max())[1]) if mass == np.inf else 0
 
 
 def _repair_empty(points: np.ndarray, centroids: np.ndarray,
@@ -189,7 +188,7 @@ def _prune_slack(points: np.ndarray, max_iter: int) -> float:
     magnitudes (eps = 2**-53), so a mean strays past its members' range by
     at most (n + 1) eps max|x| per feature, and no point-centroid distance
     or centroid move exceeds S = sqrt(d) (max span + (n + 1) 2**-52 max|x|).
-    The factor 2 below covers the rounding of S itself.
+    `_reach` is 2 S, the factor 2 covering the rounding of S itself.
 
     A computed distance (the square root of a left-to-right sum of d
     rounded squares of rounded differences), like a computed centroid move,
@@ -205,12 +204,7 @@ def _prune_slack(points: np.ndarray, max_iter: int) -> float:
     the exact ones, put the own centroid strictly first.  The total is
     below (2t + 3) ((d + 5) eps S + 1e-150), and t < max_iter.
     """
-    n, d = points.shape
-    lo, hi = points.min(axis=0), points.max(axis=0)
-    reach = ((hi - lo).max(initial=0.0)
-             + (n + 1) * 2.0**-52 * np.maximum(-lo, hi).max(initial=0.0))
-    scale = 2.0 * np.sqrt(d) * reach
-    return (2 * max_iter + 3) * ((d + 5) * 2.0**-53 * scale + 1e-150)
+    return (2 * max_iter + 3) * ((points.shape[1] + 5) * 2.0**-53 * _reach(points) + 1e-150)
 
 
 def _lloyd(points: np.ndarray, cols: np.ndarray, k: int, rng: np.random.Generator,
@@ -285,9 +279,9 @@ def kmeans_fit(points: np.ndarray, k: int, seed: int = 0, tol: float = 1e-6,
 
     Restarts draw from one generator stream, so the result is a pure
     function of (points, k, seed, tol, max_iter, restarts), whatever the
-    memory layout of `points`.  Points whose squared spread overflows are
-    fitted at the exact scale 2**-e of `_scale_exponent`, and the results
-    scaled back.
+    memory layout of `points`.  Points whose squared distances could
+    overflow are fitted at the exact scale 2**-e of `_scale_exponent`, and
+    the results scaled back.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or len(pts) == 0:
@@ -385,7 +379,7 @@ def train_clustered_models(training_data: Dataset, num_clusters: int,
         raise ValueError("num_clusters must be >= 1")
     if len(raw) < num_clusters:
         raise ValueError("fewer training rows than clusters")
-    scaling = fit_min_max(raw)
+    scaling = fit_min_max(raw, subset)
     scaled = apply_min_max(raw, scaling)
     km = kmeans_fit(scaled, num_clusters, seed=seed, restarts=restarts)
     models = []
@@ -430,14 +424,11 @@ def predict_matrix(model: ClusteredModel, raw: np.ndarray) -> np.ndarray:
     return out
 
 
-def predict_dataset(model: ClusteredModel, dataset: Dataset) -> np.ndarray:
-    return predict_matrix(model, dataset.select(model.feature_subset))
-
-
 def evaluate_models(training_data: Dataset, test_data: Dataset, k_max: int,
                     feature_subset=None, seed: int = 0,
                     restarts: int = 10) -> EvalReport:
-    """MAE/MSE on held-out rows for every cluster count from 1 to k_max."""
+    """MAE/MSE on held-out rows for every cluster count from 1 to k_max; a
+    metric that overflows or is not finite is a ValueError naming k."""
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
     if tuple(training_data.feature_names) != tuple(test_data.feature_names):
@@ -446,9 +437,13 @@ def evaluate_models(training_data: Dataset, test_data: Dataset, k_max: int,
     for k in range(1, k_max + 1):
         model = train_clustered_models(training_data, k, feature_subset,
                                        seed=seed, restarts=restarts)
-        pred = predict_dataset(model, test_data)
-        err = pred - test_data.y
-        rows.append((k, float(np.abs(err).mean()), float((err ** 2).mean())))
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite metric: error below
+            err = predict_matrix(model, test_data.select(model.feature_subset)) - test_data.y
+            mae, mse = float(np.abs(err).mean()), float((err ** 2).mean())
+        for metric, value in (("MAE", mae), ("MSE", mse)):
+            if not np.isfinite(value):
+                raise ValueError(f"the test {metric} at k={k} is {value}")
+        rows.append((k, mae, mse))
     return EvalReport(rows=tuple(rows))
 
 

@@ -227,10 +227,21 @@ class ScalingParams:
         return self.maxs == self.mins
 
 
-def fit_min_max(X: np.ndarray) -> ScalingParams:
+def _spans(X: np.ndarray, names) -> np.ndarray:
+    """Each column's max - min; one past the float range is a ValueError."""
+    with np.errstate(over="ignore"):
+        spans = X.max(axis=0) - X.min(axis=0)
+    if np.isinf(spans).any():
+        raise ValueError(f"{names[np.isinf(spans).argmax()]} spans more than the float range")
+    return spans
+
+
+def fit_min_max(X: np.ndarray, names=None) -> ScalingParams:
+    """Each column's min and max; a span past the float range names its column."""
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or len(X) == 0:
         raise ValueError("need a non-empty 2-D array")
+    _spans(X, names or [f"column {j}" for j in range(X.shape[1])])
     return ScalingParams(mins=X.min(axis=0), maxs=X.max(axis=0))
 
 
@@ -253,8 +264,8 @@ def apply_min_max(X: np.ndarray, params: ScalingParams) -> np.ndarray:
 def mutual_information(x: np.ndarray, y: np.ndarray, bins: int = 16) -> float:
     """Plug-in mutual information in bits over an equal-width binning.
 
-    Both axes are binned over their observed ranges.  A constant input on
-    either side carries no information and scores exactly 0.
+    Both axes are binned over their observed ranges, which must span less
+    than the float max.  A constant input on either side scores exactly 0.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -264,7 +275,7 @@ def mutual_information(x: np.ndarray, y: np.ndarray, bins: int = 16) -> float:
         raise ValueError("x and y must be 1-D and the same length")
     if len(x) < 2 * bins:
         raise ValueError(f"need at least {2 * bins} samples for {bins} bins")
-    if x.min() == x.max() or y.min() == y.max():
+    if not _spans(np.column_stack((x, y)), ("x", "y")).all():
         return 0.0
     joint, _, _ = np.histogram2d(x, y, bins=bins)
     p = joint / joint.sum()
@@ -280,13 +291,14 @@ def rank_features(dataset: Dataset, bins: int = 16) -> list[tuple[str, float]]:
     """Features sorted by mutual information with the target, strongest first.
 
     Ties fall back to canonical order, then to dataset column order for
-    names outside the canonical list.
-    """
+    names outside the canonical list.  A column or target wider than the
+    float range is a ValueError naming it."""
     def tie_key(name: str) -> tuple[int, int]:
         if name in CANONICAL_FEATURES:
             return (0, CANONICAL_FEATURES.index(name))
         return (1, dataset.feature_names.index(name))
 
+    _spans(np.column_stack((dataset.X, dataset.y)), (*dataset.feature_names, TARGET_COLUMN))
     scored = [(name, mutual_information(dataset.column(name), dataset.y, bins))
               for name in dataset.feature_names]
     return sorted(scored, key=lambda item: (-item[1], tie_key(item[0])))

@@ -228,13 +228,11 @@ def _exact_totals(energy: np.ndarray, bumps=np.empty(0, dtype=int)) -> np.ndarra
 
 
 def _fsum(values: np.ndarray) -> float:
-    """`math.fsum` of `values`, with the IEEE result where fsum raises."""
+    """`math.fsum` of the nonnegative `values`, inf past the float range."""
     try:
         return math.fsum(values.tolist())
-    except OverflowError:  # finite values whose sum passes the float range
-        return float(_exact_totals(values[:, None])[0])
-    except ValueError:  # infinities of both signs
-        return math.nan
+    except OverflowError:  # a partial sum passed the range, and the total only grows
+        return math.inf
 
 
 def _ladder(init: float, step: float) -> np.ndarray:
@@ -253,17 +251,6 @@ def _ladder(init: float, step: float) -> np.ndarray:
                 rs[-1] = 1.0
             return rs
         n *= 2  # rounding made the steps shorter than `step`
-
-
-def get_total_energy(offload_ratios: np.ndarray, scenario: Scenario) -> np.ndarray:
-    """Per-task energies for an explicit ratio vector (one entry per task)."""
-    ratios = np.asarray(offload_ratios, dtype=float)
-    if ratios.shape != (len(scenario.tasks),):
-        raise ValueError(
-            f"expected {len(scenario.tasks)} ratios, got shape {ratios.shape}")
-    if ratios.size and not (ratios.min() >= 0.0 and ratios.max() <= 1.0):  # NaN fails
-        raise ValueError("offload ratios must lie in [0, 1]")
-    return energy_at(*task_energy_endpoints(scenario), ratios)
 
 
 def _stalls(energy: np.ndarray) -> np.ndarray:

@@ -30,8 +30,7 @@ from offloadlab.features import (PRIMARY_FEATURES, Dataset,
                                  mutual_information, rank_features,
                                  split_dataset)
 from offloadlab import model
-from offloadlab.greedy import (GreedyConfig, get_total_energy, optimize,
-                               task_energy_endpoints)
+from offloadlab.greedy import GreedyConfig, optimize, task_energy_endpoints
 from offloadlab.model import CHANNEL_DTYPE, DEVICE_DTYPE, TASK_DTYPE, Scenario, energy_at
 from offloadlab.spectral import SpectralConfig
 
@@ -201,7 +200,7 @@ def test_criterion_01_energy_formulas():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(model, "calc_se", lambda speed, carrier, config: ses[carrier])
         local, offload = task_energy_endpoints(scenario)
-        total = get_total_energy(ratios, scenario)
+    total = energy_at(local, offload, ratios)
     got_energy = np.column_stack([energy_at(local, 0.0, ratios),
                                   energy_at(0.0, offload, ratios), total])
     worst = 0.0

@@ -616,15 +616,21 @@ class TestOverflowExits1:
         assert re.fullmatch(f"error: {message}\n", proc.stderr), proc.stderr
         assert not out.exists()
 
-    def test_predict_of_a_ratio_past_the_training_span(self, tmp_path):
-        # balanced ranges spread the ratios over less than 1, so 1e308
-        # scales past the float range
+    @staticmethod
+    def balanced_rows(tmp_path):
+        """The rows of a balanced 200-row dataset.csv, header first."""
         cfg = tmp_path / "balanced.yaml"
         cfg.write_text(json.dumps({"scenario": {
             "cycles_per_bit": [600, 1400], "cpu_freq_hz": [1e9, 1e9],
             "carrier_freq_hz": [1e9, 3e9], "noise_var_w": [6.6e-3, 6.6e-3]}}) + "\n")
         assert run("gen-data", "--config", str(cfg), "--datagen.n_scenarios", "4",
                    "--seed", "5", "--out", str(tmp_path / "data")) == 0
+        return read_rows(tmp_path / "data" / "dataset.csv")
+
+    def test_predict_of_a_ratio_past_the_training_span(self, tmp_path):
+        # balanced ranges spread the ratios over less than 1, so 1e308
+        # scales past the float range
+        self.balanced_rows(tmp_path)
         dataset = tmp_path / "data" / "dataset.csv"
         assert run("train", "--dataset_path", str(dataset),
                    "--out", str(tmp_path / "model")) == 0
@@ -636,6 +642,40 @@ class TestOverflowExits1:
         self.assert_fails(tmp_path / "o", "the prediction for row 0 is -?inf", "predict",
                           "--dataset_path", str(tmp_path / "one.csv"),
                           "--model_path", str(tmp_path / "model" / "model.json"))
+
+    def test_evaluate_whose_test_error_overflows(self, tmp_path):
+        # energies near 1e300 fit finite planes, but their squared errors
+        # pass the float range
+        header, *rows = self.balanced_rows(tmp_path)
+        big = tmp_path / "big.csv"
+        write_rows(big, [header, *(row[:-1] + [repr(float(row[-1]) * 1e300)]
+                                   for row in rows)])
+        self.assert_fails(tmp_path / "o", f"{re.escape(str(big))}: the test MSE at k=1 is inf",
+                          "evaluate", "--dataset_path", str(big), "--clustering.k_max", "3")
+
+    @pytest.mark.parametrize("command", ["train", "evaluate"])
+    def test_a_feature_span_past_the_float_range(self, tmp_path, command):
+        # each value is finite, the column's max - min is not
+        header, *rows = self.balanced_rows(tmp_path)
+        for i, row in enumerate(rows):
+            row[header.index("OffloadingRatio")] = ("-1.7e308", "1.7e308")[i % 2]
+        wide = tmp_path / "wide.csv"
+        write_rows(wide, [header, *rows])
+        self.assert_fails(tmp_path / "o", f"{re.escape(str(wide))}: OffloadingRatio spans "
+                          "more than the float range", command, "--dataset_path", str(wide))
+
+    def test_train_on_a_subset_without_the_wide_column(self, tmp_path):
+        # the default subset, the primary four, leaves CyclesPerBit out
+        header, *rows = self.balanced_rows(tmp_path)
+        rows[0][header.index("CyclesPerBit")] = "1.7e308"
+        rows[1][header.index("CyclesPerBit")] = "-1.7e308"
+        wide = tmp_path / "wide.csv"
+        write_rows(wide, [header, *rows])
+        out = tmp_path / "o"
+        proc = run_process("-m", "offloadlab", "train", "--dataset_path", str(wide),
+                           "--out", str(out))
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert load_model(out / "model.json").feature_subset == PRIMARY_FEATURES
 
     def test_sweep_datasize_whose_all_local_total_overflows(self, tmp_path):
         # each task's energy is finite, and so is the greedy's starting

@@ -13,7 +13,7 @@ from offloadlab.cluster import (ClusteredModel, EvalReport, KMeansModel,
                                 LinearModel, _assign, _seed_centroids, _sq_dists,
                                 evaluate_models,
                                 fit_linear_model, kmeans_fit, load_model,
-                                predict_dataset, predict_matrix, save_model,
+                                predict_matrix, save_model,
                                 train_clustered_models)
 from offloadlab.features import Dataset, ScalingParams, apply_min_max, fit_min_max
 
@@ -324,7 +324,7 @@ class TestTrainClusteredModels:
     def test_recovers_two_planted_regimes(self):
         ds = two_regime_dataset()
         model = train_clustered_models(ds, num_clusters=2, seed=0)
-        pred = predict_dataset(model, ds)
+        pred = predict_matrix(model, ds.select(model.feature_subset))
         assert np.allclose(pred, ds.y, atol=1e-6)
 
     def test_thin_cluster_degrades_to_mean(self):
@@ -360,7 +360,7 @@ class TestPredict:
     def test_matrix_matches_scalar_loop(self):
         ds = toy_dataset(seed=3)
         model = train_clustered_models(ds, 3, seed=2)
-        batch = predict_dataset(model, ds)
+        batch = predict_matrix(model, ds.select(model.feature_subset))
         scaled = apply_min_max(ds.X, model.scaling)
         singles = []
         for row in scaled:
@@ -432,6 +432,13 @@ class TestEvaluateModels:
         with pytest.raises(ValueError):
             evaluate_models(train, bad, k_max=2)
 
+    def test_an_overflowing_metric_names_k(self):
+        # errors near 1e300: the MAE is finite, the MSE is not
+        train = toy_dataset(seed=4)
+        test = Dataset(train.feature_names, train.X, np.full(len(train), 1e300))
+        with pytest.raises(ValueError, match=r"^the test MSE at k=1 is inf$"):
+            evaluate_models(train, test, k_max=2)
+
 
 class TestModelSerialization:
     def test_round_trip_preserves_predictions(self, tmp_path):
@@ -441,8 +448,8 @@ class TestModelSerialization:
         save_model(model, path)
         loaded = load_model(path)
         assert loaded.feature_subset == model.feature_subset
-        orig = predict_dataset(model, ds)
-        back = predict_dataset(loaded, ds)
+        orig = predict_matrix(model, ds.select(model.feature_subset))
+        back = predict_matrix(loaded, ds.select(loaded.feature_subset))
         assert np.array_equal(orig, back)
 
     def test_saved_bytes_are_deterministic(self, tmp_path):
@@ -545,7 +552,7 @@ class TestModelFileValidation:
         path, ds = saved
         model = load_model(path)
         assert model.kmeans.k == len(model.per_cluster) == 3
-        assert np.isfinite(predict_dataset(model, ds)).all()
+        assert np.isfinite(predict_matrix(model, ds.select(model.feature_subset))).all()
 
     def test_inconsistent_model_cannot_be_built(self, saved):
         # predict_matrix fills one row block per plane, so a plane per

@@ -52,6 +52,13 @@ class TestMinMax:
         with pytest.raises(ValueError):
             fit_min_max(np.empty((0, 3)))
 
+    def test_span_past_the_float_range_is_named(self):
+        X = np.array([[0.0, -1.7e308], [1.0, 1.7e308]])
+        with pytest.raises(ValueError, match="^column 1 spans more than the float range$"):
+            fit_min_max(X)
+        with pytest.raises(ValueError, match="^Speed spans"):
+            fit_min_max(X, ("TaskSize", "Speed"))
+
     @settings(max_examples=50, deadline=None)
     @given(arrays(float, (10, 2), elements=st.floats(-1e6, 1e6)))
     def test_order_preserved_per_column(self, X):
@@ -110,6 +117,13 @@ class TestMutualInformation:
         with pytest.raises(ValueError):
             mutual_information(np.arange(40.0), np.arange(41.0))
 
+    @pytest.mark.parametrize("axis", ["x", "y"])
+    def test_span_past_the_float_range(self, axis):
+        wide, narrow = np.tile([-1.7e308, 1.7e308], 20), np.arange(40.0)
+        x, y = (wide, narrow) if axis == "x" else (narrow, wide)
+        with pytest.raises(ValueError, match=f"^{axis} spans more than the float range$"):
+            mutual_information(x, y)
+
 
 class TestRankFeatures:
     def test_planted_dominant_feature_wins(self):
@@ -131,6 +145,12 @@ class TestRankFeatures:
         assert [name for name, _ in ranking] == [
             "TaskSize", "OffloadingRatio", "Speed", "CarrierFrequency"]
         assert all(mi == 0.0 for _, mi in ranking)
+
+    def test_a_wide_target_is_named(self):
+        y = np.tile([-1.7e308, 1.7e308], 32)
+        ds = Dataset(feature_names=("TaskSize",), X=np.ones((64, 1)), y=y)
+        with pytest.raises(ValueError, match="^energy_j spans more than the float range$"):
+            rank_features(ds)
 
     def test_balanced_fixture_ranking(self):
         # energy scales with task size, so TaskSize must dominate; columns

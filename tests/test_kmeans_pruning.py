@@ -38,10 +38,20 @@ def fit_both(points, k, seed=0, restarts=1, max_iter=300, seeding=None, tol=1e-6
     return got, want
 
 
-def unscaled(monkeypatch):
-    """Turn off kmeans_fit's power-of-two scaling of points whose squared
-    spread overflows, so that the pruned Lloyd meets inf distances."""
-    monkeypatch.setattr(cluster, "_scale_exponent", lambda points: 0)
+def assert_fits_at_scale(points, k, seed=0, restarts=1, seeding=None):
+    """kmeans_fit of `points` is the frozen fit of points * 2**-e, with the
+    exponent e of `_scale_exponent` and `tol` scaled alike, scaled back."""
+    e = cluster._scale_exponent(points)
+    assert e > 0
+    with mock.patch.object(cluster, "_seed_centroids", seeding or cluster._seed_centroids):
+        got = cluster.kmeans_fit(points, k, seed=seed, restarts=restarts)
+    _, want = fit_both(np.ldexp(points, -e), k, seed=seed, restarts=restarts,
+                       seeding=seeding, tol=math.ldexp(1e-6, -e))
+    assert got.labels.tobytes() == want.labels.tobytes()
+    assert got.centroids.tobytes() == np.ldexp(want.centroids, e).tobytes()
+    with np.errstate(over="ignore"):  # an inertia past the float range is inf
+        assert got.inertia_history == tuple(np.ldexp(want.inertia_history, 2 * e).tolist())
+    return got
 
 
 def permuted_pair(d, seed):
@@ -119,7 +129,7 @@ class TestPruningIsSound:
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @pytest.mark.parametrize("layout", ["spread", "two_far_groups"])
-    def test_squared_distances_overflow(self, layout, monkeypatch):
+    def test_squared_distances_overflow(self, layout):
         rng = np.random.default_rng(7)
         if layout == "spread":
             points = rng.random((40, 3)) * 1e200
@@ -128,33 +138,24 @@ class TestPruningIsSound:
             points = np.vstack([rng.integers(0, 3, size=(20, 2)) * 1.0,
                                 1e200 + rng.integers(0, 3, size=(20, 2)) * 1e185])
         assert not np.isfinite(cluster._sq_dists(points.T, points[:1])).all()
-        e = cluster._scale_exponent(points)
         for k in (1, 2, 3, 5):
-            # kmeans_fit is the frozen fit of points * 2**-e, scaled back
-            got, _ = fit_both(points, k, seed=k, restarts=2, seeding=colliding_seeds)
-            _, want = fit_both(np.ldexp(points, -e), k, seed=k, restarts=2,
-                               seeding=colliding_seeds, tol=math.ldexp(1e-6, -e))
-            assert got.labels.tobytes() == want.labels.tobytes()
-            assert got.centroids.tobytes() == np.ldexp(want.centroids, e).tobytes()
-            assert got.inertia_history == tuple(
-                np.ldexp(want.inertia_history, 2 * e).tolist())
-        # unscaled, the pruned Lloyd meets inf distances and still matches the
-        # frozen one; k-means++ cannot draw from infinite masses, so the seeds are picked
-        unscaled(monkeypatch)
-        for k in (1, 2, 3, 5):
-            assert_identical(*fit_both(points, k, seed=k, restarts=2, seeding=colliding_seeds))
+            assert_fits_at_scale(points, k, seed=k, restarts=2, seeding=colliding_seeds)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-    def test_overflowed_runner_up_closes_in(self, monkeypatch):
-        # the origin's runner-up starts 1.4e154 away, where the squared
-        # distance overflows, then moves 9.1e153 to pass its own centroid
-        unscaled(monkeypatch)
+    def test_overflowed_runner_up_closes_in(self):
+        # unscaled, the origin's runner-up would start 1.4e154 away, where
+        # the squared distance overflows, then move 9.1e153 to pass its own
+        # centroid; kmeans_fit meets it at scale
         e = 1e153
         points = np.array([[-5 * e, 0.0]] * 100 + [[0.0, 0.0], [14 * e, 0.0]]
                           + [[4.6 * e, 0.0]] * 30)
-        got, want = fit_both(points, 2, seeding=fixed_seeds(points[0], points[101]))
-        assert_identical(got, want)
+        got = assert_fits_at_scale(points, 2, seeding=lambda pts, k, rng: pts[[0, 101]])
         assert got.labels[100] == 1
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_identical_points_near_the_float_max(self, k):
+        # a centroid's rounding puts it about 1e284 off the points, a
+        # squared distance past the float range, though the spread is 0
+        assert_fits_at_scale(np.full((7, 2), 1e300), k, seed=k)
 
     @pytest.mark.parametrize("d", [0, 2, 3, 9])
     def test_all_points_equal(self, d):

@@ -9,9 +9,8 @@ from hypothesis import strategies as st
 
 import reference_datagen
 from offloadlab import greedy, model
-from offloadlab.greedy import get_total_energy, task_energy_endpoints
 from offloadlab.model import (CHANNEL_DTYPE, DEVICE_DTYPE, TASK_DTYPE, Scenario,
-                              energy_at, tx_power)
+                              energy_at, task_energy_endpoints, tx_power)
 from offloadlab.spectral import SpectralConfig
 
 from helpers import (EX_GAIN, EX_NOISE, EX_SE, example_channel, example_device,
@@ -40,9 +39,10 @@ def _endpoints(*tasks, se=EX_SE, **kw):
 
 
 def _energies(ratios, *tasks, se=EX_SE, **kw):
-    """`get_total_energy` of `_scenario(*tasks, **kw)` at `ratios`, priced at `se`."""
+    """Per-task energies of `_scenario(*tasks, **kw)` at `ratios`, priced at `se`."""
     with priced_at(se):
-        return get_total_energy(np.asarray(ratios, dtype=float), _scenario(*tasks, **kw))
+        return energy_at(*task_energy_endpoints(_scenario(*tasks, **kw)),
+                         np.asarray(ratios, dtype=float))
 
 
 class TestWorkedExample:
@@ -198,11 +198,11 @@ class TestProperties:
 
 
 class TestSystemTotal:
-    """The scenario total is the sum of `get_total_energy`'s per-task energies."""
+    """The scenario total is the sum of the per-task energies at the ratios."""
 
     def test_empty_scenario(self):
         sc = _scenario()
-        assert get_total_energy(np.zeros(0), sc).sum() == 0.0
+        assert energy_at(*task_energy_endpoints(sc), np.zeros(0)).sum() == 0.0
 
     def test_matches_hand_sum(self):
         sc = small_scenario()  # static channels: the scenario prices itself at EX_SE
@@ -214,7 +214,7 @@ class TestSystemTotal:
             expected += p * 0.5 * task.data_bits / (ch.bandwidth_hz * EX_SE)
             expected += (dev.energy_coeff * task.cycles_per_bit * dev.cpu_freq_hz ** 2
                          * 0.5 * task.data_bits)
-        got = get_total_energy(np.full(3, 0.5), sc).sum()
+        got = energy_at(*task_energy_endpoints(sc), np.full(3, 0.5)).sum()
         assert got == pytest.approx(expected, rel=1e-12)
 
     def test_edge_server_share_costs_nothing(self):
@@ -226,9 +226,10 @@ class TestSystemTotal:
         harder = Scenario(devices=sc.devices, tasks=tasks, channels=sc.channels,
                           spectral_config=SpectralConfig())
         ones = np.ones(3)
-        assert get_total_energy(ones, harder).tolist() == get_total_energy(ones, sc).tolist()
+        base, hard = task_energy_endpoints(sc), task_energy_endpoints(harder)
+        assert energy_at(*hard, ones).tolist() == energy_at(*base, ones).tolist()
         half = np.full(3, 0.5)
-        extra = get_total_energy(half, harder) - get_total_energy(half, sc)
+        extra = energy_at(*hard, half) - energy_at(*base, half)
         dev = sc.devices[sc.tasks.device_id]
         want = (dev.energy_coeff * sc.tasks.cycles_per_bit * dev.cpu_freq_hz ** 2
                 * 0.5 * sc.tasks.data_bits)
@@ -341,7 +342,7 @@ class TestScalarMatchesColumn:
                                                   bandwidth, noise, gain, se):
         sc = _one_task(bits, cycles, cpu, coeff, bandwidth, noise, gain)
         with priced_at(se):
-            column = get_total_energy(np.array([ratio]), sc)
+            column = energy_at(*task_energy_endpoints(sc), np.array([ratio]))
         local, offload = reference_datagen.task_energy_endpoints(sc, lambda speed, carrier: se)
         assert column[0] == local[0] * (1.0 - ratio) + offload[0] * ratio
 
@@ -365,7 +366,6 @@ class TestNonFiniteEndpoints:
         # every way to price the task raises the same error
         sc = _one_task(1e6, 100.0, 1e200, 1e-28, 1e6, 1e-13, 1.0)
         for energy in (lambda: model.task_energy_endpoints(sc),
-                       lambda: get_total_energy(np.array([0.5]), sc),
                        lambda: greedy.optimize(sc, greedy.GreedyConfig())):
             with pytest.raises(ValueError, match="cpu_freq_hz squared overflows"):
                 energy()
