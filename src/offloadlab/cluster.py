@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .features import (Dataset, ScalingParams, apply_min_max, fit_min_max,
-                       write_rows)
+from .features import (TARGET_COLUMN, Dataset, ScalingParams, apply_min_max,
+                       fit_min_max, write_rows)
 
 MODEL_FORMAT = "offloadlab-clustered-model"
 MODEL_VERSION = 1
@@ -383,17 +383,23 @@ def train_clustered_models(training_data: Dataset, num_clusters: int,
     scaled = apply_min_max(raw, scaling)
     km = kmeans_fit(scaled, num_clusters, seed=seed, restarts=restarts)
     models = []
-    for c in range(num_clusters):
-        members = np.flatnonzero(km.labels == c)
-        if members.size == 0:
-            models.append(LinearModel(coeffs=np.zeros(len(subset) + 1), degenerate=True))
-        elif members.size < len(subset) + 2:
-            coeffs = np.zeros(len(subset) + 1)
-            coeffs[0] = float(training_data.y.take(members).mean())
-            models.append(LinearModel(coeffs=coeffs, degenerate=True))
-        else:
-            models.append(fit_linear_model(scaled.take(members, axis=0),
-                                           training_data.y.take(members)))
+    try:  # the scaled features lie in [0, 1], so only the target's sums can overflow
+        with np.errstate(over="raise"):
+            for c in range(num_clusters):
+                members = np.flatnonzero(km.labels == c)
+                if members.size == 0:
+                    models.append(LinearModel(coeffs=np.zeros(len(subset) + 1),
+                                              degenerate=True))
+                elif members.size < len(subset) + 2:
+                    coeffs = np.zeros(len(subset) + 1)
+                    coeffs[0] = float(training_data.y.take(members).mean())
+                    models.append(LinearModel(coeffs=coeffs, degenerate=True))
+                else:
+                    models.append(fit_linear_model(scaled.take(members, axis=0),
+                                                   training_data.y.take(members)))
+    except FloatingPointError:
+        raise ValueError(f"{TARGET_COLUMN} is too large to fit: a sum over a cluster's "
+                         "values passes the float range") from None
     return ClusteredModel(kmeans=km, per_cluster=tuple(models),
                           scaling=scaling, feature_subset=subset)
 

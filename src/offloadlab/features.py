@@ -106,11 +106,22 @@ def _cell_format(column):
 def _column_cells(column):
     """``cells(lo, hi)``: the texts of rows lo to hi of `column`.
 
-    A numeric numpy column with at most half its cells distinct formats each
-    distinct value once.  Values are told apart by their bit pattern, so
-    that -0.0 and 0.0 stay apart, and a chunk's cells are looked up in the
-    sorted distinct values, so no whole-column index is held.
+    An integer numpy column whose span ``max - min + 1`` is at most half its
+    length formats every value of the span once, and a chunk's cells are
+    that table at ``cell - min``, worked out in a 64-bit type of the
+    column's sign so that it cannot wrap.  Any other numeric numpy column
+    with at most half its cells distinct formats each distinct value once.
+    Values are told apart by their bit pattern, so that -0.0 and 0.0 stay
+    apart, and a chunk's cells are looked up in the sorted distinct values.
+    Neither way holds a whole-column index.
     """
+    if isinstance(column, np.ndarray) and column.dtype.kind in "iu" and len(column):
+        low = column.min()
+        span = int(column.max()) - int(low) + 1
+        if 2 * span <= len(column):
+            wide = np.uint64 if column.dtype.kind == "u" else np.int64
+            texts = np.array([repr(v) for v in range(int(low), int(low) + span)], dtype=object)
+            return lambda lo, hi: texts.take(np.subtract(column[lo:hi], low, dtype=wide)).tolist()
     if isinstance(column, np.ndarray) and column.dtype.kind in "biuf" and column.itemsize <= 8:
         keys = column.view(f"i{column.itemsize}") if column.dtype.kind == "f" else column
         ordered = np.sort(keys)  # np.unique's hash path is many times slower

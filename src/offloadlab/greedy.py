@@ -22,7 +22,8 @@ Where the run ends is found by a threshold, not a sort.  A task has at most
 one failing cell, so F is the failing cell of highest energy e_F, the
 lowest task on a tie; a task's final level is the count of its improving
 cells above e_F, or equal to e_F in a lower task.  Only a run whose count
-reaches `max_iters` sorts its picks (one stable argsort) to cut them there.
+reaches `max_iters` sorts its picks to cut them there: one default argsort,
+and a stable one after it only where two keys tie (`_stable_argsort`).
 `optimize_packed` runs the kernel on many scenarios at once, each group of
 consecutive tasks on its own, and `optimize` is a batch of one.  The pick
 order itself, `OffloadSolution.bumps`, is sorted out when first read.
@@ -267,7 +268,23 @@ def _picks(energy: np.ndarray) -> np.ndarray:
     cells are task-major, so the stable sort breaks ties by task index."""
     top = energy.shape[1] - 1
     kept = np.arange(top + 1) < np.minimum(_stalls(energy) + 1, top)[:, None]
-    return np.flatnonzero(kept)[np.argsort(-energy[kept], kind="stable")]
+    # the keys are freed before the cells are listed again, to hold less at once
+    order = _stable_argsort(np.negative(energy.take(np.flatnonzero(kept))))
+    return np.flatnonzero(kept).take(order)
+
+
+def _stable_argsort(keys: np.ndarray) -> np.ndarray:
+    """``keys.argsort(kind="stable")``.
+
+    Distinct keys have one sorted order, so numpy's default sort, which is
+    faster, gives it.  Only where two sorted neighbours are equal (0.0 and
+    -0.0 included) are the keys sorted again, stably.
+    """
+    order = np.argsort(keys)
+    ranked = keys.take(order)
+    if (ranked[1:] == ranked[:-1]).any():
+        return np.argsort(keys, kind="stable")
+    return order
 
 
 def _descend(scenario: Scenario, sizes, config: GreedyConfig):

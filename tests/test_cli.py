@@ -654,6 +654,19 @@ class TestOverflowExits1:
                           "evaluate", "--dataset_path", str(big), "--clustering.k_max", "3")
 
     @pytest.mark.parametrize("command", ["train", "evaluate"])
+    def test_a_target_whose_sums_pass_the_float_range(self, tmp_path, command):
+        # every energy and their span are finite, but a cluster's
+        # least-squares sums over them are not
+        header, *rows = self.balanced_rows(tmp_path)
+        top = max(float(row[-1]) for row in rows)
+        big = tmp_path / "big.csv"
+        write_rows(big, [header, *(row[:-1] + [repr(float(row[-1]) / top * 1e307)]
+                                   for row in rows)])
+        self.assert_fails(tmp_path / "o", f"{re.escape(str(big))}: energy_j is too large to "
+                          "fit: a sum over a cluster's values passes the float range",
+                          command, "--dataset_path", str(big))
+
+    @pytest.mark.parametrize("command", ["train", "evaluate"])
     def test_a_feature_span_past_the_float_range(self, tmp_path, command):
         # each value is finite, the column's max - min is not
         header, *rows = self.balanced_rows(tmp_path)

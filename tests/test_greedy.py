@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from offloadlab import greedy
 from offloadlab.cli import main
@@ -197,6 +199,93 @@ class TestTraceLists:
             rows = list(csv.reader(fh))
         assert rows == [["iteration", "total_energy_j", "task_index"],
                         ["0", repr(sol.total_energy), "-1"]]
+
+
+def stable_picks(energy: np.ndarray) -> np.ndarray:
+    """The pick order as one stable argsort of the kept cells' -energy."""
+    top = energy.shape[1] - 1
+    kept = np.arange(top + 1) < np.minimum(greedy._stalls(energy) + 1, top)[:, None]
+    return np.flatnonzero(kept)[np.argsort(-energy[kept], kind="stable")]
+
+
+# easily tied energies: signed zeros, the least subnormal, neighbouring floats
+_ENERGY_POOL = [-0.0, 0.0, 5e-324, 0.5, 1.0, 1.0 + 2.0**-52, 2.0, 3.0]
+
+
+@st.composite
+def ladders(draw):
+    """(tasks, levels) energies: cells from a small drawn pool, or each
+    task's affine ladder between two energies from it; sometimes every task
+    is the same.  Up to 400 tasks, enough for numpy's default sort to
+    reorder ties, and down to one task and one level."""
+    tasks = draw(st.sampled_from([1, 2, 3, 5, 64, 400]))
+    levels = draw(st.integers(1, 6))
+    pool = np.array(draw(st.lists(st.sampled_from(_ENERGY_POOL), min_size=1, max_size=4)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    if draw(st.booleans()):
+        energy = pool[rng.integers(0, len(pool), size=(tasks, levels))]
+    else:
+        ends = pool[rng.integers(0, len(pool), size=(2, tasks))]
+        energy = energy_at(ends[0][:, None], ends[1][:, None], np.linspace(0.0, 1.0, levels))
+    if draw(st.booleans()):
+        energy[:] = energy[0]
+    return energy
+
+
+def pinned_scenario() -> Scenario:
+    """Every range pinned: all tasks have the same energies, so all tie."""
+    return generate_scenario(ScenarioSpec(**{
+        name: (value[0], value[0]) for name, value in vars(ScenarioSpec()).items()
+        if isinstance(value, tuple)}))
+
+
+class TestPicks:
+    @settings(max_examples=300, deadline=None)
+    @given(energy=ladders())
+    def test_the_order_of_one_stable_argsort(self, energy):
+        assert np.array_equal(greedy._picks(energy), stable_picks(energy))
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32), tasks=st.sampled_from([1, 7, 400]))
+    def test_distinct_energies(self, seed, tasks):
+        rng = np.random.default_rng(seed)
+        energy = energy_at(rng.uniform(0.0, 10.0, size=(tasks, 1)),
+                           rng.uniform(0.0, 10.0, size=(tasks, 1)), greedy._ladder(0.5, 0.1))
+        assert np.array_equal(greedy._picks(energy), stable_picks(energy))
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_signed_zeros_are_a_tie(self, seed):
+        # distinct energies but for one 0.0 and one -0.0, which numpy's
+        # default sort often swaps; one level below the top is kept per task
+        rng = np.random.default_rng(seed)
+        energy = np.zeros((64, 2))
+        energy[:, 0] = rng.permutation(np.arange(1.0, 65.0))
+        energy[rng.choice(64, 2, replace=False), 0] = 0.0, -0.0
+        assert np.array_equal(greedy._picks(energy), stable_picks(energy))
+
+    @staticmethod
+    def sort_kinds(monkeypatch, solution) -> list:
+        """The kinds of the argsorts that sorting out `solution.bumps` makes."""
+        kinds = []
+        argsort = np.argsort
+        monkeypatch.setattr(np, "argsort",
+                            lambda a, kind=None: kinds.append(kind) or argsort(a, kind=kind))
+        solution.bumps
+        monkeypatch.undo()
+        return kinds
+
+    def test_distinct_keys_sort_once(self, monkeypatch):
+        sol = optimize(default_scenario(seed=3), GreedyConfig())
+        assert self.sort_kinds(monkeypatch, sol) == [None]
+        assert np.array_equal(sol.bumps, stable_picks(sol.ladder_energy)[:sol.evaluations - 1])
+
+    def test_tied_keys_sort_again_stably(self, monkeypatch):
+        sol = optimize(pinned_scenario(), GreedyConfig())
+        assert self.sort_kinds(monkeypatch, sol) == [None, "stable"]
+        assert np.array_equal(sol.bumps, stable_picks(sol.ladder_energy)[:sol.evaluations - 1])
+        # the tied tasks are bumped lowest first, level by level
+        assert sol.trace_picks[1:len(sol.offload_ratios) + 1].tolist() == list(
+            range(len(sol.offload_ratios)))
 
 
 class TestBruteForce:

@@ -139,6 +139,55 @@ class TestWriteRows:
                                      zip(column, np.arange(rows)))
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
+    @staticmethod
+    def sorts_made(monkeypatch, write) -> int:
+        """How many `np.sort` calls `write()` makes: the distinct-value path
+        sorts its column, the integer table does not."""
+        sorts = []
+        sort = np.sort
+        monkeypatch.setattr(np, "sort", lambda *args: sorts.append(1) or sort(*args))
+        write()
+        monkeypatch.undo()
+        return len(sorts)
+
+    @pytest.mark.parametrize("values, rows", [
+        (np.array([-100, 100, 0], dtype=np.int8), 402),
+        (np.arange(-128, 128, dtype=np.int8), 512),
+        (np.array([255, 0, 7], dtype=np.uint8), 600),
+        (np.array([-2**15, 2**15 - 1, 0, -1], dtype=np.int16), 2**17),
+        (np.array([2**64 - 1, 2**64 - 3, 2**64 - 2], dtype=np.uint64), 6),
+        (np.array([-2**63, -2**63 + 5, -2**63 + 2], dtype=np.int64), 12),
+        (np.array([-7, -3, -5], dtype=np.int32), 10),
+    ], ids=["int8-201", "int8-all", "uint8-all", "int16-all", "uint64-top", "int64-bottom",
+            "int32-negative"])
+    def test_integer_table_as_the_frozen_row_writer(self, tmp_path, monkeypatch, values, rows):
+        # spans that wrap in the column's own dtype (100 - -100 is not an
+        # int8), values past the int64 range and spans below zero
+        column = np.resize(values, rows)
+        assert self.sorts_made(
+            monkeypatch, lambda: write_rows(tmp_path / "new.csv", ["n"], [column])) == 0
+        reference_writers._write_csv(tmp_path / "old.csv", ["n"], zip(column))
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    @pytest.mark.parametrize("rows", [1023, 1024, 1025, 2049])
+    @pytest.mark.parametrize("extra, table", [(0, True), (1, False)],
+                             ids=["half-span", "one-more"])
+    @pytest.mark.parametrize("dtype, low", [(np.int64, lambda span: -span),
+                                            (np.uint64, lambda span: 2**64 - span)],
+                             ids=["negative", "uint64-top"])
+    def test_integer_spans_at_the_switch(self, tmp_path, monkeypatch, rows, extra, table,
+                                         dtype, low):
+        # an integer column whose span is at most half its cells formats the
+        # span once; one more value in the span takes the distinct-value path
+        span = rows // 2 + extra
+        base = low(span)
+        column = np.resize(np.array([base, base + span - 1, base + 1], dtype=dtype), rows)
+        made = self.sorts_made(
+            monkeypatch, lambda: write_rows(tmp_path / "new.csv", ["n"], [column]))
+        assert (made == 0) == table
+        reference_writers._write_csv(tmp_path / "old.csv", ["n"], zip(column))
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
     @settings(max_examples=200, deadline=None)
     @given(table=tables())
     def test_same_bytes_as_frozen_row_writer(self, scratch, table):
