@@ -53,23 +53,38 @@ def _out_dir(cfg: ExperimentConfig) -> Path:
     return out
 
 
+def _write_json_floats(fh, values) -> None:
+    """Write a float array as ``json.dump(..., indent=2)`` writes it as the
+    value of a top-level key, an item a line.  The C encoder makes the
+    items, a slice at a time: ``indent`` would run the pure-Python one, and
+    no float's text holds ", "."""
+    values = np.asarray(values, dtype=float)
+    if not len(values):
+        fh.write("[]")
+        return
+    for start in range(0, len(values), 512):
+        items = json.dumps(values[start:start + 512].tolist())[1:-1]
+        fh.write((",\n    " if start else "[\n    ") + items.replace(", ", ",\n    "))
+    fh.write("\n  ]")
+
+
 def cmd_optimize(cfg: ExperimentConfig) -> list[Path]:
     scenario = datagen.generate_scenario(cfg.scenario, cfg.spectral)
     solution = greedy.optimize(scenario, cfg.greedy)
     log.info("optimize: %d tasks, %d evaluations, termination=%s",
              len(scenario.tasks), solution.evaluations, solution.termination)
-    payload = {
-        "termination": solution.termination,
-        "evaluations": solution.evaluations,
-        "total_energy_j": solution.total_energy,
-        "offload_ratios": [float(r) for r in solution.offload_ratios],
-        "per_task_energy_j": [float(e) for e in solution.per_task_energy],
-    }
+    head = json.dumps({"termination": solution.termination,
+                       "evaluations": solution.evaluations,
+                       "total_energy_j": solution.total_energy}, indent=2)
     out = _out_dir(cfg)
     solution_path = out / SOLUTION_FILE
     with open(solution_path, "w") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+        fh.write(head[:-2])  # the object stays open for the two lists
+        for key, values in (("offload_ratios", solution.offload_ratios),
+                            ("per_task_energy_j", solution.per_task_energy)):
+            fh.write(f',\n  "{key}": ')
+            _write_json_floats(fh, values)
+        fh.write("\n}\n")
     trace_path = out / TRACE_FILE
     greedy.write_trace_csv(solution, trace_path)
     return [solution_path, trace_path]

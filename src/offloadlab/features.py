@@ -1,6 +1,7 @@
 """Feature handling for the energy predictor: scaling, ranking, feature
 subsets, the numeric CSV reader (`read_csv_matrix`) and the package's one CSV
-writer (`write_rows`).
+writer (`write_rows`), which lays rows out as byte matrices and has numpy
+numbers formatted by `numtext`.
 
 A Dataset is a named feature matrix plus a per-row energy target in joules.
 Features are min-max scaled into [0, 1] with parameters learned on training
@@ -12,10 +13,13 @@ binned plug-in mutual information estimate against the target.
 from __future__ import annotations
 
 import csv
+import itertools
 from array import array
 from dataclasses import dataclass
 
 import numpy as np
+
+from .numtext import FLOAT_CELL, float_cells, int_cell
 
 # Canonical column order for generated datasets.  The first four are the
 # ones a deployed predictor is expected to see; the rest are auxiliary.
@@ -32,7 +36,7 @@ PRIMARY_FEATURES = CANONICAL_FEATURES[:4]
 
 TARGET_COLUMN = "energy_j"
 
-CSV_CHUNK_ROWS = 1024  # rows formatted per write; bounds the text held at once
+CSV_CHUNK_ROWS = 2048  # rows per write, divided among the float columns; bounds memory
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,39 +107,60 @@ def _cell_format(column):
     return repr if numeric else _text_cell
 
 
-def _column_cells(column):
-    """``cells(lo, hi)``: the texts of rows lo to hi of `column`.
+def _column_cells(column, encoding, lone):
+    """(cell, fill) for a column that is not numpy floats: `cell` is a
+    row's bytes of the column, its cell then a ",", and ``fill(lo, hi,
+    cells, mask)`` writes rows lo to hi into `cells`, views of rows holding
+    `cell`, and the bytes that are texts into `mask`, leaving the ",".
+    Numpy ints and ranges are formatted in numpy.  Any other column is
+    formatted cell by cell, once, and encoded: a NUL byte in a text is
+    kept, and a lone column quotes an empty cell, as ``csv.writer`` does
+    for a row that is one empty field."""
+    if isinstance(column, np.ndarray) and column.dtype.kind in "iu" and column.itemsize <= 8:
+        cell, fill = int_cell(int(column.min()), int(column.max()))
+        return cell, lambda lo, hi, cells, mask: fill(column[lo:hi], cells, mask)
+    ends = (column[0], column[-1]) if isinstance(column, range) else ()
+    if ends and -2 ** 63 <= min(ends) and max(ends) < 2 ** 63:
+        cell, fill = int_cell(min(ends), max(ends))
 
-    An integer numpy column whose span ``max - min + 1`` is at most half its
-    length formats every value of the span once, and a chunk's cells are
-    that table at ``cell - min``, worked out in a 64-bit type of the
-    column's sign so that it cannot wrap.  Any other numeric numpy column
-    with at most half its cells distinct formats each distinct value once.
-    Values are told apart by their bit pattern, so that -0.0 and 0.0 stay
-    apart, and a chunk's cells are looked up in the sorted distinct values.
-    Neither way holds a whole-column index.
-    """
-    if isinstance(column, np.ndarray) and column.dtype.kind in "iu" and len(column):
-        low = column.min()
-        span = int(column.max()) - int(low) + 1
-        if 2 * span <= len(column):
-            wide = np.uint64 if column.dtype.kind == "u" else np.int64
-            texts = np.array([repr(v) for v in range(int(low), int(low) + span)], dtype=object)
-            return lambda lo, hi: texts.take(np.subtract(column[lo:hi], low, dtype=wide)).tolist()
-    if isinstance(column, np.ndarray) and column.dtype.kind in "biuf" and column.itemsize <= 8:
-        keys = column.view(f"i{column.itemsize}") if column.dtype.kind == "f" else column
-        ordered = np.sort(keys)  # np.unique's hash path is many times slower
-        first = np.ones(len(keys), dtype=bool)
-        np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
-        if 2 * np.count_nonzero(first) <= len(keys):
-            distinct = ordered[first]
-            texts = np.array([repr(v) for v in distinct.view(column.dtype).tolist()],
-                             dtype=object)
-            return lambda lo, hi: texts[np.searchsorted(distinct, keys[lo:hi])].tolist()
+        def values(lo, hi):  # modulo 2**64, which gives the int64 values exactly
+            steps = np.arange(hi - lo, dtype=np.uint64) * np.uint64(column.step % 2 ** 64)
+            return (steps + np.uint64(column[lo] % 2 ** 64)).view(np.int64)
+        return cell, lambda lo, hi, cells, mask: fill(values(lo, hi), cells, mask)
     fmt = _cell_format(column)
-    if isinstance(column, np.ndarray):
-        return lambda lo, hi: map(fmt, column[lo:hi].tolist())
-    return lambda lo, hi: map(fmt, column[lo:hi])
+    texts = [t.encode(encoding) if t or not lone else b'""'
+             for t in map(fmt, column.tolist() if isinstance(column, np.ndarray) else column)]
+    lengths = np.array([len(t) for t in texts], dtype=np.intp)
+    width = max(1, int(lengths.max()))
+    encoded = np.array(texts, dtype=f"S{width}")[:, None].view(np.uint8)
+
+    def fill(lo, hi, cells, mask):
+        cells[:, :-1] = encoded[lo:hi]
+        mask[:, :-1] = np.arange(width) < lengths[lo:hi, None]
+    return np.append(np.zeros(width, dtype=np.uint8), np.uint8(ord(","))), fill
+
+
+def _is_floats(column) -> bool:
+    return isinstance(column, np.ndarray) and column.dtype.kind == "f" and column.itemsize <= 8
+
+
+def _blocks(columns, encoding):
+    """(cells, fill) per block of a table's columns, as `_column_cells`
+    gives them: a run of numpy float columns is one block, whose floats
+    `float_cells` formats together, and any other column is its own."""
+    blocks = []
+    for floats, run in itertools.groupby(columns, key=_is_floats):
+        if not floats:
+            blocks += [_column_cells(column, encoding, len(columns) == 1) for column in run]
+            continue
+        run = list(run)
+
+        def fill(lo, hi, cells, mask, run=run):
+            shape = (hi - lo, len(run), len(FLOAT_CELL))
+            float_cells(np.stack([column[lo:hi] for column in run], axis=1),
+                        cells.reshape(shape), mask.reshape(shape))
+        blocks.append((np.tile(FLOAT_CELL, len(run)), fill))
+    return blocks
 
 
 def write_rows(path, header, columns) -> None:
@@ -144,22 +169,35 @@ def write_rows(path, header, columns) -> None:
     This is the package's one CSV row format, ``csv.writer``'s default
     dialect with ``\\r\\n`` line ends: ints and floats as ``repr``, so they
     read back exactly, and other cells as ``str``, quoted when they hold
-    ``,``, ``"``, ``\\r`` or ``\\n``.  Rows are formatted `CSV_CHUNK_ROWS` at a
-    time, never as one whole-file string; a numpy column with few distinct
-    values formats each of them once (`_column_cells`).
+    ``,``, ``"``, ``\\r`` or ``\\n``.  Rows are made in chunks, never as one
+    whole-file string, of `CSV_CHUNK_ROWS` rows divided by the number of
+    numpy float columns.  A chunk is one byte matrix, of which each block
+    of columns (`_blocks`) fills its part and a mask of the bytes that are
+    texts; the masked bytes in order are the rows.
     """
     n = len(columns[0]) if columns else 0
     if any(len(column) != n for column in columns):
         raise ValueError("CSV columns differ in length")
-    cells = [_column_cells(column) for column in columns]
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerow(header)
-        for start in range(0, n, CSV_CHUNK_ROWS):
-            stop = start + CSV_CHUNK_ROWS
-            lines = map(",".join, zip(*(chunk(start, stop) for chunk in cells)))
-            if len(columns) == 1:  # csv.writer quotes a row that is one empty cell
-                lines = (line or '""' for line in lines)
-            fh.write("\r\n".join(lines) + "\r\n")
+        fh.flush()
+        if not n:
+            return
+        blocks = _blocks(columns, fh.encoding)
+        template = np.concatenate([cells for cells, _ in blocks] + [np.uint8([ord("\n")])])
+        template[-2] = ord("\r")
+        chunk = max(1, CSV_CHUNK_ROWS // max(1, sum(map(_is_floats, columns))))
+        matrix = np.empty((min(n, chunk), len(template)), dtype=np.uint8)
+        mask = np.ones(matrix.shape, dtype=bool)
+        for start in range(0, n, chunk):
+            rows = min(n - start, chunk)
+            matrix[:rows] = template
+            at = 0
+            for cells, fill in blocks:
+                part = slice(at, at + len(cells))
+                fill(start, start + rows, matrix[:rows, part], mask[:rows, part])
+                at += len(cells)
+            fh.buffer.write(matrix[:rows][mask[:rows]])
 
 
 def read_csv_matrix(path) -> tuple[tuple[str, ...], np.ndarray]:

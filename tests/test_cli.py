@@ -175,6 +175,15 @@ class TestOptimize:
         assert all(b < a for a, b in zip(energies[:-2], energies[1:-1]))
         assert payload["total_energy_j"] == min(energies)
 
+    @pytest.mark.parametrize("tasks", ["1", "3", "600"])
+    def test_solution_json_is_json_dump_with_indent_2(self, tmp_path, tasks):
+        # the lists go through the C encoder in slices of 512 items
+        out = tmp_path / "out"
+        assert run("optimize", "--seed", "2", "--scenario.n_devices", "1",
+                   "--scenario.tasks_per_device", tasks, "--out", str(out)) == 0
+        text = (out / "solution.json").read_text()
+        assert text == json.dumps(json.loads(text), indent=2) + "\n"
+
     def test_reruns_are_byte_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         assert run("optimize", "--seed", "5", "--out", str(a)) == 0

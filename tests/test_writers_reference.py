@@ -6,13 +6,16 @@ columns, whatever the cell types, the text and the row count.  The CLI
 files it now writes must match the ones the frozen writers write when they
 are patched back in.  The trace and dataset files are checked against
 `reference_greedy` and `reference_datagen` in their own tests; here the
-trace is also checked against the frozen row writer.  Numpy columns whose
-values repeat, which `write_rows` formats once per distinct value, are
-drawn from small pools of easily confused values.
+trace is also checked against the frozen row writer.  Numpy columns are
+drawn from small pools of easily confused values, at the chunk boundaries,
+which fall every `CSV_CHUNK_ROWS` rows divided by the number of float
+columns.  `test_number_text.py` checks the numpy number texts against
+``repr`` itself.
 """
 
 import filecmp
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -26,6 +29,8 @@ from offloadlab.features import CSV_CHUNK_ROWS, write_rows
 
 _AWKWARD_TEXT = [",", '"', "\r", "\n", "", " lead", "trail ", "é", 'a,b "c"',
                  "x\r\ny", '""', "None"]
+_NUL_FROM_311 = pytest.mark.skipif(sys.version_info < (3, 11),
+                                   reason="the csv module reads and writes NUL from Python 3.11")
 # NUL is left out: Python 3.10's csv.writer refuses it without an escapechar
 _TEXT = st.one_of(st.sampled_from(_AWKWARD_TEXT), st.text(
     st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00"),
@@ -123,32 +128,13 @@ class TestWriteRows:
     @pytest.mark.parametrize("rows", [1023, 1024, 1025, 2049])
     @pytest.mark.parametrize("extra, shared", [(0, True), (1, False)],
                              ids=["half-distinct", "one-more"])
-    def test_distinct_counts_at_the_switch(self, tmp_path, monkeypatch, rows, extra, shared):
-        # a column at most half of whose cells are distinct formats each
-        # value once and looks the chunks up; one more distinct value
-        # formats every cell
+    def test_distinct_counts_at_the_switch(self, tmp_path, rows, extra, shared):
+        # -0.0, 0.0 and tenths: half the cells distinct, and one more
         column = _column_with_distinct(rows, rows // 2 + extra)
-        lookups = []
-        searchsorted = np.searchsorted
-        monkeypatch.setattr(np, "searchsorted",
-                            lambda *args: lookups.append(1) or searchsorted(*args))
         write_rows(tmp_path / "new.csv", ["x", "i"], [column, np.arange(rows)])
-        monkeypatch.undo()
-        assert bool(lookups) == shared
         reference_writers._write_csv(tmp_path / "old.csv", ["x", "i"],
                                      zip(column, np.arange(rows)))
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
-
-    @staticmethod
-    def sorts_made(monkeypatch, write) -> int:
-        """How many `np.sort` calls `write()` makes: the distinct-value path
-        sorts its column, the integer table does not."""
-        sorts = []
-        sort = np.sort
-        monkeypatch.setattr(np, "sort", lambda *args: sorts.append(1) or sort(*args))
-        write()
-        monkeypatch.undo()
-        return len(sorts)
 
     @pytest.mark.parametrize("values, rows", [
         (np.array([-100, 100, 0], dtype=np.int8), 402),
@@ -160,12 +146,11 @@ class TestWriteRows:
         (np.array([-7, -3, -5], dtype=np.int32), 10),
     ], ids=["int8-201", "int8-all", "uint8-all", "int16-all", "uint64-top", "int64-bottom",
             "int32-negative"])
-    def test_integer_table_as_the_frozen_row_writer(self, tmp_path, monkeypatch, values, rows):
+    def test_integer_table_as_the_frozen_row_writer(self, tmp_path, values, rows):
         # spans that wrap in the column's own dtype (100 - -100 is not an
         # int8), values past the int64 range and spans below zero
         column = np.resize(values, rows)
-        assert self.sorts_made(
-            monkeypatch, lambda: write_rows(tmp_path / "new.csv", ["n"], [column])) == 0
+        write_rows(tmp_path / "new.csv", ["n"], [column])
         reference_writers._write_csv(tmp_path / "old.csv", ["n"], zip(column))
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
@@ -175,17 +160,51 @@ class TestWriteRows:
     @pytest.mark.parametrize("dtype, low", [(np.int64, lambda span: -span),
                                             (np.uint64, lambda span: 2**64 - span)],
                              ids=["negative", "uint64-top"])
-    def test_integer_spans_at_the_switch(self, tmp_path, monkeypatch, rows, extra, table,
-                                         dtype, low):
-        # an integer column whose span is at most half its cells formats the
-        # span once; one more value in the span takes the distinct-value path
+    def test_integer_spans_at_the_switch(self, tmp_path, rows, extra, table, dtype, low):
+        # spans of half the cells, and one more, at the ends of both dtypes
         span = rows // 2 + extra
         base = low(span)
         column = np.resize(np.array([base, base + span - 1, base + 1], dtype=dtype), rows)
-        made = self.sorts_made(
-            monkeypatch, lambda: write_rows(tmp_path / "new.csv", ["n"], [column]))
-        assert (made == 0) == table
+        write_rows(tmp_path / "new.csv", ["n"], [column])
         reference_writers._write_csv(tmp_path / "old.csv", ["n"], zip(column))
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32, np.int64,
+                                       np.uint8, np.uint16, np.uint32, np.uint64])
+    def test_integer_extremes_as_the_frozen_row_writer(self, tmp_path, dtype):
+        # each dtype's bounds, their neighbours, zero, and every digit count
+        info = np.iinfo(dtype)
+        powers = [10 ** k + d for k in range(20) for d in (-1, 0)]
+        values = [info.min, info.min + 1, info.max - 1, info.max, 0, 1, -1,
+                  *powers, *(-p for p in powers)]
+        column = np.array([v for v in values if info.min <= v <= info.max], dtype=dtype)
+        write_rows(tmp_path / "new.csv", ["n", "m"], [column, column[::-1]])
+        reference_writers._write_csv(tmp_path / "old.csv", ["n", "m"], zip(column, column[::-1]))
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    @pytest.mark.parametrize("floats", [1, 2, 3, 8])
+    def test_float_columns_at_their_chunk_boundaries(self, tmp_path, floats):
+        # a chunk holds CSV_CHUNK_ROWS // floats rows, so that its float
+        # cells are formatted together; ints and text around the floats
+        chunk = CSV_CHUNK_ROWS // floats
+        rng = np.random.default_rng(floats)
+        for rows in (chunk - 1, chunk, chunk + 1, 2 * chunk + 1):
+            columns = [np.arange(rows) - 3, *(rng.choice(_SHARED_FLOATS + [1e-7, 2.5e14, 123.0],
+                                                         size=rows) * rng.random(rows)
+                                              for _ in range(floats)),
+                       ["t" * (i % 3) for i in range(rows)]]
+            header = [f"c{i}" for i in range(len(columns))]
+            write_rows(tmp_path / "new.csv", header, columns)
+            reference_writers._write_csv(tmp_path / "old.csv", header, zip(*columns))
+            assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    def test_float32_and_float16_columns_as_their_float64_values(self, tmp_path):
+        # as tolist() gives them: the frozen row writer wrote numpy's own str
+        values = np.random.default_rng(3).normal(size=500) * 1e3
+        columns = [values.astype(np.float32), values.astype(np.float16)]
+        write_rows(tmp_path / "new.csv", ["a", "b"], columns)
+        reference_writers._write_csv(tmp_path / "old.csv", ["a", "b"],
+                                     zip(*(column.tolist() for column in columns)))
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
     @settings(max_examples=200, deadline=None)
@@ -195,6 +214,21 @@ class TestWriteRows:
         write_rows(scratch / "new.csv", header, columns)
         reference_writers._write_csv(scratch / "old.csv", header, zip(*columns))
         assert (scratch / "new.csv").read_bytes() == (scratch / "old.csv").read_bytes()
+
+    @pytest.mark.parametrize("texts", [
+        pytest.param(["Ex\x00tra", "\x00", "a\x00", "\x00,"], marks=_NUL_FROM_311, id="nul"),
+        pytest.param(["Größe", "日本語", "é,è", "\u2028"], id="non-ascii"),
+        pytest.param(['a,"b"', '"', "x\r\ny", " , "], id="quoted"),
+        pytest.param(["", "", "a", ""], id="empty"),
+    ])
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_text_cells_as_the_frozen_row_writer(self, tmp_path, texts, width):
+        # a lone column quotes an empty cell; beside other columns it is empty
+        columns = [texts, np.arange(len(texts)), np.linspace(0.5, 2, len(texts))][:width]
+        header = ["t", "i", "x"][:width]
+        write_rows(tmp_path / "new.csv", header, columns)
+        reference_writers._write_csv(tmp_path / "old.csv", header, zip(*columns))
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
     def test_one_empty_text_cell_is_quoted_like_csv_writer(self, tmp_path):
         write_rows(tmp_path / "t.csv", ["id"], [["", "a", ""]])
@@ -269,3 +303,22 @@ class TestCliMatchesFrozenWriters:
         assert main(args + ["--out", str(tmp_path / "old")]) == 0
         _assert_same_files(tmp_path / "new", tmp_path / "old")
         assert b'\r\n"Band,""width""",' in (tmp_path / "new" / "mi_ranking.csv").read_bytes()
+
+    @pytest.mark.parametrize("name", [pytest.param("Ex\x00tra", marks=_NUL_FROM_311, id="nul"),
+                                      pytest.param("Größe", id="non-ascii")])
+    def test_evaluate_with_an_extra_column(self, tmp_path, monkeypatch, name):
+        # the extra column's name reaches mi_ranking.csv as it is in the header
+        assert main(["gen-data", "--datagen.n_scenarios", "3", "--scenario.n_devices", "2",
+                     "--scenario.tasks_per_device", "8", "--seed", "2",
+                     "--out", str(tmp_path / "data")]) == 0
+        dataset = tmp_path / "data" / "dataset.csv"
+        lines = dataset.read_text(encoding="utf-8").splitlines()
+        dataset.write_text("\r\n".join([f"{name},{lines[0]}"] + [f"{i % 7}.25,{line}" for i, line
+                                                                   in enumerate(lines[1:])])
+                           + "\r\n", encoding="utf-8")
+        args = ["evaluate", "--dataset_path", str(dataset), "--clustering.k_max", "2"]
+        assert main(args + ["--out", str(tmp_path / "new")]) == 0
+        _frozen_writers(monkeypatch)
+        assert main(args + ["--out", str(tmp_path / "old")]) == 0
+        _assert_same_files(tmp_path / "new", tmp_path / "old")
+        assert f"\r\n{name},".encode() in (tmp_path / "new" / "mi_ranking.csv").read_bytes()
