@@ -1,7 +1,8 @@
 """Feature handling for the energy predictor: scaling, ranking, feature
 subsets, the numeric CSV reader (`read_csv_matrix`) and the package's one CSV
-writer (`write_rows`), which lays rows out as byte matrices and has numpy
-numbers formatted by `numtext`.
+writer (`write_rows`), which lays a table of numpy numbers out as byte
+matrices, its cells formatted by `numtext`, and hands any other table to
+``csv.writer``.
 
 A Dataset is a named feature matrix plus a per-row energy target in joules.
 Features are min-max scaled into [0, 1] with parameters learned on training
@@ -90,35 +91,27 @@ def feature_index(names, wanted) -> list[int]:
     return [names.index(name) for name in wanted]
 
 
-_QUOTED = frozenset(',"\r\n')  # csv.writer quotes a text cell holding one of these
+def _cell(value) -> str:
+    """A row-path cell as text: ``repr`` of a float, so it reads back
+    exactly, and ``str`` of anything else.  ``csv.writer`` given the value
+    itself would write an ``np.float64`` as ``np.float64(...)`` and None as
+    an empty field."""
+    return repr(float(value)) if isinstance(value, float) else str(value)
 
 
-def _text_cell(value) -> str:
-    """A cell that is not a plain int or float, as ``csv.writer`` writes it."""
-    text = repr(float(value)) if isinstance(value, float) else str(value)
-    return text if _QUOTED.isdisjoint(text) else '"' + text.replace('"', '""') + '"'
-
-
-def _cell_format(column):
-    """``repr`` for a column of plain ints and floats, `_text_cell` for any other."""
-    if isinstance(column, np.ndarray):  # tolist gives Python numbers
-        return repr if column.dtype.kind in "biuf" else _text_cell
-    numeric = isinstance(column, range) or {int, float}.issuperset(map(type, column))
-    return repr if numeric else _text_cell
-
-
-def _column_cells(column, encoding, lone):
-    """(cell, fill) for a column that is not numpy floats: `cell` is a
-    row's bytes of the column, its cell then a ",", and ``fill(lo, hi,
-    cells, mask)`` writes rows lo to hi into `cells`, views of rows holding
-    `cell`, and the bytes that are texts into `mask`, leaving the ",".
-    Numpy ints and ranges are formatted in numpy.  Any other column is
-    formatted cell by cell, once, and encoded: a NUL byte in a text is
-    kept, and a lone column quotes an empty cell, as ``csv.writer`` does
-    for a row that is one empty field."""
+def _column_cells(column):
+    """(cell, fill) for a numpy int column or a range inside int64, else
+    None: `cell` is a row's bytes of the column, its cell then a ",", and
+    ``fill(lo, hi, cells, mask)`` writes rows lo to hi into `cells`, views
+    of rows holding `cell`, and the bytes that are texts into `mask`,
+    leaving the ","."""
     if isinstance(column, np.ndarray) and column.dtype.kind in "iu" and column.itemsize <= 8:
         cell, fill = int_cell(int(column.min()), int(column.max()))
         return cell, lambda lo, hi, cells, mask: fill(column[lo:hi], cells, mask)
+    # A range is formatted a chunk at a time, never made whole: the
+    # trace's 100,001-row iteration column given as np.arange raised the
+    # peak RSS of optimize at 50x40, which the trace write sets, from
+    # about 41.4 to 42.2 MB.
     ends = (column[0], column[-1]) if isinstance(column, range) else ()
     if ends and -2 ** 63 <= min(ends) and max(ends) < 2 ** 63:
         cell, fill = int_cell(min(ends), max(ends))
@@ -127,31 +120,22 @@ def _column_cells(column, encoding, lone):
             steps = np.arange(hi - lo, dtype=np.uint64) * np.uint64(column.step % 2 ** 64)
             return (steps + np.uint64(column[lo] % 2 ** 64)).view(np.int64)
         return cell, lambda lo, hi, cells, mask: fill(values(lo, hi), cells, mask)
-    fmt = _cell_format(column)
-    texts = [t.encode(encoding) if t or not lone else b'""'
-             for t in map(fmt, column.tolist() if isinstance(column, np.ndarray) else column)]
-    lengths = np.array([len(t) for t in texts], dtype=np.intp)
-    width = max(1, int(lengths.max()))
-    encoded = np.array(texts, dtype=f"S{width}")[:, None].view(np.uint8)
-
-    def fill(lo, hi, cells, mask):
-        cells[:, :-1] = encoded[lo:hi]
-        mask[:, :-1] = np.arange(width) < lengths[lo:hi, None]
-    return np.append(np.zeros(width, dtype=np.uint8), np.uint8(ord(","))), fill
+    return None
 
 
 def _is_floats(column) -> bool:
     return isinstance(column, np.ndarray) and column.dtype.kind == "f" and column.itemsize <= 8
 
 
-def _blocks(columns, encoding):
+def _blocks(columns):
     """(cells, fill) per block of a table's columns, as `_column_cells`
-    gives them: a run of numpy float columns is one block, whose floats
-    `float_cells` formats together, and any other column is its own."""
+    gives them, or None if a column is not numpy numbers or a range: a run
+    of numpy float columns is one block, whose floats `float_cells` formats
+    together, and any other column is its own."""
     blocks = []
     for floats, run in itertools.groupby(columns, key=_is_floats):
         if not floats:
-            blocks += [_column_cells(column, encoding, len(columns) == 1) for column in run]
+            blocks += map(_column_cells, run)
             continue
         run = list(run)
 
@@ -160,30 +144,35 @@ def _blocks(columns, encoding):
             float_cells(np.stack([column[lo:hi] for column in run], axis=1),
                         cells.reshape(shape), mask.reshape(shape))
         blocks.append((np.tile(FLOAT_CELL, len(run)), fill))
-    return blocks
+    return None if None in blocks else blocks
 
 
 def write_rows(path, header, columns) -> None:
     """Write `header`, then row i holding cell i of each equal-length column.
 
     This is the package's one CSV row format, ``csv.writer``'s default
-    dialect with ``\\r\\n`` line ends: ints and floats as ``repr``, so they
-    read back exactly, and other cells as ``str``, quoted when they hold
-    ``,``, ``"``, ``\\r`` or ``\\n``.  Rows are made in chunks, never as one
-    whole-file string, of `CSV_CHUNK_ROWS` rows divided by the number of
-    numpy float columns.  A chunk is one byte matrix, of which each block
-    of columns (`_blocks`) fills its part and a mask of the bytes that are
-    texts; the masked bytes in order are the rows.
+    dialect with ``\\r\\n`` line ends: floats as ``repr``, so they read
+    back exactly, and other cells as ``str``.  A table whose columns are
+    all numpy ints or floats (of at most 8 bytes) or int64 ranges takes
+    the byte path: its rows are made in chunks, never as one whole-file
+    string, of `CSV_CHUNK_ROWS` rows divided by the number of float
+    columns.  A chunk is one byte matrix, of which each block of columns
+    (`_blocks`) fills its part and a mask of the bytes that are texts; the
+    masked bytes in order are the rows.  Any other table is handed to
+    ``csv.writer`` row by row, its cells made text by `_cell`.
     """
     n = len(columns[0]) if columns else 0
     if any(len(column) != n for column in columns):
         raise ValueError("CSV columns differ in length")
     with open(path, "w", newline="") as fh:
-        csv.writer(fh).writerow(header)
-        fh.flush()
-        if not n:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        blocks = _blocks(columns) if n else None
+        if blocks is None:
+            writer.writerows(zip(*(map(_cell, c.tolist() if isinstance(c, np.ndarray) else c)
+                                   for c in columns)))
             return
-        blocks = _blocks(columns, fh.encoding)
+        fh.flush()
         template = np.concatenate([cells for cells, _ in blocks] + [np.uint8([ord("\n")])])
         template[-2] = ord("\r")
         chunk = max(1, CSV_CHUNK_ROWS // max(1, sum(map(_is_floats, columns))))

@@ -13,9 +13,11 @@ columns.  `test_number_text.py` checks the numpy number texts against
 ``repr`` itself.
 """
 
+import csv
 import filecmp
 import math
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -207,6 +209,16 @@ class TestWriteRows:
                                      zip(*(column.tolist() for column in columns)))
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
+    def test_longdouble_column_as_the_frozen_row_writer(self, tmp_path):
+        # tolist() keeps longdouble scalars, so their text is numpy's str,
+        # not the repr np.longdouble('1.5')
+        column = np.array([1.5, -0.0, 0.1, 1e300, 2.0 ** -70], dtype=np.longdouble)
+        write_rows(tmp_path / "new.csv", ["x", "i"], [column, np.arange(len(column))])
+        reference_writers._write_csv(tmp_path / "old.csv", ["x", "i"],
+                                     zip(column, np.arange(len(column))))
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+        assert (tmp_path / "new.csv").read_bytes().startswith(b"x,i\r\n1.5,0\r\n")
+
     @settings(max_examples=200, deadline=None)
     @given(table=tables())
     def test_same_bytes_as_frozen_row_writer(self, scratch, table):
@@ -322,3 +334,59 @@ class TestCliMatchesFrozenWriters:
         assert main(args + ["--out", str(tmp_path / "old")]) == 0
         _assert_same_files(tmp_path / "new", tmp_path / "old")
         assert f"\r\n{name},".encode() in (tmp_path / "new" / "mi_ranking.csv").read_bytes()
+
+
+@pytest.fixture()
+def row_path_files(monkeypatch):
+    """Names of the files whose rows go through ``csv.writer(...).writerows``."""
+    names = []
+    writer = csv.writer
+
+    class Spy:
+        def __init__(self, fh):
+            self.writer, self.name = writer(fh), Path(fh.name).name
+
+        def writerow(self, row):
+            return self.writer.writerow(row)
+
+        def writerows(self, rows):
+            names.append(self.name)
+            return self.writer.writerows(rows)
+    monkeypatch.setattr(csv, "writer", Spy)
+    return names
+
+
+class TestPathPerCliFile:
+    """The large numpy tables keep the byte path; a caller that hands
+    `write_rows` a list instead would silently leave it."""
+
+    def test_trace_dataset_and_predictions_take_the_byte_path(self, tmp_path, row_path_files):
+        out = str(tmp_path / "o")
+        assert main(["optimize", "--seed", "3", "--out", out]) == 0
+        assert main(["gen-data", "--datagen.n_scenarios", "3", "--scenario.n_devices", "2",
+                     "--scenario.tasks_per_device", "8", "--seed", "1", "--out", out]) == 0
+        dataset = tmp_path / "o" / "dataset.csv"
+        assert main(["train", "--dataset_path", str(dataset), "--out", out]) == 0
+        features_only = tmp_path / "features.csv"
+        features_only.write_text("".join(line.rpartition(",")[0] + "\n" for line
+                                         in dataset.read_text().splitlines()))
+        for data in (dataset, features_only):
+            assert main(["predict", "--dataset_path", str(data), "--model_path",
+                         str(tmp_path / "o" / "model.json"), "--out", out]) == 0
+        assert {"trace.csv", "dataset.csv", "predictions.csv"} <= {
+            p.name for p in (tmp_path / "o").iterdir()}
+        assert row_path_files == []
+
+    def test_rankings_reports_and_sweeps_take_the_row_path(self, tmp_path, row_path_files):
+        out = str(tmp_path / "o")
+        small = ["--scenario.n_devices", "2", "--scenario.tasks_per_device", "3", "--out", out]
+        assert main(["sweep-modulation", "--sweeps.speed_grid", "0,150", *small]) == 0
+        assert main(["sweep-datasize", "--sweeps.data_size_grid", "0,1e6", *small]) == 0
+        assert main(["gen-data", "--datagen.n_scenarios", "3", "--scenario.n_devices", "2",
+                     "--scenario.tasks_per_device", "8", "--seed", "1",
+                     "--out", str(tmp_path / "data")]) == 0
+        assert main(["evaluate", "--dataset_path", str(tmp_path / "data" / "dataset.csv"),
+                     "--clustering.k_max", "2", "--clustering.feature_subsets",
+                     "primary;mi:2", *small[-2:]]) == 0
+        assert row_path_files == ["sweep_modulation.csv", "sweep_datasize.csv",
+                                  "mi_ranking.csv", "eval_primary.csv", "eval_mi2.csv"]
