@@ -30,11 +30,10 @@ log = logging.getLogger(__name__)
 class KMeansModel:
     k: int
     centroids: np.ndarray            # (k, d)
-    inertia: float
+    inertia: float                   # the kept run's, after its last update
     seed: int
     iterations_run: int
     labels: np.ndarray | None = None          # training assignment
-    inertia_history: tuple[float, ...] = ()
 
 
 @dataclass(frozen=True, eq=False)
@@ -220,12 +219,12 @@ def _lloyd(points: np.ndarray, cols: np.ndarray, k: int, rng: np.random.Generato
     NaN or inf bound never passes.  So the labels are bit for bit those of
     a full assignment.  Rows are gathered with `take`: at a few thousand
     rows numpy's advanced indexing costs more than the arithmetic.
+    Returns (centroids, labels, inertia, iterations, repairs, rows recomputed).
     """
     centroids = _seed_centroids(points, k, rng)
     n, d = points.shape
     sums = np.empty((d, k))
     bounded = False  # bounds hold: not on the first step, nor after a repair
-    history: list[float] = []
     repairs = recomputed = 0
     for iterations in range(1, max_iter + 1):
         if not bounded:
@@ -255,12 +254,6 @@ def _lloyd(points: np.ndarray, cols: np.ndarray, k: int, rng: np.random.Generato
         for j in range(d):
             sums[j] = np.bincount(labels, weights=cols[j], minlength=k)
         np.divide(sums.T, counts[:, None], out=centroids, where=counts[:, None] > 0)
-        # squares in a C-ordered (n, d) block, the layout whose pairwise
-        # .sum() the frozen inertias pin
-        sq = centroids.take(labels, axis=0)
-        np.subtract(points, sq, out=sq)
-        sq *= sq
-        history.append(float(sq.sum()))
         moves = np.sqrt(((centroids - previous) ** 2).sum(axis=1))
         shift = float(moves.max())
         if not repaired and shift < tol:
@@ -269,8 +262,12 @@ def _lloyd(points: np.ndarray, cols: np.ndarray, k: int, rng: np.random.Generato
         bounded = not repaired
         upper += moves.take(labels)
         lower -= shift
-    # the last update's inertia: a break before an update keeps its labels
-    return centroids, labels, history[-1], iterations, history, repairs, recomputed
+    # the last update's inertia (a break before an update keeps its labels),
+    # in the C-ordered (n, d) block whose pairwise .sum() the frozen ones pin
+    sq = centroids.take(labels, axis=0)
+    np.subtract(points, sq, out=sq)
+    sq *= sq
+    return centroids, labels, float(sq.sum()), iterations, repairs, recomputed
 
 
 def kmeans_fit(points: np.ndarray, k: int, seed: int = 0, tol: float = 1e-6,
@@ -306,18 +303,17 @@ def kmeans_fit(points: np.ndarray, k: int, seed: int = 0, tol: float = 1e-6,
     runs = [_lloyd(rows, cols, k, rng, tol, max_iter, slack) for _ in range(restarts)]
     # the first of the least (scaled) inertias
     best = min(range(restarts), key=lambda r: runs[r][2])
-    centroids, labels, inertia, iterations, history = runs[best][:5]
+    centroids, labels, inertia, iterations = runs[best][:4]
     if e:
         with np.errstate(over="ignore"):  # an inertia past the float range is inf
             centroids = np.ldexp(centroids, e)
-            inertia, *history = np.ldexp([inertia, *history], 2 * e).tolist()
+            inertia = float(np.ldexp(inertia, 2 * e))
     log.debug("kmeans_fit n=%d k=%d: iterations per restart %s, restart %d kept, "
               "%d repairs, %d of %d rows recomputed", len(rows), k,
-              [run[3] for run in runs], best, sum(run[5] for run in runs),
-              sum(run[6] for run in runs), len(rows) * sum(run[3] for run in runs))
+              [run[3] for run in runs], best, sum(run[4] for run in runs),
+              sum(run[5] for run in runs), len(rows) * sum(run[3] for run in runs))
     return KMeansModel(k=k, centroids=centroids, inertia=inertia, seed=seed,
-                       iterations_run=iterations, labels=labels,
-                       inertia_history=tuple(history))
+                       iterations_run=iterations, labels=labels)
 
 
 def fit_linear_model(X: np.ndarray, y: np.ndarray) -> LinearModel:
@@ -434,9 +430,12 @@ def evaluate_models(training_data: Dataset, test_data: Dataset, k_max: int,
                     feature_subset=None, seed: int = 0,
                     restarts: int = 10) -> EvalReport:
     """MAE/MSE on held-out rows for every cluster count from 1 to k_max; a
-    metric that overflows or is not finite is a ValueError naming k."""
+    metric that overflows or is not finite is a ValueError naming k, and a
+    k_max above the training row count is one before any fit."""
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
+    if k_max > len(training_data):
+        raise ValueError(f"k_max={k_max} exceeds the {len(training_data)} training rows")
     if tuple(training_data.feature_names) != tuple(test_data.feature_names):
         raise ValueError("train and test datasets disagree on features")
     rows = []

@@ -7,6 +7,11 @@ stand-ins set on the model and removed again: plain records without
 validation, and the transmit power of a channel row.  Its `Scenario` is
 then a builder that turns the sequences of records it samples into the
 model's record arrays, field by field in dtype order.
+
+`reference_kmeans` builds its results as `KMeansModel(...,
+inertia_history=...)`, a field the live model no longer has.  It is
+imported while `cluster.KMeansModel` is a plain record, so its fits keep
+the per-step history that the differential tests compare against.
 """
 
 from types import SimpleNamespace
@@ -14,7 +19,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from offloadlab import model
+from offloadlab import cluster, model
 
 STAND_INS = {
     "Device": SimpleNamespace,
@@ -42,3 +47,7 @@ with pytest.MonkeyPatch.context() as mp:
     import reference_datagen
 
 reference_datagen.Scenario = scenario_of_records
+
+with pytest.MonkeyPatch.context() as mp:
+    mp.setattr(cluster, "KMeansModel", SimpleNamespace)
+    import reference_kmeans  # noqa: F401

@@ -108,7 +108,6 @@ def _build_c6():
         "iterations": model.iterations_run,
         "labels": model.labels.tolist(),
         "centroids": [row.tolist() for row in model.centroids],
-        "history": list(model.inertia_history),
     } for (points, k), model in zip(fixtures, fits)]
     blob = json.dumps(payload, sort_keys=True, indent=1).encode()
     return {"kmeans_fits.json": blob}, fixtures, fits
@@ -300,8 +299,12 @@ def test_criterion_06_kmeans_matches_exhaustive_partitions():
         assert model.inertia >= optimum - 1e-9
         if model.inertia <= optimum + 1e-9 * max(optimum, 1.0):
             exact += 1
-        history = np.asarray(model.inertia_history)
-        assert not np.any(np.diff(history) > 1e-9)
+        # the first restart stopped after t updates: its inertia never rises with t
+        first = kmeans_fit(points, k, seed=model.seed)
+        steps = [kmeans_fit(points, k, seed=model.seed, max_iter=t).inertia
+                 for t in range(1, first.iterations_run + 1)]
+        assert steps[-1] == first.inertia
+        assert not np.any(np.diff(steps) > 1e-9)
     assert exact >= 15, f"only {exact}/20 fixtures reached the optimum"
     _finish(6, t0, 10.0, f"({exact}/20 fixtures optimal)")
 

@@ -12,7 +12,7 @@ import pytest
 
 import offloadlab
 import reference_datagen
-from offloadlab import datagen, features, model
+from offloadlab import cluster, datagen, features, model
 from offloadlab.cli import main
 from offloadlab.cluster import load_model
 from offloadlab.config import load_config
@@ -781,6 +781,20 @@ class TestEvaluate:
                    "--clustering.feature_subsets", "mi:9",
                    "--out", str(tmp_path / "o")) == 1
         assert "mi:9 asks for 9 features, its pool has 4" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_k_max_above_the_training_rows_fails_before_any_fit(
+            self, tmp_path, small_dataset, capsys, monkeypatch):
+        fits = []
+        fit = cluster.kmeans_fit
+        monkeypatch.setattr(cluster, "kmeans_fit",
+                            lambda *args, **kwargs: fits.append(args) or fit(*args, **kwargs))
+        capsys.readouterr()
+        assert run("evaluate", "--dataset_path", str(small_dataset),
+                   "--clustering.k_max", "100", "--out", str(tmp_path / "o")) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: {small_dataset}: k_max=100 exceeds the 36 training rows"]
+        assert fits == []
         assert not (tmp_path / "o").exists()
 
 

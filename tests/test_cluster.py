@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from offloadlab import cluster
 from offloadlab.cluster import (ClusteredModel, EvalReport, KMeansModel,
                                 LinearModel, _assign, _seed_centroids, _sq_dists,
                                 evaluate_models,
@@ -90,8 +91,11 @@ class TestKMeans:
                                    rtol=1e-9, atol=1e-12)
                 total += float(((members - members.mean(axis=0)) ** 2).sum())
         assert model.inertia == pytest.approx(total, rel=1e-9, abs=1e-12)
-        history = np.array(model.inertia_history)
-        assert not np.any(np.diff(history) > 1e-9)
+        # the run stopped after t updates: its inertia never rises with t
+        steps = [kmeans_fit(pts, k, seed=seed, max_iter=t).inertia
+                 for t in range(1, model.iterations_run + 1)]
+        assert steps[-1] == model.inertia
+        assert not np.any(np.diff(steps) > 1e-9)
 
     def test_deterministic_for_fixed_seed(self):
         rng = np.random.default_rng(5)
@@ -136,7 +140,7 @@ class TestKMeans:
             assert model.labels.tolist() == [1, 1, 0, 0]
             assert model.centroids.tolist() == [[size / 2, size], [size / 2, 0.0]]
         # the inertia 1e400 is past the float range
-        assert model.inertia == math.inf and model.inertia_history == (math.inf,)
+        assert model.inertia == math.inf
         assert not recwarn.list
 
     @pytest.mark.parametrize("seed", range(5))
@@ -431,6 +435,19 @@ class TestEvaluateModels:
         bad = Dataset(feature_names=("A", "B", "C"), X=train.X, y=train.y)
         with pytest.raises(ValueError):
             evaluate_models(train, bad, k_max=2)
+
+    def test_k_max_above_the_training_rows_fits_nothing(self, monkeypatch):
+        fits = []
+        fit = cluster.kmeans_fit
+        monkeypatch.setattr(cluster, "kmeans_fit",
+                            lambda *args, **kwargs: fits.append(args) or fit(*args, **kwargs))
+        train = toy_dataset(seed=4, n=30)
+        with pytest.raises(ValueError, match=r"^k_max=31 exceeds the 30 training rows$"):
+            evaluate_models(train, toy_dataset(seed=5), k_max=31)
+        assert fits == []
+        assert [k for k, _, _ in evaluate_models(train, train, k_max=30).rows] == \
+            list(range(1, 31))
+        assert len(fits) == 30
 
     def test_an_overflowing_metric_names_k(self):
         # errors near 1e300: the MAE is finite, the MSE is not

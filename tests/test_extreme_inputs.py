@@ -1,12 +1,19 @@
-"""`train`, `evaluate` and `predict` on finite extremes, one column at a time.
+"""The commands on finite extremes of their inputs, one at a time.
 
-Each column of a balanced 200-row dataset is altered four ways: two rows
-at -1.7e308 and 1.7e308 (a span past the float range), the column scaled
-to a maximum of 1.7e308, the column times 1e-320 (subnormal) and the
-column made constant.  Run in process with every warning an error, each
+Data side: each column of a balanced 200-row dataset is altered four ways:
+two rows at -1.7e308 and 1.7e308 (a span past the float range), the column
+scaled to a maximum of 1.7e308, the column times 1e-320 (subnormal) and
+the column made constant.  Run in process with every warning an error, each
 command either exits 0 and writes only finite numbers, or exits 1 with
 one ``error:`` line on stderr and makes no --out directory.  `predict`
 applies a model trained on the unaltered file.
+
+Config side: `optimize`, `gen-data` and both sweeps run with one config
+value at an extreme: each `scenario.*` range pinned at 1e300 and at 1e-300
+(1e160 for the clock, whose square is priced, and 0 for the speed), each
+`spectral.*` value at both, `greedy.step` at 1e-300 and `greedy.init_ratio`
+at 1; each `sweeps.*` grid at either runs through both sweeps.  A config
+value the run cannot honour may also exit 2, the code of a config error.
 """
 
 import csv
@@ -17,6 +24,7 @@ import warnings
 import pytest
 
 from offloadlab.cli import main
+from offloadlab.datagen import SAMPLED_FIELDS
 
 _COLUMNS = ("TaskSize", "OffloadingRatio", "Speed", "CarrierFrequency", "CyclesPerBit",
             "CpuFreq", "Bandwidth", "energy_j")
@@ -103,6 +111,13 @@ def test_finite_output_or_one_error_line(tmp_path, capsys, clean, command, alter
         args += ["--clustering.k_max", "2"]
     elif command == "predict":
         args += ["--model_path", str(model)]
+    _assert_finite_output_or_one_error_line(capsys, args, out, errors=(1,))
+
+
+def _assert_finite_output_or_one_error_line(capsys, args, out, errors):
+    """`main(args)`, every warning an error, exits 0 and writes only finite
+    numbers to `out`, or exits with one of `errors`, one ``error:`` line on
+    stderr and no `out`."""
     capsys.readouterr()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -114,6 +129,40 @@ def test_finite_output_or_one_error_line(tmp_path, capsys, clean, command, alter
         for path in outputs:
             _assert_finite_output(path)
     else:
-        assert status == 1
+        assert status in errors
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert not out.exists()
+
+
+_COMMANDS = {"optimize": [], "gen-data": ["--datagen.n_scenarios", "2"],
+             "sweep-modulation": [], "sweep-datasize": []}
+
+
+def _pinned(name, value):
+    return (f"scenario.{name}", f"{value!r},{value!r}")
+
+
+_CONFIG_EXTREMES = [
+    *(_pinned(name, 1e160 if name == "cpu_freq_hz" else 1e300) for name in SAMPLED_FIELDS),
+    *(_pinned(name, 0.0 if name == "speed_mps" else 1e-300) for name in SAMPLED_FIELDS),
+    *((f"spectral.{name}", value) for name in ("snr_linear", "subcarrier_spacing_hz")
+      for value in ("1e300", "1e-300")),
+    ("greedy.step", "1e-300"),
+    ("greedy.init_ratio", "1"),
+]
+
+_GRID_EXTREMES = [(f"sweeps.{grid}", value)
+                  for grid in ("speed_grid", "carrier_freq_grid", "data_size_grid")
+                  for value in ("1e300", "1e-300")]
+
+
+@pytest.mark.parametrize("command,key,value", [
+    *((command, key, value) for command in _COMMANDS for key, value in _CONFIG_EXTREMES),
+    *((command, key, value) for command in ("sweep-modulation", "sweep-datasize")
+      for key, value in _GRID_EXTREMES),
+])
+def test_config_extreme_gives_finite_output_or_one_error_line(tmp_path, capsys, command,
+                                                               key, value):
+    out = tmp_path / "o"
+    args = [command, *_COMMANDS[command], f"--{key}", value, "--out", str(out)]
+    _assert_finite_output_or_one_error_line(capsys, args, out, errors=(1, 2))
