@@ -164,7 +164,10 @@ def cmd_predict(cfg: ExperimentConfig) -> list[Path]:
     truth = None
     if names[-1] == TARGET_COLUMN:
         names, X, truth = names[:-1], X[:, :-1], X[:, -1]
-    preds = cluster.predict_matrix(model, X[:, feature_index(names, model.feature_subset)])
+    try:  # errors from here on are about the dataset's values
+        preds = cluster.predict_matrix(model, X[:, feature_index(names, model.feature_subset)])
+    except ValueError as exc:
+        raise ValueError(f"{cfg.dataset_path}: {exc}") from None
     header, columns = ["row", "energy_pred_j"], [range(len(preds)), preds]
     if truth is not None:
         header, columns = header + ["energy_true_j"], columns + [truth]

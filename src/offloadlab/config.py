@@ -193,7 +193,6 @@ SCHEMA = {
     "spectral.snr_linear": _float,
     "greedy.init_ratio": _float,
     "greedy.step": _float,
-    "greedy.max_iters": _opt(_int),
     "clustering.k_max": _int,
     "clustering.num_clusters": _int,
     "clustering.seed": _opt(_int),

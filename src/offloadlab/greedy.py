@@ -15,18 +15,18 @@ termination is a per-task float compare and needs no sum.  Up to and
 including its first non-improving bump, a task's energies strictly fall,
 so the greedy's picks are a merge of the per-task ladders in
 ``(-energy, flat index)`` order, and the run is cut at the first
-non-improving pick F (saturated), at `max_iters` (iter_capped), or where
-the picks run out (converged).
+non-improving pick F (saturated) or where the picks run out (converged).
+A run visits at most tasks x levels cells, which `MAX_LADDER_CELLS` caps.
 
 Where the run ends is found by a threshold, not a sort.  A task has at most
 one failing cell, so F is the failing cell of highest energy e_F, the
 lowest task on a tie; a task's final level is the count of its improving
-cells above e_F, or equal to e_F in a lower task.  Only a run whose count
-reaches `max_iters` sorts its picks to cut them there: one default argsort,
-and a stable one after it only where two keys tie (`_stable_argsort`).
+cells above e_F, or equal to e_F in a lower task.
 `optimize_packed` runs the kernel on many scenarios at once, each group of
 consecutive tasks on its own, and `optimize` is a batch of one.  The pick
-order itself, `OffloadSolution.bumps`, is sorted out when first read.
+order itself, `OffloadSolution.bumps`, is sorted out when first read: one
+default argsort, and a stable one after it only where two keys tie
+(`_stable_argsort`).
 
 Every total, `total_energy` and the trace's alike, is the correctly rounded
 exact sum of that state's per-task energies: what `math.fsum` returns, or
@@ -52,8 +52,6 @@ from .model import Scenario, energy_at, task_energy_endpoints
 
 TERMINATION_CONVERGED = "converged"    # every ratio pinned at 1.0, nothing left to adjust
 TERMINATION_SATURATED = "saturated"    # a bump failed to lower its task's energy
-TERMINATION_ITER_CAPPED = "iter_capped"  # safety bound on adjustments was hit
-_ENDS = (TERMINATION_CONVERGED, TERMINATION_SATURATED, TERMINATION_ITER_CAPPED)
 
 _SNAP = 1e-12  # ratios this close to 1.0 are pinned exactly
 # tasks x ratio levels one run may hold; a run at the cap peaks near 0.25 GB
@@ -65,20 +63,12 @@ _CHUNK = 4096  # bumps whose digit sums are held at once, fewer past 4 digits
 class GreedyConfig:
     init_ratio: float = 0.5
     step: float = 0.01
-    max_iters: int | None = None  # None: 10 * n_tasks / step, rounded up
 
     def __post_init__(self):
         if not 0.0 <= self.init_ratio <= 1.0:
             raise ValueError("init_ratio must lie in [0, 1]")
         if not 0.0 < self.step <= 1.0:
             raise ValueError("step must lie in (0, 1]")
-        if self.max_iters is not None and self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1 when set")
-
-    def resolve_max_iters(self, n_tasks: int) -> int:
-        if self.max_iters is not None:
-            return self.max_iters
-        return math.ceil(10.0 * n_tasks / self.step)
 
     @property
     def nominal_levels(self) -> int:
@@ -166,10 +156,11 @@ def _carry(sums: np.ndarray, grains: list[int]) -> None:
 
 def _round(sums: np.ndarray, grains: list[int]) -> np.ndarray:
     """``sum_j sums[j] * 2**grains[j]`` of each column of the integer-valued
-    `sums`, correctly rounded, or a signed inf past the float range.
+    `sums`, whose totals are nonnegative, correctly rounded, or inf past
+    the float range.
 
-    After the carries of |total| every digit below the first is
-    nonnegative, and the digits scaled back do not overlap, so `math.fsum`'s
+    After the carries every digit is nonnegative, the first too since the
+    total is, and the digits scaled back do not overlap, so `math.fsum`'s
     last step rounds them: add them from the top until one rounds, then
     round a tie up when a nonzero digit is left below.  A scaled digit or
     sum past the float range is inf, and so is the total, since the digits
@@ -177,10 +168,6 @@ def _round(sums: np.ndarray, grains: list[int]) -> np.ndarray:
     """
     sums = sums.copy()
     _carry(sums, grains)
-    negative = sums[0] < 0
-    if negative.any():
-        np.negative(sums, out=sums, where=negative)
-        _carry(sums, grains)
     with np.errstate(over="ignore", invalid="ignore"):
         hi = sums[0] * 2.0 ** grains[0]
         lo = np.zeros_like(hi)  # hi + lo: the digits added so far, exactly
@@ -194,14 +181,14 @@ def _round(sums: np.ndarray, grains: list[int]) -> np.ndarray:
             hi = total
         doubled = 2.0 * lo  # hi + lo half-way between hi and hi + doubled
         up = hi + doubled
-        hi = np.where(below & (lo > 0.0) & (up - hi == doubled), up, hi)
-    return np.where(negative, -hi, hi)
+        return np.where(below & (lo > 0.0) & (up - hi == doubled), up, hi)
 
 
 def _exact_totals(energy: np.ndarray, bumps=np.empty(0, dtype=int)) -> np.ndarray:
     """Correctly rounded sums of ``energy[:, 0]``, then of each state after
-    a bump, where bump j moves one task from flat cell ``bumps[j]`` of the
-    finite `energy` to the next cell.
+    a bump, where bump j moves one task from flat cell ``bumps[j]``, the
+    one it is at, to the next cell.  The cells of `energy` must be finite
+    and nonnegative, so that no state's total is negative.
 
     Each cell is split into integer-valued float64 digits (`_grains`), so
     a state's exact sum is one running sum per digit: the start column's,
@@ -292,7 +279,7 @@ def _descend(scenario: Scenario, sizes, config: GreedyConfig):
     of `scenario`, every group on its own.
 
     Returns each task's final ratio and energy, the (tasks, levels)
-    energies, and each group's evaluation count and index into `_ENDS`.
+    energies, and each group's evaluation count and whether it saturated.
     """
     config.check_size(max(sizes))
     rs = _ladder(float(config.init_ratio), config.step)
@@ -322,19 +309,9 @@ def _descend(scenario: Scenario, sizes, config: GreedyConfig):
     ahead &= np.arange(top) < stall[:, None]
     level = ahead.sum(axis=1)
 
-    bumps = np.add.reduceat(level, starts)
-    # a cap past every kept cell acts as no cap
-    cap = np.array([min(config.resolve_max_iters(n), n * len(rs)) for n in sizes])
-    failing = e_stop > -np.inf
-    capped = np.where(failing, bumps >= cap, bumps > cap)
-    saturated = failing & ~capped
-    for g in np.flatnonzero(capped).tolist():  # the first max_iters picks
-        lo, n = starts[g], sizes[g]
-        picks = _picks(energy[lo:lo + n])[:cap[g]]
-        level[lo:lo + n] = np.bincount(picks // len(rs), minlength=n)
-    evaluations = np.where(capped, cap, bumps + saturated) + 1
-    return (rs[level], energy[tasks, level], energy, evaluations,
-            np.where(capped, 2, saturated), (local, offload))
+    saturated = e_stop > -np.inf
+    evaluations = np.add.reduceat(level, starts) + saturated + 1
+    return rs[level], energy[tasks, level], energy, evaluations, saturated, (local, offload)
 
 
 def optimize_packed(scenario: Scenario, sizes, config: GreedyConfig):
@@ -348,12 +325,13 @@ def optimize(scenario: Scenario, config: GreedyConfig) -> OffloadSolution:
     n = len(scenario.tasks)
     if n == 0:
         raise ValueError("scenario has no tasks to optimize")
-    ratios, per_task, energy, evaluations, end, endpoints = _descend(scenario, [n], config)
+    (ratios, per_task, energy, evaluations, saturated,
+     endpoints) = _descend(scenario, [n], config)
     return OffloadSolution(
         offload_ratios=ratios,
         per_task_energy=per_task,
         total_energy=_fsum(per_task),
-        termination=_ENDS[end[0]],
+        termination=TERMINATION_SATURATED if saturated[0] else TERMINATION_CONVERGED,
         evaluations=int(evaluations[0]),
         ladder_energy=energy,
         endpoints=endpoints,

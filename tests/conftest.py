@@ -8,6 +8,11 @@ validation, and the transmit power of a channel row.  Its `Scenario` is
 then a builder that turns the sequences of records it samples into the
 model's record arrays, field by field in dtype order.
 
+`reference_greedy` imports `TERMINATION_ITER_CAPPED` from
+`offloadlab.greedy`, which has no iteration cap and no such end.  It is
+imported while a stand-in for the constant is set on the greedy; its
+tests hand it a `helpers.FrozenGreedyConfig`, whose cap never binds.
+
 `reference_kmeans` builds its results as `KMeansModel(...,
 inertia_history=...)`, a field the live model no longer has.  It is
 imported while `cluster.KMeansModel` is a plain record, so its fits keep
@@ -19,7 +24,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from offloadlab import cluster, model
+from offloadlab import cluster, greedy, model
 
 STAND_INS = {
     "Device": SimpleNamespace,
@@ -47,6 +52,10 @@ with pytest.MonkeyPatch.context() as mp:
     import reference_datagen
 
 reference_datagen.Scenario = scenario_of_records
+
+with pytest.MonkeyPatch.context() as mp:
+    mp.setattr(greedy, "TERMINATION_ITER_CAPPED", "iter_capped", raising=False)
+    import reference_greedy  # noqa: F401
 
 with pytest.MonkeyPatch.context() as mp:
     mp.setattr(cluster, "KMeansModel", SimpleNamespace)

@@ -1,5 +1,6 @@
 """Shared fixture builders for the test suite."""
 
+import math
 from collections.abc import Callable
 from contextlib import contextmanager
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from offloadlab import Scenario, ScenarioSpec, SpectralConfig, model
+from offloadlab.greedy import GreedyConfig
 from offloadlab.model import CHANNEL_DTYPE, DEVICE_DTYPE, TASK_DTYPE
 
 # Constants of the worked single-task example used across model tests.
@@ -95,3 +97,20 @@ def balanced_spec(seed: int) -> ScenarioSpec:
 BALANCED_NOISE_VAR = 6.6e-3
 BALANCED_ENERGY_COEFF = 1e-28
 BALANCED_GAIN = 1.0
+
+
+class FrozenGreedyConfig(GreedyConfig):
+    """A `GreedyConfig` as the frozen `reference_greedy.optimize` reads it.
+
+    That loop asks for an iteration cap, which the library no longer has.
+    This gives it the cap's old default, 10 * n_tasks / step rounded up,
+    which no run reaches: a task's ladder climbs at most 2 in steps of
+    `step`, so a run makes at most 2 * n_tasks / step bumps.
+    """
+
+    @classmethod
+    def of(cls, config: GreedyConfig) -> "FrozenGreedyConfig":
+        return cls(config.init_ratio, config.step)
+
+    def resolve_max_iters(self, n_tasks: int) -> int:
+        return math.ceil(10.0 * n_tasks / self.step)

@@ -100,6 +100,19 @@ class TestConfigHandling:
         assert f"unknown config field 'spectral.{leaf}'" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("source", ["flag", "yaml"])
+    def test_removed_max_iters_exits_2(self, tmp_path, source):
+        # the greedy's iteration cap is gone: greedy.max_iters is unknown
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text("greedy:\n  max_iters: 3\n")
+        given = {"flag": ["--greedy.max_iters", "3"], "yaml": ["--config", str(cfg)]}[source]
+        out = tmp_path / "o"
+        proc = run_process("-m", "offloadlab", "optimize", *given, "--out", str(out))
+        assert proc.returncode == 2
+        errors = [line for line in proc.stderr.splitlines() if "error:" in line]
+        assert len(errors) == 1 and "max_iters" in errors[0], proc.stderr
+        assert not out.exists()
+
     def test_section_seed_beats_global_flag(self, tmp_path):
         cfg = tmp_path / "cfg.yaml"
         cfg.write_text("scenario:\n  seed: 3\n")
@@ -603,6 +616,21 @@ class TestRejectedInputLeavesNoOutDir:
         assert "lacks features ['TaskSize', 'Speed']" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_predict_names_the_dataset_in_its_value_errors(self, tmp_path, small_dataset,
+                                                           trained_model, capsys):
+        # as train and evaluate do; the model loader's errors name model.json
+        rows = read_rows(small_dataset)
+        drop = rows[0].index("OffloadingRatio")
+        bad = tmp_path / "bad.csv"
+        write_rows(bad, [row[:drop] + row[drop + 1:] for row in rows])
+        out = tmp_path / "o"
+        capsys.readouterr()
+        assert run("predict", "--dataset_path", str(bad), "--model_path",
+                   str(trained_model), "--out", str(out)) == 1
+        assert capsys.readouterr().err == (
+            f"error: {bad}: dataset lacks features ['OffloadingRatio']\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["optimize", "gen-data", "sweep-modulation",
                                          "sweep-datasize"])
     def test_failed_computation(self, tmp_path, capsys, command):
@@ -648,7 +676,8 @@ class TestOverflowExits1:
         assert 0.0 < max(ratios) - min(ratios) < 1.0
         row[header.index("OffloadingRatio")] = "1e308"
         write_rows(tmp_path / "one.csv", [header, row])
-        self.assert_fails(tmp_path / "o", "the prediction for row 0 is -?inf", "predict",
+        one = re.escape(str(tmp_path / "one.csv"))
+        self.assert_fails(tmp_path / "o", f"{one}: the prediction for row 0 is -?inf", "predict",
                           "--dataset_path", str(tmp_path / "one.csv"),
                           "--model_path", str(tmp_path / "model" / "model.json"))
 

@@ -95,7 +95,7 @@ class TestCoercion:
             load_config(overrides={"clustering.k_max": True})
         assert load_config(overrides={"clustering.k_max": "8"}).clustering.k_max == 8
 
-    @pytest.mark.parametrize("key", ["scenario.n_devices", "greedy.max_iters"])
+    @pytest.mark.parametrize("key", ["scenario.n_devices", "scenario.seed"])
     @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
     def test_int_rejects_non_finite_floats_naming_the_key(self, key, value):
         with pytest.raises(ConfigError, match=f"{key}: expected an integer"):
@@ -173,7 +173,7 @@ class TestSchema:
                     assert f"{f.name}.{leaf.name}" in SCHEMA
             else:
                 assert f.name in SCHEMA
-        assert len(SCHEMA) == 32
+        assert len(SCHEMA) == 31
 
     def test_defaults_are_the_dataclass_defaults(self):
         assert load_config() == ExperimentConfig()

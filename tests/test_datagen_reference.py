@@ -322,13 +322,11 @@ class TestCliBytesMatchReference:
         assert got == want
 
 
-# init_ratio 1.0 is a one-level ladder and step 1.0 a two-level one; a
-# max_iters of a few bumps caps some scenarios of a batch and not others
+# init_ratio 1.0 is a one-level ladder and step 1.0 a two-level one
 batch_configs = st.builds(
     greedy.GreedyConfig,
     init_ratio=st.sampled_from([0.0, 0.5, 0.9, 1.0]),
-    step=st.sampled_from([1.0, 0.5, 0.3, 0.1]),
-    max_iters=st.one_of(st.none(), st.integers(1, 12)))
+    step=st.sampled_from([1.0, 0.5, 0.3, 0.1]))
 
 
 def assert_same_dataset(spec_list, gcfg=None):
@@ -361,23 +359,23 @@ class TestBatchesMatchReference:
             mp.setattr(datagen, "BATCH_CELLS", cells)
             assert_same_dataset(spec_list, gcfg)
 
-    def test_a_cap_that_stops_some_scenarios_of_a_batch(self):
+    def test_scenarios_of_one_batch_that_end_differently(self):
         spec_list = [replace(balanced_spec(3), n_devices=1, tasks_per_device=2),
                      ScenarioSpec(seed=4, n_devices=1, tasks_per_device=2),
                      ScenarioSpec(seed=5, n_devices=2, tasks_per_device=3),
                      replace(balanced_spec(5), n_devices=1, tasks_per_device=3),
                      ScenarioSpec(seed=7, n_devices=1, tasks_per_device=1)]
-        gcfg = greedy.GreedyConfig(max_iters=120)
+        gcfg = greedy.GreedyConfig()
         assert batch_sizes(spec_list, gcfg) == [5]
         ends = terminations(spec_list, gcfg)
-        assert ends.count("iter_capped") == 1 and len(set(ends)) == 3, ends
+        assert ends.count("saturated") == 2 and ends.count("converged") == 3, ends
         assert_same_dataset(spec_list, gcfg)
 
     @pytest.mark.parametrize("gcfg", [greedy.GreedyConfig(),
                                       greedy.GreedyConfig(init_ratio=1.0),
                                       greedy.GreedyConfig(step=1.0),
-                                      greedy.GreedyConfig(init_ratio=0.0, max_iters=3)],
-                             ids=["default", "init-1", "step-1", "capped"])
+                                      greedy.GreedyConfig(init_ratio=0.0, step=0.3)],
+                             ids=["default", "init-1", "step-1", "init-0-step-0.3"])
     def test_mixed_shapes_tied_energies_and_tasks_without_data(self, monkeypatch, gcfg):
         # every task of a pinned spec has the same energies; a spec without
         # data has only zero energies, which no bump lowers
