@@ -139,19 +139,9 @@ def _reach(points: np.ndarray) -> float:
     """2 sqrt(d) (max span + (n + 1) 2**-52 max|x|): twice the bound S of
     `_prune_slack` on every point-centroid distance and centroid move."""
     lo, hi = points.min(axis=0), points.max(axis=0)
-    with np.errstate(over="ignore"):  # inf past the float range
-        return 2.0 * np.sqrt(points.shape[1]) * (
-            (hi - lo).max(initial=0.0)
-            + (len(points) + 1) * 2.0**-52 * np.maximum(-lo, hi).max(initial=0.0))
-
-
-def _scale_exponent(points: np.ndarray) -> int:
-    """0, or the exponent e of max|x| when n `_reach`**2, which bounds every
-    squared distance, the D^2 mass and the inertia, overflows; k-means then
-    runs on points * 2**-e, which is exact and puts max|x| below 1."""
-    with np.errstate(over="ignore"):
-        mass = len(points) * _reach(points) ** 2
-    return int(np.frexp(np.abs(points).max())[1]) if mass == np.inf else 0
+    return 2.0 * np.sqrt(points.shape[1]) * (
+        (hi - lo).max(initial=0.0)
+        + (len(points) + 1) * 2.0**-52 * np.maximum(-lo, hi).max(initial=0.0))
 
 
 def _repair_empty(points: np.ndarray, centroids: np.ndarray,
@@ -179,7 +169,7 @@ def _repair_empty(points: np.ndarray, centroids: np.ndarray,
     return repaired
 
 
-def _prune_slack(points: np.ndarray, max_iter: int) -> float:
+def _prune_slack(reach: float, d: int, max_iter: int) -> float:
     """How far a row's bounds must clear each other for its label to be kept.
 
     Every centroid is a point or a computed mean of points.  A sequential
@@ -187,7 +177,8 @@ def _prune_slack(points: np.ndarray, max_iter: int) -> float:
     magnitudes (eps = 2**-53), so a mean strays past its members' range by
     at most (n + 1) eps max|x| per feature, and no point-centroid distance
     or centroid move exceeds S = sqrt(d) (max span + (n + 1) 2**-52 max|x|).
-    `_reach` is 2 S, the factor 2 covering the rounding of S itself.
+    `reach` is `_reach` of the points, 2 S, the factor 2 covering the
+    rounding of S itself.
 
     A computed distance (the square root of a left-to-right sum of d
     rounded squares of rounded differences), like a computed centroid move,
@@ -203,7 +194,7 @@ def _prune_slack(points: np.ndarray, max_iter: int) -> float:
     the exact ones, put the own centroid strictly first.  The total is
     below (2t + 3) ((d + 5) eps S + 1e-150), and t < max_iter.
     """
-    return (2 * max_iter + 3) * ((points.shape[1] + 5) * 2.0**-53 * _reach(points) + 1e-150)
+    return (2 * max_iter + 3) * ((d + 5) * 2.0**-53 * reach + 1e-150)
 
 
 def _lloyd(points: np.ndarray, cols: np.ndarray, k: int, rng: np.random.Generator,
@@ -276,9 +267,9 @@ def kmeans_fit(points: np.ndarray, k: int, seed: int = 0, tol: float = 1e-6,
 
     Restarts draw from one generator stream, so the result is a pure
     function of (points, k, seed, tol, max_iter, restarts), whatever the
-    memory layout of `points`.  Points whose squared distances could
-    overflow are fitted at the exact scale 2**-e of `_scale_exponent`, and
-    the results scaled back.
+    memory layout of `points`.  Points for which n `_reach`**2, the bound
+    on every squared distance, the D^2 mass and the inertia, overflows are
+    a ValueError; the CLI min-max scales its points into [0, 1] first.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or len(pts) == 0:
@@ -294,20 +285,17 @@ def kmeans_fit(points: np.ndarray, k: int, seed: int = 0, tol: float = 1e-6,
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
     rows = np.ascontiguousarray(pts)
-    e = _scale_exponent(rows)
-    if e:
-        rows, tol = np.ldexp(rows, -e), tol * 2.0**-e
+    with np.errstate(over="ignore"):  # inf past the float range
+        reach = _reach(rows)
+        if len(rows) * reach**2 == np.inf:
+            raise ValueError("points spread too far: their squared distances overflow")
     cols = np.ascontiguousarray(rows.T)
-    slack = _prune_slack(rows, max_iter)
+    slack = _prune_slack(reach, rows.shape[1], max_iter)
     rng = np.random.default_rng(seed)
     runs = [_lloyd(rows, cols, k, rng, tol, max_iter, slack) for _ in range(restarts)]
-    # the first of the least (scaled) inertias
+    # the first of the least inertias
     best = min(range(restarts), key=lambda r: runs[r][2])
     centroids, labels, inertia, iterations = runs[best][:4]
-    if e:
-        with np.errstate(over="ignore"):  # an inertia past the float range is inf
-            centroids = np.ldexp(centroids, e)
-            inertia = float(np.ldexp(inertia, 2 * e))
     log.debug("kmeans_fit n=%d k=%d: iterations per restart %s, restart %d kept, "
               "%d repairs, %d of %d rows recomputed", len(rows), k,
               [run[3] for run in runs], best, sum(run[4] for run in runs),
@@ -518,6 +506,10 @@ def _model_from_payload(payload) -> ClusteredModel:
         seed=_get(km, "seed", int, "kmeans."),
         iterations_run=_get(km, "iterations_run", int, "kmeans."),
     )
+    if not 0.0 <= kmeans.inertia < np.inf:  # NaN fails too
+        raise ValueError("kmeans.inertia must be a finite number >= 0")
+    if kmeans.iterations_run < 1 or kmeans.seed < 0:
+        raise ValueError("kmeans.iterations_run must be >= 1 and kmeans.seed >= 0")
     scaling_entry = _get(payload, "scaling", dict, "")
     scaling = ScalingParams(
         mins=_numbers(_get(scaling_entry, "mins", list, "scaling."), 1, "scaling.mins"),
@@ -536,12 +528,13 @@ def _model_from_payload(payload) -> ClusteredModel:
 def load_model(path) -> ClusteredModel:
     """Read a `save_model` snapshot.
 
-    Text that does not decode, a missing or mistyped key, or parts that
-    disagree (cluster count against k, a width against the feature subset)
-    is a ValueError naming the file.
+    Text that does not decode, a missing or mistyped key, a number out of
+    its range, or parts that disagree (cluster count against k, a width
+    against the feature subset) is a ValueError naming the file.
     """
     with open(path) as fh:
         try:
             return _model_from_payload(json.loads(fh.read()))
-        except ValueError as exc:  # UnicodeDecodeError included
+        # UnicodeDecodeError included; OverflowError is an integer past the float range
+        except (ValueError, OverflowError) as exc:
             raise ValueError(f"{path}: {exc}") from None

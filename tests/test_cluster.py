@@ -17,6 +17,8 @@ from offloadlab.cluster import (ClusteredModel, EvalReport, KMeansModel,
                                 predict_matrix, save_model,
                                 train_clustered_models)
 from offloadlab.features import Dataset, ScalingParams, apply_min_max, fit_min_max
+from test_kmeans_pruning import fit_both
+from test_kmeans_reference import assert_identical
 
 
 def best_partition_inertia(points: np.ndarray, k: int) -> float:
@@ -31,6 +33,46 @@ def best_partition_inertia(points: np.ndarray, k: int) -> float:
                 total += float(((members - members.mean(axis=0)) ** 2).sum())
         best = min(best, total)
     return best
+
+
+def _far_points():
+    rng = np.random.default_rng(7)
+    # the runner-up of a point is 1e200 away, its own centroid 1e185
+    two_far_groups = np.vstack([rng.integers(0, 3, size=(20, 2)) * 1.0,
+                                1e200 + rng.integers(0, 3, size=(20, 2)) * 1e185])
+    e = 1e153
+    return {
+        "spread-1e200": np.random.default_rng(7).random((40, 3)) * 1e200,
+        "two-far-groups": two_far_groups,
+        # the origin's runner-up starts 1.4e154 away and closes in by 9.1e153
+        "runner-up-1e153": np.array([[-5 * e, 0.0]] * 100 + [[0.0, 0.0], [14 * e, 0.0]]
+                                    + [[4.6 * e, 0.0]] * 30),
+        # spread 0, but a rounded mean may stray about 1e284 off the points
+        "identical-1e300": np.full((7, 2), 1e300),
+        "normals-times-2**600": np.random.default_rng(0).normal(size=(40, 3)) * 2.0**600,
+        "square-1e200": np.array([[0.0, 0.0], [1e200, 0.0], [0.0, 1e200], [1e200, 1e200]]),
+    }
+
+
+SPREAD_PAST_THE_BOUND = _far_points()
+
+
+def points_either_side_of_the_bound(points):
+    """points * c and points * c', with c' the float after c, such that
+    n `_reach`**2 is finite for the first and overflows for the second,
+    found by bisecting the bit patterns of positive floats (they sort
+    as their floats do)."""
+    def inside(bits):
+        with np.errstate(over="ignore"):
+            mass = len(points) * cluster._reach(points * np.int64(bits).view(float)) ** 2
+        return mass < np.inf
+
+    lo, hi = (int(np.float64(c).view(np.int64)) for c in (1.0, 1e300))
+    assert inside(lo) and not inside(hi)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if inside(mid) else (lo, mid)
+    return (points * np.int64(lo).view(float), points * np.int64(hi).view(float))
 
 
 class TestKMeans:
@@ -131,29 +173,20 @@ class TestKMeans:
         with pytest.raises(ValueError):
             kmeans_fit(np.zeros((4, 1)), 2, restarts=0)
 
-    def test_fits_points_whose_squared_spread_overflows(self, recwarn):
-        # squared distances of 1e400 overflow; k-means runs on the points
-        # times 2**-e and scales its results back
-        for size in (1e153, 1e200):
-            pts = np.array([[0.0, 0.0], [size, 0.0], [0.0, size], [size, size]])
-            model = kmeans_fit(pts, 2, restarts=3)
-            assert model.labels.tolist() == [1, 1, 0, 0]
-            assert model.centroids.tolist() == [[size / 2, size], [size / 2, 0.0]]
-        # the inertia 1e400 is past the float range
-        assert model.inertia == math.inf
-        assert not recwarn.list
+    @pytest.mark.parametrize("name", sorted(SPREAD_PAST_THE_BOUND))
+    def test_rejects_a_squared_spread_past_the_float_range(self, name):
+        for k in (1, 2):
+            with pytest.raises(ValueError, match="^points spread too far: their squared "
+                                                 "distances overflow$"):
+                kmeans_fit(SPREAD_PAST_THE_BOUND[name], k, restarts=2)
 
-    @pytest.mark.parametrize("seed", range(5))
-    def test_seeding_an_overflowing_mass_picks_the_unscaled_rows(self, seed):
-        pts = np.random.default_rng(seed).normal(size=(40, 3))
-        big = pts * 2.0**600
-        with np.errstate(over="ignore"):
-            assert not np.isfinite(((big - big[0]) ** 2).sum())
-        got = kmeans_fit(big, 5, seed=seed, restarts=2)
-        want = kmeans_fit(pts, 5, seed=seed, restarts=2)
-        assert np.array_equal(got.centroids, want.centroids * 2.0**600)
-        assert np.array_equal(got.labels, want.labels)
-        assert got.iterations_run == want.iterations_run
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_either_side_of_the_spread_bound(self, k):
+        inside, outside = points_either_side_of_the_bound(
+            np.random.default_rng(k).random((40, 3)))
+        assert_identical(*fit_both(inside, k, seed=k, restarts=2))
+        with pytest.raises(ValueError, match="points spread too far"):
+            kmeans_fit(outside, k, seed=k, restarts=2)
 
 
 def choice_seeds(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -546,6 +579,14 @@ class TestModelFileValidation:
         (("feature_subset",), DELETE),
         (("kmeans",), [1, 2, 3]),
         (("feature_subset",), ["TaskSize", "TaskSize"]),
+        (("kmeans", "inertia"), math.nan),
+        (("kmeans", "inertia"), math.inf),
+        (("kmeans", "inertia"), -1.0),
+        (("kmeans", "inertia"), 10**400),
+        (("kmeans", "centroids"), [[10**400, 0.5]] * 3),
+        (("kmeans", "iterations_run"), 0),
+        (("kmeans", "iterations_run"), -5),
+        (("kmeans", "seed"), -1),
     ])
     def test_rejects_damaged_file(self, saved, edit):
         path, _ = saved

@@ -6,7 +6,8 @@ scaled to a maximum of 1.7e308, the column times 1e-320 (subnormal) and
 the column made constant.  Run in process with every warning an error, each
 command either exits 0 and writes only finite numbers, or exits 1 with
 one ``error:`` line on stderr and makes no --out directory.  `predict`
-applies a model trained on the unaltered file.
+applies a model trained on the unaltered file.  Every k-means fit sees
+points in [0, 1].
 
 Config side: `optimize`, `gen-data` and both sweeps run with one config
 value at an extreme: each `scenario.*` range pinned at 1e300 and at 1e-300
@@ -23,6 +24,7 @@ import warnings
 
 import pytest
 
+from offloadlab import cluster
 from offloadlab.cli import main
 from offloadlab.datagen import SAMPLED_FIELDS
 
@@ -94,8 +96,16 @@ def _assert_finite_output(path):
 @pytest.mark.parametrize("command", ["train", "evaluate", "predict"])
 @pytest.mark.parametrize("alteration", sorted(_ALTERATIONS))
 @pytest.mark.parametrize("column", _COLUMNS)
-def test_finite_output_or_one_error_line(tmp_path, capsys, clean, command, alteration,
-                                         column):
+def test_finite_output_or_one_error_line(tmp_path, capsys, monkeypatch, clean, command,
+                                         alteration, column):
+    fit = cluster.kmeans_fit
+
+    def fit_scaled(points, *args, **kwargs):
+        # min-max scaled first, so no command reaches kmeans_fit's spread bound
+        assert 0.0 <= points.min() and points.max() <= 1.0
+        return fit(points, *args, **kwargs)
+
+    monkeypatch.setattr(cluster, "kmeans_fit", fit_scaled)
     dataset, model = clean
     header, *rows = _read(dataset)
     j = header.index(column)
