@@ -78,7 +78,7 @@ def cmd_optimize(cfg: ExperimentConfig) -> list[Path]:
                        "total_energy_j": solution.total_energy}, indent=2)
     out = _out_dir(cfg)
     solution_path = out / SOLUTION_FILE
-    with open(solution_path, "w") as fh:
+    with open(solution_path, "w", encoding="utf-8") as fh:
         fh.write(head[:-2])  # the object stays open for the two lists
         for key, values in (("offload_ratios", solution.offload_ratios),
                             ("per_task_energy_j", solution.per_task_energy)):

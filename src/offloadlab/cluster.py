@@ -462,7 +462,7 @@ def save_model(model: ClusteredModel, path) -> None:
             for lm in model.per_cluster
         ],
     }
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")
 
@@ -532,7 +532,7 @@ def load_model(path) -> ClusteredModel:
     its range, or parts that disagree (cluster count against k, a width
     against the feature subset) is a ValueError naming the file.
     """
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         try:
             return _model_from_payload(json.loads(fh.read()))
         # UnicodeDecodeError included; OverflowError is an integer past the float range

@@ -242,7 +242,7 @@ def load_config(path=None, overrides=None) -> ExperimentConfig:
         import yaml  # only a config file needs it: keeps it off every command's start-up
 
         try:
-            with open(path) as fh:
+            with open(path, encoding="utf-8") as fh:
                 data = yaml.safe_load(fh)
         except OSError as exc:
             raise ConfigError(f"cannot read config file: {exc}") from None

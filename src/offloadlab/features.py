@@ -1,8 +1,10 @@
 """Feature handling for the energy predictor: scaling, ranking, feature
 subsets, the numeric CSV reader (`read_csv_matrix`) and the package's one CSV
 writer (`write_rows`), which lays a table of numpy numbers out as byte
-matrices, its cells formatted by `numtext`, and hands any other table to
-``csv.writer``.
+matrices, its cells formatted by `numtext` with every byte that is not text
+NUL, writes each matrix with its NULs deleted by ``bytes.translate`` (there
+is no mask), and hands any other table to ``csv.writer``.  Both read and
+write UTF-8, whatever the locale.
 
 A Dataset is a named feature matrix plus a per-row energy target in joules.
 Features are min-max scaled into [0, 1] with parameters learned on training
@@ -102,12 +104,12 @@ def _cell(value) -> str:
 def _column_cells(column):
     """(cell, fill) for a numpy int column or a range inside int64, else
     None: `cell` is a row's bytes of the column, its cell then a ",", and
-    ``fill(lo, hi, cells, mask)`` writes rows lo to hi into `cells`, views
-    of rows holding `cell`, and the bytes that are texts into `mask`,
-    leaving the ","."""
+    ``fill(lo, hi, cells)`` writes rows lo to hi into `cells`, views of
+    rows holding `cell`, with the bytes that are not text NUL, leaving the
+    ","."""
     if isinstance(column, np.ndarray) and column.dtype.kind in "iu" and column.itemsize <= 8:
         cell, fill = int_cell(int(column.min()), int(column.max()))
-        return cell, lambda lo, hi, cells, mask: fill(column[lo:hi], cells, mask)
+        return cell, lambda lo, hi, cells: fill(column[lo:hi], cells)
     # A range is formatted a chunk at a time, never made whole: the
     # trace's 100,001-row iteration column given as np.arange raised the
     # peak RSS of optimize at 50x40, which the trace write sets, from
@@ -119,7 +121,7 @@ def _column_cells(column):
         def values(lo, hi):  # modulo 2**64, which gives the int64 values exactly
             steps = np.arange(hi - lo, dtype=np.uint64) * np.uint64(column.step % 2 ** 64)
             return (steps + np.uint64(column[lo] % 2 ** 64)).view(np.int64)
-        return cell, lambda lo, hi, cells, mask: fill(values(lo, hi), cells, mask)
+        return cell, lambda lo, hi, cells: fill(values(lo, hi), cells)
     return None
 
 
@@ -139,10 +141,9 @@ def _blocks(columns):
             continue
         run = list(run)
 
-        def fill(lo, hi, cells, mask, run=run):
-            shape = (hi - lo, len(run), len(FLOAT_CELL))
+        def fill(lo, hi, cells, run=run):
             float_cells(np.stack([column[lo:hi] for column in run], axis=1),
-                        cells.reshape(shape), mask.reshape(shape))
+                        cells.reshape(hi - lo, len(run), len(FLOAT_CELL)))
         blocks.append((np.tile(FLOAT_CELL, len(run)), fill))
     return None if None in blocks else blocks
 
@@ -157,14 +158,15 @@ def write_rows(path, header, columns) -> None:
     the byte path: its rows are made in chunks, never as one whole-file
     string, of `CSV_CHUNK_ROWS` rows divided by the number of float
     columns.  A chunk is one byte matrix, of which each block of columns
-    (`_blocks`) fills its part and a mask of the bytes that are texts; the
-    masked bytes in order are the rows.  Any other table is handed to
-    ``csv.writer`` row by row, its cells made text by `_cell`.
+    (`_blocks`) fills its part, with every byte that is not text NUL; the
+    chunk's bytes with the NULs deleted are its rows, and no number's text
+    holds a NUL.  The header, and any other table row by row, its cells
+    made text by `_cell`, go through ``csv.writer``.  The file is UTF-8.
     """
     n = len(columns[0]) if columns else 0
     if any(len(column) != n for column in columns):
         raise ValueError("CSV columns differ in length")
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         blocks = _blocks(columns) if n else None
@@ -177,16 +179,14 @@ def write_rows(path, header, columns) -> None:
         template[-2] = ord("\r")
         chunk = max(1, CSV_CHUNK_ROWS // max(1, sum(map(_is_floats, columns))))
         matrix = np.empty((min(n, chunk), len(template)), dtype=np.uint8)
-        mask = np.ones(matrix.shape, dtype=bool)
         for start in range(0, n, chunk):
             rows = min(n - start, chunk)
             matrix[:rows] = template
             at = 0
             for cells, fill in blocks:
-                part = slice(at, at + len(cells))
-                fill(start, start + rows, matrix[:rows, part], mask[:rows, part])
+                fill(start, start + rows, matrix[:rows, at:at + len(cells)])
                 at += len(cells)
-            fh.buffer.write(matrix[:rows][mask[:rows]])
+            fh.buffer.write(matrix[:rows].tobytes().translate(None, b"\0"))
 
 
 def read_csv_matrix(path) -> tuple[tuple[str, ...], np.ndarray]:
@@ -198,7 +198,7 @@ def read_csv_matrix(path) -> tuple[tuple[str, ...], np.ndarray]:
     the csv module rejects (a field over its size limit) are each a
     ValueError naming the file.
     """
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
             header = next((line for line in reader if line), None)

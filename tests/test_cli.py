@@ -29,10 +29,11 @@ def run(*args) -> int:
     return main(list(args))
 
 
-def run_process(*args) -> subprocess.CompletedProcess:
-    """`python <args>` in a fresh interpreter that imports this offloadlab."""
+def run_process(*args, env=None) -> subprocess.CompletedProcess:
+    """`python <args>` in a fresh interpreter that imports this offloadlab,
+    with the variables of `env` set."""
     src = str(Path(offloadlab.__file__).parents[1])
-    env = dict(os.environ,
+    env = dict(os.environ, **(env or {}),
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
                           timeout=120)
@@ -63,6 +64,34 @@ class TestColdStart:
         proc = run_process("-c", COLD_START, str(cfg))
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines() == ["[]", repr(load_config(cfg)), "True"]
+
+
+class TestUtf8Files:
+    def test_non_ascii_names_under_an_ascii_locale(self, tmp_path):
+        # a YAML config, a dataset, model.json and every output are UTF-8
+        # whatever the locale: the C locale's ASCII gives the same files
+        cfg = tmp_path / "g.yaml"
+        cfg.write_text("clustering: {feature_subsets: [[Größe]]}\n", encoding="utf-8")
+        assert run("gen-data", "--seed", "2", "--datagen.n_scenarios", "3",
+                   "--scenario.n_devices", "2", "--scenario.tasks_per_device", "8",
+                   "--out", str(tmp_path / "data")) == 0
+        lines = (tmp_path / "data" / "dataset.csv").read_text(encoding="utf-8").splitlines()
+        dataset = tmp_path / "g.csv"
+        dataset.write_bytes("".join(f"{cell},{line}\r\n" for cell, line in zip(
+            ["Größe", *(f"{i % 7}.25" for i in range(len(lines) - 1))], lines)).encode())
+        ascii_env = {"PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0", "LC_ALL": "C"}
+        for name, env in (("ascii", ascii_env), ("utf8", {"PYTHONUTF8": "1"})):
+            out = str(tmp_path / name)
+            for args in (["optimize", "--config", str(cfg), "--scenario.n_devices", "2",
+                          "--scenario.tasks_per_device", "3"],
+                         ["evaluate", "--dataset_path", str(dataset), "--clustering.k_max", "2"],
+                         ["train", "--dataset_path", str(dataset)],
+                         ["predict", "--dataset_path", str(dataset),
+                          "--model_path", str(tmp_path / name / "model.json")]):
+                proc = run_process("-m", "offloadlab", *args, "--out", out, env=env)
+                assert proc.returncode == 0, (name, args[0], proc.stderr)
+        assert_same_tree(tmp_path / "ascii", tmp_path / "utf8")
+        assert "Größe,".encode() in (tmp_path / "ascii" / "mi_ranking.csv").read_bytes()
 
 
 class TestConfigHandling:

@@ -5,8 +5,9 @@ against ``repr``.
 finds repr's shortest round-trip digits of a float64 exactly and the cell
 layout writes them in repr's fixed or exponent notation; integers are cut
 into 4-digit groups.  Each test writes one column and compares its lines
-with ``repr`` of the values as ``tolist()`` gives them.  The cases are the
-places where such a kernel goes wrong: bit patterns at random, every
+with ``repr`` of the values as ``tolist()`` gives them, and `TestProduct`
+checks the product step of `shortest` against Python ints.  The cases are
+the places where such a kernel goes wrong: bit patterns at random, every
 binade, the boundaries of log10 and of the notation, powers of two (whose
 lower half gap is halved), integers past 2**53 and exact ties.  Values the
 kernel cannot prove go to ``repr`` itself; `TestProvenRange` pins which.
@@ -22,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from offloadlab.features import write_rows
-from offloadlab.numtext import shortest
+from offloadlab.numtext import _product, shortest
 
 _MAX = np.finfo(np.float64).max
 _TINY = np.finfo(np.float64).tiny  # the smallest normal
@@ -169,3 +170,39 @@ class TestIntText:
     def test_ranges(self, scratch, column):
         # a range past int64 is formatted cell by cell
         assert _lines(scratch / "i.csv", column) == list(map(repr, column))
+
+    def test_every_integer_up_to_five_digits(self, scratch):
+        # every 4-digit word and every digit count from 1 to 5, both signs
+        column = range(-99_999, 100_000)
+        expected = list(map(str, column))
+        assert _lines(scratch / "i.csv", np.arange(-99_999, 100_000, dtype=np.int64)) == expected
+        assert _lines(scratch / "i.csv", column) == expected
+
+
+class TestProduct:
+    """`_product` against Python ints: floor(m * 5**k / 2**s) modulo 2**64
+    and twice the remainder, for m in [2**52, 2**53), k in [1, 26] and s in
+    [1, 58], every m, k and s that `shortest` uses."""
+
+    @staticmethod
+    def _assert_exact(ms, ks, ss):
+        powers = np.array([5 ** k for k in ks], dtype=np.uint64)
+        q, twice = _product(np.array(ms, dtype=np.uint64), powers, np.array(ss, dtype=np.uint64))
+        for m, k, s, got_q, got_twice in zip(ms, ks, ss, q.tolist(), twice.tolist()):
+            product = m * 5 ** k
+            assert got_q == (product >> s) % 2 ** 64, (m, k, s)
+            assert got_twice == (product % 2 ** s) * 2, (m, k, s)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.integers(2 ** 52, 2 ** 53 - 1), st.integers(1, 26),
+                              st.integers(1, 58)), min_size=1, max_size=64))
+    def test_random_operands(self, operands):
+        self._assert_exact(*zip(*operands))
+
+    def test_every_corner(self):
+        # the ends of each range and their neighbours, in every combination;
+        # 5**22 is the last power of five that float64 holds exactly
+        ms = [2 ** 52, 2 ** 52 + 1, 2 ** 53 - 2, 2 ** 53 - 1]
+        ks = [1, 2, 22, 23, 25, 26]
+        ss = [1, 2, 57, 58]
+        self._assert_exact(*zip(*((m, k, s) for m in ms for k in ks for s in ss)))

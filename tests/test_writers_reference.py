@@ -242,6 +242,18 @@ class TestWriteRows:
         reference_writers._write_csv(tmp_path / "old.csv", header, zip(*columns))
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
+    @pytest.mark.parametrize("name", [pytest.param("Ex\x00tra", marks=_NUL_FROM_311, id="nul"),
+                                      pytest.param("Größe", id="non-ascii"),
+                                      pytest.param('a,"b"', id="quoted")])
+    def test_byte_path_header_as_the_frozen_row_writer(self, tmp_path, name):
+        # the byte path deletes the NULs of its number cells, never the header's
+        rows = CSV_CHUNK_ROWS + 1
+        columns = [np.linspace(-1.5, 1e-7, rows), np.arange(-3, rows - 3), np.full(rows, 0.25)]
+        header = [name, "i", "x"]
+        write_rows(tmp_path / "new.csv", header, columns)
+        reference_writers._write_csv(tmp_path / "old.csv", header, zip(*columns))
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
     def test_one_empty_text_cell_is_quoted_like_csv_writer(self, tmp_path):
         write_rows(tmp_path / "t.csv", ["id"], [["", "a", ""]])
         assert (tmp_path / "t.csv").read_bytes() == b'id\r\n""\r\na\r\n""\r\n'
