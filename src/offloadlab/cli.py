@@ -144,7 +144,7 @@ def cmd_train(cfg: ExperimentConfig) -> list[Path]:
                                 cfg.clustering.bins)
         model = cluster.train_clustered_models(
             dataset, cfg.clustering.num_clusters, subset,
-            seed=cfg.clustering.seed, restarts=cfg.clustering.restarts)
+            seed=cfg.seed, restarts=cfg.clustering.restarts)
     except ValueError as exc:
         raise ValueError(f"{cfg.dataset_path}: {exc}") from None
     log.info("train: %d rows, k=%d, features=%s",
@@ -179,17 +179,24 @@ def cmd_predict(cfg: ExperimentConfig) -> list[Path]:
 def cmd_evaluate(cfg: ExperimentConfig) -> list[Path]:
     if cfg.dataset_path is None:
         raise ValueError("evaluate needs dataset_path (or --dataset_path)")
+    for entry in cfg.clustering.feature_subsets:  # each names its eval_<label>.csv
+        label = subset_label(entry)
+        try:
+            fits = len(os.fsencode(f"eval_{label}.csv")) <= 255
+        except UnicodeEncodeError:  # the file system's encoding lacks a character
+            fits = False
+        if not fits:
+            raise ValueError(f"the label {label!r} cannot name the file eval_{label}.csv")
     dataset = Dataset.from_csv(cfg.dataset_path)
     reports = []
     try:  # errors from here on are about the dataset's values
-        train, test = split_dataset(dataset, cfg.clustering.test_fraction,
-                                    cfg.clustering.seed)
+        train, test = split_dataset(dataset, cfg.clustering.test_fraction, cfg.seed)
         ranking = rank_features(train, bins=cfg.clustering.bins)
         for entry in cfg.clustering.feature_subsets:
             subset = resolve_subset(entry, train, ranking=ranking)
             report = cluster.evaluate_models(
                 train, test, cfg.clustering.k_max, subset,
-                seed=cfg.clustering.seed, restarts=cfg.clustering.restarts)
+                seed=cfg.seed, restarts=cfg.clustering.restarts)
             log.info("evaluate: subset=%s best k=%d", subset_label(entry),
                      report.best_k()[0])
             reports.append((entry, report))
@@ -220,7 +227,7 @@ _COMMANDS = {
 # config keys with a listed option: (option strings, metavar, help); every
 # other key is a hidden --<key> option
 _LISTED = {
-    "seed": (("--seed",), "N", "global seed"),
+    "seed": (("--seed",), "N", "the run's one seed: sampling, split and k-means"),
     "out_dir": (("--out", "--out_dir"), "DIR", "output directory"),
 }
 

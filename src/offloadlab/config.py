@@ -25,7 +25,6 @@ class ConfigError(ValueError):
 class ClusteringConfig:
     k_max: int = 10
     num_clusters: int = 3
-    seed: int = 0
     bins: int = 16
     test_fraction: float = 0.25
     restarts: int = 10
@@ -42,8 +41,6 @@ class ClusteringConfig:
             raise ValueError("clustering.test_fraction must lie in (0, 1)")
         if self.restarts < 1:
             raise ValueError("clustering.restarts must be >= 1")
-        if self.seed < 0:
-            raise ValueError("clustering.seed must be >= 0")
         try:
             check_subsets(self.feature_subsets)
         except ValueError as exc:
@@ -187,7 +184,6 @@ SCHEMA = {
     "model_path": _opt(_str),
     "scenario.n_devices": _int,
     "scenario.tasks_per_device": _int,
-    "scenario.seed": _opt(_int),
     **{f"scenario.{name}": _range for name in SAMPLED_FIELDS},
     "spectral.subcarrier_spacing_hz": _float,
     "spectral.snr_linear": _float,
@@ -195,7 +191,6 @@ SCHEMA = {
     "greedy.step": _float,
     "clustering.k_max": _int,
     "clustering.num_clusters": _int,
-    "clustering.seed": _opt(_int),
     "clustering.bins": _int,
     "clustering.test_fraction": _float,
     "clustering.restarts": _int,
@@ -205,9 +200,6 @@ SCHEMA = {
     "sweeps.data_size_grid": _floats,
     "datagen.n_scenarios": _int,
 }
-
-# unset section seeds fall back to the top-level one
-_SECTION_SEEDS = ("scenario.seed", "clustering.seed")
 
 
 def _flatten(tree: dict, prefix: str = "") -> dict:
@@ -226,7 +218,6 @@ def _default_flat() -> dict:
     flat = {f.name: f.default for f in fields(ExperimentConfig) if f.name not in _SECTIONS}
     for name, section in _SECTIONS.items():
         flat.update((f"{name}.{leaf.name}", leaf.default) for leaf in fields(section))
-    flat.update(dict.fromkeys(_SECTION_SEEDS))
     return flat
 
 
@@ -263,9 +254,7 @@ def load_config(path=None, overrides=None) -> ExperimentConfig:
             flat[dotted] = SCHEMA[dotted](value)
         except ConfigError as exc:
             raise ConfigError(f"{dotted}: {exc}") from None
-    for dotted in _SECTION_SEEDS:
-        if flat[dotted] is None:
-            flat[dotted] = flat["seed"]
+    flat["scenario.seed"] = flat["seed"]  # the run's one seed; no key of its own
 
     try:
         cfg = ExperimentConfig(

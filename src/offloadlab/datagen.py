@@ -67,7 +67,7 @@ class ScenarioSpec:
         if self.tasks_per_device < 1:
             raise ValueError("tasks_per_device must be >= 1")
         if self.seed < 0:
-            raise ValueError("scenario.seed must be >= 0")
+            raise ValueError("seed must be >= 0")
         for name in SAMPLED_FIELDS:
             lo, hi = getattr(self, name)
             # rng.uniform refuses a non-finite span; the block draw relies on this

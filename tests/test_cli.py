@@ -102,10 +102,12 @@ class TestConfigHandling:
         assert code == 2
         assert not out.exists()
 
-    def test_unknown_yaml_key(self, tmp_path):
+    def test_unknown_yaml_key(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.yaml"
-        cfg.write_text("scenario:\n  seed: 1\n  warp_drive: 9\n")
+        cfg.write_text("scenario:\n  warp_drive: 9\n")
+        capsys.readouterr()
         assert run("optimize", "--config", str(cfg), "--out", str(tmp_path / "o")) == 2
+        assert "unknown config field 'scenario.warp_drive'" in capsys.readouterr().err
 
     def test_bad_value_type(self, tmp_path):
         assert run("optimize", "--clustering.k_max", "lots",
@@ -142,16 +144,30 @@ class TestConfigHandling:
         assert len(errors) == 1 and "max_iters" in errors[0], proc.stderr
         assert not out.exists()
 
-    def test_section_seed_beats_global_flag(self, tmp_path):
+    @pytest.mark.parametrize("key", ["scenario.seed", "clustering.seed"])
+    @pytest.mark.parametrize("source", ["flag", "yaml"])
+    def test_removed_section_seeds_exit_2(self, tmp_path, key, source):
+        # `seed` is the only seed: the section seeds are unknown
+        section, leaf = key.split(".")
         cfg = tmp_path / "cfg.yaml"
-        cfg.write_text("scenario:\n  seed: 3\n")
+        cfg.write_text(f"{section}:\n  {leaf}: 3\n")
+        given = {"flag": [f"--{key}", "3"], "yaml": ["--config", str(cfg)]}[source]
+        out = tmp_path / "o"
+        proc = run_process("-m", "offloadlab", "optimize", *given, "--out", str(out))
+        assert proc.returncode == 2
+        errors = [line for line in proc.stderr.splitlines() if "error:" in line]
+        assert len(errors) == 1 and key in errors[0], proc.stderr
+        assert not out.exists()
+
+    def test_seed_flag_beats_seed_in_file(self, tmp_path):
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text("seed: 3\n")
         a, b, c = tmp_path / "a", tmp_path / "b", tmp_path / "c"
         assert run("optimize", "--config", str(cfg), "--seed", "9", "--out", str(a)) == 0
-        assert run("optimize", "--scenario.seed", "3", "--out", str(b)) == 0
-        assert run("optimize", "--seed", "9", "--out", str(c)) == 0
-        a_bytes = (a / "solution.json").read_bytes()
-        assert a_bytes == (b / "solution.json").read_bytes()
-        assert a_bytes != (c / "solution.json").read_bytes()
+        assert run("optimize", "--seed", "9", "--out", str(b)) == 0
+        assert run("optimize", "--seed", "3", "--out", str(c)) == 0
+        assert_same_tree(a, b)
+        assert (a / "solution.json").read_bytes() != (c / "solution.json").read_bytes()
 
     def test_out_dir_is_an_alias_of_out(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -198,6 +214,38 @@ class TestConfigHandling:
         rows = read_rows(out / "sweep_modulation.csv")
         assert len(rows) == 2  # header plus the single overridden point
         assert float(rows[1][0]) == 300.0
+
+
+# small runs of every command that draws random numbers
+SEEDED_RUNS = {
+    "optimize": ["--scenario.n_devices", "2", "--scenario.tasks_per_device", "3"],
+    "sweep-modulation": ["--scenario.n_devices", "2", "--sweeps.speed_grid", "100,300"],
+    "sweep-datasize": ["--scenario.n_devices", "2", "--sweeps.data_size_grid", "1e6,4e6"],
+    "gen-data": ["--datagen.n_scenarios", "2", "--scenario.n_devices", "2"],
+    "train": [],
+    "evaluate": ["--clustering.k_max", "2", "--clustering.feature_subsets", "primary"],
+}
+
+
+class TestOneSeed:
+    @pytest.mark.parametrize("command", SEEDED_RUNS)
+    def test_seed_flag_equals_seed_in_file_for_every_command(self, tmp_path, small_dataset,
+                                                             command):
+        args = [command, *SEEDED_RUNS[command]]
+        if command in ("train", "evaluate"):
+            args += ["--dataset_path", str(small_dataset)]
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text("seed: 5\n")
+        flag, file, default = tmp_path / "flag", tmp_path / "file", tmp_path / "default"
+        assert run(*args, "--seed", "5", "--out", str(flag)) == 0
+        assert run(*args, "--config", str(cfg), "--out", str(file)) == 0
+        assert run(*args, "--out", str(default)) == 0
+        assert_same_tree(flag, file)
+        # the seed reaches the command: seed 0 draws other numbers
+        assert any(path.read_bytes() != (default / path.name).read_bytes()
+                   for path in flag.iterdir())
+        if command == "train":
+            assert json.loads((flag / "model.json").read_text())["kmeans"]["seed"] == 5
 
 
 class TestOptimize:
@@ -582,6 +630,44 @@ class TestRejectedInputLeavesNoOutDir:
         assert "Nope" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_label_the_file_system_cannot_encode(self, tmp_path, small_dataset):
+        # under an ASCII file-system encoding eval_Größe.csv cannot be made
+        rows = read_rows(small_dataset)
+        rows[0][0] = "Größe"
+        data = tmp_path / "g.csv"
+        data.write_bytes("".join(",".join(row) + "\r\n" for row in rows).encode())
+        cfg = tmp_path / "g.yaml"
+        cfg.write_text("clustering: {feature_subsets: [[Größe]]}\n", encoding="utf-8")
+        out = tmp_path / "o"
+        proc = run_process("-m", "offloadlab", "evaluate", "--config", str(cfg),
+                           "--dataset_path", str(data), "--out", str(out),
+                           env={"PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0", "LC_ALL": "C"})
+        assert proc.returncode == 1
+        # stderr is ASCII too, so it escapes the label
+        assert proc.stderr == ("error: the label 'Gr\\xf6\\xdfe' cannot name the file "
+                               "eval_Gr\\xf6\\xdfe.csv\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("length,code", [(246, 0), (247, 1)])
+    def test_label_too_long_for_a_file_name(self, tmp_path, small_dataset, capsys, length,
+                                            code):
+        # eval_<label>.csv may take 255 bytes, the longest file name
+        rows = read_rows(small_dataset)
+        rows[0][rows[0].index("CpuFreq")] = label = "x" * length
+        data = tmp_path / "long.csv"
+        write_rows(data, rows)
+        out = tmp_path / "o"
+        capsys.readouterr()
+        assert run("evaluate", "--dataset_path", str(data), "--clustering.k_max", "2",
+                   "--clustering.feature_subsets", f"primary;{label}",
+                   "--out", str(out)) == code
+        if code:
+            assert capsys.readouterr().err == (
+                f"error: the label {label!r} cannot name the file eval_{label}.csv\n")
+            assert not out.exists()
+        else:
+            assert (out / f"eval_{label}.csv").exists()
+
     @pytest.mark.parametrize("command,leaf", [
         ("ingest", "path"), ("optimize", "path"), ("optimize", "column_map")])
     def test_removed_ingest_exits_2(self, tmp_path, capsys, command, leaf):
@@ -622,14 +708,12 @@ class TestRejectedInputLeavesNoOutDir:
         assert f"{key} must be finite and > 0" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("command,key", [("optimize", "scenario.seed"),
-                                             ("gen-data", "scenario.seed"),
-                                             ("evaluate", "clustering.seed")])
-    def test_negative_section_seed(self, tmp_path, capsys, command, key):
+    @pytest.mark.parametrize("command", ["optimize", "gen-data", "evaluate"])
+    def test_negative_seed(self, tmp_path, capsys, command):
         out = tmp_path / "o"
         capsys.readouterr()
-        assert run(command, f"--{key}", "-1", "--out", str(out)) == 2
-        assert f"{key} must be >= 0" in capsys.readouterr().err
+        assert run(command, "--seed", "-1", "--out", str(out)) == 2
+        assert capsys.readouterr().err == "error: seed must be >= 0\n"
         assert not out.exists()
 
     def test_predict_names_every_missing_feature(self, tmp_path, small_dataset,

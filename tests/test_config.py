@@ -3,7 +3,8 @@ from dataclasses import fields, is_dataclass
 
 import pytest
 
-from offloadlab.config import SCHEMA, ConfigError, ExperimentConfig, load_config
+from offloadlab.config import (SCHEMA, ClusteringConfig, ConfigError, ExperimentConfig,
+                               load_config)
 
 
 class TestDefaults:
@@ -12,19 +13,20 @@ class TestDefaults:
         assert cfg.seed == 0
         assert cfg.out_dir == "out"
         assert cfg.scenario.seed == 0
-        assert cfg.clustering.seed == 0
+        assert "seed" not in {f.name for f in fields(ClusteringConfig)}
         assert cfg.clustering.feature_subsets == ("primary", "mi:2", "all")
         assert cfg.sweeps.speed_grid == (100.0, 200.0, 300.0, 400.0)
 
-    def test_global_seed_flows_into_sections(self):
-        cfg = load_config(overrides={"seed": "42"})
-        assert cfg.scenario.seed == 42
-        assert cfg.clustering.seed == 42
+    def test_seed_fills_the_scenario(self):
+        assert load_config(overrides={"seed": "42"}).scenario.seed == 42
 
-    def test_explicit_section_seed_stays(self):
-        cfg = load_config(overrides={"scenario.seed": "7", "seed": "42"})
-        assert cfg.scenario.seed == 7
-        assert cfg.clustering.seed == 42
+    def test_seed_flag_beats_seed_in_file(self, tmp_path):
+        # one seed, so no key can pin the scenario's draw against --seed
+        path = tmp_path / "cfg.yaml"
+        path.write_text("seed: 7\n")
+        assert load_config(path).scenario.seed == 7
+        cfg = load_config(path, overrides={"seed": "42"})
+        assert (cfg.seed, cfg.scenario.seed) == (42, 42)
 
 
 class TestFileAndOverrides:
@@ -95,7 +97,7 @@ class TestCoercion:
             load_config(overrides={"clustering.k_max": True})
         assert load_config(overrides={"clustering.k_max": "8"}).clustering.k_max == 8
 
-    @pytest.mark.parametrize("key", ["scenario.n_devices", "scenario.seed"])
+    @pytest.mark.parametrize("key", ["scenario.n_devices", "seed"])
     @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
     def test_int_rejects_non_finite_floats_naming_the_key(self, key, value):
         with pytest.raises(ConfigError, match=f"{key}: expected an integer"):
@@ -134,10 +136,14 @@ class TestCoercion:
         with pytest.raises(ConfigError, match="seed must be >= 0"):
             load_config(overrides={"seed": "-1"})
 
-    @pytest.mark.parametrize("key", ["scenario.seed", "clustering.seed"])
-    def test_section_seed_floor(self, key):
-        with pytest.raises(ConfigError, match=f"{key} must be >= 0"):
-            load_config(overrides={key: "-1"})
+    @pytest.mark.parametrize("source", ["override", "file"])
+    def test_seed_floor_names_no_section(self, tmp_path, source):
+        path = tmp_path / "cfg.yaml"
+        path.write_text("seed: -1\n")
+        given = {"override": (None, {"seed": "-1"}), "file": (path, None)}[source]
+        with pytest.raises(ConfigError) as exc:
+            load_config(*given)
+        assert str(exc.value) == "seed must be >= 0"
 
     def test_experiment_config_checks_its_own_fields(self):
         with pytest.raises(ValueError, match="seed must be >= 0"):
@@ -151,10 +157,11 @@ class TestCoercion:
 
 
 # keys a model never read, physical constants that are no longer settable,
-# the keys of the removed trajectory ingest and the removed sweep pool's size
+# the keys of the removed trajectory ingest, the removed sweep pool's size
+# and the section seeds, second names of `seed`
 REMOVED_KEYS = ("spectral.bandwidth_hz", "spectral.num_users", "spectral.frame_time_s",
                 "spectral.light_speed_mps", "ingest.earth_radius_m", "ingest.path",
-                "ingest.column_map", "jobs")
+                "ingest.column_map", "jobs", "scenario.seed", "clustering.seed")
 
 
 class TestSchema:
@@ -167,13 +174,15 @@ class TestSchema:
             assert leaf in {f.name for f in fields(owner)}, dotted
 
     def test_every_config_field_has_a_key(self):
+        unkeyed = []
         for f in fields(ExperimentConfig):
             if is_dataclass(f.default):
-                for leaf in fields(f.default):
-                    assert f"{f.name}.{leaf.name}" in SCHEMA
+                unkeyed += [f"{f.name}.{leaf.name}" for leaf in fields(f.default)
+                            if f"{f.name}.{leaf.name}" not in SCHEMA]
             else:
                 assert f.name in SCHEMA
-        assert len(SCHEMA) == 31
+        assert unkeyed == ["scenario.seed"]  # load_config fills it from seed
+        assert len(SCHEMA) == 29
 
     def test_defaults_are_the_dataclass_defaults(self):
         assert load_config() == ExperimentConfig()
