@@ -9,7 +9,7 @@ Unknown keys are rejected rather than ignored.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import dataclass, fields, is_dataclass, replace
 
 from .datagen import SAMPLED_FIELDS, ScenarioSpec
 from .features import check_subsets, subset_entry
@@ -90,6 +90,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
+        # the run's one seed; the scenario's has no key of its own
+        object.__setattr__(self, "scenario", replace(self.scenario, seed=self.seed))
         self.greedy.check_size(self.scenario.n_devices * self.scenario.tasks_per_device)
 
 
@@ -254,7 +256,6 @@ def load_config(path=None, overrides=None) -> ExperimentConfig:
             flat[dotted] = SCHEMA[dotted](value)
         except ConfigError as exc:
             raise ConfigError(f"{dotted}: {exc}") from None
-    flat["scenario.seed"] = flat["seed"]  # the run's one seed; no key of its own
 
     try:
         cfg = ExperimentConfig(

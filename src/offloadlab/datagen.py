@@ -11,10 +11,11 @@ field-by-field stream bit for bit.
 `build_dataset` works on batches of scenarios.  A batch of specs is sampled
 as one `Scenario` holding each spec's devices in turn, priced by one
 `task_energy_endpoints` call and solved by one `greedy.optimize_packed`
-call, whose threshold needs no per-scenario sort.  Its columns go straight
-into the dataset matrix.  A batch holds at most `BATCH_CELLS` ladder cells
-(tasks x ratio levels), which bounds its memory; a larger scenario is a
-batch of its own.
+call, whose threshold needs no per-scenario sort and which builds ladder
+rows only for tasks that can leave their start ratio.  Its columns go
+straight into the dataset matrix.  A batch holds at most `BATCH_CELLS`
+ladder cells (tasks x ratio levels), which bounds its memory when every
+row is built; a larger scenario is a batch of its own.
 """
 
 from __future__ import annotations
@@ -36,7 +37,9 @@ Range = tuple[float, float]
 # ladder cells (tasks x ratio levels) solved at once, about 25 balanced
 # scenarios.  On 2 cores, 400 balanced scenarios took 225 ms one at a time
 # and 48 ms in batches of this size, no less in larger ones; one batch of
-# all 400 raised gen-data's peak RSS from 41 to 57 MB.
+# all 400 raised gen-data's peak RSS from 41 to 57 MB.  The greedy builds
+# only the rows of tasks that can leave their start ratio, so this bounds
+# the worst case: default ranges, where every row is built.
 BATCH_CELLS = 1 << 16
 
 # every sampled field in draw order: a device's device and channel fields in

@@ -21,12 +21,16 @@ A run visits at most tasks x levels cells, which `MAX_LADDER_CELLS` caps.
 Where the run ends is found by a threshold, not a sort.  A task has at most
 one failing cell, so F is the failing cell of highest energy e_F, the
 lowest task on a tie; a task's final level is the count of its improving
-cells above e_F, or equal to e_F in a lower task.
-`optimize_packed` runs the kernel on many scenarios at once, each group of
-consecutive tasks on its own, and `optimize` is a batch of one.  The pick
-order itself, `OffloadSolution.bumps`, is sorted out when first read: one
-default argsort, and a stable one after it only where two keys tie
-(`_stable_argsort`).
+cells above e_F, or equal to e_F in a lower task.  Most tasks never leave
+their start: one whose start energy is below that of a task whose first
+bump fails keeps it, so only the other tasks' ladder rows are built
+(`_descend`).  `optimize_packed` runs the kernel on many scenarios at
+once, each group of consecutive tasks on its own, and `optimize` is a
+batch of one.  Its trace reads the whole matrix, which is the kernel's
+when every row was built and is built from the endpoints on first read
+otherwise.  The pick order itself, `OffloadSolution.bumps`, is sorted out
+when first read: one default argsort, and a stable one after it only where
+two keys tie (`_stable_argsort`).
 
 Every total, `total_energy` and the trace's alike, is the correctly rounded
 exact sum of that state's per-task energies: what `math.fsum` returns, or
@@ -93,8 +97,15 @@ class OffloadSolution:
     total_energy: float
     termination: str
     evaluations: int  # states the run visited: the start, then one per bump
-    ladder_energy: np.ndarray = field(repr=False)  # (tasks, levels): every energy in reach
+    ladder: np.ndarray = field(repr=False)  # the ratios every task walks
     endpoints: tuple[np.ndarray, np.ndarray] = field(repr=False)  # per-task energy at l=0, l=1
+
+    @cached_property
+    def ladder_energy(self) -> np.ndarray:
+        """(tasks, levels): every energy in reach, built on first read
+        unless the run built every row."""
+        local, offload = self.endpoints
+        return energy_at(local[:, None], offload[:, None], self.ladder)
 
     @cached_property
     def bumps(self) -> np.ndarray:
@@ -278,19 +289,42 @@ def _descend(scenario: Scenario, sizes, config: GreedyConfig):
     """The greedy run of each group of `sizes` (each >= 1) consecutive tasks
     of `scenario`, every group on its own.
 
-    Returns each task's final ratio and energy, the (tasks, levels)
-    energies, and each group's evaluation count and whether it saturated.
+    Returns each task's final ratio and energy, each group's evaluation
+    count and whether it saturated, the endpoints, the ratio ladder, and
+    the (tasks, levels) energies when every task's row was built, else None.
+
+    Only the rows of tasks that can leave their start are built.  Let A be
+    a group's highest start energy e0 among tasks whose first bump fails
+    (``not e1 < e0``), -inf if there is none.  Such a task's failing cell
+    is its start, so A <= e_F.  A task's computed cells strictly fall up to
+    its stall, so all of them are <= e0.  A task with e0 < A thus has its
+    failing cell, if any, below e_F, and no improving cell at or above
+    e_F: it neither sets F nor ties it, and its level is 0.  Every other
+    task ("live") gets its ladder row, and the stop is found on those rows
+    alone; every group keeps at least the task that sets A, or all of its
+    tasks when A is -inf.  The pruning compares the computed floats
+    themselves, so it changes no result.
     """
     config.check_size(max(sizes))
     rs = _ladder(float(config.init_ratio), config.step)
     config.check_size(max(sizes), len(rs))
     local, offload = task_energy_endpoints(scenario)
-    energy = energy_at(local[:, None], offload[:, None], rs)  # (tasks, levels)
+    first = energy_at(local[:, None], offload[:, None], rs[:2])  # levels 0 and 1
+    e_start = first[:, 0]
     starts = np.cumsum(sizes) - sizes
     for lo, n in zip(starts.tolist(), sizes):
-        total = _fsum(energy[lo:lo + n, 0])
+        total = _fsum(e_start[lo:lo + n])
         if not math.isfinite(total):
             raise ValueError(f"the starting total energy is {total}")
+
+    group = np.repeat(np.arange(len(sizes)), sizes)
+    stuck = ~(first[:, 1] < e_start) if len(rs) > 1 else np.zeros(len(e_start), dtype=bool)
+    bar = np.maximum.reduceat(np.where(stuck, e_start, -np.inf), starts)  # each group's A
+    rows = np.flatnonzero(e_start >= bar[group])
+    energy = energy_at(local[rows, None], offload[rows, None], rs)  # (live tasks, levels)
+    group = group[rows]
+    counts = np.bincount(group, minlength=len(sizes))
+    at = np.cumsum(counts) - counts  # each group's first live row
 
     # F, a group's stop: its failing cell of highest energy, the lowest task
     # on a tie; a group without one has e_F = -inf
@@ -298,20 +332,23 @@ def _descend(scenario: Scenario, sizes, config: GreedyConfig):
     stall = _stalls(energy)
     tasks = np.arange(len(energy))
     e_fail = np.where(stall < top, energy[tasks, stall], -np.inf)
-    e_stop = np.maximum.reduceat(e_fail, starts)
-    group = np.repeat(np.arange(len(sizes)), sizes)
+    e_stop = np.maximum.reduceat(e_fail, at)
     t_stop = np.minimum.reduceat(np.where(e_fail == e_stop[group], tasks, len(tasks)),
-                                 starts)[group]
+                                 at)[group]
     # a task's improving cells come before F in pick order while their energy
     # is above e_F, or equal to it in a task below F's
     cells, e_task = energy[:, :-1], e_stop[group, None]
     ahead = np.where((tasks < t_stop)[:, None], cells >= e_task, cells > e_task)
     ahead &= np.arange(top) < stall[:, None]
-    level = ahead.sum(axis=1)
+    level = np.zeros(len(local), dtype=np.intp)
+    level[rows] = ahead.sum(axis=1)
+    per_task = e_start.copy()
+    per_task[rows] = energy[tasks, level[rows]]
 
     saturated = e_stop > -np.inf
     evaluations = np.add.reduceat(level, starts) + saturated + 1
-    return rs[level], energy[tasks, level], energy, evaluations, saturated, (local, offload)
+    built = energy if len(rows) == len(local) else None
+    return rs[level], per_task, evaluations, saturated, (local, offload), rs, built
 
 
 def optimize_packed(scenario: Scenario, sizes, config: GreedyConfig):
@@ -325,17 +362,20 @@ def optimize(scenario: Scenario, config: GreedyConfig) -> OffloadSolution:
     n = len(scenario.tasks)
     if n == 0:
         raise ValueError("scenario has no tasks to optimize")
-    (ratios, per_task, energy, evaluations, saturated,
-     endpoints) = _descend(scenario, [n], config)
-    return OffloadSolution(
+    (ratios, per_task, evaluations, saturated, endpoints, rs,
+     energy) = _descend(scenario, [n], config)
+    solution = OffloadSolution(
         offload_ratios=ratios,
         per_task_energy=per_task,
         total_energy=_fsum(per_task),
         termination=TERMINATION_SATURATED if saturated[0] else TERMINATION_CONVERGED,
         evaluations=int(evaluations[0]),
-        ladder_energy=energy,
+        ladder=rs,
         endpoints=endpoints,
     )
+    if energy is not None:  # the kernel built every row: the trace reads them
+        vars(solution)["ladder_energy"] = energy
+    return solution
 
 
 def write_trace_csv(solution: OffloadSolution, path) -> None:

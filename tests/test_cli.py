@@ -13,9 +13,10 @@ import pytest
 import offloadlab
 import reference_datagen
 from offloadlab import cluster, datagen, features, model
-from offloadlab.cli import main
+from offloadlab.cli import cmd_gen_data, main
 from offloadlab.cluster import load_model
-from offloadlab.config import load_config
+from offloadlab.config import DatagenConfig, ExperimentConfig, load_config
+from offloadlab.datagen import ScenarioSpec
 from offloadlab.features import PRIMARY_FEATURES
 from offloadlab.spectral import SpectralEfficiencyCache
 
@@ -246,6 +247,15 @@ class TestOneSeed:
                    for path in flag.iterdir())
         if command == "train":
             assert json.loads((flag / "model.json").read_text())["kmeans"]["seed"] == 5
+
+    def test_a_config_built_directly_samples_at_its_seed(self, tmp_path):
+        flag, built = tmp_path / "flag", tmp_path / "built"
+        args = ["--datagen.n_scenarios", "3", "--scenario.n_devices", "2"]
+        assert run("gen-data", *args, "--seed", "5", "--out", str(flag)) == 0
+        cfg = ExperimentConfig(seed=5, out_dir=str(built), datagen=DatagenConfig(3),
+                               scenario=ScenarioSpec(n_devices=2))
+        assert cmd_gen_data(cfg) == [built / "dataset.csv"]
+        assert (built / "dataset.csv").read_bytes() == (flag / "dataset.csv").read_bytes()
 
 
 class TestOptimize:

@@ -5,6 +5,7 @@ import pytest
 
 from offloadlab.config import (SCHEMA, ClusteringConfig, ConfigError, ExperimentConfig,
                                load_config)
+from offloadlab.datagen import ScenarioSpec
 
 
 class TestDefaults:
@@ -19,6 +20,11 @@ class TestDefaults:
 
     def test_seed_fills_the_scenario(self):
         assert load_config(overrides={"seed": "42"}).scenario.seed == 42
+
+    def test_a_config_built_directly_fills_the_scenario(self):
+        assert ExperimentConfig(seed=5).scenario.seed == 5
+        assert ExperimentConfig(seed=5, scenario=ScenarioSpec(seed=3)).scenario.seed == 5
+        assert ExperimentConfig(seed=5) == load_config(overrides={"seed": "5"})
 
     def test_seed_flag_beats_seed_in_file(self, tmp_path):
         # one seed, so no key can pin the scenario's draw against --seed
@@ -181,7 +187,7 @@ class TestSchema:
                             if f"{f.name}.{leaf.name}" not in SCHEMA]
             else:
                 assert f.name in SCHEMA
-        assert unkeyed == ["scenario.seed"]  # load_config fills it from seed
+        assert unkeyed == ["scenario.seed"]  # ExperimentConfig fills it from seed
         assert len(SCHEMA) == 29
 
     def test_defaults_are_the_dataclass_defaults(self):

@@ -1,7 +1,8 @@
 """The CLI outputs keep the SHA-256 digests recorded in golden.sha256.
 
-Covered: optimize at the default size and at 50 x 40 tasks, both sweeps,
-default and balanced gen-data, and evaluate's MI ranking.  `model.json`,
+Covered: optimize at the default size and at 50 x 40 tasks (default and
+balanced ranges), both sweeps, default and balanced gen-data (40 and 400
+scenarios), and evaluate's MI ranking.  `model.json`,
 `eval_*.csv` and `predictions.csv` are left out: their least-squares fits
 leave the last bits to the linear algebra library.
 
@@ -36,6 +37,12 @@ RUNS = {
     "gen-data": ["gen-data", "--datagen.n_scenarios", "40"],
     "gen-data-balanced": ["gen-data", "--config", "{root}/balanced.yaml",
                           "--datagen.n_scenarios", "40"],
+    # the bench's first gen-data-balanced op: most tasks never leave the start
+    "gen-data-balanced-400": ["gen-data", "--config", "{root}/balanced.yaml",
+                              "--datagen.n_scenarios", "400", "--seed", "100000"],
+    # saturated, with tasks that cannot leave the start: its trace reads a
+    # ladder built from the endpoints
+    "optimize-balanced-50x40": ["optimize", "--config", "{root}/balanced.yaml", *LARGE],
     # the ranking is made before any fit, so one k and one subset suffice
     "evaluate": ["evaluate", "--dataset_path", "{root}/gen-data/dataset.csv",
                  "--clustering.k_max", "1", "--clustering.feature_subsets", "primary"],

@@ -419,6 +419,116 @@ class TestEdgeCases:
             math.fsum([9e307, 9e307])
 
 
+def _pack(scs) -> Scenario:
+    """One scenario holding the devices and tasks of each of `scs` in turn."""
+    offsets = np.cumsum([0, *(len(sc.devices) for sc in scs[:-1])])
+    tasks = np.concatenate([sc.tasks for sc in scs])
+    tasks["device_id"] += np.repeat(offsets, [len(sc.tasks) for sc in scs])
+    return Scenario(devices=np.concatenate([sc.devices for sc in scs]), tasks=tasks,
+                    channels=np.concatenate([sc.channels for sc in scs]),
+                    spectral_config=scs[0].spectral_config)
+
+
+@pytest.fixture
+def built_rows(monkeypatch):
+    """The tasks of each `energy_at` block the greedy builds, in call order:
+    a run's start and first-bump columns, then its ladder rows."""
+    rows = []
+
+    def spy(local, offload, ratio):
+        rows.append(len(local))
+        return energy_at(local, offload, ratio)
+
+    monkeypatch.setattr(greedy, "energy_at", spy)
+    return rows
+
+
+class TestPruning:
+    """Only tasks whose start is at least A, the highest start among tasks
+    whose first bump fails, get ladder rows; the others keep the start."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(scenarios(), min_size=1, max_size=4), greedy_configs)
+    def test_packed_groups_give_the_bytes_of_each_alone(self, scs, cfg):
+        ratios, energy, evaluations, saturated = greedy._descend(
+            _pack(scs), [len(sc.tasks) for sc in scs], cfg)[:4]
+        alone = [optimize(sc, cfg) for sc in scs]
+        assert ratios.tobytes() == np.concatenate([s.offload_ratios for s in alone]).tobytes()
+        assert energy.tobytes() == np.concatenate([s.per_task_energy for s in alone]).tobytes()
+        assert evaluations.tolist() == [s.evaluations for s in alone]
+        assert saturated.tolist() == [s.termination == TERMINATION_SATURATED for s in alone]
+        for sc in scs:
+            assert_matches_frozen(sc, cfg)
+
+    # cfg is (init_ratio, step): (0, 1) walks ratios 0, 1 and (0, 0.5) walks 0, 0.5, 1
+    @pytest.mark.parametrize("local, offload, cfg, ratios, rows", [
+        # task 0 improves from a start that ties A, set by task 1: it is
+        # built and its cell at e_F comes first; task 2 starts below A
+        ([2.0, 2.0, 1.0], [1.0, 3.0, 0.5], (0.0, 1.0), [1.0, 0.0, 0.0], 2),
+        # task 0, below F's task, reaches a cell equal to e_F and takes it
+        ([4.0, 2.0, 1.0], [0.0, 4.0, 0.0], (0.0, 0.5), [1.0, 0.0, 0.0], 2),
+        # the same cell in a task above F's comes after F
+        ([2.0, 4.0, 1.0], [4.0, 0.0, 0.0], (0.0, 0.5), [0.0, 0.5, 0.0], 2),
+        # a flat task's first bump fails too, and sets A
+        ([2.0, 1.0, 3.0], [2.0, 0.0, 0.0], (0.0, 0.5), [0.0, 0.0, 0.5], 2),
+        # every first bump fails: only the highest start is built
+        ([1.0, 3.0, 2.0], [5.0, 5.0, 5.0], (0.0, 0.5), [0.0, 0.0, 0.0], 1),
+        # no first bump fails: every task is built and converges
+        ([3.0, 2.0, 1.0], [0.0, 0.0, 0.0], (0.0, 0.5), [1.0, 1.0, 1.0], 3),
+        # one level: no bump at all
+        ([3.0, 2.0, 1.0], [5.0, 0.0, 0.0], (1.0, 0.01), [1.0, 1.0, 1.0], 3),
+    ])
+    def test_hand_built_groups(self, monkeypatch, built_rows, local, offload, cfg,
+                               ratios, rows):
+        sc = _columns(monkeypatch, local, offload)
+        cfg = GreedyConfig(*cfg)
+        sol = optimize(sc, cfg)
+        assert sol.offload_ratios.tolist() == ratios
+        assert built_rows == [3, rows]
+        assert_matches_frozen(sc, cfg)
+
+    def test_the_stop_is_found_among_live_rows_of_each_group(self, monkeypatch, built_rows):
+        groups = [([1.0, 3.0, 2.0], [5.0, 5.0, 5.0]), ([3.0, 2.0, 1.0], [0.0, 0.0, 0.0]),
+                  ([2.0, 2.0, 1.0], [1.0, 3.0, 0.5]), ([1.0], [2.0])]
+        sc = _columns(monkeypatch, [e for local, _ in groups for e in local],
+                      [e for _, offload in groups for e in offload])
+        cfg = GreedyConfig(init_ratio=0.0, step=0.5)
+        ratios, _, evaluations, saturated = greedy._descend(sc, [3, 3, 3, 1], cfg)[:4]
+        assert built_rows == [10, 1 + 3 + 2 + 1]
+        assert ratios.tolist() == [0.0] * 3 + [1.0] * 3 + [0.5, 0.0, 0.0, 0.0]
+        assert evaluations.tolist() == [2, 7, 3, 2]
+        assert saturated.tolist() == [True, False, True, True]
+
+    @pytest.mark.parametrize("balanced, pruned", [(True, True), (False, False)])
+    def test_rows_built_for_a_batch_of_25(self, built_rows, balanced, pruned):
+        specs = [balanced_spec(seed) if balanced else ScenarioSpec(seed=seed)
+                 for seed in range(25)]
+        greedy.optimize_packed(generate_scenario(specs), [50] * 25, GreedyConfig())
+        assert built_rows[0] == 1250
+        assert (built_rows[1] < 1250) is pruned
+        assert len(built_rows) == 2
+
+    def test_a_large_optimize_builds_its_matrix_once(self, built_rows):
+        sol = optimize(generate_scenario(ScenarioSpec(seed=1, n_devices=50,
+                                                      tasks_per_device=40)), GreedyConfig())
+        assert sol.termination == TERMINATION_CONVERGED
+        assert len(sol.trace_totals) == sol.evaluations
+        assert built_rows == [2000, 2000]
+
+    def test_a_pruned_optimize_builds_the_trace_ladder_on_first_read(self, built_rows):
+        spec = replace(balanced_spec(0), n_devices=50, tasks_per_device=40)
+        sc = generate_scenario(spec)
+        sol = optimize(sc, GreedyConfig())
+        assert sol.termination == TERMINATION_SATURATED
+        assert built_rows[0] == 2000 > built_rows[1]
+        assert "ladder_energy" not in vars(sol)
+        assert len(sol.trace_totals) == sol.evaluations
+        assert built_rows[2:] == [2000]
+        local, offload = task_energy_endpoints(sc)
+        full = energy_at(local[:, None], offload[:, None], sol.ladder)
+        assert sol.ladder_energy.tobytes() == full.tobytes()
+
+
 class TestOracleImport:
     def test_the_greedy_keeps_no_stand_in(self):
         # conftest.py sets the constant on the greedy only while the oracle imports
