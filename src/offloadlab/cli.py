@@ -69,7 +69,7 @@ def _write_json_floats(fh, values) -> None:
 
 
 def cmd_optimize(cfg: ExperimentConfig) -> list[Path]:
-    scenario = datagen.generate_scenario(cfg.scenario, cfg.spectral)
+    scenario = datagen.generate_scenario(cfg.scenario, [cfg.seed], cfg.spectral)
     solution = greedy.optimize(scenario, cfg.greedy)
     log.info("optimize: %d tasks, %d evaluations, termination=%s",
              len(scenario.tasks), solution.evaluations, solution.termination)
@@ -92,7 +92,8 @@ def cmd_optimize(cfg: ExperimentConfig) -> list[Path]:
 
 def _sweep_point(cfg: ExperimentConfig, pins: dict) -> tuple[float, float]:
     """Greedy and all-local total energy of the config's scenario with `pins` set."""
-    scenario = datagen.generate_scenario(replace(cfg.scenario, **pins), cfg.spectral)
+    scenario = datagen.generate_scenario(replace(cfg.scenario, **pins), [cfg.seed],
+                                         cfg.spectral)
     solution = greedy.optimize(scenario, cfg.greedy)
     with np.errstate(over="ignore"):  # an overflow is the ValueError below
         all_local = float(solution.endpoints[0].sum())
@@ -124,10 +125,9 @@ def cmd_sweep_datasize(cfg: ExperimentConfig) -> list[Path]:
 
 
 def cmd_gen_data(cfg: ExperimentConfig) -> list[Path]:
-    specs = [replace(cfg.scenario, seed=cfg.scenario.seed + i)
-             for i in range(cfg.datagen.n_scenarios)]
-    dataset = datagen.build_dataset(specs, cfg.greedy, cfg.spectral)
-    log.info("gen-data: %d rows from %d scenarios", len(dataset), len(specs))
+    seeds = range(cfg.seed, cfg.seed + cfg.datagen.n_scenarios)
+    dataset = datagen.build_dataset(cfg.scenario, seeds, cfg.greedy, cfg.spectral)
+    log.info("gen-data: %d rows from %d scenarios", len(dataset), len(seeds))
     path = _out_dir(cfg) / DATASET_FILE
     dataset.to_csv(path)
     return [path]

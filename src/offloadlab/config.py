@@ -9,7 +9,7 @@ Unknown keys are rejected rather than ignored.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, is_dataclass, replace
+from dataclasses import dataclass, fields, is_dataclass
 
 from .datagen import SAMPLED_FIELDS, ScenarioSpec
 from .features import check_subsets, subset_entry
@@ -90,8 +90,6 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
-        # the run's one seed; the scenario's has no key of its own
-        object.__setattr__(self, "scenario", replace(self.scenario, seed=self.seed))
         self.greedy.check_size(self.scenario.n_devices * self.scenario.tasks_per_device)
 
 

@@ -8,14 +8,15 @@ identical scenarios.  All uniforms of a scenario come from one
 one scalar ``rng.uniform`` draw per field computes, so the values match the
 field-by-field stream bit for bit.
 
-`build_dataset` works on batches of scenarios.  A batch of specs is sampled
-as one `Scenario` holding each spec's devices in turn, priced by one
-`task_energy_endpoints` call and solved by one `greedy.optimize_packed`
-call, whose threshold needs no per-scenario sort and which builds ladder
-rows only for tasks that can leave their start ratio.  Its columns go
-straight into the dataset matrix.  A batch holds at most `BATCH_CELLS`
-ladder cells (tasks x ratio levels), which bounds its memory when every
-row is built; a larger scenario is a batch of its own.
+`build_dataset` samples one spec at many seeds, in batches of seeds.  A
+batch is sampled as one `Scenario` holding each seed's devices in turn,
+priced by one `task_energy_endpoints` call and solved by one
+`greedy.optimize_packed` call on its equal groups of tasks, whose
+threshold needs no per-scenario sort and which builds ladder rows only
+for tasks that can leave their start ratio.  Its columns go straight into
+the dataset matrix.  A batch holds at most `BATCH_CELLS` ladder cells
+(tasks x ratio levels), which bounds its memory when every row is built;
+a larger scenario is a batch of its own.
 """
 
 from __future__ import annotations
@@ -53,7 +54,6 @@ class ScenarioSpec:
 
     n_devices: int = 5
     tasks_per_device: int = 10
-    seed: int = 0
     data_bits: Range = (1e6, 8e6)
     cycles_per_bit: Range = (500.0, 1500.0)
     cpu_freq_hz: Range = (5e8, 1.5e9)
@@ -69,8 +69,6 @@ class ScenarioSpec:
             raise ValueError("n_devices must be >= 1")
         if self.tasks_per_device < 1:
             raise ValueError("tasks_per_device must be >= 1")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
         for name in SAMPLED_FIELDS:
             lo, hi = getattr(self, name)
             # rng.uniform refuses a non-finite span; the block draw relies on this
@@ -87,34 +85,28 @@ class ScenarioSpec:
         return self.n_devices * self.tasks_per_device
 
 
-def generate_scenario(spec: ScenarioSpec | Sequence[ScenarioSpec],
+def generate_scenario(spec: ScenarioSpec, seeds: Sequence[int],
                       spectral_config: SpectralConfig | None = None) -> Scenario:
-    """Sample devices, channels, and tasks from the spec's ranges.
+    """Sample devices, channels, and tasks from the spec's ranges, once per seed.
 
     Per device the draw order is: cpu_freq, energy_coeff, bandwidth, noise,
     gain, speed, carrier; then data_bits and cycles_per_bit per task.  Every
-    field consumes one draw, even a pinned one.  The columns of the
-    scenario's record arrays are sliced straight out of the draw block.
-    Given a sequence of specs, each draws its own block, and the one
-    scenario returned holds their devices in order, with each task's
-    device id offset to match.
+    field consumes one draw, even a pinned one.  Each seed draws its own
+    block, and the one scenario returned holds the seeds' devices in
+    order, with each task's device id offset to match.  The columns of the
+    scenario's record arrays are sliced straight out of the draw blocks.
     """
     cfg = spectral_config if spectral_config is not None else SpectralConfig()
-    specs = [spec] if isinstance(spec, ScenarioSpec) else spec
     d, c = len(DEVICE_DTYPE), len(DEVICE_DTYPE) + len(CHANNEL_DTYPE)
     # a device's row: its device and channel fields, then the task fields
     # once per task
-    blocks = [np.random.default_rng(s.seed).random(
-        s.n_devices * (c + 2 * s.tasks_per_device)).reshape(s.n_devices, -1) for s in specs]
-    bounds = np.array([[getattr(s, f) for f in SAMPLED_FIELDS] for s in specs])
-    devices = [s.n_devices for s in specs]
-    tasks = [s.n_tasks for s in specs]
-    lo, hi = bounds[:, :c, 0].repeat(devices, 0), bounds[:, :c, 1].repeat(devices, 0)
-    per_device = lo + (hi - lo) * np.concatenate([u[:, :c] for u in blocks])
-    lo, hi = bounds[:, c:, 0].repeat(tasks, 0), bounds[:, c:, 1].repeat(tasks, 0)
-    per_task = lo + (hi - lo) * np.concatenate([u[:, c:].reshape(-1, 2) for u in blocks])
-    device_ids = np.repeat(np.arange(len(per_device)),
-                           np.repeat([s.tasks_per_device for s in specs], devices))
+    cells = spec.n_devices * (c + 2 * spec.tasks_per_device)
+    u = np.concatenate([np.random.default_rng(seed).random(cells)
+                        for seed in seeds]).reshape(len(seeds) * spec.n_devices, -1)
+    lo, hi = np.array([getattr(spec, f) for f in SAMPLED_FIELDS]).T
+    per_device = lo[:c] + (hi[:c] - lo[:c]) * u[:, :c]
+    per_task = lo[c:] + (hi[c:] - lo[c:]) * u[:, c:].reshape(-1, 2)
+    device_ids = np.arange(len(per_device)).repeat(spec.tasks_per_device)
     return Scenario(
         devices=np.rec.fromarrays(per_device[:, :d].T, dtype=DEVICE_DTYPE),
         channels=np.rec.fromarrays(per_device[:, d:].T, dtype=CHANNEL_DTYPE),
@@ -122,32 +114,21 @@ def generate_scenario(spec: ScenarioSpec | Sequence[ScenarioSpec],
         spectral_config=cfg)
 
 
-def _batches(specs, levels: int):
-    """`specs` in order, cut into runs of at most `BATCH_CELLS` ladder cells
-    of `levels` ratios per task; a larger spec is a run of its own."""
-    batch, cells = [], 0
-    for spec in specs:
-        if batch and cells + spec.n_tasks * levels > BATCH_CELLS:
-            yield batch
-            batch, cells = [], 0
-        batch.append(spec)
-        cells += spec.n_tasks * levels
-    if batch:
-        yield batch
-
-
-def _label(specs, X, y, gcfg, spectral_config) -> None:
-    """Fill the rows `X`, `y` of `specs`' tasks, sampled, priced and solved
-    as one batch.  A failing batch is redone one scenario at a time, so the
-    first scenario that fails on its own raises, as in a per-scenario run."""
+def _label(spec, seeds, X, y, gcfg, spectral_config) -> None:
+    """Fill the rows `X`, `y` of `spec`'s tasks at `seeds`, sampled, priced
+    and solved as one batch.  A failing batch is redone one seed at a time,
+    so the first scenario that fails on its own raises, as in a
+    per-scenario run."""
     try:
-        scenario = generate_scenario(specs, spectral_config)
-        ratios, energy = greedy_mod.optimize_packed(
-            scenario, [spec.n_tasks for spec in specs], gcfg)
+        scenario = generate_scenario(spec, seeds, spectral_config)
+        ratios, energy = greedy_mod.optimize_packed(scenario, len(seeds), gcfg)
     except ValueError:
-        if len(specs) == 1:
+        if len(seeds) == 1:
             raise
-        _fill([[spec] for spec in specs], X, y, gcfg, spectral_config)
+        n = spec.n_tasks
+        for i, seed in enumerate(seeds):
+            _label(spec, [seed], X[i * n:(i + 1) * n], y[i * n:(i + 1) * n],
+                   gcfg, spectral_config)
         return
     tasks, devices, channels = scenario.tasks, scenario.devices, scenario.channels
     dev = tasks.device_id
@@ -159,29 +140,23 @@ def _label(specs, X, y, gcfg, spectral_config) -> None:
     y[:] = energy
 
 
-def _fill(batches, X, y, gcfg, spectral_config) -> None:
-    """Fill the rows `X`, `y` with those of each batch of specs in turn."""
-    lo = 0
-    for batch in batches:
-        hi = lo + sum(spec.n_tasks for spec in batch)
-        _label(batch, X[lo:hi], y[lo:hi], gcfg, spectral_config)
-        lo = hi
-
-
-def build_dataset(specs, greedy_config: greedy_mod.GreedyConfig | None = None,
+def build_dataset(spec: ScenarioSpec, seeds: Sequence[int],
+                  greedy_config: greedy_mod.GreedyConfig | None = None,
                   spectral_config: SpectralConfig | None = None) -> Dataset:
-    """Optimize each sampled scenario and emit one row per task.
+    """Optimize the scenario sampled at each seed and emit one row per task.
 
     The target column is the task's energy at the greedy solution, so every
     row is self-consistent: recomputing the energy from the row's features
-    (plus the spec's pinned constants) reproduces the target.  Scenarios are
+    (plus the spec's pinned constants) reproduces the target.  Seeds are
     solved in batches of at most `BATCH_CELLS` ladder cells.
     """
     gcfg = greedy_config if greedy_config is not None else greedy_mod.GreedyConfig()
-    specs = list(specs)
-    if not specs:
+    if not seeds:
         raise ValueError("no scenarios given")
-    rows = sum(spec.n_tasks for spec in specs)
-    X, y = np.empty((rows, len(CANONICAL_FEATURES))), np.empty(rows)
-    _fill(_batches(specs, gcfg.nominal_levels), X, y, gcfg, spectral_config)
+    n = spec.n_tasks
+    X, y = np.empty((len(seeds) * n, len(CANONICAL_FEATURES))), np.empty(len(seeds) * n)
+    batch = max(1, BATCH_CELLS // (n * gcfg.nominal_levels))
+    for lo in range(0, len(seeds), batch):
+        rows = slice(lo * n, (lo + batch) * n)
+        _label(spec, seeds[lo:lo + batch], X[rows], y[rows], gcfg, spectral_config)
     return Dataset(feature_names=CANONICAL_FEATURES, X=X, y=y)

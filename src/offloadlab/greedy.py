@@ -24,13 +24,13 @@ lowest task on a tie; a task's final level is the count of its improving
 cells above e_F, or equal to e_F in a lower task.  Most tasks never leave
 their start: one whose start energy is below that of a task whose first
 bump fails keeps it, so only the other tasks' ladder rows are built
-(`_descend`).  `optimize_packed` runs the kernel on many scenarios at
-once, each group of consecutive tasks on its own, and `optimize` is a
-batch of one.  Its trace reads the whole matrix, which is the kernel's
-when every row was built and is built from the endpoints on first read
-otherwise.  The pick order itself, `OffloadSolution.bumps`, is sorted out
-when first read: one default argsort, and a stable one after it only where
-two keys tie (`_stable_argsort`).
+(`_descend`).  `optimize_packed` runs the kernel on many scenarios of one
+size at once, each equal group of consecutive tasks on its own, and
+`optimize` is a batch of one.  Its trace reads the whole matrix, which is
+the kernel's when every row was built and is built from the endpoints on
+first read otherwise.  The pick order itself, `OffloadSolution.bumps`, is
+sorted out when first read: one default argsort, and a stable one after it
+only where two keys tie (`_stable_argsort`).
 
 Every total, `total_energy` and the trace's alike, is the correctly rounded
 exact sum of that state's per-task energies: what `math.fsum` returns, or
@@ -285,8 +285,8 @@ def _stable_argsort(keys: np.ndarray) -> np.ndarray:
     return order
 
 
-def _descend(scenario: Scenario, sizes, config: GreedyConfig):
-    """The greedy run of each group of `sizes` (each >= 1) consecutive tasks
+def _descend(scenario: Scenario, groups: int, config: GreedyConfig):
+    """The greedy run of each of `groups` equal groups of consecutive tasks
     of `scenario`, every group on its own.
 
     Returns each task's final ratio and energy, each group's evaluation
@@ -305,25 +305,23 @@ def _descend(scenario: Scenario, sizes, config: GreedyConfig):
     tasks when A is -inf.  The pruning compares the computed floats
     themselves, so it changes no result.
     """
-    config.check_size(max(sizes))
+    n = len(scenario.tasks) // groups
+    config.check_size(n)
     rs = _ladder(float(config.init_ratio), config.step)
-    config.check_size(max(sizes), len(rs))
+    config.check_size(n, len(rs))
     local, offload = task_energy_endpoints(scenario)
     first = energy_at(local[:, None], offload[:, None], rs[:2])  # levels 0 and 1
     e_start = first[:, 0]
-    starts = np.cumsum(sizes) - sizes
-    for lo, n in zip(starts.tolist(), sizes):
-        total = _fsum(e_start[lo:lo + n])
+    for total in map(_fsum, e_start.reshape(groups, n)):
         if not math.isfinite(total):
             raise ValueError(f"the starting total energy is {total}")
 
-    group = np.repeat(np.arange(len(sizes)), sizes)
     stuck = ~(first[:, 1] < e_start) if len(rs) > 1 else np.zeros(len(e_start), dtype=bool)
-    bar = np.maximum.reduceat(np.where(stuck, e_start, -np.inf), starts)  # each group's A
-    rows = np.flatnonzero(e_start >= bar[group])
+    bar = np.where(stuck, e_start, -np.inf).reshape(groups, n).max(axis=1)  # each group's A
+    rows = np.flatnonzero(e_start.reshape(groups, n) >= bar[:, None])
     energy = energy_at(local[rows, None], offload[rows, None], rs)  # (live tasks, levels)
-    group = group[rows]
-    counts = np.bincount(group, minlength=len(sizes))
+    group = rows // n
+    counts = np.bincount(group, minlength=groups)
     at = np.cumsum(counts) - counts  # each group's first live row
 
     # F, a group's stop: its failing cell of highest energy, the lowest task
@@ -346,15 +344,16 @@ def _descend(scenario: Scenario, sizes, config: GreedyConfig):
     per_task[rows] = energy[tasks, level[rows]]
 
     saturated = e_stop > -np.inf
-    evaluations = np.add.reduceat(level, starts) + saturated + 1
+    evaluations = level.reshape(groups, n).sum(axis=1) + saturated + 1
     built = energy if len(rows) == len(local) else None
     return rs[level], per_task, evaluations, saturated, (local, offload), rs, built
 
 
-def optimize_packed(scenario: Scenario, sizes, config: GreedyConfig):
-    """Ratios and per-task energies that `optimize` gives each group of
-    `sizes` consecutive tasks of `scenario`, run as a scenario of its own."""
-    return _descend(scenario, sizes, config)[:2]
+def optimize_packed(scenario: Scenario, groups: int, config: GreedyConfig):
+    """Ratios and per-task energies that `optimize` gives each of `groups`
+    equal groups of consecutive tasks of `scenario`, run as a scenario of
+    its own."""
+    return _descend(scenario, groups, config)[:2]
 
 
 def optimize(scenario: Scenario, config: GreedyConfig) -> OffloadSolution:
@@ -363,7 +362,7 @@ def optimize(scenario: Scenario, config: GreedyConfig) -> OffloadSolution:
     if n == 0:
         raise ValueError("scenario has no tasks to optimize")
     (ratios, per_task, evaluations, saturated, endpoints, rs,
-     energy) = _descend(scenario, [n], config)
+     energy) = _descend(scenario, 1, config)
     solution = OffloadSolution(
         offload_ratios=ratios,
         per_task_energy=per_task,

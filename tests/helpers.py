@@ -1,8 +1,9 @@
 """Shared fixture builders for the test suite."""
 
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from contextlib import contextmanager
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -71,7 +72,7 @@ def small_scenario(noise_var_w: float = EX_NOISE) -> Scenario:
                                   carrier_freq_hz=2e9)])
 
 
-def balanced_spec(seed: int) -> ScenarioSpec:
+def balanced_spec() -> ScenarioSpec:
     """Ranges tuned so local and offload costs compete.
 
     Greedy runs stop at a spread of ratios instead of pinning everything at
@@ -81,7 +82,6 @@ def balanced_spec(seed: int) -> ScenarioSpec:
     return ScenarioSpec(
         n_devices=5,
         tasks_per_device=10,
-        seed=seed,
         data_bits=(1e6, 8e6),
         cycles_per_bit=(600.0, 1400.0),
         cpu_freq_hz=(1e9, 1e9),
@@ -92,6 +92,38 @@ def balanced_spec(seed: int) -> ScenarioSpec:
         noise_var_w=(6.6e-3, 6.6e-3),
         gain=(1.0, 1.0),
     )
+
+
+def seeded(spec: ScenarioSpec, seed: int) -> SimpleNamespace:
+    """`spec` as the frozen `reference_datagen` reads it: the spec's fields
+    plus the `seed` its sampler draws from."""
+    return SimpleNamespace(**vars(spec), seed=seed)
+
+
+def frozen_generate_scenario(spec: ScenarioSpec, seeds: Sequence[int],
+                             spectral_config: SpectralConfig | None = None) -> Scenario:
+    """What `generate_scenario(spec, seeds)` must return: the frozen
+    sampler's scenario of each seed, joined in seed order, with each task's
+    device id offset by the devices before it."""
+    import reference_datagen  # it imports this module: import it once both exist
+
+    parts = [reference_datagen.generate_scenario(seeded(spec, seed), spectral_config)
+             for seed in seeds]
+    tasks = np.concatenate([part.tasks for part in parts])
+    tasks["device_id"] += np.arange(len(parts)).repeat(spec.n_tasks) * spec.n_devices
+    return Scenario(devices=np.concatenate([part.devices for part in parts]), tasks=tasks,
+                    channels=np.concatenate([part.channels for part in parts]),
+                    spectral_config=parts[0].spectral_config)
+
+
+def frozen_build_dataset(spec: ScenarioSpec, seeds: Sequence[int],
+                         greedy_config: GreedyConfig | None = None,
+                         spectral_config: SpectralConfig | None = None):
+    """The frozen per-scenario dataset loop over `spec` at each seed."""
+    import reference_datagen
+
+    return reference_datagen.build_dataset([seeded(spec, seed) for seed in seeds],
+                                           greedy_config, spectral_config)
 
 
 BALANCED_NOISE_VAR = 6.6e-3

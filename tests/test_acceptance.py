@@ -72,7 +72,7 @@ def _build_c2():
         }
     stats = []
     for seed in range(100):
-        scenario = generate_scenario(ScenarioSpec(seed=seed))
+        scenario = generate_scenario(ScenarioSpec(), [seed])
         solution = optimize(scenario, GreedyConfig())
         stats.append({
             "seed": seed,
@@ -115,8 +115,7 @@ def _build_c6():
 
 def _build_c8():
     """The feature-selection study: dataset, ranking, and k-sweep reports."""
-    specs = [balanced_spec(100 + i) for i in range(40)]
-    dataset = build_dataset(specs)
+    dataset = build_dataset(balanced_spec(), range(100, 140))
     train, test = split_dataset(dataset, 0.25, 0)
     pool = Dataset(feature_names=PRIMARY_FEATURES,
                    X=train.select(PRIMARY_FEATURES), y=train.y)

@@ -390,7 +390,7 @@ class TestSweeps:
         cfg = load_config(None, {"seed": "3"})
         for size, row in zip(cfg.sweeps.data_size_grid, rows):
             sc = datagen.generate_scenario(replace(cfg.scenario, data_bits=(size, size)),
-                                           cfg.spectral)
+                                           [cfg.seed], cfg.spectral)
             local, _ = reference_datagen.task_energy_endpoints(
                 sc, SpectralEfficiencyCache(cfg.spectral))
             assert row[2] == repr(float(local.sum()))

@@ -13,26 +13,20 @@ class TestDefaults:
         cfg = load_config()
         assert cfg.seed == 0
         assert cfg.out_dir == "out"
-        assert cfg.scenario.seed == 0
-        assert "seed" not in {f.name for f in fields(ClusteringConfig)}
+        for section in (ScenarioSpec, ClusteringConfig):  # `seed` is the run's one seed
+            assert "seed" not in {f.name for f in fields(section)}
         assert cfg.clustering.feature_subsets == ("primary", "mi:2", "all")
         assert cfg.sweeps.speed_grid == (100.0, 200.0, 300.0, 400.0)
 
-    def test_seed_fills_the_scenario(self):
-        assert load_config(overrides={"seed": "42"}).scenario.seed == 42
-
-    def test_a_config_built_directly_fills_the_scenario(self):
-        assert ExperimentConfig(seed=5).scenario.seed == 5
-        assert ExperimentConfig(seed=5, scenario=ScenarioSpec(seed=3)).scenario.seed == 5
+    def test_a_config_built_directly_is_the_loaded_one(self):
         assert ExperimentConfig(seed=5) == load_config(overrides={"seed": "5"})
 
     def test_seed_flag_beats_seed_in_file(self, tmp_path):
         # one seed, so no key can pin the scenario's draw against --seed
         path = tmp_path / "cfg.yaml"
         path.write_text("seed: 7\n")
-        assert load_config(path).scenario.seed == 7
-        cfg = load_config(path, overrides={"seed": "42"})
-        assert (cfg.seed, cfg.scenario.seed) == (42, 42)
+        assert load_config(path).seed == 7
+        assert load_config(path, overrides={"seed": "42"}).seed == 42
 
 
 class TestFileAndOverrides:
@@ -187,7 +181,7 @@ class TestSchema:
                             if f"{f.name}.{leaf.name}" not in SCHEMA]
             else:
                 assert f.name in SCHEMA
-        assert unkeyed == ["scenario.seed"]  # ExperimentConfig fills it from seed
+        assert unkeyed == []
         assert len(SCHEMA) == 29
 
     def test_defaults_are_the_dataclass_defaults(self):

@@ -32,11 +32,16 @@ class TestScenarioSpec:
     def test_zero_speed_allowed(self):
         ScenarioSpec(speed_mps=(0.0, 0.0))
 
+    def test_the_seed_is_not_a_field(self):
+        # the seed is a call argument of the sampler, not part of the ranges
+        with pytest.raises(TypeError, match="seed"):
+            ScenarioSpec(seed=1)
+
 
 class TestGenerateScenario:
     def test_counts_and_id_wiring(self):
-        spec = ScenarioSpec(n_devices=3, tasks_per_device=4, seed=2)
-        sc = generate_scenario(spec)
+        spec = ScenarioSpec(n_devices=3, tasks_per_device=4)
+        sc = generate_scenario(spec, [2])
         assert len(sc.devices) == 3
         assert len(sc.channels) == 3
         assert len(sc.tasks) == 12
@@ -46,17 +51,17 @@ class TestGenerateScenario:
         def columns(sc):
             return [getattr(sc, name).tobytes() for name in ("devices", "channels", "tasks")]
 
-        spec = ScenarioSpec(seed=7)
-        a = generate_scenario(spec)
-        assert columns(a) == columns(generate_scenario(spec))
-        assert columns(a) != columns(generate_scenario(ScenarioSpec(seed=8)))
+        spec = ScenarioSpec()
+        a = generate_scenario(spec, [7])
+        assert columns(a) == columns(generate_scenario(spec, [7]))
+        assert columns(a) != columns(generate_scenario(spec, [8]))
 
     def test_values_respect_ranges(self):
-        spec = ScenarioSpec(n_devices=10, tasks_per_device=5, seed=3,
+        spec = ScenarioSpec(n_devices=10, tasks_per_device=5,
                             data_bits=(2e6, 3e6), cycles_per_bit=(800.0, 900.0),
                             cpu_freq_hz=(1e9, 2e9), speed_mps=(50.0, 60.0),
                             carrier_freq_hz=(2e9, 4e9))
-        sc = generate_scenario(spec)
+        sc = generate_scenario(spec, [3])
         assert np.all((1e9 <= sc.devices.cpu_freq_hz) & (sc.devices.cpu_freq_hz <= 2e9))
         assert np.all((50.0 <= sc.channels.speed_mps) & (sc.channels.speed_mps <= 60.0))
         assert np.all((2e9 <= sc.channels.carrier_freq_hz)
@@ -65,16 +70,16 @@ class TestGenerateScenario:
         assert np.all((800.0 <= sc.tasks.cycles_per_bit) & (sc.tasks.cycles_per_bit <= 900.0))
 
     def test_pinned_ranges_are_exact(self):
-        spec = ScenarioSpec(seed=4, cpu_freq_hz=(1e9, 1e9), gain=(0.25, 0.25),
+        spec = ScenarioSpec(cpu_freq_hz=(1e9, 1e9), gain=(0.25, 0.25),
                             noise_var_w=(2e-13, 2e-13))
-        sc = generate_scenario(spec)
+        sc = generate_scenario(spec, [4])
         assert all(d.cpu_freq_hz == 1e9 for d in sc.devices)
         assert all(ch.gain == 0.25 for ch in sc.channels)
         assert all(ch.noise_var_w == 2e-13 for ch in sc.channels)
 
     def test_tx_power_matches_channel(self):
         # the power is no longer stored; each channel row implies it
-        sc = generate_scenario(ScenarioSpec(seed=5))
+        sc = generate_scenario(ScenarioSpec(), [5])
         for ch in sc.channels:
             se = calc_se(ch.speed_mps, ch.carrier_freq_hz, sc.spectral_config)
             expected = (2.0 ** se - 1.0) * ch.noise_var_w / ch.gain
@@ -83,8 +88,8 @@ class TestGenerateScenario:
     def test_pinning_one_range_leaves_other_draws_alone(self):
         # a pinned range must consume its draw so the rest of the stream
         # stays aligned across sweep variants
-        free = generate_scenario(ScenarioSpec(seed=6))
-        pinned = generate_scenario(ScenarioSpec(seed=6, speed_mps=(250.0, 250.0)))
+        free = generate_scenario(ScenarioSpec(), [6])
+        pinned = generate_scenario(ScenarioSpec(speed_mps=(250.0, 250.0)), [6])
         for a, b in zip(free.devices, pinned.devices):
             assert a.cpu_freq_hz == b.cpu_freq_hz
             assert a.energy_coeff == b.energy_coeff
@@ -98,17 +103,15 @@ class TestGenerateScenario:
 
 class TestBuildDataset:
     def test_shape_and_names(self):
-        specs = [ScenarioSpec(n_devices=2, tasks_per_device=3, seed=s)
-                 for s in (0, 1)]
-        ds = build_dataset(specs)
+        ds = build_dataset(ScenarioSpec(n_devices=2, tasks_per_device=3), [0, 1])
         assert ds.feature_names == CANONICAL_FEATURES
         assert ds.X.shape == (12, 7)
         assert ds.y.shape == (12,)
 
     def test_first_row_matches_scenario(self):
-        spec = ScenarioSpec(n_devices=2, tasks_per_device=2, seed=9)
-        ds = build_dataset([spec])
-        sc = generate_scenario(spec)
+        spec = ScenarioSpec(n_devices=2, tasks_per_device=2)
+        ds = build_dataset(spec, [9])
+        sc = generate_scenario(spec, [9])
         row = ds.X[0]
         names = list(ds.feature_names)
         assert row[names.index("TaskSize")] == sc.tasks[0].data_bits
@@ -119,14 +122,14 @@ class TestBuildDataset:
         assert row[names.index("Bandwidth")] == sc.channels[0].bandwidth_hz
 
     def test_ratios_start_at_half_and_climb(self):
-        ds = build_dataset([balanced_spec(100)])
+        ds = build_dataset(balanced_spec(), [100])
         ratios = ds.column("OffloadingRatio")
         assert np.all(ratios >= 0.5) and np.all(ratios <= 1.0)
 
     def test_rows_are_self_consistent(self):
         # the target must be reproducible from the row plus the spec's
         # pinned constants, otherwise the dataset is useless for learning
-        ds = build_dataset([balanced_spec(101)])
+        ds = build_dataset(balanced_spec(), [101])
         for row, target in zip(ds.X, ds.y):
             size, ratio, speed, carrier, cycles, cpu, bandwidth = row
             se = calc_se(speed, carrier)
@@ -136,12 +139,12 @@ class TestBuildDataset:
             assert local + offload == pytest.approx(target, rel=1e-9)
 
     def test_csv_bytes_deterministic(self, tmp_path):
-        specs = [ScenarioSpec(n_devices=2, tasks_per_device=2, seed=11)]
+        spec = ScenarioSpec(n_devices=2, tasks_per_device=2)
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        build_dataset(specs).to_csv(p1)
-        build_dataset(specs).to_csv(p2)
+        build_dataset(spec, [11]).to_csv(p1)
+        build_dataset(spec, [11]).to_csv(p2)
         assert p1.read_bytes() == p2.read_bytes()
 
-    def test_empty_specs_rejected(self):
-        with pytest.raises(ValueError):
-            build_dataset([])
+    def test_no_seeds_rejected(self):
+        with pytest.raises(ValueError, match="no scenarios given"):
+            build_dataset(ScenarioSpec(), [])

@@ -5,7 +5,9 @@ It samples sequences of per-device and per-task records, which conftest.py
 turns into the model's record arrays field by field.  Scenarios, endpoint arrays, dataset matrices and CSV files must be
 bit-identical to it, including pinned ranges and tasks without data, and
 `calc_se` must be called once per device with data and never for a device
-whose tasks carry no data.  `build_dataset` solves its scenarios in
+whose tasks carry no data.  The frozen sampler reads one seed from its
+spec, so it is reached through `helpers.seeded`, and a sample at many seeds
+is its per-seed scenarios joined.  `build_dataset` solves its seeds in
 batches: its rows must be the per-scenario loop's whatever the batch cut,
 and a failing batch must exit with the error of its first failing scenario.
 """
@@ -20,7 +22,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_datagen
-from helpers import balanced_spec, scenario
+from helpers import (balanced_spec, frozen_build_dataset, frozen_generate_scenario,
+                     scenario)
 from offloadlab import datagen, greedy, model
 from offloadlab.cli import main
 from offloadlab.datagen import ScenarioSpec, build_dataset, generate_scenario
@@ -57,12 +60,13 @@ def _range(lo_min, lo_max, allow_zero=False):
 
 
 @st.composite
-def specs(draw, shapes=small_shapes):
+def specs(draw, shapes=small_shapes, max_seeds=4):
+    """A spec and 1 to `max_seeds` seeds to sample it at."""
     n_devices, tasks_per_device = draw(shapes)
+    seeds = draw(st.lists(st.integers(0, 2 ** 32), min_size=1, max_size=max_seeds))
     return ScenarioSpec(
         n_devices=n_devices,
         tasks_per_device=tasks_per_device,
-        seed=draw(st.integers(0, 2 ** 32)),
         data_bits=draw(st.one_of(st.just((0.0, 0.0)),
                                  _range(0.0, 8e6, allow_zero=True))),
         cycles_per_bit=draw(_range(1.0, 2000.0)),
@@ -73,19 +77,22 @@ def specs(draw, shapes=small_shapes):
         bandwidth_hz=draw(_range(1e5, 1e7)),
         noise_var_w=draw(_range(1e-14, 1e-2)),
         gain=draw(_range(0.1, 10.0)),
-    )
+    ), seeds
+
+
+PINNED = ScenarioSpec(**{f: (v[0], v[0]) for f, v in vars(ScenarioSpec()).items()
+                         if isinstance(v, tuple)})
 
 
 def _fixed_specs():
-    """Default, balanced, fully pinned and zero-data specs at every shape."""
-    pinned = ScenarioSpec(**{f: (v[0], v[0]) for f, v in vars(ScenarioSpec()).items()
-                             if isinstance(v, tuple)})
+    """Default, balanced, fully pinned and zero-data specs at every shape;
+    the tests sample them at seed 7."""
     variants = {
-        "default": ScenarioSpec(seed=7),
-        "balanced": balanced_spec(7),
-        "pinned": replace(pinned, seed=7),
-        "bits-from-zero": ScenarioSpec(seed=7, data_bits=(0.0, 4e6), speed_mps=(0.0, 50.0)),
-        "no-bits": ScenarioSpec(seed=7, data_bits=(0.0, 0.0)),
+        "default": ScenarioSpec(),
+        "balanced": balanced_spec(),
+        "pinned": PINNED,
+        "bits-from-zero": ScenarioSpec(data_bits=(0.0, 4e6), speed_mps=(0.0, 50.0)),
+        "no-bits": ScenarioSpec(data_bits=(0.0, 0.0)),
     }
     return [pytest.param(replace(spec, n_devices=n, tasks_per_device=t),
                          id=f"{name}-{n}x{t}")
@@ -112,20 +119,20 @@ def assert_same_arrays(got, want):
 class TestSamplerMatchesReference:
     @settings(max_examples=60, deadline=None)
     @given(specs())
-    def test_random_specs(self, spec):
-        assert_same_scenario(generate_scenario(spec),
-                             reference_datagen.generate_scenario(spec))
+    def test_random_specs_and_seeds(self, spec_seeds):
+        # the seeds' scenarios joined, each task's device id offset
+        assert_same_scenario(generate_scenario(*spec_seeds),
+                             frozen_generate_scenario(*spec_seeds))
 
     @pytest.mark.parametrize("spec", FIXED_SPECS)
     def test_fixed_specs(self, spec):
-        assert_same_scenario(generate_scenario(spec),
-                             reference_datagen.generate_scenario(spec))
+        assert_same_scenario(generate_scenario(spec, [7]), frozen_generate_scenario(spec, [7]))
 
     def test_spectral_config_is_passed_through(self):
         cfg = SpectralConfig(snr_linear=30.0, subcarrier_spacing_hz=15e3)
-        spec = ScenarioSpec(seed=3)
-        assert_same_scenario(generate_scenario(spec, cfg),
-                             reference_datagen.generate_scenario(spec, cfg))
+        spec = ScenarioSpec()
+        assert_same_scenario(generate_scenario(spec, [3], cfg),
+                             frozen_generate_scenario(spec, [3], cfg))
 
     @pytest.mark.parametrize("bounds", [(0.0, float("inf")), (1.0, float("nan"))])
     def test_non_finite_range_is_rejected(self, bounds):
@@ -172,16 +179,16 @@ def hand_built(draw):
 class TestEndpointsMatchReference:
     @settings(max_examples=60, deadline=None)
     @given(specs())
-    def test_sampled_scenarios(self, spec):
-        self.check_sampled(spec)
+    def test_sampled_scenarios(self, spec_seeds):
+        self.check_sampled(*spec_seeds)
 
     @pytest.mark.parametrize("spec", FIXED_SPECS)
     def test_fixed_specs(self, spec):
-        self.check_sampled(spec)
+        self.check_sampled(spec, [7])
 
     @staticmethod
-    def check_sampled(spec):
-        sc = generate_scenario(spec)
+    def check_sampled(spec, seeds):
+        sc = generate_scenario(spec, seeds)
         got = task_energy_endpoints(sc)
         want = reference_datagen.task_energy_endpoints(
             sc, SpectralEfficiencyCache(sc.spectral_config))
@@ -202,7 +209,7 @@ class TestEndpointsMatchReference:
         assert np.all(got[1][[t.data_bits == 0.0 for t in sc.tasks]] == 0.0)
 
     def test_all_zero_bit_scenario_never_asks_the_spectral_efficiency(self, monkeypatch):
-        sc = generate_scenario(ScenarioSpec(seed=2, data_bits=(0.0, 0.0)))
+        sc = generate_scenario(ScenarioSpec(data_bits=(0.0, 0.0)), [2])
         counter = CountingCalcSe()
         monkeypatch.setattr(model, "calc_se", counter)
         local, offload = task_energy_endpoints(sc)
@@ -234,20 +241,14 @@ class TestEndpointsMatchReference:
 
 class TestDatasetMatchesReference:
     @settings(max_examples=25, deadline=None)
-    @given(st.lists(specs(), min_size=1, max_size=4))
-    def test_random_specs(self, spec_list):
-        got = build_dataset(spec_list)
-        want = reference_datagen.build_dataset(spec_list)
-        assert got.feature_names == want.feature_names
-        assert_same_arrays((got.X, got.y), (want.X, want.y))
+    @given(specs())
+    def test_random_specs(self, spec_seeds):
+        assert_same_dataset(*spec_seeds)
 
     @pytest.mark.parametrize("shape", SHAPES)
     def test_balanced_specs(self, shape):
-        spec_list = [replace(balanced_spec(s), n_devices=shape[0],
-                             tasks_per_device=shape[1]) for s in range(3)]
-        got = build_dataset(spec_list)
-        want = reference_datagen.build_dataset(spec_list)
-        assert_same_arrays((got.X, got.y), (want.X, want.y))
+        spec = replace(balanced_spec(), n_devices=shape[0], tasks_per_device=shape[1])
+        assert_same_dataset(spec, range(3))
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -281,8 +282,8 @@ class TestCsvBytesMatchReference:
 
 def _run_cli(monkeypatch, reference: bool, args, out):
     if reference:
-        monkeypatch.setattr(datagen, "generate_scenario", reference_datagen.generate_scenario)
-        monkeypatch.setattr(datagen, "build_dataset", reference_datagen.build_dataset)
+        monkeypatch.setattr(datagen, "generate_scenario", frozen_generate_scenario)
+        monkeypatch.setattr(datagen, "build_dataset", frozen_build_dataset)
         monkeypatch.setattr(greedy, "task_energy_endpoints", lambda sc: (
             reference_datagen.task_energy_endpoints(
                 sc, SpectralEfficiencyCache(sc.spectral_config))))
@@ -308,7 +309,7 @@ class TestCliBytesMatchReference:
         assert got == want
 
     def test_balanced_gen_data(self, tmp_path, monkeypatch):
-        spec = balanced_spec(0)
+        spec = balanced_spec()
         ranges = {name: list(getattr(spec, name))
                   for name in ("cycles_per_bit", "cpu_freq_hz", "carrier_freq_hz",
                                "noise_var_w")}
@@ -329,96 +330,98 @@ batch_configs = st.builds(
     step=st.sampled_from([1.0, 0.5, 0.3, 0.1]))
 
 
-def assert_same_dataset(spec_list, gcfg=None):
-    got = build_dataset(spec_list, gcfg)
-    want = reference_datagen.build_dataset(spec_list, gcfg)
+def assert_same_dataset(spec, seeds, gcfg=None):
+    """`build_dataset`'s rows are the frozen loop's; returns the number of
+    seeds in each batch it sampled."""
+    sizes = []
+
+    def spy(spec, seeds, spectral_config=None):
+        sizes.append(len(seeds))
+        return generate_scenario(spec, seeds, spectral_config)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(datagen, "generate_scenario", spy)
+        got = build_dataset(spec, seeds, gcfg)
+    want = frozen_build_dataset(spec, seeds, gcfg)
     assert got.feature_names == want.feature_names
     assert_same_arrays((got.X, got.y), (want.X, want.y))
+    return sizes
 
 
-def batch_sizes(spec_list, gcfg):
-    return [len(batch) for batch in datagen._batches(spec_list, gcfg.nominal_levels)]
-
-
-def terminations(spec_list, gcfg):
-    return [greedy.optimize(generate_scenario(spec), gcfg).termination for spec in spec_list]
-
-
-PINNED = ScenarioSpec(**{f: (v[0], v[0]) for f, v in vars(ScenarioSpec()).items()
-                         if isinstance(v, tuple)})
+def terminations(spec, seeds, gcfg):
+    return [greedy.optimize(generate_scenario(spec, [seed]), gcfg).termination
+            for seed in seeds]
 
 
 class TestBatchesMatchReference:
-    """`build_dataset` solves its specs in batches; rows must be the frozen
+    """`build_dataset` solves its seeds in batches; rows must be the frozen
     per-scenario loop's, whatever the batch cut."""
 
     @settings(max_examples=60, deadline=None)
-    @given(st.lists(specs(), min_size=1, max_size=7), batch_configs, st.integers(1, 400))
-    def test_random_specs_configs_and_cuts(self, spec_list, gcfg, cells):
+    @given(specs(max_seeds=7), batch_configs, st.integers(1, 400))
+    def test_random_specs_configs_and_cuts(self, spec_seeds, gcfg, cells):
+        spec, seeds = spec_seeds
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(datagen, "BATCH_CELLS", cells)
-            assert_same_dataset(spec_list, gcfg)
+            sizes = assert_same_dataset(spec, seeds, gcfg)
+        cut = max(1, cells // (spec.n_tasks * gcfg.nominal_levels))
+        assert sizes == [len(seeds[lo:lo + cut]) for lo in range(0, len(seeds), cut)]
 
-    def test_scenarios_of_one_batch_that_end_differently(self):
-        spec_list = [replace(balanced_spec(3), n_devices=1, tasks_per_device=2),
-                     ScenarioSpec(seed=4, n_devices=1, tasks_per_device=2),
-                     ScenarioSpec(seed=5, n_devices=2, tasks_per_device=3),
-                     replace(balanced_spec(5), n_devices=1, tasks_per_device=3),
-                     ScenarioSpec(seed=7, n_devices=1, tasks_per_device=1)]
+    def test_scenarios_of_one_batch_that_end_differently(self, monkeypatch):
+        spec = replace(balanced_spec(), n_devices=1, tasks_per_device=2)
         gcfg = greedy.GreedyConfig()
-        assert batch_sizes(spec_list, gcfg) == [5]
-        ends = terminations(spec_list, gcfg)
-        assert ends.count("saturated") == 2 and ends.count("converged") == 3, ends
-        assert_same_dataset(spec_list, gcfg)
+        monkeypatch.setattr(datagen, "BATCH_CELLS", 3 * spec.n_tasks * gcfg.nominal_levels)
+        assert assert_same_dataset(spec, range(6), gcfg) == [3, 3]
+        for batch in (range(3), range(3, 6)):
+            ends = terminations(spec, batch, gcfg)
+            assert set(ends) == {"saturated", "converged"}, ends
 
     @pytest.mark.parametrize("gcfg", [greedy.GreedyConfig(),
                                       greedy.GreedyConfig(init_ratio=1.0),
                                       greedy.GreedyConfig(step=1.0),
                                       greedy.GreedyConfig(init_ratio=0.0, step=0.3)],
                              ids=["default", "init-1", "step-1", "init-0-step-0.3"])
-    def test_mixed_shapes_tied_energies_and_tasks_without_data(self, monkeypatch, gcfg):
+    @pytest.mark.parametrize("spec, seed", [
         # every task of a pinned spec has the same energies; a spec without
         # data has only zero energies, which no bump lowers
-        spec_list = [replace(PINNED, seed=1, n_devices=3, tasks_per_device=4),
-                     ScenarioSpec(seed=2, n_devices=1, tasks_per_device=1),
-                     ScenarioSpec(seed=3, data_bits=(0.0, 0.0), n_devices=2),
-                     replace(balanced_spec(4), n_devices=4, tasks_per_device=7),
-                     ScenarioSpec(seed=5, data_bits=(0.0, 4e6), n_devices=2,
-                                  tasks_per_device=3),
-                     replace(PINNED, seed=6, n_devices=1, tasks_per_device=9)]
-        monkeypatch.setattr(datagen, "BATCH_CELLS", 3000)
-        assert len(batch_sizes(spec_list, gcfg)) < len(spec_list)
-        assert_same_dataset(spec_list, gcfg)
+        (replace(PINNED, n_devices=3, tasks_per_device=4), 1),
+        (ScenarioSpec(n_devices=1, tasks_per_device=1), 2),
+        (ScenarioSpec(data_bits=(0.0, 0.0), n_devices=2), 3),
+        (replace(balanced_spec(), n_devices=4, tasks_per_device=7), 4),
+        (ScenarioSpec(data_bits=(0.0, 4e6), n_devices=2, tasks_per_device=3), 5),
+        (replace(PINNED, n_devices=1, tasks_per_device=9), 6),
+    ], ids=["pinned-3x4", "default-1x1", "no-bits-2x10", "balanced-4x7",
+            "bits-from-zero-2x3", "pinned-1x9"])
+    def test_shapes_tied_energies_and_tasks_without_data(self, monkeypatch, gcfg, spec,
+                                                         seed):
+        # batches of two seeds, so that a call spans batches and a batch
+        # packs scenarios
+        monkeypatch.setattr(datagen, "BATCH_CELLS", 2 * spec.n_tasks * gcfg.nominal_levels)
+        assert assert_same_dataset(spec, range(seed, seed + 3), gcfg) == [2, 1]
 
-    def test_more_specs_than_a_batch_holds(self):
-        spec_list = [balanced_spec(20 + i) for i in range(60)]
-        assert batch_sizes(spec_list, greedy.GreedyConfig()) == [25, 25, 10]
-        assert_same_dataset(spec_list)
+    def test_more_seeds_than_a_batch_holds(self):
+        assert assert_same_dataset(balanced_spec(), range(20, 80)) == [25, 25, 10]
 
     def test_a_scenario_past_the_batch_bound_is_a_batch_of_its_own(self):
-        big = ScenarioSpec(seed=8, n_devices=50, tasks_per_device=40)
-        spec_list = [balanced_spec(1), big, balanced_spec(2)]
+        big = ScenarioSpec(n_devices=50, tasks_per_device=40)
         gcfg = greedy.GreedyConfig()
         assert 2000 * gcfg.nominal_levels > datagen.BATCH_CELLS
-        assert batch_sizes(spec_list, gcfg) == [1, 1, 1]
-        assert_same_dataset(spec_list, gcfg)
+        assert assert_same_dataset(big, range(8, 11), gcfg) == [1, 1, 1]
 
     def test_a_batch_is_sampled_as_one_scenario(self, monkeypatch):
-        spec_list = [balanced_spec(i) for i in range(30)]
         sampled = []
 
-        def spy(spec, spectral_config=None):
-            scenario = generate_scenario(spec, spectral_config)
+        def spy(spec, seeds, spectral_config=None):
+            scenario = generate_scenario(spec, seeds, spectral_config)
             sampled.append(len(scenario.tasks))
             return scenario
         monkeypatch.setattr(datagen, "generate_scenario", spy)
-        build_dataset(spec_list)
+        build_dataset(balanced_spec(), range(30))
         assert sampled == [25 * 50, 5 * 50]
 
 
 def _error_run(monkeypatch, capsys, reference: bool, args, out):
     if reference:
-        monkeypatch.setattr(datagen, "build_dataset", reference_datagen.build_dataset)
+        monkeypatch.setattr(datagen, "build_dataset", frozen_build_dataset)
     capsys.readouterr()
     code = main([*args, "--out", str(out)])
     monkeypatch.undo()
@@ -433,10 +436,11 @@ _OVERFLOWING = ["gen-data", "--scenario.n_devices", "1", "--scenario.tasks_per_d
                 "--scenario.energy_coeff", "2.4e280,2.4e280", "--datagen.n_scenarios", "6"]
 
 
-def _failure(spec):
-    """Which error the scenario of `spec` raises on its own: '.', 'total' or 'endpoint'."""
+def _failure(spec, seed):
+    """Which error the scenario of `spec` at `seed` raises on its own: '.',
+    'total' or 'endpoint'."""
     try:
-        greedy.optimize(generate_scenario(spec), greedy.GreedyConfig())
+        greedy.optimize(generate_scenario(spec, [seed]), greedy.GreedyConfig())
     except ValueError as exc:
         return "total" if "starting total" in str(exc) else "endpoint"
     return "."
@@ -452,7 +456,7 @@ class TestBatchErrorsMatchReference:
         spec = replace(ScenarioSpec(n_devices=1, tasks_per_device=4), cpu_freq_hz=(1e9, 1e9),
                        cycles_per_bit=(1e3, 1e3), energy_coeff=(2.4e280, 2.4e280))
         with np.errstate(over="ignore"):
-            kinds = [_failure(replace(spec, seed=seed + i)) for i in range(6)]
+            kinds = [_failure(spec, seed + i) for i in range(6)]
         # scenario k of the one batch fails first, and a later one fails
         # the other way
         k = next(i for i, kind in enumerate(kinds) if kind != ".")
@@ -466,7 +470,7 @@ class TestBatchErrorsMatchReference:
 
 class TestCliSpansBatches:
     def test_gen_data_of_three_batches(self, tmp_path, monkeypatch):
-        spec = balanced_spec(0)
+        spec = balanced_spec()
         ranges = {name: list(getattr(spec, name))
                   for name in ("cycles_per_bit", "cpu_freq_hz", "carrier_freq_hz",
                                "noise_var_w")}
@@ -477,8 +481,8 @@ class TestCliSpansBatches:
         want = _run_cli(monkeypatch, True, args, tmp_path / "ref")
         calls = []
         monkeypatch.setattr(datagen, "generate_scenario",
-                            lambda specs, config: calls.append(len(specs))
-                            or generate_scenario(specs, config))
+                            lambda spec, seeds, config: calls.append(len(seeds))
+                            or generate_scenario(spec, seeds, config))
         got = _run_cli(monkeypatch, False, args, tmp_path / "new")
         assert calls == [25, 25, 20]
         assert sorted(got) == ["dataset.csv"]

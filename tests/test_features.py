@@ -155,7 +155,7 @@ class TestRankFeatures:
     def test_balanced_fixture_ranking(self):
         # energy scales with task size, so TaskSize must dominate; columns
         # pinned by the sampling spec carry nothing at all
-        ds = build_dataset([balanced_spec(100 + i) for i in range(12)])
+        ds = build_dataset(balanced_spec(), range(100, 112))
         ranking = rank_features(ds)
         mi = dict(ranking)
         assert ranking[0][0] == "TaskSize"
@@ -237,7 +237,7 @@ def assert_same_matrix(got, want):
 class TestReadCsvMatrix:
     def test_gen_data_file_reads_as_rows(self, tmp_path):
         path = tmp_path / "dataset.csv"
-        build_dataset([balanced_spec(60 + i) for i in range(3)]).to_csv(path)
+        build_dataset(balanced_spec(), range(60, 63)).to_csv(path)
         got = read_csv_matrix(path)
         assert got[1].shape == (150, len(CANONICAL_FEATURES) + 1)
         assert_same_matrix(got, read_rows_matrix(path))
@@ -264,7 +264,7 @@ class TestSubsets:
     def dataset(self):
         # CyclesPerBit outranks two of the primary four here, so mi:N must
         # skip names outside its pool rather than take the top N overall
-        return build_dataset([balanced_spec(40 + i) for i in range(4)])
+        return build_dataset(balanced_spec(), range(40, 44))
 
     @pytest.mark.parametrize("missing", [None, "Speed"], ids=["primary_pool", "all_pool"])
     def test_mi_matches_a_ranking_of_the_pool_alone(self, dataset, missing):

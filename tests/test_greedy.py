@@ -20,7 +20,7 @@ from helpers import (EX_SE, example_channel, example_device, priced_at, scenario
 
 
 def default_scenario(seed: int) -> Scenario:
-    return generate_scenario(ScenarioSpec(seed=seed))
+    return generate_scenario(ScenarioSpec(), [seed])
 
 
 class TestConfig:
@@ -219,7 +219,7 @@ def pinned_scenario() -> Scenario:
     """Every range pinned: all tasks have the same energies, so all tie."""
     return generate_scenario(ScenarioSpec(**{
         name: (value[0], value[0]) for name, value in vars(ScenarioSpec()).items()
-        if isinstance(value, tuple)}))
+        if isinstance(value, tuple)}), [0])
 
 
 class TestPicks:
@@ -412,7 +412,7 @@ class TestBoundedRun:
         monkeypatch.setattr(greedy, "task_energy_endpoints", unreachable)
         cfg = GreedyConfig(init_ratio=1.0 - 1e-11, step=1.554e-16)
         cfg.check_size(70)
-        sc = generate_scenario(ScenarioSpec(seed=0, n_devices=7, tasks_per_device=10))
+        sc = generate_scenario(ScenarioSpec(n_devices=7, tasks_per_device=10), [0])
         with pytest.raises(ValueError, match="70 tasks x 81066 ratio levels"):
             optimize(sc, cfg)
 

@@ -28,7 +28,7 @@ from hypothesis import strategies as st
 
 import reference_datagen
 import reference_greedy
-from helpers import FrozenGreedyConfig, balanced_spec, scenario
+from helpers import FrozenGreedyConfig, balanced_spec, frozen_build_dataset, scenario
 from offloadlab import datagen, greedy
 from offloadlab.cli import main
 from offloadlab.datagen import ScenarioSpec, generate_scenario
@@ -47,13 +47,17 @@ _NOISE = st.one_of(st.sampled_from([1e-3, 1e-2]),
                    st.floats(-5.0, 0.0).map(lambda e: 10.0 ** e))
 
 
+# (devices, tasks) of a scenario
+SHAPES = st.tuples(st.integers(1, 3), st.integers(1, 6))
+
+
 @st.composite
-def scenarios(draw):
-    n_devices = draw(st.integers(1, 3))
+def scenarios(draw, shapes=SHAPES):
+    n_devices, n_tasks = draw(shapes)
     devices = [(draw(_CPU), 1e-28) for _ in range(n_devices)]
     channels = [(1e6, draw(_NOISE), 1.0, 0.0, 1e9) for _ in range(n_devices)]
     tasks = [(draw(st.integers(0, n_devices - 1)), draw(_BITS), draw(_CYCLES))
-             for _ in range(draw(st.integers(1, 6)))]
+             for _ in range(n_tasks)]
     return scenario(devices, tasks, channels)
 
 
@@ -150,18 +154,18 @@ class TestMatchesReference:
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 10_000), st.booleans(), greedy_configs)
     def test_sampled_scenarios(self, seed, balanced, cfg):
-        spec = balanced_spec(seed) if balanced else ScenarioSpec(seed=seed)
-        sc = generate_scenario(replace(spec, n_devices=2, tasks_per_device=4))
+        spec = balanced_spec() if balanced else ScenarioSpec()
+        sc = generate_scenario(replace(spec, n_devices=2, tasks_per_device=4), [seed])
         assert_matches_frozen(sc, cfg)
 
     def test_scenario_carries_its_spectral_config(self):
         spectral = SpectralConfig(snr_linear=30.0, subcarrier_spacing_hz=15e3)
-        spec = ScenarioSpec(seed=4)
-        sc = generate_scenario(spec, spectral)
+        spec = ScenarioSpec()
+        sc = generate_scenario(spec, [4], spectral)
         got = optimize(sc, GreedyConfig())
         assert_same_solution(got, reference_greedy.optimize(
             sc, FrozenGreedyConfig(), SpectralEfficiencyCache(spectral)), sc, GreedyConfig())
-        default = optimize(generate_scenario(spec), GreedyConfig())
+        default = optimize(generate_scenario(spec, [4]), GreedyConfig())
         assert got.per_task_energy.tolist() != default.per_task_energy.tolist()
         assert not np.array_equal(got.trace_totals, default.trace_totals)
 
@@ -192,13 +196,13 @@ class TestLazyPickOrder:
             assert len(got.trace_picks) == len(picks)
 
 
-def _frozen_build_dataset(specs, gcfg, spectral_config):
+def _frozen_build_dataset(spec, seeds, gcfg, spectral_config):
     """The frozen per-scenario dataset loop, labelled by the frozen greedy."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(reference_datagen, "greedy_mod", SimpleNamespace(
             GreedyConfig=GreedyConfig,
             optimize=lambda scenario, config, cache: frozen_optimize(scenario, config)))
-        return reference_datagen.build_dataset(specs, gcfg, spectral_config)
+        return frozen_build_dataset(spec, seeds, gcfg, spectral_config)
 
 
 def _run_cli(monkeypatch, reference: bool, args, out):
@@ -247,7 +251,7 @@ class TestCliBytesMatchReference:
         assert got_total == math.fsum(got_solution["per_task_energy_j"]) == got_totals.min()
 
     def test_balanced_gen_data(self, tmp_path, monkeypatch):
-        spec = balanced_spec(0)
+        spec = balanced_spec()
         ranges = {name: list(getattr(spec, name))
                   for name in ("cycles_per_bit", "cpu_freq_hz", "carrier_freq_hz",
                                "noise_var_w")}
@@ -277,8 +281,8 @@ class TestClosedFormOptimum:
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 10_000), st.integers(1, 4), st.integers(1, 8))
     def test_default_ranges_reach_the_optimum(self, seed, n_devices, tasks_per_device):
-        sc = generate_scenario(ScenarioSpec(seed=seed, n_devices=n_devices,
-                                            tasks_per_device=tasks_per_device))
+        sc = generate_scenario(ScenarioSpec(n_devices=n_devices,
+                                            tasks_per_device=tasks_per_device), [seed])
         local, offload = task_energy_endpoints(sc)
         assert np.all(offload < local)  # offloading everything is optimal
         sol = optimize(sc, GreedyConfig())
@@ -319,7 +323,7 @@ class TestNamedDifference:
 class TestEdgeCases:
     @pytest.mark.parametrize("init_ratio, levels", [(1.0, 1), (1.0 - 1e-13, 2)])
     def test_init_ratio_at_or_next_to_one(self, init_ratio, levels):
-        sc = generate_scenario(ScenarioSpec(seed=4, n_devices=2, tasks_per_device=3))
+        sc = generate_scenario(ScenarioSpec(n_devices=2, tasks_per_device=3), [4])
         cfg = GreedyConfig(init_ratio=init_ratio)
         sol = optimize(sc, cfg)
         assert sol.ladder_energy.shape == (6, levels)
@@ -330,12 +334,12 @@ class TestEdgeCases:
 
     @pytest.mark.parametrize("init_ratio", [0.0, 0.5, 0.99])
     def test_step_one(self, init_ratio):
-        for spec in (ScenarioSpec(seed=5), balanced_spec(5)):
-            assert_matches_frozen(generate_scenario(spec), GreedyConfig(init_ratio, 1.0))
+        for spec in (ScenarioSpec(), balanced_spec()):
+            assert_matches_frozen(generate_scenario(spec, [5]), GreedyConfig(init_ratio, 1.0))
 
     def test_a_step_that_no_longer_moves_the_ratio(self):
         # 4 tasks x 1,000,002 nominal levels, within the cap; the ladder stops at two
-        sc = generate_scenario(ScenarioSpec(seed=7, n_devices=2, tasks_per_device=2))
+        sc = generate_scenario(ScenarioSpec(n_devices=2, tasks_per_device=2), [7])
         cfg = GreedyConfig(init_ratio=1.0 - 1e-11, step=1e-17)
         sol = optimize(sc, cfg)
         assert sol.termination == TERMINATION_SATURATED
@@ -343,8 +347,8 @@ class TestEdgeCases:
         assert_matches_frozen(sc, cfg)
 
     def test_zero_energy_tasks(self):
-        spec = ScenarioSpec(seed=6, n_devices=2, tasks_per_device=3)
-        sc = generate_scenario(replace(spec, data_bits=(0.0, 0.0)))
+        spec = ScenarioSpec(n_devices=2, tasks_per_device=3)
+        sc = generate_scenario(replace(spec, data_bits=(0.0, 0.0)), [6])
         sol = optimize(sc, GreedyConfig())
         assert sol.termination == TERMINATION_SATURATED
         assert sol.trace_totals.tolist() == [0.0, 0.0]
@@ -393,15 +397,19 @@ class TestEdgeCases:
     # two-, five- and three-level ladders
     @pytest.mark.parametrize("init_ratio, step", [(0.0, 1.0), (0.0, 0.3), (0.5, 0.25)])
     def test_packed_groups_are_solved_alone(self, monkeypatch, init_ratio, step):
-        groups = [([2.0, 2.0], [1.0, 3.0]), ([2.0, 2.0], [3.0, 1.0]),
-                  ([1.0, 3.0, 3.0], [2.0, 0.5, 4.0]), ([5.0] * 3, [1.0] * 3), ([1.0], [1.0])]
+        # groups of one size are packed together: two of 2 tasks, two of 3, one of 1
+        packs = [[([2.0, 2.0], [1.0, 3.0]), ([2.0, 2.0], [3.0, 1.0])],
+                 [([1.0, 3.0, 3.0], [2.0, 0.5, 4.0]), ([5.0] * 3, [1.0] * 3)],
+                 [([1.0], [1.0])]]
         cfg = GreedyConfig(init_ratio=init_ratio, step=step)
-        sc = _columns(monkeypatch, [e for local, _ in groups for e in local],
-                      [e for _, offload in groups for e in offload])
-        ratios, energy = greedy.optimize_packed(sc, [len(local) for local, _ in groups], cfg)
-        alone = [optimize(_columns(monkeypatch, *group), cfg) for group in groups]
-        assert ratios.tolist() == [r for sol in alone for r in sol.offload_ratios.tolist()]
-        assert energy.tolist() == [e for sol in alone for e in sol.per_task_energy.tolist()]
+        for groups in packs:
+            sc = _columns(monkeypatch, [e for local, _ in groups for e in local],
+                          [e for _, offload in groups for e in offload])
+            ratios, energy = greedy.optimize_packed(sc, len(groups), cfg)
+            alone = [optimize(_columns(monkeypatch, *group), cfg) for group in groups]
+            assert ratios.tolist() == [r for sol in alone for r in sol.offload_ratios.tolist()]
+            assert energy.tolist() == [e for sol in alone
+                                       for e in sol.per_task_energy.tolist()]
 
     def test_a_total_past_the_float_range_is_inf(self, monkeypatch):
         # the second bump raises task 1 and the exact total passes the range
@@ -448,10 +456,11 @@ class TestPruning:
     whose first bump fails, get ladder rows; the others keep the start."""
 
     @settings(max_examples=200, deadline=None)
-    @given(st.lists(scenarios(), min_size=1, max_size=4), greedy_configs)
+    @given(SHAPES.flatmap(lambda shape: st.lists(scenarios(st.just(shape)),
+                                                 min_size=1, max_size=4)), greedy_configs)
     def test_packed_groups_give_the_bytes_of_each_alone(self, scs, cfg):
         ratios, energy, evaluations, saturated = greedy._descend(
-            _pack(scs), [len(sc.tasks) for sc in scs], cfg)[:4]
+            _pack(scs), len(scs), cfg)[:4]
         alone = [optimize(sc, cfg) for sc in scs]
         assert ratios.tobytes() == np.concatenate([s.offload_ratios for s in alone]).tobytes()
         assert energy.tobytes() == np.concatenate([s.per_task_energy for s in alone]).tobytes()
@@ -488,36 +497,39 @@ class TestPruning:
         assert_matches_frozen(sc, cfg)
 
     def test_the_stop_is_found_among_live_rows_of_each_group(self, monkeypatch, built_rows):
+        # every first bump fails; none fails; an improving start ties A; two
+        # failing starts tie A
         groups = [([1.0, 3.0, 2.0], [5.0, 5.0, 5.0]), ([3.0, 2.0, 1.0], [0.0, 0.0, 0.0]),
-                  ([2.0, 2.0, 1.0], [1.0, 3.0, 0.5]), ([1.0], [2.0])]
+                  ([2.0, 2.0, 1.0], [1.0, 3.0, 0.5]), ([2.0, 1.0, 2.0], [3.0, 0.5, 3.0])]
         sc = _columns(monkeypatch, [e for local, _ in groups for e in local],
                       [e for _, offload in groups for e in offload])
         cfg = GreedyConfig(init_ratio=0.0, step=0.5)
-        ratios, _, evaluations, saturated = greedy._descend(sc, [3, 3, 3, 1], cfg)[:4]
-        assert built_rows == [10, 1 + 3 + 2 + 1]
-        assert ratios.tolist() == [0.0] * 3 + [1.0] * 3 + [0.5, 0.0, 0.0, 0.0]
+        ratios, _, evaluations, saturated = greedy._descend(sc, 4, cfg)[:4]
+        assert built_rows == [12, 1 + 3 + 2 + 2]
+        assert ratios.tolist() == [0.0] * 3 + [1.0] * 3 + [0.5, 0.0, 0.0] + [0.0] * 3
         assert evaluations.tolist() == [2, 7, 3, 2]
         assert saturated.tolist() == [True, False, True, True]
+        for group in groups:
+            assert_matches_frozen(_columns(monkeypatch, *group), cfg)
 
     @pytest.mark.parametrize("balanced, pruned", [(True, True), (False, False)])
     def test_rows_built_for_a_batch_of_25(self, built_rows, balanced, pruned):
-        specs = [balanced_spec(seed) if balanced else ScenarioSpec(seed=seed)
-                 for seed in range(25)]
-        greedy.optimize_packed(generate_scenario(specs), [50] * 25, GreedyConfig())
+        spec = balanced_spec() if balanced else ScenarioSpec()
+        greedy.optimize_packed(generate_scenario(spec, range(25)), 25, GreedyConfig())
         assert built_rows[0] == 1250
         assert (built_rows[1] < 1250) is pruned
         assert len(built_rows) == 2
 
     def test_a_large_optimize_builds_its_matrix_once(self, built_rows):
-        sol = optimize(generate_scenario(ScenarioSpec(seed=1, n_devices=50,
-                                                      tasks_per_device=40)), GreedyConfig())
+        sol = optimize(generate_scenario(ScenarioSpec(n_devices=50, tasks_per_device=40),
+                                         [1]), GreedyConfig())
         assert sol.termination == TERMINATION_CONVERGED
         assert len(sol.trace_totals) == sol.evaluations
         assert built_rows == [2000, 2000]
 
     def test_a_pruned_optimize_builds_the_trace_ladder_on_first_read(self, built_rows):
-        spec = replace(balanced_spec(0), n_devices=50, tasks_per_device=40)
-        sc = generate_scenario(spec)
+        spec = replace(balanced_spec(), n_devices=50, tasks_per_device=40)
+        sc = generate_scenario(spec, [0])
         sol = optimize(sc, GreedyConfig())
         assert sol.termination == TERMINATION_SATURATED
         assert built_rows[0] == 2000 > built_rows[1]

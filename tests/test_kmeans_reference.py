@@ -98,7 +98,7 @@ def both(points, k, seed, restarts, forced=False):
 
 @functools.cache
 def balanced_dataset():
-    return build_dataset([balanced_spec(700 + i) for i in range(30)])
+    return build_dataset(balanced_spec(), range(700, 730))
 
 
 def balanced_rows(d: int) -> np.ndarray:
