@@ -3,7 +3,8 @@
 Scenarios are drawn from per-field uniform ranges with a seeded generator;
 a degenerate range (lo == hi) pins the field while keeping the draw stream
 aligned, so two specs that differ only in a pinned value produce otherwise
-identical scenarios.  All uniforms of a scenario come from one
+identical scenarios.  A device's draws, compute and uplink alike, fill one
+`DEVICE_DTYPE` row in draw order.  All uniforms of a scenario come from one
 ``rng.random`` block, mapped as ``lo + (hi - lo) * u``; that is exactly what
 one scalar ``rng.uniform`` draw per field computes, so the values match the
 field-by-field stream bit for bit.
@@ -29,7 +30,7 @@ import numpy as np
 
 from . import greedy as greedy_mod
 from .features import CANONICAL_FEATURES, Dataset
-from .model import _MAY_BE_ZERO, CHANNEL_DTYPE, DEVICE_DTYPE, TASK_DTYPE, Scenario
+from .model import _MAY_BE_ZERO, DEVICE_DTYPE, TASK_DTYPE, Scenario
 # calc_se stays importable here: perfbench/selftest.py checks this import site
 from .spectral import SpectralConfig, calc_se  # noqa: F401
 
@@ -43,9 +44,9 @@ Range = tuple[float, float]
 # the worst case: default ranges, where every row is built.
 BATCH_CELLS = 1 << 16
 
-# every sampled field in draw order: a device's device and channel fields in
-# record order, then a task's data_bits and cycles_per_bit
-SAMPLED_FIELDS = DEVICE_DTYPE.names + CHANNEL_DTYPE.names + TASK_DTYPE.names[1:]
+# every sampled field in draw order: a device's fields in record order, then
+# a task's data_bits and cycles_per_bit
+SAMPLED_FIELDS = DEVICE_DTYPE.names + TASK_DTYPE.names[1:]
 
 
 @dataclass(frozen=True)
@@ -87,29 +88,30 @@ class ScenarioSpec:
 
 def generate_scenario(spec: ScenarioSpec, seeds: Sequence[int],
                       spectral_config: SpectralConfig | None = None) -> Scenario:
-    """Sample devices, channels, and tasks from the spec's ranges, once per seed.
+    """Sample devices and tasks from the spec's ranges, once per seed.
 
-    Per device the draw order is: cpu_freq, energy_coeff, bandwidth, noise,
-    gain, speed, carrier; then data_bits and cycles_per_bit per task.  Every
-    field consumes one draw, even a pinned one.  Each seed draws its own
-    block, and the one scenario returned holds the seeds' devices in
-    order, with each task's device id offset to match.  The columns of the
-    scenario's record arrays are sliced straight out of the draw blocks.
+    Per device the draw order is: cpu_freq_hz, energy_coeff, bandwidth_hz,
+    noise_var_w, gain, speed_mps, carrier_freq_hz; then data_bits and
+    cycles_per_bit per task.  Every field consumes one draw, even a pinned
+    one.  Each seed draws its own block, and the one scenario returned
+    holds the seeds' devices in order, with each task's device id offset
+    to match.  The columns of the scenario's record arrays are sliced
+    straight out of the draw blocks.
     """
+    if len(seeds) == 0:
+        raise ValueError("no scenarios given")
     cfg = spectral_config if spectral_config is not None else SpectralConfig()
-    d, c = len(DEVICE_DTYPE), len(DEVICE_DTYPE) + len(CHANNEL_DTYPE)
-    # a device's row: its device and channel fields, then the task fields
-    # once per task
-    cells = spec.n_devices * (c + 2 * spec.tasks_per_device)
+    # a device's row: its device fields, then the task fields once per task
+    d = len(DEVICE_DTYPE)
+    cells = spec.n_devices * (d + 2 * spec.tasks_per_device)
     u = np.concatenate([np.random.default_rng(seed).random(cells)
                         for seed in seeds]).reshape(len(seeds) * spec.n_devices, -1)
     lo, hi = np.array([getattr(spec, f) for f in SAMPLED_FIELDS]).T
-    per_device = lo[:c] + (hi[:c] - lo[:c]) * u[:, :c]
-    per_task = lo[c:] + (hi[c:] - lo[c:]) * u[:, c:].reshape(-1, 2)
+    per_device = lo[:d] + (hi[:d] - lo[:d]) * u[:, :d]
+    per_task = lo[d:] + (hi[d:] - lo[d:]) * u[:, d:].reshape(-1, 2)
     device_ids = np.arange(len(per_device)).repeat(spec.tasks_per_device)
     return Scenario(
-        devices=np.rec.fromarrays(per_device[:, :d].T, dtype=DEVICE_DTYPE),
-        channels=np.rec.fromarrays(per_device[:, d:].T, dtype=CHANNEL_DTYPE),
+        devices=np.rec.fromarrays(per_device.T, dtype=DEVICE_DTYPE),
         tasks=np.rec.fromarrays((device_ids, *per_task.T), dtype=TASK_DTYPE),
         spectral_config=cfg)
 
@@ -130,12 +132,12 @@ def _label(spec, seeds, X, y, gcfg, spectral_config) -> None:
             _label(spec, [seed], X[i * n:(i + 1) * n], y[i * n:(i + 1) * n],
                    gcfg, spectral_config)
         return
-    tasks, devices, channels = scenario.tasks, scenario.devices, scenario.channels
+    tasks, devices = scenario.tasks, scenario.devices
     dev = tasks.device_id
     for j, column in enumerate((
-            tasks.data_bits, ratios, channels.speed_mps[dev],
-            channels.carrier_freq_hz[dev], tasks.cycles_per_bit,
-            devices.cpu_freq_hz[dev], channels.bandwidth_hz[dev])):
+            tasks.data_bits, ratios, devices.speed_mps[dev],
+            devices.carrier_freq_hz[dev], tasks.cycles_per_bit,
+            devices.cpu_freq_hz[dev], devices.bandwidth_hz[dev])):
         X[:, j] = column
     y[:] = energy
 
@@ -150,9 +152,9 @@ def build_dataset(spec: ScenarioSpec, seeds: Sequence[int],
     (plus the spec's pinned constants) reproduces the target.  Seeds are
     solved in batches of at most `BATCH_CELLS` ladder cells.
     """
-    gcfg = greedy_config if greedy_config is not None else greedy_mod.GreedyConfig()
-    if not seeds:
+    if len(seeds) == 0:
         raise ValueError("no scenarios given")
+    gcfg = greedy_config if greedy_config is not None else greedy_mod.GreedyConfig()
     n = spec.n_tasks
     X, y = np.empty((len(seeds) * n, len(CANONICAL_FEATURES))), np.empty(len(seeds) * n)
     batch = max(1, BATCH_CELLS // (n * gcfg.nominal_levels))

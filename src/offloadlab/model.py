@@ -8,12 +8,13 @@ uplink cost follows from the spectral efficiency of the channel, and the
 edge server itself contributes nothing to the device's bill, so total cost
 is uplink plus local compute.
 
-A `Scenario` holds three numpy record arrays, `devices`, index-aligned
-`channels` and `tasks`: `scenario.tasks.data_bits` is a column, `tasks[i]`
-one task.  `task_energy_endpoints` prices every task over these columns, in
-the operation order of the frozen per-task loop in tests/reference_datagen.py.
-A scenario is built from record arrays of exactly `DEVICE_DTYPE`,
-`CHANNEL_DTYPE` and `TASK_DTYPE`; anything else is a ValueError.
+A `Scenario` holds two numpy record arrays, `devices` and `tasks`: a device
+row carries its CPU and its uplink (bandwidth, noise, gain, speed,
+carrier), `scenario.tasks.data_bits` is a column, `tasks[i]` one task.
+`task_energy_endpoints` prices every task over these columns, in the
+operation order of the frozen per-task loop in tests/reference_datagen.py.
+A scenario is built from record arrays of exactly `DEVICE_DTYPE` and
+`TASK_DTYPE`; anything else is a ValueError.
 
 All quantities are SI: bits, Hz, joules, watts, m/s.
 """
@@ -26,9 +27,9 @@ import numpy as np
 
 from .spectral import SE_MAX, SpectralConfig, calc_se
 
-DEVICE_DTYPE = np.dtype([("cpu_freq_hz", float), ("energy_coeff", float)])
-CHANNEL_DTYPE = np.dtype([(name, float) for name in (
-    "bandwidth_hz", "noise_var_w", "gain", "speed_mps", "carrier_freq_hz")])
+DEVICE_DTYPE = np.dtype([(name, float) for name in (
+    "cpu_freq_hz", "energy_coeff", "bandwidth_hz", "noise_var_w", "gain", "speed_mps",
+    "carrier_freq_hz")])
 TASK_DTYPE = np.dtype([("device_id", np.intp), ("data_bits", float),
                        ("cycles_per_bit", float)])
 
@@ -53,19 +54,15 @@ def _check(name: str, array, dtype: np.dtype) -> np.recarray:
 
 @dataclass(frozen=True, eq=False)
 class Scenario:
-    """Device, channel (index-aligned with the devices) and task records."""
+    """Device (compute and uplink) and task records."""
 
     devices: np.recarray
     tasks: np.recarray
-    channels: np.recarray
     spectral_config: SpectralConfig
 
     def __post_init__(self):
-        for name, dtype in (("devices", DEVICE_DTYPE), ("channels", CHANNEL_DTYPE),
-                            ("tasks", TASK_DTYPE)):
+        for name, dtype in (("devices", DEVICE_DTYPE), ("tasks", TASK_DTYPE)):
             object.__setattr__(self, name, _check(name, getattr(self, name), dtype))
-        if len(self.channels) != len(self.devices):
-            raise ValueError("need exactly one channel per device")
         if len(self.tasks) and self.tasks.device_id.max() >= len(self.devices):
             raise ValueError("a task references an unknown device")
 
@@ -104,9 +101,9 @@ def task_energy_endpoints(scenario: Scenario) -> tuple[np.ndarray, np.ndarray]:
     shipped = bits != 0.0
     power = np.zeros(len(devices))
     rate = np.ones(len(devices))
-    channels = scenario.channels.tolist()  # plain tuples; a record row is slow
+    rows = devices.tolist()  # plain tuples; a record row is slow
     for d in set(dev[shipped].tolist()):
-        bandwidth, noise, gain, speed, carrier = channels[d]
+        _, _, bandwidth, noise, gain, speed, carrier = rows[d]
         se = calc_se(speed, carrier, scenario.spectral_config)
         power[d] = tx_power(se, noise, gain)
         rate[d] = bandwidth * se

@@ -6,7 +6,9 @@ record arrays only and has none of them.  The oracle is imported with
 stand-ins set on the model and removed again: plain records without
 validation, and the transmit power of a channel row.  Its `Scenario` is
 then a builder that turns the sequences of records it samples into the
-model's record arrays, field by field in dtype order.
+model's record arrays, field by field in dtype order, each device's row
+from its Device and Channel records, and hands back the scenario as the
+oracle reads it (`helpers.frozen_view`).
 
 `reference_greedy` imports `TERMINATION_ITER_CAPPED` from
 `offloadlab.greedy`, which has no iteration cap and no such end.  It is
@@ -24,6 +26,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from helpers import frozen_view
 from offloadlab import cluster, greedy, model
 
 STAND_INS = {
@@ -36,14 +39,16 @@ STAND_INS = {
 
 
 def scenario_of_records(devices, tasks, channels, spectral_config):
-    """`model.Scenario` of sequences of records with the dtypes' field names."""
+    """`model.Scenario` of sequences of records with the dtypes' field names,
+    a device's row joining its Device and Channel records, seen through
+    `frozen_view`."""
     def array(records, dtype):
-        return np.array([tuple(getattr(r, name) for name in dtype.names) for r in records],
-                        dtype)
-    return model.Scenario(devices=array(devices, model.DEVICE_DTYPE),
-                          tasks=array(tasks, model.TASK_DTYPE),
-                          channels=array(channels, model.CHANNEL_DTYPE),
-                          spectral_config=spectral_config)
+        return np.array([tuple(r[name] for name in dtype.names) for r in records], dtype)
+    return frozen_view(model.Scenario(
+        devices=array([{**vars(d), **vars(c)} for d, c in zip(devices, channels, strict=True)],
+                      model.DEVICE_DTYPE),
+        tasks=array([vars(t) for t in tasks], model.TASK_DTYPE),
+        spectral_config=spectral_config))
 
 
 with pytest.MonkeyPatch.context() as mp:

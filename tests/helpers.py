@@ -10,7 +10,7 @@ import pytest
 
 from offloadlab import Scenario, ScenarioSpec, SpectralConfig, model
 from offloadlab.greedy import GreedyConfig
-from offloadlab.model import CHANNEL_DTYPE, DEVICE_DTYPE, TASK_DTYPE
+from offloadlab.model import DEVICE_DTYPE, TASK_DTYPE
 
 # Constants of the worked single-task example used across model tests.
 EX_DATA_BITS = 8e6
@@ -35,26 +35,31 @@ def priced_at(se: float):
         yield
 
 
-def scenario(devices, tasks, channels) -> Scenario:
+def scenario(devices, tasks) -> Scenario:
     """A scenario of rows written as tuples in dtype field order: a device is
-    (cpu_freq_hz, energy_coeff), a task (device_id, data_bits,
-    cycles_per_bit) and a channel (bandwidth_hz, noise_var_w, gain,
-    speed_mps, carrier_freq_hz)."""
+    (cpu_freq_hz, energy_coeff, bandwidth_hz, noise_var_w, gain, speed_mps,
+    carrier_freq_hz) and a task (device_id, data_bits, cycles_per_bit)."""
     return Scenario(devices=np.array(list(devices), dtype=DEVICE_DTYPE),
                     tasks=np.array(list(tasks), dtype=TASK_DTYPE),
-                    channels=np.array(list(channels), dtype=CHANNEL_DTYPE),
                     spectral_config=SpectralConfig())
 
 
-def example_device() -> tuple:
-    return (EX_CPU_HZ, EX_ENERGY_COEFF)
+def frozen_view(scenario) -> SimpleNamespace:
+    """`scenario` as the frozen oracles read it.  They look a device's
+    uplink up in `channels[device_id]`; a device row has every field that
+    their channel record had, so the devices serve as the channels too."""
+    return SimpleNamespace(devices=scenario.devices, tasks=scenario.tasks,
+                           channels=scenario.devices,
+                           spectral_config=scenario.spectral_config)
 
 
-def example_channel(**kw) -> tuple:
-    base = dict(bandwidth_hz=EX_BANDWIDTH, noise_var_w=EX_NOISE, gain=EX_GAIN,
+def example_device(**kw) -> tuple:
+    """The worked example's device on a static channel, with `kw` set."""
+    base = dict(cpu_freq_hz=EX_CPU_HZ, energy_coeff=EX_ENERGY_COEFF,
+                bandwidth_hz=EX_BANDWIDTH, noise_var_w=EX_NOISE, gain=EX_GAIN,
                 speed_mps=0.0, carrier_freq_hz=1e9)
     base.update(kw)
-    return tuple(base[name] for name in CHANNEL_DTYPE.names)
+    return tuple(base[name] for name in DEVICE_DTYPE.names)
 
 
 def example_task(data_bits: float = EX_DATA_BITS, dev_id: int = 0) -> tuple:
@@ -64,12 +69,11 @@ def example_task(data_bits: float = EX_DATA_BITS, dev_id: int = 0) -> tuple:
 def small_scenario(noise_var_w: float = EX_NOISE) -> Scenario:
     """Two devices, three tasks, static channels."""
     return scenario(
-        devices=[example_device(), (5e8, 2e-28)],
+        devices=[example_device(noise_var_w=noise_var_w),
+                 example_device(cpu_freq_hz=5e8, energy_coeff=2e-28, noise_var_w=noise_var_w,
+                                bandwidth_hz=2e6, carrier_freq_hz=2e9)],
         tasks=[example_task(dev_id=0, data_bits=4e6), example_task(dev_id=0, data_bits=2e6),
-               (1, 6e6, 700.0)],
-        channels=[example_channel(noise_var_w=noise_var_w),
-                  example_channel(noise_var_w=noise_var_w, bandwidth_hz=2e6,
-                                  carrier_freq_hz=2e9)])
+               (1, 6e6, 700.0)])
 
 
 def balanced_spec() -> ScenarioSpec:
@@ -112,7 +116,6 @@ def frozen_generate_scenario(spec: ScenarioSpec, seeds: Sequence[int],
     tasks = np.concatenate([part.tasks for part in parts])
     tasks["device_id"] += np.arange(len(parts)).repeat(spec.n_tasks) * spec.n_devices
     return Scenario(devices=np.concatenate([part.devices for part in parts]), tasks=tasks,
-                    channels=np.concatenate([part.channels for part in parts]),
                     spectral_config=parts[0].spectral_config)
 
 

@@ -31,7 +31,7 @@ from offloadlab.features import (PRIMARY_FEATURES, Dataset,
                                  split_dataset)
 from offloadlab import model
 from offloadlab.greedy import GreedyConfig, optimize, task_energy_endpoints
-from offloadlab.model import CHANNEL_DTYPE, DEVICE_DTYPE, TASK_DTYPE, Scenario, energy_at
+from offloadlab.model import DEVICE_DTYPE, TASK_DTYPE, Scenario, energy_at
 from offloadlab.spectral import SpectralConfig
 
 from helpers import balanced_spec
@@ -166,7 +166,7 @@ def test_criterion_01_energy_formulas():
     t0 = time.perf_counter()
     rng = np.random.default_rng(11)
     # every draw is one task on its own device, whose carrier keys its se
-    devices, tasks, channels, ses, ratios, want_energy = [], [], [], {}, [], []
+    devices, tasks, ses, ratios, want_energy = [], [], {}, [], []
     for i in range(1000):
         ratio = float(rng.uniform(0.0, 1.0))
         bits = float(rng.uniform(0.0, 1e8))
@@ -178,9 +178,8 @@ def test_criterion_01_energy_formulas():
         gain = float(rng.uniform(0.5, 1.5))
         se = float(rng.uniform(0.1, 20.0))
 
-        devices.append((cpu, coeff))
+        devices.append((cpu, coeff, bandwidth, noise, gain, 0.0, 1e9 + i))
         tasks.append((i, bits, cycles))
-        channels.append((bandwidth, noise, gain, 0.0, 1e9 + i))
         ses[1e9 + i] = se
         ratios.append(ratio)
 
@@ -192,7 +191,6 @@ def test_criterion_01_energy_formulas():
 
     scenario = Scenario(devices=np.array(devices, dtype=DEVICE_DTYPE),
                         tasks=np.array(tasks, dtype=TASK_DTYPE),
-                        channels=np.array(channels, dtype=CHANNEL_DTYPE),
                         spectral_config=SpectralConfig())
     ratios = np.array(ratios)
     with pytest.MonkeyPatch.context() as mp:
@@ -238,9 +236,9 @@ def test_criterion_03_greedy_vs_grid_optimum():
         bits = [float(rng.uniform(1e6, 8e6)) for _ in range(2)]
         cycles = [float(rng.uniform(500.0, 1500.0)) for _ in range(2)]
         scenario = Scenario(
-            devices=np.array([(cpu, 1e-28)], dtype=DEVICE_DTYPE),
+            devices=np.array([(cpu, 1e-28, 1e6, noise, 1.0, speed, carrier)],
+                             dtype=DEVICE_DTYPE),
             tasks=np.array([(0, bits[i], cycles[i]) for i in range(2)], dtype=TASK_DTYPE),
-            channels=np.array([(1e6, noise, 1.0, speed, carrier)], dtype=CHANNEL_DTYPE),
             spectral_config=SpectralConfig(),
         )
         at_zero, at_one = task_energy_endpoints(scenario)

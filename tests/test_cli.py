@@ -12,6 +12,7 @@ import pytest
 
 import offloadlab
 import reference_datagen
+from helpers import frozen_view
 from offloadlab import cluster, datagen, features, model
 from offloadlab.cli import cmd_gen_data, main
 from offloadlab.cluster import load_model
@@ -392,7 +393,7 @@ class TestSweeps:
             sc = datagen.generate_scenario(replace(cfg.scenario, data_bits=(size, size)),
                                            [cfg.seed], cfg.spectral)
             local, _ = reference_datagen.task_energy_endpoints(
-                sc, SpectralEfficiencyCache(cfg.spectral))
+                frozen_view(sc), SpectralEfficiencyCache(cfg.spectral))
             assert row[2] == repr(float(local.sum()))
 
     def test_serial_datasize_reruns_match_in_grid_order(self, tmp_path):

@@ -1,9 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 
-from offloadlab.datagen import ScenarioSpec, build_dataset, generate_scenario
+from offloadlab.datagen import SAMPLED_FIELDS, ScenarioSpec, build_dataset, generate_scenario
 from offloadlab.features import CANONICAL_FEATURES
-from offloadlab.model import tx_power
+from offloadlab.model import DEVICE_DTYPE, TASK_DTYPE, tx_power
 from offloadlab.spectral import calc_se
 
 from helpers import (BALANCED_ENERGY_COEFF, BALANCED_GAIN, BALANCED_NOISE_VAR,
@@ -43,13 +45,12 @@ class TestGenerateScenario:
         spec = ScenarioSpec(n_devices=3, tasks_per_device=4)
         sc = generate_scenario(spec, [2])
         assert len(sc.devices) == 3
-        assert len(sc.channels) == 3
         assert len(sc.tasks) == 12
         assert sc.tasks.device_id.tolist() == [0] * 4 + [1] * 4 + [2] * 4
 
     def test_deterministic_per_seed(self):
         def columns(sc):
-            return [getattr(sc, name).tobytes() for name in ("devices", "channels", "tasks")]
+            return [getattr(sc, name).tobytes() for name in ("devices", "tasks")]
 
         spec = ScenarioSpec()
         a = generate_scenario(spec, [7])
@@ -63,9 +64,9 @@ class TestGenerateScenario:
                             carrier_freq_hz=(2e9, 4e9))
         sc = generate_scenario(spec, [3])
         assert np.all((1e9 <= sc.devices.cpu_freq_hz) & (sc.devices.cpu_freq_hz <= 2e9))
-        assert np.all((50.0 <= sc.channels.speed_mps) & (sc.channels.speed_mps <= 60.0))
-        assert np.all((2e9 <= sc.channels.carrier_freq_hz)
-                      & (sc.channels.carrier_freq_hz <= 4e9))
+        assert np.all((50.0 <= sc.devices.speed_mps) & (sc.devices.speed_mps <= 60.0))
+        assert np.all((2e9 <= sc.devices.carrier_freq_hz)
+                      & (sc.devices.carrier_freq_hz <= 4e9))
         assert np.all((2e6 <= sc.tasks.data_bits) & (sc.tasks.data_bits <= 3e6))
         assert np.all((800.0 <= sc.tasks.cycles_per_bit) & (sc.tasks.cycles_per_bit <= 900.0))
 
@@ -74,16 +75,16 @@ class TestGenerateScenario:
                             noise_var_w=(2e-13, 2e-13))
         sc = generate_scenario(spec, [4])
         assert all(d.cpu_freq_hz == 1e9 for d in sc.devices)
-        assert all(ch.gain == 0.25 for ch in sc.channels)
-        assert all(ch.noise_var_w == 2e-13 for ch in sc.channels)
+        assert all(d.gain == 0.25 for d in sc.devices)
+        assert all(d.noise_var_w == 2e-13 for d in sc.devices)
 
     def test_tx_power_matches_channel(self):
-        # the power is no longer stored; each channel row implies it
+        # the power is not stored; each device row's uplink implies it
         sc = generate_scenario(ScenarioSpec(), [5])
-        for ch in sc.channels:
-            se = calc_se(ch.speed_mps, ch.carrier_freq_hz, sc.spectral_config)
-            expected = (2.0 ** se - 1.0) * ch.noise_var_w / ch.gain
-            assert tx_power(se, ch.noise_var_w, ch.gain) == expected
+        for d in sc.devices:
+            se = calc_se(d.speed_mps, d.carrier_freq_hz, sc.spectral_config)
+            expected = (2.0 ** se - 1.0) * d.noise_var_w / d.gain
+            assert tx_power(se, d.noise_var_w, d.gain) == expected
 
     def test_pinning_one_range_leaves_other_draws_alone(self):
         # a pinned range must consume its draw so the rest of the stream
@@ -93,7 +94,6 @@ class TestGenerateScenario:
         for a, b in zip(free.devices, pinned.devices):
             assert a.cpu_freq_hz == b.cpu_freq_hz
             assert a.energy_coeff == b.energy_coeff
-        for a, b in zip(free.channels, pinned.channels):
             assert b.speed_mps == 250.0
             assert a.carrier_freq_hz == b.carrier_freq_hz
         for a, b in zip(free.tasks, pinned.tasks):
@@ -115,11 +115,11 @@ class TestBuildDataset:
         row = ds.X[0]
         names = list(ds.feature_names)
         assert row[names.index("TaskSize")] == sc.tasks[0].data_bits
-        assert row[names.index("Speed")] == sc.channels[0].speed_mps
-        assert row[names.index("CarrierFrequency")] == sc.channels[0].carrier_freq_hz
+        assert row[names.index("Speed")] == sc.devices[0].speed_mps
+        assert row[names.index("CarrierFrequency")] == sc.devices[0].carrier_freq_hz
         assert row[names.index("CyclesPerBit")] == sc.tasks[0].cycles_per_bit
         assert row[names.index("CpuFreq")] == sc.devices[0].cpu_freq_hz
-        assert row[names.index("Bandwidth")] == sc.channels[0].bandwidth_hz
+        assert row[names.index("Bandwidth")] == sc.devices[0].bandwidth_hz
 
     def test_ratios_start_at_half_and_climb(self):
         ds = build_dataset(balanced_spec(), [100])
@@ -148,3 +148,35 @@ class TestBuildDataset:
     def test_no_seeds_rejected(self):
         with pytest.raises(ValueError, match="no scenarios given"):
             build_dataset(ScenarioSpec(), [])
+
+
+class TestSeedArrays:
+    """Seeds may come as any sequence, numpy arrays included."""
+
+    SPEC = ScenarioSpec(n_devices=2, tasks_per_device=3)
+
+    @pytest.mark.parametrize("seeds", [[0], [0, 1, 2]], ids=["one", "three"])
+    def test_an_array_of_seeds_is_a_list_of_them(self, seeds):
+        got, want = (build_dataset(self.SPEC, s) for s in (np.array(seeds), seeds))
+        assert got.X.tobytes() == want.X.tobytes() and got.y.tobytes() == want.y.tobytes()
+        got, want = (generate_scenario(self.SPEC, s) for s in (np.array(seeds), seeds))
+        for name in ("devices", "tasks"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+
+    @pytest.mark.parametrize("seeds", [[], np.arange(0), range(0)],
+                             ids=["list", "array", "range"])
+    @pytest.mark.parametrize("sample", [build_dataset, generate_scenario])
+    def test_no_seeds_rejected(self, sample, seeds):
+        with pytest.raises(ValueError, match="no scenarios given"):
+            sample(self.SPEC, seeds)
+
+
+class TestDrawOrder:
+    def test_sampled_fields_are_the_device_fields_then_the_task_fields(self):
+        assert SAMPLED_FIELDS == DEVICE_DTYPE.names + TASK_DTYPE.names[1:]
+
+    def test_the_docstring_names_the_draw_order(self):
+        doc = " ".join(generate_scenario.__doc__.split())
+        per_device, per_task = re.search(
+            r"Per device the draw order is: (.*?); then (.*?) per task", doc).groups()
+        assert tuple(per_device.split(", ") + per_task.split(" and ")) == SAMPLED_FIELDS

@@ -2,10 +2,14 @@
 
 `reference_datagen` holds frozen copies of the per-task code these replaced.
 It samples sequences of per-device and per-task records, which conftest.py
-turns into the model's record arrays field by field.  Scenarios, endpoint arrays, dataset matrices and CSV files must be
-bit-identical to it, including pinned ranges and tasks without data, and
-`calc_se` must be called once per device with data and never for a device
-whose tasks carry no data.  The frozen sampler reads one seed from its
+turns into the model's record arrays field by field, a device's row from its
+Device and Channel records.  It reads a device's uplink from
+`scenario.channels`, so a live scenario reaches it through
+`helpers.frozen_view`, whose channels are the device rows.  Scenarios,
+endpoint arrays, dataset matrices and CSV files must be bit-identical to
+it, including pinned ranges and tasks without data, and `calc_se` must be
+called once per device with data and never for a device whose tasks
+carry no data.  The frozen sampler reads one seed from its
 spec, so it is reached through `helpers.seeded`, and a sample at many seeds
 is its per-seed scenarios joined.  `build_dataset` solves its seeds in
 batches: its rows must be the per-scenario loop's whatever the batch cut,
@@ -23,7 +27,7 @@ from hypothesis import strategies as st
 
 import reference_datagen
 from helpers import (balanced_spec, frozen_build_dataset, frozen_generate_scenario,
-                     scenario)
+                     frozen_view, scenario)
 from offloadlab import datagen, greedy, model
 from offloadlab.cli import main
 from offloadlab.datagen import ScenarioSpec, build_dataset, generate_scenario
@@ -105,7 +109,7 @@ FIXED_SPECS = _fixed_specs()
 def assert_same_scenario(got, want):
     # bytes are exact for floats and tell -0.0 apart; numpy's repr rounds
     assert got.spectral_config == want.spectral_config
-    for name in ("devices", "channels", "tasks"):
+    for name in ("devices", "tasks"):
         g, w = getattr(got, name), getattr(want, name)
         assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), name
 
@@ -164,16 +168,16 @@ class CountingCalcSe:
 def hand_built(draw):
     """Interleaved device ids, tied and zero-bit tasks, some idle devices."""
     n_devices = draw(st.integers(1, 4))
-    devices = [(draw(st.floats(1e8, 2e9)), draw(st.floats(1e-29, 1e-27)))
-               for _ in range(n_devices)]
+    computes = [(draw(st.floats(1e8, 2e9)), draw(st.floats(1e-29, 1e-27)))
+                for _ in range(n_devices)]
     # speeds 100 m/s apart tell the devices' calc_se calls apart
-    channels = [(draw(st.floats(1e5, 1e7)), draw(st.floats(1e-14, 1e-2)),
-                 draw(st.floats(0.1, 10.0)), float(100 * d), draw(st.floats(1e8, 3e10)))
-                for d in range(n_devices)]
+    devices = [(*compute, draw(st.floats(1e5, 1e7)), draw(st.floats(1e-14, 1e-2)),
+                draw(st.floats(0.1, 10.0)), float(100 * d), draw(st.floats(1e8, 3e10)))
+               for d, compute in enumerate(computes)]
     bits = st.one_of(st.sampled_from([0.0, 0.0, 1e6]), st.floats(0.0, 8e6))
     tasks = [(draw(st.integers(0, n_devices - 1)), draw(bits), draw(st.floats(1.0, 2000.0)))
              for _ in range(draw(st.integers(0, 8)))]
-    return scenario(devices, tasks, channels)
+    return scenario(devices, tasks)
 
 
 class TestEndpointsMatchReference:
@@ -191,7 +195,7 @@ class TestEndpointsMatchReference:
         sc = generate_scenario(spec, seeds)
         got = task_energy_endpoints(sc)
         want = reference_datagen.task_energy_endpoints(
-            sc, SpectralEfficiencyCache(sc.spectral_config))
+            frozen_view(sc), SpectralEfficiencyCache(sc.spectral_config))
         assert_same_arrays(got, want)
 
     @settings(max_examples=200, deadline=None)
@@ -201,11 +205,12 @@ class TestEndpointsMatchReference:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(model, "calc_se", counter)
             got = task_energy_endpoints(sc)
-        assert_same_arrays(got, reference_datagen.task_energy_endpoints(sc, calc_se))
+        assert_same_arrays(got, reference_datagen.task_energy_endpoints(frozen_view(sc),
+                                                                        calc_se))
         with_data = {t.device_id for t in sc.tasks if t.data_bits != 0.0}
-        channels = [sc.channels[d] for d in with_data]  # speeds tell devices apart
-        assert sorted(counter.calls) == sorted((c.speed_mps, c.carrier_freq_hz)
-                                               for c in channels)
+        devices = [sc.devices[d] for d in with_data]  # speeds tell devices apart
+        assert sorted(counter.calls) == sorted((d.speed_mps, d.carrier_freq_hz)
+                                               for d in devices)
         assert np.all(got[1][[t.data_bits == 0.0 for t in sc.tasks]] == 0.0)
 
     def test_all_zero_bit_scenario_never_asks_the_spectral_efficiency(self, monkeypatch):
@@ -222,21 +227,21 @@ class TestEndpointsMatchReference:
         # apart in the last bit on x86-64 glibc
         clocks = (1278007393.6150818, 1137125273.373377, 1013315580.9087968,
                   513366164.98699516)
-        sc = scenario([(f, 1e-28) for f in clocks],
-                      [(d, 1e6, 1.0) for d in range(len(clocks))],
-                      [(1e6, 1e-3, 1.0, 0.0, 1e9)] * len(clocks))
+        sc = scenario([(f, 1e-28, 1e6, 1e-3, 1.0, 0.0, 1e9) for f in clocks],
+                      [(d, 1e6, 1.0) for d in range(len(clocks))])
         assert_same_arrays(task_energy_endpoints(sc),
-                           reference_datagen.task_energy_endpoints(sc, calc_se))
+                           reference_datagen.task_energy_endpoints(frozen_view(sc), calc_se))
 
     def test_colliding_cache_keys_resolve_in_first_use_order(self):
         # two speeds 1e-7 m/s apart, and device 1's task comes first; each
         # device gets its own efficiency, as in the frozen loop, whose cache
         # keys on exact floats
-        sc = scenario([(1e9, 1e-28)] * 2, [(1, 1e6, 900.0), (0, 2e6, 800.0)],
-                      [(1e6, 1e-3, 1.0, speed, 28e9) for speed in (300.0, 300.0000001)])
+        sc = scenario([(1e9, 1e-28, 1e6, 1e-3, 1.0, speed, 28e9)
+                       for speed in (300.0, 300.0000001)],
+                      [(1, 1e6, 900.0), (0, 2e6, 800.0)])
         assert_same_arrays(task_energy_endpoints(sc),
                            reference_datagen.task_energy_endpoints(
-                               sc, SpectralEfficiencyCache()))
+                               frozen_view(sc), SpectralEfficiencyCache()))
 
 
 class TestDatasetMatchesReference:
@@ -286,7 +291,7 @@ def _run_cli(monkeypatch, reference: bool, args, out):
         monkeypatch.setattr(datagen, "build_dataset", frozen_build_dataset)
         monkeypatch.setattr(greedy, "task_energy_endpoints", lambda sc: (
             reference_datagen.task_energy_endpoints(
-                sc, SpectralEfficiencyCache(sc.spectral_config))))
+                frozen_view(sc), SpectralEfficiencyCache(sc.spectral_config))))
         monkeypatch.setattr(Dataset, "to_csv", reference_datagen.dataset_to_csv)
     assert main([*args, "--out", str(out)]) == 0
     monkeypatch.undo()

@@ -1,5 +1,4 @@
 import csv
-import math
 
 import numpy as np
 import pytest

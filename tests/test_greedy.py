@@ -15,8 +15,7 @@ from offloadlab.datagen import ScenarioSpec, generate_scenario
 from offloadlab.model import Scenario, energy_at, task_energy_endpoints
 
 import reference_datagen
-from helpers import (EX_SE, example_channel, example_device, priced_at, scenario,
-                     small_scenario)
+from helpers import EX_SE, example_device, frozen_view, priced_at, scenario, small_scenario
 
 
 def default_scenario(seed: int) -> Scenario:
@@ -45,7 +44,7 @@ class TestGetTotalEnergy:
         with priced_at(EX_SE):
             got = energy_at(*task_energy_endpoints(sc), np.full(3, 0.5))
         local, offload = reference_datagen.task_energy_endpoints(
-            sc, lambda speed, carrier: EX_SE)
+            frozen_view(sc), lambda speed, carrier: EX_SE)
         np.testing.assert_allclose(got, 0.5 * local + 0.5 * offload, rtol=1e-12)
 
     def test_all_local(self):
@@ -60,9 +59,9 @@ class TestGetTotalEnergy:
         sc = small_scenario()
         got = energy_at(*task_energy_endpoints(sc), np.ones(3))
         for i, task in enumerate(sc.tasks):
-            ch = sc.channels[task.device_id]
-            p = (2.0 ** EX_SE - 1.0) * ch.noise_var_w / ch.gain
-            expected = p * task.data_bits / (ch.bandwidth_hz * EX_SE)
+            dev = sc.devices[task.device_id]
+            p = (2.0 ** EX_SE - 1.0) * dev.noise_var_w / dev.gain
+            expected = p * task.data_bits / (dev.bandwidth_hz * EX_SE)
             assert got[i] == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
@@ -128,7 +127,7 @@ class TestOptimize:
 
     def test_tie_goes_to_lowest_task_index(self):
         twin = (0, 4e6, 1000.0)
-        sc = scenario([example_device()], [twin, twin], [example_channel()])
+        sc = scenario([example_device()], [twin, twin])
         sol = optimize(sc, GreedyConfig())
         assert sol.trace_picks[1] == 0
 
@@ -138,7 +137,7 @@ class TestOptimize:
         assert sol.offload_ratios.max() == 1.0
 
     def test_empty_scenario_rejected(self):
-        sc = scenario([example_device()], [], [example_channel()])
+        sc = scenario([example_device()], [])
         with pytest.raises(ValueError):
             optimize(sc, GreedyConfig())
 
@@ -277,12 +276,12 @@ class TestBruteForce:
         rng = np.random.default_rng(7)
         grid = np.linspace(0.0, 1.0, 101)
         for _ in range(5):
-            dev = (rng.uniform(5e8, 1.5e9), 1e-28)
-            # (bandwidth_hz, noise_var_w, gain, speed_mps, carrier_freq_hz)
-            ch = (1e6, 10 ** rng.uniform(-10, 0), 1.0, rng.uniform(0, 400),
-                  rng.uniform(1e9, 3e10))
+            # (cpu_freq_hz, energy_coeff, bandwidth_hz, noise_var_w, gain, speed_mps,
+            #  carrier_freq_hz)
+            dev = (rng.uniform(5e8, 1.5e9), 1e-28, 1e6, 10 ** rng.uniform(-10, 0), 1.0,
+                   rng.uniform(0, 400), rng.uniform(1e9, 3e10))
             tasks = [(0, rng.uniform(1e6, 8e6), rng.uniform(500, 1500)) for _ in range(2)]
-            sc = scenario([dev], tasks, [ch])
+            sc = scenario([dev], tasks)
             per0 = energy_at(*task_energy_endpoints(sc), np.zeros(2))
             per1 = energy_at(*task_energy_endpoints(sc), np.ones(2))
             surface = ((per0[0] * (1 - grid) + per1[0] * grid)[:, None]

@@ -28,7 +28,8 @@ from hypothesis import strategies as st
 
 import reference_datagen
 import reference_greedy
-from helpers import FrozenGreedyConfig, balanced_spec, frozen_build_dataset, scenario
+from helpers import (FrozenGreedyConfig, balanced_spec, frozen_build_dataset, frozen_view,
+                     scenario)
 from offloadlab import datagen, greedy
 from offloadlab.cli import main
 from offloadlab.datagen import ScenarioSpec, generate_scenario
@@ -54,11 +55,11 @@ SHAPES = st.tuples(st.integers(1, 3), st.integers(1, 6))
 @st.composite
 def scenarios(draw, shapes=SHAPES):
     n_devices, n_tasks = draw(shapes)
-    devices = [(draw(_CPU), 1e-28) for _ in range(n_devices)]
-    channels = [(1e6, draw(_NOISE), 1.0, 0.0, 1e9) for _ in range(n_devices)]
+    cpus = [draw(_CPU) for _ in range(n_devices)]
+    devices = [(cpu, 1e-28, 1e6, draw(_NOISE), 1.0, 0.0, 1e9) for cpu in cpus]
     tasks = [(draw(st.integers(0, n_devices - 1)), draw(_BITS), draw(_CYCLES))
              for _ in range(n_tasks)]
-    return scenario(devices, tasks, channels)
+    return scenario(devices, tasks)
 
 
 greedy_configs = st.builds(
@@ -70,7 +71,7 @@ greedy_configs = st.builds(
 
 def frozen_optimize(sc, cfg):
     """The frozen loop on the scenario as it prices itself."""
-    return reference_greedy.optimize(sc, FrozenGreedyConfig.of(cfg),
+    return reference_greedy.optimize(frozen_view(sc), FrozenGreedyConfig.of(cfg),
                                      SpectralEfficiencyCache(sc.spectral_config))
 
 
@@ -164,14 +165,14 @@ class TestMatchesReference:
         sc = generate_scenario(spec, [4], spectral)
         got = optimize(sc, GreedyConfig())
         assert_same_solution(got, reference_greedy.optimize(
-            sc, FrozenGreedyConfig(), SpectralEfficiencyCache(spectral)), sc, GreedyConfig())
+            frozen_view(sc), FrozenGreedyConfig(), SpectralEfficiencyCache(spectral)), sc,
+            GreedyConfig())
         default = optimize(generate_scenario(spec, [4]), GreedyConfig())
         assert got.per_task_energy.tolist() != default.per_task_energy.tolist()
         assert not np.array_equal(got.trace_totals, default.trace_totals)
 
     def test_all_tasks_tied(self):
-        sc = scenario([(1e9, 1e-28)], [(0, 2e6, 1000.0)] * 5,
-                      [(1e6, 1e-3, 1.0, 0.0, 1e9)])
+        sc = scenario([(1e9, 1e-28, 1e6, 1e-3, 1.0, 0.0, 1e9)], [(0, 2e6, 1000.0)] * 5)
         for cfg in (GreedyConfig(), GreedyConfig(step=1.0), GreedyConfig(init_ratio=0.0)):
             assert_matches_frozen(sc, cfg)
 
@@ -298,8 +299,7 @@ def _columns(monkeypatch, local, offload) -> Scenario:
                         lambda sc: (local.copy(), offload.copy()))
     monkeypatch.setattr(reference_greedy, "task_energy_endpoints",
                         lambda sc, se_provider: (local.copy(), offload.copy()))
-    return scenario([(1e9, 1e-28)], [(0, 1e6, 1000.0)] * len(local),
-                    [(1e6, 1e-3, 1.0, 0.0, 1e9)])
+    return scenario([(1e9, 1e-28, 1e6, 1e-3, 1.0, 0.0, 1e9)], [(0, 1e6, 1000.0)] * len(local))
 
 
 class TestNamedDifference:
@@ -433,7 +433,6 @@ def _pack(scs) -> Scenario:
     tasks = np.concatenate([sc.tasks for sc in scs])
     tasks["device_id"] += np.repeat(offsets, [len(sc.tasks) for sc in scs])
     return Scenario(devices=np.concatenate([sc.devices for sc in scs]), tasks=tasks,
-                    channels=np.concatenate([sc.channels for sc in scs]),
                     spectral_config=scs[0].spectral_config)
 
 

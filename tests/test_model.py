@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 from types import SimpleNamespace
@@ -9,12 +10,12 @@ from hypothesis import strategies as st
 
 import reference_datagen
 from offloadlab import greedy, model
-from offloadlab.model import (CHANNEL_DTYPE, DEVICE_DTYPE, TASK_DTYPE, Scenario,
-                              energy_at, task_energy_endpoints, tx_power)
+from offloadlab.model import (DEVICE_DTYPE, TASK_DTYPE, Scenario, energy_at,
+                              task_energy_endpoints, tx_power)
 from offloadlab.spectral import SpectralConfig
 
-from helpers import (EX_GAIN, EX_NOISE, EX_SE, example_channel, example_device,
-                     example_task, priced_at, scenario, small_scenario)
+from helpers import (EX_GAIN, EX_NOISE, EX_SE, example_device, example_task, frozen_view,
+                     priced_at, scenario, small_scenario)
 
 ratios = st.floats(0.0, 1.0)
 data_sizes = st.floats(0.0, 1e9)
@@ -27,9 +28,9 @@ ses = st.floats(1e-3, 60.0)
 EX_OFFLOAD_J = 1e-11 * 8e6 / (1e6 * EX_SE)
 
 
-def _scenario(*tasks, device=None, channel=None):
-    """The worked example's device and channel (or the given ones) with `tasks`."""
-    return scenario([device or example_device()], tasks, [channel or example_channel()])
+def _scenario(*tasks, **device):
+    """The worked example's device, with the `device` fields set, and `tasks`."""
+    return scenario([example_device(**device)], tasks)
 
 
 def _endpoints(*tasks, se=EX_SE, **kw):
@@ -130,17 +131,13 @@ class TestValidation:
 
     def test_zero_cpu_rejected(self):
         with pytest.raises(ValueError, match="cpu_freq_hz"):
-            _scenario(device=(0.0, 1e-28))
+            _scenario(cpu_freq_hz=0.0)
 
     def test_bad_channel_rejected(self):
         for kw in (dict(bandwidth_hz=0.0), dict(noise_var_w=0.0),
                    dict(gain=0.0), dict(speed_mps=-5.0), dict(carrier_freq_hz=0.0)):
             with pytest.raises(ValueError, match=next(iter(kw))):
-                _scenario(channel=example_channel(**kw))
-
-    def test_scenario_channel_count(self):
-        with pytest.raises(ValueError, match="one channel per device"):
-            scenario([example_device()], [], [])
+                _scenario(**kw)
 
     def test_scenario_unknown_device(self):
         with pytest.raises(ValueError, match="unknown device"):
@@ -154,7 +151,7 @@ class TestProperties:
         # the device's energy on the kept (1 - l) d bits plus that on the
         # other l d bits is its energy on all d bits
         tasks = [(0, bits, c) for bits in ((1.0 - l) * d, l * d, d)]
-        local, _ = _endpoints(*tasks, device=(f, eps))
+        local, _ = _endpoints(*tasks, cpu_freq_hz=f, energy_coeff=eps)
         assert local[0] + local[1] == pytest.approx(local[2], rel=1e-9, abs=1e-30)
 
     @settings(max_examples=100, deadline=None)
@@ -209,9 +206,8 @@ class TestSystemTotal:
         expected = 0.0
         for task in sc.tasks:
             dev = sc.devices[task.device_id]
-            ch = sc.channels[task.device_id]
-            p = (2.0 ** EX_SE - 1.0) * ch.noise_var_w / ch.gain
-            expected += p * 0.5 * task.data_bits / (ch.bandwidth_hz * EX_SE)
+            p = (2.0 ** EX_SE - 1.0) * dev.noise_var_w / dev.gain
+            expected += p * 0.5 * task.data_bits / (dev.bandwidth_hz * EX_SE)
             expected += (dev.energy_coeff * task.cycles_per_bit * dev.cpu_freq_hz ** 2
                          * 0.5 * task.data_bits)
         got = energy_at(*task_energy_endpoints(sc), np.full(3, 0.5)).sum()
@@ -223,8 +219,7 @@ class TestSystemTotal:
         sc = small_scenario()
         tasks = sc.tasks.copy()
         tasks.cycles_per_bit *= 2.0
-        harder = Scenario(devices=sc.devices, tasks=tasks, channels=sc.channels,
-                          spectral_config=SpectralConfig())
+        harder = Scenario(devices=sc.devices, tasks=tasks, spectral_config=SpectralConfig())
         ones = np.ones(3)
         base, hard = task_energy_endpoints(sc), task_energy_endpoints(harder)
         assert energy_at(*hard, ones).tolist() == energy_at(*base, ones).tolist()
@@ -237,18 +232,16 @@ class TestSystemTotal:
 
 
 def _columns(sc):
-    return {name: getattr(sc, name).copy() for name in ("devices", "tasks", "channels")}
+    return {name: getattr(sc, name).copy() for name in ("devices", "tasks")}
 
 
 # (array, field, strict): one row per range check on a scenario column
-FIELDS = [("devices", name, True) for name in DEVICE_DTYPE.names] + [
-    ("channels", name, name != "speed_mps") for name in CHANNEL_DTYPE.names] + [
+FIELDS = [("devices", name, name != "speed_mps") for name in DEVICE_DTYPE.names] + [
     ("tasks", name, name == "cycles_per_bit") for name in TASK_DTYPE.names]
-DTYPES = {"devices": DEVICE_DTYPE, "channels": CHANNEL_DTYPE, "tasks": TASK_DTYPE}
+DTYPES = {"devices": DEVICE_DTYPE, "tasks": TASK_DTYPE}
 RECORD_BASE = {
-    "devices": dict(cpu_freq_hz=1e9, energy_coeff=1e-28),
-    "channels": dict(bandwidth_hz=1e6, noise_var_w=1e-13, gain=1.0, speed_mps=0.0,
-                     carrier_freq_hz=1e9),
+    "devices": dict(cpu_freq_hz=1e9, energy_coeff=1e-28, bandwidth_hz=1e6, noise_var_w=1e-13,
+                    gain=1.0, speed_mps=0.0, carrier_freq_hz=1e9),
     "tasks": dict(device_id=0, data_bits=1e6, cycles_per_bit=1000.0),
 }
 
@@ -269,8 +262,7 @@ class TestColumns:
         tasks = np.rec.fromarrays([sc.tasks.device_id.astype(np.int32), sc.tasks.data_bits,
                                    sc.tasks.cycles_per_bit], names=TASK_DTYPE.names)
         with pytest.raises(ValueError, match="dtype"):
-            Scenario(devices=sc.devices, tasks=tasks, channels=sc.channels,
-                     spectral_config=SpectralConfig())
+            Scenario(devices=sc.devices, tasks=tasks, spectral_config=SpectralConfig())
 
     @pytest.mark.parametrize("devices", [
         [(1e9, 1e-28)],
@@ -281,19 +273,31 @@ class TestColumns:
         sc = small_scenario()
         with pytest.raises(ValueError, match=f"devices must be a 1-D record array of "
                                              f"dtype {re.escape(str(DEVICE_DTYPE))}"):
-            Scenario(devices=devices, tasks=sc.tasks[:1], channels=sc.channels[:1],
-                     spectral_config=SpectralConfig())
+            Scenario(devices=devices, tasks=sc.tasks[:1], spectral_config=SpectralConfig())
 
     def test_rows_read_like_records(self):
         sc = small_scenario()
         assert len(sc.tasks) == 3
         assert sc.tasks[2].device_id == 1 and sc.tasks[2].cycles_per_bit == 700.0
-        assert sc.channels[1].bandwidth_hz == 2e6
+        assert sc.devices[1].bandwidth_hz == 2e6
         assert sc.tasks.data_bits.tolist() == [4e6, 2e6, 6e6]
+
+    def test_channels_are_no_argument(self):
+        sc = small_scenario()
+        with pytest.raises(TypeError, match="channels"):
+            Scenario(devices=sc.devices, tasks=sc.tasks, channels=sc.devices,
+                     spectral_config=SpectralConfig())
+
+    def test_a_scenario_is_two_record_arrays(self):
+        assert [f.name for f in dataclasses.fields(Scenario)] == [
+            "devices", "tasks", "spectral_config"]
+        assert not hasattr(model, "CHANNEL_DTYPE")
+        assert DEVICE_DTYPE.names == ("cpu_freq_hz", "energy_coeff", "bandwidth_hz",
+                                      "noise_var_w", "gain", "speed_mps", "carrier_freq_hz")
 
     @pytest.mark.parametrize("kind,field,strict", FIELDS)
     def test_record_field_rejects_bad_values(self, kind, field, strict):
-        # a scenario of one device, one channel and one task
+        # a scenario of one device and one task
         for bad in _bad_values(strict):
             if field == "device_id" and math.isnan(bad):
                 continue  # an integer column cannot hold NaN
@@ -329,8 +333,8 @@ SINGLE_TASK = dict(
 
 
 def _one_task(bits, cycles, cpu, coeff, bandwidth, noise, gain):
-    return _scenario((0, bits, cycles), device=(cpu, coeff),
-                     channel=(bandwidth, noise, gain, 0.0, 1e9))
+    return _scenario((0, bits, cycles), cpu_freq_hz=cpu, energy_coeff=coeff,
+                     bandwidth_hz=bandwidth, noise_var_w=noise, gain=gain)
 
 
 class TestScalarMatchesColumn:
@@ -343,7 +347,8 @@ class TestScalarMatchesColumn:
         sc = _one_task(bits, cycles, cpu, coeff, bandwidth, noise, gain)
         with priced_at(se):
             column = energy_at(*task_energy_endpoints(sc), np.array([ratio]))
-        local, offload = reference_datagen.task_energy_endpoints(sc, lambda speed, carrier: se)
+        local, offload = reference_datagen.task_energy_endpoints(frozen_view(sc),
+                                                                 lambda speed, carrier: se)
         assert column[0] == local[0] * (1.0 - ratio) + offload[0] * ratio
 
     def test_energy_at_takes_floats_and_arrays(self):
