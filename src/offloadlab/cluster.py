@@ -204,8 +204,10 @@ def _lloyd(points: np.ndarray, cols: np.ndarray, k: int, rng: np.random.Generato
     `points` is C-ordered (n, d) and `cols` the same values as (d, n).  Each
     point keeps an upper bound on the distance to its own centroid and a
     lower bound on the distance to every other one (Hamerly, SDM 2010).
-    After an update the upper bound grows by its centroid's move and the
-    lower shrinks by the largest move.  A row is assigned again, exactly,
+    The bounds start at upper = inf and lower = 0, so the first step
+    assigns every row.  After an update the upper bound grows by its
+    centroid's move and the lower shrinks by the largest move; after a
+    repair the upper is reset to inf.  A row is assigned again, exactly,
     unless upper + slack < lower, which proves its label cannot change; a
     NaN or inf bound never passes.  So the labels are bit for bit those of
     a full assignment.  Rows are gathered with `take`: at a few thousand
@@ -215,25 +217,20 @@ def _lloyd(points: np.ndarray, cols: np.ndarray, k: int, rng: np.random.Generato
     centroids = _seed_centroids(points, k, rng)
     n, d = points.shape
     sums = np.empty((d, k))
-    bounded = False  # bounds hold: not on the first step, nor after a repair
+    # no label yet and no bound: the first step finds every row stale
+    labels = np.full(n, -1, dtype=np.intp)
+    upper, lower = np.full(n, np.inf), np.zeros(n)
     repairs = recomputed = 0
     for iterations in range(1, max_iter + 1):
-        if not bounded:
-            fresh, upper, lower = _assign(cols, centroids)
-            changed = iterations == 1 or not np.array_equal(fresh, labels)
-            labels = fresh
-            recomputed += n
-        else:
-            # a kept row's label cannot have changed, so only stale rows can
-            stale = np.flatnonzero(~(upper + slack < lower))
-            changed = False
-            if stale.size:
-                fresh, upper[stale], lower[stale] = _assign(cols.take(stale, axis=1),
-                                                            centroids)
-                changed = not np.array_equal(fresh, labels.take(stale))
-                if changed:
-                    labels[stale] = fresh
-                recomputed += stale.size
+        # a kept row's label cannot have changed, so only stale rows can
+        stale = np.flatnonzero(~(upper + slack < lower))
+        changed = False
+        if stale.size:
+            fresh, upper[stale], lower[stale] = _assign(cols.take(stale, axis=1), centroids)
+            changed = not np.array_equal(fresh, labels.take(stale))
+            if changed:
+                labels[stale] = fresh
+            recomputed += stale.size
         counts = np.bincount(labels, minlength=k)
         repaired = _repair_empty(points, centroids, labels, counts)
         repairs += repaired
@@ -249,9 +246,8 @@ def _lloyd(points: np.ndarray, cols: np.ndarray, k: int, rng: np.random.Generato
         shift = float(moves.max())
         if not repaired and shift < tol:
             break
-        # a repair jumps a centroid past these moves
-        bounded = not repaired
-        upper += moves.take(labels)
+        # a repair jumps a centroid past these moves: every row goes stale
+        upper += np.inf if repaired else moves.take(labels)
         lower -= shift
     # the last update's inertia (a break before an update keeps its labels),
     # in the C-ordered (n, d) block whose pairwise .sum() the frozen ones pin

@@ -102,7 +102,7 @@ def _int(v) -> int:
     if isinstance(v, bool):
         raise ConfigError(f"expected an integer, got {v!r}")
     try:
-        out = int(str(v), 0) if isinstance(v, str) else int(v)
+        out = int(v)  # text is read in base 10: '02' is 2, '0x10' is refused
     except (TypeError, ValueError, OverflowError):  # int(inf) overflows
         raise ConfigError(f"expected an integer, got {v!r}") from None
     if isinstance(v, float) and v != out:

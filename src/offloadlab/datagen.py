@@ -14,10 +14,11 @@ batch is sampled as one `Scenario` holding each seed's devices in turn,
 priced by one `task_energy_endpoints` call and solved by one
 `greedy.optimize_packed` call on its equal groups of tasks, whose
 threshold needs no per-scenario sort and which builds ladder rows only
-for tasks that can leave their start ratio.  Its columns go straight into
-the dataset matrix.  A batch holds at most `BATCH_CELLS` ladder cells
-(tasks x ratio levels), which bounds its memory when every row is built;
-a larger scenario is a batch of its own.
+for tasks that can leave their start ratio.  Of its results only the
+ratios and per-task energies are kept; with the batch's columns they go
+straight into the dataset matrix.  A batch holds at most `BATCH_CELLS`
+ladder cells (tasks x ratio levels), which bounds its memory when every
+row is built; a larger scenario is a batch of its own.
 """
 
 from __future__ import annotations
@@ -123,7 +124,7 @@ def _label(spec, seeds, X, y, gcfg, spectral_config) -> None:
     per-scenario run."""
     try:
         scenario = generate_scenario(spec, seeds, spectral_config)
-        ratios, energy = greedy_mod.optimize_packed(scenario, len(seeds), gcfg)
+        ratios, energy = greedy_mod.optimize_packed(scenario, len(seeds), gcfg)[:2]
     except ValueError:
         if len(seeds) == 1:
             raise

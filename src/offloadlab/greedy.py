@@ -23,14 +23,13 @@ one failing cell, so F is the failing cell of highest energy e_F, the
 lowest task on a tie; a task's final level is the count of its improving
 cells above e_F, or equal to e_F in a lower task.  Most tasks never leave
 their start: one whose start energy is below that of a task whose first
-bump fails keeps it, so only the other tasks' ladder rows are built
-(`_descend`).  `optimize_packed` runs the kernel on many scenarios of one
-size at once, each equal group of consecutive tasks on its own, and
-`optimize` is a batch of one.  Its trace reads the whole matrix, which is
-the kernel's when every row was built and is built from the endpoints on
-first read otherwise.  The pick order itself, `OffloadSolution.bumps`, is
-sorted out when first read: one default argsort, and a stable one after it
-only where two keys tie (`_stable_argsort`).
+bump fails keeps it, so only the other tasks' ladder rows are built.
+`optimize_packed` runs this on many scenarios of one size at once, each
+equal group of consecutive tasks on its own, and `optimize` is a batch of
+one.  Its trace reads the whole matrix, built from the endpoints on first
+read.  The pick order itself, `OffloadSolution.bumps`, is sorted out when
+first read: one default argsort, and a stable one after it only where two
+keys tie (`_stable_argsort`).
 
 Every total, `total_energy` and the trace's alike, is the correctly rounded
 exact sum of that state's per-task energies: what `math.fsum` returns, or
@@ -102,8 +101,7 @@ class OffloadSolution:
 
     @cached_property
     def ladder_energy(self) -> np.ndarray:
-        """(tasks, levels): every energy in reach, built on first read
-        unless the run built every row."""
+        """(tasks, levels): every energy in reach, built on first read."""
         local, offload = self.endpoints
         return energy_at(local[:, None], offload[:, None], self.ladder)
 
@@ -285,13 +283,12 @@ def _stable_argsort(keys: np.ndarray) -> np.ndarray:
     return order
 
 
-def _descend(scenario: Scenario, groups: int, config: GreedyConfig):
+def optimize_packed(scenario: Scenario, groups: int, config: GreedyConfig):
     """The greedy run of each of `groups` equal groups of consecutive tasks
-    of `scenario`, every group on its own.
+    of `scenario`, every group run as a scenario of its own.
 
     Returns each task's final ratio and energy, each group's evaluation
-    count and whether it saturated, the endpoints, the ratio ladder, and
-    the (tasks, levels) energies when every task's row was built, else None.
+    count and whether it saturated, the endpoints and the ratio ladder.
 
     Only the rows of tasks that can leave their start are built.  Let A be
     a group's highest start energy e0 among tasks whose first bump fails
@@ -345,15 +342,7 @@ def _descend(scenario: Scenario, groups: int, config: GreedyConfig):
 
     saturated = e_stop > -np.inf
     evaluations = level.reshape(groups, n).sum(axis=1) + saturated + 1
-    built = energy if len(rows) == len(local) else None
-    return rs[level], per_task, evaluations, saturated, (local, offload), rs, built
-
-
-def optimize_packed(scenario: Scenario, groups: int, config: GreedyConfig):
-    """Ratios and per-task energies that `optimize` gives each of `groups`
-    equal groups of consecutive tasks of `scenario`, run as a scenario of
-    its own."""
-    return _descend(scenario, groups, config)[:2]
+    return rs[level], per_task, evaluations, saturated, (local, offload), rs
 
 
 def optimize(scenario: Scenario, config: GreedyConfig) -> OffloadSolution:
@@ -361,9 +350,8 @@ def optimize(scenario: Scenario, config: GreedyConfig) -> OffloadSolution:
     n = len(scenario.tasks)
     if n == 0:
         raise ValueError("scenario has no tasks to optimize")
-    (ratios, per_task, evaluations, saturated, endpoints, rs,
-     energy) = _descend(scenario, 1, config)
-    solution = OffloadSolution(
+    ratios, per_task, evaluations, saturated, endpoints, rs = optimize_packed(scenario, 1, config)
+    return OffloadSolution(
         offload_ratios=ratios,
         per_task_energy=per_task,
         total_energy=_fsum(per_task),
@@ -372,9 +360,6 @@ def optimize(scenario: Scenario, config: GreedyConfig) -> OffloadSolution:
         ladder=rs,
         endpoints=endpoints,
     )
-    if energy is not None:  # the kernel built every row: the trace reads them
-        vars(solution)["ladder_energy"] = energy
-    return solution
 
 
 def write_trace_csv(solution: OffloadSolution, path) -> None:

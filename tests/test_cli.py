@@ -195,6 +195,19 @@ class TestConfigHandling:
         assert "expected an integer" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", ["0x10", "0b11"])
+    def test_prefixed_integer_exits_2(self, tmp_path, capsys, value):
+        out = tmp_path / "o"
+        assert run("optimize", "--seed", value, "--out", str(out)) == 2
+        assert f"seed: expected an integer, got '{value}'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_leading_zero_integer_is_decimal(self, tmp_path):
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert run("optimize", "--scenario.n_devices", "02", "--out", str(a)) == 0
+        assert run("optimize", "--scenario.n_devices", "2", "--out", str(b)) == 0
+        assert_same_tree(a, b)
+
     @pytest.mark.parametrize("text", ["greedy:\n  step: yes\n",
                                       "sweeps:\n  speed_grid: [true, 2]\n",
                                       "scenario:\n  gain: [on, 1]\n"],

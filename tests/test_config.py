@@ -97,6 +97,15 @@ class TestCoercion:
             load_config(overrides={"clustering.k_max": True})
         assert load_config(overrides={"clustering.k_max": "8"}).clustering.k_max == 8
 
+    def test_int_reads_text_in_base_ten(self):
+        assert load_config(overrides={"scenario.n_devices": "02"}).scenario.n_devices == 2
+
+    @pytest.mark.parametrize("key", ["scenario.n_devices", "seed"])
+    @pytest.mark.parametrize("value", ["0x10", "0b11", "0o1"])
+    def test_int_refuses_prefixed_text_naming_the_key(self, key, value):
+        with pytest.raises(ConfigError, match=f"{key}: expected an integer, got '{value}'"):
+            load_config(overrides={key: value})
+
     @pytest.mark.parametrize("key", ["scenario.n_devices", "seed"])
     @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
     def test_int_rejects_non_finite_floats_naming_the_key(self, key, value):

@@ -405,7 +405,7 @@ class TestEdgeCases:
         for groups in packs:
             sc = _columns(monkeypatch, [e for local, _ in groups for e in local],
                           [e for _, offload in groups for e in offload])
-            ratios, energy = greedy.optimize_packed(sc, len(groups), cfg)
+            ratios, energy = greedy.optimize_packed(sc, len(groups), cfg)[:2]
             alone = [optimize(_columns(monkeypatch, *group), cfg) for group in groups]
             assert ratios.tolist() == [r for sol in alone for r in sol.offload_ratios.tolist()]
             assert energy.tolist() == [e for sol in alone
@@ -458,7 +458,7 @@ class TestPruning:
     @given(SHAPES.flatmap(lambda shape: st.lists(scenarios(st.just(shape)),
                                                  min_size=1, max_size=4)), greedy_configs)
     def test_packed_groups_give_the_bytes_of_each_alone(self, scs, cfg):
-        ratios, energy, evaluations, saturated = greedy._descend(
+        ratios, energy, evaluations, saturated = greedy.optimize_packed(
             _pack(scs), len(scs), cfg)[:4]
         alone = [optimize(sc, cfg) for sc in scs]
         assert ratios.tobytes() == np.concatenate([s.offload_ratios for s in alone]).tobytes()
@@ -503,7 +503,7 @@ class TestPruning:
         sc = _columns(monkeypatch, [e for local, _ in groups for e in local],
                       [e for _, offload in groups for e in offload])
         cfg = GreedyConfig(init_ratio=0.0, step=0.5)
-        ratios, _, evaluations, saturated = greedy._descend(sc, 4, cfg)[:4]
+        ratios, _, evaluations, saturated = greedy.optimize_packed(sc, 4, cfg)[:4]
         assert built_rows == [12, 1 + 3 + 2 + 2]
         assert ratios.tolist() == [0.0] * 3 + [1.0] * 3 + [0.5, 0.0, 0.0] + [0.0] * 3
         assert evaluations.tolist() == [2, 7, 3, 2]
@@ -519,12 +519,17 @@ class TestPruning:
         assert (built_rows[1] < 1250) is pruned
         assert len(built_rows) == 2
 
-    def test_a_large_optimize_builds_its_matrix_once(self, built_rows):
-        sol = optimize(generate_scenario(ScenarioSpec(n_devices=50, tasks_per_device=40),
-                                         [1]), GreedyConfig())
+    def test_a_converged_optimize_builds_the_trace_ladder_on_first_read(self, built_rows):
+        sc = generate_scenario(ScenarioSpec(n_devices=50, tasks_per_device=40), [1])
+        sol = optimize(sc, GreedyConfig())
         assert sol.termination == TERMINATION_CONVERGED
-        assert len(sol.trace_totals) == sol.evaluations
         assert built_rows == [2000, 2000]
+        assert "ladder_energy" not in vars(sol)
+        assert len(sol.trace_totals) == sol.evaluations
+        assert built_rows[2:] == [2000]
+        local, offload = task_energy_endpoints(sc)
+        full = energy_at(local[:, None], offload[:, None], sol.ladder)
+        assert sol.ladder_energy.tobytes() == full.tobytes()
 
     def test_a_pruned_optimize_builds_the_trace_ladder_on_first_read(self, built_rows):
         spec = replace(balanced_spec(), n_devices=50, tasks_per_device=40)

@@ -125,8 +125,10 @@ class TestPruningIsSound:
         assert_identical(got, want)
         assert got.iterations_run <= max_iter
 
-    @pytest.mark.parametrize("case", [254, 1888, 2857])
-    def test_repair_mid_run(self, monkeypatch, case):
+    # per case: iterations, repairs and rows recomputed, as the DEBUG line counts them
+    @pytest.mark.parametrize("case, counts", [(254, (3, 2, 51)), (1888, (7, 2, 79)),
+                                              (2857, (3, 2, 24))])
+    def test_repair_mid_run(self, monkeypatch, caplog, case, counts):
         repairs = []
         repair = cluster._repair_empty
 
@@ -138,9 +140,14 @@ class TestPruningIsSound:
         rng = np.random.default_rng(case)
         n, d, k = (int(rng.integers(lo, hi)) for lo, hi in ((8, 40), (2, 4), (2, 6)))
         points = rng.random((n, d))
-        assert_identical(*fit_both(points, k, seed=case, seeding=colliding_seeds))
+        with caplog.at_level(logging.DEBUG, logger="offloadlab.cluster"):
+            assert_identical(*fit_both(points, k, seed=case, seeding=colliding_seeds))
         # a repair after the first step, when the bounds are in use
         assert any(repairs[1:])
+        [record] = [r for r in caplog.records if r.name == "offloadlab.cluster"]
+        _, _, per_restart, kept, repaired, recomputed, rows = record.args
+        assert (per_restart, kept, repaired, recomputed) == ([counts[0]], 0, *counts[1:])
+        assert rows == n * counts[0]
 
 
 def test_debug_line_counts_recomputed_rows(caplog):
@@ -151,10 +158,12 @@ def test_debug_line_counts_recomputed_rows(caplog):
         model = cluster.kmeans_fit(points, 5, seed=2, restarts=4)
     [record] = [r for r in caplog.records if r.name == "offloadlab.cluster"]
     n, k, per_restart, kept, repairs, recomputed, rows = record.args
-    assert (n, k, len(per_restart), repairs) == (1500, 5, 4, 0)
+    assert (n, k, per_restart, kept, repairs) == (1500, 5, [26, 8, 30, 18], 2, 0)
     assert per_restart[kept] == model.iterations_run
     assert rows == n * sum(per_restart)
-    assert recomputed < rows / 2
+    # the pruned steps skip most rows; these exact counts change if any other
+    # row is recomputed
+    assert recomputed == 18_057 < rows / 2
 
 
 def test_debug_lines_stay_out_of_the_output(tmp_path, monkeypatch, capsys):
