@@ -367,12 +367,9 @@ def train_clustered_models(training_data: Dataset, num_clusters: int,
         with np.errstate(over="raise"):
             for c in range(num_clusters):
                 members = np.flatnonzero(km.labels == c)
-                if members.size == 0:
-                    models.append(LinearModel(coeffs=np.zeros(len(subset) + 1),
-                                              degenerate=True))
-                elif members.size < len(subset) + 2:
+                if members.size < len(subset) + 2:  # an empty cluster's mean is 0.0
                     coeffs = np.zeros(len(subset) + 1)
-                    coeffs[0] = float(training_data.y.take(members).mean())
+                    coeffs[0] = training_data.y.take(members).sum() / max(members.size, 1)
                     models.append(LinearModel(coeffs=coeffs, degenerate=True))
                 else:
                     models.append(fit_linear_model(scaled.take(members, axis=0),
@@ -521,16 +518,27 @@ def _model_from_payload(payload) -> ClusteredModel:
                           feature_subset=tuple(subset))
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object's pairs as a dict; a key given twice is a ValueError."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"key {key!r} is given twice")
+        obj[key] = value
+    return obj
+
+
 def load_model(path) -> ClusteredModel:
     """Read a `save_model` snapshot.
 
-    Text that does not decode, a missing or mistyped key, a number out of
-    its range, or parts that disagree (cluster count against k, a width
-    against the feature subset) is a ValueError naming the file.
+    Text that does not decode, a key given twice, a missing or mistyped
+    key, a number out of its range, or parts that disagree (cluster count
+    against k, a width against the feature subset) is a ValueError naming
+    the file.
     """
     with open(path, encoding="utf-8") as fh:
         try:
-            return _model_from_payload(json.loads(fh.read()))
+            return _model_from_payload(json.loads(fh.read(), object_pairs_hook=_unique_keys))
         # UnicodeDecodeError included; OverflowError is an integer past the float range
         except (ValueError, OverflowError) as exc:
             raise ValueError(f"{path}: {exc}") from None

@@ -90,7 +90,7 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
-        self.greedy.check_size(self.scenario.n_devices * self.scenario.tasks_per_device)
+        self.greedy.ladder(self.scenario.n_tasks)
 
 
 # a field whose default is a dataclass is a section; the rest are top-level
@@ -117,10 +117,6 @@ def _float(v) -> float:
         except (TypeError, ValueError, OverflowError):  # float(10 ** 400) overflows
             pass
     raise ConfigError(f"expected a number, got {v!r}")
-
-
-def _str(v) -> str:
-    return str(v)
 
 
 def _opt(parse):
@@ -179,9 +175,9 @@ def _subsets(v) -> tuple:
 # dotted field name -> coercion function; this is the whole config surface
 SCHEMA = {
     "seed": _int,
-    "out_dir": _str,
-    "dataset_path": _opt(_str),
-    "model_path": _opt(_str),
+    "out_dir": str,
+    "dataset_path": _opt(str),
+    "model_path": _opt(str),
     "scenario.n_devices": _int,
     "scenario.tasks_per_device": _int,
     **{f"scenario.{name}": _range for name in SAMPLED_FIELDS},
@@ -202,12 +198,15 @@ SCHEMA = {
 }
 
 
-def _flatten(tree: dict, prefix: str = "") -> dict:
-    flat = {}
+def _flatten(tree: dict, prefix: str = "", flat=None) -> dict:
+    """`tree`'s leaves by dotted name; a name filled twice is a ConfigError."""
+    flat = {} if flat is None else flat
     for key, value in tree.items():
         dotted = f"{prefix}{key}"
         if isinstance(value, dict) and dotted not in SCHEMA:
-            flat.update(_flatten(value, prefix=f"{dotted}."))
+            _flatten(value, f"{dotted}.", flat)
+        elif dotted in flat:
+            raise ConfigError(f"config file gives {dotted!r} twice")
         else:
             flat[dotted] = value
     return flat
@@ -232,9 +231,23 @@ def load_config(path=None, overrides=None) -> ExperimentConfig:
     if path is not None:
         import yaml  # only a config file needs it: keeps it off every command's start-up
 
+        class Loader(yaml.SafeLoader):  # refuses a key given twice in one mapping
+            paths = {}  # id of a mapping's node -> its dotted path and a dot
+
+            def construct_mapping(self, node, deep=False):
+                seen = set()
+                for key, value in node.value:
+                    dotted = f"{self.paths.get(id(node), '')}{key.value}"
+                    if dotted in seen:
+                        raise ConfigError(f"config file gives {dotted!r} twice "
+                                          f"(line {key.start_mark.line + 1})")
+                    seen.add(dotted)
+                    self.paths[id(value)] = f"{dotted}."
+                return super().construct_mapping(node, deep)
+
         try:
             with open(path, encoding="utf-8") as fh:
-                data = yaml.safe_load(fh)
+                data = yaml.load(fh, Loader=Loader)
         except OSError as exc:
             raise ConfigError(f"cannot read config file: {exc}") from None
         except UnicodeDecodeError as exc:

@@ -37,12 +37,12 @@ from .spectral import SpectralConfig, calc_se  # noqa: F401
 
 Range = tuple[float, float]
 
-# ladder cells (tasks x ratio levels) solved at once, about 25 balanced
-# scenarios.  On 2 cores, 400 balanced scenarios took 225 ms one at a time
-# and 48 ms in batches of this size, no less in larger ones; one batch of
-# all 400 raised gen-data's peak RSS from 41 to 57 MB.  The greedy builds
-# only the rows of tasks that can leave their start ratio, so this bounds
-# the worst case: default ranges, where every row is built.
+# ladder cells (tasks x the built ladder's length) solved at once, about 25
+# balanced scenarios.  On 2 cores, 400 balanced scenarios took 225 ms one at
+# a time and 48 ms in batches of this size, no less in larger ones; one
+# batch of all 400 raised gen-data's peak RSS from 41 to 57 MB.  The greedy
+# builds only the rows of tasks that can leave their start ratio, so this
+# bounds the worst case: default ranges, where every row is built.
 BATCH_CELLS = 1 << 16
 
 # every sampled field in draw order: a device's fields in record order, then
@@ -158,7 +158,7 @@ def build_dataset(spec: ScenarioSpec, seeds: Sequence[int],
     gcfg = greedy_config if greedy_config is not None else greedy_mod.GreedyConfig()
     n = spec.n_tasks
     X, y = np.empty((len(seeds) * n, len(CANONICAL_FEATURES))), np.empty(len(seeds) * n)
-    batch = max(1, BATCH_CELLS // (n * gcfg.nominal_levels))
+    batch = max(1, BATCH_CELLS // (n * len(gcfg.ladder(n))))
     for lo in range(0, len(seeds), batch):
         rows = slice(lo * n, (lo + batch) * n)
         _label(spec, seeds[lo:lo + batch], X[rows], y[rows], gcfg, spectral_config)

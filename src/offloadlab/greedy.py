@@ -16,7 +16,8 @@ including its first non-improving bump, a task's energies strictly fall,
 so the greedy's picks are a merge of the per-task ladders in
 ``(-energy, flat index)`` order, and the run is cut at the first
 non-improving pick F (saturated) or where the picks run out (converged).
-A run visits at most tasks x levels cells, which `MAX_LADDER_CELLS` caps.
+A run visits at most tasks x levels cells, which `MAX_LADDER_CELLS` caps:
+`GreedyConfig.ladder` builds the ladder and checks its length against it.
 
 Where the run ends is found by a threshold, not a sort.  A task has at most
 one failing cell, so F is the failing cell of highest energy e_F, the
@@ -63,7 +64,7 @@ _CHUNK = 4096  # bumps whose digit sums are held at once, fewer past 4 digits
 
 
 @dataclass(frozen=True)
-class GreedyConfig:
+class GreedyConfig:  # where every task's ratio ladder starts, and its step
     init_ratio: float = 0.5
     step: float = 0.01
 
@@ -73,20 +74,16 @@ class GreedyConfig:
         if not 0.0 < self.step <= 1.0:
             raise ValueError("step must lie in (0, 1]")
 
-    @property
-    def nominal_levels(self) -> int:
-        """Ratios on the ladder; rounding can make the built one longer."""
-        return math.ceil((1.0 - self.init_ratio) / self.step) + 1
-
-    def check_size(self, n_tasks: int, levels: int | None = None) -> None:
-        """ValueError when `n_tasks` ladders of `levels` ratios pass
-        `MAX_LADDER_CELLS`; `levels` defaults to `nominal_levels`."""
-        if levels is None:
-            levels = self.nominal_levels
-        if n_tasks * levels > MAX_LADDER_CELLS:
+    def ladder(self, n_tasks: int) -> np.ndarray:
+        """The ratios every task walks; ValueError when `n_tasks` ladders of
+        them pass `MAX_LADDER_CELLS`."""
+        most = MAX_LADDER_CELLS // max(n_tasks, 1)
+        rs = _ladder(float(self.init_ratio), self.step, most)
+        if len(rs) > most:
             raise ValueError(
-                f"greedy: {n_tasks} tasks x {levels} ratio levels is over the cap "
+                f"greedy: {n_tasks} tasks x more than {most} ratio levels is over the cap "
                 f"of {MAX_LADDER_CELLS} cells; raise greedy.step or init_ratio")
+        return rs
 
 
 @dataclass(frozen=True)
@@ -232,11 +229,13 @@ def _fsum(values: np.ndarray) -> float:
         return math.inf
 
 
-def _ladder(init: float, step: float) -> np.ndarray:
-    """Ratios a task passes through: `init`, then ``r + step`` until pinned at 1.0."""
+def _ladder(init: float, step: float, most: int = MAX_LADDER_CELLS) -> np.ndarray:
+    """Ratios a task passes through: `init`, then ``r + step`` until pinned
+    at 1.0.  At most `most` + 2 ratios are built: a ladder longer than
+    `most` may come back cut, still longer than `most`."""
     if init >= 1.0:
         return np.array([1.0])
-    n = math.ceil((1.0 - init) / step) + 1
+    n = math.ceil(min((1.0 - init) / step, most)) + 1
     while True:  # add.accumulate adds in order, as ``r += step`` does
         rs = np.full(n + 1, step)
         rs[0] = init
@@ -247,7 +246,9 @@ def _ladder(init: float, step: float) -> np.ndarray:
             if rs[-1] >= 1.0 - _SNAP:
                 rs[-1] = 1.0
             return rs
-        n *= 2  # rounding made the steps shorter than `step`
+        if n > most:
+            return rs
+        n = min(2 * n, most + 1)  # rounding made the steps shorter than `step`
 
 
 def _stalls(energy: np.ndarray) -> np.ndarray:
@@ -303,9 +304,7 @@ def optimize_packed(scenario: Scenario, groups: int, config: GreedyConfig):
     themselves, so it changes no result.
     """
     n = len(scenario.tasks) // groups
-    config.check_size(n)
-    rs = _ladder(float(config.init_ratio), config.step)
-    config.check_size(n, len(rs))
+    rs = config.ladder(n)
     local, offload = task_energy_endpoints(scenario)
     first = energy_at(local[:, None], offload[:, None], rs[:2])  # levels 0 and 1
     e_start = first[:, 0]

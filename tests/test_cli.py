@@ -514,7 +514,7 @@ class TestTrainPredict:
                    "--out", str(tmp_path / "o")) == 1
 
     @pytest.mark.parametrize("damage", ["truncate_clusters", "drop_scaling",
-                                        "narrow_centroids"])
+                                        "narrow_centroids", "repeat_feature_subset"])
     def test_predict_rejects_damaged_model(self, tmp_path, small_dataset, capsys,
                                            damage):
         out = tmp_path / "o"
@@ -526,9 +526,12 @@ class TestTrainPredict:
             payload["clusters"] = payload["clusters"][:1]
         elif damage == "drop_scaling":
             del payload["scaling"]
-        else:
+        elif damage == "narrow_centroids":
             payload["kmeans"]["centroids"] = [c[:2] for c in payload["kmeans"]["centroids"]]
-        model_path.write_text(json.dumps(payload))
+        text = json.dumps(payload)
+        if damage == "repeat_feature_subset":  # a first copy, which the file's own repeats
+            text = text.replace("{", '{"feature_subset": [], ', 1)
+        model_path.write_text(text)
         capsys.readouterr()
         assert run("predict", "--model_path", str(model_path),
                    "--dataset_path", str(small_dataset), "--out", str(out)) == 1

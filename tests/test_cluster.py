@@ -376,6 +376,22 @@ class TestTrainClusteredModels:
         assert lm.coeffs[0] == pytest.approx(43.0)
         assert np.all(lm.coeffs[1:] == 0.0)
 
+    def test_empty_cluster_gets_an_all_zero_degenerate_model(self):
+        # two distinct points, three copies each: k = 3 leaves one cluster empty
+        X = np.array([[0.0, 1.0], [1.0, 0.0]]).repeat(3, axis=0)
+        ds = Dataset(feature_names=("TaskSize", "Speed"), X=X, y=np.array([2.0, 5.0]).repeat(3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no mean of an empty slice
+            model = train_clustered_models(ds, num_clusters=3, seed=0)
+        counts = np.bincount(model.kmeans.labels, minlength=3)
+        assert sorted(counts.tolist()) == [0, 3, 3]
+        for c, lm in enumerate(model.per_cluster):
+            assert lm.degenerate
+            if counts[c]:
+                assert lm.coeffs.tolist() == [ds.y[model.kmeans.labels == c][0], 0.0, 0.0]
+            else:
+                assert lm.coeffs.tobytes() == np.zeros(3).tobytes()
+
     def test_feature_subset_restricts_inputs(self):
         ds = toy_dataset()
         model = train_clustered_models(ds, 2, feature_subset=("TaskSize",), seed=0)
@@ -604,6 +620,14 @@ class TestModelFileValidation:
         path = tmp_path / "model.json"
         path.write_text(text)
         with pytest.raises(ValueError, match="model.json"):
+            load_model(path)
+
+    def test_rejects_a_key_given_twice(self, saved):
+        path, _ = saved
+        # a first feature_subset, which the file's own then repeats
+        text = path.read_text().replace('"version": 1,', '"version": 1, "feature_subset": [],', 1)
+        path.write_text(text)
+        with pytest.raises(ValueError, match=r"model.json: key 'feature_subset' is given twice"):
             load_model(path)
 
     def test_intact_file_still_loads(self, saved):

@@ -3,6 +3,7 @@ from dataclasses import fields, is_dataclass
 
 import pytest
 
+from offloadlab.cli import main
 from offloadlab.config import (SCHEMA, ClusteringConfig, ConfigError, ExperimentConfig,
                                load_config)
 from offloadlab.datagen import ScenarioSpec
@@ -81,6 +82,37 @@ class TestFileAndOverrides:
         path.write_bytes(b"seed: 3\n\xff\xfe\n")
         with pytest.raises(ConfigError, match=f"{path} is not UTF-8 text"):
             load_config(path)
+
+    @pytest.mark.parametrize("text, message", [
+        ("seed: 1\nseed: 2\n", r"gives 'seed' twice \(line 2\)"),
+        # the first scenario block is not dropped for the second
+        ("scenario: {n_devices: 3}\ngreedy: {step: 0.1}\nscenario: {tasks_per_device: 4}\n",
+         r"gives 'scenario' twice \(line 3\)"),
+        ("scenario:\n  n_devices: 3\n  n_devices: 4\n",
+         r"gives 'scenario.n_devices' twice \(line 3\)"),
+        # one dotted key in two spellings, either way round
+        ("scenario.n_devices: 3\nscenario: {n_devices: 4}\n", "gives 'scenario.n_devices' twice"),
+        ("scenario: {n_devices: 4}\nscenario.n_devices: 3\n", "gives 'scenario.n_devices' twice"),
+    ], ids=["top-level", "section", "leaf", "dotted-then-nested", "nested-then-dotted"])
+    def test_a_key_given_twice_is_refused(self, tmp_path, text, message):
+        path = tmp_path / "cfg.yaml"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=message):
+            load_config(path)
+
+    def test_merge_keys_still_override(self, tmp_path):
+        path = tmp_path / "cfg.yaml"
+        path.write_text("scenario:\n  <<: {n_devices: 3, tasks_per_device: 2}\n  n_devices: 4\n")
+        spec = load_config(path).scenario
+        assert (spec.n_devices, spec.tasks_per_device) == (4, 2)
+
+    def test_a_repeated_key_exits_2_without_making_out(self, tmp_path, capsys):
+        path = tmp_path / "cfg.yaml"
+        path.write_text("seed: 1\nseed: 2\n")
+        out = tmp_path / "out"
+        assert main(["optimize", "--config", str(path), "--out", str(out)]) == 2
+        assert not out.exists()
+        assert "'seed' twice" in capsys.readouterr().err
 
     def test_non_mapping_file(self, tmp_path):
         path = tmp_path / "cfg.yaml"

@@ -368,13 +368,14 @@ class TestBatchesMatchReference:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(datagen, "BATCH_CELLS", cells)
             sizes = assert_same_dataset(spec, seeds, gcfg)
-        cut = max(1, cells // (spec.n_tasks * gcfg.nominal_levels))
+        cut = max(1, cells // (spec.n_tasks * len(gcfg.ladder(spec.n_tasks))))
         assert sizes == [len(seeds[lo:lo + cut]) for lo in range(0, len(seeds), cut)]
 
     def test_scenarios_of_one_batch_that_end_differently(self, monkeypatch):
         spec = replace(balanced_spec(), n_devices=1, tasks_per_device=2)
         gcfg = greedy.GreedyConfig()
-        monkeypatch.setattr(datagen, "BATCH_CELLS", 3 * spec.n_tasks * gcfg.nominal_levels)
+        monkeypatch.setattr(datagen, "BATCH_CELLS",
+                            3 * spec.n_tasks * len(gcfg.ladder(spec.n_tasks)))
         assert assert_same_dataset(spec, range(6), gcfg) == [3, 3]
         for batch in (range(3), range(3, 6)):
             ends = terminations(spec, batch, gcfg)
@@ -400,7 +401,8 @@ class TestBatchesMatchReference:
                                                          seed):
         # batches of two seeds, so that a call spans batches and a batch
         # packs scenarios
-        monkeypatch.setattr(datagen, "BATCH_CELLS", 2 * spec.n_tasks * gcfg.nominal_levels)
+        monkeypatch.setattr(datagen, "BATCH_CELLS",
+                            2 * spec.n_tasks * len(gcfg.ladder(spec.n_tasks)))
         assert assert_same_dataset(spec, range(seed, seed + 3), gcfg) == [2, 1]
 
     def test_more_seeds_than_a_batch_holds(self):
@@ -409,7 +411,7 @@ class TestBatchesMatchReference:
     def test_a_scenario_past_the_batch_bound_is_a_batch_of_its_own(self):
         big = ScenarioSpec(n_devices=50, tasks_per_device=40)
         gcfg = greedy.GreedyConfig()
-        assert 2000 * gcfg.nominal_levels > datagen.BATCH_CELLS
+        assert 2000 * len(gcfg.ladder(big.n_tasks)) > datagen.BATCH_CELLS
         assert assert_same_dataset(big, range(8, 11), gcfg) == [1, 1, 1]
 
     def test_a_batch_is_sampled_as_one_scenario(self, monkeypatch):

@@ -1,4 +1,5 @@
 import csv
+import json
 import math
 
 import numpy as np
@@ -389,34 +390,38 @@ class TestLadder:
 class TestBoundedRun:
     def test_cap_is_tasks_times_levels(self):
         cfg = GreedyConfig()
-        levels = math.ceil(0.5 / 0.01) + 1
+        levels = len(cfg.ladder(1))
         n = greedy.MAX_LADDER_CELLS // levels
-        cfg.check_size(n)
-        with pytest.raises(ValueError, match=rf"{n + 1} tasks x {levels} ratio levels"):
-            cfg.check_size(n + 1)
+        assert cfg.ladder(n).tobytes() == greedy._ladder(0.5, 0.01).tobytes()
+        most = greedy.MAX_LADDER_CELLS // (n + 1)
+        assert most == levels - 1
+        with pytest.raises(ValueError, match=rf"{n + 1} tasks x more than {most} ratio levels"):
+            cfg.ladder(n + 1)
 
     def test_tiny_step_refused_before_any_work(self, monkeypatch):
         def unreachable(*args):
             raise AssertionError("the run started")
         monkeypatch.setattr(greedy, "task_energy_endpoints", unreachable)
-        monkeypatch.setattr(greedy, "_ladder", unreachable)
-        with pytest.raises(ValueError, match=r"3 tasks x 500000001 ratio levels is over "
-                                             rf"the cap of {greedy.MAX_LADDER_CELLS} cells"):
+        with pytest.raises(ValueError, match=r"3 tasks x more than 1666666 ratio levels is "
+                                             rf"over the cap of {greedy.MAX_LADDER_CELLS} cells"):
             optimize(small_scenario(), GreedyConfig(step=1e-9))
 
     def test_a_ladder_that_rounding_lengthens_is_counted_as_built(self, monkeypatch):
-        # 70 x 64,352 nominal levels fit the cap; the 81,066 built ones do not
+        # 70 x 64,352 nominal levels would fit the cap; the 81,066 built ones do not
         def unreachable(*args):
             raise AssertionError("the run started")
         monkeypatch.setattr(greedy, "task_energy_endpoints", unreachable)
         cfg = GreedyConfig(init_ratio=1.0 - 1e-11, step=1.554e-16)
-        cfg.check_size(70)
+        assert len(cfg.ladder(61)) == 81066
         sc = generate_scenario(ScenarioSpec(n_devices=7, tasks_per_device=10), [0])
-        with pytest.raises(ValueError, match="70 tasks x 81066 ratio levels"):
+        with pytest.raises(ValueError, match="70 tasks x more than 71428 ratio levels"):
             optimize(sc, cfg)
+        with pytest.raises(ConfigError, match="70 tasks x more than 71428 ratio levels"):
+            load_config(overrides={"greedy.init_ratio": "0.99999999999",
+                                   "greedy.step": "1.554e-16", "scenario.n_devices": "7"})
 
     def test_config_error(self):
-        with pytest.raises(ValueError, match="50 tasks x 500000001 ratio levels"):
+        with pytest.raises(ValueError, match="50 tasks x more than 100000 ratio levels"):
             ExperimentConfig(greedy=GreedyConfig(step=1e-9))
         with pytest.raises(ConfigError, match="ratio levels"):
             load_config(overrides={"scenario.tasks_per_device": "100000"})
@@ -427,3 +432,59 @@ class TestBoundedRun:
         assert main(["optimize", "--greedy.step", "1e-9", "--out", str(out)]) == 2
         assert not out.exists()
         assert "over the cap" in capsys.readouterr().err
+
+    def test_a_ladder_lengthened_past_the_cap_is_a_config_error(self, tmp_path, capsys):
+        # the config check counts the built ladder, so the run's refusal is
+        # the config's: exit 2, not a run error's exit 1
+        out = tmp_path / "out"
+        assert main(["optimize", "--greedy.init_ratio", "0.99999999999",
+                     "--greedy.step", "1.554e-16", "--scenario.n_devices", "7",
+                     "--scenario.tasks_per_device", "10", "--out", str(out)]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: greedy: 70 tasks x more than 71428 ratio levels is over the "
+                       f"cap of {greedy.MAX_LADDER_CELLS} cells; raise greedy.step or init_ratio"]
+
+    @pytest.mark.parametrize("shape", [["1", "1"], ["5", "10"]])
+    def test_a_huge_nominal_ladder_that_is_built_short_runs(self, tmp_path, shape):
+        # 10,000,002 nominal levels, but + 1e-18 no longer moves the ratio:
+        # the built ladder has two
+        out = tmp_path / "out"
+        assert main(["optimize", "--greedy.init_ratio", "0.99999999999",
+                     "--greedy.step", "1e-18", "--scenario.n_devices", shape[0],
+                     "--scenario.tasks_per_device", shape[1], "--out", str(out)]) == 0
+        solution = json.loads((out / "solution.json").read_text())
+        assert (solution["termination"], solution["evaluations"]) == (TERMINATION_SATURATED, 2)
+
+    def test_a_step_whose_nominal_count_is_infinite(self, tmp_path):
+        # (1 - 0.5) / 5e-324 is inf; + 5e-324 does not move 0.5, so two levels
+        assert GreedyConfig(step=5e-324).ladder(50).tolist() == [0.5, 0.5]
+        assert main(["optimize", "--greedy.step", "5e-324", "--out", str(tmp_path)]) == 0
+
+    # the draws of test_a_ladder_climbs_at_most_two_in_steps
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(0.0, 1.0).flatmap(lambda init: st.tuples(
+        st.just(init), st.floats(max((1.0 - init) / 100_000, 1e-17), 1.0))),
+        st.integers(1, 200))
+    def test_ladder_returns_iff_its_cells_fit(self, ladder, n):
+        init_ratio, step = ladder
+        full = greedy._ladder(init_ratio, step)
+        if n * len(full) <= greedy.MAX_LADDER_CELLS:
+            assert GreedyConfig(init_ratio, step).ladder(n).tobytes() == full.tobytes()
+        else:
+            with pytest.raises(ValueError, match=f"{n} tasks x more than"):
+                GreedyConfig(init_ratio, step).ladder(n)
+
+    @pytest.mark.parametrize("n", [1, 3, 50])
+    def test_a_refused_ladder_is_built_no_longer_than_the_cap(self, monkeypatch, n):
+        built, real = [], greedy._ladder
+
+        def spy(*args):
+            built.append(real(*args))
+            return built[-1]
+        monkeypatch.setattr(greedy, "_ladder", spy)
+        with pytest.raises(ValueError, match="over the cap"):
+            GreedyConfig(step=1e-9).ladder(n)
+        # one build, whose array (before any cut) holds at most most + 2 ratios
+        sizes = [(rs if rs.base is None else rs.base).size for rs in built]
+        assert len(sizes) == 1 and sizes[0] <= greedy.MAX_LADDER_CELLS // n + 2, sizes

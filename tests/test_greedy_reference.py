@@ -346,6 +346,19 @@ class TestEdgeCases:
         assert sol.evaluations == 2
         assert_matches_frozen(sc, cfg)
 
+    @pytest.mark.parametrize("n_devices, tasks_per_device", [(1, 1), (5, 10)])
+    def test_a_step_past_the_nominal_cap_that_no_longer_moves_the_ratio(
+            self, n_devices, tasks_per_device):
+        # 10,000,002 nominal levels, past the cap for one task; the built ladder has two
+        sc = generate_scenario(ScenarioSpec(n_devices=n_devices,
+                                            tasks_per_device=tasks_per_device), [7])
+        cfg = GreedyConfig(init_ratio=0.99999999999, step=1e-18)
+        sol = optimize(sc, cfg)
+        assert len(sol.ladder) == 2
+        assert sol.termination == TERMINATION_SATURATED
+        assert sol.evaluations == 2
+        assert_matches_frozen(sc, cfg)
+
     def test_zero_energy_tasks(self):
         spec = ScenarioSpec(n_devices=2, tasks_per_device=3)
         sc = generate_scenario(replace(spec, data_bits=(0.0, 0.0)), [6])
