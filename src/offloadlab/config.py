@@ -1,17 +1,17 @@
 """Experiment configuration: defaults, YAML files, dotted CLI overrides.
 
 Precedence, lowest to highest: built-in defaults, the config file, then
-overrides by dotted name (the command line's flags).  Every leaf in the
-schema table below is one config key with one command-line option.
-Unknown keys are rejected rather than ignored.
+overrides by dotted name (the command line's flags).  `SCHEMA` is derived
+from the dataclass fields: each is one config key with one command-line
+option, parsed as its annotation says.  Unknown keys are rejected.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import dataclass, fields, is_dataclass, replace
 
-from .datagen import SAMPLED_FIELDS, ScenarioSpec
+from .datagen import ScenarioSpec
 from .features import check_subsets, subset_entry
 from .greedy import GreedyConfig
 from .spectral import SpectralConfig
@@ -21,6 +21,9 @@ class ConfigError(ValueError):
     pass
 
 
+Subsets = tuple  # feature subsets: keywords or tuples of feature names
+
+
 @dataclass(frozen=True)
 class ClusteringConfig:
     k_max: int = 10
@@ -28,7 +31,7 @@ class ClusteringConfig:
     bins: int = 16
     test_fraction: float = 0.25
     restarts: int = 10
-    feature_subsets: tuple = ("primary", "mi:2", "all")
+    feature_subsets: Subsets = ("primary", "mi:2", "all")
 
     def __post_init__(self):
         if self.k_max < 1:
@@ -91,11 +94,6 @@ class ExperimentConfig:
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
         self.greedy.ladder(self.scenario.n_tasks)
-
-
-# a field whose default is a dataclass is a section; the rest are top-level
-_SECTIONS = {f.name: type(f.default) for f in fields(ExperimentConfig)
-             if is_dataclass(f.default)}
 
 
 def _int(v) -> int:
@@ -172,51 +170,33 @@ def _subsets(v) -> tuple:
     return tuple(out)
 
 
-# dotted field name -> coercion function; this is the whole config surface
+# a field's annotation text -> the parser of its values
+_PARSERS = {"int": _int, "float": _float, "str": str, "str | None": _opt(str),
+            "Range": _range, "tuple": _floats, "Subsets": _subsets}
+
+# dotted field name -> its parser, in field order: the top-level fields, then
+# ``section.field`` for each field whose default is a dataclass, a section
 SCHEMA = {
-    "seed": _int,
-    "out_dir": str,
-    "dataset_path": _opt(str),
-    "model_path": _opt(str),
-    "scenario.n_devices": _int,
-    "scenario.tasks_per_device": _int,
-    **{f"scenario.{name}": _range for name in SAMPLED_FIELDS},
-    "spectral.subcarrier_spacing_hz": _float,
-    "spectral.snr_linear": _float,
-    "greedy.init_ratio": _float,
-    "greedy.step": _float,
-    "clustering.k_max": _int,
-    "clustering.num_clusters": _int,
-    "clustering.bins": _int,
-    "clustering.test_fraction": _float,
-    "clustering.restarts": _int,
-    "clustering.feature_subsets": _subsets,
-    "sweeps.speed_grid": _floats,
-    "sweeps.carrier_freq_grid": _floats,
-    "sweeps.data_size_grid": _floats,
-    "datagen.n_scenarios": _int,
+    **{top.name: _PARSERS[top.type] for top in fields(ExperimentConfig)
+       if not is_dataclass(top.default)},
+    **{f"{top.name}.{leaf.name}": _PARSERS[leaf.type] for top in fields(ExperimentConfig)
+       if is_dataclass(top.default) for leaf in fields(top.default)},
 }
 
 
-def _flatten(tree: dict, prefix: str = "", flat=None) -> dict:
-    """`tree`'s leaves by dotted name; a name filled twice is a ConfigError."""
-    flat = {} if flat is None else flat
+def _flatten(tree: dict) -> dict:
+    """`tree`'s leaves by dotted name, at most two deep (``section.field``):
+    a mapping below that is a value.  A name filled twice is a ConfigError."""
+    flat = {}
     for key, value in tree.items():
-        dotted = f"{prefix}{key}"
-        if isinstance(value, dict) and dotted not in SCHEMA:
-            _flatten(value, f"{dotted}.", flat)
-        elif dotted in flat:
-            raise ConfigError(f"config file gives {dotted!r} twice")
+        if isinstance(value, dict) and f"{key}" not in SCHEMA:
+            pairs = [(f"{key}.{leaf}", inner) for leaf, inner in value.items()]
         else:
-            flat[dotted] = value
-    return flat
-
-
-def _default_flat() -> dict:
-    """Every config leaf by dotted name, with its default."""
-    flat = {f.name: f.default for f in fields(ExperimentConfig) if f.name not in _SECTIONS}
-    for name, section in _SECTIONS.items():
-        flat.update((f"{name}.{leaf.name}", leaf.default) for leaf in fields(section))
+            pairs = [(f"{key}", value)]
+        for dotted, leaf_value in pairs:
+            if dotted in flat:
+                raise ConfigError(f"config file gives {dotted!r} twice")
+            flat[dotted] = leaf_value
     return flat
 
 
@@ -226,7 +206,6 @@ def load_config(path=None, overrides=None) -> ExperimentConfig:
     `overrides` maps dotted field names to raw values (typically strings
     from the command line) and wins over the file at `path`.
     """
-    flat = _default_flat()
     data = {}
     if path is not None:
         import yaml  # only a config file needs it: keeps it off every command's start-up
@@ -254,26 +233,28 @@ def load_config(path=None, overrides=None) -> ExperimentConfig:
             raise ConfigError(f"config file {path} is not UTF-8 text: {exc}") from None
         except yaml.YAMLError as exc:
             raise ConfigError(f"config file is not valid YAML: {exc}") from None
+        except RecursionError:  # PyYAML composes nested nodes recursively
+            raise ConfigError(f"config file {path} is nested too deeply") from None
         if data is None:
             data = {}
         if not isinstance(data, dict):
             raise ConfigError("config file must hold a mapping at the top level")
 
     # lowest precedence first: the file, then the overrides
+    given = {}  # section name, or '' at the top level -> its given fields
     for dotted, value in [*_flatten(data).items(), *(overrides or {}).items()]:
         if dotted not in SCHEMA:
             raise ConfigError(f"unknown config field {dotted!r}")
         try:
-            flat[dotted] = SCHEMA[dotted](value)
+            value = SCHEMA[dotted](value)
         except ConfigError as exc:
             raise ConfigError(f"{dotted}: {exc}") from None
+        section, _, name = dotted.rpartition(".")
+        given.setdefault(section, {})[name] = value
 
-    try:
-        cfg = ExperimentConfig(
-            **{name: flat[name] for name in flat if "." not in name},
-            **{name: section(**{leaf.name: flat[f"{name}.{leaf.name}"]
-                                for leaf in fields(section)})
-               for name, section in _SECTIONS.items()})
+    try:  # each section is its default with the given fields replaced
+        return ExperimentConfig(**given.pop("", {}),
+                                **{f.name: replace(f.default, **given[f.name])
+                                   for f in fields(ExperimentConfig) if f.name in given})
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    return cfg

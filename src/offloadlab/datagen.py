@@ -157,7 +157,10 @@ def build_dataset(spec: ScenarioSpec, seeds: Sequence[int],
         raise ValueError("no scenarios given")
     gcfg = greedy_config if greedy_config is not None else greedy_mod.GreedyConfig()
     n = spec.n_tasks
-    X, y = np.empty((len(seeds) * n, len(CANONICAL_FEATURES))), np.empty(len(seeds) * n)
+    try:
+        X, y = np.empty((len(seeds) * n, len(CANONICAL_FEATURES))), np.empty(len(seeds) * n)
+    except MemoryError:
+        raise ValueError(f"a dataset of {len(seeds) * n} rows does not fit in memory") from None
     batch = max(1, BATCH_CELLS // (n * len(gcfg.ladder(n))))
     for lo in range(0, len(seeds), batch):
         rows = slice(lo * n, (lo + batch) * n)

@@ -235,7 +235,7 @@ def _ladder(init: float, step: float, most: int = MAX_LADDER_CELLS) -> np.ndarra
     `most` may come back cut, still longer than `most`."""
     if init >= 1.0:
         return np.array([1.0])
-    n = math.ceil(min((1.0 - init) / step, most)) + 1
+    n = min(64, most + 1)
     while True:  # add.accumulate adds in order, as ``r += step`` does
         rs = np.full(n + 1, step)
         rs[0] = init
@@ -248,7 +248,7 @@ def _ladder(init: float, step: float, most: int = MAX_LADDER_CELLS) -> np.ndarra
             return rs
         if n > most:
             return rs
-        n = min(2 * n, most + 1)  # rounding made the steps shorter than `step`
+        n = min(2 * n, most + 1)  # not pinned yet: build twice as many
 
 
 def _stalls(energy: np.ndarray) -> np.ndarray:

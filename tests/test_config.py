@@ -120,6 +120,69 @@ class TestFileAndOverrides:
         with pytest.raises(ConfigError):
             load_config(path)
 
+    def test_an_alias_cycle_is_an_unknown_key(self, tmp_path, capsys):
+        path = tmp_path / "cfg.yaml"
+        path.write_text("scenario: &x {n_devices: 3, more: *x}\n")
+        with pytest.raises(ConfigError, match="^unknown config field 'scenario.more'$"):
+            load_config(path)
+        out = tmp_path / "out"
+        assert main(["optimize", "--config", str(path), "--out", str(out)]) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err == "error: unknown config field 'scenario.more'\n"
+
+    def test_a_mapping_below_a_section_field_is_an_unknown_key(self, tmp_path):
+        # keys are at most two deep: the mapping is the value of scenario.warp
+        path = tmp_path / "cfg.yaml"
+        path.write_text("scenario: {warp: {x: 1}}\n")
+        with pytest.raises(ConfigError, match="^unknown config field 'scenario.warp'$"):
+            load_config(path)
+
+    def test_a_deeply_nested_file_exits_2_naming_it(self, tmp_path, capsys):
+        # PyYAML composes nested nodes recursively
+        path = tmp_path / "cfg.yaml"
+        path.write_text("seed: " + "[" * 3000 + "]" * 3000 + "\n")
+        out = tmp_path / "out"
+        assert main(["optimize", "--config", str(path), "--out", str(out)]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err == f"error: config file {path} is nested too deeply\n"
+
+
+# one sample value per parser, with what it reads as
+_RANGE, _GRID = ("1,2", (1.0, 2.0)), ("1,2,3", (1.0, 2.0, 3.0))
+_SAMPLES = {
+    "seed": ("3", 3), "out_dir": ("x", "x"),
+    "dataset_path": ("none", None), "model_path": ("none", None),
+    "scenario.n_devices": ("3", 3), "scenario.tasks_per_device": ("3", 3),
+    **{f"scenario.{name}": _RANGE for name in (
+        "data_bits", "cycles_per_bit", "cpu_freq_hz", "energy_coeff", "speed_mps",
+        "carrier_freq_hz", "bandwidth_hz", "noise_var_w", "gain")},
+    "spectral.subcarrier_spacing_hz": ("0.5", 0.5), "spectral.snr_linear": ("0.5", 0.5),
+    "greedy.init_ratio": ("0.5", 0.5), "greedy.step": ("0.5", 0.5),
+    "clustering.k_max": ("3", 3), "clustering.num_clusters": ("3", 3),
+    "clustering.bins": ("3", 3), "clustering.test_fraction": ("0.5", 0.5),
+    "clustering.restarts": ("3", 3),
+    "clustering.feature_subsets": ("primary;mi:2", ("primary", "mi:2")),
+    "sweeps.speed_grid": _GRID, "sweeps.carrier_freq_grid": _GRID,
+    "sweeps.data_size_grid": _GRID, "datagen.n_scenarios": ("3", 3),
+}
+
+
+class TestCoercionByKey:
+    def test_every_key_has_a_sample(self):
+        assert sorted(_SAMPLES) == sorted(SCHEMA)
+
+    @pytest.mark.parametrize("dotted", sorted(_SAMPLES))
+    def test_each_key_reads_its_sample(self, dotted):
+        text, want = _SAMPLES[dotted]
+        section, _, leaf = dotted.rpartition(".")
+        cfg = load_config(overrides={dotted: text})
+        got = getattr(getattr(cfg, section) if section else cfg, leaf)
+        assert got == want and type(got) is type(want)
+        if (text, want) == _RANGE:  # a range holds two numbers, a grid any
+            with pytest.raises(ConfigError, match=f"{dotted}: expected 'lo,hi'"):
+                load_config(overrides={dotted: _GRID[0]})
+
 
 class TestCoercion:
     def test_int_rejects_floats_and_bools(self):

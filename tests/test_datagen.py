@@ -1,8 +1,10 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from offloadlab.cli import main
 from offloadlab.datagen import SAMPLED_FIELDS, ScenarioSpec, build_dataset, generate_scenario
 from offloadlab.features import CANONICAL_FEATURES
 from offloadlab.model import DEVICE_DTYPE, TASK_DTYPE, tx_power
@@ -148,6 +150,24 @@ class TestBuildDataset:
     def test_no_seeds_rejected(self):
         with pytest.raises(ValueError, match="no scenarios given"):
             build_dataset(ScenarioSpec(), [])
+
+    def test_a_dataset_too_large_for_memory_is_one_error_line(self, tmp_path, capsys):
+        # 5e13 rows: the allocation fails before any memory is touched
+        out = tmp_path / "out"
+        tracemalloc.start()
+        try:
+            status = main(["gen-data", "--datagen.n_scenarios", "1000000000000",
+                           "--out", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert status == 1
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err == "error: a dataset of 50000000000000 rows does not fit in memory\n"
+        # numpy records its failed request for the feature matrix as if it were held
+        refused = 50_000_000_000_000 * len(CANONICAL_FEATURES) * 8
+        assert peak - refused < 1 << 20, peak
 
 
 class TestSeedArrays:

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -376,6 +377,18 @@ class TestLadder:
     def test_a_step_below_the_rounding_ends_the_ladder(self):
         init = 1.0 - 1e-11
         assert greedy._ladder(init, 1e-17).tolist() == [init, init]
+
+    def test_a_huge_nominal_ladder_is_built_small(self):
+        # 1e-11 / 1e-18 nominal levels, but + 1e-18 no longer moves the ratio
+        init = 0.99999999999
+        tracemalloc.start()
+        try:
+            rs = GreedyConfig(init, 1e-18).ladder(1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rs.tolist() == [init, init]
+        assert peak < 1 << 20, peak
 
     # ladders of up to about 100,000 nominal levels, steps down to 1e-17
     @settings(max_examples=300, deadline=None)
