@@ -23,6 +23,11 @@ MODEL_VERSION = 1
 
 RIDGE_JITTER = 1e-10  # added to the slope diagonal of the normal equations
 
+# Distance cells (rows x centroids x features) a nearest-centroid pass holds
+# at once, as datagen's BATCH_CELLS bounds ladder cells: 512 KB of float64
+# whatever the number of rows, unless one row alone spans more.
+DIST_CELLS = 1 << 16
+
 log = logging.getLogger(__name__)
 
 
@@ -114,6 +119,13 @@ def _assign(cols: np.ndarray, centroids: np.ndarray):
     nearest = np.sqrt(d2.take(own))
     d2.ravel()[own] = np.inf
     return labels, nearest, np.sqrt(d2.min(axis=0))
+
+
+def _blocks(n: int, centroids: np.ndarray) -> list[slice]:
+    """range(n) cut into runs of rows whose distances to the centroids span
+    at most DIST_CELLS cells; a row that alone spans more is a run of one."""
+    step = max(1, DIST_CELLS // max(centroids.size, 1))
+    return [slice(lo, lo + step) for lo in range(0, n, step)]
 
 
 def _seed_centroids(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -210,7 +222,10 @@ def _lloyd(points: np.ndarray, cols: np.ndarray, k: int, rng: np.random.Generato
     repair the upper is reset to inf.  A row is assigned again, exactly,
     unless upper + slack < lower, which proves its label cannot change; a
     NaN or inf bound never passes.  So the labels are bit for bit those of
-    a full assignment.  Rows are gathered with `take`: at a few thousand
+    a full assignment.  Stale rows are assigned in `_blocks` of at most
+    DIST_CELLS distance cells, so a step holds no (d, k, n) block; each
+    row's distances, label and bounds depend on that row alone, so the
+    blocks change no bit.  Rows are gathered with `take`: at a few thousand
     rows numpy's advanced indexing costs more than the arithmetic.
     Returns (centroids, labels, inertia, iterations, repairs, rows recomputed).
     """
@@ -225,12 +240,13 @@ def _lloyd(points: np.ndarray, cols: np.ndarray, k: int, rng: np.random.Generato
         # a kept row's label cannot have changed, so only stale rows can
         stale = np.flatnonzero(~(upper + slack < lower))
         changed = False
-        if stale.size:
-            fresh, upper[stale], lower[stale] = _assign(cols.take(stale, axis=1), centroids)
-            changed = not np.array_equal(fresh, labels.take(stale))
-            if changed:
-                labels[stale] = fresh
-            recomputed += stale.size
+        for block in _blocks(stale.size, centroids):
+            rows = stale[block]
+            fresh, upper[rows], lower[rows] = _assign(cols.take(rows, axis=1), centroids)
+            if not np.array_equal(fresh, labels.take(rows)):
+                labels[rows] = fresh
+                changed = True
+        recomputed += stale.size
         counts = np.bincount(labels, minlength=k)
         repaired = _repair_empty(points, centroids, labels, counts)
         repairs += repaired
@@ -387,6 +403,10 @@ def predict_matrix(model: ClusteredModel, raw: np.ndarray) -> np.ndarray:
     Each row is scaled with the training parameters, routed to the nearest
     centroid (ties to the lowest index) and evaluated with that plane.  A
     prediction that overflows or is not finite is a ValueError naming its row.
+    Rows are routed in `_blocks` of at most DIST_CELLS distance cells, so
+    memory grows as a few (n, d) arrays, with no n d k term; each plane
+    still predicts all of its rows in one call, as BLAS may round a row by
+    the batch it comes in.
     """
     raw = np.atleast_2d(np.asarray(raw, dtype=float))
     if raw.shape[1] != len(model.feature_subset):
@@ -396,7 +416,10 @@ def predict_matrix(model: ClusteredModel, raw: np.ndarray) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite row is the error below
         scaled = apply_min_max(raw, model.scaling)
         # `_assign`'s labels, without its nearest and runner-up distances
-        labels = _sq_dists(scaled.T, model.kmeans.centroids).argmin(axis=0)
+        centroids = model.kmeans.centroids
+        labels = np.empty(len(scaled), dtype=np.intp)
+        for block in _blocks(len(scaled), centroids):
+            labels[block] = _sq_dists(scaled[block].T, centroids).argmin(axis=0)
         for c, lm in enumerate(model.per_cluster):
             members = np.flatnonzero(labels == c)
             if members.size:

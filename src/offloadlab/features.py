@@ -287,14 +287,16 @@ def apply_min_max(X: np.ndarray, params: ScalingParams) -> np.ndarray:
     """(x - min) / (max - min); constant training columns map to 0.5.
 
     Values outside the training range are not clipped, so test data can
-    legitimately land outside [0, 1].
+    legitimately land outside [0, 1].  The differences are divided in
+    place, so a call allocates one array the size of X.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if X.shape[1] != len(params.mins):
         raise ValueError("column count does not match the scaling parameters")
     span = params.maxs - params.mins
     safe = np.where(params.degenerate, 1.0, span)
-    out = (X - params.mins) / safe
+    out = X - params.mins
+    out /= safe
     out[:, params.degenerate] = 0.5
     return out
 

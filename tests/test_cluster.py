@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -269,14 +270,22 @@ class TestAssignCluster:
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_routes_as_assign_labels(self):
-        centroids = np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0], [2.0, 2.0], [1e200, 0.0]])
+        # the last centroid repeats the second: a row on it ties between both
+        centroids = np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0], [2.0, 2.0], [1e200, 0.0],
+                              [2.0, 0.0]])
         # lattice rows tie exactly between two or four centroids; the far rows'
         # squared distances overflow to inf, to some centroids or to all
         lattice = [(x, y) for x in range(-1, 4) for y in range(-1, 4)]
         far = [(1e200, 0.0), (1e200, 1e200), (-1e200, 0.0), (1e300, -1e300)]
-        rows = np.array(lattice + far)
+        # four routing blocks and a short fifth, each edge flanked by tied rows
+        step = cluster.DIST_CELLS // centroids.size
+        rows = np.tile(lattice + far, (4 * step // 29 + 1, 1))
+        edges = np.arange(step, len(rows), step)
+        assert len(edges) == 4
+        rows[np.r_[edges - 1, edges]] = (2.0, 0.0)
         d2 = _sq_dists(rows.T, centroids)
-        assert ((d2 == d2.min(axis=0)).sum(axis=0) > 1).any()
+        ties = (d2 == d2.min(axis=0)).sum(axis=0) > 1
+        assert ties[edges - 1].all() and ties[edges].all()
         assert np.isinf(d2).all(axis=0).any()
         routed = predict_matrix(routing_model(centroids), rows)
         assert routed.tolist() == _assign(rows.T, centroids)[0].tolist()
@@ -285,6 +294,43 @@ class TestAssignCluster:
         model = self.make()
         with pytest.raises(ValueError):
             predict_matrix(model, np.array([[1.0, 2.0, 3.0]]))
+
+
+class TestMemory:
+    """Nearest-centroid passes hold at most DIST_CELLS distance cells, so
+    their memory grows with the rows times the features, not times k."""
+
+    n, d, k = 20_000, 7, 10
+
+    def peak(self, fn, *args, **kwargs):
+        tracemalloc.start()
+        try:
+            fn(*args, **kwargs)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def points(self):
+        return np.random.default_rng(0).random((self.n, self.d))
+
+    def bound(self, points):
+        # three copies of the points and two 2**16-cell float64 blocks; one
+        # (d, k, n) distance block alone would be 11.2 MB
+        return 3 * points.nbytes + 2 * 8 * 2**16
+
+    def test_kmeans_fit(self):
+        points = self.points()
+        peak = self.peak(kmeans_fit, points, self.k, seed=1, restarts=1, max_iter=2)
+        assert peak < self.bound(points), peak
+
+    def test_predict_matrix(self):
+        points = self.points()
+        rng = np.random.default_rng(1)
+        model = replace(routing_model(rng.random((self.k, self.d))),
+                        per_cluster=tuple(LinearModel(rng.normal(size=self.d + 1))
+                                          for _ in range(self.k)))
+        peak = self.peak(predict_matrix, model, points)
+        assert peak < self.bound(points), peak
 
 
 class TestLinearModel:

@@ -117,10 +117,14 @@ def assert_identical(got, want):
 
 
 class TestMatchesReference:
+    # about half the draws assign stale rows in blocks of a few rows, so
+    # block edges fall between tied, repaired and pruned rows
     @settings(max_examples=400, deadline=None)
-    @given(fits(d_min=2))
-    def test_exact_for_two_or_more_features(self, fit):
-        assert_identical(*both(*fit))
+    @given(fits(d_min=2), st.one_of(st.sampled_from([1, 5, 24, 96, 400]),
+                                    st.just(cluster.DIST_CELLS)))
+    def test_exact_for_two_or_more_features(self, fit, cells):
+        with mock.patch.object(cluster, "DIST_CELLS", cells):
+            assert_identical(*both(*fit))
 
     @settings(max_examples=200, deadline=None)
     @given(fits(d_min=1, d_max=1))
@@ -178,12 +182,14 @@ class TestMatchesReference:
         assert_identical(*both(np.full((9, 3), 0.1), 4, 0, 3))
 
     # the hypothesis draws stop at 60 rows; at bench scale the stale blocks
-    # of the pruned assignment run to hundreds of rows
-    @pytest.mark.parametrize("k", [2, 6, 10])
+    # of the pruned assignment run to hundreds of rows, and from d k = 49 a
+    # first step spans two or more blocks of DIST_CELLS distance cells
+    @pytest.mark.parametrize("k", [2, 6, 10, 40])
     @pytest.mark.parametrize("d", [2, 4, 7])
     def test_exact_on_bench_scale_data(self, d, k):
         points = balanced_rows(d)
         assert points.shape == (1500, d)
+        assert (len(cluster._blocks(1500, np.zeros((k, d)))) >= 2) == (d * k >= 49)
         assert points.flags.f_contiguous and not points.flags.c_contiguous
         assert_identical(*both(points, k, seed=k, restarts=10))
 
