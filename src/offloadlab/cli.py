@@ -22,7 +22,7 @@ import numpy as np
 
 from . import cluster, datagen, greedy
 from .config import SCHEMA, ConfigError, ExperimentConfig, load_config
-from .features import (TARGET_COLUMN, Dataset, feature_index, rank_features,
+from .features import (TARGET_COLUMN, Dataset, columns_at, feature_index, rank_features,
                        read_csv_matrix, resolve_subset, split_dataset, subset_label,
                        subset_pool, write_rows)
 
@@ -165,7 +165,8 @@ def cmd_predict(cfg: ExperimentConfig) -> list[Path]:
     if names[-1] == TARGET_COLUMN:
         names, X, truth = names[:-1], X[:, :-1], X[:, -1]
     try:  # errors from here on are about the dataset's values
-        preds = cluster.predict_matrix(model, X[:, feature_index(names, model.feature_subset)])
+        preds = cluster.predict_matrix(
+            model, columns_at(X, feature_index(names, model.feature_subset)))
     except ValueError as exc:
         raise ValueError(f"{cfg.dataset_path}: {exc}") from None
     header, columns = ["row", "energy_pred_j"], [range(len(preds)), preds]

@@ -304,9 +304,12 @@ def kmeans_fit(points: np.ndarray, k: int, seed: int = 0, tol: float = 1e-6,
     cols = np.ascontiguousarray(rows.T)
     slack = _prune_slack(reach, rows.shape[1], max_iter)
     rng = np.random.default_rng(seed)
-    runs = [_lloyd(rows, cols, k, rng, tol, max_iter, slack) for _ in range(restarts)]
+    # at k = 1 every run ends at the one bincount mean of all the rows, with
+    # equal inertia, and the first is kept: the others are not run
+    runs = [_lloyd(rows, cols, k, rng, tol, max_iter, slack)
+            for _ in range(restarts if k > 1 else 1)]
     # the first of the least inertias
-    best = min(range(restarts), key=lambda r: runs[r][2])
+    best = min(range(len(runs)), key=lambda r: runs[r][2])
     centroids, labels, inertia, iterations = runs[best][:4]
     log.debug("kmeans_fit n=%d k=%d: iterations per restart %s, restart %d kept, "
               "%d repairs, %d of %d rows recomputed", len(rows), k,

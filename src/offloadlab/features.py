@@ -1,10 +1,10 @@
 """Feature handling for the energy predictor: scaling, ranking, feature
 subsets, the numeric CSV reader (`read_csv_matrix`) and the package's one CSV
-writer (`write_rows`), which lays a table of numpy numbers out as byte
-matrices, its cells formatted by `numtext` with every byte that is not text
-NUL, writes each matrix with its NULs deleted by ``bytes.translate`` (there
-is no mask), and hands any other table to ``csv.writer``.  Both read and
-write UTF-8, whatever the locale.
+writer (`write_chunks`, and `write_rows` for a whole table), which lays a
+table of numpy numbers out as byte matrices, its cells formatted by
+`numtext` with every byte that is not text NUL, writes each matrix with its
+NULs deleted by ``bytes.translate`` (there is no mask), and hands any other
+table to ``csv.writer``.  Both read and write UTF-8, whatever the locale.
 
 A Dataset is a named feature matrix plus a per-row energy target in joules.
 Features are min-max scaled into [0, 1] with parameters learned on training
@@ -71,8 +71,8 @@ class Dataset:
         return self.X[:, feature_index(self.feature_names, (name,))[0]]
 
     def select(self, names) -> np.ndarray:
-        """Column block in the order given."""
-        return self.X[:, feature_index(self.feature_names, names)]
+        """Column block in the order given, as `columns_at` takes it."""
+        return columns_at(self.X, feature_index(self.feature_names, names))
 
     def to_csv(self, path) -> None:
         write_rows(path, [*self.feature_names, TARGET_COLUMN], [*self.X.T, self.y])
@@ -91,6 +91,18 @@ def feature_index(names, wanted) -> list[int]:
     if missing:
         raise ValueError(f"dataset lacks features {missing}")
     return [names.index(name) for name in wanted]
+
+
+def columns_at(X: np.ndarray, index) -> np.ndarray:
+    """X's columns at `index`, in that order: a view of X when they are
+    evenly spaced, as any one or two columns are, so that the scaling made
+    from them is the only copy; else a copy."""
+    steps = {b - a for a, b in zip(index, index[1:])}
+    if not index or len(steps) > 1 or 0 in steps:
+        return X[:, index]
+    step = steps.pop() if steps else 1
+    stop = index[-1] + step
+    return X[:, index[0]:stop if stop >= 0 else None:step]
 
 
 def _cell(value) -> str:
@@ -149,44 +161,64 @@ def _blocks(columns):
 
 
 def write_rows(path, header, columns) -> None:
-    """Write `header`, then row i holding cell i of each equal-length column.
+    """Write `header`, then row i holding cell i of each equal-length column:
+    `write_chunks` with the whole table as its one chunk.  Columns of
+    unequal length are a ValueError before the file is opened."""
+    _length(columns)
+    write_chunks(path, header, [columns])
 
-    This is the package's one CSV row format, ``csv.writer``'s default
-    dialect with ``\\r\\n`` line ends: floats as ``repr``, so they read
-    back exactly, and other cells as ``str``.  A table whose columns are
-    all numpy ints or floats (of at most 8 bytes) or int64 ranges takes
-    the byte path: its rows are made in chunks, never as one whole-file
-    string, of `CSV_CHUNK_ROWS` rows divided by the number of float
-    columns.  A chunk is one byte matrix, of which each block of columns
-    (`_blocks`) fills its part, with every byte that is not text NUL; the
-    chunk's bytes with the NULs deleted are its rows, and no number's text
-    holds a NUL.  The header, and any other table row by row, its cells
-    made text by `_cell`, go through ``csv.writer``.  The file is UTF-8.
-    """
+
+def _length(columns) -> int:
+    """The length of every column; a ValueError if they differ."""
     n = len(columns[0]) if columns else 0
     if any(len(column) != n for column in columns):
         raise ValueError("CSV columns differ in length")
+    return n
+
+
+def write_chunks(path, header, chunks) -> None:
+    """Write `header`, then the rows of each chunk of `chunks` in turn, a
+    chunk being equal-length columns whose cell i make its row i.
+
+    This is the package's one CSV writer and row format, ``csv.writer``'s
+    default dialect with ``\\r\\n`` line ends: floats as ``repr``, so they
+    read back exactly, and other cells as ``str``.  A chunk whose columns
+    are all numpy ints or floats (of at most 8 bytes) or int64 ranges takes
+    the byte path: its rows are made in pieces, never as one whole-file
+    string, of `CSV_CHUNK_ROWS` rows divided by the number of float
+    columns.  A piece is one byte matrix, of which each block of columns
+    (`_blocks`, laid out for that chunk's own values) fills its part, with
+    every byte that is not text NUL; the piece's bytes with the NULs
+    deleted are its rows, and no number's text holds a NUL.  The header,
+    and any other chunk row by row, its cells made text by `_cell`, go
+    through ``csv.writer``.  The file is UTF-8.
+    """
+    space = np.empty(0, dtype=np.uint8)  # the pieces' bytes, kept from chunk to chunk
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        blocks = _blocks(columns) if n else None
-        if blocks is None:
-            writer.writerows(zip(*(map(_cell, c.tolist() if isinstance(c, np.ndarray) else c)
-                                   for c in columns)))
-            return
-        fh.flush()
-        template = np.concatenate([cells for cells, _ in blocks] + [np.uint8([ord("\n")])])
-        template[-2] = ord("\r")
-        chunk = max(1, CSV_CHUNK_ROWS // max(1, sum(map(_is_floats, columns))))
-        matrix = np.empty((min(n, chunk), len(template)), dtype=np.uint8)
-        for start in range(0, n, chunk):
-            rows = min(n - start, chunk)
-            matrix[:rows] = template
-            at = 0
-            for cells, fill in blocks:
-                fill(start, start + rows, matrix[:rows, at:at + len(cells)])
-                at += len(cells)
-            fh.buffer.write(matrix[:rows].tobytes().translate(None, b"\0"))
+        for columns in chunks:
+            n = _length(columns)
+            blocks = _blocks(columns) if n else None
+            if blocks is None:
+                writer.writerows(zip(*(map(_cell, c.tolist() if isinstance(c, np.ndarray)
+                                           else c) for c in columns)))
+                continue
+            fh.flush()
+            template = np.concatenate([cells for cells, _ in blocks] + [np.uint8([ord("\n")])])
+            template[-2] = ord("\r")
+            step = max(1, CSV_CHUNK_ROWS // max(1, sum(map(_is_floats, columns))))
+            if space.size < min(n, step) * len(template):
+                space = np.empty(min(n, step) * len(template), dtype=np.uint8)
+            matrix = space[:min(n, step) * len(template)].reshape(-1, len(template))
+            for start in range(0, n, step):
+                rows = min(n - start, step)
+                matrix[:rows] = template
+                at = 0
+                for cells, fill in blocks:
+                    fill(start, start + rows, matrix[:rows, at:at + len(cells)])
+                    at += len(cells)
+                fh.buffer.write(matrix[:rows].tobytes().translate(None, b"\0"))
 
 
 def read_csv_matrix(path) -> tuple[tuple[str, ...], np.ndarray]:
@@ -288,14 +320,16 @@ def apply_min_max(X: np.ndarray, params: ScalingParams) -> np.ndarray:
 
     Values outside the training range are not clipped, so test data can
     legitimately land outside [0, 1].  The differences are divided in
-    place, so a call allocates one array the size of X.
+    place, so a call allocates one array the size of X.  It is in Fortran
+    order whatever the layout of X, so a view from `columns_at` and a copy
+    of the same columns scale to the same array.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if X.shape[1] != len(params.mins):
         raise ValueError("column count does not match the scaling parameters")
     span = params.maxs - params.mins
     safe = np.where(params.degenerate, 1.0, span)
-    out = X - params.mins
+    out = np.subtract(X, params.mins, out=np.empty(X.shape, order="F"))
     out /= safe
     out[:, params.degenerate] = 0.5
     return out

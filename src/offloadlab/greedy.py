@@ -27,15 +27,21 @@ their start: one whose start energy is below that of a task whose first
 bump fails keeps it, so only the other tasks' ladder rows are built.
 `optimize_packed` runs this on many scenarios of one size at once, each
 equal group of consecutive tasks on its own, and `optimize` is a batch of
-one.  Its trace reads the whole matrix, built from the endpoints on first
-read.  The pick order itself, `OffloadSolution.bumps`, is sorted out when
-first read: one default argsort, and a stable one after it only where two
-keys tie (`_stable_argsort`).
+one.
+
+The trace is one stream, `OffloadSolution.trace`, made each time it is
+read and kept nowhere: the whole matrix is built from the endpoints, and
+the picks, their totals and the CSV rows follow in chunks of `_ROWS`, each
+written as it is made, so a trace's memory grows with the ladder, not with
+its bumps.  The picks are sorted out a band of energies at a time
+(`_bands`): pivots drawn from the kept cells cut them by value, so equal
+energies share a band, and each band is sorted with one default argsort,
+and a stable one after it only where two keys tie (`_stable_argsort`).
 
 Every total, `total_energy` and the trace's alike, is the correctly rounded
 exact sum of that state's per-task energies: what `math.fsum` returns, or
 inf where that sum passes the float range.  The trace totals are worked out
-when first read, so runs that only want the ratios never pay for them.
+as the trace streams, so runs that only want the ratios never pay for them.
 They are exact float64 digit sums, rounded once: every energy is split at
 fixed bit boundaries into integer-valued float64 digits (Rump, Ogita &
 Oishi, SIAM J. Sci. Comput. 2008), small enough that a `cumsum` of each
@@ -47,20 +53,22 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
-from .features import write_rows
+from .features import write_chunks
 from .model import Scenario, energy_at, task_energy_endpoints
 
 TERMINATION_CONVERGED = "converged"    # every ratio pinned at 1.0, nothing left to adjust
 TERMINATION_SATURATED = "saturated"    # a bump failed to lower its task's energy
 
 _SNAP = 1e-12  # ratios this close to 1.0 are pinned exactly
-# tasks x ratio levels one run may hold; a run at the cap peaks near 0.25 GB
+# tasks x ratio levels one run may hold; at the cap (2,000 x 2,500) a run
+# peaks near 80 MB in `optimize_packed` and 45 MB writing its trace
 MAX_LADDER_CELLS = 5_000_000
 _CHUNK = 4096  # bumps whose digit sums are held at once, fewer past 4 digits
+_BAND = 1 << 15  # kept cells above which a band of picks is cut, ties aside
+_ROWS = 1 << 14  # trace rows made and written at once
 
 
 @dataclass(frozen=True)
@@ -96,26 +104,41 @@ class OffloadSolution:
     ladder: np.ndarray = field(repr=False)  # the ratios every task walks
     endpoints: tuple[np.ndarray, np.ndarray] = field(repr=False)  # per-task energy at l=0, l=1
 
-    @cached_property
+    @property
     def ladder_energy(self) -> np.ndarray:
-        """(tasks, levels): every energy in reach, built on first read."""
+        """(tasks, levels): every energy in reach, built at each read, a
+        block of about `_CHUNK` cells at a time, so that its build holds no
+        second matrix."""
         local, offload = self.endpoints
-        return energy_at(local[:, None], offload[:, None], self.ladder)
+        energy = np.empty((len(local), len(self.ladder)))
+        rows = max(1, _CHUNK // len(self.ladder))
+        for lo in range(0, len(local), rows):
+            energy[lo:lo + rows] = energy_at(local[lo:lo + rows, None],
+                                             offload[lo:lo + rows, None], self.ladder)
+        return energy
 
-    @cached_property
-    def bumps(self) -> np.ndarray:
-        """Flat index into ladder_energy before each bump, sorted on first read."""
-        return _picks(self.ladder_energy)[:self.evaluations - 1]
+    def trace(self):
+        """Yield the trace as (totals, tasks) chunks: the system total after
+        each evaluation and the task bumped just before it, -1 for the
+        first.  Each chunk of picks is summed and yielded as it is sorted
+        out, so no array of the whole run is held."""
+        energy = self.ladder_energy
+        count = self.evaluations - 1
+        start, after = _exact_totals(energy, count)
+        yield start, np.array([-1])
+        for bumps in _picks(energy, count):
+            yield after(bumps), bumps // energy.shape[1]
 
-    @cached_property
-    def trace_picks(self) -> np.ndarray:
-        """Task bumped just before each evaluation, -1 for the first."""
-        return np.r_[-1, self.bumps // self.ladder_energy.shape[1]]
-
-    @cached_property
+    @property
     def trace_totals(self) -> np.ndarray:
-        """System total after each evaluation, computed on first read."""
-        return _exact_totals(self.ladder_energy, self.bumps)
+        """System total after each evaluation: the stream's totals, joined."""
+        return np.concatenate([totals for totals, _ in self.trace()])
+
+    @property
+    def trace_picks(self) -> np.ndarray:
+        """Task bumped just before each evaluation, -1 for the first: the
+        stream's tasks, joined."""
+        return np.concatenate([tasks for _, tasks in self.trace()])
 
 
 def _grains(cells: np.ndarray, terms: int) -> list[int]:
@@ -128,11 +151,11 @@ def _grains(cells: np.ndarray, terms: int) -> list[int]:
     ``W = 52 - ceil(log2(terms + 1))``, so every sum of `terms` digits is
     an integer below 2**52: exact in float64.
     """
-    mag = np.abs(cells)
-    tiny = np.min(mag, where=mag != 0.0, initial=np.inf)
+    tiny = min(np.min(cells, where=cells > 0.0, initial=np.inf),
+               -np.max(cells, where=cells < 0.0, initial=-np.inf))
     if tiny == np.inf:  # all zeros
         return [0]
-    top = int(np.frexp(mag.max())[1])
+    top = int(np.frexp(max(cells.max(), -cells.min()))[1])
     lsb = max(int(np.frexp(tiny)[1]) - 53, -1074)
     width = 52 - terms.bit_length()
     return [max(top - width * j, lsb) for j in range(1, 1 - (lsb - top) // width)]
@@ -190,35 +213,41 @@ def _round(sums: np.ndarray, grains: list[int]) -> np.ndarray:
         return np.where(below & (lo > 0.0) & (up - hi == doubled), up, hi)
 
 
-def _exact_totals(energy: np.ndarray, bumps=np.empty(0, dtype=int)) -> np.ndarray:
-    """Correctly rounded sums of ``energy[:, 0]``, then of each state after
-    a bump, where bump j moves one task from flat cell ``bumps[j]``, the
-    one it is at, to the next cell.  The cells of `energy` must be finite
-    and nonnegative, so that no state's total is negative.
+def _exact_totals(energy: np.ndarray, count: int):
+    """(start, after) for a trace of `count` bumps over `energy`: `start`,
+    the correctly rounded sum of ``energy[:, 0]`` as an array of one, and
+    ``after(bumps)``, that of each state after the next of the `bumps`.
+    Bump j moves one task from flat cell ``bumps[j]``, the one it is at, to
+    the next cell.  The cells of `energy` must be finite and nonnegative,
+    so that no state's total is negative.
 
     Each cell is split into integer-valued float64 digits (`_grains`), so
     a state's exact sum is one running sum per digit: the start column's,
     then a cumsum of each bump's new minus old digits, every partial sum
-    exact.  `_round` rounds each state's digit sums once.  Bumps are taken
-    `_CHUNK` at a time, fewer when the ladder needs more than 4 digits.
+    exact, carried from one call of `after` to the next.  `_round` rounds
+    each state's digit sums once.  Bumps are taken `_CHUNK` at a time,
+    fewer when the ladder needs more than 4 digits.
     """
     cells = energy.ravel()
     n = len(energy)
-    grains = _grains(cells, n + 2 * len(bumps))
+    grains = _grains(cells, n + 2 * count)
     rows = max(1, _CHUNK * 4 // max(len(grains), 4))
     running = np.zeros((len(grains), 1))
     for lo in range(0, n, rows):
         running += _split(energy[lo:lo + rows, 0], grains).sum(axis=1, keepdims=True)
-    totals = np.empty(len(bumps) + 1)
-    totals[:1] = _round(running, grains)
-    for lo in range(0, len(bumps), rows):
-        cell = bumps[lo:lo + rows]
-        digits = _split(cells[np.concatenate((cell + 1, cell))], grains)
-        sums = np.cumsum(digits[:, :len(cell)] - digits[:, len(cell):], axis=1)
-        sums += running
-        running = sums[:, -1:]
-        totals[lo + 1:lo + 1 + len(cell)] = _round(sums, grains)
-    return totals
+
+    def after(bumps: np.ndarray) -> np.ndarray:
+        nonlocal running
+        totals = np.empty(len(bumps))
+        for lo in range(0, len(bumps), rows):
+            cell = bumps[lo:lo + rows]
+            digits = _split(cells.take(np.concatenate((cell + 1, cell))), grains)
+            sums = np.cumsum(digits[:, :len(cell)] - digits[:, len(cell):], axis=1)
+            sums += running
+            running = sums[:, -1:]
+            totals[lo:lo + len(cell)] = _round(sums, grains)
+        return totals
+    return _round(running, grains), after
 
 
 def _fsum(values: np.ndarray) -> float:
@@ -259,15 +288,91 @@ def _stalls(energy: np.ndarray) -> np.ndarray:
     return improving.argmin(axis=1)
 
 
-def _picks(energy: np.ndarray) -> np.ndarray:
-    """Flat cells of one run's `energy` in pick order: each task's cells up
-    to and including its first non-improving bump, by falling energy; flat
-    cells are task-major, so the stable sort breaks ties by task index."""
-    top = energy.shape[1] - 1
-    kept = np.arange(top + 1) < np.minimum(_stalls(energy) + 1, top)[:, None]
-    # the keys are freed before the cells are listed again, to hold less at once
-    order = _stable_argsort(np.negative(energy.take(np.flatnonzero(kept))))
-    return np.flatnonzero(kept).take(order)
+def _picks(energy: np.ndarray, count: int):
+    """Yield the first `count` flat cells of one run's `energy` in pick
+    order, `_ROWS` at a time: each task's cells up to and including its
+    first non-improving bump, by falling energy; flat cells are task-major,
+    so the stable sort of a band, whose cells are listed in flat order,
+    breaks ties by task index.  A band holds every cell of its energies, so
+    the bands in turn give the order of one stable sort of all the cells."""
+    width = energy.shape[1]
+    flat = energy.ravel()
+    stop = np.minimum(_stalls(energy) + 1, width - 1)
+    held = np.empty(0, dtype=np.intp)  # sorted cells not yet yielded
+    for lo, hi in _bands(flat, width, np.zeros(len(energy), dtype=np.intp), stop):
+        if not count:
+            break
+        band = _sorted_band(flat, width, lo, hi)[:count]
+        count -= len(band)
+        held = np.concatenate((held, band))
+        del band
+        while len(held) >= _ROWS:
+            yield held[:_ROWS]
+            held = held[_ROWS:]
+    if len(held):
+        yield held
+
+
+def _sorted_band(flat: np.ndarray, width: int, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The flat cells ``[lo[i], hi[i])`` of each row i by falling energy,
+    ties in flat order."""
+    rows = np.flatnonzero(hi > lo)
+    runs = hi[rows] - lo[rows]
+    starts = rows * width + lo[rows] - (np.cumsum(runs) - runs)
+    cells = np.repeat(starts, runs) + np.arange(runs.sum())
+    return cells.take(_stable_argsort(np.negative(flat.take(cells))))
+
+
+def _bands(flat: np.ndarray, width: int, lo: np.ndarray, hi: np.ndarray):
+    """Yield (lo, hi) per band of the cells ``[lo[i], hi[i])`` of each row
+    i of the (rows, `width`) `flat`, highest energies first.
+
+    Those cells strictly fall along each row, so the cells at or above an
+    energy are a run at the start of each row's range, whose end a binary
+    search finds.  A range of more than `_BAND` cells that do not all tie
+    is cut at pivots, energies drawn from a strided sample of its cells,
+    and each part is cut again in turn; equal energies always share a part.
+    """
+    rows = np.flatnonzero(hi > lo)
+    runs = hi[rows] - lo[rows]
+    size = int(runs.sum())
+    first, last = rows * width + lo[rows], rows * width + hi[rows] - 1
+    if size <= _BAND or flat.take(first).max() == flat.take(last).min():
+        yield lo, hi
+        return
+    # ranks stride by size / phi modulo size, which no row length aliases
+    ranks = np.arange(8 * size // _BAND) * int(size * 0.6180339887498949) % size
+    ends = np.cumsum(runs)
+    at = np.searchsorted(ends, ranks, side="right")
+    sample = np.sort(flat.take(first.take(at) + ranks - (ends - runs).take(at)))
+    # every 4th of the sample, about 2 pivots per _BAND cells; one that ties
+    # the lowest energy would cut nothing off, so the highest stands in
+    pivots = sample[2::4][::-1]
+    pivots = pivots[np.r_[True, pivots[1:] != pivots[:-1]]]  # each energy once
+    pivots = pivots[pivots > flat.take(last).min()]
+    for pivot in pivots if len(pivots) else [flat.take(first).max()]:
+        edge = _edge(flat, width, lo, hi, pivot)
+        yield from _bands(flat, width, lo, edge)
+        lo = edge
+    yield from _bands(flat, width, lo, hi)
+
+
+def _edge(flat: np.ndarray, width: int, lo: np.ndarray, hi: np.ndarray,
+          pivot: float) -> np.ndarray:
+    """``lo`` plus, for each row, how many of its cells ``[lo, hi)``, which
+    strictly fall, are at or above `pivot`: a binary search per row."""
+    rows = np.flatnonzero(hi > lo)
+    end = hi.take(rows)
+    pos = lo.take(rows)
+    base = rows * width - 1
+    step = 1 << int((end - pos).max()).bit_length() - 1
+    while step:  # pos grows while the cell before it stays at or above the pivot
+        at = np.minimum(pos + step, end)
+        np.copyto(pos, at, where=flat.take(base + at) >= pivot)
+        step >>= 1
+    edge = lo.copy()
+    edge[rows] = pos
+    return edge
 
 
 def _stable_argsort(keys: np.ndarray) -> np.ndarray:
@@ -362,7 +467,11 @@ def optimize(scenario: Scenario, config: GreedyConfig) -> OffloadSolution:
 
 
 def write_trace_csv(solution: OffloadSolution, path) -> None:
-    """Dump the evaluation trace; the initial row carries task_index -1."""
-    write_rows(path, ["iteration", "total_energy_j", "task_index"],
-               [range(solution.evaluations), solution.trace_totals,
-                solution.trace_picks])
+    """Dump the evaluation trace, a chunk at a time as `OffloadSolution.trace`
+    makes it; the initial row carries task_index -1."""
+    def chunks():
+        done = 0
+        for totals, tasks in solution.trace():
+            yield range(done, done + len(totals)), totals, tasks
+            done += len(totals)
+    write_chunks(path, ["iteration", "total_energy_j", "task_index"], chunks())

@@ -1,7 +1,7 @@
 """The texts of numpy numbers as ``repr`` writes them, made in numpy.
 
-`features.write_rows` lays a chunk of CSV rows out as one byte matrix in
-which every byte that is not text is NUL, so the chunk's text is its bytes
+`features.write_chunks` lays a piece of CSV rows out as one byte matrix in
+which every byte that is not text is NUL, so the piece's text is its bytes
 with the NULs deleted (``bytes.translate``); no number's text holds a NUL,
 and there is no mask.  `float_cells` and `int_cell` fill a block of that
 matrix.  Floats take repr's shortest round-trip digits (`shortest`), which

@@ -148,6 +148,23 @@ class TestKMeans:
         assert np.array_equal(a.centroids, b.centroids)
         assert a.inertia == b.inertia
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_one_cluster_runs_one_restart(self, monkeypatch, seed):
+        # every restart ends at the same mean with equal inertia, and the
+        # first is kept, so ten restarts give the model of one
+        pts = np.random.default_rng(seed).uniform(size=(200, 3)) ** (seed + 1)
+        runs = []
+        lloyd = cluster._lloyd
+        monkeypatch.setattr(cluster, "_lloyd", lambda *a: runs.append(1) or lloyd(*a))
+        many = kmeans_fit(pts, 1, seed=seed, restarts=10)
+        assert len(runs) == 1
+        one = kmeans_fit(pts, 1, seed=seed, restarts=1)
+        assert (many.k, many.inertia, many.seed, many.iterations_run) == (
+            one.k, one.inertia, one.seed, one.iterations_run)
+        assert many.centroids.tobytes() == one.centroids.tobytes()
+        assert many.labels.tobytes() == one.labels.tobytes()
+        assert np.allclose(many.centroids, pts.mean(axis=0))
+
     def test_restarts_never_hurt(self):
         rng = np.random.default_rng(6)
         pts = rng.uniform(size=(30, 2))

@@ -8,7 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 from offloadlab.datagen import build_dataset
 from offloadlab.features import (CANONICAL_FEATURES, PRIMARY_FEATURES, Dataset,
-                                 apply_min_max, check_subsets, fit_min_max,
+                                 apply_min_max, check_subsets, columns_at, fit_min_max,
                                  mutual_information, rank_features, read_csv_matrix,
                                  resolve_subset, split_dataset, subset_entry,
                                  subset_label)
@@ -175,6 +175,16 @@ class TestDataset:
                               [[2.0, 1.0], [4.0, 3.0], [6.0, 5.0]])
         with pytest.raises(ValueError):
             ds.column("Nope")
+
+    @pytest.mark.parametrize("index, view", [
+        ([0, 1, 2, 3], True), ([3], True), ([2, 0], True), ([6, 3, 0], True), ([5, 6], True),
+        ([1, 0, 2], False), ([0, 2, 3], False), ([4, 4], False), ([], False)])
+    def test_columns_at_are_a_view_when_evenly_spaced(self, index, view):
+        # so that predict and train scale their columns into the one copy
+        X = np.arange(35.0).reshape(5, 7)
+        got = columns_at(X, index)
+        assert got.tobytes() == X[:, index].tobytes()
+        assert np.shares_memory(got, X) is view
 
     def test_select_names_every_missing_feature(self):
         with pytest.raises(ValueError, match=r"lacks features \['Nope', 'Gone'\]"):

@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,7 +18,8 @@ from offloadlab.datagen import ScenarioSpec, generate_scenario
 from offloadlab.model import Scenario, energy_at, task_energy_endpoints
 
 import reference_datagen
-from helpers import EX_SE, example_device, frozen_view, priced_at, scenario, small_scenario
+from helpers import (EX_SE, balanced_spec, example_device, frozen_view, priced_at, scenario,
+                     small_scenario)
 
 
 def default_scenario(seed: int) -> Scenario:
@@ -192,6 +194,19 @@ def stable_picks(energy: np.ndarray) -> np.ndarray:
     return np.flatnonzero(kept)[np.argsort(-energy[kept], kind="stable")]
 
 
+def streamed_picks(energy: np.ndarray, count=None) -> np.ndarray:
+    """The pick stream's chunks joined: its first `count` cells, or all."""
+    if count is None:
+        count = len(stable_picks(energy))
+    return np.concatenate([np.empty(0, dtype=np.intp), *greedy._picks(energy, count)])
+
+
+def streamed_totals(energy: np.ndarray, chunks) -> np.ndarray:
+    """The start's total, then those after each chunk of bumps, joined."""
+    start, after = greedy._exact_totals(energy, sum(map(len, chunks)))
+    return np.concatenate([start, *map(after, chunks)])
+
+
 # easily tied energies: signed zeros, the least subnormal, neighbouring floats
 _ENERGY_POOL = [-0.0, 0.0, 5e-324, 0.5, 1.0, 1.0 + 2.0**-52, 2.0, 3.0]
 
@@ -227,7 +242,22 @@ class TestPicks:
     @settings(max_examples=300, deadline=None)
     @given(energy=ladders())
     def test_the_order_of_one_stable_argsort(self, energy):
-        assert np.array_equal(greedy._picks(energy), stable_picks(energy))
+        assert np.array_equal(streamed_picks(energy), stable_picks(energy))
+
+    # bands of 1 to 3 cells and chunks of 1 to 4 picks, so that tied cells
+    # (-0.0 and 0.0 among them) fall on both sides of band and chunk edges
+    @settings(max_examples=300, deadline=None)
+    @given(energy=ladders(), band=st.integers(1, 3), rows=st.integers(1, 4), cut=st.floats(0, 1))
+    def test_tiny_bands_give_the_order_of_one_stable_argsort(self, energy, band, rows, cut):
+        want = stable_picks(energy)
+        count = int(cut * len(want))  # a saturated run stops part of the way
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(greedy, "_BAND", band)
+            mp.setattr(greedy, "_ROWS", rows)
+            chunks = list(greedy._picks(energy, count))
+        assert all(len(chunk) == rows for chunk in chunks[:-1])
+        assert np.array_equal(np.concatenate([np.empty(0, dtype=np.intp), *chunks]),
+                              want[:count])
 
     @settings(max_examples=100, deadline=None)
     @given(seed=st.integers(0, 2**32), tasks=st.sampled_from([1, 7, 400]))
@@ -235,7 +265,7 @@ class TestPicks:
         rng = np.random.default_rng(seed)
         energy = energy_at(rng.uniform(0.0, 10.0, size=(tasks, 1)),
                            rng.uniform(0.0, 10.0, size=(tasks, 1)), greedy._ladder(0.5, 0.1))
-        assert np.array_equal(greedy._picks(energy), stable_picks(energy))
+        assert np.array_equal(streamed_picks(energy), stable_picks(energy))
 
     @pytest.mark.parametrize("seed", range(20))
     def test_signed_zeros_are_a_tie(self, seed):
@@ -245,31 +275,69 @@ class TestPicks:
         energy = np.zeros((64, 2))
         energy[:, 0] = rng.permutation(np.arange(1.0, 65.0))
         energy[rng.choice(64, 2, replace=False), 0] = 0.0, -0.0
-        assert np.array_equal(greedy._picks(energy), stable_picks(energy))
+        assert np.array_equal(streamed_picks(energy), stable_picks(energy))
+
+    @pytest.mark.parametrize("step", [0.1, 0.01])
+    @pytest.mark.parametrize("band", [1, 7, 64])
+    @pytest.mark.parametrize("spec", ["default", "pinned", "balanced"])
+    def test_runs_with_tiny_bands(self, monkeypatch, spec, band, step):
+        # converged, all-tied and saturated runs, one band cut into many
+        sc = {"default": lambda: default_scenario(seed=3), "pinned": pinned_scenario,
+              "balanced": lambda: generate_scenario(balanced_spec(), [4])}[spec]()
+        cfg = GreedyConfig(step=step)
+        sol = optimize(sc, cfg)
+        want = stable_picks(sol.ladder_energy)[:sol.evaluations - 1] // len(sol.ladder)
+        totals = sol.trace_totals
+        monkeypatch.setattr(greedy, "_BAND", band)
+        monkeypatch.setattr(greedy, "_ROWS", 5)
+        assert sol.trace_picks.tolist() == [-1, *want.tolist()]
+        assert sol.trace_totals.tobytes() == totals.tobytes()
+
+    def test_a_one_evaluation_run_streams_its_start(self, monkeypatch):
+        monkeypatch.setattr(greedy, "_BAND", 1)
+        sol = optimize(small_scenario(), GreedyConfig(init_ratio=1.0))
+        assert sol.evaluations == 1
+        assert [tasks.tolist() for _, tasks in sol.trace()] == [[-1]]
 
     @staticmethod
     def sort_kinds(monkeypatch, solution) -> list:
-        """The kinds of the argsorts that sorting out `solution.bumps` makes."""
+        """The kinds of the argsorts that sorting out the trace's picks makes."""
         kinds = []
         argsort = np.argsort
         monkeypatch.setattr(np, "argsort",
                             lambda a, kind=None: kinds.append(kind) or argsort(a, kind=kind))
-        solution.bumps
+        solution.trace_picks
         monkeypatch.undo()
         return kinds
 
     def test_distinct_keys_sort_once(self, monkeypatch):
+        # one band: its cells are fewer than _BAND
         sol = optimize(default_scenario(seed=3), GreedyConfig())
+        assert sol.ladder_energy.size < greedy._BAND
         assert self.sort_kinds(monkeypatch, sol) == [None]
-        assert np.array_equal(sol.bumps, stable_picks(sol.ladder_energy)[:sol.evaluations - 1])
+        assert np.array_equal(streamed_picks(sol.ladder_energy, sol.evaluations - 1),
+                              stable_picks(sol.ladder_energy)[:sol.evaluations - 1])
 
     def test_tied_keys_sort_again_stably(self, monkeypatch):
         sol = optimize(pinned_scenario(), GreedyConfig())
         assert self.sort_kinds(monkeypatch, sol) == [None, "stable"]
-        assert np.array_equal(sol.bumps, stable_picks(sol.ladder_energy)[:sol.evaluations - 1])
+        assert np.array_equal(streamed_picks(sol.ladder_energy, sol.evaluations - 1),
+                              stable_picks(sol.ladder_energy)[:sol.evaluations - 1])
         # the tied tasks are bumped lowest first, level by level
         assert sol.trace_picks[1:len(sol.offload_ratios) + 1].tolist() == list(
             range(len(sol.offload_ratios)))
+
+    def test_each_band_sorts_once_and_ties_again(self, monkeypatch):
+        # bands of 7 cells: a band of distinct keys sorts once, and a band
+        # of the tied tasks' equal energies sorts again, stably
+        monkeypatch.setattr(greedy, "_BAND", 7)
+        sol = optimize(default_scenario(seed=3), GreedyConfig())
+        kinds = self.sort_kinds(monkeypatch, sol)
+        assert kinds.count(None) > 1 and "stable" not in kinds
+        monkeypatch.setattr(greedy, "_BAND", 7)
+        sol = optimize(pinned_scenario(), GreedyConfig())
+        kinds = self.sort_kinds(monkeypatch, sol)
+        assert kinds == [None, "stable"] * (len(kinds) // 2)
 
 
 class TestBruteForce:
@@ -308,6 +376,46 @@ class TestTraceCsv:
             assert float(row[1]) == total
 
 
+def trace_peak(sc, cfg, path) -> int:
+    """tracemalloc's peak, in bytes, while `write_trace_csv` writes the trace
+    of a fresh solution; a first write, of another, makes the one-off
+    allocations that are not counted."""
+    write_trace_csv(optimize(sc, cfg), path)
+    sol = optimize(sc, cfg)
+    tracemalloc.start()
+    try:
+        write_trace_csv(sol, path)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestTraceMemory:
+    def test_a_converged_50x40_trace_is_written_in_bounded_memory(self, tmp_path):
+        # 100,000 bumps over a 2,000 x 51 ladder (0.82 MB); a trace that held
+        # its picks, order and totals whole peaked at 4.0 MB
+        sc = generate_scenario(ScenarioSpec(n_devices=50, tasks_per_device=40), [1])
+        assert optimize(sc, GreedyConfig()).evaluations == 100_001
+        assert trace_peak(sc, GreedyConfig(), tmp_path / "trace.csv") < 3.5e6
+
+    def test_the_peak_grows_with_the_ladder_not_the_bumps(self, tmp_path):
+        # two ladders of 2,000 x 501 cells (8 MB): a converged run of about
+        # a million bumps, and a saturated one of about 45,000; a trace
+        # array of 8 bytes a bump would be 7.6 MB more in the first
+        cfg = GreedyConfig(step=0.001)
+        spec = ScenarioSpec(n_devices=50, tasks_per_device=40)
+        runs = [(generate_scenario(spec, [1]), TERMINATION_CONVERGED),
+                (generate_scenario(replace(balanced_spec(), n_devices=50, tasks_per_device=40),
+                                   [0]), TERMINATION_SATURATED)]
+        sols = [optimize(sc, cfg) for sc, _ in runs]
+        assert [sol.termination for sol in sols] == [end for _, end in runs]
+        assert [len(sol.ladder) for sol in sols] == [501, 501]
+        assert sols[0].evaluations > 20 * sols[1].evaluations
+        peaks = [trace_peak(sc, cfg, tmp_path / "trace.csv") for sc, _ in runs]
+        assert peaks[0] < 1.5 * 2000 * 501 * 8, peaks
+        assert peaks[0] - peaks[1] < 2e6, peaks
+
+
 class TestNonFiniteTotals:
     def test_overflowing_starting_total_rejected(self, monkeypatch):
         # each endpoint is finite, their sum is not
@@ -320,8 +428,10 @@ class TestNonFiniteTotals:
 
 class TestExactTotals:
     def test_chunks_carry_the_running_sum(self, monkeypatch):
-        # more bumps than one chunk holds
+        # more bumps than one digit chunk holds, in stream chunks of 5 cut
+        # into digit chunks of 7
         monkeypatch.setattr(greedy, "_CHUNK", 7)
+        monkeypatch.setattr(greedy, "_ROWS", 5)
         sc = default_scenario(seed=3)
         sol = optimize(sc, GreedyConfig(step=0.1))
         assert sol.evaluations > 7 * 4
@@ -340,8 +450,8 @@ class TestExactTotals:
         # decides which way it goes
         column = np.array([[2.0 ** 53], [1.0], [tiny]])
         assert len(greedy._grains(column.ravel(), 3)) > 4
-        assert greedy._exact_totals(column[:2]).tolist() == [2.0 ** 53]
-        assert greedy._exact_totals(column).tolist() == [want]
+        assert streamed_totals(column[:2], []).tolist() == [2.0 ** 53]
+        assert streamed_totals(column, []).tolist() == [want]
         assert math.fsum(column.ravel().tolist()) == want
 
     def test_fsum_overflow_still_gives_the_exact_total(self):
@@ -354,7 +464,7 @@ class TestExactTotals:
 
     def test_an_all_zero_ladder_sums_to_positive_zero(self):
         energy = np.array([[0.0, -0.0, 0.0], [-0.0, -0.0, 0.0]])
-        totals = greedy._exact_totals(energy, np.array([0, 3, 1, 4]))
+        totals = streamed_totals(energy, [np.array([0, 3]), np.array([1, 4])])
         assert totals.view(np.int64).tolist() == [0] * 5  # +0.0 bits, no -0.0
 
 

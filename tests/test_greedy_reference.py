@@ -18,7 +18,7 @@ are independent, so the best reachable total is sum_i min(local_i, offload_i).
 
 import json
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -33,8 +33,8 @@ from helpers import (FrozenGreedyConfig, balanced_spec, frozen_build_dataset, fr
 from offloadlab import datagen, greedy
 from offloadlab.cli import main
 from offloadlab.datagen import ScenarioSpec, generate_scenario
-from offloadlab.greedy import (GreedyConfig, TERMINATION_CONVERGED, TERMINATION_SATURATED,
-                               optimize, task_energy_endpoints)
+from offloadlab.greedy import (GreedyConfig, OffloadSolution, TERMINATION_CONVERGED,
+                               TERMINATION_SATURATED, optimize, task_energy_endpoints)
 from offloadlab.model import Scenario, energy_at
 from offloadlab.spectral import SpectralConfig, SpectralEfficiencyCache
 
@@ -50,6 +50,7 @@ _NOISE = st.one_of(st.sampled_from([1e-3, 1e-2]),
 
 # (devices, tasks) of a scenario
 SHAPES = st.tuples(st.integers(1, 3), st.integers(1, 6))
+FIELDS = {field.name for field in fields(OffloadSolution)}  # all a solution holds
 
 
 @st.composite
@@ -179,7 +180,8 @@ class TestMatchesReference:
 
 class TestLazyPickOrder:
     """`evaluations` and `termination` come from the threshold; the pick
-    order is sorted only when `bumps` is first read."""
+    order is sorted only when the trace is streamed, and the solution keeps
+    nothing of it."""
 
     @settings(max_examples=300, deadline=None)
     @given(scenarios(), greedy_configs)
@@ -188,8 +190,9 @@ class TestLazyPickOrder:
         counted = got.evaluations, got.termination
         if not hidden_improvement(want, sc, cfg):
             assert counted == (len(want.trace), want.termination)
-        assert "bumps" not in vars(got)
-        assert len(got.bumps) == got.evaluations - 1
+        assert set(vars(got)) == FIELDS
+        assert len(got.trace_picks) == got.evaluations
+        assert set(vars(got)) == FIELDS
         assert (got.evaluations, got.termination) == counted
         picks = frozen_picks(want)
         assert np.array_equal(got.trace_picks[:len(picks)], picks)
@@ -532,30 +535,35 @@ class TestPruning:
         assert (built_rows[1] < 1250) is pruned
         assert len(built_rows) == 2
 
-    def test_a_converged_optimize_builds_the_trace_ladder_on_first_read(self, built_rows):
+    @staticmethod
+    def assert_each_read_builds_the_ladder(sol, sc, built_rows):
+        """A trace read builds every ladder row once, in blocks of at most
+        `_CHUNK` cells, and so does the next read: nothing is cached."""
+        assert set(vars(sol)) == FIELDS
+        assert len(sol.trace_totals) == sol.evaluations
+        levels = len(sol.ladder)
+        assert sum(built_rows[2:]) == 2000
+        assert max(built_rows[2:]) * levels <= max(greedy._CHUNK, levels)
+        local, offload = task_energy_endpoints(sc)
+        full = energy_at(local[:, None], offload[:, None], sol.ladder)
+        assert sol.ladder_energy.tobytes() == full.tobytes()
+        assert sum(built_rows[2:]) == 2 * 2000  # the trace's, then this read's
+        assert set(vars(sol)) == FIELDS
+
+    def test_a_converged_optimize_builds_the_trace_ladder_at_each_read(self, built_rows):
         sc = generate_scenario(ScenarioSpec(n_devices=50, tasks_per_device=40), [1])
         sol = optimize(sc, GreedyConfig())
         assert sol.termination == TERMINATION_CONVERGED
         assert built_rows == [2000, 2000]
-        assert "ladder_energy" not in vars(sol)
-        assert len(sol.trace_totals) == sol.evaluations
-        assert built_rows[2:] == [2000]
-        local, offload = task_energy_endpoints(sc)
-        full = energy_at(local[:, None], offload[:, None], sol.ladder)
-        assert sol.ladder_energy.tobytes() == full.tobytes()
+        self.assert_each_read_builds_the_ladder(sol, sc, built_rows)
 
-    def test_a_pruned_optimize_builds_the_trace_ladder_on_first_read(self, built_rows):
+    def test_a_pruned_optimize_builds_the_trace_ladder_at_each_read(self, built_rows):
         spec = replace(balanced_spec(), n_devices=50, tasks_per_device=40)
         sc = generate_scenario(spec, [0])
         sol = optimize(sc, GreedyConfig())
         assert sol.termination == TERMINATION_SATURATED
         assert built_rows[0] == 2000 > built_rows[1]
-        assert "ladder_energy" not in vars(sol)
-        assert len(sol.trace_totals) == sol.evaluations
-        assert built_rows[2:] == [2000]
-        local, offload = task_energy_endpoints(sc)
-        full = energy_at(local[:, None], offload[:, None], sol.ladder)
-        assert sol.ladder_energy.tobytes() == full.tobytes()
+        self.assert_each_read_builds_the_ladder(sol, sc, built_rows)
 
 
 class TestOracleImport:

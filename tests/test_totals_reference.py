@@ -2,13 +2,16 @@
 frozen Python-int ones.
 
 `reference_totals._exact_totals` sums each state's energies as exact
-Python ints and divides once.  `greedy._exact_totals` must return the same
-bits (compared as int64, so a -0.0 for 0.0 counts too) for every finite,
+Python ints and divides once.  The totals of `greedy._exact_totals`, its
+start and then each call of its `after`, joined, must be the same bits
+(compared as int64, so a -0.0 for 0.0 counts too) for every finite,
 nonnegative ladder, as greedy energies are: exponents across the whole
 float range, subnormals, cells near DBL_MAX whose totals pass the float
 range, eighths that make exact ties, and zeros.  The bumps walk tasks up
-the ladder, as the greedy's do, a few of them or either side of a chunk.  At bench scale the CLI must write the same bytes with the frozen
-totals patched in.
+the ladder, as the greedy's do, a few of them or either side of a chunk,
+and are handed over in chunks of drawn sizes, as the trace streams them.
+At bench scale the CLI must write the same bytes with the frozen totals
+patched in.
 """
 
 import filecmp
@@ -63,13 +66,33 @@ def ladders(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(ladders())
-def test_digit_sums_equal_the_frozen_int_sums(ladder):
+@given(ladders(), st.lists(st.integers(1, 2 * greedy._CHUNK), max_size=4))
+def test_digit_sums_equal_the_frozen_int_sums(ladder, sizes):
+    # the bumps come in chunks of the drawn sizes, the rest in one, so the
+    # running digit sums are carried across chunk edges
     energy, bumps = ladder
-    got = greedy._exact_totals(energy, bumps)
+    start, after = greedy._exact_totals(energy, len(bumps))
+    edges = np.cumsum(sizes)
+    got = np.concatenate([start, *map(after, np.split(bumps, edges[edges < len(bumps)]))])
     want = reference_totals._exact_totals(energy, bumps)
     assert got.dtype == want.dtype == np.float64
     np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def frozen_stream(energy, count):
+    """`greedy._exact_totals`'s (start, after) over the frozen int totals:
+    the whole pick order is summed at once, and each call of `after` hands
+    back the totals of the bumps it is given, which must be the next ones."""
+    bumps = np.concatenate([np.empty(0, dtype=np.intp), *greedy._picks(energy, count)])
+    totals = reference_totals._exact_totals(energy, bumps)
+    done = [0]
+
+    def after(chunk):
+        lo = done[0]
+        done[0] += len(chunk)
+        assert np.array_equal(chunk, bumps[lo:done[0]])
+        return totals[1 + lo:1 + done[0]]
+    return totals[:1], after
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -78,7 +101,7 @@ def test_cli_bytes_match_the_frozen_totals(seed, tmp_path, monkeypatch):
     argv = ["optimize", "--scenario.n_devices", "50", "--scenario.tasks_per_device", "40",
             "--seed", str(seed), "--out"]
     assert main(argv + [str(tmp_path / "digits")]) == 0
-    monkeypatch.setattr(greedy, "_exact_totals", reference_totals._exact_totals)
+    monkeypatch.setattr(greedy, "_exact_totals", frozen_stream)
     assert main(argv + [str(tmp_path / "ints")]) == 0
     for name in ("trace.csv", "solution.json"):
         assert filecmp.cmp(tmp_path / "digits" / name, tmp_path / "ints" / name,

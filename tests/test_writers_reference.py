@@ -308,7 +308,10 @@ class TestCliMatchesFrozenWriters:
     ])
     def test_optimize_trace(self, tmp_path, monkeypatch, args):
         assert main(["optimize", *args, "--out", str(tmp_path / "new")]) == 0
-        monkeypatch.setattr(greedy, "write_rows", reference_writers.write_rows_with_csv_writer)
+        # the frozen row writer, given the stream's chunks joined row after row
+        monkeypatch.setattr(greedy, "write_chunks", lambda path, header, chunks: (
+            reference_writers._write_csv(path, header, (
+                row for columns in chunks for row in zip(*columns)))))
         assert main(["optimize", *args, "--out", str(tmp_path / "old")]) == 0
         _assert_same_files(tmp_path / "new", tmp_path / "old")
 
