@@ -4,7 +4,9 @@ writer (`write_chunks`, and `write_rows` for a whole table), which lays a
 table of numpy numbers out as byte matrices, its cells formatted by
 `numtext` with every byte that is not text NUL, writes each matrix with its
 NULs deleted by ``bytes.translate`` (there is no mask), and hands any other
-table to ``csv.writer``.  Both read and write UTF-8, whatever the locale.
+table to ``csv.writer``.  A run of equal float cells down a column, such as
+a device's speed over its tasks or a pinned feature, is formatted once and
+its text copied.  Both read and write UTF-8, whatever the locale.
 
 A Dataset is a named feature matrix plus a per-row energy target in joules.
 Features are min-max scaled into [0, 1] with parameters learned on training
@@ -39,7 +41,10 @@ PRIMARY_FEATURES = CANONICAL_FEATURES[:4]
 
 TARGET_COLUMN = "energy_j"
 
-CSV_CHUNK_ROWS = 2048  # rows per write, divided among the float columns; bounds memory
+# rows per write, divided among the float columns: the floats one write
+# formats at most, and half the float cells it may lay out when cells
+# repeat (`_piece`); bounds memory
+CSV_CHUNK_ROWS = 2048
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,12 +121,13 @@ def _cell(value) -> str:
 def _column_cells(column):
     """(cell, fill) for a numpy int column or a range inside int64, else
     None: `cell` is a row's bytes of the column, its cell then a ",", and
-    ``fill(lo, hi, cells)`` writes rows lo to hi into `cells`, views of
-    rows holding `cell`, with the bytes that are not text NUL, leaving the
-    ","."""
+    ``fill(lo, hi, cells, x, new)`` writes rows lo to hi into `cells`,
+    views of rows holding `cell`, with the bytes that are not text NUL,
+    leaving the ","; x and new, the piece's floats (`_piece`), are not
+    used."""
     if isinstance(column, np.ndarray) and column.dtype.kind in "iu" and column.itemsize <= 8:
         cell, fill = int_cell(int(column.min()), int(column.max()))
-        return cell, lambda lo, hi, cells: fill(column[lo:hi], cells)
+        return cell, lambda lo, hi, cells, *_: fill(column[lo:hi], cells)
     # A range is formatted a chunk at a time, never made whole: the
     # trace's 100,001-row iteration column given as np.arange raised the
     # peak RSS of optimize at 50x40, which the trace write sets, from
@@ -133,7 +139,7 @@ def _column_cells(column):
         def values(lo, hi):  # modulo 2**64, which gives the int64 values exactly
             steps = np.arange(hi - lo, dtype=np.uint64) * np.uint64(column.step % 2 ** 64)
             return (steps + np.uint64(column[lo] % 2 ** 64)).view(np.int64)
-        return cell, lambda lo, hi, cells: fill(values(lo, hi), cells)
+        return cell, lambda lo, hi, cells, *_: fill(values(lo, hi), cells)
     return None
 
 
@@ -144,20 +150,82 @@ def _is_floats(column) -> bool:
 def _blocks(columns):
     """(cells, fill) per block of a table's columns, as `_column_cells`
     gives them, or None if a column is not numpy numbers or a range: a run
-    of numpy float columns is one block, whose floats `float_cells` formats
-    together, and any other column is its own."""
-    blocks = []
+    of numpy float columns is one block, and any other column is its own.
+    A float block's ``fill(lo, hi, cells, x, new)`` is given the piece's
+    `_piece`: with no runs it formats its cells in place, all its floats
+    together, and with runs `_fill_heads` fills them from its columns'
+    part of x and new."""
+    blocks, first = [], 0
     for floats, run in itertools.groupby(columns, key=_is_floats):
         if not floats:
             blocks += map(_column_cells, run)
             continue
         run = list(run)
+        part = slice(first, first + len(run))
+        first = part.stop
 
-        def fill(lo, hi, cells, run=run):
-            float_cells(np.stack([column[lo:hi] for column in run], axis=1),
-                        cells.reshape(hi - lo, len(run), len(FLOAT_CELL)))
+        def fill(lo, hi, cells, x, new, run=run, part=part):
+            cells = cells.reshape(hi - lo, len(run), len(FLOAT_CELL))
+            if new is None:
+                float_cells(np.stack([column[lo:hi] for column in run], axis=1), cells)
+            else:
+                _fill_heads(cells, x[part], new[part])
         blocks.append((np.tile(FLOAT_CELL, len(run)), fill))
     return None if None in blocks else blocks
+
+
+def _fill_heads(cells, x, new) -> None:
+    """Write the floats `x`, (k, rows), into `cells`, (rows, k, 45) of
+    `FLOAT_CELL`: `float_cells` formats the run heads that `new` marks, of
+    all k columns in one call, into a buffer, and each cell's 44 text bytes
+    are copied from its head's."""
+    heads = np.empty((np.count_nonzero(new), len(FLOAT_CELL)), dtype=np.uint8)
+    heads[:] = FLOAT_CELL
+    float_cells(x[new][:, None], heads[:, None])  # column after column
+    head = np.cumsum(new, axis=None).reshape(x.shape).T  # each cell's, in `heads`
+    head -= 1
+    # a cell as one 45-byte item, so that it is one copy
+    texts = heads.view(f"V{len(FLOAT_CELL)}")[:, 0].take(head)
+    cells[..., :-1] = texts.view(np.uint8).reshape(cells.shape)[..., :-1]
+
+
+def _repeats(column) -> bool:
+    """Whether a cell of the float column `column` has the bits of the cell
+    above, as float64."""
+    bits = column.astype(np.float64, copy=False).view(np.uint64)
+    return bool((bits[1:] == bits[:-1]).any())
+
+
+def _piece(floats, lo, n):
+    """(rows, x, new) for the piece of rows from lo of an n-row chunk whose
+    float columns are `floats`.  If no float cell of the piece repeats the
+    cell above, x and new are None.  Else x holds the rows' floats as
+    float64, (len(floats), rows), and new whether each cell starts a run
+    of equal cells down its column: the piece's first row does, and so
+    does a cell whose bits differ from those of the cell above.  Bits, not
+    values, are compared, so -0.0 and 0.0 stay apart.
+
+    With k float columns and step = `CSV_CHUNK_ROWS` // k rows (at least
+    one), a piece whose first step rows repeat no cell is those rows, k
+    floats a row to lay out and format.  Any other is the most rows whose
+    float cells and run heads number at most 2 k step: it formats at most
+    k step floats and is under 2 step rows.  With no float columns a piece
+    is `CSV_CHUNK_ROWS` rows."""
+    k = len(floats)
+    step = max(1, CSV_CHUNK_ROWS // k) if k else CSV_CHUNK_ROWS
+    hi = min(n, lo + step)
+    if not any(_repeats(column[lo:hi]) for column in floats):
+        return hi - lo, None, None
+    x = np.empty((k, min(n, lo + 2 * step) - lo))
+    for j, column in enumerate(floats):
+        x[j] = column[lo:lo + x.shape[1]]
+    bits = x.view(np.uint64)
+    new = np.empty(x.shape, dtype=bool)
+    new[:, 0] = True
+    np.not_equal(bits[:, 1:], bits[:, :-1], out=new[:, 1:])
+    cost = np.cumsum(new.sum(axis=0, dtype=np.intp) + k)
+    rows = int(np.searchsorted(cost, 2 * k * step, side="right"))
+    return rows, x[:, :rows], new[:, :rows]
 
 
 def write_rows(path, header, columns) -> None:
@@ -185,13 +253,19 @@ def write_chunks(path, header, chunks) -> None:
     read back exactly, and other cells as ``str``.  A chunk whose columns
     are all numpy ints or floats (of at most 8 bytes) or int64 ranges takes
     the byte path: its rows are made in pieces, never as one whole-file
-    string, of `CSV_CHUNK_ROWS` rows divided by the number of float
-    columns.  A piece is one byte matrix, of which each block of columns
-    (`_blocks`, laid out for that chunk's own values) fills its part, with
-    every byte that is not text NUL; the piece's bytes with the NULs
-    deleted are its rows, and no number's text holds a NUL.  The header,
-    and any other chunk row by row, its cells made text by `_cell`, go
-    through ``csv.writer``.  The file is UTF-8.
+    string.  A piece (`_piece`) is `CSV_CHUNK_ROWS` rows divided by the
+    number of float columns when none of its float cells repeats the cell
+    above it; with runs of equal cells it is the most rows whose float
+    cells and run heads number at most twice its float cells, so it
+    formats no more floats and lays out under twice as many cells.  A
+    piece is one byte matrix, of which each block of columns (`_blocks`,
+    laid out for that chunk's own values) fills its part, with every byte
+    that is not text NUL: in a piece with runs, a block of float columns
+    formats only its run heads and copies each other cell's text from its
+    head's.  The piece's bytes with the NULs deleted are its rows, and no
+    number's text holds a NUL.  The header, and any other chunk row by
+    row, its cells made text by `_cell`, go through ``csv.writer``.  The
+    file is UTF-8.
     """
     space = np.empty(0, dtype=np.uint8)  # the pieces' bytes, kept from chunk to chunk
     with open(path, "w", newline="", encoding="utf-8") as fh:
@@ -207,18 +281,21 @@ def write_chunks(path, header, chunks) -> None:
             fh.flush()
             template = np.concatenate([cells for cells, _ in blocks] + [np.uint8([ord("\n")])])
             template[-2] = ord("\r")
-            step = max(1, CSV_CHUNK_ROWS // max(1, sum(map(_is_floats, columns))))
-            if space.size < min(n, step) * len(template):
-                space = np.empty(min(n, step) * len(template), dtype=np.uint8)
-            matrix = space[:min(n, step) * len(template)].reshape(-1, len(template))
-            for start in range(0, n, step):
-                rows = min(n - start, step)
-                matrix[:rows] = template
+            floats = [column for column in columns if _is_floats(column)]
+            start = 0
+            while start < n:
+                rows, x, new = _piece(floats, start, n)
+                if space.size < rows * len(template):
+                    del space  # before the larger one is made
+                    space = np.empty(rows * len(template), dtype=np.uint8)
+                matrix = space[:rows * len(template)].reshape(rows, len(template))
+                matrix[:] = template
                 at = 0
                 for cells, fill in blocks:
-                    fill(start, start + rows, matrix[:rows, at:at + len(cells)])
+                    fill(start, start + rows, matrix[:, at:at + len(cells)], x, new)
                     at += len(cells)
-                fh.buffer.write(matrix[:rows].tobytes().translate(None, b"\0"))
+                fh.buffer.write(matrix.tobytes().translate(None, b"\0"))
+                start += rows
 
 
 def read_csv_matrix(path) -> tuple[tuple[str, ...], np.ndarray]:

@@ -84,8 +84,13 @@ class GreedyConfig:  # where every task's ratio ladder starts, and its step
 
     def ladder(self, n_tasks: int) -> np.ndarray:
         """The ratios every task walks; ValueError when `n_tasks` ladders of
-        them pass `MAX_LADDER_CELLS`."""
+        them pass `MAX_LADDER_CELLS`, one that names the task count when
+        even a ladder of one level would."""
         most = MAX_LADDER_CELLS // max(n_tasks, 1)
+        if not most:  # no ladder fits, whatever its step
+            raise ValueError(
+                f"greedy: {n_tasks} tasks are more than the cap of {MAX_LADDER_CELLS} "
+                "cells at one ratio level each; lower scenario.n_devices or tasks_per_device")
         rs = _ladder(float(self.init_ratio), self.step, most)
         if len(rs) > most:
             raise ValueError(

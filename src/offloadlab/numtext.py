@@ -4,10 +4,12 @@
 which every byte that is not text is NUL, so the piece's text is its bytes
 with the NULs deleted (``bytes.translate``); no number's text holds a NUL,
 and there is no mask.  `float_cells` and `int_cell` fill a block of that
-matrix.  Floats take repr's shortest round-trip digits (`shortest`), which
-are proven exactly, and ``repr`` itself for the values they do not cover;
-integers are cut into 4-digit words whose zeros before the first digit are
-NUL.
+matrix, or, where float cells repeat down a column, `float_cells` fills a
+buffer with the text of each run's first cell and the writer copies it
+down the run.  Floats take repr's shortest round-trip digits (`shortest`),
+which are proven exactly, and ``repr`` itself for the values they do not
+cover; integers are cut into 4-digit words whose zeros before the first
+digit are NUL.
 
 `shortest` is the one subtle part.  It follows Ryu (Adams, PLDI 2018): an
 exact 128-bit product gives the value's first 17 digits and its fraction,

@@ -550,6 +550,24 @@ class TestBoundedRun:
             load_config(overrides={"scenario.tasks_per_device": "100000"})
         load_config(overrides={"scenario.tasks_per_device": "10000"})
 
+    @pytest.mark.parametrize("init_ratio", [1.0, 0.5])
+    def test_more_tasks_than_cells_blames_the_task_count(self, init_ratio):
+        # no step or start ratio helps: a pinned ladder is one level
+        n = greedy.MAX_LADDER_CELLS + 1
+        with pytest.raises(ValueError, match=rf"^greedy: {n} tasks are more than the cap "
+                                             rf"of {greedy.MAX_LADDER_CELLS} cells at one "
+                                             "ratio level each; lower scenario.n_devices"):
+            GreedyConfig(init_ratio=init_ratio).ladder(n)
+        assert len(GreedyConfig(init_ratio=1.0).ladder(n - 1)) == 1
+
+    def test_cli_blames_the_task_count_with_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["optimize", "--scenario.n_devices", "600000",
+                     "--greedy.init_ratio", "1", "--out", str(out)]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "6000000 tasks are more than the cap" in err and "greedy.step" not in err
+
     def test_cli_exits_2_without_making_out(self, tmp_path, capsys):
         out = tmp_path / "out"
         assert main(["optimize", "--greedy.step", "1e-9", "--out", str(out)]) == 2

@@ -7,9 +7,11 @@ files it now writes must match the ones the frozen writers write when they
 are patched back in.  The trace and dataset files are checked against
 `reference_greedy` and `reference_datagen` in their own tests; here the
 trace is also checked against the frozen row writer.  Numpy columns are
-drawn from small pools of easily confused values, at the chunk boundaries,
-which fall every `CSV_CHUNK_ROWS` rows divided by the number of float
-columns.  `test_number_text.py` checks the numpy number texts against
+drawn from small pools of easily confused values, and as runs of equal
+cells, whose heads alone the byte path formats, with row counts at the
+byte path's piece edges.  `_piece_ends` finds those edges by the writer's
+rule, written out again here, and the writer is checked to cut its
+pieces there.  `test_number_text.py` checks the numpy number texts against
 ``repr`` itself.
 """
 
@@ -17,6 +19,7 @@ import csv
 import filecmp
 import math
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -25,9 +28,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_writers
-from offloadlab import cli, cluster, greedy
+from helpers import balanced_spec
+from offloadlab import cli, cluster, features, greedy
 from offloadlab.cli import main
-from offloadlab.features import CSV_CHUNK_ROWS, write_rows
+from offloadlab.datagen import build_dataset
+from offloadlab.features import CSV_CHUNK_ROWS, write_chunks, write_rows
 
 _AWKWARD_TEXT = [",", '"', "\r", "\n", "", " lead", "trail ", "é", 'a,b "c"',
                  "x\r\ny", '""', "None"]
@@ -53,14 +58,52 @@ _POOLS = {
     "np_float": _FLOATS,
     "mixed": _MIXED,
 }
-_ROW_COUNTS = [0, 1, 2, 3, CSV_CHUNK_ROWS - 1, CSV_CHUNK_ROWS, CSV_CHUNK_ROWS + 1,
-               2 * CSV_CHUNK_ROWS + 1]
+
+
+def _piece_ends(floats, n):
+    """Where the byte path's pieces of an n-row chunk end, by its rule: with
+    k float columns (none: `CSV_CHUNK_ROWS` rows a piece) and
+    step = max(1, CSV_CHUNK_ROWS // k), a piece whose first `step` rows
+    hold no cell equal in float64 bits to the cell above is those rows;
+    any other is the most rows whose k cells a row, plus its run heads,
+    number at most 2 * k * step.  A run head is the piece's first cell of
+    a column, or a cell whose bits differ from the cell's above."""
+    k = len(floats)
+    step = max(1, CSV_CHUNK_ROWS // k) if k else CSV_CHUNK_ROWS
+    bits = [np.asarray(column, dtype=np.float64).view(np.uint64).tolist() for column in floats]
+    ends, lo = [], 0
+    while lo < n:
+        hi = min(n, lo + step)
+        if any(b[r] == b[r - 1] for b in bits for r in range(lo + 1, hi)):
+            hi, cost = lo, 0
+            while hi < n:
+                cost += k + sum(hi == lo or b[hi] != b[hi - 1] for b in bits)
+                if cost > 2 * k * step:
+                    break
+                hi += 1
+        ends.append(hi)
+        lo = hi
+    return ends
+
+
+def _rows_at_piece_ends(draw, columns, least):
+    """A drawn row count: `least` to 3, or one of the rows at and beside
+    the piece ends of the table `columns` (`_piece_ends` of its numpy
+    float columns)."""
+    n = len(columns[0])
+    floats = [column for column in columns if features._is_floats(column)]
+    near = {end + d for end in _piece_ends(floats, n) for d in (-1, 0, 1)}
+    return draw(st.sampled_from(sorted(set(range(least, 4)) | {r for r in near if r <= n})))
+
+
+_FULL_ROWS = 2 * CSV_CHUNK_ROWS + 1  # rows a drawn table is cut from
 
 
 @st.composite
 def tables(draw):
-    """(header, columns): each column cycles a small drawn pool of cells."""
-    rows = draw(st.sampled_from(_ROW_COUNTS))
+    """(header, columns): each column cycles a small drawn pool of cells,
+    cut at a drawn row count, near a piece end where it has one."""
+    rows = _FULL_ROWS
     width = draw(st.integers(1, 4))
     header = draw(st.lists(_TEXT, min_size=width, max_size=width))
     columns = []
@@ -77,7 +120,8 @@ def tables(draw):
         elif kind == "np_float":
             cells = np.array(cells, dtype=float)
         columns.append(cells)
-    return header, columns
+    cut = _rows_at_piece_ends(draw, columns, 0)
+    return header, [column[:cut] for column in columns]
 
 
 @pytest.fixture(scope="module")
@@ -91,15 +135,13 @@ _SHARED_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308,
                   -1.7976931348623157e308, math.inf, -math.inf, math.nan, 0.1, 1.0 / 3.0]
 _SHARED_INTS = {np.int64: [0, -1, 7, 2 ** 63 - 1, -2 ** 63], np.int32: [0, -5, 2 ** 31 - 1],
                 np.uint64: [0, 3, 2 ** 64 - 1], np.bool_: [True, False]}
-_SHARED_ROWS = [1, 2, 3, CSV_CHUNK_ROWS - 1, CSV_CHUNK_ROWS, CSV_CHUNK_ROWS + 1,
-                2 * CSV_CHUNK_ROWS + 1]
 
 
 @st.composite
 def pooled_tables(draw):
     """Numeric numpy columns, each drawn from a small pool of values, so
-    that most of a column's cells repeat one another."""
-    rows = draw(st.sampled_from(_SHARED_ROWS))
+    that most of a column's cells repeat one another, cut near a piece end."""
+    rows = _FULL_ROWS
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32)))
     columns = []
     for _ in range(draw(st.integers(1, 3))):
@@ -108,7 +150,47 @@ def pooled_tables(draw):
         pool = np.array(draw(st.lists(st.sampled_from(values), min_size=1, max_size=6)),
                         dtype=dtype)
         columns.append(pool[rng.integers(0, len(pool), size=rows)])
-    return columns
+    cut = _rows_at_piece_ends(draw, columns, 1)
+    return [column[:cut] for column in columns]
+
+
+def _run_pool(dtype) -> np.ndarray:
+    """`_SHARED_FLOATS` in `dtype`: its own smallest subnormal and largest
+    value stand in for float64's."""
+    info = np.finfo(dtype)
+    own = {5e-324: info.smallest_subnormal, -5e-324: -info.smallest_subnormal,
+           1.7976931348623157e308: info.max, -1.7976931348623157e308: -info.max}
+    return np.array([own.get(v, v) for v in _SHARED_FLOATS], dtype=dtype)
+
+
+@st.composite
+def run_tables(draw):
+    """(columns, cuts): numpy columns and the rows at which `write_chunks`
+    is given a new chunk.  A float column is drawn runs of `_SHARED_FLOATS`
+    in float64, float32 or float16, of 1 to 3 cells or up to two pieces
+    long, so that runs cross piece and chunk edges; beside them are int
+    columns, ranges and float columns of all distinct values."""
+    rows = draw(st.integers(1, 3 * CSV_CHUNK_ROWS))
+    columns = []
+    for _ in range(draw(st.integers(1, 5))):
+        kind = draw(st.sampled_from(["runs", "runs", "int", "range", "distinct"]))
+        if kind == "runs":
+            pool = _run_pool(draw(st.sampled_from([np.float64, np.float32, np.float16])))
+            length = st.one_of(st.integers(1, 3), st.integers(1, 2 * CSV_CHUNK_ROWS))
+            lengths = draw(st.lists(length, min_size=1, max_size=12))
+            picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=len(lengths),
+                                  max_size=len(lengths)))
+            columns.append(np.resize(np.repeat(pool[picks], lengths), rows))
+        elif kind == "int":
+            columns.append(np.resize(np.array(draw(st.lists(_INT64, min_size=1, max_size=4)),
+                                              dtype=np.int64), rows))
+        elif kind == "range":
+            start = draw(st.integers(-5, 5))
+            columns.append(range(start, start + rows))
+        else:
+            columns.append(np.random.default_rng(draw(st.integers(0, 2 ** 32))).random(rows))
+    cuts = sorted(set(draw(st.lists(st.integers(1, rows - 1), max_size=3)) if rows > 1 else []))
+    return columns, cuts
 
 
 def _column_with_distinct(rows: int, distinct: int) -> np.ndarray:
@@ -186,19 +268,47 @@ class TestWriteRows:
 
     @pytest.mark.parametrize("floats", [1, 2, 3, 8])
     def test_float_columns_at_their_chunk_boundaries(self, tmp_path, floats):
-        # a chunk holds CSV_CHUNK_ROWS // floats rows, so that its float
-        # cells are formatted together; ints and text around the floats
-        chunk = CSV_CHUNK_ROWS // floats
+        # rows at and beside the first two piece ends, where the rule cuts;
+        # an int column and a range around the floats keep the byte path
+        full = 4 * CSV_CHUNK_ROWS // floats + 1
         rng = np.random.default_rng(floats)
-        for rows in (chunk - 1, chunk, chunk + 1, 2 * chunk + 1):
-            columns = [np.arange(rows) - 3, *(rng.choice(_SHARED_FLOATS + [1e-7, 2.5e14, 123.0],
-                                                         size=rows) * rng.random(rows)
-                                              for _ in range(floats)),
-                       ["t" * (i % 3) for i in range(rows)]]
+        values = [rng.choice(_SHARED_FLOATS + [1e-7, 2.5e14, 123.0], size=full) * rng.random(full)
+                  for _ in range(floats)]
+        ends = _piece_ends(values, full)
+        assert len(ends) > 2
+        for rows in sorted({end + d for end in ends[:2] for d in (-1, 0, 1)}):
+            columns = [np.arange(rows) - 3, *(column[:rows] for column in values), range(rows)]
             header = [f"c{i}" for i in range(len(columns))]
             write_rows(tmp_path / "new.csv", header, columns)
             reference_writers._write_csv(tmp_path / "old.csv", header, zip(*columns))
             assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(table=run_tables())
+    def test_runs_across_piece_and_chunk_edges_as_the_frozen_row_writer(self, scratch, table):
+        columns, cuts = table
+        edges = [0, *cuts, len(columns[0])]
+        chunks = [[column[a:b] for column in columns] for a, b in zip(edges, edges[1:])]
+        header = [f"c{i}" for i in range(len(columns))]
+        pieces, piece = [], features._piece
+
+        def spy(floats, lo, n):
+            rows, x, new = piece(floats, lo, n)
+            pieces.append((lo, lo + rows))
+            return rows, x, new
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(features, "_piece", spy)
+            write_chunks(scratch / "new.csv", header, chunks)
+        reference_writers._write_csv(scratch / "old.csv", header, (
+            row for chunk in chunks
+            for row in zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in chunk))))
+        assert (scratch / "new.csv").read_bytes() == (scratch / "old.csv").read_bytes()
+        # each chunk is cut where the rule cuts it
+        want = []
+        for chunk in chunks:
+            ends = _piece_ends([c for c in chunk if features._is_floats(c)], len(chunk[0]))
+            want += zip([0, *ends], ends)
+        assert pieces == want
 
     def test_float32_and_float16_columns_as_their_float64_values(self, tmp_path):
         # as tolist() gives them: the frozen row writer wrote numpy's own str
@@ -272,6 +382,52 @@ class TestWriteRows:
         with pytest.raises(ValueError, match="differ in length"):
             write_rows(tmp_path / "t.csv", ["a", "b"], [[1, 2], [1.0]])
         assert not (tmp_path / "t.csv").exists()
+
+
+@pytest.fixture(scope="module")
+def bench_dataset():
+    """The bench's balanced dataset: 400 scenarios of 5 x 10 tasks from seed
+    100,000, 20,000 rows of 8 float columns."""
+    return build_dataset(balanced_spec(), range(100_000, 100_400))
+
+
+def _run_heads(column) -> int:
+    """Cells of `column` whose bits differ from those of the cell above, and
+    the first."""
+    bits = column.view(np.uint64)
+    return 1 + int(np.count_nonzero(bits[1:] != bits[:-1]))
+
+
+class TestRunHeads:
+    """On the bench's dataset, whose per-device and pinned columns repeat,
+    the byte path formats each run of equal cells once."""
+
+    def test_formats_the_run_heads_and_one_cell_a_column_a_piece(self, tmp_path,
+                                                                   monkeypatch, bench_dataset):
+        formatted, real = [], features.float_cells
+        monkeypatch.setattr(features, "float_cells",
+                            lambda x, cells: (formatted.append(np.size(x)), real(x, cells)))
+        bench_dataset.to_csv(tmp_path / "dataset.csv")
+        columns = [*bench_dataset.X.T, bench_dataset.y]
+        heads = sum(map(_run_heads, columns))
+        assert (len(bench_dataset), len(columns)) == (20_000, 8)
+        # of 160,000 cells; TaskSize, CyclesPerBit and energy_j, 60,000, have no runs
+        assert heads < 70_000
+        pieces = len(formatted)  # one call a piece
+        assert sum(formatted) <= heads + len(columns) * pieces, (sum(formatted), heads, pieces)
+
+    def test_the_write_holds_under_three_quarters_of_a_megabyte(self, tmp_path, bench_dataset):
+        path = tmp_path / "dataset.csv"
+        bench_dataset.to_csv(path)  # any lazy set-up is done before the measure
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            bench_dataset.to_csv(path)
+            peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.75 * 2 ** 20, peak
 
 
 def _frozen_writers(monkeypatch):
